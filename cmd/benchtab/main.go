@@ -39,8 +39,8 @@ func main() {
 		ablations = flag.Bool("ablations", false, "run the design ablations")
 		scaling   = flag.Bool("scaling", false, "cluster-size scaling sweep")
 		parallel  = flag.Bool("parallel", false, "intra-frame thread sweep, written to BENCH_parallel.json")
-		wire      = flag.Bool("wire", false, "frame codec sweep (full, delta, delta+flate, delta+span, delta+adaptive), written to BENCH_wire.json")
-		wireCheck = flag.Bool("check", false, "with -wire: gate the sweep against the committed BENCH_wire.json baseline and the codec invariants, exiting nonzero on violation")
+		wire      = flag.Bool("wire", false, "frame codec sweep (full, delta, delta+span), written to BENCH_wire.json")
+		wireCheck = flag.Bool("check", false, "with -wire: gate the sweep against the committed BENCH_wire.json baseline, exiting nonzero on violation")
 		baseline  = flag.String("baseline", "BENCH_wire.json", "committed baseline path for -check")
 		dfbB      = flag.Bool("dfb", false, "distributed-framebuffer routing sweep (master vs compositor sinks), written to BENCH_dfb.json")
 		timelineB = flag.Bool("timeline", false, "event-recorder overhead bench (off vs on), written to BENCH_timeline.json")
@@ -249,7 +249,7 @@ func run(table1, fig2, fig4, ablations, scaling, parallel, wire, dfbB, timelineB
 		if err != nil {
 			return err
 		}
-		fmt.Printf("=== Wire: frame codec sweep on %s (full, delta, delta+flate, delta+span, delta+adaptive) ===\n", wsc.Name)
+		fmt.Printf("=== Wire: frame codec sweep on %s (full, delta, delta+span) ===\n", wsc.Name)
 		frames := 16
 		if full {
 			frames = 32
@@ -283,15 +283,11 @@ func run(table1, fig2, fig4, ablations, scaling, parallel, wire, dfbB, timelineB
 				"key enc ns", fmt.Sprintf("%.0f", pt.KeyEncodeNS),
 				"steady enc", fmt.Sprintf("%.0f", pt.SteadyEncodeNSPerFrame),
 				"dec ns/frame", fmt.Sprintf("%.0f", pt.DecodeNSPerFrame),
-				"eff ns/frame", fmt.Sprintf("%.0f", pt.EffectiveNSPerFrame),
 				"deltas", fmt.Sprintf("%d", pt.FramesDelta),
-				"flate", fmt.Sprintf("%d", pt.FramesCompressed),
 				"span", fmt.Sprintf("%d", pt.FramesSpan),
 				"identical", fmt.Sprintf("%v", pt.Identical))
 		}
 		fmt.Println(tb.String())
-		fmt.Printf("paired codec stage: span %.0f ns/frame, flate %.0f ns/frame, speedup %.2fx\n",
-			bench.SpanCodecNSPerFrame, bench.FlateCodecNSPerFrame, bench.SpanCodecSpeedup)
 		data, err := json.MarshalIndent(bench, "", "  ")
 		if err != nil {
 			return err

@@ -40,8 +40,7 @@ type faultOpts struct {
 	frameRetries               int
 	speculate                  bool
 	chaos                      string
-	wireDelta                  bool
-	wireCompress               farm.WireCompressFlag
+	wireDelta, wireCompress    bool
 	dfbSinks                   int
 	dfbAddrs                   string
 }
@@ -55,8 +54,7 @@ func (f faultOpts) apply(cfg *farm.Config) error {
 	cfg.FrameRetries = f.frameRetries
 	cfg.Speculate = f.speculate
 	cfg.WireDelta = f.wireDelta
-	cfg.WireCompress = f.wireCompress.Mode.Flate
-	cfg.WireSpanCodec = f.wireCompress.Mode.Span
+	cfg.WireSpanCodec = f.wireCompress
 	switch {
 	case f.dfbAddrs != "":
 		// Remote compositor fleet (nowcompose daemons): frames land at
@@ -105,16 +103,15 @@ func main() {
 	flag.IntVar(&ft.frameRetries, "frame-retries", 0, "per-frame requeue budget before the master renders it locally (0 = 3, negative = unlimited)")
 	flag.BoolVar(&ft.speculate, "speculate", false, "speculatively re-issue the slowest in-flight task to idle workers")
 	flag.StringVar(&ft.chaos, "chaos", "", "fault-injection plan, e.g. seed=7,drop=0.01,corrupt=0.005,delay=0.02:5ms,protect=worker00 (local mode)")
-	flag.BoolVar(&ft.wireDelta, "wire-delta", false, "ship dirty-span delta frames from workers that support them (pixels are identical either way)")
-	flag.Var(&ft.wireCompress, "wire-compress", "frame payload compression: off, flate, span, or adaptive (per-worker choice); bare flag = flate")
+	flag.BoolVar(&ft.wireDelta, "wire-delta", false, "ship dirty-span delta frames instead of full regions (pixels are identical either way)")
+	flag.BoolVar(&ft.wireCompress, "wire-compress", false, "compress frame payloads with the span codec (pixels are identical either way)")
 	flag.IntVar(&ft.dfbSinks, "dfb", 0, "route pixels through this many in-process compositor sinks instead of the master (local mode; 0 = off)")
 	flag.StringVar(&ft.dfbAddrs, "dfb-sinks", "", "comma-separated nowcompose sink addresses; pixels ship straight to them and the sinks emit the frames (master mode)")
 	flag.Parse()
 	if flag.NArg() > 0 {
-		// Likely "-wire-compress span" instead of "-wire-compress=span":
-		// bool-style flags don't consume a value argument, so the mode word
-		// becomes a positional arg and silently stops flag parsing.
-		fmt.Fprintf(os.Stderr, "nowrender: unexpected argument %q (mode-taking flags need = syntax, e.g. -wire-compress=span)\n", flag.Arg(0))
+		// A stray positional arg silently stops flag parsing, so flags
+		// after it would be ignored; fail loudly instead.
+		fmt.Fprintf(os.Stderr, "nowrender: unexpected argument %q\n", flag.Arg(0))
 		os.Exit(2)
 	}
 	if *version {

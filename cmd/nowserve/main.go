@@ -39,7 +39,6 @@ import (
 
 	"nowrender/internal/buildinfo"
 	"nowrender/internal/cluster"
-	"nowrender/internal/farm"
 	"nowrender/internal/faulty"
 	"nowrender/internal/fleetd"
 	"nowrender/internal/msg"
@@ -65,7 +64,8 @@ func main() {
 		speculate    = flag.Bool("speculate", false, "speculatively re-issue the slowest in-flight farm task")
 		jobRetries   = flag.Int("max-job-retries", 0, "cap on a job spec's retries field (0 = 5)")
 		chaos        = flag.String("chaos", "", "fault-injection plan for local-driver farm runs, e.g. seed=7,drop=0.01,protect=worker00")
-		wireDelta    = flag.Bool("wire-delta", false, "ship dirty-span delta frames from workers that support them")
+		wireDelta    = flag.Bool("wire-delta", false, "ship dirty-span delta frames instead of full regions")
+		wireCompress = flag.Bool("wire-compress", false, "compress frame payloads with the span codec")
 		dfbSinks     = flag.Int("dfb", 0, "route local-driver pixels through this many in-process compositor sinks instead of the farm master (0 = off)")
 		timelineOn   = flag.Bool("timeline", false, "record a per-job cluster timeline, served on GET /jobs/{id}/timeline")
 		pprofOn      = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
@@ -80,14 +80,11 @@ func main() {
 		leaseTerm    = flag.Duration("lease-term", 0, "broker lease term to request (0 = broker default); only with -fleet-broker")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "grace period for running jobs to finish on SIGTERM before they are cancelled")
 	)
-	var wireCompress farm.WireCompressFlag
-	flag.Var(&wireCompress, "wire-compress", "frame payload compression: off, flate, span, or adaptive (per-worker choice); bare flag = flate")
 	flag.Parse()
 	if flag.NArg() > 0 {
-		// Likely "-wire-compress span" instead of "-wire-compress=span":
-		// bool-style flags don't consume a value argument, so the mode word
-		// becomes a positional arg and silently stops flag parsing.
-		fmt.Fprintf(os.Stderr, "nowserve: unexpected argument %q (mode-taking flags need = syntax, e.g. -wire-compress=span)\n", flag.Arg(0))
+		// A stray positional arg silently stops flag parsing, so flags
+		// after it would be ignored; fail loudly instead.
+		fmt.Fprintf(os.Stderr, "nowserve: unexpected argument %q\n", flag.Arg(0))
 		os.Exit(2)
 	}
 	if *version {
@@ -118,8 +115,7 @@ func main() {
 		Speculate:     *speculate,
 		MaxJobRetries: *jobRetries,
 		WireDelta:     *wireDelta,
-		WireCompress:  wireCompress.Mode.Flate,
-		WireSpanCodec: wireCompress.Mode.Span,
+		WireSpanCodec: *wireCompress,
 		DFBSinks:      *dfbSinks,
 		Timeline:      *timelineOn,
 

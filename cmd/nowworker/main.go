@@ -39,10 +39,6 @@ func main() {
 		threads  = flag.Int("threads", 0, "intra-frame render threads when the master doesn't specify (0 = all cores)")
 		deadline = flag.Duration("master-deadline", 0, "exit if the master stays silent this long while idle (0 = wait forever; set well above the master's -heartbeat)")
 		chaos    = flag.String("chaos", "", "fault-injection plan applied to this worker's connection, e.g. seed=7,drop=0.01,corrupt=0.005")
-		delta    = flag.Bool("wire-delta", true, "advertise dirty-span delta frame support to the master")
-		compress = flag.Bool("wire-compress", true, "advertise flate frame compression support to the master")
-		span     = flag.Bool("wire-span", true, "advertise span-codec frame compression support to the master")
-		wireTL   = flag.Bool("wire-timeline", true, "advertise timeline-span shipping to the master")
 		tlOut    = flag.String("timeline", "", "write this worker's local timeline as Chrome trace JSON to this file on exit")
 		version  = flag.Bool("version", false, "print version and exit")
 	)
@@ -64,12 +60,7 @@ func main() {
 	fmt.Printf("nowworker %s (%s)\n", *name, buildinfo.Version())
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	opts := farm.WorkerOptions{
-		Threads: *threads, MasterDeadline: *deadline,
-		NoWireDelta: !*delta, NoWireCompress: !*compress,
-		NoWireSpanCodec: !*span,
-		NoWireTimeline:  !*wireTL,
-	}
+	opts := farm.WorkerOptions{Threads: *threads, MasterDeadline: *deadline}
 	if *tlOut != "" {
 		opts.Timeline = timeline.New(0)
 	}

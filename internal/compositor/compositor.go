@@ -276,8 +276,8 @@ func (c *Compositor) assemble(m msg.Message) {
 		// The delta chain broke (lost base, or the sink restarted under
 		// the worker): tell the master so the frame stays requeueable, and
 		// ask the worker itself for a fresh key-frame so the chain heals
-		// without a re-render round trip. Relayed legacy workers don't
-		// speak the sink protocol — the master's requeue covers them.
+		// without a re-render round trip. A worker whose results are being
+		// relayed has no link to this sink — the master's requeue covers it.
 		c.wire.AddBaseMiss(worker)
 		if c.track != nil {
 			c.track.Instant(timeline.OpNeedKey, fd.Frame, int64(fd.Frame))
@@ -298,7 +298,7 @@ func (c *Compositor) assemble(m msg.Message) {
 		} else {
 			c.wire.FramesFull++
 		}
-		c.wire.CountEncoding(fd.Encoding, uint64(len(data)))
+		c.wire.CountEncoding(fd.Encoding == wire.EncSpan, uint64(len(data)))
 		c.wire.RawBytes += uint64(fd.RawPixBytes())
 		c.wire.WireBytes += uint64(len(data))
 		if complete && c.cfg.OnFrame != nil {

@@ -341,6 +341,14 @@ func TestSinkReinitResetsShard(t *testing.T) {
 	h.recv(h.master)
 
 	h.init(2, 0, 2)
+	// The re-init travels on the master's conn and the delta below on the
+	// worker's, so wait until the sink has applied it — frame 0's
+	// assembly is gone — or the two race.
+	for deadline := time.Now().Add(5 * time.Second); h.c.Frame(0) != nil; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("sink never applied the re-init")
+		}
+	}
 	// Frame 1 as a delta would have a base under gen 1; after re-init the
 	// chain is gone and it must miss.
 	if err := w.Send(msg.Message{Tag: TagPix, Data: deltaFrame(1)}); err != nil {

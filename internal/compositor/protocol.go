@@ -24,8 +24,9 @@ const (
 	// TagPix (worker→sink) carries one frame result, encoded exactly as
 	// the farm's TagFrameDone payload (the shared internal/wire codec).
 	TagPix
-	// TagRelayPix (master→sink) relays a legacy worker's master-routed
-	// result to the owning sink so mixed fleets assemble in one place.
+	// TagRelayPix (master→sink) relays a master-routed result — from a
+	// worker that could not reach the sink, or a quarantined frame the
+	// master rendered itself — so assembly still happens in one place.
 	// Payload: sealed [worker name][frame-done bytes].
 	TagRelayPix
 	// TagNeedKey (sink→worker) asks for a fresh key-frame after a base
@@ -215,8 +216,8 @@ func DecodeJoin(data []byte) (string, error) {
 	return w, nil
 }
 
-// EncodeRelay wraps a legacy worker's frame-done bytes with its name
-// for master→sink relay.
+// EncodeRelay wraps a worker's master-routed frame-done bytes with its
+// name for master→sink relay.
 func EncodeRelay(worker string, frameDone []byte) []byte {
 	b := msg.GetBuffer()
 	defer b.Release()

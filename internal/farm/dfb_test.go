@@ -3,6 +3,7 @@ package farm
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,15 +20,15 @@ import (
 func dfbConfig(frames, sinks int) Config {
 	return Config{
 		Scene: farmScene(frames), W: fw, H: fh, Coherence: true, Workers: 3,
-		Scheme:       partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
-		WireDelta:    true,
-		WireCompress: true,
-		DFB:          &DFBConfig{Sinks: sinks},
+		Scheme:        partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
+		WireDelta:     true,
+		WireSpanCodec: true,
+		DFB:           &DFBConfig{Sinks: sinks},
 	}
 }
 
 // TestDFBGolden: the compositor-routed pipeline must produce the exact
-// golden bytes of the legacy master-routed pipeline — re-routing pixels
+// golden bytes of the master-routed pipeline — re-routing pixels
 // may change who holds them, never what they are.
 func TestDFBGolden(t *testing.T) {
 	want := readGolden(t)
@@ -64,11 +65,11 @@ func TestDFBMasterIngress(t *testing.T) {
 	const iw, ih = 160, 120
 	base := Config{
 		Scene: farmScene(4), W: iw, H: ih, Coherence: true, Workers: 3,
-		Scheme:       partition.FrameDivision{BlockW: 80, BlockH: 60, Adaptive: true},
-		WireDelta:    true,
-		WireCompress: true,
+		Scheme:        partition.FrameDivision{BlockW: 80, BlockH: 60, Adaptive: true},
+		WireDelta:     true,
+		WireSpanCodec: true,
 	}
-	legacy, err := RenderLocal(base)
+	routed, err := RenderLocal(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,54 +80,21 @@ func TestDFBMasterIngress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Wire.MasterIngressBytes != legacy.Wire.WireBytes {
-		t.Errorf("legacy: MasterIngressBytes %d != WireBytes %d (all results route through the master)",
-			legacy.Wire.MasterIngressBytes, legacy.Wire.WireBytes)
+	if routed.Wire.MasterIngressBytes != routed.Wire.WireBytes {
+		t.Errorf("master-routed: MasterIngressBytes %d != WireBytes %d (all results route through the master)",
+			routed.Wire.MasterIngressBytes, routed.Wire.WireBytes)
 	}
-	if dfb.Wire.MasterIngressBytes*4 >= legacy.Wire.MasterIngressBytes {
-		t.Errorf("DFB master ingress %d not well below legacy %d",
-			dfb.Wire.MasterIngressBytes, legacy.Wire.MasterIngressBytes)
+	if dfb.Wire.MasterIngressBytes*4 >= routed.Wire.MasterIngressBytes {
+		t.Errorf("DFB master ingress %d not well below master-routed %d",
+			dfb.Wire.MasterIngressBytes, routed.Wire.MasterIngressBytes)
 	}
 	if dfb.Wire.SinkIngressBytes == 0 {
 		t.Error("DFB run confirmed no sink ingress")
 	}
-	t.Logf("master ingress: legacy %d B, dfb %d B (%.1fx); sink ingress %d B",
-		legacy.Wire.MasterIngressBytes, dfb.Wire.MasterIngressBytes,
-		float64(legacy.Wire.MasterIngressBytes)/float64(dfb.Wire.MasterIngressBytes),
+	t.Logf("master ingress: master-routed %d B, dfb %d B (%.1fx); sink ingress %d B",
+		routed.Wire.MasterIngressBytes, dfb.Wire.MasterIngressBytes,
+		float64(routed.Wire.MasterIngressBytes)/float64(dfb.Wire.MasterIngressBytes),
 		dfb.Wire.SinkIngressBytes)
-}
-
-// TestDFBMixedFleet: a fleet where one worker predates the DFB cap must
-// still converge to golden bytes — the legacy worker's results arrive
-// at the master, which relays them to the owning sink.
-func TestDFBMixedFleet(t *testing.T) {
-	want := readGolden(t)
-	cfg := dfbConfig(goldenFrames, 2)
-	cfg.WorkerOpts = func(i int) WorkerOptions {
-		if i == 0 {
-			return WorkerOptions{NoWireDFB: true}
-		}
-		return WorkerOptions{}
-	}
-	res, err := RenderLocal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := hashFrames(res.Frames)
-	for f := range want {
-		if got[f] != want[f] {
-			t.Errorf("frame %d: hash %s, golden %s", f, got[f], want[f])
-		}
-	}
-	// The legacy worker's pixels entered through the master, so ingress
-	// sits between the pure-DFB floor and the all-legacy ceiling.
-	if res.Wire.MasterIngressBytes >= res.Wire.WireBytes {
-		t.Errorf("mixed fleet: master ingress %d should be below total wire bytes %d",
-			res.Wire.MasterIngressBytes, res.Wire.WireBytes)
-	}
-	if res.Wire.FramesAcked == 0 {
-		t.Error("mixed fleet: DFB workers sent no acks")
-	}
 }
 
 // TestDFBOnFrameDelivery: under DFB the sinks own frame delivery — the
@@ -175,16 +143,16 @@ func TestDFBWorkerDeathMidFrame(t *testing.T) {
 	}
 	res, err := RenderLocal(Config{
 		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 4,
-		Scheme:       partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
-		WireDelta:    true,
-		WireCompress: true,
-		DFB:          &DFBConfig{Sinks: 2},
-		Heartbeat:    20 * time.Millisecond,
-		Liveness:     2 * time.Second,
-		StallTimeout: 1500 * time.Millisecond,
-		FrameRetries: 2,
-		Speculate:    true,
-		WrapConn:     plan.Wrap,
+		Scheme:        partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
+		WireDelta:     true,
+		WireSpanCodec: true,
+		DFB:           &DFBConfig{Sinks: 2},
+		Heartbeat:     20 * time.Millisecond,
+		Liveness:      2 * time.Second,
+		StallTimeout:  1500 * time.Millisecond,
+		FrameRetries:  2,
+		Speculate:     true,
+		WrapConn:      plan.Wrap,
 	})
 	if err != nil {
 		t.Fatalf("dfb chaos run failed: %v", err)
@@ -216,16 +184,16 @@ func TestDFBChaosSoak(t *testing.T) {
 			}
 			res, err := RenderLocal(Config{
 				Scene: sc, W: fw, H: fh, Coherence: true, Workers: 4,
-				Scheme:       partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
-				WireDelta:    true,
-				WireCompress: true,
-				DFB:          &DFBConfig{Sinks: 2},
-				Heartbeat:    20 * time.Millisecond,
-				Liveness:     2 * time.Second,
-				StallTimeout: 1500 * time.Millisecond,
-				FrameRetries: 2,
-				Speculate:    true,
-				WrapConn:     plan.Wrap,
+				Scheme:        partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
+				WireDelta:     true,
+				WireSpanCodec: true,
+				DFB:           &DFBConfig{Sinks: 2},
+				Heartbeat:     20 * time.Millisecond,
+				Liveness:      2 * time.Second,
+				StallTimeout:  1500 * time.Millisecond,
+				FrameRetries:  2,
+				Speculate:     true,
+				WrapConn:      plan.Wrap,
 			})
 			if err != nil {
 				t.Fatalf("dfb chaos run failed: %v", err)
@@ -233,6 +201,70 @@ func TestDFBChaosSoak(t *testing.T) {
 			assertFramesEqual(t, "dfb-chaos", res.Frames, want)
 			t.Logf("injected %+v; farm absorbed %s", plan.Snapshot(), res.Faults.String())
 		})
+	}
+}
+
+// collectingRegistry is an in-process sink registry a test owns — so it
+// can close sinks or gate dials from the outside — whose sinks hand
+// every completed frame to the returned collector. A master given its
+// Dial cannot collect frames itself; the test reads them from here.
+func collectingRegistry(frames int) (*compositor.Registry, func() []*fb.Framebuffer) {
+	var mu sync.Mutex
+	collected := make([]*fb.Framebuffer, frames)
+	reg := compositor.NewRegistry(func(i int) *compositor.Compositor {
+		return compositor.New(compositor.Config{
+			Name: compositor.Addr(i),
+			OnFrame: func(f int, img *fb.Framebuffer) error {
+				mu.Lock()
+				defer mu.Unlock()
+				collected[f] = img
+				return nil
+			},
+		})
+	})
+	return reg, func() []*fb.Framebuffer {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]*fb.Framebuffer(nil), collected...)
+	}
+}
+
+// TestDFBSinkUnreachableFallsBack: workers that cannot dial their sinks
+// fall back to master-routed results, which the master relays to the
+// owning sink — the frames still assemble at the sinks, golden-identical.
+func TestDFBSinkUnreachableFallsBack(t *testing.T) {
+	want := readGolden(t)
+	reg, frames := collectingRegistry(goldenFrames)
+	defer reg.CloseAll()
+	// The master dials each sink once before any worker gets a task;
+	// every dial after that is a worker's, and fails.
+	const sinks = 2
+	var dials atomic.Int32
+	cfg := dfbConfig(goldenFrames, sinks)
+	cfg.DFB.Dial = func(addr string) (msg.Conn, error) {
+		if dials.Add(1) > sinks {
+			return nil, fmt.Errorf("no route to %s", addr)
+		}
+		return reg.Dial(addr)
+	}
+	res, err := RenderLocal(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := hashFrames(frames())
+	for f := range want {
+		if got[f] != want[f] {
+			t.Errorf("frame %d: hash %s, golden %s", f, got[f], want[f])
+		}
+	}
+	if res.Wire.FramesAcked != 0 {
+		t.Errorf("%d frame acks from workers that could reach no sink", res.Wire.FramesAcked)
+	}
+	if res.Wire.SinkIngressBytes == 0 {
+		t.Error("the master relayed nothing to the sinks")
+	}
+	if res.Faults.WorkersLost != 0 {
+		t.Errorf("fallback cost %d workers", res.Faults.WorkersLost)
 	}
 }
 
@@ -246,20 +278,7 @@ func TestDFBSinkRestart(t *testing.T) {
 	}
 	sc := farmScene(8)
 	want := referenceFrames(t, sc)
-
-	var mu sync.Mutex
-	collected := make([]*fb.Framebuffer, 8)
-	reg := compositor.NewRegistry(func(i int) *compositor.Compositor {
-		return compositor.New(compositor.Config{
-			Name: compositor.Addr(i),
-			OnFrame: func(f int, img *fb.Framebuffer) error {
-				mu.Lock()
-				defer mu.Unlock()
-				collected[f] = img
-				return nil
-			},
-		})
-	})
+	reg, frames := collectingRegistry(8)
 	defer reg.CloseAll()
 
 	// Kill sink 0 once, after it has confirmed at least one frame.
@@ -282,25 +301,20 @@ func TestDFBSinkRestart(t *testing.T) {
 
 	res, err := RenderLocal(Config{
 		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 3,
-		Scheme:       partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
-		WireDelta:    true,
-		WireCompress: true,
-		DFB:          &DFBConfig{Sinks: 2, Dial: reg.Dial, Redials: 4},
-		Heartbeat:    20 * time.Millisecond,
-		Liveness:     2 * time.Second,
-		StallTimeout: 1500 * time.Millisecond,
-		FrameRetries: 2,
+		Scheme:        partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
+		WireDelta:     true,
+		WireSpanCodec: true,
+		DFB:           &DFBConfig{Sinks: 2, Dial: reg.Dial, Redials: 4},
+		Heartbeat:     20 * time.Millisecond,
+		Liveness:      2 * time.Second,
+		StallTimeout:  1500 * time.Millisecond,
+		FrameRetries:  2,
 	})
 	if err != nil {
 		t.Fatalf("run with sink restart failed: %v", err)
 	}
 	<-killed
-	// The test supplied its own Dial, so the master could not collect
-	// frames; the registry's OnFrame captured them instead.
-	mu.Lock()
-	frames := append([]*fb.Framebuffer(nil), collected...)
-	mu.Unlock()
-	assertFramesEqual(t, "sink-restart", frames, want)
+	assertFramesEqual(t, "sink-restart", frames(), want)
 	if res.Wire.FramesAcked == 0 {
 		t.Error("restart run recorded no acks")
 	}

@@ -16,7 +16,8 @@ import (
 // confirmations ("dfb-N"). Serialised into BENCH_dfb.json by
 // cmd/benchtab -dfb.
 type DFBPoint struct {
-	// Mode is "master" (legacy routing) or "dfb-N" (N compositor sinks).
+	// Mode is "master" (every result routed through the master) or
+	// "dfb-N" (N compositor sinks).
 	Mode   string `json:"mode"`
 	Sinks  int    `json:"sinks"`
 	Frames int    `json:"frames"`
@@ -41,9 +42,9 @@ type DFBPoint struct {
 	MakespanMS float64 `json:"makespan_ms"`
 }
 
-// DFBSweep renders the same animation through the legacy master-routed
+// DFBSweep renders the same animation through the master-routed
 // pipeline and through compositor fleets of each size in sinks, on real
-// in-process workers with delta+flate wire frames, and reports the
+// in-process workers with delta+span wire frames, and reports the
 // master's result-ingress bytes for each. Every DFB run's frames are
 // verified byte-identical to the master-routed run — re-routing pixels
 // must never change them.
@@ -58,10 +59,10 @@ func DFBSweep(sc *scene.Scene, w, h, frames, workers int, sinks []int) ([]DFBPoi
 			// Whole-frame blocks: the paper's frame-division mode and the
 			// DFB deployment shape — each result is one frame, so control
 			// traffic is one ack+confirm pair per frame.
-			Scheme:       partition.FrameDivision{BlockW: w, BlockH: h, Adaptive: true},
-			WireDelta:    true,
-			WireCompress: true,
-			DFB:          dfb,
+			Scheme:        partition.FrameDivision{BlockW: w, BlockH: h, Adaptive: true},
+			WireDelta:     true,
+			WireSpanCodec: true,
+			DFB:           dfb,
 		}
 	}
 	point := func(mode string, n, fcount int, res *Result, start time.Time) DFBPoint {

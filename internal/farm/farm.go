@@ -119,52 +119,38 @@ type Config struct {
 	// injected, a worker dying is expected, not a run failure.
 	WrapConn func(name string, c msg.Conn) msg.Conn
 
-	// WorkerOpts, when non-nil, supplies per-worker tuning for
-	// RenderLocal's in-process workers — most usefully the NoWire*
-	// fields, which simulate a mixed fleet of old and new binaries.
-	WorkerOpts func(i int) WorkerOptions
+	// WireDelta makes workers ship dirty-span delta frames after each
+	// task's key-frame instead of full regions (coherence tasks only; a
+	// size guard falls back to full frames when too much changed).
+	// WireSpanCodec makes them compress frame payloads with the span
+	// codec (msg.SpanCompress), keeping the raw payload whenever the
+	// codec fails to shrink it. Pixels are byte-identical either way.
+	WireDelta, WireSpanCodec bool
 
-	// WireDelta lets capable workers ship dirty-span delta frames after
-	// each task's key-frame instead of full regions (coherence tasks
-	// only; a size guard falls back to full frames when too much
-	// changed). WireCompress lets frame payloads be flate-compressed.
-	// Both are negotiated per worker via TagHello capability bits, so
-	// mixed fleets interoperate; pixels are byte-identical either way.
-	WireDelta, WireCompress bool
-	// WireSpanCodec lets capable workers use the span codec
-	// (msg.SpanCompress) for frame payloads. Together with WireCompress
-	// it grants both codecs and each worker chooses per frame (adaptive
-	// mode, see wire.Encoder); alone it is the static span-codec mode.
-	// Negotiated like the other bits, so legacy workers are unaffected.
-	WireSpanCodec bool
-
-	// ObjSpaceShards, when >= 2, grants capable workers object-space data
-	// parallelism (internal/objspace): each frame's scene is partitioned
-	// into that many spatial shards and rays are forwarded between shard
-	// owners instead of every worker holding a replicated grid, shrinking
-	// per-worker resident scene size. Negotiated via TagHello capability
-	// bits like the wire codecs: legacy workers keep rendering the
-	// replicated path and pixels are byte-identical either way. Workers
-	// ship their forwarding counters (TagOSStats) at task end, merged
-	// into Result.ObjSpace.
+	// ObjSpaceShards, when >= 2, turns on object-space data parallelism
+	// (internal/objspace): each frame's scene is partitioned into that
+	// many spatial shards and rays are forwarded between shard owners
+	// instead of every worker holding a replicated grid, shrinking
+	// per-worker resident scene size. Pixels are byte-identical to the
+	// replicated path. Workers ship their forwarding counters
+	// (TagOSStats) at task end, merged into Result.ObjSpace.
 	ObjSpaceShards int
 
 	// DFB, when non-nil, enables the distributed framebuffer: frames are
 	// sharded across compositor sinks (internal/compositor), workers
-	// that advertise capWireDFB ship pixels straight to their frame's
-	// sink and send the master only small control acks, and legacy
-	// workers' master-routed results are relayed to the owning sink so
-	// assembly happens in exactly one place. Final frames are
-	// byte-identical to the master-routed path.
+	// ship pixels straight to their frame's sink and send the master
+	// only small control acks, and a worker that cannot reach its sink
+	// falls back to master-routed results, which the master relays to
+	// the owning sink so assembly happens in exactly one place. Final
+	// frames are byte-identical to the master-routed path.
 	DFB *DFBConfig
 
 	// Timeline, when non-nil, records the run into this recorder: the
-	// master's scheduling events land in it directly, and workers that
-	// advertise capWireTimeline are granted it and ship their phase/tile
-	// spans piggybacked on results. The merged, clock-offset-corrected
-	// cluster timeline is returned in Result.Timeline. Nil (the default)
-	// disables all recording — the instrumentation then costs one nil
-	// check per site.
+	// master's scheduling events land in it directly, and workers ship
+	// their phase/tile spans piggybacked on results (capWireTimeline).
+	// The merged, clock-offset-corrected cluster timeline is returned in
+	// Result.Timeline. Nil (the default) disables all recording — the
+	// instrumentation then costs one nil check per site.
 	Timeline *timeline.Recorder
 }
 
@@ -206,6 +192,21 @@ func (d *DFBConfig) redials() int {
 		return 0
 	}
 	return d.Redials
+}
+
+// wireFlags is the TagTask flag word the config asks for.
+func (c *Config) wireFlags() int {
+	flags := 0
+	if c.WireDelta {
+		flags |= capWireDelta
+	}
+	if c.WireSpanCodec {
+		flags |= capWireSpanCodec
+	}
+	if c.Timeline != nil {
+		flags |= capWireTimeline
+	}
+	return flags
 }
 
 // cancelled returns the context error if the run was cancelled.
@@ -279,12 +280,11 @@ type Result struct {
 	// All-zero on a healthy run with heartbeats off.
 	Faults stats.FaultCounters
 	// Wire tallies the frame-result data path: key-frames vs dirty-span
-	// deltas, compressed payloads, and raw-vs-wire byte totals.
+	// deltas, span-coded payloads, and raw-vs-wire byte totals.
 	Wire stats.WireStats
 	// ObjSpace tallies object-space sharding when Config.ObjSpaceShards
-	// was granted: rays forwarded between shards, forwarding bytes, and
-	// per-shard resident scene sizes. Zero when the mode was off or no
-	// worker advertised the capability.
+	// was set: rays forwarded between shards, forwarding bytes, and
+	// per-shard resident scene sizes. Zero when the mode was off.
 	ObjSpace stats.ObjSpaceStats
 	// Timeline is the merged cluster timeline when Config.Timeline was
 	// set: the master's own events plus every shipped worker event,

@@ -1,6 +1,8 @@
 package farm
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,7 +18,7 @@ import (
 // mid-render.
 func crashingWorker(name string, conn msg.Conn, sc *scene.Scene) {
 	defer conn.Close()
-	if err := conn.Send(msg.Message{Tag: TagHello, From: name, Data: []byte(name)}); err != nil {
+	if err := conn.Send(msg.Message{Tag: TagHello, From: name, Data: encodeHello(name)}); err != nil {
 		return
 	}
 	m, err := conn.Recv()
@@ -140,7 +142,7 @@ func TestMasterRejectsProtocolViolations(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		workerEnd.Send(msg.Message{Tag: TagHello, Data: []byte("rogue")})
+		workerEnd.Send(msg.Message{Tag: TagHello, Data: encodeHello("rogue")})
 		// Garbage tag after hello.
 		workerEnd.Send(msg.Message{Tag: 9999})
 	}()
@@ -159,7 +161,7 @@ func TestMasterRejectsCorruptFrameDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
-		workerEnd.Send(msg.Message{Tag: TagHello, Data: []byte("corrupt")})
+		workerEnd.Send(msg.Message{Tag: TagHello, Data: encodeHello("corrupt")})
 		if _, err := workerEnd.Recv(); err != nil { // task
 			return
 		}
@@ -178,5 +180,116 @@ func TestMasterRequiresWorkers(t *testing.T) {
 	defer hub.Close()
 	if _, err := RunMaster(Config{Scene: sc, W: fw, H: fh}, hub); err == nil {
 		t.Fatal("master ran with zero workers")
+	}
+}
+
+// strayWorker attaches a scripted worker to hub: it sends the given
+// messages, then reads until the master drops it. The returned channel
+// yields how many tasks it was sent.
+func strayWorker(t *testing.T, hub *msg.Hub, name string, script ...msg.Message) <-chan int {
+	t.Helper()
+	masterEnd, workerEnd := msg.Pipe(8)
+	if err := hub.Attach(name, masterEnd); err != nil {
+		t.Fatal(err)
+	}
+	tasks := make(chan int, 1)
+	go func() {
+		for _, m := range script {
+			if workerEnd.Send(m) != nil {
+				break
+			}
+		}
+		n := 0
+		for {
+			m, err := workerEnd.Recv()
+			if err != nil {
+				tasks <- n
+				return
+			}
+			if m.Tag == TagTask {
+				n++
+			}
+		}
+	}()
+	return tasks
+}
+
+// TestMasterRefusesStrayWorker: a worker that is not this build — an
+// older hello, a newer version, no hello at all — or that says hello
+// twice is refused, in the seed phase as in the main loop: it is
+// detached and counted lost, a foreign build is never sent a task, and
+// the other two workers deliver the golden frames.
+func TestMasterRefusesStrayWorker(t *testing.T) {
+	want := readGolden(t)
+	hello := func(data []byte) msg.Message { return msg.Message{Tag: TagHello, Data: data} }
+	cases := []struct {
+		name     string
+		script   []msg.Message
+		maxTasks int
+	}{
+		{"v1 hello with capability bits", []msg.Message{hello(v1Hello("stray", 0x3f))}, 0},
+		{"raw unsealed name", []msg.Message{hello([]byte("stray"))}, 0},
+		{"version 3", []msg.Message{hello(versionHello("stray", 3))}, 0},
+		{"result before hello", []msg.Message{{Tag: TagTaskDone, Data: encodePair(0, 1)}}, 0},
+		{"unknown tag before hello", []msg.Message{{Tag: 9999}}, 0},
+		{"second hello", []msg.Message{hello(encodeHello("stray")), hello(encodeHello("stray"))}, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := farmScene(goldenFrames)
+			hub := msg.NewHub()
+			tasks := strayWorker(t, hub, "stray", tc.script...)
+			done := make(chan error, 2)
+			for _, name := range []string{"worker00", "worker01"} {
+				masterEnd, workerEnd := msg.Pipe(64)
+				if err := hub.Attach(name, masterEnd); err != nil {
+					t.Fatal(err)
+				}
+				go func(name string) { done <- RunWorker(name, workerEnd, sc) }(name)
+			}
+			res, err := RunMaster(Config{
+				Scene: sc, W: fw, H: fh, Coherence: true,
+				Scheme: partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
+			}, hub)
+			hub.Close()
+			if err != nil {
+				t.Fatalf("master failed: %v", err)
+			}
+			for i, hsh := range hashFrames(res.Frames) {
+				if hsh != want[i] {
+					t.Errorf("frame %d hash mismatch", i)
+				}
+			}
+			if res.Faults.WorkersLost != 1 || res.Faults.MalformedMessages != 1 {
+				t.Errorf("faults %s, want exactly the stray worker lost to one malformed message", res.Faults.String())
+			}
+			if n := <-tasks; n > tc.maxTasks {
+				t.Errorf("stray worker was sent %d tasks, want at most %d", n, tc.maxTasks)
+			}
+			for i := 0; i < 2; i++ {
+				if werr := <-done; werr != nil {
+					t.Errorf("worker failed: %v", werr)
+				}
+			}
+		})
+	}
+}
+
+// TestMasterFailsWhenEveryWorkerIsRefused: with nobody left the run
+// fails, and the error says why — naming both protocol versions.
+func TestMasterFailsWhenEveryWorkerIsRefused(t *testing.T) {
+	sc := farmScene(2)
+	hub := msg.NewHub()
+	strayWorker(t, hub, "old", msg.Message{Tag: TagHello, Data: v1Hello("old", 0x3f)})
+	strayWorker(t, hub, "new", msg.Message{Tag: TagHello, Data: versionHello("new", 3)})
+	_, err := RunMaster(Config{Scene: sc, W: fw, H: fh}, hub)
+	hub.Close()
+	if err == nil {
+		t.Fatal("master ran with every worker refused")
+	}
+	for _, want := range []string{"old: ", "new: ", "version 3", fmt.Sprintf("version %d", ProtocolVersion)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
+		}
 	}
 }

@@ -17,9 +17,22 @@ import (
 func FuzzProtocolDecode(f *testing.F) {
 	// Seeds: real encodings of each message type, so the fuzzer starts
 	// inside the interesting part of the input space.
-	task := encodeTask(taskMsg{
+	tm := taskMsg{
 		Task: partition.Task{ID: 3, Region: fb.NewRect(1, 2, 33, 30), StartFrame: 0, EndFrame: 8},
 		W:    40, H: 32, Coherence: true, Samples: 2, GridRes: 16, BlockGran: 4, Threads: 2,
+	}
+	task := encodeTask(tm)
+	// Every section of the fixed task layout populated.
+	tm.WireFlags = wireFlagsMask
+	tm.JobStart, tm.JobEnd, tm.Sinks, tm.OSShards = 0, 8, []string{"sink0", "127.0.0.1:7001"}, 4
+	fullTask := encodeTask(tm)
+	// Retired values must be rejected, not ignored: a task carrying the
+	// old flate flag bit, and a frame result claiming encoding id 1.
+	tm.WireFlags = capWireDelta | 1<<1
+	retiredFlag := encodeTask(tm)
+	retiredEnc := encodeFrameDone(frameDoneMsg{
+		TaskID: 3, Frame: 5, Region: fb.NewRect(0, 0, 4, 2),
+		Kind: frameDelta, Encoding: 1, Pix: []byte{0x01},
 	})
 	fd := encodeFrameDone(frameDoneMsg{
 		TaskID: 3, Frame: 5, Region: fb.NewRect(0, 0, 4, 2),
@@ -29,19 +42,24 @@ func FuzzProtocolDecode(f *testing.F) {
 		ElapsedNs: 12345,
 	})
 	pair := encodePair(7, 42)
-	// Delta and compressed frames, so the fuzzer starts with the trailing
-	// Kind/Encoding/span fields populated.
+	// Delta and span-coded frames, so the fuzzer starts with the
+	// kind/encoding/span section populated.
 	var we frameEncoder
 	src := fb.New(8, 8)
 	dd := frameDoneMsg{TaskID: 3, Frame: 5, Region: fb.NewRect(0, 0, 8, 8)}
 	delta := we.Encode(&dd, src, capWireDelta, []fb.Span{{Y: 1, X0: 1, X1: 2}}, false)
 	dd = frameDoneMsg{TaskID: 3, Frame: 5, Region: fb.NewRect(0, 0, 8, 8)}
-	zipped := we.Encode(&dd, src, capWireDelta|capWireCompress, nil, true)
+	zipped := we.Encode(&dd, src, capWireDelta|capWireSpanCodec, nil, true)
 	f.Add(task)
+	f.Add(fullTask)
+	f.Add(retiredFlag)
 	f.Add(fd)
+	f.Add(retiredEnc)
 	f.Add(pair)
 	f.Add(delta)
 	f.Add(zipped)
+	f.Add(encodeHello("ws01"))
+	f.Add(encodePong(7, 42, 99))
 	f.Add(task[:len(task)-5]) // truncated
 	f.Add([]byte{})
 	// A sealed-but-nonsense body: passes CRC, must fail validation.
@@ -62,9 +80,19 @@ func FuzzProtocolDecode(f *testing.F) {
 			if tm.Task.StartFrame < 0 || tm.Task.EndFrame <= tm.Task.StartFrame {
 				t.Fatalf("decodeTask accepted frame range [%d,%d)", tm.Task.StartFrame, tm.Task.EndFrame)
 			}
+			if tm.WireFlags&^wireFlagsMask != 0 {
+				t.Fatalf("decodeTask accepted unknown wire flags %#x", tm.WireFlags)
+			}
 		}
-		_, _ = decodeFrameDone(data)
+		if m, err := decodeFrameDone(data); err == nil {
+			if m.Encoding != encRaw && m.Encoding != encSpan {
+				t.Fatalf("decodeFrameDone accepted encoding id %d", m.Encoding)
+			}
+			m.Release()
+		}
 		_, _, _ = decodePair(data)
+		_, _, _, _ = decodePong(data)
+		_, _ = decodeHello(data)
 	})
 }
 

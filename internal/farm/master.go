@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
+	"strings"
 	"sync"
 	"time"
 
@@ -33,9 +35,11 @@ type workerRecord struct {
 	// finished, when a TaskDone raced ahead of a truncate, records the
 	// worker's natural stop frame.
 	finishedAt int
-	// dead marks a worker whose connection failed or that was retired;
-	// its remaining frames were requeued and it receives no further work.
-	dead bool
+	// joined marks a worker whose hello was accepted; only joined workers
+	// are ever sent a task. dead marks a worker whose connection failed
+	// or that was retired or refused; its remaining frames were requeued
+	// and it receives no further work.
+	joined, dead bool
 	// lastHeard is when any message last arrived from this worker;
 	// lastProgress is when it last advanced its task (frame result, task
 	// completion, truncate ack, or assignment).
@@ -44,10 +48,6 @@ type workerRecord struct {
 	// worker grinding through a slow frame never has its pipe flooded
 	// (a blocked ping send would stall the whole master).
 	pingPending bool
-	// caps holds the wire capability bits the worker's hello advertised
-	// (zero for legacy workers); task grants intersect these with the
-	// master's config.
-	caps int
 	// pingSeqSent/pingSentNs identify the outstanding ping and the master
 	// clock when it left, pairing each pong into a clock-offset RTT
 	// sample (timeline recording only).
@@ -73,11 +73,11 @@ func (w *workerRecord) remaining() int {
 // undelivered frames requeued on the survivors — when its connection
 // drops (TagDown), it departs gracefully (TagBye), it stays silent past
 // the liveness deadline, it holds a task without progress past the
-// stall deadline, or it sends a malformed message. A frame rendering
-// requeued more than FrameRetries times is quarantined: the master
-// renders the region locally instead of feeding it to another doomed
-// worker. The run fails only when every worker is lost with frames
-// outstanding.
+// stall deadline, or it sends a malformed message — including a hello
+// that is not ProtocolVersion. A frame rendering requeued more than
+// FrameRetries times is quarantined: the master renders the region
+// locally instead of feeding it to another doomed worker. The run fails
+// only when every worker is lost with frames outstanding.
 func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -197,6 +197,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	speculated := make(map[int]bool)
 	var waiting []string // idle workers awaiting stolen work
 	var pingSeq int
+	var refusals []string // why workers were refused, for the nobody-left error
 
 	// Timeline recording: the master's own scheduling events go straight
 	// onto mt (nil track = disabled, every call one branch); worker
@@ -252,39 +253,16 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	}
 
 	sendTask := func(w *workerRecord, t partition.Task) error {
-		// Grant wire modes only where the config wants them AND the
-		// worker's hello advertised them — old workers get plain tasks.
-		flags := 0
-		if cfg.WireDelta && w.caps&capWireDelta != 0 {
-			flags |= capWireDelta
-		}
-		if cfg.WireCompress && w.caps&capWireCompress != 0 {
-			flags |= capWireCompress
-		}
-		if cfg.WireSpanCodec && w.caps&capWireSpanCodec != 0 {
-			flags |= capWireSpanCodec
-		}
-		if rec != nil && w.caps&capWireTimeline != 0 {
-			flags |= capWireTimeline
-		}
 		mt.Instant(timeline.OpDispatch, t.StartFrame, int64(t.ID))
 		tm := taskMsg{
 			Task: t, W: cfg.W, H: cfg.H,
 			Coherence: cfg.Coherence, Samples: cfg.Samples,
 			GridRes: cfg.CoherenceOpts.GridRes, BlockGran: cfg.CoherenceOpts.BlockGranularity,
-			Threads: cfg.Threads, WireFlags: flags,
+			Threads: cfg.Threads, WireFlags: cfg.wireFlags(), OSShards: cfg.ObjSpaceShards,
 		}
-		if dfbOn && w.caps&capWireDFB != 0 {
-			tm.WireFlags |= capWireDFB
+		if dfbOn {
 			tm.JobStart, tm.JobEnd = cfg.StartFrame, cfg.EndFrame
 			tm.Sinks = cfg.DFB.Addrs
-		}
-		if cfg.ObjSpaceShards >= 2 && w.caps&capWireObjSpace != 0 {
-			// Object-space grant: this worker renders through a sharded
-			// scene. Ungranted workers render the replicated path — same
-			// bytes out, so mixed fleets stay correct.
-			tm.WireFlags |= capWireObjSpace
-			tm.OSShards = cfg.ObjSpaceShards
 		}
 		data := encodeTask(tm)
 		res.BytesTransferred += int64(len(data))
@@ -473,7 +451,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 			if len(queue) == 0 {
 				return nil
 			}
-			if w.dead || w.hasTask {
+			if w.dead || w.hasTask || !w.joined {
 				continue
 			}
 			parked := false
@@ -493,86 +471,10 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 		return nil
 	}
 
-	// Seed: respond to hellos (workers announce themselves) and assign.
-	// Workers lost before their hello are tolerated as long as one
-	// survives; with a liveness deadline configured, a worker whose
-	// hello never arrives is given up on rather than awaited forever. A
-	// worker seeded early can finish frames — or a whole task — before a
-	// slower peer's hello arrives in the shared inbox; those results are
-	// backlogged for the main loop, not errors.
-	var backlog []msg.Message
-	seen := make(map[string]bool, len(names))
-	seedStart := time.Now()
-	for len(seen) < len(names) {
-		m, err := hub.Recv()
-		if err != nil {
-			return res, err
-		}
-		if dfbOn {
-			if _, _, ok := sinks.index(m.From); ok {
-				// Sink traffic during seeding (an early confirmation, or a
-				// sink dying before all workers joined) is deferred to the
-				// main loop's handler.
-				backlog = append(backlog, m)
-				continue
-			}
-		}
-		switch m.Tag {
-		case tagTick:
-			if liveness > 0 && time.Since(seedStart) > liveness {
-				for _, n := range names {
-					if !seen[n] {
-						seen[n] = true
-						workers[n].dead = true
-						res.Faults.WorkersLost++
-						res.Faults.HeartbeatTimeouts++
-						hub.Detach(n)
-					}
-				}
-			}
-		case TagHello:
-			if seen[m.From] {
-				return res, fmt.Errorf("farm: duplicate hello from %s", m.From)
-			}
-			seen[m.From] = true
-			workers[m.From].lastHeard = time.Now()
-			helloName, caps := decodeHello(m.Data)
-			workers[m.From].caps = caps
-			if helloName != "" && helloName != m.From {
-				reported[helloName] = m.From
-			}
-			if err := giveWork(m.From); err != nil {
-				return res, err
-			}
-		case msg.TagDown, TagBye:
-			if seen[m.From] {
-				// Lost after its hello, while peers are still joining:
-				// the main loop's retire() requeues its frames.
-				backlog = append(backlog, m)
-				break
-			}
-			seen[m.From] = true
-			workers[m.From].dead = true
-			res.Faults.WorkersLost++
-		case TagFrameDone, TagFrameAck, TagTaskDone, TagTruncateAck, TagPong, TagOSStats:
-			backlog = append(backlog, m)
-		default:
-			return res, fmt.Errorf("farm: expected hello, got tag %d from %s", m.Tag, m.From)
-		}
-	}
-	aliveAtStart := 0
-	for _, w := range workers {
-		if !w.dead {
-			aliveAtStart++
-		}
-	}
-	if aliveAtStart == 0 {
-		return res, fmt.Errorf("farm: no workers survived startup")
-	}
-
 	// retire removes a worker from the run — failure (TagDown), graceful
-	// departure (TagBye), deadline expiry or protocol violation —
-	// requeueing its undelivered frames and re-engaging parked thieves.
+	// departure (TagBye), deadline expiry or protocol violation, before
+	// its hello as well as after — requeueing its undelivered frames and
+	// re-engaging parked thieves.
 	// The frame that was in flight is charged against its retry budget;
 	// over budget, the master renders it locally (quarantine) so one
 	// poisonous frame cannot consume the whole farm.
@@ -628,6 +530,10 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 			}
 		}
 		if alive == 0 && framesRemaining > 0 {
+			if len(refusals) > 0 {
+				return fmt.Errorf("farm: all workers lost with %d frames unfinished (refused: %s)",
+					framesRemaining, strings.Join(refusals, "; "))
+			}
 			return fmt.Errorf("farm: all workers lost with %d frames unfinished", framesRemaining)
 		}
 		if len(waiting) > 0 && len(queue) > 0 {
@@ -646,6 +552,91 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	malformed := func(w *workerRecord) error {
 		res.Faults.MalformedMessages++
 		return retire(w)
+	}
+
+	// refuse retires a worker that broke the handshake — a hello that is
+	// not ProtocolVersion, a second hello, anything else before its hello —
+	// and says so loudly: unlike a message garbled in transit, this is a
+	// deployment mistake (a stale binary) somebody has to fix.
+	refuse := func(w *workerRecord, reason string) error {
+		log.Printf("farm: refusing worker %s: %s", w.name, reason)
+		refusals = append(refusals, w.name+": "+reason)
+		return malformed(w)
+	}
+
+	// Seed: respond to hellos (workers announce themselves) and assign.
+	// A worker lost or refused before it joins costs the run only that
+	// worker — retire fails the run once nobody is left; with a liveness
+	// deadline configured, a worker whose hello never arrives is given up
+	// on rather than awaited forever. A worker seeded early can finish
+	// frames — or a whole task — before a slower peer's hello arrives in
+	// the shared inbox; everything a joined worker sends is backlogged
+	// for the main loop, which also owns its protocol violations.
+	var backlog []msg.Message
+	awaited := func() (n int) {
+		for _, w := range workers {
+			if !w.joined && !w.dead {
+				n++
+			}
+		}
+		return n
+	}
+	seedStart := time.Now()
+	for awaited() > 0 {
+		m, err := hub.Recv()
+		if err != nil {
+			return res, err
+		}
+		if m.Tag == tagTick {
+			if liveness > 0 && time.Since(seedStart) > liveness {
+				for _, n := range names {
+					if w := workers[n]; !w.joined && !w.dead {
+						res.Faults.HeartbeatTimeouts++
+						if err := retire(w); err != nil {
+							return res, err
+						}
+					}
+				}
+			}
+			continue
+		}
+		w, ok := workers[m.From]
+		if !ok || w.joined {
+			// Sink traffic (an early confirmation, or a sink dying before
+			// all workers joined) and joined workers' traffic are the main
+			// loop's business.
+			backlog = append(backlog, m)
+			continue
+		}
+		if w.dead {
+			continue // the TagDown of a worker already refused or given up on
+		}
+		switch m.Tag {
+		case TagHello:
+			helloName, err := decodeHello(m.Data)
+			if err != nil {
+				if err := refuse(w, err.Error()); err != nil {
+					return res, err
+				}
+				continue
+			}
+			w.joined = true
+			w.lastHeard = time.Now()
+			if helloName != "" && helloName != m.From {
+				reported[helloName] = m.From
+			}
+			if err := giveWork(m.From); err != nil {
+				return res, err
+			}
+		case msg.TagDown, TagBye:
+			if err := retire(w); err != nil {
+				return res, err
+			}
+		default:
+			if err := refuse(w, fmt.Sprintf("tag %d before hello", m.Tag)); err != nil {
+				return res, err
+			}
+		}
 	}
 
 	// reconcileTruncate finishes the truncation handshake once the
@@ -772,8 +763,8 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 			res.BytesTransferred += int64(len(m.Data))
 			// Per-hop accounting: WireBytes totals result-path bytes on
 			// every wire — the confirmation into the master plus the pixel
-			// payload the sink ingested — so legacy and DFB runs stay
-			// comparable (legacy: WireBytes == MasterIngressBytes).
+			// payload the sink ingested — so master-routed and DFB runs stay
+			// comparable (master-routed: WireBytes == MasterIngressBytes).
 			res.Wire.WireBytes += uint64(len(m.Data)) + uint64(d.WireBytes)
 			res.Wire.MasterIngressBytes += uint64(len(m.Data))
 			res.Wire.SinkIngressBytes += uint64(d.WireBytes)
@@ -876,8 +867,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 					w.pingPending = true
 					res.Faults.PingsSent++
 					// Stamp the master clock into the ping (0 with recording
-					// off, which legacy workers echo back untouched); the
-					// pong pairs it into an RTT offset sample.
+					// off); the pong pairs it into an RTT offset sample.
 					w.pingSeqSent, w.pingSentNs = pingSeq, rec.Now()
 					mt.Instant(timeline.OpPing, -1, int64(pingSeq))
 					_ = hub.Send(name, msg.Message{Tag: TagPing, Data: encodePair(pingSeq, int(w.pingSentNs))})
@@ -920,13 +910,13 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 				// confirmation, once per applied result.
 				res.Wire.RawBytes += uint64(fd.Region.Area() * 3)
 			}
-			res.Wire.CountEncoding(fd.Encoding, uint64(len(m.Data)))
+			res.Wire.CountEncoding(fd.Encoding == encSpan, uint64(len(m.Data)))
 			mt.Instant(timeline.OpResult, fd.Frame, int64(len(m.Data)))
 			mergeShipped(m.From, fd.TLNow, fd.TLTracks, fd.TLEvents)
 			if dfbOn {
-				// Master-routed pixels from a legacy (or sink-fallback)
-				// worker: account the render, then relay the payload to the
-				// owning sink so assembly happens in exactly one place.
+				// Master-routed pixels from a worker that could not reach
+				// its sink: account the render, then relay the payload to
+				// the owning sink so assembly happens in exactly one place.
 				// Delivery marks and completion come from the confirmation.
 				if fd.Frame < cfg.StartFrame || fd.Frame >= cfg.EndFrame {
 					fd.Release()
@@ -1041,7 +1031,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 			}
 			// The payload bytes crossed the worker→sink link, so charge
 			// the per-codec byte counter with SinkBytes, not the ack size.
-			res.Wire.CountEncoding(a.Encoding, uint64(a.SinkBytes))
+			res.Wire.CountEncoding(a.Encoding == encSpan, uint64(a.SinkBytes))
 			mt.Instant(timeline.OpAck, a.Frame, int64(a.SinkBytes))
 			mergeShipped(m.From, a.TLNow, a.TLTracks, a.TLEvents)
 			w.lastProgress = w.lastHeard
@@ -1149,9 +1139,9 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 		case TagPong:
 			res.Faults.PongsReceived++
 			if rec != nil {
-				// A timeline-capable worker stamped its clock into the pong
-				// (legacy echoes leave workerNs 0); pair it with the send
-				// time of the outstanding ping for an RTT offset sample.
+				// The worker stamped its recorder clock into the pong (0 with
+				// no recorder); pair it with the send time of the outstanding
+				// ping for an RTT offset sample.
 				if seq, _, workerNs, err := decodePong(m.Data); err == nil && workerNs != 0 && seq == w.pingSeqSent {
 					offsetFor(w.name).AddRTT(w.pingSentNs, rec.Now(), workerNs)
 				}
@@ -1183,7 +1173,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 			if w.dead {
 				continue
 			}
-			if err := malformed(w); err != nil { // duplicate hello
+			if err := refuse(w, "second hello"); err != nil {
 				return res, err
 			}
 		default:
@@ -1286,6 +1276,7 @@ func RenderLocal(cfg Config) (*Result, error) {
 	// pixels under DFB). Tests kill and restart sinks through the same
 	// registry: a Dial after Close recreates the sink, which is exactly
 	// a compositor process restart.
+	var opts WorkerOptions
 	if cfg.DFB != nil && len(cfg.DFB.Addrs) == 0 && cfg.DFB.Sinks > 0 {
 		n := cfg.DFB.Sinks
 		if frames := cfg.EndFrame - cfg.StartFrame; n > frames {
@@ -1325,17 +1316,7 @@ func RenderLocal(cfg Config) (*Result, error) {
 		}
 		cfg.DFB = &dfb
 		cfg.OnFrame = nil // the sinks own frame delivery now
-		userWorkerOpts := cfg.WorkerOpts
-		cfg.WorkerOpts = func(i int) WorkerOptions {
-			var o WorkerOptions
-			if userWorkerOpts != nil {
-				o = userWorkerOpts(i)
-			}
-			if o.SinkDial == nil {
-				o.SinkDial = dfb.Dial
-			}
-			return o
-		}
+		opts.SinkDial = dfb.Dial
 	}
 	hub := msg.NewHub()
 	errCh := make(chan error, cfg.Workers)
@@ -1349,18 +1330,14 @@ func RenderLocal(cfg Config) (*Result, error) {
 		if cfg.WrapConn != nil {
 			conn = cfg.WrapConn(name, workerEnd)
 		}
-		var opts WorkerOptions
-		if cfg.WorkerOpts != nil {
-			opts = cfg.WorkerOpts(i)
-		}
-		go func(name string, conn msg.Conn, opts WorkerOptions) {
+		go func(name string, conn msg.Conn) {
 			err := RunWorkerWithOptions(context.Background(), name, conn, cfg.Scene, opts)
 			// Close the worker's end however it exited, so the hub posts
 			// its TagDown promptly instead of the master waiting out a
 			// stall deadline on a silently-departed worker.
 			conn.Close()
 			errCh <- err
-		}(name, conn, opts)
+		}(name, conn)
 	}
 	res, err := RunMaster(cfg, hub)
 	hub.Close()

@@ -61,34 +61,6 @@ func TestObjSpaceGolden(t *testing.T) {
 	}
 }
 
-// TestObjSpaceMixedFleet drives a farm where one worker refuses the
-// object-space capability (an "old" binary): the master shards the
-// capable workers, the legacy worker renders replicated, and the output
-// is still golden-identical.
-func TestObjSpaceMixedFleet(t *testing.T) {
-	sc := farmScene(goldenFrames)
-	want := readGolden(t)
-	res, err := RenderLocal(Config{
-		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 3,
-		Scheme:         partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
-		ObjSpaceShards: 2,
-		WorkerOpts: func(i int) WorkerOptions {
-			if i == 0 {
-				return WorkerOptions{NoWireObjSpace: true}
-			}
-			return WorkerOptions{}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, h := range hashFrames(res.Frames) {
-		if h != want[i] {
-			t.Errorf("mixed fleet: frame %d hash mismatch", i)
-		}
-	}
-}
-
 // TestObjSpaceConfigValidation rejects shard counts the wire would.
 func TestObjSpaceConfigValidation(t *testing.T) {
 	sc := farmScene(2)

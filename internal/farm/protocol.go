@@ -14,8 +14,8 @@ import (
 
 // Message tags of the farm protocol (the PVM msgtag space).
 const (
-	// TagHello announces a worker to the master (payload: name, or a
-	// sealed name + capability bits; see encodeHello).
+	// TagHello announces a worker to the master (payload: protocol
+	// version and name; see encodeHello).
 	TagHello = iota + 1
 	// TagTask assigns a task (payload: encoded task + options).
 	TagTask
@@ -43,13 +43,12 @@ const (
 	// answer between frames, so a pong proves the render loop is alive,
 	// not merely the connection.
 	TagPing
-	// TagPong answers a ping: legacy workers echo the payload verbatim,
-	// timeline-capable workers append their own recorder clock (see
-	// encodePong) so the master can estimate per-worker clock offsets
-	// from the round trip.
+	// TagPong answers a ping with its sequence and master clock stamp
+	// plus the worker's own recorder clock (see encodePong), so the
+	// master can estimate per-worker clock offsets from the round trip.
 	TagPong
 	// TagFrameAck is the control half of a DFB frame result: the pixels
-	// went straight to a compositor sink (capWireDFB), and this small ack
+	// went straight to a compositor sink, and this small ack
 	// carries the per-frame statistics and timeline piggyback the master
 	// would otherwise have read off TagFrameDone. The master does NOT
 	// mark the frame delivered on it — only the sink's confirmation does
@@ -57,31 +56,31 @@ const (
 	TagFrameAck
 	// TagOSStats ships a task's accumulated object-space forwarding
 	// statistics (payload: sealed objspace.EncodeStats) just before the
-	// task's TagTaskDone. Sent only under a capWireObjSpace grant.
+	// task's TagTaskDone. Sent only by object-space tasks (OSShards >= 2).
 	TagOSStats
 )
 
-// Wire capability bits, frame kinds, encodings, and codec types all
-// live in internal/wire (shared with the compositor subsystem); the
-// farm keeps these aliases so the protocol reads as before.
+// ProtocolVersion is the farm wire protocol this build speaks: the
+// hello, task, pong and frame-result layouts below and in internal/wire.
+// Master and workers are built from one commit, so the hello carries
+// this one number instead of a capability set, and the master refuses
+// any other value. Bump it whenever a layout changes.
+const ProtocolVersion = 2
+
+// Task wire flags, frame kinds, encodings, and codec types all live in
+// internal/wire (shared with the compositor subsystem); the farm keeps
+// these aliases so the protocol reads in one place.
 const (
 	capWireDelta     = wire.CapDelta
-	capWireCompress  = wire.CapCompress
 	capWireTimeline  = wire.CapTimeline
-	capWireDFB       = wire.CapDFB
 	capWireSpanCodec = wire.CapSpanCodec
-	capWireObjSpace  = wire.CapObjSpace
-	wireCapsMask     = wire.CapsMask
+	wireFlagsMask    = capWireDelta | capWireTimeline | capWireSpanCodec
 
 	frameFull  = wire.KindFull
 	frameDelta = wire.KindDelta
 
-	encRaw   = wire.EncRaw
-	encFlate = wire.EncFlate
-	encSpan  = wire.EncSpan
-
-	wireSpanOverhead = wire.SpanOverhead
-	wireCompressMin  = wire.CompressMin
+	encRaw  = wire.EncRaw
+	encSpan = wire.EncSpan
 )
 
 // frameDoneMsg is the wire form of one completed frame region.
@@ -100,37 +99,39 @@ func decodeFrameDone(data []byte) (frameDoneMsg, error) { return wire.DecodeFram
 
 func validateSpans(spans []fb.Span, region fb.Rect) error { return wire.ValidateSpans(spans, region) }
 
-// encodeHello packs a worker's hello: name plus capability bits, sealed
-// like every other payload. Pre-capability masters treat the payload as
-// an opaque name and route by Message.From, so this is backwards
-// compatible in both directions (see decodeHello).
-func encodeHello(name string, caps int) []byte {
+// encodeHello packs a worker's hello: the protocol version it speaks,
+// then its name. The version comes first so that no other build's hello
+// — whatever it packed after its name — can parse as this one.
+func encodeHello(name string) []byte {
 	b := msg.GetBuffer()
 	defer b.Release()
+	b.PackInt(ProtocolVersion)
 	b.PackString(name)
-	b.PackInt(int64(caps))
 	return b.Sealed()
 }
 
-// decodeHello extracts the worker's self-reported name and capability
-// bits from a hello payload. A legacy hello (raw name bytes, no seal)
-// or anything else that does not parse yields zero capabilities — never
-// an error, because an old worker must keep working. The name matters
-// over TCP, where the master's hub names (tcp00, tcp01, ...) differ
-// from the -name a worker introduces itself to compositor sinks with;
-// sink confirmations carry the latter, and the master maps them back.
-func decodeHello(data []byte) (name string, caps int) {
+// decodeHello extracts the worker's self-reported name, refusing a
+// hello that does not parse or speaks another protocol version. The
+// name matters over TCP, where the master's hub names (tcp00, tcp01,
+// ...) differ from the -name a worker introduces itself to compositor
+// sinks with; sink confirmations carry the latter, and the master maps
+// them back.
+func decodeHello(data []byte) (string, error) {
+	unparsed := fmt.Errorf("hello does not parse as protocol version %d (a version-1 or foreign build)", ProtocolVersion)
 	body, err := msg.Open(data)
 	if err != nil {
-		return "", 0
+		return "", unparsed
 	}
 	b := msg.FromBytes(body)
-	n := b.UnpackString()
-	c := int(b.UnpackInt())
-	if b.Err() != nil || b.Len() != 0 || c&^wireCapsMask != 0 {
-		return "", 0
+	version := b.UnpackInt()
+	name := b.UnpackString()
+	if b.Err() != nil || b.Len() != 0 {
+		return "", unparsed
 	}
-	return n, c
+	if version != ProtocolVersion {
+		return "", fmt.Errorf("hello speaks protocol version %d, this master speaks version %d", version, ProtocolVersion)
+	}
+	return name, nil
 }
 
 // maxTaskDim bounds task resolution and frame numbers accepted off the
@@ -155,27 +156,16 @@ func (t taskMsg) validate() error {
 	if t.Samples < 0 || t.Threads < 0 {
 		return fmt.Errorf("farm: bad task options (samples %d, threads %d)", t.Samples, t.Threads)
 	}
-	if t.WireFlags&^wireCapsMask != 0 {
+	if t.WireFlags&^wireFlagsMask != 0 {
 		return fmt.Errorf("farm: unknown wire flags %#x", t.WireFlags)
 	}
-	if t.WireFlags&capWireDFB != 0 {
-		if len(t.Sinks) < 1 || len(t.Sinks) > maxSinks {
-			return fmt.Errorf("farm: bad DFB sink count %d", len(t.Sinks))
-		}
-		if t.JobStart < 0 || t.JobEnd > maxTaskDim ||
-			t.JobStart > t.Task.StartFrame || t.Task.EndFrame > t.JobEnd {
-			return fmt.Errorf("farm: DFB job range [%d,%d) does not contain task range [%d,%d)",
-				t.JobStart, t.JobEnd, t.Task.StartFrame, t.Task.EndFrame)
-		}
-	} else if len(t.Sinks) != 0 {
-		return fmt.Errorf("farm: sink list without DFB grant")
+	if len(t.Sinks) > 0 && (t.JobStart < 0 || t.JobEnd > maxTaskDim ||
+		t.JobStart > t.Task.StartFrame || t.Task.EndFrame > t.JobEnd) {
+		return fmt.Errorf("farm: DFB job range [%d,%d) does not contain task range [%d,%d)",
+			t.JobStart, t.JobEnd, t.Task.StartFrame, t.Task.EndFrame)
 	}
-	if t.WireFlags&capWireObjSpace != 0 {
-		if t.OSShards < 2 || t.OSShards > objspace.MaxShards {
-			return fmt.Errorf("farm: object-space shard count %d outside [2,%d]", t.OSShards, objspace.MaxShards)
-		}
-	} else if t.OSShards != 0 {
-		return fmt.Errorf("farm: shard count without object-space grant")
+	if t.OSShards != 0 && (t.OSShards < 2 || t.OSShards > objspace.MaxShards) {
+		return fmt.Errorf("farm: object-space shard count %d outside [2,%d]", t.OSShards, objspace.MaxShards)
 	}
 	return nil
 }
@@ -192,25 +182,18 @@ type taskMsg struct {
 	// worker use all its cores. Pixels are thread-count-invariant, so
 	// this is purely a speed knob.
 	Threads int
-	// WireFlags grants wire capabilities for this task's results: the
-	// intersection of the master's config and the worker's advertised
-	// caps. Packed as a trailing field so pre-capability decoders simply
-	// leave it unread, and absent on their encodes (zero = plain full
-	// frames).
+	// WireFlags says how this task's results are encoded (capWire*),
+	// straight from the master's config; zero = plain full frames.
 	WireFlags int
-	// JobStart, JobEnd and Sinks describe the compositor topology when
-	// WireFlags grants capWireDFB: the job's absolute frame range and the
-	// sink addresses, from which the worker derives the frame→sink shard
-	// map (partition.ShardMap). Packed only with the DFB grant, after
-	// WireFlags, so every earlier decoder is unaffected.
+	// Sinks, when non-empty, turns the distributed framebuffer on: the
+	// worker ships pixels to these compositor sinks and derives the
+	// frame→sink shard map (partition.ShardMap) from them and the job's
+	// absolute frame range [JobStart, JobEnd).
 	JobStart, JobEnd int
 	Sinks            []string
-	// OSShards is the object-space shard count when WireFlags grants
-	// capWireObjSpace: the worker renders through an objspace partition
-	// of that many slabs instead of a replicated grid. Packed only with
-	// the grant, after the DFB section, so earlier decoders never see
-	// it; ungranted workers render replicated — pixels are byte-identical
-	// either way, so mixed fleets interoperate.
+	// OSShards, when >= 2, makes the worker render through an objspace
+	// partition of that many slabs instead of a replicated grid; 0 is
+	// the replicated path. Pixels are byte-identical either way.
 	OSShards int
 }
 
@@ -235,17 +218,13 @@ func encodeTask(t taskMsg) []byte {
 	b.PackInt(int64(t.BlockGran))
 	b.PackInt(int64(t.Threads))
 	b.PackInt(int64(t.WireFlags))
-	if t.WireFlags&capWireDFB != 0 {
-		b.PackInt(int64(t.JobStart))
-		b.PackInt(int64(t.JobEnd))
-		b.PackInt(int64(len(t.Sinks)))
-		for _, s := range t.Sinks {
-			b.PackString(s)
-		}
+	b.PackInt(int64(t.JobStart))
+	b.PackInt(int64(t.JobEnd))
+	b.PackInt(int64(len(t.Sinks)))
+	for _, s := range t.Sinks {
+		b.PackString(s)
 	}
-	if t.WireFlags&capWireObjSpace != 0 {
-		b.PackInt(int64(t.OSShards))
-	}
+	b.PackInt(int64(t.OSShards))
 	return b.Sealed()
 }
 
@@ -269,27 +248,27 @@ func decodeTask(data []byte) (taskMsg, error) {
 	t.GridRes = int(b.UnpackInt())
 	t.BlockGran = int(b.UnpackInt())
 	t.Threads = int(b.UnpackInt())
-	if b.Len() > 0 {
-		// Trailing capability grant; absent from pre-capability masters.
-		t.WireFlags = int(b.UnpackInt())
+	t.WireFlags = int(b.UnpackInt())
+	t.JobStart = int(b.UnpackInt())
+	t.JobEnd = int(b.UnpackInt())
+	// Each sink address costs at least its 8-byte length prefix, which
+	// bounds the allocation against the remaining payload.
+	n := int(b.UnpackInt())
+	if n < 0 || n > maxSinks || n > b.Len()/8 {
+		return taskMsg{}, fmt.Errorf("farm: bad DFB sink count %d", n)
 	}
-	if t.WireFlags&capWireDFB != 0 {
-		t.JobStart = int(b.UnpackInt())
-		t.JobEnd = int(b.UnpackInt())
-		n := int(b.UnpackInt())
-		if n < 0 || n > maxSinks {
-			return taskMsg{}, fmt.Errorf("farm: bad DFB sink count %d", n)
-		}
+	if n > 0 {
 		t.Sinks = make([]string, n)
 		for i := range t.Sinks {
 			t.Sinks[i] = b.UnpackString()
 		}
 	}
-	if t.WireFlags&capWireObjSpace != 0 {
-		t.OSShards = int(b.UnpackInt())
-	}
+	t.OSShards = int(b.UnpackInt())
 	if err := b.Err(); err != nil {
 		return taskMsg{}, fmt.Errorf("farm: bad task message: %w", err)
+	}
+	if b.Len() != 0 {
+		return taskMsg{}, fmt.Errorf("farm: %d trailing bytes in task message", b.Len())
 	}
 	if err := t.validate(); err != nil {
 		return taskMsg{}, err
@@ -308,10 +287,7 @@ func encodePair(a, b int) []byte {
 
 // encodePong packs a worker's heartbeat answer: the ping's sequence and
 // master clock stamp echoed back, plus the worker's own recorder clock
-// (0 = no timeline clock). A legacy worker instead echoes the ping's
-// pair payload verbatim; decodePong tells the two apart by length, so
-// the master gets RTTs from everyone and offsets only from workers that
-// can stamp them.
+// (0 = no timeline clock).
 func encodePong(seq int, masterNs, workerNs int64) []byte {
 	buf := msg.GetBuffer()
 	defer buf.Release()
@@ -329,11 +305,12 @@ func decodePong(data []byte) (seq int, masterNs, workerNs int64, err error) {
 	b := msg.FromBytes(body)
 	seq = int(b.UnpackInt())
 	masterNs = b.UnpackInt()
-	if b.Len() > 0 {
-		workerNs = b.UnpackInt()
-	}
+	workerNs = b.UnpackInt()
 	if err := b.Err(); err != nil {
 		return 0, 0, 0, fmt.Errorf("farm: bad pong message: %w", err)
+	}
+	if b.Len() != 0 {
+		return 0, 0, 0, fmt.Errorf("farm: %d trailing bytes in pong message", b.Len())
 	}
 	return seq, masterNs, workerNs, nil
 }

@@ -59,10 +59,11 @@ func TestFrameDoneTimelineRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameDoneLegacyByteIdentical: a plain raw key-frame with no
-// timeline section must encode byte-for-byte as the legacy layout —
-// the mixed-fleet contract that lets old masters decode new workers.
-func TestFrameDoneLegacyByteIdentical(t *testing.T) {
+// TestFrameDoneRawKeyFrameLayout: a raw key-frame with no timeline
+// section encodes as the bare header, payload and counters — no
+// kind/encoding/span section. The plain path ships nothing else, and
+// BENCH_wire.json pins the resulting byte totals.
+func TestFrameDoneRawKeyFrameLayout(t *testing.T) {
 	region := fb.NewRect(2, 1, 6, 5)
 	m := frameDoneMsg{
 		TaskID: 1, Frame: 4, Region: region,
@@ -72,31 +73,30 @@ func TestFrameDoneLegacyByteIdentical(t *testing.T) {
 	}
 	m.Rays.ByKind[0] = 12
 
-	legacy := msg.GetBuffer()
-	defer legacy.Release()
-	legacy.PackInt(int64(m.TaskID))
-	legacy.PackInt(int64(m.Frame))
-	legacy.PackInt(int64(m.Region.X0))
-	legacy.PackInt(int64(m.Region.Y0))
-	legacy.PackInt(int64(m.Region.X1))
-	legacy.PackInt(int64(m.Region.Y1))
-	legacy.PackBytes(m.Pix)
-	legacy.PackInt(int64(m.Rendered))
-	legacy.PackInt(int64(m.Copied))
-	legacy.PackInt(int64(m.Regs))
+	want := msg.GetBuffer()
+	defer want.Release()
+	want.PackInt(int64(m.TaskID))
+	want.PackInt(int64(m.Frame))
+	want.PackInt(int64(m.Region.X0))
+	want.PackInt(int64(m.Region.Y0))
+	want.PackInt(int64(m.Region.X1))
+	want.PackInt(int64(m.Region.Y1))
+	want.PackBytes(m.Pix)
+	want.PackInt(int64(m.Rendered))
+	want.PackInt(int64(m.Copied))
+	want.PackInt(int64(m.Regs))
 	for k := 0; k < vm.NumRayKinds; k++ {
-		legacy.PackInt(int64(m.Rays.ByKind[k]))
+		want.PackInt(int64(m.Rays.ByKind[k]))
 	}
-	legacy.PackInt(m.ElapsedNs)
+	want.PackInt(m.ElapsedNs)
 
-	if got, want := encodeFrameDone(m), legacy.Sealed(); !bytes.Equal(got, want) {
-		t.Errorf("no-timeline encoding diverged from the legacy layout:\ngot  %d bytes\nwant %d bytes", len(got), len(want))
+	if got, want := encodeFrameDone(m), want.Sealed(); !bytes.Equal(got, want) {
+		t.Errorf("raw key-frame encoding diverged from the pinned layout:\ngot  %d bytes\nwant %d bytes", len(got), len(want))
 	}
 }
 
-// TestPongRoundTrip covers both pong shapes the master must accept: the
-// three-field stamped pong from a timeline-capable worker, and the
-// two-field legacy echo (workerNs reported as 0).
+// TestPongRoundTrip: a pong is exactly three fields; the two-field pair
+// a ping carries is not one.
 func TestPongRoundTrip(t *testing.T) {
 	seq, masterNs, workerNs, err := decodePong(encodePong(5, 111, 222))
 	if err != nil {
@@ -105,29 +105,19 @@ func TestPongRoundTrip(t *testing.T) {
 	if seq != 5 || masterNs != 111 || workerNs != 222 {
 		t.Errorf("stamped pong = (%d, %d, %d), want (5, 111, 222)", seq, masterNs, workerNs)
 	}
-
-	seq, masterNs, workerNs, err = decodePong(encodePair(8, 333))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq != 8 || masterNs != 333 || workerNs != 0 {
-		t.Errorf("legacy pong = (%d, %d, %d), want (8, 333, 0)", seq, masterNs, workerNs)
+	if _, _, _, err := decodePong(encodePair(8, 333)); err == nil {
+		t.Error("two-field pong decoded successfully")
 	}
 }
 
-// TestPongDataLegacyEcho: a worker that opted out of the timeline
-// capability echoes ping payloads byte-identically, and a capable worker
-// re-stamps them with its recorder clock.
-func TestPongDataLegacyEcho(t *testing.T) {
+// TestPongData: a worker re-stamps ping payloads with its recorder
+// clock, and answers a garbled ping with its own bytes.
+func TestPongData(t *testing.T) {
 	ping := encodePair(3, 1_000_000)
 
 	wt := &workerTimeline{}
-	if got := pongData(ping, WorkerOptions{NoWireTimeline: true}, wt); !bytes.Equal(got, ping) {
-		t.Error("opted-out worker altered the ping payload")
-	}
-
 	wt.ensure(1)
-	stamped := pongData(ping, WorkerOptions{}, wt)
+	stamped := pongData(ping, wt)
 	seq, masterNs, workerNs, err := decodePong(stamped)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +132,7 @@ func TestPongDataLegacyEcho(t *testing.T) {
 	// Malformed pings are echoed, not dropped: the master only needs
 	// the bytes back to count the pong as liveness.
 	junk := []byte{0xde, 0xad}
-	if got := pongData(junk, WorkerOptions{}, wt); !bytes.Equal(got, junk) {
+	if got := pongData(junk, wt); !bytes.Equal(got, junk) {
 		t.Error("malformed ping was not echoed verbatim")
 	}
 }
@@ -213,31 +203,5 @@ func TestRenderLocalTimeline(t *testing.T) {
 	}
 	if back.Meta["scheme"] != tl.Meta["scheme"] {
 		t.Errorf("Chrome round trip lost meta: %q != %q", back.Meta["scheme"], tl.Meta["scheme"])
-	}
-}
-
-// TestRenderLocalTimelineMixedFleet: a fleet where one worker opted out
-// of the wire-timeline capability still completes, and only the capable
-// worker's spans appear in the merged timeline.
-func TestRenderLocalTimelineMixedFleet(t *testing.T) {
-	sc := farmScene(6)
-	rec := timeline.New(0)
-	res, err := RenderLocal(Config{
-		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 2,
-		Scheme:     partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
-		Heartbeat:  10 * time.Millisecond,
-		Timeline:   rec,
-		WorkerOpts: func(i int) WorkerOptions { return WorkerOptions{NoWireTimeline: i == 0} },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, td := range res.Timeline.Tracks {
-		if td.Group() == "worker00" {
-			t.Errorf("opted-out worker00 shipped track %q", td.Name)
-		}
-	}
-	if len(res.Frames) != sc.Frames {
-		t.Errorf("mixed fleet rendered %d frames, want %d", len(res.Frames), sc.Frames)
 	}
 }

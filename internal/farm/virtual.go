@@ -71,24 +71,12 @@ func RenderVirtual(cfg Config) (*Result, error) {
 	const taskMsgBytes = 64 // task descriptor on the wire
 
 	// With wire modes enabled the virtual driver runs the real frame
-	// codec — delta spans, size guard, flate — so modelled byte counts
-	// are the true wire costs, not estimates. Off (the default) it keeps
-	// the legacy flat charge, preserving historical makespans.
-	wireOn := cfg.WireDelta || cfg.WireCompress || cfg.WireSpanCodec
-	wireFlags := 0
-	if cfg.WireDelta {
-		wireFlags |= capWireDelta
-	}
-	if cfg.WireCompress {
-		wireFlags |= capWireCompress
-	}
-	if cfg.WireSpanCodec {
-		wireFlags |= capWireSpanCodec
-	}
+	// codec — delta spans, size guard, span codec — so modelled byte
+	// counts are the true wire costs, not estimates. Off (the default) it
+	// keeps the flat per-result charge, preserving historical makespans.
+	wireOn := cfg.WireDelta || cfg.WireSpanCodec
+	wireFlags := cfg.wireFlags()
 	var wireEnc frameEncoder // shared scratch; the event loop is sequential
-	// The virtual driver's contract is identical statistics on every
-	// run: the adaptive codec decision must not read wall clocks.
-	wireEnc.Deterministic = true
 
 	// Object-space sharding in the virtual model: rendering runs inline
 	// through the sharded partition (so forwarding counts are the real
@@ -263,7 +251,7 @@ func RenderVirtual(cfg Config) (*Result, error) {
 			res.BytesTransferred += int64(len(data))
 			res.Wire.WireBytes += uint64(len(data))
 			res.Wire.RawBytes += uint64(w.task.Region.Area() * 3)
-			res.Wire.CountEncoding(fd.Encoding, uint64(len(data)))
+			res.Wire.CountEncoding(fd.Encoding == encSpan, uint64(len(data)))
 			rd, err := decodeFrameDone(data)
 			if err != nil {
 				return err

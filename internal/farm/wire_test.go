@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +17,7 @@ import (
 	"nowrender/internal/partition"
 	"nowrender/internal/stats"
 	"nowrender/internal/timeline"
+	"nowrender/internal/wire"
 )
 
 // patternFB fills a framebuffer with a deterministic pseudorandom
@@ -28,25 +30,54 @@ func patternFB(w, h int, seed int64) *fb.Framebuffer {
 	return img
 }
 
-func TestHelloCapsRoundTrip(t *testing.T) {
-	for _, caps := range []int{0, capWireDelta, capWireCompress, wireCapsMask} {
-		name, got := decodeHello(encodeHello("ws01", caps))
-		if got != caps || name != "ws01" {
-			t.Errorf("(%q, %#x) round-tripped to (%q, %#x)", "ws01", caps, name, got)
+// v1Hello is the hello a protocol-version-1 worker sent: its name, then
+// its capability bits, sealed.
+func v1Hello(name string, caps int) []byte {
+	b := msg.NewBuffer()
+	b.PackString(name)
+	b.PackInt(int64(caps))
+	return msg.Seal(b.Bytes())
+}
+
+// versionHello is a well-formed hello claiming an arbitrary version.
+func versionHello(name string, version int) []byte {
+	b := msg.NewBuffer()
+	b.PackInt(int64(version))
+	b.PackString(name)
+	return msg.Seal(b.Bytes())
+}
+
+func TestHelloRoundTrip(t *testing.T) {
+	name, err := decodeHello(encodeHello("ws01"))
+	if err != nil || name != "ws01" {
+		t.Errorf("hello round-tripped to (%q, %v)", name, err)
+	}
+	want := fmt.Sprintf("version %d", ProtocolVersion)
+	for label, data := range map[string][]byte{
+		"v1 hello, all caps":    v1Hello("ws01", 0x3f),
+		"v1 hello, caps == 2":   v1Hello("ws01", 2),
+		"v1 hello, 2-byte name": v1Hello("ws", 0x3f),
+		"raw name bytes":        []byte("old-worker"),
+		"empty":                 nil,
+		"version 3":             versionHello("ws01", 3),
+		"version 0":             versionHello("ws01", 0),
+		"trailing field": func() []byte {
+			b := msg.NewBuffer()
+			b.PackInt(ProtocolVersion)
+			b.PackString("ws01")
+			b.PackInt(0)
+			return msg.Seal(b.Bytes())
+		}(),
+	} {
+		_, err := decodeHello(data)
+		if err == nil {
+			t.Errorf("%s: accepted", label)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: error %q does not name %s", label, err, want)
 		}
 	}
-	// A legacy hello is the raw name with no seal: zero caps, no error.
-	if _, got := decodeHello([]byte("old-worker")); got != 0 {
-		t.Errorf("legacy hello yielded caps %#x", got)
-	}
-	if _, got := decodeHello(nil); got != 0 {
-		t.Errorf("empty hello yielded caps %#x", got)
-	}
-	// Unknown bits are refused wholesale: the worker is treated as legacy
-	// rather than granted half-understood modes.
-	b := encodeHello("future", wireCapsMask|1<<7)
-	if _, got := decodeHello(b); got != 0 {
-		t.Errorf("unknown cap bits yielded %#x", got)
+	if _, err := decodeHello(versionHello("ws01", 3)); !strings.Contains(err.Error(), "version 3") {
+		t.Errorf("version-3 refusal %q does not name the worker's version", err)
 	}
 }
 
@@ -55,58 +86,57 @@ func TestTaskWireFlagsRoundTrip(t *testing.T) {
 		Task: partition.Task{ID: 5, Region: fb.NewRect(0, 0, 16, 16), StartFrame: 2, EndFrame: 9},
 		W:    16, H: 16, Coherence: true, Samples: 1, Threads: 2,
 	}
-	for _, flags := range []int{0, capWireDelta, capWireCompress, wireCapsMask} {
-		tm := base
-		tm.WireFlags = flags
-		if flags&capWireDFB != 0 {
-			// A DFB grant must carry the compositor topology.
-			tm.JobStart, tm.JobEnd = 0, 16
-			tm.Sinks = []string{"sink0", "127.0.0.1:7001"}
-		}
-		if flags&capWireObjSpace != 0 {
-			// An object-space grant must carry the shard count.
-			tm.OSShards = 4
-		}
-		got, err := decodeTask(encodeTask(tm))
-		if err != nil {
-			t.Fatalf("flags %#x: %v", flags, err)
-		}
-		if got.WireFlags != flags {
-			t.Errorf("flags %#x round-tripped to %#x", flags, got.WireFlags)
-		}
-		if !reflect.DeepEqual(got.Sinks, tm.Sinks) || got.JobStart != tm.JobStart || got.JobEnd != tm.JobEnd {
-			t.Errorf("flags %#x: DFB fields round-tripped to %v [%d,%d)", flags, got.Sinks, got.JobStart, got.JobEnd)
-		}
-		if got.OSShards != tm.OSShards {
-			t.Errorf("flags %#x: shard count round-tripped to %d", flags, got.OSShards)
+	dfb := base
+	dfb.JobStart, dfb.JobEnd = 0, 16
+	dfb.Sinks = []string{"sink0", "127.0.0.1:7001"}
+	sharded := base
+	sharded.OSShards = 4
+	everything := dfb
+	everything.OSShards = 4
+	for _, tm := range []taskMsg{base, dfb, sharded, everything} {
+		for _, flags := range []int{0, capWireDelta, capWireSpanCodec, wireFlagsMask} {
+			tm.WireFlags = flags
+			got, err := decodeTask(encodeTask(tm))
+			if err != nil {
+				t.Fatalf("flags %#x: %v", flags, err)
+			}
+			if !reflect.DeepEqual(got, tm) {
+				t.Errorf("task round-tripped to %+v, want %+v", got, tm)
+			}
 		}
 	}
-	bad := base
-	bad.WireFlags = 1 << 9
-	if _, err := decodeTask(encodeTask(bad)); err == nil {
-		t.Error("unknown wire flags decoded successfully")
+	// A worker refuses flags it does not know — the retired bits (1<<1
+	// flate, 1<<3 DFB, 1<<5 object space) as much as never-assigned ones.
+	for _, bit := range []int{1 << 1, 1 << 3, 1 << 5, 1 << 9} {
+		bad := base
+		bad.WireFlags = capWireDelta | bit
+		if _, err := decodeTask(encodeTask(bad)); err == nil {
+			t.Errorf("unknown wire flag %#x decoded successfully", bit)
+		}
 	}
-	// A DFB grant without sinks, or with a job range that does not
-	// contain the task range, is rejected.
-	bad = base
-	bad.WireFlags = capWireDFB
-	if _, err := decodeTask(encodeTask(bad)); err == nil {
-		t.Error("DFB grant without sinks decoded successfully")
-	}
-	bad.JobStart, bad.JobEnd = 4, 16
-	bad.Sinks = []string{"sink0"}
+	// A job range that does not contain the task range is rejected.
+	bad := dfb
+	bad.JobStart = 4
 	if _, err := decodeTask(encodeTask(bad)); err == nil {
 		t.Error("DFB job range not containing task range decoded successfully")
 	}
-	// An object-space grant without a sane shard count is rejected.
-	bad = base
-	bad.WireFlags = capWireObjSpace
-	if _, err := decodeTask(encodeTask(bad)); err == nil {
-		t.Error("object-space grant without shard count decoded successfully")
+	// A shard count that is neither 0 nor in [2, MaxShards] is rejected.
+	for _, n := range []int{1, -1, objspace.MaxShards + 1} {
+		bad = base
+		bad.OSShards = n
+		if _, err := decodeTask(encodeTask(bad)); err == nil {
+			t.Errorf("object-space shard count %d decoded successfully", n)
+		}
 	}
-	bad.OSShards = objspace.MaxShards + 1
-	if _, err := decodeTask(encodeTask(bad)); err == nil {
-		t.Error("oversized object-space shard count decoded successfully")
+	// The layout is fixed: a message cut short or with bytes to spare is
+	// not a task, whatever its checksum says.
+	body := encodeTask(everything)
+	body = body[:len(body)-4]
+	if _, err := decodeTask(msg.Seal(body[:len(body)-8])); err == nil {
+		t.Error("task missing its last field decoded successfully")
+	}
+	if _, err := decodeTask(msg.Seal(append(body, 0))); err == nil {
+		t.Error("task with a trailing byte decoded successfully")
 	}
 }
 
@@ -142,8 +172,8 @@ func TestFrameAckRoundTrip(t *testing.T) {
 
 // TestFrameDoneRoundTrip is the property test for the frame codec:
 // every span shape that matters — empty delta, single pixel, full
-// region, many random runs — crossed with raw and flate encodings must
-// decode to the bytes that went in.
+// region, many random runs — crossed with raw and span-codec encodings
+// must decode to the bytes that went in.
 func TestFrameDoneRoundTrip(t *testing.T) {
 	const w, h = 24, 16
 	region := fb.NewRect(2, 1, 22, 15)
@@ -179,7 +209,7 @@ func TestFrameDoneRoundTrip(t *testing.T) {
 		{"delta-random", frameDelta, randomSpans()},
 	}
 	for _, tc := range cases {
-		for _, enc := range []int{encRaw, encFlate} {
+		for _, enc := range []int{encRaw, encSpan} {
 			name := fmt.Sprintf("%s/enc=%d", tc.name, enc)
 			var pix []byte
 			if tc.kind == frameDelta {
@@ -194,12 +224,13 @@ func TestFrameDoneRoundTrip(t *testing.T) {
 				Rays:      stats.RayCounters{},
 				ElapsedNs: 777,
 			}
-			if enc == encFlate {
-				z, err := msg.Deflate(nil, pix)
-				if err != nil {
-					t.Fatalf("%s: deflate: %v", name, err)
+			if enc == encSpan {
+				in := pix
+				if stride := wire.FilterStride(region); tc.kind == frameFull && stride > 0 {
+					in = make([]byte, len(pix))
+					msg.SpanFilterUp(in, pix, stride)
 				}
-				m.Encoding, m.Pix = encFlate, z
+				m.Encoding, m.Pix = encSpan, msg.SpanCompress(nil, in)
 			} else {
 				m.Encoding, m.Pix = encRaw, pix
 			}
@@ -231,7 +262,8 @@ func TestFrameDoneRoundTrip(t *testing.T) {
 
 // TestFrameEncoderDecision pins the encoder's choice logic: key-frames
 // stay full, small deltas win, big deltas fall back to a full frame, and
-// compression is kept only when it actually shrinks the payload.
+// the span codec's output is kept only when it actually shrinks the
+// payload.
 func TestFrameEncoderDecision(t *testing.T) {
 	const w, h = 32, 32
 	region := fb.NewRect(0, 0, w, h)
@@ -252,7 +284,7 @@ func TestFrameEncoderDecision(t *testing.T) {
 		wantKind int
 	}{
 		{"first-frame-always-full", capWireDelta, small, true, frameFull},
-		{"no-grant-full", 0, small, false, frameFull},
+		{"no-flags-full", 0, small, false, frameFull},
 		{"plain-path-full", capWireDelta, nil, false, frameFull},
 		{"small-delta", capWireDelta, small, false, frameDelta},
 		{"size-guard-fallback", capWireDelta, big, false, frameFull},
@@ -270,10 +302,10 @@ func TestFrameEncoderDecision(t *testing.T) {
 		got.Release()
 	}
 
-	// Incompressible random pixels: flate output is larger, so the
+	// Incompressible random pixels: the codec's output is larger, so the
 	// encoder must keep the raw payload.
 	fd := frameDoneMsg{TaskID: 1, Frame: 0, Region: region}
-	got, err := decodeFrameDone(enc.Encode(&fd, src, capWireCompress, nil, true))
+	got, err := decodeFrameDone(enc.Encode(&fd, src, capWireSpanCodec, nil, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,43 +314,30 @@ func TestFrameEncoderDecision(t *testing.T) {
 	}
 	got.Release()
 
-	// Compressible pixels (constant colour) must use flate when granted.
+	// Compressible pixels (constant colour) must use the codec when asked
+	// to, and stay raw when not.
 	flat := fb.New(w, h)
 	fd = frameDoneMsg{TaskID: 1, Frame: 0, Region: region}
-	got, err = decodeFrameDone(enc.Encode(&fd, flat, capWireCompress, nil, true))
+	got, err = decodeFrameDone(enc.Encode(&fd, flat, capWireSpanCodec, nil, true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Encoding != encFlate {
+	if got.Encoding != encSpan {
 		t.Errorf("compressible payload stayed raw")
 	}
 	if !bytes.Equal(got.Pix, extractRegion(flat, region)) {
-		t.Error("flate round-trip corrupted pixels")
+		t.Error("span-codec round-trip corrupted pixels")
 	}
 	got.Release()
-}
-
-// TestFrameEncoderLegacyBytes: with no capabilities granted the encoder
-// must produce byte-for-byte the legacy frameDone encoding, so a new
-// worker talking to an old master is indistinguishable from an old one.
-func TestFrameEncoderLegacyBytes(t *testing.T) {
-	const w, h = 16, 12
-	region := fb.NewRect(1, 1, 15, 11)
-	src := patternFB(w, h, 3)
-	fd := frameDoneMsg{
-		TaskID: 2, Frame: 5, Region: region,
-		Rendered: 4, Copied: 1, Regs: 2, ElapsedNs: 99,
+	fd = frameDoneMsg{TaskID: 1, Frame: 0, Region: region}
+	got, err = decodeFrameDone(enc.Encode(&fd, flat, capWireDelta, nil, true))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var enc frameEncoder
-	got := enc.Encode(&fd, src, 0, []fb.Span{{Y: 2, X0: 2, X1: 5}}, false)
-
-	legacy := fd
-	legacy.Kind, legacy.Encoding, legacy.Spans = frameFull, encRaw, nil
-	legacy.Pix = extractRegion(src, region)
-	want := encodeFrameDone(legacy)
-	if !bytes.Equal(got, want) {
-		t.Error("zero-capability encode differs from the legacy wire bytes")
+	if got.Encoding != encRaw {
+		t.Errorf("payload was compressed without the span-codec flag")
 	}
+	got.Release()
 }
 
 func TestValidateSpansRejects(t *testing.T) {
@@ -393,21 +412,22 @@ func TestDeliverSpans(t *testing.T) {
 	}
 }
 
-// TestWireGolden locks the tentpole invariant: every (delta, compress)
-// combination produces byte-identical frames, matching the committed
-// golden hashes, on both the local and virtual drivers — and the modes
-// actually engage (delta frames counted when granted).
+// TestWireGolden locks the data path's invariant: every (delta, span
+// codec) combination produces byte-identical frames, matching the
+// committed golden hashes, on both the local and virtual drivers — and
+// the modes actually engage (delta and span-coded frames counted when
+// asked for).
 func TestWireGolden(t *testing.T) {
 	sc := farmScene(goldenFrames)
 	want := readGolden(t)
 	scheme := partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true}
 
 	for _, delta := range []bool{false, true} {
-		for _, compress := range []bool{false, true} {
-			label := fmt.Sprintf("local/delta=%v,compress=%v", delta, compress)
+		for _, span := range []bool{false, true} {
+			label := fmt.Sprintf("local/delta=%v,span=%v", delta, span)
 			res, err := RenderLocal(Config{
 				Scene: sc, W: fw, H: fh, Coherence: true, Workers: 3,
-				Scheme: scheme, WireDelta: delta, WireCompress: compress,
+				Scheme: scheme, WireDelta: delta, WireSpanCodec: span,
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -417,19 +437,14 @@ func TestWireGolden(t *testing.T) {
 					t.Errorf("%s: frame %d hash mismatch", label, i)
 				}
 			}
-			if delta && res.Wire.FramesDelta == 0 {
-				t.Errorf("%s: no delta frames were shipped", label)
+			if got := res.Wire.FramesDelta > 0; got != delta {
+				t.Errorf("%s: %d delta frames were shipped", label, res.Wire.FramesDelta)
 			}
-			if compress && res.Wire.FramesCompressed == 0 {
-				t.Errorf("%s: no compressed frames were shipped", label)
+			if got := res.Wire.FramesSpan > 0; got != span {
+				t.Errorf("%s: %d span-coded frames were shipped", label, res.Wire.FramesSpan)
 			}
-			if delta || compress {
-				if res.Wire.WireBytes == 0 || res.Wire.RawBytes == 0 {
-					t.Errorf("%s: wire counters empty: %s", label, res.Wire)
-				}
-				if res.Wire.WireBytes >= res.Wire.RawBytes {
-					t.Logf("%s: note: wire bytes %d >= raw %d (tiny scene)", label, res.Wire.WireBytes, res.Wire.RawBytes)
-				}
+			if res.Wire.WireBytes == 0 || res.Wire.RawBytes == 0 {
+				t.Errorf("%s: wire counters empty: %s", label, res.Wire)
 			}
 		}
 	}
@@ -438,7 +453,7 @@ func TestWireGolden(t *testing.T) {
 	// traffic reflects the real codec.
 	res, err := RenderVirtual(Config{
 		Scene: sc, W: fw, H: fh, Coherence: true,
-		Scheme: scheme, WireDelta: true, WireCompress: true,
+		Scheme: scheme, WireDelta: true, WireSpanCodec: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -448,45 +463,13 @@ func TestWireGolden(t *testing.T) {
 			t.Errorf("virtual wire: frame %d hash mismatch", i)
 		}
 	}
-	if res.Wire.FramesDelta == 0 {
-		t.Error("virtual wire: no delta frames modelled")
+	if res.Wire.FramesDelta == 0 || res.Wire.FramesSpan == 0 {
+		t.Errorf("virtual wire: modes not modelled: %s", res.Wire)
 	}
 }
 
-// TestWireLegacyInterop drives a mixed farm: one worker refuses the new
-// capabilities (an "old" binary) while the master asks for both. The
-// run must still complete with golden-identical pixels, the legacy
-// worker shipping plain full frames.
-func TestWireLegacyInterop(t *testing.T) {
-	sc := farmScene(goldenFrames)
-	want := readGolden(t)
-	res, err := RenderLocal(Config{
-		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 3,
-		Scheme:       partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
-		WireDelta:    true,
-		WireCompress: true,
-		WorkerOpts: func(i int) WorkerOptions {
-			if i == 0 {
-				return WorkerOptions{NoWireDelta: true, NoWireCompress: true}
-			}
-			return WorkerOptions{}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, hsh := range hashFrames(res.Frames) {
-		if hsh != want[i] {
-			t.Errorf("mixed farm: frame %d hash mismatch", i)
-		}
-	}
-	if res.Wire.FramesFull == 0 {
-		t.Error("mixed farm: legacy worker shipped no full frames")
-	}
-}
-
-// TestChaosSoakWire is the chaos soak with the new data path fully on:
-// drops, corruption and truncation against delta+flate frames must
+// TestChaosSoakWire is the chaos soak with the wire data path fully on:
+// drops, corruption and truncation against delta+span frames must
 // still converge to byte-identical output, with retried tasks reseeded
 // by their key-frames.
 func TestChaosSoakWire(t *testing.T) {
@@ -502,15 +485,15 @@ func TestChaosSoakWire(t *testing.T) {
 	}
 	res, err := RenderLocal(Config{
 		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 4,
-		Scheme:       partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
-		Heartbeat:    20 * time.Millisecond,
-		Liveness:     2 * time.Second,
-		StallTimeout: 1500 * time.Millisecond,
-		FrameRetries: 2,
-		Speculate:    true,
-		WrapConn:     plan.Wrap,
-		WireDelta:    true,
-		WireCompress: true,
+		Scheme:        partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
+		Heartbeat:     20 * time.Millisecond,
+		Liveness:      2 * time.Second,
+		StallTimeout:  1500 * time.Millisecond,
+		FrameRetries:  2,
+		Speculate:     true,
+		WrapConn:      plan.Wrap,
+		WireDelta:     true,
+		WireSpanCodec: true,
 	})
 	if err != nil {
 		t.Fatalf("wire chaos run failed: %v", err)
@@ -536,9 +519,9 @@ func FuzzDeltaDecode(f *testing.F) {
 	fd := frameDoneMsg{TaskID: 1, Frame: 1, Region: region}
 	f.Add(enc.Encode(&fd, src, capWireDelta, spans, false))
 	fd = frameDoneMsg{TaskID: 1, Frame: 1, Region: region}
-	f.Add(enc.Encode(&fd, src, capWireDelta|capWireCompress, spans, false))
+	f.Add(enc.Encode(&fd, src, capWireDelta|capWireSpanCodec, spans, false))
 	fd = frameDoneMsg{TaskID: 1, Frame: 0, Region: region}
-	f.Add(enc.Encode(&fd, src, capWireCompress, nil, true))
+	f.Add(enc.Encode(&fd, src, capWireSpanCodec, nil, true))
 	fd = frameDoneMsg{TaskID: 1, Frame: 0, Region: region}
 	full := enc.Encode(&fd, src, 0, nil, true)
 	f.Add(full)
@@ -571,51 +554,27 @@ func FuzzDeltaDecode(f *testing.F) {
 	})
 }
 
-// TestWireCapBitsPinned pins the wire capability bit assignments and the
-// WorkerOptions withholding map. These values are protocol: a renumbered
-// bit would make a new worker advertise capabilities an old master reads
-// as something else entirely, so any change here must fail loudly.
-func TestWireCapBitsPinned(t *testing.T) {
+// TestProtocolPinned pins the protocol version, the task wire flag bits
+// and the payload encoding ids. These values are the wire format: a
+// renumbered bit would make a worker read a task's flags as something
+// else entirely, so a change here must fail loudly — and must come with
+// a ProtocolVersion bump, which this test then makes deliberate.
+func TestProtocolPinned(t *testing.T) {
 	pinned := []struct {
-		name string
-		got  int
-		want int
+		name      string
+		got, want int
 	}{
-		{"delta", capWireDelta, 1 << 0},
-		{"compress", capWireCompress, 1 << 1},
-		{"timeline", capWireTimeline, 1 << 2},
-		{"dfb", capWireDFB, 1 << 3},
-		{"span-codec", capWireSpanCodec, 1 << 4},
-		{"objspace", capWireObjSpace, 1 << 5},
+		{"protocol version", ProtocolVersion, 2},
+		{"delta flag", capWireDelta, 1 << 0},
+		{"timeline flag", capWireTimeline, 1 << 2},
+		{"span-codec flag", capWireSpanCodec, 1 << 4},
+		{"flags mask", wireFlagsMask, 1<<0 | 1<<2 | 1<<4},
+		{"raw encoding", encRaw, 0},
+		{"span encoding", encSpan, 2},
 	}
-	mask := 0
 	for _, c := range pinned {
 		if c.got != c.want {
-			t.Errorf("cap %s = %#x, want %#x", c.name, c.got, c.want)
-		}
-		mask |= c.want
-	}
-	if wireCapsMask != mask {
-		t.Errorf("caps mask %#x, want %#x", wireCapsMask, mask)
-	}
-	opts := []struct {
-		name string
-		o    WorkerOptions
-		want int
-	}{
-		{"default-all", WorkerOptions{}, wireCapsMask},
-		{"no-delta", WorkerOptions{NoWireDelta: true}, wireCapsMask &^ capWireDelta},
-		{"no-compress", WorkerOptions{NoWireCompress: true}, wireCapsMask &^ capWireCompress},
-		{"no-span", WorkerOptions{NoWireSpanCodec: true}, wireCapsMask &^ capWireSpanCodec},
-		{"no-objspace", WorkerOptions{NoWireObjSpace: true}, wireCapsMask &^ capWireObjSpace},
-		{"flate-only-codec", WorkerOptions{NoWireSpanCodec: true, NoWireDFB: true},
-			capWireDelta | capWireCompress | capWireTimeline | capWireObjSpace},
-		{"span-only-codec", WorkerOptions{NoWireCompress: true, NoWireDFB: true},
-			capWireDelta | capWireTimeline | capWireSpanCodec | capWireObjSpace},
-	}
-	for _, c := range opts {
-		if got := c.o.caps(); got != c.want {
-			t.Errorf("caps(%s) = %#x, want %#x", c.name, got, c.want)
+			t.Errorf("%s = %#x, want %#x", c.name, c.got, c.want)
 		}
 	}
 }
@@ -636,7 +595,6 @@ func TestFrameEncoderSpanCodec(t *testing.T) {
 		}
 	}
 	var enc frameEncoder
-	enc.Deterministic = true
 
 	fd := frameDoneMsg{TaskID: 1, Frame: 0, Region: region}
 	got, err := decodeFrameDone(enc.Encode(&fd, src, capWireDelta|capWireSpanCodec, nil, true))
@@ -680,48 +638,4 @@ func TestFrameEncoderSpanCodec(t *testing.T) {
 		t.Fatal("span delta did not restore byte-identical pixels")
 	}
 	got.Release()
-}
-
-// TestWireMixedFleetCodecs drives one master over a fleet whose workers
-// advertise disjoint codec capabilities — one legacy flate-era worker,
-// one flate-only, one span-only — against the committed golden hashes.
-// The negotiation must confine each codec to the workers that advertise
-// it while the assembled animation stays byte-identical.
-func TestWireMixedFleetCodecs(t *testing.T) {
-	sc := farmScene(goldenFrames)
-	want := readGolden(t)
-	res, err := RenderLocal(Config{
-		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 3,
-		Scheme:        partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
-		WireDelta:     true,
-		WireCompress:  true,
-		WireSpanCodec: true,
-		WorkerOpts: func(i int) WorkerOptions {
-			switch i {
-			case 0: // compression-era holdout: deltas, but raw payloads only
-				return WorkerOptions{NoWireCompress: true, NoWireSpanCodec: true}
-			case 1: // flate-only worker (pre-span-codec binary)
-				return WorkerOptions{NoWireSpanCodec: true}
-			default: // span-only worker
-				return WorkerOptions{NoWireCompress: true}
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, hsh := range hashFrames(res.Frames) {
-		if hsh != want[i] {
-			t.Errorf("mixed codec farm: frame %d hash mismatch", i)
-		}
-	}
-	if res.Wire.FramesDelta == 0 {
-		t.Error("mixed codec farm shipped no delta frames")
-	}
-	if res.Wire.FramesCompressed == 0 {
-		t.Error("flate-only worker shipped no flate payloads")
-	}
-	if res.Wire.FramesSpan == 0 {
-		t.Error("span-only worker shipped no span payloads")
-	}
 }

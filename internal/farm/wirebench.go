@@ -6,9 +6,7 @@ import (
 
 	"nowrender/internal/coherence"
 	"nowrender/internal/fb"
-	"nowrender/internal/msg"
 	"nowrender/internal/scene"
-	"nowrender/internal/wire"
 )
 
 // WirePoint is one wire mode's measurement of the frame codec: the
@@ -18,10 +16,8 @@ import (
 // against the committed baseline by WireCheck (benchtab -check) so
 // codec regressions fail CI loudly.
 type WirePoint struct {
-	// Mode is "full" (legacy raw region), "delta" (dirty-span deltas
-	// after the key-frame), "delta+flate" (deltas plus flate),
-	// "delta+span" (deltas plus the span codec) or "delta+adaptive"
-	// (both codecs granted, per-frame choice).
+	// Mode is "full" (raw regions), "delta" (dirty-span deltas after the
+	// key-frame) or "delta+span" (deltas plus the span codec).
 	Mode   string `json:"mode"`
 	Frames int    `json:"frames"`
 	// BytesTotal is the summed encoded frameDone payloads, including the
@@ -38,52 +34,23 @@ type WirePoint struct {
 	// key-frame, paid once per task) and SteadyEncodeNSPerFrame the
 	// average over the remaining frames — the steady-state cost a long
 	// animation converges to, since the key-frame amortises as O(1/N).
-	// Codec comparisons use the steady column so a mode's key-frame
-	// handling (reported here) cannot mask its per-frame behaviour.
 	KeyEncodeNS            float64 `json:"key_encode_ns"`
 	SteadyEncodeNSPerFrame float64 `json:"steady_encode_ns_per_frame"`
-	// EffectiveNSPerFrame is the modelled per-frame cost of this mode on
-	// the paper's wire: encode time plus BytesPerFrame at
-	// wire.WireNsPerByte. It is the objective the adaptive decision
-	// minimises, so "adaptive is never slower on the wire than the best
-	// static choice" is checked on this column.
-	EffectiveNSPerFrame float64 `json:"effective_ns_per_frame"`
 	// RatioVsFull is full-mode bytes divided by this mode's bytes (1.0
 	// for the full mode itself): the wire-traffic reduction factor.
 	RatioVsFull float64 `json:"ratio_vs_full"`
-	// FramesDelta, FramesCompressed and FramesSpan count how often the
-	// encoder actually chose the delta representation / kept the flate
-	// output / kept the span-codec output.
-	FramesDelta      int `json:"frames_delta"`
-	FramesCompressed int `json:"frames_compressed"`
-	FramesSpan       int `json:"frames_span"`
+	// FramesDelta and FramesSpan count how often the encoder actually
+	// chose the delta representation / kept the span-codec output.
+	FramesDelta int `json:"frames_delta"`
+	FramesSpan  int `json:"frames_span"`
 	// Identical records the determinism check: the pixels reconstructed
 	// from the decoded stream compared byte-for-byte against the render.
 	Identical bool `json:"identical"`
 }
 
-// WireBench is a full wire-sweep result: the per-mode replay rows plus
-// a paired measurement of the two codecs' delta-frame stage cost, which
-// is what the span-speedup gate runs on. The paired numbers exist
-// because a ratio computed across two separately timed mode rows
-// inherits the machine drift between them (tens of percent on shared
-// runners), which would force a uselessly wide gate band.
+// WireBench is a full wire-sweep result: the per-mode replay rows.
 type WireBench struct {
 	Modes []WirePoint `json:"modes"`
-	// SpanCodecNSPerFrame and FlateCodecNSPerFrame push the same
-	// captured delta payloads through msg.SpanCompress and msg.Deflate
-	// in alternating whole passes, keeping each codec's best pass.
-	// Alternating passes makes the two sides sample the same machine
-	// conditions (so their ratio is stable run to run) while preserving
-	// each codec's natural back-to-back cache locality within a pass —
-	// interleaving the codecs per frame instead lets each evict the
-	// other's working set, a state neither static production mode ever
-	// runs in (a worker encodes every frame with one codec).
-	SpanCodecNSPerFrame  float64 `json:"span_codec_ns_per_frame"`
-	FlateCodecNSPerFrame float64 `json:"flate_codec_ns_per_frame"`
-	// SpanCodecSpeedup is flate's per-frame stage cost over span's: the
-	// number WireCheck floors at WireCheckSpanSpeedup.
-	SpanCodecSpeedup float64 `json:"span_codec_speedup"`
 }
 
 // wireSweepModes is the replay matrix, in presentation order.
@@ -93,9 +60,7 @@ var wireSweepModes = []struct {
 }{
 	{"full", 0},
 	{"delta", capWireDelta},
-	{"delta+flate", capWireDelta | capWireCompress},
 	{"delta+span", capWireDelta | capWireSpanCodec},
-	{"delta+adaptive", capWireDelta | capWireCompress | capWireSpanCodec},
 }
 
 // WireSweep measures the farm frame codec on a real render: it traces
@@ -103,12 +68,8 @@ var wireSweepModes = []struct {
 // capturing each frame's pixels, dirty spans, and render time, then
 // replays the capture through each wire mode with the production
 // encoder and decoder, verifying that the reconstructed stream is
-// byte-identical to the render. The static modes run the encoder in its
-// deterministic configuration (no clock reads); the adaptive mode runs
-// it live, measuring real codec costs exactly as a worker would — its
-// codec choices (and so its byte counts) can therefore vary with the
-// machine, which is why WireCheck holds it to the effective-cost
-// invariant rather than a byte baseline.
+// byte-identical to the render. The encoder reads no clock, so every
+// mode's byte counts are a pure function of the scene.
 func WireSweep(sc *scene.Scene, w, h, frames int) (*WireBench, error) {
 	if frames <= 0 || frames > sc.Frames {
 		frames = sc.Frames
@@ -142,8 +103,7 @@ func WireSweep(sc *scene.Scene, w, h, frames int) (*WireBench, error) {
 	// committed byte baselines do not depend on this pass.
 	{
 		var enc frameEncoder
-		enc.Deterministic = true
-		warmFlags := capWireDelta | capWireCompress | capWireSpanCodec
+		warmFlags := capWireDelta | capWireSpanCodec
 		for f := 0; f < frames; f++ {
 			fd := frameDoneMsg{TaskID: 1, Frame: f, Region: region, ElapsedNs: renderNs[f]}
 			data := enc.Encode(&fd, bufs[f], warmFlags, spans[f], f == 0)
@@ -156,53 +116,9 @@ func WireSweep(sc *scene.Scene, w, h, frames int) (*WireBench, error) {
 	}
 
 	bench := &WireBench{Modes: make([]WirePoint, 0, len(wireSweepModes))}
-	// Paired codec-stage measurement: the raw delta payloads (the exact
-	// bytes the encoder hands each codec on a steady-state frame),
-	// alternating whole span and flate passes and keeping each side's
-	// best pass. Minimum-of-passes because the gate wants the codecs'
-	// intrinsic cost ratio, not whichever transient noise taxed a pass.
-	{
-		var payloads [][]byte
-		for f := 1; f < frames; f++ {
-			if len(spans[f]) > 0 {
-				payloads = append(payloads, bufs[f].AppendSpans(nil, spans[f]))
-			}
-		}
-		if len(payloads) > 0 {
-			const pairedPasses = 8
-			var z []byte
-			var bestSpan, bestFlate int64
-			for r := 0; r < pairedPasses; r++ {
-				start := time.Now()
-				for _, p := range payloads {
-					z = msg.SpanCompress(z[:0], p)
-				}
-				if ns := time.Since(start).Nanoseconds(); r == 0 || ns < bestSpan {
-					bestSpan = ns
-				}
-				start = time.Now()
-				for _, p := range payloads {
-					var err error
-					if z, err = msg.Deflate(z[:0], p); err != nil {
-						return nil, err
-					}
-				}
-				if ns := time.Since(start).Nanoseconds(); r == 0 || ns < bestFlate {
-					bestFlate = ns
-				}
-			}
-			bench.SpanCodecNSPerFrame = float64(bestSpan) / float64(len(payloads))
-			bench.FlateCodecNSPerFrame = float64(bestFlate) / float64(len(payloads))
-			if bestSpan > 0 {
-				bench.SpanCodecSpeedup = float64(bestFlate) / float64(bestSpan)
-			}
-		}
-	}
-
 	var fullBytes int64
 	for _, mode := range wireSweepModes {
 		var enc frameEncoder
-		enc.Deterministic = mode.flags&capWireSpanCodec == 0 || mode.flags&capWireCompress == 0
 		pt := WirePoint{Mode: mode.name, Frames: frames, Identical: true}
 		cur := fb.New(w, h)
 		var encodeNs, decodeNs int64
@@ -244,10 +160,7 @@ func WireSweep(sc *scene.Scene, w, h, frames int) (*WireBench, error) {
 				copy(cur.Pix, rd.Pix)
 			}
 			decodeNs += time.Since(decStart).Nanoseconds()
-			switch rd.Encoding {
-			case encFlate:
-				pt.FramesCompressed++
-			case encSpan:
+			if rd.Encoding == encSpan {
 				pt.FramesSpan++
 			}
 			rd.Release()
@@ -262,7 +175,6 @@ func WireSweep(sc *scene.Scene, w, h, frames int) (*WireBench, error) {
 			pt.SteadyEncodeNSPerFrame = (float64(encodeNs) - pt.KeyEncodeNS) / float64(frames-1)
 		}
 		pt.NSPerFrame = pt.EncodeNSPerFrame + pt.DecodeNSPerFrame
-		pt.EffectiveNSPerFrame = pt.EncodeNSPerFrame + pt.BytesPerFrame*wire.WireNsPerByte
 		switch {
 		case mode.flags == 0:
 			fullBytes = pt.BytesTotal
@@ -275,54 +187,32 @@ func WireSweep(sc *scene.Scene, w, h, frames int) (*WireBench, error) {
 	return bench, nil
 }
 
-// Threshold bands for WireCheck. Bytes are deterministic up to codec
-// choices (which the sweep pins via the deterministic encoder), so
-// their band is tight; encode timing on shared CI runners is noisy, so
-// its band is wide — the structural invariants below are what hold the
-// span codec to its design point regardless of machine speed.
+// Threshold bands for WireCheck. Bytes are deterministic (the encoder
+// reads no clock), so their band is tight; encode timing on shared CI
+// runners is noisy, so its band is wide.
 const (
 	// WireCheckBytesSlack allows committed-baseline drift in bytes/frame
-	// before failing (scene or codec-choice changes should instead
-	// regenerate the baseline deliberately).
+	// before failing (scene or codec changes should instead regenerate
+	// the baseline deliberately).
 	WireCheckBytesSlack = 1.15
 	// WireCheckEncodeSlack allows per-mode encode ns/frame drift vs the
 	// baseline (absorbs runner speed differences, not algorithmic
 	// regressions, which blow well past 1.75x).
 	WireCheckEncodeSlack = 1.75
-	// WireCheckSpanSpeedup floors the paired codec-stage ratio
-	// (WireBench.SpanCodecSpeedup): how many times cheaper the span
-	// codec encodes a steady-state delta payload than flate. Steady
-	// state because the one-time key-frame (reported per row in
-	// key_encode_ns; the span codec wins it too, by ~2x) amortises as
-	// O(1/N) over an animation, while the delta-frame cost is what
-	// every further frame pays. The design target was 4x; measured
-	// honestly the codec delivers 3.6-4.2x depending on machine state
-	// (EXPERIMENTS.md records the band and the measurement method), so
-	// the regression floor sits at 3.5x — below the measured band's
-	// bottom edge, far above where any algorithmic regression lands
-	// (dropping the cheapest optimisation in the hot loop costs >15%).
-	WireCheckSpanSpeedup = 3.5
-	// WireCheckSpanByteShare: the span codec must retain at least this
-	// share of flate's byte reduction below plain delta.
-	WireCheckSpanByteShare = 0.8
-	// WireCheckAdaptiveSlack: adaptive effective ns/frame may exceed the
-	// best static mode's by at most this factor (probe-frame overhead).
-	WireCheckAdaptiveSlack = 1.03
 )
 
-// WireCheck compares a fresh sweep against the committed baseline and
-// the codec's structural invariants, returning one message per
-// violation (empty = gate passes). It is the engine of `benchtab -wire
-// -check`, the CI perf threshold gate.
+// WireCheck compares a fresh sweep against the committed baseline,
+// returning one message per violation (empty = gate passes). It is the
+// engine of `benchtab -wire -check`, the CI perf threshold gate.
 func WireCheck(baseline, current *WireBench) []string {
 	var bad []string
 	base := make(map[string]WirePoint, len(baseline.Modes))
 	for _, pt := range baseline.Modes {
 		base[pt.Mode] = pt
 	}
-	cur := make(map[string]WirePoint, len(current.Modes))
+	swept := make(map[string]bool, len(current.Modes))
 	for _, pt := range current.Modes {
-		cur[pt.Mode] = pt
+		swept[pt.Mode] = true
 		if !pt.Identical {
 			bad = append(bad, fmt.Sprintf("%s: reconstructed pixels differ from the render", pt.Mode))
 		}
@@ -331,11 +221,7 @@ func WireCheck(baseline, current *WireBench) []string {
 			bad = append(bad, fmt.Sprintf("%s: missing from committed baseline (regenerate BENCH_wire.json)", pt.Mode))
 			continue
 		}
-		// The adaptive row's byte count depends on measured codec costs
-		// (machine-dependent by design); it is gated by the effective-
-		// cost invariant below instead of the byte baseline.
-		if pt.Mode != "delta+adaptive" &&
-			b.BytesPerFrame > 0 && pt.BytesPerFrame > b.BytesPerFrame*WireCheckBytesSlack {
+		if b.BytesPerFrame > 0 && pt.BytesPerFrame > b.BytesPerFrame*WireCheckBytesSlack {
 			bad = append(bad, fmt.Sprintf("%s: bytes/frame %.0f exceeds baseline %.0f x%.2f",
 				pt.Mode, pt.BytesPerFrame, b.BytesPerFrame, WireCheckBytesSlack))
 		}
@@ -344,39 +230,10 @@ func WireCheck(baseline, current *WireBench) []string {
 				pt.Mode, pt.EncodeNSPerFrame, b.EncodeNSPerFrame, WireCheckEncodeSlack))
 		}
 	}
-	for _, mode := range []string{"delta", "delta+flate", "delta+span", "delta+adaptive"} {
-		if _, ok := cur[mode]; !ok {
-			bad = append(bad, fmt.Sprintf("%s: missing from sweep", mode))
-			return bad
+	for _, mode := range wireSweepModes {
+		if !swept[mode.name] {
+			bad = append(bad, fmt.Sprintf("%s: missing from sweep", mode.name))
 		}
-	}
-	delta, flate, span, adaptive := cur["delta"], cur["delta+flate"], cur["delta+span"], cur["delta+adaptive"]
-	// The span codec's design point: WireCheckSpanSpeedup x cheaper
-	// steady-state delta encoding than flate while keeping most of its
-	// byte reduction. Checked on the paired codec-stage measurement so
-	// the ratio does not inherit drift between separately timed rows
-	// (see the WireBench and constant comments).
-	if current.SpanCodecSpeedup > 0 && current.SpanCodecSpeedup < WireCheckSpanSpeedup {
-		bad = append(bad, fmt.Sprintf("delta+span: paired codec stage %.0f ns/frame is only %.2fx faster than flate's %.0f (floor %.1fx)",
-			current.SpanCodecNSPerFrame, current.SpanCodecSpeedup, current.FlateCodecNSPerFrame, WireCheckSpanSpeedup))
-	}
-	if flateSaves := delta.BytesPerFrame - flate.BytesPerFrame; flateSaves > 0 {
-		spanSaves := delta.BytesPerFrame - span.BytesPerFrame
-		if spanSaves < flateSaves*WireCheckSpanByteShare {
-			bad = append(bad, fmt.Sprintf("delta+span: byte reduction %.0f B/frame is under %.0f%% of delta+flate's %.0f",
-				spanSaves, WireCheckSpanByteShare*100, flateSaves))
-		}
-	}
-	// Adaptive must track the best static choice on the modelled wire.
-	bestStatic := delta.EffectiveNSPerFrame
-	for _, pt := range []WirePoint{flate, span} {
-		if pt.EffectiveNSPerFrame < bestStatic {
-			bestStatic = pt.EffectiveNSPerFrame
-		}
-	}
-	if adaptive.EffectiveNSPerFrame > bestStatic*WireCheckAdaptiveSlack {
-		bad = append(bad, fmt.Sprintf("delta+adaptive: effective %.0f ns/frame exceeds best static %.0f x%.2f",
-			adaptive.EffectiveNSPerFrame, bestStatic, WireCheckAdaptiveSlack))
 	}
 	return bad
 }

@@ -118,59 +118,24 @@ type WorkerOptions struct {
 	// master's heartbeat interval (pings count as traffic); a worker
 	// mid-task is not subject to it.
 	MasterDeadline time.Duration
-	// NoWireDelta, NoWireCompress, NoWireTimeline, NoWireDFB,
-	// NoWireSpanCodec and NoWireObjSpace withhold the corresponding wire
-	// capability from the hello advertisement (the zero value advertises
-	// all — a new worker is fully capable by default). The master never
-	// enables a mode the worker did not advertise, so these simulate an
-	// old worker in a mixed fleet.
-	NoWireDelta, NoWireCompress, NoWireTimeline, NoWireDFB bool
-	NoWireSpanCodec, NoWireObjSpace                        bool
-	// SinkDial connects to a compositor sink address under a capWireDFB
-	// grant; nil defaults to msg.Dial (TCP). RenderLocal injects the
+	// SinkDial connects to a compositor sink address when a task names
+	// sinks; nil defaults to msg.Dial (TCP). RenderLocal injects the
 	// in-process registry's dialer here.
 	SinkDial func(addr string) (msg.Conn, error)
 	// Timeline, when non-nil, is the worker's local event recorder:
-	// phase and tile spans land in it whether or not the master grants
-	// capWireTimeline (cmd/nowworker dumps it via -timeline). When nil
-	// and a task grants the capability, the worker creates a private
+	// phase and tile spans land in it whether or not the master asks for
+	// them with capWireTimeline (cmd/nowworker dumps it via -timeline).
+	// When nil and a task sets the flag, the worker creates a private
 	// recorder on first use just for shipping.
 	Timeline *timeline.Recorder
 }
 
-// caps returns the wire capability bits the options advertise.
-func (o WorkerOptions) caps() int {
-	c := wireCapsMask
-	if o.NoWireDelta {
-		c &^= capWireDelta
-	}
-	if o.NoWireCompress {
-		c &^= capWireCompress
-	}
-	if o.NoWireTimeline {
-		c &^= capWireTimeline
-	}
-	if o.NoWireDFB {
-		c &^= capWireDFB
-	}
-	if o.NoWireSpanCodec {
-		c &^= capWireSpanCodec
-	}
-	if o.NoWireObjSpace {
-		c &^= capWireObjSpace
-	}
-	return c
-}
-
-// pongData builds the heartbeat answer. A timeline-capable worker
-// re-stamps the ping with its recorder clock so the master can estimate
-// the clock offset from the RTT; a worker that opted out echoes the
-// payload verbatim — byte-identical to the legacy protocol. A malformed
-// ping is echoed too: the master only needs the bytes back.
-func pongData(ping []byte, opts WorkerOptions, wt *workerTimeline) []byte {
-	if opts.NoWireTimeline {
-		return ping
-	}
+// pongData builds the heartbeat answer: the ping re-stamped with the
+// worker's recorder clock, so the master can estimate the clock offset
+// from the RTT. A ping garbled in transit gets its bytes back as they
+// came — the answer still proves the render loop is alive, and the
+// master ignores a stamp it cannot parse.
+func pongData(ping []byte, wt *workerTimeline) []byte {
 	seq, masterNs, err := decodePair(ping)
 	if err != nil {
 		return ping
@@ -179,7 +144,7 @@ func pongData(ping []byte, opts WorkerOptions, wt *workerTimeline) []byte {
 }
 
 // workerTimeline is the worker-side recorder state: the recorder (from
-// options, or created lazily on the first capWireTimeline grant), the
+// options, or created lazily by the first capWireTimeline task), the
 // worker's phase track and its tile-pool tracks. All methods are
 // nil-receiver-safe mirrors of the timeline package's disabled path.
 type workerTimeline struct {
@@ -189,7 +154,7 @@ type workerTimeline struct {
 	tiles []*timeline.Track
 }
 
-// ensure makes the recorder and tracks live (first grant), growing the
+// ensure makes the recorder and tracks live (first use), growing the
 // tile-track pool to threads entries.
 func (wt *workerTimeline) ensure(threads int) {
 	if wt.rec == nil {
@@ -203,7 +168,7 @@ func (wt *workerTimeline) ensure(threads int) {
 	}
 }
 
-// now returns the worker's timeline clock (0 before any grant), the
+// now returns the worker's timeline clock (0 with no recorder), the
 // stamp pongs and shipped results carry.
 func (wt *workerTimeline) now() int64 { return wt.rec.Now() }
 
@@ -235,8 +200,8 @@ func (wt *workerTimeline) drainTo(tlTracks *[]string, tlEvents *[]wireEvent) int
 	return wt.now()
 }
 
-// attach piggybacks the recorder's new events onto fd (legacy result
-// path; under DFB the ack carries them instead — see attachAck).
+// attach piggybacks the recorder's new events onto fd (master-routed
+// results; under DFB the ack carries them instead — see attachAck).
 func (wt *workerTimeline) attach(fd *frameDoneMsg) {
 	if wt.rec == nil {
 		return
@@ -276,7 +241,7 @@ func RunWorkerWithOptions(ctx context.Context, name string, conn msg.Conn, sc *s
 
 func runWorkerLoop(ctx context.Context, name string, conn msg.Conn, sc *scene.Scene, opts WorkerOptions) error {
 	ac := newAsyncConn(conn)
-	if err := ac.Send(msg.Message{Tag: TagHello, From: name, Data: encodeHello(name, opts.caps())}); err != nil {
+	if err := ac.Send(msg.Message{Tag: TagHello, From: name, Data: encodeHello(name)}); err != nil {
 		return err
 	}
 	wt := &workerTimeline{name: name, rec: opts.Timeline}
@@ -308,9 +273,9 @@ func runWorkerLoop(ctx context.Context, name string, conn msg.Conn, sc *scene.Sc
 		case TagShutdown:
 			return nil
 		case TagPing:
-			// Heartbeat: answer so the master sees us alive (stamped with
-			// our recorder clock when timeline-capable).
-			if err := ac.Send(msg.Message{Tag: TagPong, From: name, Data: pongData(m.Data, opts, wt)}); err != nil {
+			// Heartbeat: answer so the master sees us alive, stamped with
+			// our recorder clock.
+			if err := ac.Send(msg.Message{Tag: TagPong, From: name, Data: pongData(m.Data, wt)}); err != nil {
 				return err
 			}
 		case TagTask:
@@ -321,9 +286,6 @@ func runWorkerLoop(ctx context.Context, name string, conn msg.Conn, sc *scene.Sc
 			if tm.Threads == 0 {
 				tm.Threads = opts.Threads
 			}
-			// Never honour a grant beyond what we advertised (a confused
-			// master must not switch on a mode we opted out of).
-			tm.WireFlags &= opts.caps()
 			if wt.rec != nil || tm.WireFlags&capWireTimeline != 0 {
 				threads := tm.Threads
 				if threads <= 0 {
@@ -331,7 +293,7 @@ func runWorkerLoop(ctx context.Context, name string, conn msg.Conn, sc *scene.Sc
 				}
 				wt.ensure(threads)
 			}
-			if err := runTask(ctx, name, ac, sc, tm, wt, opts, sinks); err != nil {
+			if err := runTask(ctx, name, ac, sc, tm, wt, sinks); err != nil {
 				return err
 			}
 		case TagTruncate:
@@ -353,20 +315,20 @@ func runWorkerLoop(ctx context.Context, name string, conn msg.Conn, sc *scene.Sc
 
 // runTask renders one task frame-by-frame, honouring truncation and
 // graceful shutdown between frames.
-func runTask(ctx context.Context, name string, ac *asyncConn, sc *scene.Scene, tm taskMsg, wt *workerTimeline, opts WorkerOptions, sinks *sinkLinks) error {
+func runTask(ctx context.Context, name string, ac *asyncConn, sc *scene.Scene, tm taskMsg, wt *workerTimeline, sinks *sinkLinks) error {
 	t := tm.Task
 	end := t.EndFrame
-	// Under a DFB grant, pixels ship straight to the compositor sink
-	// owning each frame's shard; the master only gets small acks.
-	dfb := tm.WireFlags&capWireDFB != 0 && len(tm.Sinks) > 0
+	// When the task names sinks, pixels ship straight to the compositor
+	// sink owning each frame's shard; the master only gets small acks.
+	dfb := len(tm.Sinks) > 0
 	shard := partition.ShardMap{Start: tm.JobStart, End: tm.JobEnd, N: len(tm.Sinks)}
-	// Under an object-space grant every frame renders through a sharded
-	// scene partition instead of a replicated grid; osStats accumulates
-	// the task's forwarding traffic and per-shard resident sizes, shipped
-	// to the master just before TagTaskDone. Pixels are byte-identical to
-	// the replicated path, so ungranted peers in the same fleet compose.
+	// An object-space task renders every frame through a sharded scene
+	// partition instead of a replicated grid; osStats accumulates the
+	// task's forwarding traffic and per-shard resident sizes, shipped to
+	// the master just before TagTaskDone. Pixels are byte-identical to
+	// the replicated path.
 	var osStats *objspace.Stats
-	if tm.WireFlags&capWireObjSpace != 0 && tm.OSShards >= 2 {
+	if tm.OSShards >= 2 {
 		osStats = &objspace.Stats{}
 	}
 	var eng *coherence.Engine
@@ -433,7 +395,7 @@ func runTask(ctx context.Context, name string, ac *asyncConn, sc *scene.Scene, t
 			case TagPing:
 				// Between-frames pong: proves the render loop itself is
 				// making progress, not merely that the connection is up.
-				if err := ac.Send(msg.Message{Tag: TagPong, From: name, Data: pongData(cm.Data, opts, wt)}); err != nil {
+				if err := ac.Send(msg.Message{Tag: TagPong, From: name, Data: pongData(cm.Data, wt)}); err != nil {
 					return err
 				}
 			default:
@@ -510,8 +472,8 @@ func runTask(ctx context.Context, name string, ac *asyncConn, sc *scene.Scene, t
 		encStart := wt.main.Begin()
 		data := enc.Encode(&fd, buf, tm.WireFlags, spans, first)
 		// The encode span's arg carries the message size shifted past the
-		// chosen codec (arg>>2 = bytes, arg&3 = wire.Enc*), so timeline
-		// consumers can see which codec the adaptive decision picked.
+		// payload encoding (arg>>2 = bytes, arg&3 = wire.Enc*), so timeline
+		// consumers can see when the span codec fell back to raw.
 		wt.main.EndArg(timeline.OpEncode, f, encStart, int64(len(data))<<2|int64(fd.Encoding&3))
 		sendStart := wt.main.Begin()
 		if lk != nil {
@@ -543,9 +505,9 @@ func runTask(ctx context.Context, name string, ac *asyncConn, sc *scene.Scene, t
 				return err
 			}
 		} else {
-			// Legacy path, and the DFB fallback when the sink is
-			// unreachable: master-routed pixels (the master relays them to
-			// the sink in DFB mode).
+			// Master-routed pixels: the only path without sinks, and the
+			// DFB fallback when the sink is unreachable (the master then
+			// relays them to the sink).
 			if err := ac.Send(msg.Message{Tag: TagFrameDone, From: name, Data: data}); err != nil {
 				return err
 			}

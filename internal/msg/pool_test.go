@@ -1,10 +1,6 @@
 package msg
 
-import (
-	"bytes"
-	"math/rand"
-	"testing"
-)
+import "testing"
 
 // TestSealedDoesNotAliasPool: Sealed must hand out storage the pool can
 // never touch again — reusing the released buffer and packing over it
@@ -48,61 +44,4 @@ func TestGetBytes(t *testing.T) {
 		t.Fatalf("GetBytes(0) returned %d bytes", len(q))
 	}
 	PutBytes(nil)
-}
-
-func TestDeflateInflateRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 64, 1000, 1 << 16} {
-		// Compressible payload: repeated pattern.
-		src := bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 0}, (n+7)/8)[:n]
-		z, err := Deflate(nil, src)
-		if err != nil {
-			t.Fatalf("n=%d: deflate: %v", n, err)
-		}
-		dst := make([]byte, n)
-		if err := Inflate(dst, z); err != nil {
-			t.Fatalf("n=%d: inflate: %v", n, err)
-		}
-		if !bytes.Equal(dst, src) {
-			t.Fatalf("n=%d: round trip corrupted payload", n)
-		}
-
-		// Incompressible payload round-trips too (flate stores it).
-		rng.Read(src)
-		z, err = Deflate(z[:0], src)
-		if err != nil {
-			t.Fatalf("n=%d: deflate random: %v", n, err)
-		}
-		if err := Inflate(dst, z); err != nil {
-			t.Fatalf("n=%d: inflate random: %v", n, err)
-		}
-		if !bytes.Equal(dst, src) {
-			t.Fatalf("n=%d: random round trip corrupted payload", n)
-		}
-	}
-}
-
-// TestInflateRejectsLengthMismatch pins the strict-length contract the
-// frame decoder relies on: a stream shorter or longer than the expected
-// byte count is an error, not a silent partial fill.
-func TestInflateRejectsLengthMismatch(t *testing.T) {
-	src := bytes.Repeat([]byte{9}, 100)
-	z, err := Deflate(nil, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	long := make([]byte, 101)
-	if err := Inflate(long, z); err == nil {
-		t.Error("inflate into oversized dst succeeded")
-	}
-	short := make([]byte, 99)
-	if err := Inflate(short, z); err == nil {
-		t.Error("inflate into undersized dst succeeded")
-	}
-	if err := Inflate(make([]byte, 100), []byte{0xff, 0x00, 0xab}); err == nil {
-		t.Error("garbage stream inflated successfully")
-	}
-	if err := Inflate(make([]byte, 100), z[:len(z)/2]); err == nil {
-		t.Error("truncated stream inflated successfully")
-	}
 }

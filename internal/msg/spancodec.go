@@ -10,10 +10,11 @@ import (
 // Span codec: a pixel-aware RLE + back-reference compressor for the RGB
 // payloads of dirty-span frame deltas.
 //
-// flate buys its ratio with a bit-packed Huffman stage that costs ~5x
-// the encode time of the plain delta path (BENCH_wire.json) — on a
-// network of workstations that is render budget burned in a generic
-// LZ77. Frame payloads have structure a generic byte stream does not:
+// A generic compressor (flate, which this codec replaced — see
+// EXPERIMENTS.md) buys its ratio with a bit-packed Huffman stage that
+// cost ~4x the encode time — on a network of workstations that is
+// render budget burned in a generic LZ77. Frame payloads have structure
+// a generic byte stream does not:
 // they are sequences of 24-bit pixels, flat regions repeat whole pixels
 // exactly, and a changed region usually resembles nearby pixels of the
 // same payload. The span codec exploits exactly that and nothing else:
@@ -133,7 +134,7 @@ const (
 // slice. It cannot fail and, given dst capacity, does not allocate
 // beyond amortised append growth: the match table comes from a pool.
 // The output is never guaranteed smaller than src — callers keep the
-// raw payload when it is not, exactly like the flate path.
+// raw payload when it is not.
 func SpanCompress(dst, src []byte) []byte {
 	n := len(src) / 3 // whole pixels; the 0–2 byte tail ships verbatim
 	pixEnd := n * 3

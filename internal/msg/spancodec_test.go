@@ -124,7 +124,7 @@ func TestSpanCodecRoundTripAppend(t *testing.T) {
 // TestSpanCodecRatios pins the codec's reason to exist: flat and
 // row-repetitive payloads must shrink dramatically, and even noisy
 // banded content must beat 2x. Random data may expand (callers keep
-// raw in that case, as with flate).
+// raw in that case).
 func TestSpanCodecRatios(t *testing.T) {
 	p := spanPayloads(t)
 	// repeat-rows is bounded by its incompressible first row: 40 rows
@@ -260,8 +260,8 @@ func FuzzSpanCodecDecode(f *testing.F) {
 	})
 }
 
-// Benchmarks: the span codec vs flate on the same banded payload the
-// ratio test uses — the realistic middle ground between flat and
+// Benchmarks: the span codec on the same banded payload the ratio test
+// uses — the realistic middle ground between flat and
 // random. Encode must stay allocation-free.
 
 func benchPayload() []byte {
@@ -289,38 +289,6 @@ func BenchmarkSpanCodecDecode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := SpanDecompress(dst, enc); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDeflate(b *testing.B) {
-	src := benchPayload()
-	scratch := make([]byte, 0, len(src))
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		scratch, err = Deflate(scratch[:0], src)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkInflate(b *testing.B) {
-	src := benchPayload()
-	enc, err := Deflate(nil, src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dst := make([]byte, len(src))
-	b.SetBytes(int64(len(src)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := Inflate(dst, enc); err != nil {
 			b.Fatal(err)
 		}
 	}

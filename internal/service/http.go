@@ -362,22 +362,20 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# HELP nowrender_heartbeat_pongs_total Heartbeat pongs received from workers.")
 	p("# TYPE nowrender_heartbeat_pongs_total counter")
 	p("nowrender_heartbeat_pongs_total %d", faults.PongsReceived)
-	p("# HELP nowrender_wire_frames_total Frame results received over the farm data path by kind (full key-frames, dirty-span deltas, flate-compressed payloads, span-codec payloads, deltas dropped for a missing base).")
+	p("# HELP nowrender_wire_frames_total Frame results received over the farm data path by kind (full key-frames, dirty-span deltas, span-codec payloads, deltas dropped for a missing base).")
 	p("# TYPE nowrender_wire_frames_total counter")
 	p("nowrender_wire_frames_total{kind=\"full\"} %d", wire.FramesFull)
 	p("nowrender_wire_frames_total{kind=\"delta\"} %d", wire.FramesDelta)
-	p("nowrender_wire_frames_total{kind=\"compressed\"} %d", wire.FramesCompressed)
 	p("nowrender_wire_frames_total{kind=\"span\"} %d", wire.FramesSpan)
 	p("nowrender_wire_frames_total{kind=\"delta_base_miss\"} %d", wire.DeltaBaseMisses)
 	p("# HELP nowrender_wire_bytes_total Frame payload bytes by accounting (wire = bytes actually shipped, raw = uncompressed full-region pixels they represent).")
 	p("# TYPE nowrender_wire_bytes_total counter")
 	p("nowrender_wire_bytes_total{kind=\"wire\"} %d", wire.WireBytes)
 	p("nowrender_wire_bytes_total{kind=\"raw\"} %d", wire.RawBytes)
-	p("# HELP nowrender_wire_codec_bytes_total Frame payload bytes shipped on the wire by payload encoding — what the per-worker adaptive compression decision actually chose.")
+	p("# HELP nowrender_wire_codec_bytes_total Frame payload bytes shipped on the wire by payload encoding (raw where the span codec was off or failed to shrink the payload).")
 	p("# TYPE nowrender_wire_codec_bytes_total counter")
 	p("nowrender_wire_codec_bytes_total{codec=\"raw\"} %d", wire.WireBytesByEnc[0])
-	p("nowrender_wire_codec_bytes_total{codec=\"flate\"} %d", wire.WireBytesByEnc[1])
-	p("nowrender_wire_codec_bytes_total{codec=\"span\"} %d", wire.WireBytesByEnc[2])
+	p("nowrender_wire_codec_bytes_total{codec=\"span\"} %d", wire.WireBytesByEnc[1])
 	p("# HELP nowrender_wire_ingress_bytes_total Result-path bytes by landing point: the master's own ingress versus distributed-framebuffer compositor sinks.")
 	p("# TYPE nowrender_wire_ingress_bytes_total counter")
 	p("nowrender_wire_ingress_bytes_total{at=\"master\"} %d", wire.MasterIngressBytes)

@@ -119,12 +119,11 @@ type Status struct {
 	// represent (zero for fully cache-served jobs).
 	WireFramesFull  uint64 `json:"wire_frames_full,omitempty"`
 	WireFramesDelta uint64 `json:"wire_frames_delta,omitempty"`
-	// WireFramesFlate/Span count payloads by codec — the visible trace
-	// of each worker's adaptive compression choices.
-	WireFramesFlate uint64 `json:"wire_frames_flate,omitempty"`
-	WireFramesSpan  uint64 `json:"wire_frames_span,omitempty"`
-	WireBytes       uint64 `json:"wire_bytes,omitempty"`
-	WireRawBytes    uint64 `json:"wire_raw_bytes,omitempty"`
+	// WireFramesSpan counts the results whose payload the span codec
+	// shrank.
+	WireFramesSpan uint64 `json:"wire_frames_span,omitempty"`
+	WireBytes      uint64 `json:"wire_bytes,omitempty"`
+	WireRawBytes   uint64 `json:"wire_raw_bytes,omitempty"`
 	// WireMasterIngressBytes / WireSinkIngressBytes split WireBytes by
 	// where it landed: the master's own result path versus distributed-
 	// framebuffer compositor sinks; WireFramesAcked counts the DFB
@@ -234,8 +233,8 @@ func (j *job) status() Status {
 		Attempts:    j.attempts,
 		WorkersLost: j.faults.WorkersLost, FramesRequeued: j.faults.FramesRequeued,
 		WireFramesFull: j.wire.FramesFull, WireFramesDelta: j.wire.FramesDelta,
-		WireFramesFlate: j.wire.FramesCompressed, WireFramesSpan: j.wire.FramesSpan,
-		WireBytes: j.wire.WireBytes, WireRawBytes: j.wire.RawBytes,
+		WireFramesSpan: j.wire.FramesSpan,
+		WireBytes:      j.wire.WireBytes, WireRawBytes: j.wire.RawBytes,
 		WireMasterIngressBytes:    j.wire.MasterIngressBytes,
 		WireSinkIngressBytes:      j.wire.SinkIngressBytes,
 		WireFramesAcked:           j.wire.FramesAcked,

@@ -114,12 +114,10 @@ type Config struct {
 	// (fault injection; see internal/faulty). Exposed by cmd/nowserve's
 	// -chaos flag for soak-testing a live service.
 	FaultWrap func(name string, c msg.Conn) msg.Conn
-	// WireDelta and WireCompress enable dirty-span delta frames and
-	// flate payload compression on the farm data path (see farm.Config);
-	// WireSpanCodec enables the span codec (with WireCompress too, each
-	// worker chooses per frame — adaptive mode). Pixels are
-	// byte-identical in every mode.
-	WireDelta, WireCompress, WireSpanCodec bool
+	// WireDelta and WireSpanCodec enable dirty-span delta frames and
+	// span-codec payload compression on the farm data path (see
+	// farm.Config). Pixels are byte-identical in every mode.
+	WireDelta, WireSpanCodec bool
 	// DFBSinks, when positive, routes local-driver pixel traffic through
 	// that many in-process compositor sinks (the distributed framebuffer)
 	// instead of the master — the master then sees only control acks and
@@ -721,7 +719,6 @@ func (s *Service) renderRange(j *job, start, end int) error {
 		Speculate:     s.cfg.Speculate,
 		WrapConn:      s.cfg.FaultWrap,
 		WireDelta:     s.cfg.WireDelta,
-		WireCompress:  s.cfg.WireCompress,
 		WireSpanCodec: s.cfg.WireSpanCodec,
 		Timeline:      rec,
 	}

@@ -229,8 +229,8 @@ func (c FaultCounters) String() string {
 
 // WireStats tallies the farm data path's frame-result traffic: how many
 // results arrived as full key-frames versus dirty-span deltas, how many
-// payloads were flate-compressed, and how the bytes actually shipped
-// compare to the raw pixel bytes they represent. Like FaultCounters
+// payloads were span-coded, and how the bytes actually shipped compare
+// to the raw pixel bytes they represent. Like FaultCounters
 // they are owned by one goroutine (the master loop) and combined with
 // Merge when runs are aggregated.
 type WireStats struct {
@@ -240,15 +240,12 @@ type WireStats struct {
 	// FramesDelta counts frame results encoded as dirty-span deltas over
 	// the previous frame.
 	FramesDelta uint64
-	// FramesCompressed counts results whose payload was flate-compressed
-	// (full or delta); FramesSpan those that used the span codec.
-	FramesCompressed uint64
-	FramesSpan       uint64
-	// WireBytesByEnc breaks WireBytes down by payload encoding, indexed
-	// raw=0, flate=1, span=2 (mirroring wire.Enc*; stats cannot import
-	// wire, which imports stats). Per-codec byte counters are what the
-	// adaptive compression decision is judged by.
-	WireBytesByEnc [3]uint64
+	// FramesSpan counts results (full or delta) whose payload used the
+	// span codec.
+	FramesSpan uint64
+	// WireBytesByEnc breaks WireBytes down by payload encoding: raw
+	// payloads at 0, span-coded ones at 1.
+	WireBytesByEnc [2]uint64
 	// DeltaBaseMisses counts deltas discarded because their base frame
 	// never arrived (its result was lost in transit); the frame is
 	// re-rendered by the usual requeue path.
@@ -262,30 +259,27 @@ type WireStats struct {
 	// attributable. Nil until the first miss.
 	BaseMissByWorker map[string]uint64
 	// MasterIngressBytes is the slice of WireBytes that entered the
-	// master itself. On the legacy master-routed path it equals
+	// master itself. On the master-routed path it equals
 	// WireBytes; with the distributed framebuffer it counts only the
 	// small control acks and sink confirmations, while the pixel
 	// payloads (SinkIngressBytes) land at the compositor sinks.
 	MasterIngressBytes uint64
 	// SinkIngressBytes counts frame-result payload bytes received by
-	// compositor sinks (zero on the legacy path).
+	// compositor sinks (zero on the master-routed path).
 	SinkIngressBytes uint64
 	// FramesAcked counts DFB control acks: frame results a worker
 	// shipped to a sink and acknowledged to the master.
 	FramesAcked uint64
 }
 
-// CountEncoding tallies one frame result's payload encoding (raw=0,
-// flate=1, span=2, mirroring wire.Enc*) and the wire bytes it shipped.
-func (c *WireStats) CountEncoding(enc int, wireBytes uint64) {
-	if enc >= 0 && enc < len(c.WireBytesByEnc) {
-		c.WireBytesByEnc[enc] += wireBytes
-	}
-	switch enc {
-	case 1:
-		c.FramesCompressed++
-	case 2:
+// CountEncoding tallies one frame result's wire bytes by payload
+// encoding: span-coded or raw.
+func (c *WireStats) CountEncoding(span bool, wireBytes uint64) {
+	if span {
 		c.FramesSpan++
+		c.WireBytesByEnc[1] += wireBytes
+	} else {
+		c.WireBytesByEnc[0] += wireBytes
 	}
 }
 
@@ -302,7 +296,6 @@ func (c *WireStats) AddBaseMiss(worker string) {
 func (c *WireStats) Merge(o WireStats) {
 	c.FramesFull += o.FramesFull
 	c.FramesDelta += o.FramesDelta
-	c.FramesCompressed += o.FramesCompressed
 	c.FramesSpan += o.FramesSpan
 	for i := range c.WireBytesByEnc {
 		c.WireBytesByEnc[i] += o.WireBytesByEnc[i]
@@ -324,7 +317,7 @@ func (c *WireStats) Merge(o WireStats) {
 }
 
 // Ratio returns RawBytes / WireBytes — how many raw pixel bytes each
-// wire byte carried (> 1 when deltas and compression pay off) — or 0
+// wire byte carried (> 1 when deltas and the span codec pay off) — or 0
 // before any traffic.
 func (c WireStats) Ratio() float64 {
 	if c.WireBytes == 0 {
@@ -338,12 +331,9 @@ func (c WireStats) String() string {
 	if c.FramesFull+c.FramesDelta == 0 {
 		return "none"
 	}
-	s := fmt.Sprintf("full=%d delta=%d compressed=%d base-miss=%d wire=%d raw=%d ratio=%.2f",
-		c.FramesFull, c.FramesDelta, c.FramesCompressed, c.DeltaBaseMisses,
+	s := fmt.Sprintf("full=%d delta=%d span=%d base-miss=%d wire=%d raw=%d ratio=%.2f",
+		c.FramesFull, c.FramesDelta, c.FramesSpan, c.DeltaBaseMisses,
 		c.WireBytes, c.RawBytes, c.Ratio())
-	if c.FramesSpan > 0 {
-		s += fmt.Sprintf(" span=%d", c.FramesSpan)
-	}
 	if c.FramesAcked > 0 || c.SinkIngressBytes > 0 {
 		s += fmt.Sprintf(" acked=%d master-in=%d sink-in=%d",
 			c.FramesAcked, c.MasterIngressBytes, c.SinkIngressBytes)
@@ -391,8 +381,7 @@ func (c ObjSpaceStats) Enabled() bool { return c.Shards > 1 }
 
 // Merge adds another counter set into c. Shard counts are expected to
 // match across merged runs of one job; the larger partition wins when
-// they differ (mixed-fleet runs where legacy workers rendered
-// replicated contribute nothing here).
+// they differ.
 func (c *ObjSpaceStats) Merge(o ObjSpaceStats) {
 	if o.Shards > c.Shards {
 		c.Shards = o.Shards

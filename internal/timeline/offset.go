@@ -57,7 +57,7 @@ func (o *OffsetEstimator) AddOneWay(recvNs, workerNs int64) {
 
 // Offset returns the estimated worker→master correction in nanoseconds:
 // add it to a worker timestamp to place the event on the master clock.
-// Zero when no samples arrived (a legacy worker ships no spans anyway).
+// Zero when no samples arrived.
 func (o *OffsetEstimator) Offset() int64 {
 	switch {
 	case o.hasRTT:

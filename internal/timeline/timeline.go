@@ -49,9 +49,9 @@ const (
 	OpChangeDetect
 	// OpRecv spans a worker waiting for work from the master.
 	OpRecv
-	// OpEncode spans frame-result encoding (delta/compress) on a worker
+	// OpEncode spans frame-result encoding (delta/span codec) on a worker
 	// (arg>>2 = encoded message bytes, arg&3 = the chosen codec,
-	// wire.Enc* — raw 0, flate 1, span 2).
+	// wire.Enc* — raw 0, span 2).
 	OpEncode
 	// OpSend spans shipping a frame result back to the master.
 	OpSend

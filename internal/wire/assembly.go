@@ -9,8 +9,8 @@ import (
 
 // Assembly tracks partially delivered frames over an absolute frame
 // range [start, start+len(frames)). The farm master uses one for the
-// legacy master-routed path; each compositor sink runs one over its
-// frame shard; and under DFB the master keeps a pixel-free one (via
+// master-routed path; each compositor sink runs one over its frame
+// shard; and under DFB the master keeps a pixel-free one (via
 // DeliverMeta) purely for completion and requeue bookkeeping.
 type Assembly struct {
 	w, h    int
@@ -182,8 +182,8 @@ func (a *Assembly) DeliverSpans(absFrame int, region fb.Rect, spans []fb.Span, p
 // DeliverMeta records that (absFrame, region) was assembled elsewhere —
 // a compositor sink confirmed delivery — without holding any pixels.
 // The DFB master uses this so its completion, duplicate-drop, and
-// requeue-gap bookkeeping work exactly as on the legacy path while the
-// pixel payloads bypass it entirely.
+// requeue-gap bookkeeping work exactly as on the master-routed path
+// while the pixel payloads bypass it entirely.
 func (a *Assembly) DeliverMeta(absFrame int, region fb.Rect, t time.Duration) (complete, dup bool, err error) {
 	frame, err := a.checkRegion(absFrame, region)
 	if err != nil {

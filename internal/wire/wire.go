@@ -1,19 +1,15 @@
 // Package wire is the frame-result codec shared by the farm master,
-// workers, and the compositor subsystem: capability bits, the versioned
+// workers, and the compositor subsystem: the task wire flags, the
 // key-frame/dirty-span-delta frame encoding, and the frame assembly
 // that merges results (full or delta) into framebuffers.
 //
-// It used to live inside internal/farm; it was extracted so that
-// internal/compositor can reassemble the exact same wire format without
-// importing the farm (which imports the compositor for its in-process
-// sinks). The farm keeps thin aliases, so the wire layout — including
-// the legacy byte-identical plain path — is unchanged.
+// It is its own package so that internal/compositor can reassemble the
+// exact same wire format without importing the farm (which imports the
+// compositor for its in-process sinks).
 package wire
 
 import (
 	"fmt"
-	"math"
-	"time"
 
 	"nowrender/internal/fb"
 	"nowrender/internal/msg"
@@ -22,47 +18,20 @@ import (
 	vm "nowrender/internal/vecmath"
 )
 
-var inf = math.Inf(1)
-
-// monotonicNow is the encoder's clock: nanoseconds on the monotonic
-// scale (an arbitrary epoch; only deltas are used).
-var wireEpoch = time.Now()
-
-func monotonicNow() int64 { return int64(time.Since(wireEpoch)) }
-
-// Wire capability bits, advertised by workers in TagHello and granted
-// back per task in TagTask. A mode is active only when both sides opted
-// in, so a new master drives old workers (no bits advertised → plain
-// full frames) and an old master drives new workers (no flags granted →
-// same) without either noticing.
+// Task wire flags: how a task's frame results are encoded. The master
+// sets them in TagTask from its own config — every worker is the same
+// build (the hello's protocol version proves it), so nothing is
+// negotiated. The bit values are part of the wire format; the gaps are
+// retired bits that are never reused.
 const (
-	// CapDelta: the worker can encode dirty-span delta frames and the
-	// receiver can apply them.
+	// CapDelta: ship dirty-span delta frames after each task's key-frame.
 	CapDelta = 1 << 0
-	// CapCompress: frame payloads may be flate-compressed.
-	CapCompress = 1 << 1
-	// CapTimeline: the worker ships its timeline events (recv/render/
-	// encode/send phase spans, tile spans) piggybacked on frame results,
-	// and stamps its recorder clock into pongs so the master can
-	// offset-correct them into the cluster timeline.
+	// CapTimeline: ship the worker's timeline events (recv/render/
+	// encode/send phase spans, tile spans) piggybacked on frame results.
 	CapTimeline = 1 << 2
-	// CapDFB: the worker can ship pixel payloads directly to compositor
-	// sinks (the distributed framebuffer) and send the master only small
-	// control acks. Granted only when the master run has sinks attached.
-	CapDFB = 1 << 3
-	// CapSpanCodec: frame payloads may use the span codec (msg.SpanCompress),
-	// the pixel-aware RLE+back-reference encoding that trades a little
-	// ratio for 3.5-4x less encode time than flate. When granted together
-	// with CapCompress the worker chooses per frame (adaptive mode).
+	// CapSpanCodec: compress frame payloads with the span codec
+	// (msg.SpanCompress), the pixel-aware RLE+back-reference encoding.
 	CapSpanCodec = 1 << 4
-	// CapObjSpace: the worker can render through the object-space
-	// sharded cluster (internal/objspace) — scene geometry partitioned
-	// into spatial shards with rays forwarded between shard owners.
-	// Granted only when the master run asks for object-space shards;
-	// legacy workers simply render replicated, which is byte-identical.
-	CapObjSpace = 1 << 5
-	// CapsMask is every bit a current binary understands.
-	CapsMask = CapDelta | CapCompress | CapTimeline | CapDFB | CapSpanCodec | CapObjSpace
 )
 
 // Frame result kinds (FrameDone.Kind).
@@ -77,34 +46,20 @@ const (
 	KindDelta
 )
 
-// Frame payload encodings (FrameDone.Encoding).
+// Frame payload encodings (FrameDone.Encoding). The ids are part of the
+// wire format; 1 was flate, retired with protocol version 2 and never
+// reused, so a decoder rejects it like any other unknown id.
 const (
-	EncRaw = iota
-	EncFlate
-	EncSpan
-	// NumEncodings sizes per-encoding counter arrays.
-	NumEncodings
+	EncRaw  = 0
+	EncSpan = 2
 )
-
-// EncodingName labels an encoding for metrics, timelines, and tables.
-func EncodingName(enc int) string {
-	switch enc {
-	case EncRaw:
-		return "raw"
-	case EncFlate:
-		return "flate"
-	case EncSpan:
-		return "span"
-	}
-	return fmt.Sprintf("enc%d", enc)
-}
 
 // SpanOverhead is the wire cost of one span (three packed int64s),
 // charged by the delta size guard.
 const SpanOverhead = 24
 
-// CompressMin is the smallest payload worth running through flate:
-// below this the deflate framing eats the savings.
+// CompressMin is the smallest payload worth running through the span
+// codec: below this the token framing eats the savings.
 const CompressMin = 64
 
 // MaxDim bounds task resolution and frame numbers accepted off the
@@ -119,7 +74,7 @@ type FrameDone struct {
 	Region fb.Rect
 	// Kind says whether Pix holds the full region (KindFull) or just
 	// the pixels in Spans (KindDelta); Encoding whether it crossed the
-	// wire raw or deflated. Decoded messages always expose Pix as raw
+	// wire raw or span-coded. Decoded messages always expose Pix as raw
 	// pixels — decompression happens in DecodeFrameDone.
 	Kind      int
 	Encoding  int
@@ -252,12 +207,11 @@ func EncodeFrameDone(m FrameDone) []byte {
 		b.PackInt(int64(m.Rays.ByKind[k]))
 	}
 	b.PackInt(m.ElapsedNs)
-	// Delta/compression fields trail the legacy layout and are omitted
-	// for plain raw key-frames, which therefore stay byte-identical to
-	// the pre-capability encoding. The timeline section trails the
-	// delta section and forces it present (the decoder reads them in
-	// order); it is only populated under a CapTimeline grant, which a
-	// legacy master never issues, so legacy decoders never see it.
+	// The kind/encoding/span section is omitted for raw key-frames —
+	// the plain path's every result — saving 24 bytes each; the layout is
+	// frozen (BENCH_wire.json pins its byte totals). The timeline section
+	// trails the span section and forces it present, since the decoder
+	// reads them in order.
 	if m.Kind != KindFull || m.Encoding != EncRaw || m.HasTimeline() {
 		b.PackInt(int64(m.Kind))
 		b.PackInt(int64(m.Encoding))
@@ -294,7 +248,7 @@ func ValidateSpans(spans []fb.Span, region fb.Rect) error {
 
 // DecodeFrameDone parses and validates a frame result. The returned
 // Pix either aliases data (raw payloads) or is pool-owned scratch
-// (deflated payloads) that Release returns.
+// (span-coded payloads) that Release returns.
 func DecodeFrameDone(data []byte) (FrameDone, error) {
 	body, err := msg.Open(data)
 	if err != nil {
@@ -333,7 +287,7 @@ func DecodeFrameDone(data []byte) (FrameDone, error) {
 			m.Spans[i] = fb.Span{Y: int(b.UnpackInt()), X0: int(b.UnpackInt()), X1: int(b.UnpackInt())}
 		}
 		if b.Len() > 0 {
-			// Timeline piggyback (CapTimeline grants only).
+			// Timeline piggyback (CapTimeline tasks only).
 			m.TLNow, m.TLTracks, m.TLEvents, err = UnpackTL(b)
 			if err != nil {
 				return FrameDone{}, err
@@ -353,7 +307,7 @@ func DecodeFrameDone(data []byte) (FrameDone, error) {
 	if m.Kind != KindFull && m.Kind != KindDelta {
 		return FrameDone{}, fmt.Errorf("wire: unknown frame kind %d", m.Kind)
 	}
-	if m.Encoding < EncRaw || m.Encoding >= NumEncodings {
+	if m.Encoding != EncRaw && m.Encoding != EncSpan {
 		return FrameDone{}, fmt.Errorf("wire: unknown frame encoding %d", m.Encoding)
 	}
 	if m.Kind == KindFull && len(m.Spans) != 0 {
@@ -374,14 +328,6 @@ func DecodeFrameDone(data []byte) (FrameDone, error) {
 			return FrameDone{}, fmt.Errorf("wire: frame payload is %d bytes, want %d", len(pix), want)
 		}
 		m.Pix = pix
-	case EncFlate:
-		dst := msg.GetBytes(want)
-		if err := msg.Inflate(dst, pix); err != nil {
-			msg.PutBytes(dst)
-			return FrameDone{}, fmt.Errorf("wire: bad frame-done message: %w", err)
-		}
-		m.Pix = dst
-		m.pooled = true
 	case EncSpan:
 		dst := msg.GetBytes(want)
 		if err := msg.SpanDecompress(dst, pix); err != nil {
@@ -402,85 +348,15 @@ func DecodeFrameDone(data []byte) (FrameDone, error) {
 	return m, nil
 }
 
-// Adaptive compression model. A worker granted both CapSpanCodec and
-// CapCompress chooses the payload encoding per frame to minimise the
-// frame's effective wire cost
-//
-//	cost(c) = encodeNs(c) + bytes(c) * WireNsPerByte
-//
-// where encodeNs and the achieved ratio are per-codec EWMAs of the
-// worker's own measurements — a slow workstation learns that flate eats
-// its render budget and settles on the span codec or raw, a fast one
-// keeps flate for the extra ratio. Raw is always a candidate (zero
-// encode cost), so a codec is only ever used when its modelled saving
-// beats shipping uncompressed. A codec whose predicted encode time
-// exceeds the CPU budget (ewma render time / EncodeBudgetDiv) is
-// excluded outright. Every ProbeInterval-th frame (and until every
-// granted codec has a measurement) the encoder refreshes every
-// candidate's EWMA from a ProbeSampleBytes payload prefix, so a codec
-// whose relative cost changed — new scene, thermal throttling,
-// competing tenants — gets re-evaluated without ever paying a second
-// full-frame encode.
-const (
-	// WireNsPerByte models the wire at ~100 Mbit/s, the paper's shared
-	// Ethernet: one byte on the wire costs as much as ~80ns of CPU.
-	WireNsPerByte = 80.0
-	// EwmaAlpha weights new per-frame measurements.
-	EwmaAlpha = 0.25
-	// ProbeInterval: re-measure every granted codec on every Nth frame.
-	ProbeInterval = 32
-	// ProbeSampleBytes caps the payload prefix a probe feeds through a
-	// codec to refresh its EWMA: enough content to estimate cost and
-	// ratio, cheap enough that probing never doubles a frame's encode
-	// bill. Only the predicted winner ever runs full-size.
-	ProbeSampleBytes = 8 << 10
-	// EncodeBudgetDiv caps predicted encode time at render/EncodeBudgetDiv.
-	EncodeBudgetDiv = 8
-	// DetSpanNsPerByte/DetFlateNsPerByte are the fixed per-byte encode
-	// costs the Deterministic mode substitutes for clock measurements
-	// (from the msg package's benchmarks on banded frame payloads).
-	DetSpanNsPerByte  = 2.0
-	DetFlateNsPerByte = 7.0
-)
-
-// codecEwma is one codec's learned behaviour on this worker's frames.
-type codecEwma struct {
-	nsPerByte float64 // encode cost
-	ratio     float64 // encoded bytes / raw bytes
-	tried     bool
-}
-
-func (c *codecEwma) update(ns, rawLen, encLen int) {
-	nsb := float64(ns) / float64(rawLen)
-	rat := float64(encLen) / float64(rawLen)
-	if !c.tried {
-		c.nsPerByte, c.ratio, c.tried = nsb, rat, true
-		return
-	}
-	c.nsPerByte += EwmaAlpha * (nsb - c.nsPerByte)
-	c.ratio += EwmaAlpha * (rat - c.ratio)
-}
-
 // Encoder builds frame-result payloads, choosing between key-frame and
-// delta encoding and applying optional compression. Its scratch slices
-// are reused across frames, so the worker's hot loop (and the virtual
-// driver modelling it) allocates only the final sealed message.
+// delta encoding and applying the span codec when asked. Its scratch
+// slices are reused across frames, so the worker's hot loop (and the
+// virtual driver modelling it) allocates only the final sealed message.
+// It reads no clock: identical inputs always encode to identical bytes.
 type Encoder struct {
 	pix  []byte // span/region pixel extraction scratch
-	z    []byte // span/deflate scratch
-	z2   []byte // flate / probe-sample scratch (z may back the payload)
+	z    []byte // span codec output scratch
 	filt []byte // span codec input: the filtered payload residual
-
-	// Deterministic disables clock reads: probe frames run every codec
-	// and the decision uses actual byte counts with the fixed Det*
-	// per-byte costs, so identical inputs always pick identical
-	// encodings. The virtual driver sets this to keep simulated runs
-	// reproducible.
-	Deterministic bool
-
-	frames     int
-	ewmaRender float64 // ns, from FrameDone.ElapsedNs
-	cost       [NumEncodings]codecEwma
 }
 
 // Encode fills fd's Kind/Encoding/Spans/Pix from the rendered frame and
@@ -488,8 +364,7 @@ type Encoder struct {
 // traced-pixel set for this frame (nil on the plain path); first marks
 // the first frame of a task, which is always a key-frame so the
 // receiver can reseed its copy after any retry, steal, or truncation.
-// flags is the task's capability grant. fd.ElapsedNs, when already set
-// to the frame's render time, feeds the adaptive CPU budget.
+// flags is the task's wire flags.
 func (we *Encoder) Encode(fd *FrameDone, buf *fb.Framebuffer, flags int, spans []fb.Span, first bool) []byte {
 	fd.Kind, fd.Encoding, fd.Spans = KindFull, EncRaw, nil
 	if flags&CapDelta != 0 && spans != nil && !first {
@@ -507,35 +382,12 @@ func (we *Encoder) Encode(fd *FrameDone, buf *fb.Framebuffer, flags int, spans [
 	} else {
 		we.pix = AppendRegion(we.pix[:0], buf, fd.Region)
 	}
-	we.frames++
-	if fd.ElapsedNs > 0 {
-		if we.ewmaRender == 0 {
-			we.ewmaRender = float64(fd.ElapsedNs)
-		} else {
-			we.ewmaRender += EwmaAlpha * (float64(fd.ElapsedNs) - we.ewmaRender)
-		}
-	}
 	payload := we.pix
-	if len(payload) >= CompressMin {
-		switch flags & (CapCompress | CapSpanCodec) {
-		case CapCompress | CapSpanCodec:
-			payload = we.encodeAdaptive(fd, payload, we.spanInput(fd, payload))
-		case CapSpanCodec:
-			if z := we.runCodec(EncSpan, we.spanInput(fd, payload)); len(z) < len(payload) {
-				payload = z
-				fd.Encoding = EncSpan
-			}
-		case CapCompress:
-			// The static flate path predates the span codec and stays
-			// byte-identical for legacy fleets.
-			z, err := msg.Deflate(we.z[:0], payload)
-			if err == nil {
-				we.z = z
-				if len(z) < len(payload) {
-					payload = z
-					fd.Encoding = EncFlate
-				}
-			}
+	if flags&CapSpanCodec != 0 && len(payload) >= CompressMin {
+		we.z = msg.SpanCompress(we.z[:0], we.spanInput(fd, payload))
+		if len(we.z) < len(payload) {
+			payload = we.z
+			fd.Encoding = EncSpan
 		}
 	}
 	fd.Pix = payload
@@ -545,9 +397,8 @@ func (we *Encoder) Encode(fd *FrameDone, buf *fb.Framebuffer, flags int, spans [
 // spanInput returns the bytes the span codec encodes for this frame:
 // the payload's filter residual (the vertical up-predictor for full
 // frames, the span-segment predictor for deltas) when a filter applies,
-// the payload itself otherwise. Computing it once up front means the
-// adaptive sampler and the full-size run see the same bytes, and the
-// residual lives in persistent encoder scratch.
+// the payload itself otherwise. The residual lives in persistent
+// encoder scratch.
 func (we *Encoder) spanInput(fd *FrameDone, payload []byte) []byte {
 	if fd.Kind != KindFull {
 		// Delta payloads ship unfiltered: their vertical coherence sits
@@ -572,134 +423,6 @@ func growBytes(b []byte, n int) []byte {
 		return make([]byte, n)
 	}
 	return b[:n]
-}
-
-// runCodec encodes payload with enc into the encoder's scratch,
-// measuring and folding the result into that codec's EWMA. For EncSpan
-// the payload is the span codec's input from spanInput (the filter
-// residual when one applies). Returns the encoded bytes (which may be
-// larger than payload; callers keep raw then).
-func (we *Encoder) runCodec(enc int, payload []byte) []byte {
-	start := we.now()
-	var z []byte
-	switch enc {
-	case EncSpan:
-		z = msg.SpanCompress(we.z[:0], payload)
-		we.z = z
-	case EncFlate:
-		var err error
-		z, err = msg.Deflate(we.z2[:0], payload)
-		if err != nil {
-			return payload // unreachable with the slice sink; keep raw
-		}
-		we.z2 = z
-	}
-	we.observe(enc, start, payload, z)
-	return z
-}
-
-// now reads the monotonic clock, or 0 in deterministic mode.
-func (we *Encoder) now() int64 {
-	if we.Deterministic {
-		return 0
-	}
-	return monotonicNow()
-}
-
-// observe folds one codec run into its EWMA. Deterministic mode
-// substitutes the fixed modelled cost for the clock delta.
-func (we *Encoder) observe(enc int, start int64, payload, z []byte) {
-	ns := int64(0)
-	if we.Deterministic {
-		switch enc {
-		case EncSpan:
-			ns = int64(DetSpanNsPerByte * float64(len(payload)))
-		case EncFlate:
-			ns = int64(DetFlateNsPerByte * float64(len(payload)))
-		}
-	} else {
-		ns = monotonicNow() - start
-	}
-	we.cost[enc].update(int(ns), len(payload), len(z))
-}
-
-// encodeAdaptive picks the payload encoding minimising modelled
-// effective wire cost. Probe frames refresh both codec EWMAs from a
-// bounded payload prefix (ProbeSampleBytes) instead of running each
-// codec over the whole frame: the full-size run is only ever spent on
-// the predicted winner, so probing costs near-constant overhead and
-// the adaptive path tracks the best static choice to within noise.
-func (we *Encoder) encodeAdaptive(fd *FrameDone, payload, spanIn []byte) []byte {
-	if we.frames%ProbeInterval == 1 ||
-		!we.cost[EncSpan].tried || !we.cost[EncFlate].tried {
-		we.sampleCodec(EncSpan, spanIn)
-		we.sampleCodec(EncFlate, payload)
-	}
-	enc := EncRaw
-	bestCost := float64(len(payload)) * WireNsPerByte
-	for _, c := range [...]int{EncSpan, EncFlate} {
-		if cost := we.codecCost(c, len(payload)); cost < bestCost {
-			bestCost, enc = cost, c
-		}
-	}
-	if enc == EncRaw {
-		return payload
-	}
-	// The winner runs full-size, refreshing its EWMA with a real
-	// whole-frame measurement; raw stays the fallback if the prediction
-	// was wrong enough that the codec failed to shrink the payload.
-	in := payload
-	if enc == EncSpan {
-		in = spanIn
-	}
-	z := we.runCodec(enc, in)
-	if len(z) >= len(payload) {
-		return payload
-	}
-	fd.Encoding = enc
-	return z
-}
-
-// sampleCodec refreshes one codec's EWMA from a bounded prefix of the
-// payload (the span codec samples its filter residual — the bytes it
-// would actually encode). The sampled ratio is an estimate (a prefix is
-// not the whole frame), but the EWMA smooths it across probes and the
-// winner's full-size runs keep the codec actually in use measured
-// exactly.
-func (we *Encoder) sampleCodec(enc int, payload []byte) {
-	sample := payload
-	if len(sample) > ProbeSampleBytes {
-		sample = sample[:ProbeSampleBytes]
-	}
-	start := we.now()
-	var z []byte
-	switch enc {
-	case EncSpan:
-		z = msg.SpanCompress(we.z2[:0], sample)
-	case EncFlate:
-		var err error
-		if z, err = msg.Deflate(we.z2[:0], sample); err != nil {
-			return // unreachable with the slice sink
-		}
-	}
-	we.z2 = z
-	we.observe(enc, start, sample, z)
-}
-
-// codecCost is the modelled effective cost (ns) of shipping this
-// payload through enc: predicted encode time plus predicted wire
-// bytes at WireNsPerByte. A codec over the CPU budget, or never
-// measured, is +Inf.
-func (we *Encoder) codecCost(enc, rawLen int) float64 {
-	c := &we.cost[enc]
-	if !c.tried {
-		return inf
-	}
-	encNs := c.nsPerByte * float64(rawLen)
-	if we.ewmaRender > 0 && encNs > we.ewmaRender/EncodeBudgetDiv {
-		return inf
-	}
-	return encNs + c.ratio*float64(rawLen)*WireNsPerByte
 }
 
 // FilterStride returns the row stride the span codec's vertical filter
