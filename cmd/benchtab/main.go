@@ -32,21 +32,30 @@ import (
 )
 
 func main() {
+	// Every artefact selector is declared through sel, so "nothing
+	// selected means everything" and -all range over the same list and a
+	// new sweep cannot be left out of either.
+	var selectors []*bool
+	sel := func(name, usage string) *bool {
+		b := flag.Bool(name, false, usage)
+		selectors = append(selectors, b)
+		return b
+	}
 	var (
-		table1    = flag.Bool("table1", false, "regenerate Table 1")
-		fig2      = flag.Bool("fig2", false, "regenerate Figure 2 masks")
-		fig4      = flag.Bool("fig4", false, "print Figure 4 assignment maps")
-		ablations = flag.Bool("ablations", false, "run the design ablations")
-		scaling   = flag.Bool("scaling", false, "cluster-size scaling sweep")
-		parallel  = flag.Bool("parallel", false, "intra-frame thread sweep, written to BENCH_parallel.json")
-		wire      = flag.Bool("wire", false, "frame codec sweep (full, delta, delta+span), written to BENCH_wire.json")
+		table1    = sel("table1", "regenerate Table 1")
+		fig2      = sel("fig2", "regenerate Figure 2 masks")
+		fig4      = sel("fig4", "print Figure 4 assignment maps")
+		ablations = sel("ablations", "run the design ablations")
+		scaling   = sel("scaling", "cluster-size scaling sweep")
+		parallel  = sel("parallel", "intra-frame thread sweep, written to BENCH_parallel.json")
+		wire      = sel("wire", "frame codec sweep (full, delta, delta+span), written to BENCH_wire.json")
 		wireCheck = flag.Bool("check", false, "with -wire: gate the sweep against the committed BENCH_wire.json baseline, exiting nonzero on violation")
 		baseline  = flag.String("baseline", "BENCH_wire.json", "committed baseline path for -check")
-		dfbB      = flag.Bool("dfb", false, "distributed-framebuffer routing sweep (master vs compositor sinks), written to BENCH_dfb.json")
-		timelineB = flag.Bool("timeline", false, "event-recorder overhead bench (off vs on), written to BENCH_timeline.json")
-		schedB    = flag.Bool("sched", false, "multi-tenant scheduling policy sweep (fifo vs priority vs fair), written to BENCH_sched.json")
-		fleetB    = flag.Bool("fleet", false, "multi-master control-plane sweep (1 vs 2 vs 3 replicas over one shared fleet), written to BENCH_fleet.json")
-		objB      = flag.Bool("objspace", false, "object-space sharding sweep (replicated vs 2 vs 4 shards on the mesh stress scene), written to BENCH_objspace.json")
+		dfbB      = sel("dfb", "distributed-framebuffer routing sweep (master vs compositor sinks), written to BENCH_dfb.json")
+		timelineB = sel("timeline", "event-recorder overhead bench (off vs on), written to BENCH_timeline.json")
+		schedB    = sel("sched", "multi-tenant scheduling policy sweep (fifo vs priority vs fair), written to BENCH_sched.json")
+		fleetB    = sel("fleet", "multi-master control-plane sweep (1 vs 2 vs 3 replicas over one shared fleet), written to BENCH_fleet.json")
+		objB      = sel("objspace", "object-space sharding sweep (replicated vs 2 vs 4 shards on the mesh stress scene), written to BENCH_objspace.json")
 		objScene  = flag.String("objspace-scene", "meshgallery", "scene spec for the -objspace sharding sweep")
 		all       = flag.Bool("all", false, "run everything")
 		full      = flag.Bool("full", false, "paper-scale workload (240x320, 45 frames)")
@@ -57,12 +66,17 @@ func main() {
 		csvOut    = flag.Bool("csv", false, "emit Table 1 as CSV instead of a text table")
 	)
 	flag.Parse()
-	if !*table1 && !*fig2 && !*fig4 && !*ablations && !*scaling && !*parallel && !*wire && !*dfbB && !*timelineB && !*schedB && !*objB {
-		*all = true
+	selected := false
+	for _, b := range selectors {
+		selected = selected || *b
 	}
-	if err := run(*table1 || *all, *fig2 || *all, *fig4 || *all,
-		*ablations || *all, *scaling || *all, *parallel || *all, *wire || *all,
-		*dfbB || *all, *timelineB || *all, *schedB || *all, *fleetB || *all, *objB || *all,
+	if *all || !selected {
+		for _, b := range selectors {
+			*b = true
+		}
+	}
+	if err := run(*table1, *fig2, *fig4, *ablations, *scaling, *parallel, *wire,
+		*dfbB, *timelineB, *schedB, *fleetB, *objB,
 		*full, *frame, *outDir, *sceneSpec, *wireScene, *objScene, *csvOut,
 		*wireCheck, *baseline); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)

@@ -181,14 +181,8 @@ func NewVirtualNOW(machines []Machine, net Ethernet, cost CostModel) (*VirtualNO
 	}, nil
 }
 
-// NumMachines returns the cluster size.
-func (v *VirtualNOW) NumMachines() int { return len(v.Machines) }
-
 // Time returns machine i's current virtual clock.
 func (v *VirtualNOW) Time(i int) time.Duration { return v.clock[i] }
-
-// BusyTime returns the total computation time machine i has performed.
-func (v *VirtualNOW) BusyTime(i int) time.Duration { return v.busy[i] }
 
 // CommTime returns the total communication time charged to machine i.
 func (v *VirtualNOW) CommTime(i int) time.Duration { return v.comm[i] }

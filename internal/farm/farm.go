@@ -4,16 +4,17 @@
 // out. The only communication is master<->worker (the paper: "the slaves
 // themselves do not need to communicate with each other").
 //
-// Two drivers share the task-management logic:
+// Two drivers share the task-management logic — one master loop
+// (runMaster) and one worker frame step (frameStep) — and differ only in
+// the link (names, Recv, Send, Detach, a clock) they run it over:
 //
-//   - RenderVirtual executes on the deterministic virtual NOW
-//     (internal/cluster): the real rendering computation runs inline and
-//     virtual time is charged per work quantity and message. This is the
-//     driver the Table 1 benchmarks use.
-//   - RenderLocal spawns goroutine workers joined by msg.Pipe and runs
-//     the full wire protocol in wall-clock time, with the same adaptive
-//     subdivision. The identical worker loop serves TCP workers
-//     (cmd/nowworker) for a physical NOW.
+//   - RunMaster and RenderLocal supply a msg.Hub on the wall clock:
+//     goroutine workers joined by msg.Pipe, or TCP workers
+//     (cmd/nowworker) on a physical NOW.
+//   - RenderVirtual supplies the deterministic virtual NOW
+//     (internal/cluster): each machine is a protocol-speaking worker
+//     rendering inline, charged per work quantity and real encoded
+//     message. This is the driver the Table 1 benchmarks use.
 package farm
 
 import (
@@ -47,7 +48,13 @@ type Config struct {
 	StartFrame, EndFrame int
 	// Coherence enables the frame-coherence algorithm inside each task.
 	Coherence bool
-	// CoherenceOpts tune the engine when Coherence is set.
+	// CoherenceOpts carry the render options. GridRes, BlockGranularity,
+	// AAThreshold and AASamples travel in every task message and are
+	// honoured by every driver, coherence on or off. Nothing else in it
+	// reaches a farm run: samples, threads, sharding and timeline come
+	// from the fields below, and CompactEvery (memory tuning) and
+	// DisableShadowRegistration (ablation-only) are not pixel options of
+	// a farm, so they stay off the wire.
 	CoherenceOpts coherence.Options
 	// Samples is the supersampling factor (0/1 = one ray per pixel).
 	Samples int
@@ -88,9 +95,10 @@ type Config struct {
 	OnFrame func(frame int, img *fb.Framebuffer) error
 
 	// Heartbeat, when > 0, makes the master ping each worker at this
-	// interval (local/TCP drivers; the virtual driver has no messages to
-	// lose). Workers answer between frames, so pongs prove the render
-	// loop is alive.
+	// interval. Workers answer between frames, so pongs prove the render
+	// loop is alive. Heartbeat, Liveness, StallTimeout, WrapConn and DFB
+	// do not apply on the virtual NOW, where no message is lost and no
+	// machine hangs.
 	Heartbeat time.Duration
 	// Liveness is how long a worker may stay completely silent before
 	// the master retires it like a TagDown. 0 defaults to 4x Heartbeat;
@@ -149,7 +157,9 @@ type Config struct {
 	// master's scheduling events land in it directly, and workers ship
 	// their phase/tile spans piggybacked on results (capWireTimeline).
 	// The merged, clock-offset-corrected cluster timeline is returned in
-	// Result.Timeline. Nil (the default) disables all recording — the
+	// Result.Timeline. On the virtual NOW the recorder is switched to the
+	// virtual clock and the machines' frame/send spans are written
+	// straight into it. Nil (the default) disables all recording — the
 	// instrumentation then costs one nil check per site.
 	Timeline *timeline.Recorder
 }
@@ -255,19 +265,20 @@ func (c *Config) defaults() error {
 	if c.ObjSpaceShards != 0 && (c.ObjSpaceShards < 2 || c.ObjSpaceShards > objspace.MaxShards) {
 		return fmt.Errorf("farm: object-space shard count %d outside [2,%d]", c.ObjSpaceShards, objspace.MaxShards)
 	}
-	return nil
+	return validateAA(c.CoherenceOpts.AAThreshold, c.CoherenceOpts.AASamples)
 }
 
 // Result summarises a farm run.
 type Result struct {
 	// Frames holds the assembled animation.
 	Frames []*fb.Framebuffer
-	// Run carries per-frame statistics; in virtual mode Elapsed values
-	// are virtual durations.
+	// Run carries per-frame statistics (rays, pixels rendered and
+	// copied, render time); in virtual mode Elapsed values are virtual
+	// durations.
 	Run stats.RunStats
 	// Makespan is the end-to-end time (virtual or wall).
 	Makespan time.Duration
-	// Workers reports per-worker contribution.
+	// Workers reports per-worker contribution, sorted by worker name.
 	Workers []stats.WorkerStats
 	// TasksExecuted counts task assignments (including stolen ranges).
 	TasksExecuted int
@@ -331,12 +342,6 @@ func newAssemblyRange(w, h, start, end int) *assembly {
 
 // errDeltaBase aliases the shared codec's delta-base-miss sentinel.
 var errDeltaBase = wire.ErrDeltaBase
-
-// appendRegion packs a region of img into RGB bytes (the wire format of
-// full frame results), appending to out so hot paths can reuse scratch.
-func appendRegion(out []byte, img *fb.Framebuffer, region fb.Rect) []byte {
-	return wire.AppendRegion(out, img, region)
-}
 
 // extractRegion packs a region of img into a fresh RGB byte slice.
 func extractRegion(img *fb.Framebuffer, region fb.Rect) []byte {

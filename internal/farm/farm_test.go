@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"nowrender/internal/partition"
 	"nowrender/internal/scene"
 	"nowrender/internal/stats"
+	"nowrender/internal/trace"
 	vm "nowrender/internal/vecmath"
 )
 
@@ -52,6 +54,30 @@ func referenceFrames(t *testing.T, sc *scene.Scene) []*fb.Framebuffer {
 	return out
 }
 
+// aaReferenceFrames is referenceFrames with the tracer's adaptive
+// antialiasing on: the ground truth for runs that set
+// CoherenceOpts.AAThreshold. It also checks the option is not vacuous on
+// this scene.
+func aaReferenceFrames(t *testing.T, sc *scene.Scene, threshold float64) []*fb.Framebuffer {
+	t.Helper()
+	plain := referenceFrames(t, sc)
+	out := make([]*fb.Framebuffer, sc.Frames)
+	differs := false
+	for f := range out {
+		ft, err := trace.New(sc, f, trace.Options{SamplesPerPixel: 1, AAThreshold: threshold})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[f] = fb.New(fw, fh)
+		ft.RenderRegion(out[f], fb.NewRect(0, 0, fw, fh))
+		differs = differs || !out[f].Equal(plain[f])
+	}
+	if !differs {
+		t.Fatalf("antialiasing at threshold %v changes no pixel of the test scene", threshold)
+	}
+	return out
+}
+
 func assertFramesEqual(t *testing.T, label string, got []*fb.Framebuffer, want []*fb.Framebuffer) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -73,6 +99,7 @@ func TestVirtualSchemesProduceIdenticalImages(t *testing.T) {
 		partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
 		partition.HybridDivision{BlockW: 20, BlockH: 16, SubseqLen: 3},
 	}
+	wantAA := aaReferenceFrames(t, sc, 0.1)
 	for _, coh := range []bool{false, true} {
 		for _, sch := range schemes {
 			res, err := RenderVirtual(Config{
@@ -86,14 +113,29 @@ func TestVirtualSchemesProduceIdenticalImages(t *testing.T) {
 				t.Errorf("%s: zero makespan", sch.Name())
 			}
 		}
+		// Render options travel in the task message, so they reach the
+		// pixels with coherence on and off alike.
+		res, err := RenderVirtual(Config{
+			Scene: sc, W: fw, H: fh, Scheme: schemes[2], Coherence: coh,
+			CoherenceOpts: coherence.Options{AAThreshold: 0.1},
+		})
+		if err != nil {
+			t.Fatalf("antialiased coherence=%v: %v", coh, err)
+		}
+		assertFramesEqual(t, fmt.Sprintf("antialiased coherence=%v", coh), res.Frames, wantAA)
 	}
 }
 
+// TestVirtualDeterminism: the virtual NOW is a pure function of its
+// Config. Twenty runs of the configuration with the most scheduling in it
+// — adaptive frame division with coherence on the 2:1:1 testbed, where
+// equal-remaining victims and simultaneous arrivals must break the same
+// way every time — agree on every number the run reports.
 func TestVirtualDeterminism(t *testing.T) {
 	sc := farmScene(5)
 	run := func() *Result {
 		res, err := RenderVirtual(Config{
-			Scene: sc, W: fw, H: fh,
+			Scene: sc, W: fw, H: fh, Machines: cluster.PaperTestbed(),
 			Scheme: partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true}, Coherence: true,
 		})
 		if err != nil {
@@ -101,22 +143,37 @@ func TestVirtualDeterminism(t *testing.T) {
 		}
 		return res
 	}
-	a, b := run(), run()
-	if a.Makespan != b.Makespan {
-		t.Errorf("makespans differ: %v vs %v", a.Makespan, b.Makespan)
+	a := run()
+	if a.Subdivisions == 0 {
+		t.Error("configuration never subdivides; the steal path is not exercised")
 	}
-	if a.TasksExecuted != b.TasksExecuted || a.Subdivisions != b.Subdivisions {
-		t.Error("task accounting differs between identical runs")
-	}
-	totalA := a.Run.TotalRays()
-	totalB := b.Run.TotalRays()
-	if totalA.Total() != totalB.Total() {
-		t.Error("ray counts differ between identical runs")
+	for i := 1; i < 20; i++ {
+		b := run()
+		if a.Makespan != b.Makespan {
+			t.Errorf("run %d: makespans differ: %v vs %v", i, a.Makespan, b.Makespan)
+		}
+		if a.TasksExecuted != b.TasksExecuted || a.Subdivisions != b.Subdivisions {
+			t.Errorf("run %d: task accounting differs: %d/%d tasks, %d/%d subdivisions",
+				i, a.TasksExecuted, b.TasksExecuted, a.Subdivisions, b.Subdivisions)
+		}
+		if a.BytesTransferred != b.BytesTransferred {
+			t.Errorf("run %d: traffic differs: %d vs %d bytes", i, a.BytesTransferred, b.BytesTransferred)
+		}
+		if !reflect.DeepEqual(a.Workers, b.Workers) {
+			t.Errorf("run %d: worker stats differ:\n%+v\n%+v", i, a.Workers, b.Workers)
+		}
+		if a.Run.TotalRays() != b.Run.TotalRays() {
+			t.Errorf("run %d: ray counts differ", i)
+		}
 	}
 }
 
 func TestVirtualSpeedupShape(t *testing.T) {
-	sc := farmScene(8)
+	// Twelve frames: on this 40x32 scene a steady coherent frame costs
+	// about as much as one message, so with fewer frames the outcome is
+	// decided by whether the last steal's cold first frame lands on a
+	// slow machine, not by the techniques under test.
+	sc := farmScene(12)
 	fast := cluster.PaperTestbed()[0]
 
 	single, err := RenderSingle(Config{Scene: sc, W: fw, H: fh}, fast)
@@ -190,17 +247,46 @@ func TestVirtualAdaptiveSubdivisionHappens(t *testing.T) {
 	}
 }
 
+// TestVirtualStaticSequenceNoSubdivision: whether a run may split a
+// straggler's frames is the scheme's decision on every driver — static
+// sequence division and hybrid division say no, so neither the virtual
+// NOW nor the wall-clock master ever sends a truncate for them, however
+// early a worker runs dry.
 func TestVirtualStaticSequenceNoSubdivision(t *testing.T) {
-	sc := farmScene(6)
-	res, err := RenderVirtual(Config{
-		Scene: sc, W: fw, H: fh,
-		Scheme: partition.SequenceDivision{Adaptive: false},
-	})
-	if err != nil {
-		t.Fatal(err)
+	sc := farmScene(goldenFrames)
+	want := readGolden(t)
+	drivers := []struct {
+		name   string
+		render func(Config) (*Result, error)
+	}{{"virtual", RenderVirtual}, {"local", RenderLocal}}
+	schemes := []partition.Scheme{
+		partition.SequenceDivision{Adaptive: false},
+		partition.HybridDivision{BlockW: 20, BlockH: 16, SubseqLen: 3},
 	}
-	if res.Subdivisions != 0 {
-		t.Errorf("static scheme subdivided %d times", res.Subdivisions)
+	for _, d := range drivers {
+		for _, sch := range schemes {
+			label := d.name + "/" + sch.Name()
+			// Two workers of very different speed (virtual) or simply two
+			// workers racing (local): one of them finishes first and asks.
+			res, err := d.render(Config{
+				Scene: sc, W: fw, H: fh, Scheme: sch, Workers: 2,
+				Machines: []cluster.Machine{
+					{Name: "fast", Speed: 8, MemoryMB: 64},
+					{Name: "slow", Speed: 1, MemoryMB: 64},
+				},
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if res.Subdivisions != 0 {
+				t.Errorf("%s: subdivided %d times", label, res.Subdivisions)
+			}
+			for i, h := range hashFrames(res.Frames) {
+				if h != want[i] {
+					t.Errorf("%s: frame %d hash mismatch", label, i)
+				}
+			}
+		}
 	}
 }
 
@@ -242,7 +328,18 @@ func TestConfigValidation(t *testing.T) {
 func TestRenderLocalMatchesReference(t *testing.T) {
 	sc := farmScene(6)
 	want := referenceFrames(t, sc)
+	wantAA := aaReferenceFrames(t, sc, 0.1)
 	for _, coh := range []bool{false, true} {
+		aa, err := RenderLocal(Config{
+			Scene: sc, W: fw, H: fh, Coherence: coh, Workers: 3,
+			Scheme:        partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
+			CoherenceOpts: coherence.Options{AAThreshold: 0.1},
+		})
+		if err != nil {
+			t.Fatalf("antialiased coherence=%v: %v", coh, err)
+		}
+		assertFramesEqual(t, fmt.Sprintf("local antialiased coherence=%v", coh), aa.Frames, wantAA)
+
 		res, err := RenderLocal(Config{
 			Scene: sc, W: fw, H: fh, Coherence: coh, Workers: 3,
 			Scheme: partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
@@ -337,6 +434,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 	tm := taskMsg{
 		Task: partition.Task{ID: 3, Region: fb.NewRect(1, 2, 33, 44), StartFrame: 5, EndFrame: 9},
 		W:    240, H: 320, Coherence: true, Samples: 2, GridRes: 16, BlockGran: 4,
+		AAThreshold: 0.25, AASamples: 6,
 	}
 	got, err := decodeTask(encodeTask(tm))
 	if err != nil {

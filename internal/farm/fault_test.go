@@ -229,7 +229,7 @@ func TestMasterRefusesStrayWorker(t *testing.T) {
 	}{
 		{"v1 hello with capability bits", []msg.Message{hello(v1Hello("stray", 0x3f))}, 0},
 		{"raw unsealed name", []msg.Message{hello([]byte("stray"))}, 0},
-		{"version 3", []msg.Message{hello(versionHello("stray", 3))}, 0},
+		{"version 2", []msg.Message{hello(versionHello("stray", 2))}, 0},
 		{"result before hello", []msg.Message{{Tag: TagTaskDone, Data: encodePair(0, 1)}}, 0},
 		{"unknown tag before hello", []msg.Message{{Tag: 9999}}, 0},
 		{"second hello", []msg.Message{hello(encodeHello("stray")), hello(encodeHello("stray"))}, 1},
@@ -281,13 +281,13 @@ func TestMasterFailsWhenEveryWorkerIsRefused(t *testing.T) {
 	sc := farmScene(2)
 	hub := msg.NewHub()
 	strayWorker(t, hub, "old", msg.Message{Tag: TagHello, Data: v1Hello("old", 0x3f)})
-	strayWorker(t, hub, "new", msg.Message{Tag: TagHello, Data: versionHello("new", 3)})
+	strayWorker(t, hub, "new", msg.Message{Tag: TagHello, Data: versionHello("new", 4)})
 	_, err := RunMaster(Config{Scene: sc, W: fw, H: fh}, hub)
 	hub.Close()
 	if err == nil {
 		t.Fatal("master ran with every worker refused")
 	}
-	for _, want := range []string{"old: ", "new: ", "version 3", fmt.Sprintf("version %d", ProtocolVersion)} {
+	for _, want := range []string{"old: ", "new: ", "version 4", fmt.Sprintf("version %d", ProtocolVersion)} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}

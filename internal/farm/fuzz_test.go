@@ -25,6 +25,7 @@ func FuzzProtocolDecode(f *testing.F) {
 	// Every section of the fixed task layout populated.
 	tm.WireFlags = wireFlagsMask
 	tm.JobStart, tm.JobEnd, tm.Sinks, tm.OSShards = 0, 8, []string{"sink0", "127.0.0.1:7001"}, 4
+	tm.AAThreshold, tm.AASamples = 0.1, 8
 	fullTask := encodeTask(tm)
 	// Retired values must be rejected, not ignored: a task carrying the
 	// old flate flag bit, and a frame result claiming encoding id 1.
@@ -82,6 +83,9 @@ func FuzzProtocolDecode(f *testing.F) {
 			}
 			if tm.WireFlags&^wireFlagsMask != 0 {
 				t.Fatalf("decodeTask accepted unknown wire flags %#x", tm.WireFlags)
+			}
+			if !(tm.AAThreshold >= 0 && tm.AAThreshold <= 1) || tm.AASamples < 0 || tm.AASamples > maxAASamples {
+				t.Fatalf("decodeTask accepted antialiasing (%v, %d)", tm.AAThreshold, tm.AASamples)
 			}
 		}
 		if m, err := decodeFrameDone(data); err == nil {

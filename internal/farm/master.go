@@ -16,7 +16,6 @@ import (
 	"nowrender/internal/partition"
 	"nowrender/internal/stats"
 	"nowrender/internal/timeline"
-	"nowrender/internal/trace"
 )
 
 // tagTick is the synthetic local message the heartbeat ticker posts into
@@ -40,10 +39,10 @@ type workerRecord struct {
 	// or that was retired or refused; its remaining frames were requeued
 	// and it receives no further work.
 	joined, dead bool
-	// lastHeard is when any message last arrived from this worker;
-	// lastProgress is when it last advanced its task (frame result, task
-	// completion, truncate ack, or assignment).
-	lastHeard, lastProgress time.Time
+	// lastHeard is when (on the link's clock) any message last arrived
+	// from this worker; lastProgress is when it last advanced its task
+	// (frame result, task completion, truncate ack, or assignment).
+	lastHeard, lastProgress time.Duration
 	// pingPending limits heartbeat traffic to one unanswered ping, so a
 	// worker grinding through a slow frame never has its pipe flooded
 	// (a blocked ping send would stall the whole master).
@@ -64,6 +63,30 @@ func (w *workerRecord) remaining() int {
 	return w.task.EndFrame - w.doneThrough
 }
 
+// link is all the master loop sees of the world outside it. RunMaster
+// supplies a msg.Hub on the wall clock; RenderVirtual the virtual NOW,
+// whose clock only moves when a machine computes or a message crosses
+// the bus.
+type link interface {
+	// Names lists the workers, sorted.
+	Names() []string
+	// Recv blocks for the next message from any worker.
+	Recv() (msg.Message, error)
+	Send(to string, m msg.Message) error
+	// Detach severs a worker the master has retired.
+	Detach(name string)
+	// Now is the time elapsed on the link's clock since the run began.
+	Now() time.Duration
+}
+
+// hubLink is the wall-clock link: a hub of worker connections.
+type hubLink struct {
+	*msg.Hub
+	start time.Time
+}
+
+func (l hubLink) Now() time.Duration { return time.Since(l.start) }
+
 // RunMaster drives the master side of the farm protocol over an
 // attached hub until every frame is assembled, then shuts the workers
 // down. The caller attaches one connection per worker before calling.
@@ -82,32 +105,13 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	sc := cfg.Scene
-	names := hub.Names()
-	if len(names) == 0 {
-		return nil, fmt.Errorf("farm: no workers attached")
-	}
 	if cfg.Ctx != nil {
 		// Cancelling the context closes the hub, which unblocks the
-		// blocking Recv below; workers observe their closed connections
+		// loop's blocking Recv; workers observe their closed connections
 		// and exit. Hub.Close is idempotent, so the caller's own Close
 		// afterwards is harmless.
 		stop := context.AfterFunc(cfg.Ctx, func() { hub.Close() })
 		defer stop()
-	}
-
-	liveness := cfg.Liveness
-	if liveness == 0 && cfg.Heartbeat > 0 {
-		liveness = 4 * cfg.Heartbeat
-	}
-	if cfg.Heartbeat == 0 {
-		// Without pings a healthy idle worker is legitimately silent, so
-		// silence must not be a death sentence.
-		liveness = 0
-	}
-	retryBudget := cfg.FrameRetries
-	if retryBudget == 0 {
-		retryBudget = 3
 	}
 
 	// The ticker interleaves liveness/stall checks with slave traffic so
@@ -136,6 +140,41 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 		}()
 	}
 
+	// Distributed framebuffer: sink conns join the hub, interleaving
+	// their confirmations with worker traffic in the single-threaded loop.
+	var sinks *sinkControl
+	if cfg.DFB.enabled() {
+		shard := partition.ShardMap{Start: cfg.StartFrame, End: cfg.EndFrame, N: len(cfg.DFB.Addrs)}
+		sinks = newSinkControl(cfg.DFB, hub, cfg.W, cfg.H, shard)
+	}
+	return runMaster(cfg, hubLink{hub, time.Now()}, sinks)
+}
+
+// runMaster is the one master loop (§3): hand out the scheme's tasks,
+// subdivide the busiest worker's remaining frames when another runs dry,
+// assemble results, absorb failures. cfg has had its defaults applied;
+// sinks is nil unless the distributed framebuffer is on.
+func runMaster(cfg Config, ln link, sinks *sinkControl) (*Result, error) {
+	sc := cfg.Scene
+	names := ln.Names()
+	if len(names) == 0 {
+		return nil, fmt.Errorf("farm: no workers attached")
+	}
+
+	liveness := cfg.Liveness
+	if liveness == 0 && cfg.Heartbeat > 0 {
+		liveness = 4 * cfg.Heartbeat
+	}
+	if cfg.Heartbeat == 0 {
+		// Without pings a healthy idle worker is legitimately silent, so
+		// silence must not be a death sentence.
+		liveness = 0
+	}
+	retryBudget := cfg.FrameRetries
+	if retryBudget == 0 {
+		retryBudget = 3
+	}
+
 	queue := cfg.Scheme.InitialTasks(cfg.W, cfg.H, cfg.StartFrame, cfg.EndFrame, len(names))
 	if err := partition.ValidateTiling(queue, cfg.W, cfg.H, cfg.StartFrame, cfg.EndFrame); err != nil {
 		return nil, err
@@ -156,25 +195,22 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 
 	// Distributed framebuffer: dial and initialise the compositor fleet
 	// before any worker gets a task, so the data plane is up when the
-	// first DFB frame ships. Sink conns join the hub, interleaving their
-	// confirmations with worker traffic in this single-threaded loop.
-	dfbOn := cfg.DFB.enabled()
-	var sinks *sinkControl
+	// first DFB frame ships.
+	dfbOn := sinks != nil
 	if dfbOn {
-		shard := partition.ShardMap{Start: cfg.StartFrame, End: cfg.EndFrame, N: len(cfg.DFB.Addrs)}
-		sinks = newSinkControl(cfg.DFB, hub, cfg.W, cfg.H, shard)
 		if err := sinks.dialAll(); err != nil {
 			return nil, err
 		}
 	}
 
+	// roster holds the workers in name order. Every walk over them goes
+	// through it, never the map, so equal candidates resolve to the first
+	// name on every run.
 	workers := make(map[string]*workerRecord, len(names))
-	start := time.Now()
-	for _, n := range names {
-		workers[n] = &workerRecord{
-			name: n, st: stats.WorkerStats{Worker: n},
-			lastHeard: start, lastProgress: start,
-		}
+	roster := make([]*workerRecord, len(names))
+	for i, n := range names {
+		roster[i] = &workerRecord{name: n, st: stats.WorkerStats{Worker: n}}
+		workers[n] = roster[i]
 	}
 	// reported maps a worker's self-introduced hello name to its hub
 	// name. Over TCP the two differ (tcp00 vs -name wsA), and compositor
@@ -191,8 +227,21 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	asm := newAssemblyRange(cfg.W, cfg.H, cfg.StartFrame, cfg.EndFrame)
 	framesRemaining := cfg.EndFrame - cfg.StartFrame
 	res := &Result{}
-	frameElapsed := make([]time.Duration, sc.Frames)
-	frameRays := make([]stats.RayCounters, sc.Frames)
+	// frameStats accumulates each frame's render statistics over the
+	// regions that make it up.
+	frameStats := make([]stats.FrameStats, sc.Frames)
+	// credit books one frame result's render statistics to its frame and
+	// its worker.
+	credit := func(w *workerRecord, frame, rendered, copied int, rays stats.RayCounters, elapsedNs int64) {
+		d := time.Duration(elapsedNs)
+		fs := &frameStats[frame]
+		fs.Elapsed += d
+		fs.Rays.Merge(rays)
+		fs.Rendered += rendered
+		fs.Copied += copied
+		w.st.Busy += d
+		w.st.Rays.Merge(rays)
+	}
 	frameFails := make(map[int]int) // per-frame requeue counts (retry budget)
 	speculated := make(map[int]bool)
 	var waiting []string // idle workers awaiting stolen work
@@ -252,14 +301,23 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 		}
 	}
 
-	sendTask := func(w *workerRecord, t partition.Task) error {
-		mt.Instant(timeline.OpDispatch, t.StartFrame, int64(t.ID))
-		tm := taskMsg{
+	// taskFor is the assignment message for a task: the task plus every
+	// render option of the run, so the frame step at the other end of
+	// the link — and the quarantine render at this end — see one answer.
+	taskFor := func(t partition.Task) taskMsg {
+		co := cfg.CoherenceOpts
+		return taskMsg{
 			Task: t, W: cfg.W, H: cfg.H,
 			Coherence: cfg.Coherence, Samples: cfg.Samples,
-			GridRes: cfg.CoherenceOpts.GridRes, BlockGran: cfg.CoherenceOpts.BlockGranularity,
+			GridRes: co.GridRes, BlockGran: co.BlockGranularity,
+			AAThreshold: co.AAThreshold, AASamples: co.AASamples,
 			Threads: cfg.Threads, WireFlags: cfg.wireFlags(), OSShards: cfg.ObjSpaceShards,
 		}
+	}
+
+	sendTask := func(w *workerRecord, t partition.Task) error {
+		mt.Instant(timeline.OpDispatch, t.StartFrame, int64(t.ID))
+		tm := taskFor(t)
 		if dfbOn {
 			tm.JobStart, tm.JobEnd = cfg.StartFrame, cfg.EndFrame
 			tm.Sinks = cfg.DFB.Addrs
@@ -272,8 +330,8 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 		w.doneThrough = t.StartFrame
 		w.truncatePending = false
 		w.finishedAt = -1
-		w.lastProgress = time.Now()
-		if err := hub.Send(w.name, msg.Message{Tag: TagTask, Data: data}); err != nil {
+		w.lastProgress = ln.Now()
+		if err := ln.Send(w.name, msg.Message{Tag: TagTask, Data: data}); err != nil {
 			if errors.Is(err, msg.ErrClosed) {
 				// The worker crashed under us; its TagDown is already in
 				// flight and retire() will requeue this task.
@@ -285,33 +343,33 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	}
 
 	// renderQuarantined renders one frame region on the master itself —
-	// the escape hatch for a frame that keeps killing workers. The plain
+	// the escape hatch for a frame that keeps killing workers — through
+	// the workers' own frame step as a one-frame plain task: the plain
 	// tracer is pixel-identical to every farm mode (the repo's core
 	// invariant), so quarantined frames are indistinguishable in the
 	// output.
-	var scratch *fb.Framebuffer
-	var qenc frameEncoder
 	renderQuarantined := func(f int, region fb.Rect) error {
-		if scratch == nil {
-			scratch = fb.New(cfg.W, cfg.H)
-		}
+		tm := taskFor(partition.Task{ID: -1, Region: region, StartFrame: f, EndFrame: f + 1})
+		tm.Coherence, tm.OSShards, tm.WireFlags = false, 0, 0
 		qStart := mt.Begin()
-		ft, err := trace.New(sc, f, trace.Options{SamplesPerPixel: cfg.Samples})
+		step, err := newFrameStep(sc, tm, nil, nil)
 		if err != nil {
 			return err
 		}
-		ft.RenderRegionParallel(scratch, region, cfg.Threads)
+		fd, _, err := step.render(f)
+		if err != nil {
+			return err
+		}
 		mt.EndArg(timeline.OpQuarantine, f, qStart, int64(region.Area()))
 		res.Faults.FramesQuarantined++
-		frameRays[f].Merge(ft.Counters)
+		frameStats[f].Rays.Merge(fd.Rays)
 		if dfbOn {
 			// Assembly lives at the sink: ship the quarantined region there
 			// as a master-relayed key-frame; the confirmation completes it.
-			fd := frameDoneMsg{TaskID: -1, Frame: f, Region: region, Rendered: region.Area()}
-			sinks.relay("master", f, region, qenc.Encode(&fd, scratch, 0, nil, true))
+			sinks.relay("master", f, region, step.encode(&fd, true))
 			return nil
 		}
-		complete, dup, err := asm.Deliver(f, region, extractRegion(scratch, region), time.Since(start))
+		complete, dup, err := asm.Deliver(f, region, extractRegion(step.buf, region), ln.Now())
 		if err != nil {
 			return err
 		}
@@ -355,13 +413,8 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	// it to stop early; the requesting worker is parked until the ack.
 	trySteal := func(thief string) (bool, error) {
 		var victim *workerRecord
-		for _, w := range workers {
+		for _, w := range roster {
 			if w.name == thief || !w.hasTask || w.truncatePending || w.dead {
-				continue
-			}
-			// The victim is rendering doneThrough; stealable frames are
-			// beyond that. Leave it at least one more frame.
-			if w.task.EndFrame-w.doneThrough < 3 {
 				continue
 			}
 			if victim == nil || w.remaining() > victim.remaining() {
@@ -371,14 +424,21 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 		if victim == nil {
 			return false, nil
 		}
-		// Keep roughly half the unstarted frames with the victim.
+		// The victim is rendering doneThrough; the scheme decides whether
+		// and where to split the frames after it (an adaptive one gives
+		// away the second half of two or more; static and hybrid never).
 		rendering := victim.doneThrough // frame in progress (or next)
-		newEnd := rendering + 1 + (victim.task.EndFrame-rendering-1)/2
+		unstarted := victim.task
+		unstarted.StartFrame = rendering + 1
+		keep, _, ok := cfg.Scheme.Subdivide(unstarted)
+		if !ok {
+			return false, nil
+		}
 		victim.truncatePending = true
 		waiting = append(waiting, thief)
 		res.Subdivisions++
 		mt.Instant(timeline.OpSteal, rendering, int64(victim.task.ID))
-		if err := hub.Send(victim.name, msg.Message{Tag: TagTruncate, Data: encodePair(victim.task.ID, newEnd)}); err != nil {
+		if err := ln.Send(victim.name, msg.Message{Tag: TagTruncate, Data: encodePair(victim.task.ID, keep.EndFrame)}); err != nil {
 			if errors.Is(err, msg.ErrClosed) {
 				// Victim crashed; its TagDown will retire it, requeue its
 				// frames and release the parked thief.
@@ -399,7 +459,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 			return false, nil
 		}
 		var victim *workerRecord
-		for _, w := range workers {
+		for _, w := range roster {
 			if w.name == thief || !w.hasTask || w.truncatePending || w.dead {
 				continue
 			}
@@ -447,7 +507,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	// dispatchQueue re-engages idle, alive workers after tasks were
 	// requeued (e.g. recovered from a dead worker).
 	dispatchQueue := func() error {
-		for _, w := range workers {
+		for _, w := range roster {
 			if len(queue) == 0 {
 				return nil
 			}
@@ -485,7 +545,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 		w.dead = true
 		res.Faults.WorkersLost++
 		mt.Instant(timeline.OpRetire, -1, int64(w.task.ID))
-		hub.Detach(w.name)
+		ln.Detach(w.name)
 		if dfbOn {
 			// Results this worker acked but no sink confirmed may have died
 			// with it; forget them so requeueGaps re-renders them.
@@ -524,7 +584,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 			}
 		}
 		alive := 0
-		for _, o := range workers {
+		for _, o := range roster {
 			if !o.dead {
 				alive++
 			}
@@ -574,23 +634,22 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	// for the main loop, which also owns its protocol violations.
 	var backlog []msg.Message
 	awaited := func() (n int) {
-		for _, w := range workers {
+		for _, w := range roster {
 			if !w.joined && !w.dead {
 				n++
 			}
 		}
 		return n
 	}
-	seedStart := time.Now()
 	for awaited() > 0 {
-		m, err := hub.Recv()
+		m, err := ln.Recv()
 		if err != nil {
 			return res, err
 		}
 		if m.Tag == tagTick {
-			if liveness > 0 && time.Since(seedStart) > liveness {
-				for _, n := range names {
-					if w := workers[n]; !w.joined && !w.dead {
+			if liveness > 0 && ln.Now() > liveness {
+				for _, w := range roster {
+					if !w.joined && !w.dead {
 						res.Faults.HeartbeatTimeouts++
 						if err := retire(w); err != nil {
 							return res, err
@@ -621,7 +680,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 				continue
 			}
 			w.joined = true
-			w.lastHeard = time.Now()
+			w.lastHeard = ln.Now()
 			if helloName != "" && helloName != m.From {
 				reported[helloName] = m.From
 			}
@@ -694,7 +753,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	// to decide whether the frame needs an immediate requeue. A worker
 	// whose doneThrough is already past the frame will never resend it.
 	covered := func(frame int, region fb.Rect) bool {
-		for _, w := range workers {
+		for _, w := range roster {
 			if w.dead || !w.hasTask || w.task.Region != region {
 				continue
 			}
@@ -770,7 +829,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 			res.Wire.SinkIngressBytes += uint64(d.WireBytes)
 			res.Wire.RawBytes += uint64(d.RawBytes)
 			sinks.clearPending(d.Frame, d.Region)
-			complete, dup, err := asm.DeliverMeta(d.Frame, d.Region, time.Since(start))
+			complete, dup, err := asm.DeliverMeta(d.Frame, d.Region, ln.Now())
 			if err != nil {
 				return nil // geometry the tiling never produced; requeues recover
 			}
@@ -834,7 +893,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 		var err error
 		if len(backlog) > 0 {
 			m, backlog = backlog[0], backlog[1:]
-		} else if m, err = hub.Recv(); err != nil {
+		} else if m, err = ln.Recv(); err != nil {
 			if cerr := cfg.cancelled(); cerr != nil {
 				return res, cerr
 			}
@@ -842,20 +901,19 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 		}
 
 		if m.Tag == tagTick {
-			now := time.Now()
-			for _, name := range names {
-				w := workers[name]
+			now := ln.Now()
+			for _, w := range roster {
 				if w.dead {
 					continue
 				}
-				if liveness > 0 && now.Sub(w.lastHeard) > liveness {
+				if liveness > 0 && now-w.lastHeard > liveness {
 					res.Faults.HeartbeatTimeouts++
 					if err := retire(w); err != nil {
 						return res, err
 					}
 					continue
 				}
-				if cfg.StallTimeout > 0 && w.hasTask && now.Sub(w.lastProgress) > cfg.StallTimeout {
+				if cfg.StallTimeout > 0 && w.hasTask && now-w.lastProgress > cfg.StallTimeout {
 					res.Faults.StallTimeouts++
 					if err := retire(w); err != nil {
 						return res, err
@@ -870,7 +928,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 					// off); the pong pairs it into an RTT offset sample.
 					w.pingSeqSent, w.pingSentNs = pingSeq, rec.Now()
 					mt.Instant(timeline.OpPing, -1, int64(pingSeq))
-					_ = hub.Send(name, msg.Message{Tag: TagPing, Data: encodePair(pingSeq, int(w.pingSentNs))})
+					_ = ln.Send(w.name, msg.Message{Tag: TagPing, Data: encodePair(pingSeq, int(w.pingSentNs))})
 				}
 			}
 			continue
@@ -888,7 +946,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 		if !ok {
 			return res, fmt.Errorf("farm: message from unknown worker %q", m.From)
 		}
-		w.lastHeard = time.Now()
+		w.lastHeard = ln.Now()
 		w.pingPending = false
 		switch m.Tag {
 		case TagFrameDone:
@@ -935,12 +993,8 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 				}
 				w.lastProgress = w.lastHeard
 				w.doneThrough = fd.Frame + 1
-				d := time.Duration(fd.ElapsedNs)
-				frameElapsed[fd.Frame] += d
-				frameRays[fd.Frame].Merge(fd.Rays)
-				w.st.Busy += d
+				credit(w, fd.Frame, fd.Rendered, fd.Copied, fd.Rays, fd.ElapsedNs)
 				w.st.PixelsDone += fd.Region.Area()
-				w.st.Rays.Merge(fd.Rays)
 				sinks.relay(m.From, fd.Frame, fd.Region, m.Data)
 				fd.Release()
 				continue
@@ -948,13 +1002,13 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 			var complete, dup bool
 			if fd.Kind == frameDelta {
 				res.Wire.FramesDelta++
-				complete, dup, err = asm.DeliverSpans(fd.Frame, fd.Region, fd.Spans, fd.Pix, time.Since(start))
+				complete, dup, err = asm.DeliverSpans(fd.Frame, fd.Region, fd.Spans, fd.Pix, ln.Now())
 				if err == nil {
 					mt.Instant(timeline.OpDeltaApply, fd.Frame, int64(len(fd.Spans)))
 				}
 			} else {
 				res.Wire.FramesFull++
-				complete, dup, err = asm.Deliver(fd.Frame, fd.Region, fd.Pix, time.Since(start))
+				complete, dup, err = asm.Deliver(fd.Frame, fd.Region, fd.Pix, ln.Now())
 			}
 			fd.Release()
 			if err != nil {
@@ -994,14 +1048,8 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 					}
 				}
 			}
-			if fd.Frame >= 0 && fd.Frame < sc.Frames {
-				d := time.Duration(fd.ElapsedNs)
-				frameElapsed[fd.Frame] += d
-				frameRays[fd.Frame].Merge(fd.Rays)
-				w.st.Busy += d
-			}
+			credit(w, fd.Frame, fd.Rendered, fd.Copied, fd.Rays, fd.ElapsedNs)
 			w.st.PixelsDone += fd.Region.Area()
-			w.st.Rays.Merge(fd.Rays)
 
 		case TagFrameAck:
 			// DFB control ack: the pixels went straight to a compositor
@@ -1039,17 +1087,13 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 			if !asm.Delivered(a.Frame, a.Region) {
 				sinks.setPending(a.Frame, a.Region, m.From)
 			}
-			d := time.Duration(a.ElapsedNs)
-			frameElapsed[a.Frame] += d
-			frameRays[a.Frame].Merge(a.Rays)
-			w.st.Busy += d
 			// PixelsDone is credited at TagDelivered (the sink's confirm),
 			// not here — see that handler for why.
-			w.st.Rays.Merge(a.Rays)
+			credit(w, a.Frame, a.Rendered, a.Copied, a.Rays, a.ElapsedNs)
 
 		case TagOSStats:
-			// A task's accumulated object-space counters, sent just before
-			// its TagTaskDone. Stale copies from reassigned tasks still
+			// A task's accumulated object-space counters, sent ahead of its
+			// last frame result. Stale copies from reassigned tasks still
 			// describe forwarding work that really happened, so they merge
 			// unconditionally.
 			body, err := msg.Open(m.Data)
@@ -1191,8 +1235,8 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	}
 	// All pixels delivered: stop the workers. Sends to dead workers
 	// fail harmlessly.
-	for _, n := range names {
-		_ = hub.Send(n, msg.Message{Tag: TagShutdown})
+	for _, w := range roster {
+		_ = ln.Send(w.name, msg.Message{Tag: TagShutdown})
 	}
 
 	if dfbOn {
@@ -1209,15 +1253,14 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	} else {
 		res.Frames = asm.Frames()
 	}
-	res.Makespan = time.Since(start)
+	res.Makespan = ln.Now()
 	for f := cfg.StartFrame; f < cfg.EndFrame; f++ {
-		res.Run.AddFrame(stats.FrameStats{
-			Frame: f, Elapsed: frameElapsed[f], Rays: frameRays[f],
-		})
+		frameStats[f].Frame = f
+		res.Run.AddFrame(frameStats[f])
 	}
 	res.Run.Total = res.Makespan
-	for _, n := range names {
-		res.Workers = append(res.Workers, workers[n].st)
+	for _, w := range roster {
+		res.Workers = append(res.Workers, w.st)
 	}
 	if rec != nil {
 		// Build the cluster timeline: the master's own tracks, plus every

@@ -55,8 +55,11 @@ const (
 	// that, so a result lost between worker and sink is still requeued.
 	TagFrameAck
 	// TagOSStats ships a task's accumulated object-space forwarding
-	// statistics (payload: sealed objspace.EncodeStats) just before the
-	// task's TagTaskDone. Sent only by object-space tasks (OSShards >= 2).
+	// statistics (payload: sealed objspace.EncodeStats), once per task,
+	// ahead of the result of the task's last frame so that they are in
+	// before the master can see the run complete (ahead of TagTaskDone
+	// when a truncate ended the task between frames). Sent only by
+	// object-space tasks (OSShards >= 2).
 	TagOSStats
 )
 
@@ -65,7 +68,7 @@ const (
 // Master and workers are built from one commit, so the hello carries
 // this one number instead of a capability set, and the master refuses
 // any other value. Bump it whenever a layout changes.
-const ProtocolVersion = 2
+const ProtocolVersion = 3
 
 // Task wire flags, frame kinds, encodings, and codec types all live in
 // internal/wire (shared with the compositor subsystem); the farm keeps
@@ -156,6 +159,9 @@ func (t taskMsg) validate() error {
 	if t.Samples < 0 || t.Threads < 0 {
 		return fmt.Errorf("farm: bad task options (samples %d, threads %d)", t.Samples, t.Threads)
 	}
+	if err := validateAA(t.AAThreshold, t.AASamples); err != nil {
+		return err
+	}
 	if t.WireFlags&^wireFlagsMask != 0 {
 		return fmt.Errorf("farm: unknown wire flags %#x", t.WireFlags)
 	}
@@ -178,6 +184,11 @@ type taskMsg struct {
 	Samples   int
 	GridRes   int
 	BlockGran int
+	// AAThreshold and AASamples are the tracer's adaptive antialiasing
+	// (trace.Options); they change pixels, so every render branch of the
+	// frame step and the master's quarantine render apply them.
+	AAThreshold float64
+	AASamples   int
 	// Threads bounds the worker's intra-frame tile pool; 0 lets the
 	// worker use all its cores. Pixels are thread-count-invariant, so
 	// this is purely a speed knob.
@@ -200,6 +211,21 @@ type taskMsg struct {
 // maxSinks bounds the sink list accepted off the wire.
 const maxSinks = 1024
 
+// maxAASamples bounds the per-pixel antialiasing sample count accepted
+// off the wire (the tracer's default is 8).
+const maxAASamples = 1024
+
+// validateAA bounds the antialiasing options, for the master's config
+// and the worker's task message alike. The range test is negated so
+// that NaN fails it too.
+func validateAA(threshold float64, samples int) error {
+	if !(threshold >= 0 && threshold <= 1) || samples < 0 || samples > maxAASamples {
+		return fmt.Errorf("farm: antialiasing threshold %v outside [0,1] or sample count %d outside [0,%d]",
+			threshold, samples, maxAASamples)
+	}
+	return nil
+}
+
 func encodeTask(t taskMsg) []byte {
 	b := msg.GetBuffer()
 	defer b.Release()
@@ -216,6 +242,8 @@ func encodeTask(t taskMsg) []byte {
 	b.PackInt(int64(t.Samples))
 	b.PackInt(int64(t.GridRes))
 	b.PackInt(int64(t.BlockGran))
+	b.PackFloat(t.AAThreshold)
+	b.PackInt(int64(t.AASamples))
 	b.PackInt(int64(t.Threads))
 	b.PackInt(int64(t.WireFlags))
 	b.PackInt(int64(t.JobStart))
@@ -247,6 +275,8 @@ func decodeTask(data []byte) (taskMsg, error) {
 	t.Samples = int(b.UnpackInt())
 	t.GridRes = int(b.UnpackInt())
 	t.BlockGran = int(b.UnpackInt())
+	t.AAThreshold = b.UnpackFloat()
+	t.AASamples = int(b.UnpackInt())
 	t.Threads = int(b.UnpackInt())
 	t.WireFlags = int(b.UnpackInt())
 	t.JobStart = int(b.UnpackInt())

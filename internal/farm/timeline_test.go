@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"nowrender/internal/cluster"
 	"nowrender/internal/fb"
 	"nowrender/internal/msg"
 	"nowrender/internal/partition"
@@ -203,5 +204,74 @@ func TestRenderLocalTimeline(t *testing.T) {
 	}
 	if back.Meta["scheme"] != tl.Meta["scheme"] {
 		t.Errorf("Chrome round trip lost meta: %q != %q", back.Meta["scheme"], tl.Meta["scheme"])
+	}
+}
+
+// TestRenderVirtualTimeline: on the virtual NOW the one master loop
+// records through the same calls as on the wall clock, but everything —
+// the master's dispatch, steal and result instants, each machine's frame
+// and send spans — is stamped on the virtual clock: inside
+// [0, Makespan], with the master's last instant (the final result
+// arriving) and the machines' last span (its send completing) both
+// exactly at the makespan, which no wall-clock stamp could hit.
+func TestRenderVirtualTimeline(t *testing.T) {
+	sc := farmScene(12)
+	machines := []cluster.Machine{
+		{Name: "fast", Speed: 8, MemoryMB: 64},
+		{Name: "slow", Speed: 1, MemoryMB: 64},
+	}
+	res, err := RenderVirtual(Config{
+		Scene: sc, W: fw, H: fh, Coherence: true, Machines: machines,
+		Scheme:   partition.SequenceDivision{Adaptive: true},
+		Timeline: timeline.New(0),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl := res.Timeline
+	if tl == nil {
+		t.Fatal("Result.Timeline is nil with a recorder configured")
+	}
+	if tl.Meta["clock"] != "virtual" {
+		t.Errorf("clock meta = %q, want virtual", tl.Meta["clock"])
+	}
+	ops := map[string]map[timeline.Op]int{}
+	last := map[string]int64{}
+	for _, td := range tl.Tracks {
+		group := td.Group()
+		if group != "master" {
+			group = "machines"
+		}
+		ops[td.Group()] = map[timeline.Op]int{}
+		for _, ev := range td.Events {
+			ops[td.Group()][ev.Op]++
+			if ev.Start < 0 || ev.End() > int64(res.Makespan) {
+				t.Errorf("%s %s event at [%d,%d] outside the virtual run [0,%d]", td.Name, ev.Op, ev.Start, ev.End(), res.Makespan)
+			}
+			if ev.End() > last[group] {
+				last[group] = ev.End()
+			}
+		}
+	}
+	for _, group := range []string{"master", "machines"} {
+		if last[group] != int64(res.Makespan) {
+			t.Errorf("last %s event ends at %v, want the makespan %v", group, time.Duration(last[group]), res.Makespan)
+		}
+	}
+	if ops["master"][timeline.OpDispatch] != res.TasksExecuted {
+		t.Errorf("%d dispatch instants for %d tasks", ops["master"][timeline.OpDispatch], res.TasksExecuted)
+	}
+	if res.Subdivisions == 0 || ops["master"][timeline.OpSteal] != res.Subdivisions {
+		t.Errorf("%d steal instants for %d subdivisions", ops["master"][timeline.OpSteal], res.Subdivisions)
+	}
+	frames := 0
+	for _, m := range machines {
+		if ops[m.Name][timeline.OpFrame] == 0 || ops[m.Name][timeline.OpFrame] != ops[m.Name][timeline.OpSend] {
+			t.Errorf("machine %s: %d frame spans, %d send spans", m.Name, ops[m.Name][timeline.OpFrame], ops[m.Name][timeline.OpSend])
+		}
+		frames += ops[m.Name][timeline.OpFrame]
+	}
+	if frames != sc.Frames {
+		t.Errorf("%d frame spans across machines, want %d", frames, sc.Frames)
 	}
 }

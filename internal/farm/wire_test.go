@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -59,7 +60,8 @@ func TestHelloRoundTrip(t *testing.T) {
 		"v1 hello, 2-byte name": v1Hello("ws", 0x3f),
 		"raw name bytes":        []byte("old-worker"),
 		"empty":                 nil,
-		"version 3":             versionHello("ws01", 3),
+		"version 2":             versionHello("ws01", 2),
+		"version 4":             versionHello("ws01", 4),
 		"version 0":             versionHello("ws01", 0),
 		"trailing field": func() []byte {
 			b := msg.NewBuffer()
@@ -76,8 +78,8 @@ func TestHelloRoundTrip(t *testing.T) {
 			t.Errorf("%s: error %q does not name %s", label, err, want)
 		}
 	}
-	if _, err := decodeHello(versionHello("ws01", 3)); !strings.Contains(err.Error(), "version 3") {
-		t.Errorf("version-3 refusal %q does not name the worker's version", err)
+	if _, err := decodeHello(versionHello("ws01", 2)); !strings.Contains(err.Error(), "version 2") {
+		t.Errorf("version-2 refusal %q does not name the worker's version", err)
 	}
 }
 
@@ -93,6 +95,7 @@ func TestTaskWireFlagsRoundTrip(t *testing.T) {
 	sharded.OSShards = 4
 	everything := dfb
 	everything.OSShards = 4
+	everything.AAThreshold, everything.AASamples = 0.1, 8
 	for _, tm := range []taskMsg{base, dfb, sharded, everything} {
 		for _, flags := range []int{0, capWireDelta, capWireSpanCodec, wireFlagsMask} {
 			tm.WireFlags = flags
@@ -126,6 +129,17 @@ func TestTaskWireFlagsRoundTrip(t *testing.T) {
 		bad.OSShards = n
 		if _, err := decodeTask(encodeTask(bad)); err == nil {
 			t.Errorf("object-space shard count %d decoded successfully", n)
+		}
+	}
+	// Antialiasing options outside the tracer's domain are rejected.
+	for _, aa := range []struct {
+		threshold float64
+		samples   int
+	}{{-0.1, 0}, {1.5, 0}, {math.NaN(), 0}, {math.Inf(1), 0}, {0.1, -1}, {0.1, maxAASamples + 1}} {
+		bad = base
+		bad.AAThreshold, bad.AASamples = aa.threshold, aa.samples
+		if _, err := decodeTask(encodeTask(bad)); err == nil {
+			t.Errorf("antialiasing (%v, %d) decoded successfully", aa.threshold, aa.samples)
 		}
 	}
 	// The layout is fixed: a message cut short or with bytes to spare is
@@ -564,7 +578,7 @@ func TestProtocolPinned(t *testing.T) {
 		name      string
 		got, want int
 	}{
-		{"protocol version", ProtocolVersion, 2},
+		{"protocol version", ProtocolVersion, 3},
 		{"delta flag", capWireDelta, 1 << 0},
 		{"timeline flag", capWireTimeline, 1 << 2},
 		{"span-codec flag", capWireSpanCodec, 1 << 4},

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"time"
 
+	"nowrender/internal/cluster"
 	"nowrender/internal/coherence"
 	"nowrender/internal/compositor"
 	"nowrender/internal/fb"
@@ -313,6 +314,137 @@ func runWorkerLoop(ctx context.Context, name string, conn msg.Conn, sc *scene.Sc
 	}
 }
 
+// frameStep is the worker-side state of one task and the one place a
+// farm frame is rendered and encoded: the coherence engine (or none),
+// the object-space counters, the task framebuffer and the result
+// encoder. The real worker loop (runTask) and the virtual link drive the
+// same step, each stamping its own clock between render and encode, so
+// an option that reaches pixels on one driver reaches them on both.
+type frameStep struct {
+	sc    *scene.Scene
+	tm    taskMsg
+	topts trace.Options
+	eng   *coherence.Engine
+	// osStats accumulates an object-space task's forwarding traffic and
+	// per-shard resident sizes; nil on the replicated path. osShipped is
+	// set once they have gone to the master.
+	osStats   *objspace.Stats
+	osShipped bool
+	buf       *fb.Framebuffer
+	enc       frameEncoder
+	// spans is the traced-pixel set of the frame render just produced
+	// (nil without coherence) — what a delta encoding ships.
+	spans []fb.Span
+	main  *timeline.Track
+	tiles []*timeline.Track
+}
+
+// newFrameStep builds the render state for a decoded task. main and
+// tiles receive the engine's change-detect and tile spans (nil = none).
+func newFrameStep(sc *scene.Scene, tm taskMsg, main *timeline.Track, tiles []*timeline.Track) (*frameStep, error) {
+	s := &frameStep{
+		sc: sc, tm: tm, main: main, tiles: tiles,
+		topts: trace.Options{
+			SamplesPerPixel: tm.Samples, GridRes: tm.GridRes,
+			AAThreshold: tm.AAThreshold, AASamples: tm.AASamples,
+		},
+		buf: fb.New(tm.W, tm.H),
+	}
+	if tm.OSShards >= 2 {
+		s.osStats = &objspace.Stats{}
+	}
+	if tm.Coherence {
+		copts := coherence.Options{
+			SamplesPerPixel:  tm.Samples,
+			GridRes:          tm.GridRes,
+			BlockGranularity: tm.BlockGran,
+			AAThreshold:      tm.AAThreshold,
+			AASamples:        tm.AASamples,
+			Threads:          tm.Threads,
+			TimelineTrack:    main,
+			TileTracks:       tiles,
+		}
+		if s.osStats != nil {
+			copts.ObjSpaceShards = tm.OSShards
+			copts.ObjSpaceStats = s.osStats
+		}
+		t := tm.Task
+		eng, err := coherence.NewEngine(sc, tm.W, tm.H, t.Region, t.StartFrame, t.EndFrame, copts)
+		if err != nil {
+			return nil, err
+		}
+		s.eng = eng
+	}
+	return s, nil
+}
+
+// render traces frame f of the task's region into the task framebuffer.
+// It returns the result header — counters filled, pixels not yet
+// encoded, ElapsedNs left for the caller's clock — and the work
+// quantities the virtual NOW's cost model charges for the frame.
+func (s *frameStep) render(f int) (frameDoneMsg, cluster.Work, error) {
+	t := s.tm.Task
+	fd := frameDoneMsg{TaskID: t.ID, Frame: f, Region: t.Region, Rendered: t.Region.Area()}
+	s.spans = nil
+	if s.eng != nil {
+		rep, err := s.eng.RenderFrame(f, s.buf)
+		if err != nil {
+			return fd, cluster.Work{}, err
+		}
+		fd.Rendered = rep.Rendered
+		fd.Copied = rep.Copied
+		fd.Regs = rep.Registrations
+		fd.Rays = rep.Rays
+		s.spans = s.eng.LastSpans()
+		return fd, cluster.Work{
+			Rays:          rep.Rays.Total(),
+			Registrations: rep.Registrations,
+			CopiedPixels:  uint64(rep.Copied),
+			ChangeVoxels:  uint64(rep.ChangeVoxels),
+			MemoryMB:      t.MemoryMB(),
+		}, nil
+	}
+	if s.osStats != nil {
+		fwd0 := s.osStats.RaysForwarded()
+		cl, err := objspace.Build(s.sc, f, s.topts, objspace.Options{Shards: s.tm.OSShards, Stats: s.osStats})
+		if err != nil {
+			return fd, cluster.Work{}, err
+		}
+		ft := cl.Tracer()
+		ft.RenderRegionParallelWorkers(s.buf, t.Region, s.tm.Threads, f, s.tiles, cl.NewWorker)
+		fd.Rays = ft.Counters
+		s.main.Instant(timeline.OpForward, f, int64(s.osStats.RaysForwarded()-fwd0))
+	} else {
+		ft, err := trace.New(s.sc, f, s.topts)
+		if err != nil {
+			return fd, cluster.Work{}, err
+		}
+		ft.RenderRegionParallelTimed(s.buf, t.Region, s.tm.Threads, f, s.tiles)
+		fd.Rays = ft.Counters
+	}
+	return fd, cluster.Work{Rays: fd.Rays.Total(), MemoryMB: t.PlainMemoryMB()}, nil
+}
+
+// encode seals fd's pixels for the wire. first forces a key-frame (see
+// runTask for when).
+func (s *frameStep) encode(fd *frameDoneMsg, first bool) []byte {
+	return s.enc.Encode(fd, s.buf, s.tm.WireFlags, s.spans, first)
+}
+
+// takeOSStats returns an object-space task's sealed TagOSStats payload,
+// once: nil on the replicated path and on every later call. A worker
+// ships it ahead of the result of the task's last frame — the counters
+// are final by then, and on the ordered link they are in before the
+// master can see the run complete — or, when a truncate ends the task
+// between frames, ahead of its TagTaskDone.
+func (s *frameStep) takeOSStats() []byte {
+	if s.osStats == nil || s.osShipped {
+		return nil
+	}
+	s.osShipped = true
+	return msg.Seal(objspace.EncodeStats(s.osStats.Snapshot()))
+}
+
 // runTask renders one task frame-by-frame, honouring truncation and
 // graceful shutdown between frames.
 func runTask(ctx context.Context, name string, ac *asyncConn, sc *scene.Scene, tm taskMsg, wt *workerTimeline, sinks *sinkLinks) error {
@@ -322,37 +454,17 @@ func runTask(ctx context.Context, name string, ac *asyncConn, sc *scene.Scene, t
 	// sink owning each frame's shard; the master only gets small acks.
 	dfb := len(tm.Sinks) > 0
 	shard := partition.ShardMap{Start: tm.JobStart, End: tm.JobEnd, N: len(tm.Sinks)}
-	// An object-space task renders every frame through a sharded scene
-	// partition instead of a replicated grid; osStats accumulates the
-	// task's forwarding traffic and per-shard resident sizes, shipped to
-	// the master just before TagTaskDone. Pixels are byte-identical to
-	// the replicated path.
-	var osStats *objspace.Stats
-	if tm.OSShards >= 2 {
-		osStats = &objspace.Stats{}
+	step, err := newFrameStep(sc, tm, wt.main, wt.tiles)
+	if err != nil {
+		return err
 	}
-	var eng *coherence.Engine
-	if tm.Coherence {
-		copts := coherence.Options{
-			SamplesPerPixel:  tm.Samples,
-			GridRes:          tm.GridRes,
-			BlockGranularity: tm.BlockGran,
-			Threads:          tm.Threads,
-			TimelineTrack:    wt.main,
-			TileTracks:       wt.tiles,
+	shipOSStats := func() error {
+		data := step.takeOSStats()
+		if data == nil {
+			return nil
 		}
-		if osStats != nil {
-			copts.ObjSpaceShards = tm.OSShards
-			copts.ObjSpaceStats = osStats
-		}
-		var err error
-		eng, err = coherence.NewEngine(sc, tm.W, tm.H, t.Region, t.StartFrame, t.EndFrame, copts)
-		if err != nil {
-			return err
-		}
+		return ac.Send(msg.Message{Tag: TagOSStats, From: name, Data: data})
 	}
-	buf := fb.New(tm.W, tm.H)
-	var enc frameEncoder
 	f := t.StartFrame
 	for f < end {
 		// Graceful shutdown: the in-flight frame was already shipped, so
@@ -408,41 +520,17 @@ func runTask(ctx context.Context, name string, ac *asyncConn, sc *scene.Scene, t
 
 		started := time.Now()
 		renderStart := wt.main.Begin()
-		fd := frameDoneMsg{TaskID: t.ID, Frame: f, Region: t.Region}
-		var spans []fb.Span
-		if eng != nil {
-			rep, err := eng.RenderFrame(f, buf)
-			if err != nil {
-				return err
-			}
-			fd.Rendered = rep.Rendered
-			fd.Copied = rep.Copied
-			fd.Regs = rep.Registrations
-			fd.Rays = rep.Rays
-			spans = eng.LastSpans()
-		} else if osStats != nil {
-			fwd0 := osStats.RaysForwarded()
-			cl, err := objspace.Build(sc, f, trace.Options{SamplesPerPixel: tm.Samples, GridRes: tm.GridRes},
-				objspace.Options{Shards: tm.OSShards, Stats: osStats})
-			if err != nil {
-				return err
-			}
-			ft := cl.Tracer()
-			ft.RenderRegionParallelWorkers(buf, t.Region, tm.Threads, f, wt.tiles, cl.NewWorker)
-			fd.Rendered = t.Region.Area()
-			fd.Rays = ft.Counters
-			wt.main.Instant(timeline.OpForward, f, int64(osStats.RaysForwarded()-fwd0))
-		} else {
-			ft, err := trace.New(sc, f, trace.Options{SamplesPerPixel: tm.Samples, GridRes: tm.GridRes})
-			if err != nil {
-				return err
-			}
-			ft.RenderRegionParallelTimed(buf, t.Region, tm.Threads, f, wt.tiles)
-			fd.Rendered = t.Region.Area()
-			fd.Rays = ft.Counters
+		fd, _, err := step.render(f)
+		if err != nil {
+			return err
 		}
 		fd.ElapsedNs = time.Since(started).Nanoseconds()
 		wt.main.EndArg(timeline.OpFrame, f, renderStart, int64(fd.Rendered))
+		if f+1 >= end {
+			if err := shipOSStats(); err != nil {
+				return err
+			}
+		}
 		// Piggyback everything recorded so far onto this result. Encode
 		// and send spans of frame f therefore ship with frame f+1 (or not
 		// at all for the last frame) — see workerTimeline.drainTo. Under
@@ -470,7 +558,7 @@ func runTask(ctx context.Context, name string, ac *asyncConn, sc *scene.Scene, t
 			}
 		}
 		encStart := wt.main.Begin()
-		data := enc.Encode(&fd, buf, tm.WireFlags, spans, first)
+		data := step.encode(&fd, first)
 		// The encode span's arg carries the message size shifted past the
 		// payload encoding (arg>>2 = bytes, arg&3 = wire.Enc*), so timeline
 		// consumers can see when the span codec fell back to raw.
@@ -482,7 +570,7 @@ func runTask(ctx context.Context, name string, ac *asyncConn, sc *scene.Scene, t
 				// One redial: the sink may have restarted, in which case it
 				// lost our delta base — re-encode as a key-frame.
 				if lk, _ = sinks.get(tm.Sinks[si]); lk != nil {
-					data = enc.Encode(&fd, buf, tm.WireFlags, spans, true)
+					data = step.encode(&fd, true)
 					if err := lk.conn.Send(msg.Message{Tag: compositor.TagPix, From: name, Data: data}); err != nil {
 						lk.dead.Store(true)
 						lk = nil
@@ -515,11 +603,8 @@ func runTask(ctx context.Context, name string, ac *asyncConn, sc *scene.Scene, t
 		wt.main.End(timeline.OpSend, f, sendStart)
 		f++
 	}
-	if osStats != nil {
-		data := msg.Seal(objspace.EncodeStats(osStats.Snapshot()))
-		if err := ac.Send(msg.Message{Tag: TagOSStats, From: name, Data: data}); err != nil {
-			return err
-		}
+	if err := shipOSStats(); err != nil {
+		return err
 	}
 	return ac.Send(msg.Message{Tag: TagTaskDone, From: name, Data: encodePair(t.ID, end)})
 }

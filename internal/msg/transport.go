@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sort"
 	"sync"
 )
 
@@ -320,7 +321,8 @@ func (h *Hub) Detach(name string) {
 	}
 }
 
-// Names returns the attached slave names.
+// Names returns the attached slave names, sorted, so a master that
+// walks them makes the same choices on every run.
 func (h *Hub) Names() []string {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -328,6 +330,7 @@ func (h *Hub) Names() []string {
 	for n := range h.conns {
 		out = append(out, n)
 	}
+	sort.Strings(out)
 	return out
 }
 

@@ -122,8 +122,7 @@ type Config struct {
 	// that many in-process compositor sinks (the distributed framebuffer)
 	// instead of the master — the master then sees only control acks and
 	// confirmations on its result path. Frames are byte-identical either
-	// way; the virtual driver models the same routing in its byte
-	// accounting.
+	// way. The virtual driver is master-routed and ignores it.
 	DFBSinks int
 	// Timeline records every farm run into a per-job cluster timeline
 	// (master scheduling events plus offset-corrected worker spans, plus

@@ -217,6 +217,8 @@ const DefaultTrackCap = 1 << 13
 type Recorder struct {
 	epoch    time.Time
 	trackCap int
+	// clock, when set, replaces the wall clock (see SetClock).
+	clock func() int64
 
 	mu     sync.Mutex
 	tracks []*Track
@@ -236,11 +238,26 @@ func New(capPerTrack int) *Recorder {
 	}
 }
 
+// SetClock makes the recorder read time from now (nanoseconds) instead
+// of the wall clock, so code instrumented with Begin/End/Instant stamps
+// its events on a simulated clock unchanged. The farm's virtual driver
+// is the one caller: its master loop is the real one, running on the
+// virtual NOW's clock. Call it before any track records. No-op on the
+// disabled recorder.
+func (r *Recorder) SetClock(now func() int64) {
+	if r != nil {
+		r.clock = now
+	}
+}
+
 // Now returns the recorder clock in nanoseconds since its epoch (0 on
 // the disabled recorder).
 func (r *Recorder) Now() int64 {
 	if r == nil {
 		return 0
+	}
+	if r.clock != nil {
+		return r.clock()
 	}
 	return int64(time.Since(r.epoch))
 }
@@ -310,8 +327,9 @@ func (t *Track) EndArg(op Op, frame int, start, arg int64) {
 	t.append(Event{Start: start, Dur: t.rec.Now() - start, Op: op, Frame: int32(frame), Arg: arg})
 }
 
-// Span appends a span with explicit timestamps — the virtual driver's
-// path, where time is the cluster model's, not the wall clock's.
+// Span appends a span with explicit timestamps — for events whose times
+// the caller already holds: the virtual NOW's per-machine clocks, the
+// service's queue-wait intervals.
 func (t *Track) Span(op Op, frame int, start, end, arg int64) {
 	if t == nil {
 		return
