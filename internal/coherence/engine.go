@@ -3,11 +3,18 @@
 //
 // While a frame is rendered, every ray spawned for a pixel — camera,
 // reflected, refracted and shadow rays — is walked through a voxel grid
-// over object space (3D-DDA) and the pixel is registered on the pixel
-// list of every voxel the ray traverses. Between frame f and f+1 the
-// engine finds the voxels in which change occurs (objects moving in or
-// out) and marks every pixel registered on those voxels for
-// recomputation; all other pixels are copied from the previous frame.
+// over object space (3D-DDA) and the pixel is registered on every voxel
+// the ray traverses. Between frame f and f+1 the engine finds the voxels
+// in which change occurs (objects moving in or out) and marks every
+// pixel registered on those voxels for recomputation; all other pixels
+// are copied from the previous frame.
+//
+// The pixel-voxel relation is stored pixel-major: each pixel owns one
+// contiguous run of voxel indices in its tile worker's arena (see
+// regCollector). Re-tracing a pixel points it at a new run, so a stale
+// registration cannot exist and nothing is ever invalidated; change
+// detection marks changed voxels in a bitset and scans the runs for
+// them.
 //
 // Unlike Jevans' object-based temporal coherence, granularity is a single
 // pixel (an NxN block mode is provided as the Jevans-style baseline for
@@ -22,7 +29,7 @@
 // pool of Options.Threads goroutines (default runtime.NumCPU()). Each
 // tile worker owns a trace.Worker plus a registration collector, so no
 // lock is taken on the hot path; per-tile results — pixels, ray
-// counters, voxel registrations — are merged deterministically at the
+// counters, registration counts — are merged deterministically at the
 // frame barrier. Output bytes and all reported counts are identical for
 // every thread count, which is what lets the farm treat Threads as a
 // pure speed knob (and the service cache key ignore it).
@@ -58,10 +65,6 @@ type Options struct {
 	// extra samples are deterministic per pixel.
 	AAThreshold float64
 	AASamples   int
-	// CompactEvery triggers a full compaction of stale registrations
-	// every N rendered frames, bounding memory growth on long
-	// animations. 0 selects the default of 16; negative disables.
-	CompactEvery int
 	// Threads bounds the intra-frame tile pool RenderFrame fans out to.
 	// 0 selects runtime.NumCPU(); 1 renders on the calling goroutine.
 	// Output is byte-identical for every value.
@@ -69,10 +72,9 @@ type Options struct {
 	// ObjSpaceShards, when >= 2, renders every frame through an
 	// object-space partition (internal/objspace): the frame's scene is
 	// split into that many spatial shards and rays are forwarded between
-	// shard owners instead of intersecting a replicated grid. The
-	// engine's registration lists are sharded along the same partition
-	// (see markChanges). Output is byte-identical to the replicated
-	// path — the partition changes who intersects a ray, never the hit.
+	// shard owners instead of intersecting a replicated grid. Output is
+	// byte-identical to the replicated path — the partition changes who
+	// intersects a ray, never the hit.
 	ObjSpaceShards int
 	// ObjSpaceStats, when non-nil with ObjSpaceShards >= 2, accumulates
 	// forwarding counters and resident sizes across the sequence; nil
@@ -93,13 +95,12 @@ type Options struct {
 	TileTracks    []*timeline.Track
 }
 
-// registration is one (pixel, frame) entry on a voxel's pixel list. The
-// entry is valid only while the pixel has not been re-rendered since
-// `frame` — re-rendering re-registers the pixel's rays, so older entries
-// are lazily discarded when touched.
-type registration struct {
-	pixel int32
-	frame int32
+// pixelRun locates a pixel's registrations: the voxels its rays
+// traversed when it was last traced are arena[off:off+n] of collector
+// slot, each voxel once.
+type pixelRun struct {
+	off     int
+	n, slot int32
 }
 
 // Engine renders a region of an animation sequence exploiting frame
@@ -116,12 +117,14 @@ type Engine struct {
 	end    int // exclusive
 	opts   Options
 
-	grid        *grid.Grid
-	voxelPixels [][]registration
-	// pixelStamp[p] is the frame at which region-local pixel p was last
-	// actually traced; registrations from older frames are stale. Tile
+	grid *grid.Grid
+	// runs[p] is region-local pixel p's current registration run. Tile
 	// workers write disjoint entries (each pixel belongs to one tile).
-	pixelStamp []int32
+	runs []pixelRun
+	// live is the sum of n over runs (see RegistrationCount).
+	live int
+	// changed is change detection's per-frame set of changed voxels.
+	changed *bitset.Bitset
 
 	prev      *fb.Framebuffer
 	nextFrame int
@@ -134,16 +137,13 @@ type Engine struct {
 	// each frame; see LastSpans).
 	lastSpans []fb.Span
 
-	// collectors are the per-tile-worker registration buffers, reused
-	// across frames (index = worker slot).
+	// collectors hold the per-tile-worker registration arenas (index =
+	// worker slot).
 	collectors []*regCollector
 
 	// objStats accumulates object-space forwarding counters when
-	// Options.ObjSpaceShards >= 2 (nil otherwise); regShard maps each
-	// registration-grid voxel to the shard owning its slab, so
-	// registration lists are partitioned exactly like the geometry.
+	// Options.ObjSpaceShards >= 2 (nil otherwise).
 	objStats *objspace.Stats
-	regShard []uint8
 }
 
 // NewEngine prepares a coherence engine for frames [start, end) of the
@@ -188,14 +188,11 @@ func NewEngine(sc *scene.Scene, w, h int, region fb.Rect, start, end int, opts O
 	e := &Engine{
 		sc: sc, W: w, H: h, Region: region,
 		start: start, end: end, opts: opts,
-		grid:        g,
-		voxelPixels: make([][]registration, g.NumVoxels()),
-		pixelStamp:  make([]int32, region.Area()),
-		nextFrame:   start,
-		dirty:       bitset.New(region.Area()),
-	}
-	for i := range e.pixelStamp {
-		e.pixelStamp[i] = -1
+		grid:      g,
+		runs:      make([]pixelRun, region.Area()),
+		changed:   bitset.New(g.NumVoxels()),
+		nextFrame: start,
+		dirty:     bitset.New(region.Area()),
 	}
 	// Everything is dirty for the first frame.
 	e.dirty.SetAll()
@@ -208,27 +205,6 @@ func NewEngine(sc *scene.Scene, w, h int, region fb.Rect, start, end int, opts O
 		if e.objStats == nil {
 			e.objStats = &objspace.Stats{}
 		}
-		// Shard the registration lists along the same mass-balanced slab
-		// scheme the tracer uses, computed once over the sequence-wide
-		// registration grid (first-frame geometry picks the axis and
-		// cuts). Each registration voxel — and so each pixel list —
-		// belongs to exactly one shard; change detection visits them
-		// shard by shard (see markChanges). Sharding changes only that
-		// visiting order, never which pixels get dirtied.
-		part := objspace.MakePartition(g, opts.ObjSpaceShards, sc.ResolveFrame(start))
-		e.regShard = make([]uint8, g.NumVoxels())
-		for idx := range e.regShard {
-			ix, iy, iz := g.Coords(idx)
-			v := [3]int{ix, iy, iz}[part.Axis]
-			s := len(part.Slabs) - 1
-			for i, slab := range part.Slabs {
-				if v < slab[1] {
-					s = i
-					break
-				}
-			}
-			e.regShard[idx] = uint8(s)
-		}
 	}
 	return e, nil
 }
@@ -236,15 +212,6 @@ func NewEngine(sc *scene.Scene, w, h int, region fb.Rect, start, end int, opts O
 // ObjSpaceStats returns the engine's object-space counters, or nil when
 // Options.ObjSpaceShards is off.
 func (e *Engine) ObjSpaceStats() *objspace.Stats { return e.objStats }
-
-// RegistrationShard returns the shard owning registration voxel idx
-// (tests inspect the partition; -1 when sharding is off).
-func (e *Engine) RegistrationShard(idx int) int {
-	if e.regShard == nil {
-		return -1
-	}
-	return int(e.regShard[idx])
-}
 
 // registrationResolution picks the default registration-grid density:
 // finer than the intersection-acceleration heuristic, because voxel size
@@ -426,17 +393,6 @@ func (e *Engine) RenderFrame(frame int, dst *fb.Framebuffer) (FrameReport, error
 		e.prev.CopyRect(dst, e.Region)
 	}
 	e.nextFrame++
-
-	// Periodic compaction bounds registration memory on long sequences
-	// (the paper: memory proportional to image area — stale entries must
-	// not accumulate per frame).
-	ce := e.opts.CompactEvery
-	if ce == 0 {
-		ce = 16
-	}
-	if ce > 0 && (e.nextFrame-e.start)%ce == 0 {
-		e.Compact()
-	}
 	return rep, nil
 }
 
@@ -466,31 +422,7 @@ func (e *Engine) dilateToBlocks(n int) {
 // RegistrationCount returns the total number of live voxel-pixel
 // registrations (memory accounting; the paper notes memory requirements
 // are proportional to image area).
-func (e *Engine) RegistrationCount() int {
-	n := 0
-	for _, regs := range e.voxelPixels {
-		for _, reg := range regs {
-			if e.pixelStamp[reg.pixel] == reg.frame {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// Compact drops all stale registrations, trimming memory between
-// sequences.
-func (e *Engine) Compact() {
-	for i, regs := range e.voxelPixels {
-		kept := regs[:0]
-		for _, reg := range regs {
-			if e.pixelStamp[reg.pixel] == reg.frame {
-				kept = append(kept, reg)
-			}
-		}
-		e.voxelPixels[i] = kept
-	}
-}
+func (e *Engine) RegistrationCount() int { return e.live }
 
 // RenderSequence is a single-processor convenience driver: it renders
 // the engine's whole frame range, invoking emit for each finished frame,

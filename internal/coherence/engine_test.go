@@ -110,9 +110,11 @@ func TestFirstFrameRendersEverything(t *testing.T) {
 }
 
 // The paper's central correctness claim: coherence must not change the
-// image. Render the whole animation both ways and compare pixels.
+// image. Render the whole animation both ways and compare pixels — over
+// enough frames that the registration arenas are rewritten several
+// times, which must not change the image either.
 func TestCoherentRenderPixelIdentical(t *testing.T) {
-	const frames = 6
+	const frames = 30
 	s := movingScene(frames)
 	full := fb.NewRect(0, 0, tw, th)
 
@@ -132,6 +134,7 @@ func TestCoherentRenderPixelIdentical(t *testing.T) {
 	}
 	savedRendered := 0
 	frameIdx := 0
+	rewrites, stored := 0, 0
 	_, err = e.RenderSequence(func(f int, img *fb.Framebuffer, rep FrameReport) error {
 		if !img.Equal(fullFrames[frameIdx]) {
 			t.Errorf("frame %d: coherent render differs from full render in %d pixels",
@@ -139,10 +142,18 @@ func TestCoherentRenderPixelIdentical(t *testing.T) {
 		}
 		savedRendered += rep.Rendered
 		frameIdx++
+		n := arenaEntries(e)
+		if n < stored {
+			rewrites++
+		}
+		stored = n
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rewrites < 2 {
+		t.Errorf("only %d arena rewrites in %d frames; the test must span several", rewrites, frames)
 	}
 	// And coherence must actually save work on this scene.
 	if savedRendered >= frames*tw*th {
@@ -333,33 +344,63 @@ func TestBlockGranularityDilates(t *testing.T) {
 	}
 }
 
+// arenaEntries is the storage the engine holds for registrations, live
+// and superseded, in voxel indices.
+func arenaEntries(e *Engine) int {
+	total := 0
+	for _, c := range e.collectors {
+		total += len(c.arena)
+	}
+	return total
+}
+
+// checkRuns fails unless the pixels' runs are exactly the live
+// registrations: they sum to RegistrationCount, stay inside their arena
+// and name each voxel once.
+func checkRuns(t *testing.T, e *Engine) {
+	t.Helper()
+	sum := 0
+	seen := make(map[int32]bool)
+	for p, run := range e.runs {
+		sum += int(run.n)
+		clear(seen)
+		for _, v := range e.voxels(run) {
+			if seen[v] {
+				t.Fatalf("pixel %d registered twice on voxel %d", p, v)
+			}
+			seen[v] = true
+		}
+	}
+	if sum != e.RegistrationCount() {
+		t.Fatalf("runs hold %d registrations, RegistrationCount says %d", sum, e.RegistrationCount())
+	}
+}
+
 func TestRegistrationAccounting(t *testing.T) {
 	s := movingScene(4)
 	e, _ := NewEngine(s, tw, th, fb.NewRect(0, 0, tw, th), 0, 4, Options{})
 	img := fb.New(tw, th)
-	if _, err := e.RenderFrame(0, img); err != nil {
+	rep0, err := e.RenderFrame(0, img)
+	if err != nil {
 		t.Fatal(err)
 	}
+	// Nothing is superseded yet: storage, the report and the live count
+	// agree.
 	n0 := e.RegistrationCount()
-	if n0 == 0 {
-		t.Fatal("no registrations after first frame")
+	if n0 == 0 || uint64(n0) != rep0.Registrations || arenaEntries(e) != n0 {
+		t.Fatalf("after the first frame: live %d, reported %d, stored %d", n0, rep0.Registrations, arenaEntries(e))
 	}
-	if _, err := e.RenderFrame(1, img); err != nil {
+	checkRuns(t, e)
+	rep1, err := e.RenderFrame(1, img)
+	if err != nil {
 		t.Fatal(err)
 	}
-	e.Compact()
+	// Re-traced pixels swap their old registrations for new ones.
 	n1 := e.RegistrationCount()
-	if n1 == 0 {
-		t.Error("compaction dropped all registrations")
+	if n1 == 0 || n1 >= n0+int(rep1.Registrations) {
+		t.Errorf("live %d after re-tracing %d pixels (+%d registrations) on top of %d", n1, rep1.Rendered, rep1.Registrations, n0)
 	}
-	// After compaction every stored registration is valid.
-	total := 0
-	for idx := 0; idx < e.Grid().NumVoxels(); idx++ {
-		total += len(e.voxelPixels[idx])
-	}
-	if total != n1 {
-		t.Errorf("compacted lists hold %d entries, %d valid", total, n1)
-	}
+	checkRuns(t, e)
 }
 
 func TestDisableShadowRegistrationIsCheaperButRegistersLess(t *testing.T) {
@@ -446,64 +487,36 @@ func TestCoherentRenderPixelIdenticalWithAA(t *testing.T) {
 	}
 }
 
-// Long animations must not accumulate stale registrations without
-// bound: after periodic compaction the live set stays near the
-// steady-state size.
+// Long animations must not accumulate superseded registrations: after
+// every frame the arenas hold at most twice the live entries plus the
+// slack, whatever the thread count, and the runs stay consistent across
+// the rewrites that keep it so.
 func TestRegistrationMemoryBounded(t *testing.T) {
-	const frames = 40
+	const frames = 64
 	s := movingScene(frames)
-	e, err := NewEngine(s, tw, th, fb.NewRect(0, 0, tw, th), 0, frames,
-		Options{CompactEvery: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := fb.New(tw, th)
-	var sizes []int
-	for f := 0; f < frames; f++ {
-		if _, err := e.RenderFrame(f, img); err != nil {
-			t.Fatal(err)
-		}
-		total := 0
-		for idx := 0; idx < e.Grid().NumVoxels(); idx++ {
-			total += len(e.voxelPixels[idx])
-		}
-		sizes = append(sizes, total)
-	}
-	// The stored entry count late in the animation must stay within a
-	// small factor of the early steady state, not grow linearly.
-	early := sizes[9]
-	late := sizes[frames-1]
-	if late > early*3 {
-		t.Errorf("registration storage grew from %d (frame 9) to %d (frame %d)",
-			early, late, frames-1)
-	}
-}
-
-// Compaction must not change rendering results.
-func TestCompactionPreservesCorrectness(t *testing.T) {
-	const frames = 12
-	s := movingScene(frames)
-	render := func(compactEvery int) []*fb.Framebuffer {
-		e, err := NewEngine(s, tw, th, fb.NewRect(0, 0, tw, th), 0, frames,
-			Options{CompactEvery: compactEvery})
+	for _, threads := range []int{1, 8} {
+		e, err := NewEngine(s, tw, th, fb.NewRect(0, 0, tw, th), 0, frames, Options{Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out []*fb.Framebuffer
+		img := fb.New(tw, th)
+		rewrites, prev := 0, 0
 		for f := 0; f < frames; f++ {
-			img := fb.New(tw, th)
 			if _, err := e.RenderFrame(f, img); err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, img)
+			stored := arenaEntries(e)
+			if limit := 2*e.RegistrationCount() + arenaSlack; stored > limit {
+				t.Fatalf("threads %d frame %d: %d entries stored, limit %d", threads, f, stored, limit)
+			}
+			if stored < prev {
+				rewrites++
+			}
+			prev = stored
+			checkRuns(t, e)
 		}
-		return out
-	}
-	aggressive := render(2)
-	disabled := render(-1)
-	for f := range aggressive {
-		if !aggressive[f].Equal(disabled[f]) {
-			t.Errorf("frame %d differs between compaction policies", f)
+		if rewrites == 0 {
+			t.Errorf("threads %d: arenas never rewritten in %d frames", threads, frames)
 		}
 	}
 }

@@ -69,63 +69,6 @@ func TestObjSpaceByteIdentity(t *testing.T) {
 	}
 }
 
-// TestObjSpaceRegistrationSharding checks the registration-grid shard map
-// is a contiguous slab partition covering every voxel.
-func TestObjSpaceRegistrationSharding(t *testing.T) {
-	const shards = 3
-	s := movingScene(4)
-	full := fb.NewRect(0, 0, tw, th)
-	e, err := NewEngine(s, tw, th, full, 0, 4, Options{ObjSpaceShards: shards})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := e.Grid()
-	seen := make(map[int]bool)
-	for idx := 0; idx < g.NumVoxels(); idx++ {
-		sh := e.RegistrationShard(idx)
-		if sh < 0 || sh >= shards {
-			t.Fatalf("voxel %d: shard %d outside [0,%d)", idx, sh, shards)
-		}
-		seen[sh] = true
-	}
-	if len(seen) != shards {
-		t.Fatalf("only %d of %d shards own registration voxels", len(seen), shards)
-	}
-	// Slab structure: along some axis the shard must be a function of
-	// that coordinate alone, non-decreasing.
-	nx, ny, nz := g.Dims()
-	dims := [3]int{nx, ny, nz}
-	slabAxis := -1
-axes:
-	for a := 0; a < 3; a++ {
-		byCoord := make(map[int]int)
-		for idx := 0; idx < g.NumVoxels(); idx++ {
-			ix, iy, iz := g.Coords(idx)
-			v := [3]int{ix, iy, iz}[a]
-			sh := e.RegistrationShard(idx)
-			if prev, ok := byCoord[v]; ok && prev != sh {
-				continue axes
-			}
-			byCoord[v] = sh
-		}
-		prev := 0
-		for v := 0; v < dims[a]; v++ {
-			if byCoord[v] < prev {
-				continue axes
-			}
-			prev = byCoord[v]
-		}
-		slabAxis = a
-		break
-	}
-	if slabAxis < 0 {
-		t.Fatal("registration shard map is not a slab partition along any axis")
-	}
-	if e.RegistrationShard(0) != 0 {
-		t.Errorf("first voxel not in shard 0")
-	}
-}
-
 func TestObjSpaceRejectsBadShardCounts(t *testing.T) {
 	s := staticScene(2)
 	full := fb.NewRect(0, 0, tw, th)

@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -21,78 +20,105 @@ func (e *Engine) threads() int {
 	return runtime.NumCPU()
 }
 
-// voxelReg is one buffered registration: pixel curPixel touched voxel
-// `voxel` during the current frame. Buffers are committed to the shared
-// voxelPixels lists at the frame barrier.
-type voxelReg struct {
-	voxel int32
-	pixel int32
-}
-
-// regCollector implements trace.RayObserver for one tile worker. It
-// buffers the worker's registrations locally so the render hot path
-// never takes a lock; dedup state (one entry per pixel per voxel per
-// frame, exactly matching the serial engine's last-entry check, since a
-// pixel's rays are consecutive and each pixel belongs to one worker)
-// rides along in lastPixel/lastFrame.
+// regCollector implements trace.RayObserver for one tile worker and owns
+// the registrations of every pixel that worker traced last. Each pixel's
+// run is written straight onto the arena's tail while the pixel is
+// traced, so the render hot path takes no lock and nothing is merged or
+// committed afterwards; runs superseded by a re-trace are left behind as
+// garbage until compactArenas drops them.
 type regCollector struct {
-	e        *Engine
-	frame    int32
-	curPixel int32
-	// lastPixel/lastFrame[idx] record the latest (pixel, frame) this
-	// collector registered on voxel idx, for O(1) dedup.
-	lastPixel []int32
-	lastFrame []int32
-	buf       []voxelReg
+	e     *Engine
+	slot  int32
+	arena []int32
+	// spare is the buffer compactArenas rewrites into; the two swap, so
+	// the steady state allocates nothing.
+	spare []int32
+	// last[v] is the serial of the pixel that last registered voxel v:
+	// one entry per pixel per voxel, however many of its rays cross v.
+	last   []uint32
+	serial uint32
+	// mark is the arena length when the frame began; replaced counts the
+	// registrations of the runs this frame's re-traces superseded.
+	mark, replaced int
 }
 
 // ensureCollectors grows the reusable collector pool to n workers.
 func (e *Engine) ensureCollectors(n int) {
 	for len(e.collectors) < n {
-		nv := e.grid.NumVoxels()
-		c := &regCollector{
-			e:         e,
-			lastPixel: make([]int32, nv),
-			lastFrame: make([]int32, nv),
-		}
-		for i := range c.lastFrame {
-			c.lastFrame[i] = -1
-		}
-		e.collectors = append(e.collectors, c)
+		e.collectors = append(e.collectors, &regCollector{
+			e:    e,
+			slot: int32(len(e.collectors)),
+			last: make([]uint32, e.grid.NumVoxels()),
+		})
 	}
 }
 
-// beginFrame resets the collector for a new frame. Dedup state needs no
-// clearing: stale entries carry an older frame number and never match.
-func (c *regCollector) beginFrame(frame int32) {
-	c.frame = frame
-	c.buf = c.buf[:0]
+// beginPixel starts the run of the next traced pixel and returns its
+// arena offset. Serials are never reused: when the counter wraps, last
+// is wiped.
+func (c *regCollector) beginPixel() int {
+	c.serial++
+	if c.serial == 0 {
+		clear(c.last)
+		c.serial = 1
+	}
+	return len(c.arena)
 }
 
-// ObserveRay implements trace.RayObserver: buffer a registration of the
-// current pixel on every voxel the ray traverses up to its hit (or
-// through the whole grid for escaping rays).
+// ObserveRay implements trace.RayObserver: register the current pixel on
+// every voxel the ray traverses up to its hit (or through the whole grid
+// for escaping rays) that none of the pixel's earlier rays crossed.
 func (c *regCollector) ObserveRay(r vm.Ray, tHit float64) {
 	if r.Kind == vm.ShadowRay && c.e.opts.DisableShadowRegistration {
 		return
 	}
-	p := c.curPixel
-	c.e.grid.Walk(r, 0, tHit, func(idx int, _, _ float64) bool {
-		if c.lastPixel[idx] == p && c.lastFrame[idx] == c.frame {
-			return true
+	n := len(c.arena)
+	c.arena = c.e.grid.AppendVoxels(c.arena, r, 0, tHit)
+	for _, v := range c.arena[n:] {
+		if c.last[v] != c.serial {
+			c.last[v] = c.serial
+			c.arena[n] = v
+			n++
 		}
-		c.lastPixel[idx] = p
-		c.lastFrame[idx] = c.frame
-		c.buf = append(c.buf, voxelReg{voxel: int32(idx), pixel: p})
-		return true
-	})
+	}
+	c.arena = c.arena[:n]
 }
 
-// commit appends the buffered registrations to the engine's shared
-// per-voxel lists. Called serially at the frame barrier.
-func (c *regCollector) commit() {
-	for _, vr := range c.buf {
-		c.e.voxelPixels[vr.voxel] = append(c.e.voxelPixels[vr.voxel], registration{pixel: vr.pixel, frame: c.frame})
+// voxels returns the registrations of a pixel's run.
+func (e *Engine) voxels(run pixelRun) []int32 {
+	return e.collectors[run.slot].arena[run.off : run.off+int(run.n)]
+}
+
+// arenaSlack is the garbage compactArenas tolerates on top of the live
+// registrations, so that tiny regions are not rewritten every frame.
+const arenaSlack = 1 << 12
+
+// compactArenas bounds registration memory (the paper: proportional to
+// image area): once the arenas hold more garbage than live entries it
+// rewrites every pixel's run, in pixel order, into its collector's spare
+// buffer and swaps the two.
+func (e *Engine) compactArenas() {
+	total := 0
+	for _, c := range e.collectors {
+		total += len(c.arena)
+	}
+	if total <= 2*e.live+arenaSlack {
+		return
+	}
+	for _, c := range e.collectors {
+		if cap(c.spare) < cap(c.arena) {
+			c.spare = make([]int32, 0, cap(c.arena))
+		}
+	}
+	for p := range e.runs {
+		run := &e.runs[p]
+		c := e.collectors[run.slot]
+		off := len(c.spare)
+		c.spare = append(c.spare, e.voxels(*run)...)
+		run.off = off
+	}
+	for _, c := range e.collectors {
+		c.arena, c.spare = c.spare, c.arena[:0]
 	}
 }
 
@@ -100,10 +126,9 @@ func (c *regCollector) commit() {
 // intra-frame tile pool, filling rep's per-frame counts. Determinism:
 // every pixel's colour is a pure function of its coordinates and the
 // frozen dirty mask decides trace-vs-copy per pixel, so tile order and
-// thread count cannot change a single output byte; counters and
-// registration buffers are merged in worker-slot order at the barrier,
-// and the registration multiset is identical to the serial engine's
-// (see regCollector).
+// thread count cannot change a single output byte; counters are merged
+// in worker-slot order at the barrier, and which slot holds a pixel's
+// run changes neither its contents nor any count (see regCollector).
 // newWorker abstracts over trace.FrameTracer.NewWorker (the replicated
 // path) and objspace.Cluster.NewWorker (the sharded path): both yield a
 // trace.Worker wired to the given observer.
@@ -124,7 +149,7 @@ func (e *Engine) renderTiles(newWorker func(trace.RayObserver) *trace.Worker, fr
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
 		c := e.collectors[i]
-		c.beginFrame(int32(frame))
+		c.mark, c.replaced = len(c.arena), 0
 		w := newWorker(c)
 		workers[i] = w
 		var tr *timeline.Track
@@ -138,7 +163,7 @@ func (e *Engine) renderTiles(newWorker func(trace.RayObserver) *trace.Worker, fr
 					return
 				}
 				s := tr.Begin()
-				r, cp := e.renderTile(w, c, frame, dst, tiles[t])
+				r, cp := e.renderTile(w, c, dst, tiles[t])
 				tr.EndArg(timeline.OpTile, frame, s, int64(r))
 				tallies[slot].rendered += r
 				tallies[slot].copied += cp
@@ -161,17 +186,18 @@ func (e *Engine) renderTiles(newWorker func(trace.RayObserver) *trace.Worker, fr
 		rep.Rendered += tallies[i].rendered
 		rep.Copied += tallies[i].copied
 		rep.Rays.Merge(workers[i].Counters)
-		rep.Registrations += uint64(len(e.collectors[i].buf))
+		c := e.collectors[i]
+		rep.Registrations += uint64(len(c.arena) - c.mark)
+		e.live -= c.replaced
 	}
-	for i := 0; i < threads; i++ {
-		e.collectors[i].commit()
-	}
+	e.live += int(rep.Registrations)
+	e.compactArenas()
 }
 
 // renderTile traces the dirty pixels of one tile and copies the clean
-// ones. Tiles are disjoint, so pixelStamp and framebuffer writes from
+// ones. Tiles are disjoint, so run and framebuffer writes from
 // concurrent tile workers never touch the same index.
-func (e *Engine) renderTile(w *trace.Worker, c *regCollector, frame int, dst *fb.Framebuffer, tile fb.Rect) (rendered, copied int) {
+func (e *Engine) renderTile(w *trace.Worker, c *regCollector, dst *fb.Framebuffer, tile fb.Rect) (rendered, copied int) {
 	for y := tile.Y0; y < tile.Y1; y++ {
 		for x := tile.X0; x < tile.X1; x++ {
 			p := e.pixelIndex(x, y)
@@ -180,25 +206,20 @@ func (e *Engine) renderTile(w *trace.Worker, c *regCollector, frame int, dst *fb
 				copied++
 				continue
 			}
-			// Invalidate stale registrations and trace afresh.
-			e.pixelStamp[p] = int32(frame)
-			c.curPixel = p
+			// Trace afresh; the new run supersedes the pixel's old one.
+			off := c.beginPixel()
 			dst.Set(x, y, w.TracePixel(x, y, e.W, e.H))
+			c.replaced += int(e.runs[p].n)
+			e.runs[p] = pixelRun{off: off, n: int32(len(c.arena) - off), slot: c.slot}
 			rendered++
 		}
 	}
 	return rendered, copied
 }
 
-// markChanges sets the dirty flag of every valid pixel registered on a
-// voxel in which change occurs between frames f0 and f1, returning the
-// number of changed voxels.
-//
-// Phase 1 (serial) collects candidate voxels — those whose bounds a
-// moved shape's box overlaps — with the shapes to test. Phase 2 fans the
-// exact per-voxel shape-overlap tests and registration-list compaction
-// out over the thread pool: voxels are disjoint, so the only shared
-// writes are atomic dirty-mask bits.
+// markChanges sets the dirty flag of every pixel registered on a voxel
+// in which change occurs between frames f0 and f1, returning the number
+// of changed voxels.
 func (e *Engine) markChanges(f0, f1 int) int {
 	// A moving light invalidates every pixel: all shadow terms may
 	// change. (The paper's scenes keep lights fixed.)
@@ -209,102 +230,55 @@ func (e *Engine) markChanges(f0, f1 int) int {
 		}
 	}
 
-	cands := make(map[int][]geom.Shape)
-	var order []int // deterministic iteration for phase 2
+	e.changed.Reset()
 	for _, o := range e.sc.Objects {
 		if !o.MovedBetween(f0, f1) {
 			continue
 		}
 		// Space the object leaves and space it enters both change. The
-		// per-voxel shape overlap test (phase 2) keeps thin slanted
-		// objects (the cradle strings) from dirtying their whole
-		// bounding box.
+		// exact per-voxel shape overlap test keeps thin slanted objects
+		// (the cradle strings) from dirtying their whole bounding box.
 		for _, f := range [2]int{f0, f1} {
 			shape := o.ShapeAt(f)
 			e.grid.VoxelsOverlapping(shape.Bounds(), func(idx int) {
-				if _, ok := cands[idx]; !ok {
-					order = append(order, idx)
+				if !e.changed.Get(idx) && geom.ShapeOverlapsBox(shape, e.grid.VoxelBounds(e.grid.Coords(idx))) {
+					e.changed.Set(idx)
 				}
-				cands[idx] = append(cands[idx], shape)
 			})
 		}
 	}
-
-	// With object-space sharding, group the candidate voxels by owning
-	// shard (stable within a shard): each shard's worker compacts and
-	// dirties only its own registration lists, so the lists never need
-	// to leave their owner. The dirty mask is a set union over voxels —
-	// visiting order cannot change a single bit.
-	if e.regShard != nil {
-		sort.SliceStable(order, func(i, j int) bool {
-			return e.regShard[order[i]] < e.regShard[order[j]]
-		})
+	changed := e.changed.Count()
+	if changed == 0 {
+		return 0
 	}
 
-	threads := e.threads()
-	if threads > len(order) {
-		threads = len(order)
-	}
-	if threads <= 1 {
-		changed := 0
-		for _, idx := range order {
-			if e.markVoxel(idx, cands[idx]) {
-				changed++
-			}
-		}
-		return changed
-	}
-	var changed int64
-	var next int64
+	// A pixel's run is exactly its valid registrations, so the pixels to
+	// dirty are those whose run names a changed voxel. Pixel ranges fan
+	// out over the thread pool (the caller takes the first); the only
+	// shared writes are atomic dirty-mask bits.
+	n := len(e.runs)
+	threads := min(e.threads(), n)
 	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
+	for i := 1; i < threads; i++ {
 		wg.Add(1)
-		go func() {
+		go func(lo, hi int) {
 			defer wg.Done()
-			n := int64(0)
-			for {
-				t := int(atomic.AddInt64(&next, 1)) - 1
-				if t >= len(order) {
-					break
-				}
-				if e.markVoxel(order[t], cands[order[t]]) {
-					n++
-				}
-			}
-			atomic.AddInt64(&changed, n)
-		}()
+			e.dirtyRuns(lo, hi)
+		}(i*n/threads, (i+1)*n/threads)
 	}
+	e.dirtyRuns(0, n/threads)
 	wg.Wait()
-	return int(changed)
+	return changed
 }
 
-// markVoxel runs the exact overlap test for one candidate voxel and, if
-// any moved shape truly overlaps it, dirties the voxel's valid
-// registrations and compacts its list in place (discarding entries
-// superseded by a later re-render). Safe to run concurrently for
-// distinct voxels.
-func (e *Engine) markVoxel(idx int, shapes []geom.Shape) bool {
-	ix, iy, iz := e.grid.Coords(idx)
-	vb := e.grid.VoxelBounds(ix, iy, iz)
-	overlaps := false
-	for _, s := range shapes {
-		if geom.ShapeOverlapsBox(s, vb) {
-			overlaps = true
-			break
+// dirtyRuns dirties the pixels of [lo, hi) registered on a changed voxel.
+func (e *Engine) dirtyRuns(lo, hi int) {
+	for p := lo; p < hi; p++ {
+		for _, v := range e.voxels(e.runs[p]) {
+			if e.changed.Get(int(v)) {
+				e.dirty.SetAtomic(p)
+				break
+			}
 		}
 	}
-	if !overlaps {
-		return false
-	}
-	regs := e.voxelPixels[idx]
-	kept := regs[:0]
-	for _, reg := range regs {
-		if e.pixelStamp[reg.pixel] != reg.frame {
-			continue // stale
-		}
-		kept = append(kept, reg)
-		e.dirty.SetAtomic(int(reg.pixel))
-	}
-	e.voxelPixels[idx] = kept
-	return true
 }

@@ -52,9 +52,9 @@ type Config struct {
 	// AAThreshold and AASamples travel in every task message and are
 	// honoured by every driver, coherence on or off. Nothing else in it
 	// reaches a farm run: samples, threads, sharding and timeline come
-	// from the fields below, and CompactEvery (memory tuning) and
-	// DisableShadowRegistration (ablation-only) are not pixel options of
-	// a farm, so they stay off the wire.
+	// from the fields below, and DisableShadowRegistration
+	// (ablation-only) is not a pixel option of a farm, so it stays off
+	// the wire.
 	CoherenceOpts coherence.Options
 	// Samples is the supersampling factor (0/1 = one ray per pixel).
 	Samples int

@@ -16,7 +16,7 @@ func TestWalkAxisAligned(t *testing.T) {
 		t.Fatalf("visited %d voxels, want 4: %v", len(got), got)
 	}
 	for i, idx := range got {
-		ix, iy, iz := g.Coords(idx)
+		ix, iy, iz := g.Coords(int(idx))
 		if ix != i || iy != 2 || iz != 2 {
 			t.Errorf("step %d: voxel (%d,%d,%d)", i, ix, iy, iz)
 		}
@@ -31,7 +31,7 @@ func TestWalkReverseDirection(t *testing.T) {
 		t.Fatalf("visited %d voxels, want 4", len(got))
 	}
 	for i, idx := range got {
-		ix, _, _ := g.Coords(idx)
+		ix, _, _ := g.Coords(int(idx))
 		if ix != 3-i {
 			t.Errorf("step %d: x=%d, want %d", i, ix, 3-i)
 		}
@@ -111,7 +111,7 @@ func TestWalkDiagonalVisitsNeighbours(t *testing.T) {
 	if len(got) < 2 || len(got) > 4 {
 		t.Fatalf("diagonal visited %d voxels: %v", len(got), got)
 	}
-	first, last := got[0], got[len(got)-1]
+	first, last := int(got[0]), int(got[len(got)-1])
 	if first != g.Index(0, 0, 0) {
 		t.Errorf("first voxel %d, want corner", first)
 	}
@@ -120,8 +120,8 @@ func TestWalkDiagonalVisitsNeighbours(t *testing.T) {
 	}
 	// Consecutive voxels differ by exactly one axis step.
 	for i := 1; i < len(got); i++ {
-		ax, ay, az := g.Coords(got[i-1])
-		bx, by, bz := g.Coords(got[i])
+		ax, ay, az := g.Coords(int(got[i-1]))
+		bx, by, bz := g.Coords(int(got[i]))
 		d := abs(ax-bx) + abs(ay-by) + abs(az-bz)
 		if d != 1 {
 			t.Errorf("non-adjacent step %d -> %d", got[i-1], got[i])
@@ -177,7 +177,7 @@ func TestWalkMatchesBruteForce(t *testing.T) {
 
 		visited := make(map[int]bool)
 		for _, idx := range g.VoxelsOnRay(r, 0, math.Inf(1)) {
-			visited[idx] = true
+			visited[int(idx)] = true
 		}
 
 		// Brute force: for each voxel, slab-test the ray against a

@@ -1,0 +1,157 @@
+package grid
+
+import (
+	"math"
+	"testing"
+
+	vm "nowrender/internal/vecmath"
+)
+
+// walkReference is Grid.Walk as it stood before Walk and AppendVoxels
+// were put on one shared traversal (PR 13, commit 4973cd8), kept as the
+// oracle both are fuzzed against: per-voxel Index, coordinate bounds
+// checks, math.Min.
+func (g *Grid) walkReference(r vm.Ray, tMin, tMax float64, visit func(idx int, tEnter, tLeave float64) bool) {
+	iv, hit := g.bounds.IntersectRay(r, tMin, tMax)
+	if !hit {
+		return
+	}
+	t := iv.Min
+	startT := t + 1e-12*(1+math.Abs(t))
+	p := r.At(startT)
+	ix, iy, iz, ok := g.VoxelOf(p)
+	if !ok {
+		p = p.Max(g.bounds.Min).Min(g.bounds.Max)
+		ix, iy, iz, ok = g.VoxelOf(p)
+		if !ok {
+			return
+		}
+	}
+	var step [3]int
+	var tDelta, tNext [3]float64
+	idxCoord := [3]int{ix, iy, iz}
+	dims := [3]int{g.nx, g.ny, g.nz}
+	for a := 0; a < 3; a++ {
+		d := r.Dir.Axis(a)
+		switch {
+		case d > 0:
+			step[a] = 1
+			tDelta[a] = g.cellSize.Axis(a) / d
+			boundary := g.bounds.Min.Axis(a) + float64(idxCoord[a]+1)*g.cellSize.Axis(a)
+			tNext[a] = (boundary - r.Origin.Axis(a)) / d
+		case d < 0:
+			step[a] = -1
+			tDelta[a] = -g.cellSize.Axis(a) / d
+			boundary := g.bounds.Min.Axis(a) + float64(idxCoord[a])*g.cellSize.Axis(a)
+			tNext[a] = (boundary - r.Origin.Axis(a)) / d
+		default:
+			tDelta[a] = math.Inf(1)
+			tNext[a] = math.Inf(1)
+		}
+	}
+	tEnter := iv.Min
+	for {
+		axis := 0
+		if tNext[1] < tNext[axis] {
+			axis = 1
+		}
+		if tNext[2] < tNext[axis] {
+			axis = 2
+		}
+		tLeave := math.Min(tNext[axis], iv.Max)
+		if !visit(g.Index(idxCoord[0], idxCoord[1], idxCoord[2]), tEnter, tLeave) {
+			return
+		}
+		if tNext[axis] > iv.Max {
+			return
+		}
+		tEnter = tNext[axis]
+		tNext[axis] += tDelta[axis]
+		idxCoord[axis] += step[axis]
+		if idxCoord[axis] < 0 || idxCoord[axis] >= dims[axis] {
+			return
+		}
+	}
+}
+
+type visit struct {
+	idx            int
+	tEnter, tLeave float64
+}
+
+// FuzzAppendVoxelsMatchesWalk: on any grid and ray, Walk visits the
+// voxels and intervals the reference does, and AppendVoxels appends the
+// same indices in the same order after whatever dst already held.
+func FuzzAppendVoxelsMatchesWalk(f *testing.F) {
+	inf := math.Inf(1)
+	// The dda_test.go cases on the unit box, then flat and degenerate
+	// boxes, rays along faces and from a corner, finite tMax.
+	f.Add(uint8(4), uint8(4), uint8(4), 1.0, 1.0, 1.0, -1.0, 0.6, 0.6, 1.0, 0.0, 0.0, inf, uint8(0))
+	f.Add(uint8(4), uint8(4), uint8(4), 1.0, 1.0, 1.0, 2.0, 0.1, 0.1, -1.0, 0.0, 0.0, inf, uint8(0))
+	f.Add(uint8(4), uint8(4), uint8(4), 1.0, 1.0, 1.0, 0.6, 0.6, 0.6, 0.0, 1.0, 0.0, inf, uint8(0))
+	f.Add(uint8(4), uint8(4), uint8(4), 1.0, 1.0, 1.0, -1.0, 5.0, 0.0, 1.0, 0.0, 0.0, inf, uint8(0))
+	f.Add(uint8(4), uint8(4), uint8(4), 1.0, 1.0, 1.0, -0.5, 0.1, 0.1, 1.0, 0.0, 0.0, 0.76, uint8(0))
+	f.Add(uint8(5), uint8(5), uint8(5), 1.0, 1.0, 1.0, -0.3, -0.2, -0.1, 1.0, 0.9, 0.8, inf, uint8(0))
+	f.Add(uint8(2), uint8(2), uint8(2), 1.0, 1.0, 1.0, -0.5, -0.5, -0.5, 1.0, 1.0, 1.0, inf, uint8(0))
+	f.Add(uint8(4), uint8(4), uint8(4), 1.0, 1.0, 1.0, 0.01, 0.01, 0.01, 0.98, 0.98, 0.98, 1.0, uint8(0))
+	f.Add(uint8(32), uint8(26), uint8(26), 8.0, 6.5, 6.5, 4.0, 3.0, 12.0, 0.1, -0.2, -1.0, inf, uint8(0))
+	f.Add(uint8(40), uint8(1), uint8(7), 3.0, 0.0, 2.0, -1.0, 0.0, 1.0, 1.0, 0.0, 0.01, inf, uint8(0))
+	f.Add(uint8(1), uint8(1), uint8(1), 0.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 1.0, 2.5, uint8(0))
+	f.Add(uint8(6), uint8(6), uint8(6), 1.0, 1.0, 1.0, 0.3, 0.5, 0.7, 1.0, 0.5, 0.25, 0.4, uint8(0x39))
+	f.Add(uint8(9), uint8(3), uint8(5), 2.0, 1.0, 1.0, 0.5, 0.5, 0.5, 0.3, 0.7, -0.2, inf, uint8(0x03))
+
+	f.Fuzz(func(t *testing.T, nx, ny, nz uint8, sx, sy, sz, ox, oy, oz, dx, dy, dz, tMax float64, snap uint8) {
+		size, o, d := [3]float64{sx, sy, sz}, [3]float64{ox, oy, oz}, [3]float64{dx, dy, dz}
+		for a := 0; a < 3; a++ {
+			// Boxes from flat to 1e6 across, origins within 1e6 of them,
+			// direction components zero or representable.
+			if !(size[a] >= 0 && size[a] <= 1e6) || !(math.Abs(o[a]) <= 1e6) || !(math.Abs(d[a]) <= 1e6) {
+				t.Skip()
+			}
+			if snap&(1<<a) != 0 {
+				d[a] = 0 // axis-parallel
+			}
+			if snap&(8<<a) != 0 {
+				o[a] = size[a] * float64(snap>>6&1) // on a face
+			}
+		}
+		if d == [3]float64{} || math.IsNaN(tMax) {
+			t.Skip() // the reference never returns from a zero direction
+		}
+		g, err := New(vm.NewAABB(vm.V(0, 0, 0), vm.V(size[0], size[1], size[2])), int(nx%40)+1, int(ny%40)+1, int(nz%40)+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := vm.Ray{Origin: vm.V(o[0], o[1], o[2]), Dir: vm.V(d[0], d[1], d[2])}
+
+		var want, got []visit
+		g.walkReference(r, 0, tMax, func(idx int, tEnter, tLeave float64) bool {
+			want = append(want, visit{idx, tEnter, tLeave})
+			return len(want) < 1000
+		})
+		if len(want) == 1000 {
+			t.Skip() // NaN boundaries from overflow: the reference circles
+		}
+		g.Walk(r, 0, tMax, func(idx int, tEnter, tLeave float64) bool {
+			got = append(got, visit{idx, tEnter, tLeave})
+			return len(got) <= len(want)
+		})
+		if len(got) != len(want) {
+			t.Fatalf("Walk visited %d voxels, reference %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("step %d: Walk %+v, reference %+v", i, got[i], want[i])
+			}
+		}
+		dst := g.AppendVoxels([]int32{-7}, r, 0, tMax)
+		if dst[0] != -7 || len(dst) != 1+len(want) {
+			t.Fatalf("AppendVoxels returned %d entries after the prefix, want %d", len(dst)-1, len(want))
+		}
+		for i, v := range dst[1:] {
+			if int(v) != want[i].idx {
+				t.Fatalf("step %d: AppendVoxels %d, Walk %d", i, v, want[i].idx)
+			}
+		}
+	})
+}
