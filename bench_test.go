@@ -532,14 +532,14 @@ func BenchmarkFarm_LocalProtocol(b *testing.B) {
 
 // --- Substrate micro-benchmarks (geometry & IO) -----------------------
 
-// BenchmarkGeom_TorusIntersect measures the quartic intersection path.
+// BenchmarkGeom_TorusIntersect measures the quartic candidate test.
 func BenchmarkGeom_TorusIntersect(b *testing.B) {
 	to := nowrender.NewTorus(2, 0.5)
 	r := vm.Ray{Origin: vm.V(-5, 0.2, 0.1), Dir: vm.V(1, 0, 0)}
 	b.ResetTimer()
 	hits := 0
 	for i := 0; i < b.N; i++ {
-		if _, ok := to.Intersect(r, 0, 1e18); ok {
+		if _, _, ok := to.IntersectT(r, 0, 1e18); ok {
 			hits++
 		}
 	}
@@ -548,13 +548,37 @@ func BenchmarkGeom_TorusIntersect(b *testing.B) {
 	}
 }
 
-// BenchmarkGeom_SphereIntersect is the baseline quadratic path.
+// BenchmarkGeom_SphereIntersect is the baseline quadratic candidate test.
 func BenchmarkGeom_SphereIntersect(b *testing.B) {
 	s := nowrender.NewSphere(vm.V(0, 0, 0), 1)
 	r := vm.Ray{Origin: vm.V(-5, 0.2, 0.1), Dir: vm.V(1, 0, 0)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Intersect(r, 0, 1e18)
+		s.IntersectT(r, 0, 1e18)
+	}
+}
+
+// BenchmarkGeom_CylinderIntersectT is the candidate test of Newton's
+// dominant primitive — the per-ray kernel's micro-number next to the
+// ledger's trace.mrays_per_s.
+func BenchmarkGeom_CylinderIntersectT(b *testing.B) {
+	c := nowrender.NewCylinder(vm.V(0, 0, 0), vm.V(0, 2, 0), 0.5)
+	for _, bc := range []struct {
+		name string
+		ray  vm.Ray
+		hit  bool
+	}{
+		{"miss", vm.Ray{Origin: vm.V(-5, 1, 2), Dir: vm.V(1, 0, 0)}, false},
+		{"lateral", vm.Ray{Origin: vm.V(-5, 1, 0.1), Dir: vm.V(1, 0, 0)}, true},
+		{"cap", vm.Ray{Origin: vm.V(0.1, 5, 0.1), Dir: vm.V(0, -1, 0)}, true},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, ok := c.IntersectT(bc.ray, 0, 1e18); ok != bc.hit {
+					b.Fatalf("hit = %v, want %v", ok, bc.hit)
+				}
+			}
+		})
 	}
 }
 

@@ -17,30 +17,36 @@ func NewBox(a, b vm.Vec3) *Box {
 	return &Box{Min: bb.Min, Max: bb.Max}
 }
 
-// Intersect implements Shape.
-func (b *Box) Intersect(r vm.Ray, tMin, tMax float64) (Hit, bool) {
+// IntersectT implements Shape. part is always 0: HitAt recovers the face
+// from the hit point (normalAt), as the shading always has.
+func (b *Box) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
 	iv, hit := (vm.AABB{Min: b.Min, Max: b.Max}).IntersectRay(r, tMin, tMax)
 	if !hit {
-		return Hit{}, false
+		return 0, 0, false
 	}
 	t := iv.Min
 	if t <= tMin {
 		// Origin inside the box: exit point is the hit.
 		t = iv.Max
 		if t <= tMin || t >= tMax {
-			return Hit{}, false
+			return 0, 0, false
 		}
 	}
 	if t >= tMax {
-		return Hit{}, false
+		return 0, 0, false
 	}
+	return t, 0, true
+}
+
+// HitAt implements Shape.
+func (b *Box) HitAt(r vm.Ray, t float64, _ int32) Hit {
 	p := r.At(t)
 	outward, axis := b.normalAt(p)
 	// For an exit hit the outward normal points along the ray, so
 	// faceForward both flips it and flags the hit as inside.
 	n, inside := faceForward(outward, r.Dir)
 	u, v := boxUV(b, p, axis)
-	return Hit{T: t, Point: p, Normal: n, Inside: inside, U: u, V: v}, true
+	return Hit{T: t, Point: p, Normal: n, Inside: inside, U: u, V: v}
 }
 
 // normalAt returns the outward normal of the face nearest to p and the
@@ -82,28 +88,45 @@ func NewDisc(center, normal vm.Vec3, radius float64) *Disc {
 	return &Disc{Center: center, Normal: normal.Norm(), Radius: radius}
 }
 
-// Intersect implements Shape.
-func (d *Disc) Intersect(r vm.Ray, tMin, tMax float64) (Hit, bool) {
-	denom := d.Normal.Dot(r.Dir)
+// IntersectT implements Shape.
+func (d *Disc) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
+	t, ok := discT(r, tMin, tMax, d.Center, d.Normal, d.Radius)
+	return t, 0, ok
+}
+
+// HitAt implements Shape.
+func (d *Disc) HitAt(r vm.Ray, t float64, _ int32) Hit {
+	return discHit(r, t, d.Center, d.Normal, d.Radius)
+}
+
+// discT is the plane-then-radius test of the disc (center, normal,
+// radius) — a standalone Disc or the end cap of a cylinder or cone.
+func discT(r vm.Ray, tMin, tMax float64, center, normal vm.Vec3, radius float64) (float64, bool) {
+	denom := normal.Dot(r.Dir)
 	if math.Abs(denom) < vm.Eps {
-		return Hit{}, false
+		return 0, false
 	}
-	t := d.Normal.Dot(d.Center.Sub(r.Origin)) / denom
+	t := normal.Dot(center.Sub(r.Origin)) / denom
 	if t <= tMin || t >= tMax {
-		return Hit{}, false
+		return 0, false
 	}
+	if r.At(t).Sub(center).Len2() > radius*radius {
+		return 0, false
+	}
+	return t, true
+}
+
+// discHit completes the hit discT found.
+func discHit(r vm.Ray, t float64, center, normal vm.Vec3, radius float64) Hit {
 	p := r.At(t)
-	rel := p.Sub(d.Center)
-	if rel.Len2() > d.Radius*d.Radius {
-		return Hit{}, false
-	}
-	n, inside := faceForward(d.Normal, r.Dir)
-	onb := vm.NewONB(d.Normal)
+	rel := p.Sub(center)
+	n, inside := faceForward(normal, r.Dir)
+	onb := vm.NewONB(normal)
 	return Hit{
 		T: t, Point: p, Normal: n, Inside: inside,
-		U: rel.Dot(onb.U)/d.Radius*0.5 + 0.5,
-		V: rel.Dot(onb.V)/d.Radius*0.5 + 0.5,
-	}, true
+		U: rel.Dot(onb.U)/radius*0.5 + 0.5,
+		V: rel.Dot(onb.V)/radius*0.5 + 0.5,
+	}
 }
 
 // Bounds implements Shape.

@@ -36,12 +36,11 @@ func NewOpenCone(base vm.Vec3, baseRadius float64, cap vm.Vec3, capRadius float6
 	return c
 }
 
-// Intersect implements Shape. The lateral surface satisfies
+// IntersectT implements Shape. The lateral surface satisfies
 // |p_perp| = r(h) where h is the axial height; substituting the ray
-// gives a quadratic in t.
-func (c *Cone) Intersect(r vm.Ray, tMin, tMax float64) (Hit, bool) {
-	best := Hit{T: math.Inf(1)}
-	found := false
+// gives a quadratic in t. Ties resolve as on the Cylinder.
+func (c *Cone) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
+	best, part := tMax, int32(-1)
 
 	// Decompose into axial and perpendicular components relative to
 	// Base.
@@ -53,7 +52,7 @@ func (c *Cone) Intersect(r vm.Ray, tMin, tMax float64) (Hit, bool) {
 
 	// r(h) = r0 + k*h with k = (r1-r0)/height; surface:
 	// |ocP + t dP|^2 = (r0 + k (ocA + t dA))^2.
-	k := (c.CapRadius - c.BaseRadius) / c.height
+	k := c.slope()
 	r0 := c.BaseRadius
 
 	a := dP.Dot(dP) - k*k*dA*dA
@@ -61,68 +60,53 @@ func (c *Cone) Intersect(r vm.Ray, tMin, tMax float64) (Hit, bool) {
 	cc := ocP.Dot(ocP) - (r0+k*ocA)*(r0+k*ocA)
 	t0, t1, n := vm.SolveQuadratic(a, b, cc)
 	for i, t := range [2]float64{t0, t1} {
-		if i >= n || t <= tMin || t >= tMax || t >= best.T {
+		if i >= n || t <= tMin || t >= best {
 			continue
 		}
 		h := ocA + t*dA
 		if h < 0 || h > c.height {
 			continue
 		}
-		p := r.At(t)
-		axisPt := c.Base.Add(c.axis.Scale(h))
-		radial := p.Sub(axisPt)
-		rl := radial.Len()
-		if rl < vm.Eps {
+		if r.At(t).Sub(c.Base.Add(c.axis.Scale(h))).Len() < vm.Eps {
 			continue // apex degenerate point
 		}
-		// Outward normal tilts along the axis by the slope.
-		outward := radial.Scale(1 / rl).Sub(c.axis.Scale(k)).Norm()
-		normal, inside := faceForward(outward, r.Dir)
-		onb := vm.NewONB(c.axis)
-		u := 0.5 + math.Atan2(radial.Dot(onb.V), radial.Dot(onb.U))/(2*math.Pi)
-		best = Hit{T: t, Point: p, Normal: normal, Inside: inside, U: u, V: h / c.height}
-		found = true
+		best, part = t, partLateral
 	}
-
 	if !c.Open {
-		for _, end := range [2]struct {
-			center vm.Vec3
-			normal vm.Vec3
-			radius float64
-		}{
-			{c.Base, c.axis.Neg(), c.BaseRadius},
-			{c.Cap, c.axis, c.CapRadius},
-		} {
-			if end.radius <= 0 {
-				continue
+		if c.BaseRadius > 0 {
+			if t, ok := discT(r, tMin, best, c.Base, c.axis.Neg(), c.BaseRadius); ok {
+				best, part = t, partBase
 			}
-			denom := end.normal.Dot(r.Dir)
-			if math.Abs(denom) < vm.Eps {
-				continue
+		}
+		if c.CapRadius > 0 {
+			if t, ok := discT(r, tMin, best, c.Cap, c.axis, c.CapRadius); ok {
+				best, part = t, partCap
 			}
-			t := end.normal.Dot(end.center.Sub(r.Origin)) / denom
-			if t <= tMin || t >= tMax || t >= best.T {
-				continue
-			}
-			p := r.At(t)
-			rel := p.Sub(end.center)
-			if rel.Len2() > end.radius*end.radius {
-				continue
-			}
-			normal, inside := faceForward(end.normal, r.Dir)
-			onb := vm.NewONB(end.normal)
-			best = Hit{
-				T: t, Point: p, Normal: normal, Inside: inside,
-				U: rel.Dot(onb.U)/end.radius*0.5 + 0.5,
-				V: rel.Dot(onb.V)/end.radius*0.5 + 0.5,
-			}
-			found = true
 		}
 	}
-	if !found {
-		return Hit{}, false
+	return best, part, part >= 0
+}
+
+// slope is dr/dh of the lateral surface.
+func (c *Cone) slope() float64 { return (c.CapRadius - c.BaseRadius) / c.height }
+
+// HitAt implements Shape.
+func (c *Cone) HitAt(r vm.Ray, t float64, part int32) Hit {
+	switch part {
+	case partBase:
+		return discHit(r, t, c.Base, c.axis.Neg(), c.BaseRadius)
+	case partCap:
+		return discHit(r, t, c.Cap, c.axis, c.CapRadius)
 	}
-	return best, true
+	h := r.Origin.Sub(c.Base).Dot(c.axis) + t*r.Dir.Dot(c.axis)
+	p := r.At(t)
+	radial := p.Sub(c.Base.Add(c.axis.Scale(h)))
+	// Outward normal tilts along the axis by the slope.
+	outward := radial.Scale(1 / radial.Len()).Sub(c.axis.Scale(c.slope())).Norm()
+	normal, inside := faceForward(outward, r.Dir)
+	onb := vm.NewONB(c.axis)
+	u := 0.5 + math.Atan2(radial.Dot(onb.V), radial.Dot(onb.U))/(2*math.Pi)
+	return Hit{T: t, Point: p, Normal: normal, Inside: inside, U: u, V: h / c.height}
 }
 
 // Bounds implements Shape.

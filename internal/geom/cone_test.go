@@ -13,7 +13,7 @@ func TestConeLateralHit(t *testing.T) {
 	// At height y=1 the radius is 0.5; a horizontal ray at y=1 grazes
 	// the surface at x=-0.5.
 	r := vm.Ray{Origin: vm.V(-5, 1, 0), Dir: vm.V(1, 0, 0)}
-	h, ok := c.Intersect(r, 0, inf)
+	h, ok := Intersect(c, r, 0, inf)
 	if !ok {
 		t.Fatal("missed cone side")
 	}
@@ -34,7 +34,7 @@ func TestConeApexMiss(t *testing.T) {
 	c := NewCone(vm.V(0, 0, 0), 1, vm.V(0, 2, 0), 0)
 	// Above the apex: no surface.
 	r := vm.Ray{Origin: vm.V(-5, 2.5, 0), Dir: vm.V(1, 0, 0)}
-	if _, ok := c.Intersect(r, 0, inf); ok {
+	if _, ok := Intersect(c, r, 0, inf); ok {
 		t.Error("hit above apex")
 	}
 }
@@ -43,7 +43,7 @@ func TestConeBaseCapHit(t *testing.T) {
 	c := NewCone(vm.V(0, 0, 0), 1, vm.V(0, 2, 0), 0.25)
 	// Downward ray inside the cap radius hits the top disc at y=2.
 	r := vm.Ray{Origin: vm.V(0.1, 5, 0), Dir: vm.V(0, -1, 0)}
-	h, ok := c.Intersect(r, 0, inf)
+	h, ok := Intersect(c, r, 0, inf)
 	if !ok {
 		t.Fatal("missed cap")
 	}
@@ -56,7 +56,7 @@ func TestConeBaseCapHit(t *testing.T) {
 	// Ray down outside cap radius but inside base radius: hits the
 	// slanted side below.
 	r = vm.Ray{Origin: vm.V(0.6, 5, 0), Dir: vm.V(0, -1, 0)}
-	h, ok = c.Intersect(r, 0, inf)
+	h, ok = Intersect(c, r, 0, inf)
 	if !ok {
 		t.Fatal("missed side from above")
 	}
@@ -70,7 +70,7 @@ func TestConeBaseCapHit(t *testing.T) {
 func TestOpenConeNoCapHit(t *testing.T) {
 	c := NewOpenCone(vm.V(0, 0, 0), 1, vm.V(0, 2, 0), 0.25)
 	r := vm.Ray{Origin: vm.V(0, 5, 0), Dir: vm.V(0, -1, 0)}
-	if _, ok := c.Intersect(r, 0, inf); ok {
+	if _, ok := Intersect(c, r, 0, inf); ok {
 		t.Error("open cone reported axis hit")
 	}
 }
@@ -79,7 +79,7 @@ func TestConeZeroBaseRadiusCapOnly(t *testing.T) {
 	// Inverted cone: apex at base.
 	c := NewCone(vm.V(0, 0, 0), 0, vm.V(0, 2, 0), 1)
 	r := vm.Ray{Origin: vm.V(0.2, 5, 0), Dir: vm.V(0, -1, 0)}
-	h, ok := c.Intersect(r, 0, inf)
+	h, ok := Intersect(c, r, 0, inf)
 	if !ok {
 		t.Fatal("missed inverted cone cap")
 	}
@@ -100,8 +100,8 @@ func TestConeDegeneratesToCylinder(t *testing.T) {
 			continue
 		}
 		r := vm.Ray{Origin: o, Dir: d.Norm()}
-		h1, ok1 := cone.Intersect(r, 1e-9, inf)
-		h2, ok2 := cyl.Intersect(r, 1e-9, inf)
+		h1, ok1 := Intersect(cone, r, 1e-9, inf)
+		h2, ok2 := Intersect(cyl, r, 1e-9, inf)
 		if ok1 != ok2 {
 			t.Fatalf("trial %d: cone hit=%v cylinder hit=%v for %+v", i, ok1, ok2, r)
 		}
@@ -141,7 +141,7 @@ func TestConeOverlapsBox(t *testing.T) {
 func TestConeInsideHit(t *testing.T) {
 	c := NewCone(vm.V(0, 0, 0), 1, vm.V(0, 2, 0), 1)
 	r := vm.Ray{Origin: vm.V(0, 1, 0), Dir: vm.V(1, 0, 0)}
-	h, ok := c.Intersect(r, 0, inf)
+	h, ok := Intersect(c, r, 0, inf)
 	if !ok {
 		t.Fatal("missed from inside")
 	}

@@ -35,74 +35,62 @@ func NewOpenCylinder(base, cap vm.Vec3, radius float64) *Cylinder {
 	return c
 }
 
-// Intersect implements Shape.
-func (c *Cylinder) Intersect(r vm.Ray, tMin, tMax float64) (Hit, bool) {
-	best := Hit{T: math.Inf(1)}
-	found := false
+// IntersectT implements Shape. Each candidate must beat the running
+// best strictly, so on a tie the lateral surface wins over the base and
+// the base over the cap.
+func (c *Cylinder) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
+	best, part := tMax, int32(-1)
 
 	// Lateral surface: solve |(o + t*d) - base - ((o + t*d - base)·a)a| = R.
 	oc := r.Origin.Sub(c.Base)
-	dPerp := r.Dir.Sub(c.axis.Scale(r.Dir.Dot(c.axis)))
-	oPerp := oc.Sub(c.axis.Scale(oc.Dot(c.axis)))
+	dA, ocA := r.Dir.Dot(c.axis), oc.Dot(c.axis)
+	dPerp := r.Dir.Sub(c.axis.Scale(dA))
+	oPerp := oc.Sub(c.axis.Scale(ocA))
 	a := dPerp.Dot(dPerp)
 	b := 2 * dPerp.Dot(oPerp)
 	cc := oPerp.Dot(oPerp) - c.Radius*c.Radius
 	t0, t1, n := vm.SolveQuadratic(a, b, cc)
 	for i, t := range [2]float64{t0, t1} {
-		if i >= n || t <= tMin || t >= tMax || t >= best.T {
+		if i >= n || t <= tMin || t >= best {
 			continue
 		}
-		p := r.At(t)
-		h := p.Sub(c.Base).Dot(c.axis)
-		if h < 0 || h > c.height {
+		if h := r.At(t).Sub(c.Base).Dot(c.axis); h < 0 || h > c.height {
 			continue
 		}
-		axisPt := c.Base.Add(c.axis.Scale(h))
-		outward := p.Sub(axisPt).Scale(1 / c.Radius)
-		normal, inside := faceForward(outward, r.Dir)
-		// Cylindrical parameterisation.
-		onb := vm.NewONB(c.axis)
-		u := 0.5 + math.Atan2(outward.Dot(onb.V), outward.Dot(onb.U))/(2*math.Pi)
-		best = Hit{T: t, Point: p, Normal: normal, Inside: inside, U: u, V: h / c.height}
-		found = true
+		best, part = t, partLateral
 	}
-
-	if !c.Open {
-		for _, end := range [2]struct {
-			center vm.Vec3
-			normal vm.Vec3
-		}{
-			{c.Base, c.axis.Neg()},
-			{c.Cap, c.axis},
-		} {
-			denom := end.normal.Dot(r.Dir)
-			if math.Abs(denom) < vm.Eps {
-				continue
-			}
-			t := end.normal.Dot(end.center.Sub(r.Origin)) / denom
-			if t <= tMin || t >= tMax || t >= best.T {
-				continue
-			}
-			p := r.At(t)
-			rel := p.Sub(end.center)
-			if rel.Len2() > c.Radius*c.Radius {
-				continue
-			}
-			normal, inside := faceForward(end.normal, r.Dir)
-			onb := vm.NewONB(end.normal)
-			best = Hit{
-				T: t, Point: p, Normal: normal, Inside: inside,
-				U: rel.Dot(onb.U)/c.Radius*0.5 + 0.5,
-				V: rel.Dot(onb.V)/c.Radius*0.5 + 0.5,
-			}
-			found = true
+	// End caps, the disc test (discT) written out for both at once: the
+	// base's normal is -axis, so its denominator is -dA and its numerator
+	// (-axis)·(Base-Origin) is axis·oc — the same floats, not recomputed.
+	if !c.Open && math.Abs(dA) >= vm.Eps {
+		r2 := c.Radius * c.Radius
+		if t := ocA / -dA; t > tMin && t < best && r.At(t).Sub(c.Base).Len2() <= r2 {
+			best, part = t, partBase
+		}
+		if t := c.axis.Dot(c.Cap.Sub(r.Origin)) / dA; t > tMin && t < best && r.At(t).Sub(c.Cap).Len2() <= r2 {
+			best, part = t, partCap
 		}
 	}
+	return best, part, part >= 0
+}
 
-	if !found {
-		return Hit{}, false
+// HitAt implements Shape.
+func (c *Cylinder) HitAt(r vm.Ray, t float64, part int32) Hit {
+	switch part {
+	case partBase:
+		return discHit(r, t, c.Base, c.axis.Neg(), c.Radius)
+	case partCap:
+		return discHit(r, t, c.Cap, c.axis, c.Radius)
 	}
-	return best, true
+	p := r.At(t)
+	h := p.Sub(c.Base).Dot(c.axis)
+	axisPt := c.Base.Add(c.axis.Scale(h))
+	outward := p.Sub(axisPt).Scale(1 / c.Radius)
+	normal, inside := faceForward(outward, r.Dir)
+	// Cylindrical parameterisation.
+	onb := vm.NewONB(c.axis)
+	u := 0.5 + math.Atan2(outward.Dot(onb.V), outward.Dot(onb.U))/(2*math.Pi)
+	return Hit{T: t, Point: p, Normal: normal, Inside: inside, U: u, V: h / c.height}
 }
 
 // Bounds implements Shape.

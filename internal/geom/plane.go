@@ -19,23 +19,28 @@ func NewPlane(normal vm.Vec3, offset float64) *Plane {
 	return &Plane{Normal: normal.Norm(), Offset: offset}
 }
 
-// Intersect implements Shape.
-func (p *Plane) Intersect(r vm.Ray, tMin, tMax float64) (Hit, bool) {
+// IntersectT implements Shape.
+func (p *Plane) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
 	denom := p.Normal.Dot(r.Dir)
 	if math.Abs(denom) < vm.Eps {
-		return Hit{}, false
+		return 0, 0, false
 	}
 	t := (p.Offset - p.Normal.Dot(r.Origin)) / denom
 	if t <= tMin || t >= tMax {
-		return Hit{}, false
+		return 0, 0, false
 	}
+	return t, 0, true
+}
+
+// HitAt implements Shape.
+func (p *Plane) HitAt(r vm.Ray, t float64, _ int32) Hit {
 	pt := r.At(t)
 	normal, inside := faceForward(p.Normal, r.Dir)
 	// Planar parameterisation: project onto the two tangent axes.
 	onb := vm.NewONB(p.Normal)
 	u := pt.Dot(onb.U)
 	v := pt.Dot(onb.V)
-	return Hit{T: t, Point: pt, Normal: normal, Inside: inside, U: u, V: v}, true
+	return Hit{T: t, Point: pt, Normal: normal, Inside: inside, U: u, V: v}
 }
 
 // Bounds implements Shape. Planes are unbounded; return a huge slab

@@ -4,9 +4,12 @@
 // cylinders, discs, triangles and triangle meshes, plus an affine
 // transform wrapper.
 //
-// All primitives implement Shape. Intersection routines return the
-// nearest hit with parameter t in (tMin, tMax); they are exact (no
-// acceleration) — spatial acceleration lives in internal/grid.
+// All primitives implement Shape. Intersection is two-phase: IntersectT
+// decides whether and where a ray meets the surface (the nearest
+// parameter t in (tMin, tMax)), HitAt completes the point, normal and
+// texture coordinates for the one candidate that wins the ray. The
+// routines are exact (no acceleration) — spatial acceleration lives in
+// internal/grid.
 package geom
 
 import (
@@ -33,16 +36,41 @@ type Hit struct {
 	U, V float64
 }
 
-// Shape is a geometric surface a ray can hit.
+// Shape is a geometric surface a ray can hit. The ray travels by value:
+// a *vm.Ray through the interface would escape to the heap on every
+// call (trace.TestTraceAllocsZero pins this).
 type Shape interface {
-	// Intersect returns the nearest hit with t in (tMin, tMax). ok is
-	// false when the ray misses.
-	Intersect(r vm.Ray, tMin, tMax float64) (h Hit, ok bool)
+	// IntersectT returns the nearest parameter t in (tMin, tMax) at
+	// which r meets the surface, and which part of the shape it met
+	// (cylinder and cone: partLateral/partBase/partCap; mesh: the
+	// triangle index; 0 otherwise). ok is false when the ray misses.
+	IntersectT(r vm.Ray, tMin, tMax float64) (t float64, part int32, ok bool)
+	// HitAt completes the hit IntersectT found: t and part must come
+	// from IntersectT on the same ray.
+	HitAt(r vm.Ray, t float64, part int32) Hit
 	// Bounds returns a world-space axis-aligned bounding box fully
 	// containing the shape. Unbounded shapes (Plane) return a very large
 	// but finite box so the voxel grid can still clip them.
 	Bounds() vm.AABB
 }
+
+// Intersect returns the nearest hit of r on s with t in (tMin, tMax):
+// both phases in one call, for callers that test one shape at a time and
+// want the whole Hit (object-space forwarding, tests).
+func Intersect(s Shape, r vm.Ray, tMin, tMax float64) (Hit, bool) {
+	t, part, ok := s.IntersectT(r, tMin, tMax)
+	if !ok {
+		return Hit{}, false
+	}
+	return s.HitAt(r, t, part), true
+}
+
+// Parts of a capped cylinder or cone.
+const (
+	partLateral int32 = iota
+	partBase
+	partCap
+)
 
 // faceForward flips n to oppose d, returning the flipped normal and
 // whether a flip happened (i.e. the ray was inside the surface).

@@ -11,7 +11,7 @@ func TestPlaneHit(t *testing.T) {
 	// Floor: y = 0, normal +Y.
 	p := NewPlane(vm.V(0, 1, 0), 0)
 	r := vm.Ray{Origin: vm.V(0, 5, 0), Dir: vm.V(0, -1, 0)}
-	h, ok := p.Intersect(r, 0, inf)
+	h, ok := Intersect(p, r, 0, inf)
 	if !ok {
 		t.Fatal("missed plane")
 	}
@@ -27,7 +27,7 @@ func TestPlaneOffset(t *testing.T) {
 	// Plane y = 2.
 	p := NewPlane(vm.V(0, 1, 0), 2)
 	r := vm.Ray{Origin: vm.V(0, 5, 0), Dir: vm.V(0, -1, 0)}
-	h, ok := p.Intersect(r, 0, inf)
+	h, ok := Intersect(p, r, 0, inf)
 	if !ok || math.Abs(h.T-3) > 1e-12 {
 		t.Fatalf("offset plane: ok=%v T=%v", ok, h.T)
 	}
@@ -36,7 +36,7 @@ func TestPlaneOffset(t *testing.T) {
 func TestPlaneParallelMiss(t *testing.T) {
 	p := NewPlane(vm.V(0, 1, 0), 0)
 	r := vm.Ray{Origin: vm.V(0, 1, 0), Dir: vm.V(1, 0, 0)}
-	if _, ok := p.Intersect(r, 0, inf); ok {
+	if _, ok := Intersect(p, r, 0, inf); ok {
 		t.Error("parallel ray hit plane")
 	}
 }
@@ -44,7 +44,7 @@ func TestPlaneParallelMiss(t *testing.T) {
 func TestPlaneFromBelowFlipsNormal(t *testing.T) {
 	p := NewPlane(vm.V(0, 1, 0), 0)
 	r := vm.Ray{Origin: vm.V(0, -3, 0), Dir: vm.V(0, 1, 0)}
-	h, ok := p.Intersect(r, 0, inf)
+	h, ok := Intersect(p, r, 0, inf)
 	if !ok {
 		t.Fatal("missed plane from below")
 	}
@@ -63,7 +63,7 @@ func TestPlaneNonUnitNormalNormalised(t *testing.T) {
 	}
 	// Plane y = 1.
 	r := vm.Ray{Origin: vm.V(0, 3, 0), Dir: vm.V(0, -1, 0)}
-	h, ok := p.Intersect(r, 0, inf)
+	h, ok := Intersect(p, r, 0, inf)
 	if !ok || math.Abs(h.T-2) > 1e-12 {
 		t.Fatalf("ok=%v T=%v, want T=2", ok, h.T)
 	}
@@ -80,7 +80,7 @@ func TestBoxHitFaces(t *testing.T) {
 		{vm.V(0, 0, -5), vm.V(0, 0, 1), vm.V(0, 0, -1)},
 	}
 	for i, c := range cases {
-		h, ok := b.Intersect(vm.Ray{Origin: c.origin, Dir: c.dir}, 0, inf)
+		h, ok := Intersect(b, vm.Ray{Origin: c.origin, Dir: c.dir}, 0, inf)
 		if !ok {
 			t.Fatalf("case %d: missed", i)
 		}
@@ -95,7 +95,7 @@ func TestBoxHitFaces(t *testing.T) {
 
 func TestBoxFromInside(t *testing.T) {
 	b := NewBox(vm.V(-1, -1, -1), vm.V(1, 1, 1))
-	h, ok := b.Intersect(vm.Ray{Origin: vm.V(0, 0, 0), Dir: vm.V(1, 0, 0)}, 0, inf)
+	h, ok := Intersect(b, vm.Ray{Origin: vm.V(0, 0, 0), Dir: vm.V(1, 0, 0)}, 0, inf)
 	if !ok {
 		t.Fatal("missed from inside")
 	}
@@ -119,14 +119,14 @@ func TestBoxCornersOrdered(t *testing.T) {
 
 func TestDiscHitAndMiss(t *testing.T) {
 	d := NewDisc(vm.V(0, 0, 0), vm.V(0, 1, 0), 2)
-	h, ok := d.Intersect(vm.Ray{Origin: vm.V(1, 5, 1), Dir: vm.V(0, -1, 0)}, 0, inf)
+	h, ok := Intersect(d, vm.Ray{Origin: vm.V(1, 5, 1), Dir: vm.V(0, -1, 0)}, 0, inf)
 	if !ok {
 		t.Fatal("missed disc inside radius")
 	}
 	if math.Abs(h.T-5) > 1e-12 {
 		t.Errorf("T = %v", h.T)
 	}
-	if _, ok := d.Intersect(vm.Ray{Origin: vm.V(2, 5, 2), Dir: vm.V(0, -1, 0)}, 0, inf); ok {
+	if _, ok := Intersect(d, vm.Ray{Origin: vm.V(2, 5, 2), Dir: vm.V(0, -1, 0)}, 0, inf); ok {
 		t.Error("hit outside radius (r=2, dist=2.83)")
 	}
 }
@@ -134,7 +134,7 @@ func TestDiscHitAndMiss(t *testing.T) {
 func TestCylinderLateralHit(t *testing.T) {
 	c := NewCylinder(vm.V(0, 0, 0), vm.V(0, 2, 0), 0.5)
 	r := vm.Ray{Origin: vm.V(-5, 1, 0), Dir: vm.V(1, 0, 0)}
-	h, ok := c.Intersect(r, 0, inf)
+	h, ok := Intersect(c, r, 0, inf)
 	if !ok {
 		t.Fatal("missed cylinder side")
 	}
@@ -149,7 +149,7 @@ func TestCylinderLateralHit(t *testing.T) {
 func TestCylinderCapHit(t *testing.T) {
 	c := NewCylinder(vm.V(0, 0, 0), vm.V(0, 2, 0), 0.5)
 	r := vm.Ray{Origin: vm.V(0.2, 5, 0), Dir: vm.V(0, -1, 0)}
-	h, ok := c.Intersect(r, 0, inf)
+	h, ok := Intersect(c, r, 0, inf)
 	if !ok {
 		t.Fatal("missed top cap")
 	}
@@ -166,7 +166,7 @@ func TestOpenCylinderNoCapHit(t *testing.T) {
 	// Straight down the axis: passes through the open ends, hitting
 	// nothing (lateral surface is at radius 0.5, ray is on the axis).
 	r := vm.Ray{Origin: vm.V(0, 5, 0), Dir: vm.V(0, -1, 0)}
-	if _, ok := c.Intersect(r, 0, inf); ok {
+	if _, ok := Intersect(c, r, 0, inf); ok {
 		t.Error("open cylinder reported axis hit")
 	}
 }
@@ -174,7 +174,7 @@ func TestOpenCylinderNoCapHit(t *testing.T) {
 func TestCylinderBeyondHeightMiss(t *testing.T) {
 	c := NewCylinder(vm.V(0, 0, 0), vm.V(0, 2, 0), 0.5)
 	r := vm.Ray{Origin: vm.V(-5, 3, 0), Dir: vm.V(1, 0, 0)}
-	if _, ok := c.Intersect(r, 0, inf); ok {
+	if _, ok := Intersect(c, r, 0, inf); ok {
 		t.Error("hit above cylinder height")
 	}
 }
@@ -184,7 +184,7 @@ func TestCylinderSlantedAxis(t *testing.T) {
 	c := NewCylinder(vm.V(0, 0, 0), vm.V(2, 2, 0), 0.3)
 	mid := vm.V(1, 1, 0)
 	r := vm.Ray{Origin: vm.V(1, 1, -5), Dir: vm.V(0, 0, 1)}
-	h, ok := c.Intersect(r, 0, inf)
+	h, ok := Intersect(c, r, 0, inf)
 	if !ok {
 		t.Fatal("missed slanted cylinder through midpoint")
 	}
@@ -213,7 +213,7 @@ func TestCylinderBoundsContainSurface(t *testing.T) {
 func TestTriangleHit(t *testing.T) {
 	tr := NewTriangle(vm.V(0, 0, 0), vm.V(1, 0, 0), vm.V(0, 1, 0))
 	r := vm.Ray{Origin: vm.V(0.25, 0.25, -1), Dir: vm.V(0, 0, 1)}
-	h, ok := tr.Intersect(r, 0, inf)
+	h, ok := Intersect(tr, r, 0, inf)
 	if !ok {
 		t.Fatal("missed triangle interior")
 	}
@@ -229,12 +229,12 @@ func TestTriangleEdgeAndOutside(t *testing.T) {
 	tr := NewTriangle(vm.V(0, 0, 0), vm.V(1, 0, 0), vm.V(0, 1, 0))
 	// Outside the hypotenuse.
 	r := vm.Ray{Origin: vm.V(0.8, 0.8, -1), Dir: vm.V(0, 0, 1)}
-	if _, ok := tr.Intersect(r, 0, inf); ok {
+	if _, ok := Intersect(tr, r, 0, inf); ok {
 		t.Error("hit outside triangle")
 	}
 	// Parallel to the plane.
 	r = vm.Ray{Origin: vm.V(0, 0, -1), Dir: vm.V(1, 0, 0)}
-	if _, ok := tr.Intersect(r, 0, inf); ok {
+	if _, ok := Intersect(tr, r, 0, inf); ok {
 		t.Error("parallel ray hit triangle")
 	}
 }
@@ -245,7 +245,7 @@ func TestSmoothTriangleInterpolatesNormal(t *testing.T) {
 		vm.V(0, 0, 1), vm.V(1, 0, 1), vm.V(0, 1, 1),
 	)
 	r := vm.Ray{Origin: vm.V(0.2, 0.2, -1), Dir: vm.V(0, 0, 1)}
-	h, ok := tr.Intersect(r, 0, inf)
+	h, ok := Intersect(tr, r, 0, inf)
 	if !ok {
 		t.Fatal("missed smooth triangle")
 	}
@@ -265,7 +265,7 @@ func TestMeshNearestHit(t *testing.T) {
 		NewTriangle(vm.V(-1, -1, 5), vm.V(1, -1, 5), vm.V(0, 1, 5)),
 	})
 	r := vm.Ray{Origin: vm.V(0, 0, 0), Dir: vm.V(0, 0, 1)}
-	h, ok := m.Intersect(r, 0, inf)
+	h, ok := Intersect(m, r, 0, inf)
 	if !ok {
 		t.Fatal("missed mesh")
 	}
@@ -290,7 +290,7 @@ func TestTransformedTranslatedSphere(t *testing.T) {
 	s := NewSphere(vm.V(0, 0, 0), 1)
 	tw := NewTransformed(s, vm.NewTransform(vm.Translate(5, 0, 0)))
 	r := vm.Ray{Origin: vm.V(5, 0, -4), Dir: vm.V(0, 0, 1)}
-	h, ok := tw.Intersect(r, 0, inf)
+	h, ok := Intersect(tw, r, 0, inf)
 	if !ok {
 		t.Fatal("missed translated sphere")
 	}
@@ -308,7 +308,7 @@ func TestTransformedScaledSphereNormal(t *testing.T) {
 	s := NewSphere(vm.V(0, 0, 0), 1)
 	tw := NewTransformed(s, vm.NewTransform(vm.Scaling(1, 2, 1)))
 	r := vm.Ray{Origin: vm.V(5, 0, 0), Dir: vm.V(-1, 0, 0)}
-	h, ok := tw.Intersect(r, 0, inf)
+	h, ok := Intersect(tw, r, 0, inf)
 	if !ok {
 		t.Fatal("missed ellipsoid")
 	}
@@ -335,7 +335,7 @@ func TestTransformedPreservesT(t *testing.T) {
 	s := NewSphere(vm.V(0, 0, 0), 1)
 	tw := NewTransformed(s, vm.NewTransform(vm.Scaling(3, 3, 3)))
 	r := vm.Ray{Origin: vm.V(0, 0, -10), Dir: vm.V(0, 0, 1)}
-	h, ok := tw.Intersect(r, 0, inf)
+	h, ok := Intersect(tw, r, 0, inf)
 	if !ok {
 		t.Fatal("missed scaled sphere")
 	}

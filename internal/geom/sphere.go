@@ -17,30 +17,35 @@ func NewSphere(center vm.Vec3, radius float64) *Sphere {
 	return &Sphere{Center: center, Radius: radius}
 }
 
-// Intersect implements Shape.
-func (s *Sphere) Intersect(r vm.Ray, tMin, tMax float64) (Hit, bool) {
+// IntersectT implements Shape.
+func (s *Sphere) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
 	oc := r.Origin.Sub(s.Center)
 	a := r.Dir.Dot(r.Dir)
 	b := 2 * oc.Dot(r.Dir)
 	c := oc.Dot(oc) - s.Radius*s.Radius
 	t0, t1, n := vm.SolveQuadratic(a, b, c)
 	if n == 0 {
-		return Hit{}, false
+		return 0, 0, false
 	}
 	t := t0
 	if t <= tMin || t >= tMax {
 		t = t1
 		if n < 2 || t <= tMin || t >= tMax {
-			return Hit{}, false
+			return 0, 0, false
 		}
 	}
+	return t, 0, true
+}
+
+// HitAt implements Shape.
+func (s *Sphere) HitAt(r vm.Ray, t float64, _ int32) Hit {
 	p := r.At(t)
 	outward := p.Sub(s.Center).Scale(1 / s.Radius)
 	normal, inside := faceForward(outward, r.Dir)
 	// Spherical parameterisation for textures.
 	u := 0.5 + math.Atan2(outward.Z, outward.X)/(2*math.Pi)
 	v := 0.5 - math.Asin(vm.Clamp(outward.Y, -1, 1))/math.Pi
-	return Hit{T: t, Point: p, Normal: normal, Inside: inside, U: u, V: v}, true
+	return Hit{T: t, Point: p, Normal: normal, Inside: inside, U: u, V: v}
 }
 
 // Bounds implements Shape.

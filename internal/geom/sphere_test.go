@@ -13,7 +13,7 @@ const inf = math.MaxFloat64
 func TestSphereHitFront(t *testing.T) {
 	s := NewSphere(vm.V(0, 0, 0), 1)
 	r := vm.Ray{Origin: vm.V(0, 0, -5), Dir: vm.V(0, 0, 1)}
-	h, ok := s.Intersect(r, 0, inf)
+	h, ok := Intersect(s, r, 0, inf)
 	if !ok {
 		t.Fatal("missed sphere")
 	}
@@ -31,7 +31,7 @@ func TestSphereHitFront(t *testing.T) {
 func TestSphereHitFromInside(t *testing.T) {
 	s := NewSphere(vm.V(0, 0, 0), 1)
 	r := vm.Ray{Origin: vm.V(0, 0, 0), Dir: vm.V(0, 0, 1)}
-	h, ok := s.Intersect(r, 0, inf)
+	h, ok := Intersect(s, r, 0, inf)
 	if !ok {
 		t.Fatal("missed from inside")
 	}
@@ -49,12 +49,12 @@ func TestSphereHitFromInside(t *testing.T) {
 func TestSphereMiss(t *testing.T) {
 	s := NewSphere(vm.V(0, 0, 0), 1)
 	r := vm.Ray{Origin: vm.V(0, 3, -5), Dir: vm.V(0, 0, 1)}
-	if _, ok := s.Intersect(r, 0, inf); ok {
+	if _, ok := Intersect(s, r, 0, inf); ok {
 		t.Error("hit reported for missing ray")
 	}
 	// Behind the origin.
 	r = vm.Ray{Origin: vm.V(0, 0, -5), Dir: vm.V(0, 0, -1)}
-	if _, ok := s.Intersect(r, 0, inf); ok {
+	if _, ok := Intersect(s, r, 0, inf); ok {
 		t.Error("hit reported behind ray origin")
 	}
 }
@@ -62,10 +62,10 @@ func TestSphereMiss(t *testing.T) {
 func TestSphereRespectstMax(t *testing.T) {
 	s := NewSphere(vm.V(0, 0, 0), 1)
 	r := vm.Ray{Origin: vm.V(0, 0, -5), Dir: vm.V(0, 0, 1)}
-	if _, ok := s.Intersect(r, 0, 3.9); ok {
+	if _, ok := Intersect(s, r, 0, 3.9); ok {
 		t.Error("hit reported beyond tMax")
 	}
-	if _, ok := s.Intersect(r, 4.5, inf); !ok {
+	if _, ok := Intersect(s, r, 4.5, inf); !ok {
 		// tMin lies between entry (4) and exit (6): should hit exit.
 		t.Error("exit hit not found with tMin inside sphere span")
 	}
@@ -75,11 +75,11 @@ func TestSphereGrazing(t *testing.T) {
 	s := NewSphere(vm.V(0, 0, 0), 1)
 	// Ray passing at distance exactly 1-1e-12 (just inside).
 	r := vm.Ray{Origin: vm.V(0, 1-1e-9, -5), Dir: vm.V(0, 0, 1)}
-	if _, ok := s.Intersect(r, 0, inf); !ok {
+	if _, ok := Intersect(s, r, 0, inf); !ok {
 		t.Error("grazing ray (just inside) missed")
 	}
 	r = vm.Ray{Origin: vm.V(0, 1+1e-9, -5), Dir: vm.V(0, 0, 1)}
-	if _, ok := s.Intersect(r, 0, inf); ok {
+	if _, ok := Intersect(s, r, 0, inf); ok {
 		t.Error("grazing ray (just outside) hit")
 	}
 }
@@ -96,7 +96,7 @@ func TestSphereUV(t *testing.T) {
 	s := NewSphere(vm.V(0, 0, 0), 1)
 	// Hit the north pole: v should be ~0.
 	r := vm.Ray{Origin: vm.V(0, 5, 0), Dir: vm.V(0, -1, 0)}
-	h, ok := s.Intersect(r, 0, inf)
+	h, ok := Intersect(s, r, 0, inf)
 	if !ok {
 		t.Fatal("missed pole")
 	}
@@ -117,7 +117,7 @@ func TestQuickSphereHitOnSurface(t *testing.T) {
 			return true
 		}
 		d = d.Norm()
-		h, ok := s.Intersect(vm.Ray{Origin: o, Dir: d}, 1e-9, inf)
+		h, ok := Intersect(s, vm.Ray{Origin: o, Dir: d}, 1e-9, inf)
 		if !ok {
 			return true
 		}
@@ -148,7 +148,7 @@ func TestQuickSphereAimedRaysHit(t *testing.T) {
 		}
 		// Aim at the sphere centre — guaranteed hit.
 		d := s.Center.Sub(o)
-		_, ok := s.Intersect(vm.Ray{Origin: o, Dir: d}, 1e-9, inf)
+		_, ok := Intersect(s, vm.Ray{Origin: o, Dir: d}, 1e-9, inf)
 		return ok
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -20,13 +20,13 @@ func NewTorus(major, minor float64) *Torus {
 	return &Torus{Major: major, Minor: minor}
 }
 
-// Intersect implements Shape. The torus surface satisfies
+// IntersectT implements Shape. The torus surface satisfies
 // (|p|² + R² − r²)² = 4R²(px² + pz²); substituting the ray gives a
 // quartic in t.
-func (to *Torus) Intersect(ray vm.Ray, tMin, tMax float64) (Hit, bool) {
+func (to *Torus) IntersectT(ray vm.Ray, tMin, tMax float64) (float64, int32, bool) {
 	// Quick reject against the bounding box.
 	if _, hit := to.Bounds().IntersectRay(ray, tMin, tMax); !hit {
-		return Hit{}, false
+		return 0, 0, false
 	}
 	o, d := ray.Origin, ray.Dir
 	R2 := to.Major * to.Major
@@ -45,27 +45,32 @@ func (to *Torus) Intersect(ray vm.Ray, tMin, tMax float64) (Hit, bool) {
 	c1 := 4*m*n - qxz
 	c0 := n*n - rxz
 	if c4 < vm.Eps {
-		return Hit{}, false
+		return 0, 0, false
 	}
 	roots := vm.SolveQuartic(c3/c4, c2/c4, c1/c4, c0/c4)
 	for _, t := range roots {
 		if t <= tMin || t >= tMax {
 			continue
 		}
-		p := ray.At(t)
-		// Normal: from the nearest point on the ring circle to p.
-		ringLen := math.Hypot(p.X, p.Z)
-		if ringLen < vm.Eps {
+		if p := ray.At(t); math.Hypot(p.X, p.Z) < vm.Eps {
 			continue // on the axis: degenerate
 		}
-		ring := vm.V(p.X/ringLen*to.Major, 0, p.Z/ringLen*to.Major)
-		outward := p.Sub(ring).Norm()
-		normal, inside := faceForward(outward, ray.Dir)
-		u := 0.5 + math.Atan2(p.Z, p.X)/(2*math.Pi)
-		v := 0.5 + math.Atan2(p.Y, ringLen-to.Major)/(2*math.Pi)
-		return Hit{T: t, Point: p, Normal: normal, Inside: inside, U: u, V: v}, true
+		return t, 0, true
 	}
-	return Hit{}, false
+	return 0, 0, false
+}
+
+// HitAt implements Shape.
+func (to *Torus) HitAt(ray vm.Ray, t float64, _ int32) Hit {
+	p := ray.At(t)
+	// Normal: from the nearest point on the ring circle to p.
+	ringLen := math.Hypot(p.X, p.Z)
+	ring := vm.V(p.X/ringLen*to.Major, 0, p.Z/ringLen*to.Major)
+	outward := p.Sub(ring).Norm()
+	normal, inside := faceForward(outward, ray.Dir)
+	u := 0.5 + math.Atan2(p.Z, p.X)/(2*math.Pi)
+	v := 0.5 + math.Atan2(p.Y, ringLen-to.Major)/(2*math.Pi)
+	return Hit{T: t, Point: p, Normal: normal, Inside: inside, U: u, V: v}
 }
 
 // Bounds implements Shape.

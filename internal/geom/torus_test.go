@@ -11,7 +11,7 @@ func TestTorusAxisRayMisses(t *testing.T) {
 	to := NewTorus(2, 0.5)
 	// Straight down the axis through the hole.
 	r := vm.Ray{Origin: vm.V(0, 5, 0), Dir: vm.V(0, -1, 0)}
-	if _, ok := to.Intersect(r, 0, inf); ok {
+	if _, ok := Intersect(to, r, 0, inf); ok {
 		t.Error("axis ray hit the torus (should pass through the hole)")
 	}
 }
@@ -20,7 +20,7 @@ func TestTorusEquatorialHit(t *testing.T) {
 	to := NewTorus(2, 0.5)
 	// Along +X through the tube: enters at x=-2.5.
 	r := vm.Ray{Origin: vm.V(-5, 0, 0), Dir: vm.V(1, 0, 0)}
-	h, ok := to.Intersect(r, 0, inf)
+	h, ok := Intersect(to, r, 0, inf)
 	if !ok {
 		t.Fatal("missed torus")
 	}
@@ -36,7 +36,7 @@ func TestTorusTopHit(t *testing.T) {
 	to := NewTorus(2, 0.5)
 	// Straight down onto the top of the tube at x=2.
 	r := vm.Ray{Origin: vm.V(2, 5, 0), Dir: vm.V(0, -1, 0)}
-	h, ok := to.Intersect(r, 0, inf)
+	h, ok := Intersect(to, r, 0, inf)
 	if !ok {
 		t.Fatal("missed tube top")
 	}
@@ -52,7 +52,7 @@ func TestTorusHolePassThrough(t *testing.T) {
 	to := NewTorus(2, 0.5)
 	// Offset from the axis but still inside the hole radius (R-r = 1.5).
 	r := vm.Ray{Origin: vm.V(1.0, 5, 0), Dir: vm.V(0, -1, 0)}
-	if _, ok := to.Intersect(r, 0, inf); ok {
+	if _, ok := Intersect(to, r, 0, inf); ok {
 		t.Error("ray through the hole hit the torus")
 	}
 }
@@ -61,7 +61,7 @@ func TestTorusInsideTube(t *testing.T) {
 	to := NewTorus(2, 0.5)
 	// Start inside the tube at (2,0,0).
 	r := vm.Ray{Origin: vm.V(2, 0, 0), Dir: vm.V(1, 0, 0)}
-	h, ok := to.Intersect(r, 1e-9, inf)
+	h, ok := Intersect(to, r, 1e-9, inf)
 	if !ok {
 		t.Fatal("missed from inside tube")
 	}
@@ -87,7 +87,7 @@ func TestTorusHitPointsOnSurface(t *testing.T) {
 		if d.Len() < 0.1 {
 			continue
 		}
-		h, ok := to.Intersect(vm.Ray{Origin: o, Dir: d.Norm()}, 1e-9, inf)
+		h, ok := Intersect(to, vm.Ray{Origin: o, Dir: d.Norm()}, 1e-9, inf)
 		if !ok {
 			continue
 		}
@@ -121,7 +121,7 @@ func TestTorusTransformed(t *testing.T) {
 	// The ring now lies in the XY plane at height 2: a ray along +Z
 	// through (1, 2) hits the tube.
 	r := vm.Ray{Origin: vm.V(1, 2, -5), Dir: vm.V(0, 0, 1)}
-	h, ok := tw.Intersect(r, 0, inf)
+	h, ok := Intersect(tw, r, 0, inf)
 	if !ok {
 		t.Fatal("missed transformed torus")
 	}

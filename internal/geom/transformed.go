@@ -18,23 +18,28 @@ func NewTransformed(shape Shape, xf vm.Transform) *Transformed {
 	return &Transformed{Shape: shape, Xf: xf}
 }
 
-// Intersect implements Shape.
-func (tw *Transformed) Intersect(r vm.Ray, tMin, tMax float64) (Hit, bool) {
-	// Map the ray to object space. t values are preserved because the
-	// direction is transformed without renormalisation.
-	local := vm.Ray{
+// local maps r to object space. t values are preserved because the
+// direction is transformed without renormalisation.
+func (tw *Transformed) local(r vm.Ray) vm.Ray {
+	return vm.Ray{
 		Origin: tw.Xf.Inv.MulPoint(r.Origin),
 		Dir:    tw.Xf.Inv.MulDir(r.Dir),
 		Kind:   r.Kind,
 		Depth:  r.Depth,
 	}
-	h, ok := tw.Shape.Intersect(local, tMin, tMax)
-	if !ok {
-		return Hit{}, false
-	}
+}
+
+// IntersectT implements Shape.
+func (tw *Transformed) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
+	return tw.Shape.IntersectT(tw.local(r), tMin, tMax)
+}
+
+// HitAt implements Shape: the wrapped shape's hit, mapped back out.
+func (tw *Transformed) HitAt(r vm.Ray, t float64, part int32) Hit {
+	h := tw.Shape.HitAt(tw.local(r), t, part)
 	h.Point = tw.Xf.Fwd.MulPoint(h.Point)
 	h.Normal = tw.Xf.Inv.MulNormal(h.Normal).Norm()
-	return h, true
+	return h
 }
 
 // Bounds implements Shape.

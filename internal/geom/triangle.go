@@ -26,38 +26,51 @@ func NewSmoothTriangle(p0, p1, p2, n0, n1, n2 vm.Vec3) *Triangle {
 	return &Triangle{P0: p0, P1: p1, P2: p2, N0: &n0n, N1: &n1n, N2: &n2n}
 }
 
-// Intersect implements Shape using the Möller–Trumbore algorithm.
-func (tr *Triangle) Intersect(r vm.Ray, tMin, tMax float64) (Hit, bool) {
+// IntersectT implements Shape using the Möller–Trumbore algorithm.
+func (tr *Triangle) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
+	t, _, _, ok := tr.mollerTrumbore(r)
+	if !ok || t <= tMin || t >= tMax {
+		return 0, 0, false
+	}
+	return t, 0, true
+}
+
+// mollerTrumbore returns the parameter and barycentric coordinates at
+// which r's line crosses the triangle; ok is false when it misses.
+func (tr *Triangle) mollerTrumbore(r vm.Ray) (t, u, v float64, ok bool) {
 	e1 := tr.P1.Sub(tr.P0)
 	e2 := tr.P2.Sub(tr.P0)
 	pv := r.Dir.Cross(e2)
 	det := e1.Dot(pv)
 	if math.Abs(det) < vm.Eps {
-		return Hit{}, false
+		return 0, 0, 0, false
 	}
 	invDet := 1 / det
 	tv := r.Origin.Sub(tr.P0)
-	u := tv.Dot(pv) * invDet
+	u = tv.Dot(pv) * invDet
 	if u < 0 || u > 1 {
-		return Hit{}, false
+		return 0, 0, 0, false
 	}
 	qv := tv.Cross(e1)
-	v := r.Dir.Dot(qv) * invDet
+	v = r.Dir.Dot(qv) * invDet
 	if v < 0 || u+v > 1 {
-		return Hit{}, false
+		return 0, 0, 0, false
 	}
-	t := e2.Dot(qv) * invDet
-	if t <= tMin || t >= tMax {
-		return Hit{}, false
-	}
+	return e2.Dot(qv) * invDet, u, v, true
+}
+
+// HitAt implements Shape: it redoes Möller–Trumbore for the barycentric
+// coordinates rather than carry them through every candidate test.
+func (tr *Triangle) HitAt(r vm.Ray, t float64, _ int32) Hit {
+	_, u, v, _ := tr.mollerTrumbore(r)
 	var outward vm.Vec3
 	if tr.N0 != nil {
 		outward = tr.N0.Scale(1 - u - v).Add(tr.N1.Scale(u)).Add(tr.N2.Scale(v)).Norm()
 	} else {
-		outward = e1.Cross(e2).Norm()
+		outward = tr.P1.Sub(tr.P0).Cross(tr.P2.Sub(tr.P0)).Norm()
 	}
 	normal, inside := faceForward(outward, r.Dir)
-	return Hit{T: t, Point: r.At(t), Normal: normal, Inside: inside, U: u, V: v}, true
+	return Hit{T: t, Point: r.At(t), Normal: normal, Inside: inside, U: u, V: v}
 }
 
 // Bounds implements Shape.
@@ -83,20 +96,24 @@ func NewMesh(tris []*Triangle) *Mesh {
 	return m
 }
 
-// Intersect implements Shape.
-func (m *Mesh) Intersect(r vm.Ray, tMin, tMax float64) (Hit, bool) {
+// IntersectT implements Shape; part is the index of the nearest triangle
+// (the lower index on a tie).
+func (m *Mesh) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
 	if _, hit := m.bounds.IntersectRay(r, tMin, tMax); !hit {
-		return Hit{}, false
+		return 0, 0, false
 	}
-	best := Hit{T: math.Inf(1)}
-	found := false
-	for _, tr := range m.Tris {
-		if h, ok := tr.Intersect(r, tMin, tMax); ok && h.T < best.T {
-			best = h
-			found = true
+	best, part := tMax, int32(-1)
+	for i, tr := range m.Tris {
+		if t, _, _, ok := tr.mollerTrumbore(r); ok && t > tMin && t < best {
+			best, part = t, int32(i)
 		}
 	}
-	return best, found
+	return best, part, part >= 0
+}
+
+// HitAt implements Shape.
+func (m *Mesh) HitAt(r vm.Ray, t float64, part int32) Hit {
+	return m.Tris[part].HitAt(r, t, 0)
 }
 
 // Bounds implements Shape.

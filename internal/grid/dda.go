@@ -6,12 +6,23 @@ import (
 	vm "nowrender/internal/vecmath"
 )
 
-// dda is the state of one incremental traversal — the "modified 3D-DDA"
-// of the paper (§2), i.e. Amanatides & Woo: after initialisation each
-// step is one comparison and one addition per axis. Walk and
-// AppendVoxels are its two drivers, so they cannot visit different
-// voxels.
-type dda struct {
+// Walker is the state of one incremental traversal — the "modified
+// 3D-DDA" of the paper (§2), i.e. Amanatides & Woo: after initialisation
+// each step is one comparison and one addition per axis. It is the one
+// stepping primitive: Walk, AppendVoxels and the tracer's
+// Worker.Intersect all drive it, so they cannot visit different voxels.
+//
+//	var w grid.Walker
+//	if g.StartWalk(&w, r, tMin, tMax) {
+//		for {
+//			idx, tLeave, axis := w.Voxel()
+//			... // the ray is in voxel idx until tLeave
+//			if !w.Advance(axis) {
+//				break
+//			}
+//		}
+//	}
+type Walker struct {
 	idx          int     // flat index of the current voxel
 	tEnter, tMax float64 // ray parameters at grid entry and at the walk's end
 	// Per axis: voxels left before the grid's face, the flat-index change
@@ -20,9 +31,9 @@ type dda struct {
 	tNext, tDelta [3]float64
 }
 
-// start positions d for a traversal of ray r over [tMin, tMax] in its
-// first voxel; false when the ray misses the grid.
-func (g *Grid) start(d *dda, r vm.Ray, tMin, tMax float64) bool {
+// StartWalk positions w for a traversal of ray r over [tMin, tMax] in
+// its first voxel; false when the ray misses the grid.
+func (g *Grid) StartWalk(w *Walker, r vm.Ray, tMin, tMax float64) bool {
 	iv, hit := g.bounds.IntersectRay(r, tMin, tMax)
 	if !hit {
 		return false
@@ -37,54 +48,64 @@ func (g *Grid) start(d *dda, r vm.Ray, tMin, tMax float64) bool {
 			return false
 		}
 	}
-	d.idx, d.tEnter, d.tMax = g.Index(ix, iy, iz), iv.Min, iv.Max
-	coord := [3]int{ix, iy, iz}
-	dims := [3]int{g.nx, g.ny, g.nz}
-	strides := [3]int{1, g.nx, g.nx * g.ny}
-	for a := 0; a < 3; a++ {
-		dir, cell := r.Dir.Axis(a), g.cellSize.Axis(a)
-		switch {
-		case dir > 0:
-			d.left[a], d.stride[a] = dims[a]-1-coord[a], strides[a]
-			d.tDelta[a] = cell / dir
-			boundary := g.bounds.Min.Axis(a) + float64(coord[a]+1)*cell
-			d.tNext[a] = (boundary - r.Origin.Axis(a)) / dir
-		case dir < 0:
-			d.left[a], d.stride[a] = coord[a], -strides[a]
-			d.tDelta[a] = -cell / dir
-			boundary := g.bounds.Min.Axis(a) + float64(coord[a])*cell
-			d.tNext[a] = (boundary - r.Origin.Axis(a)) / dir
-		default:
-			// Never the nearest boundary (left is 0 so that even a
-			// zero-direction ray ends).
-			d.left[a], d.tDelta[a], d.tNext[a] = 0, math.Inf(1), math.Inf(1)
-		}
-	}
+	w.idx, w.tEnter, w.tMax = g.Index(ix, iy, iz), iv.Min, iv.Max
+	w.startAxis(0, r.Dir.X, r.Origin.X, g.bounds.Min.X, g.cellSize.X, ix, g.nx, 1)
+	w.startAxis(1, r.Dir.Y, r.Origin.Y, g.bounds.Min.Y, g.cellSize.Y, iy, g.ny, g.nx)
+	w.startAxis(2, r.Dir.Z, r.Origin.Z, g.bounds.Min.Z, g.cellSize.Z, iz, g.nz, g.nx*g.ny)
 	return true
 }
 
-// nearest returns the axis whose boundary the ray crosses first, the
-// lower axis on a tie.
-func (d *dda) nearest() int {
-	axis := 0
-	if d.tNext[1] < d.tNext[axis] {
-		axis = 1
+// startAxis sets up axis a: the ray moves along it with direction
+// component dir from origin, the grid starts at lo with n cells of size
+// cell and flat-index stride, and the walk starts in cell coord.
+func (w *Walker) startAxis(a int, dir, origin, lo, cell float64, coord, n, stride int) {
+	switch {
+	case dir > 0:
+		w.left[a], w.stride[a] = n-1-coord, stride
+		w.tDelta[a] = cell / dir
+		boundary := lo + float64(coord+1)*cell
+		w.tNext[a] = (boundary - origin) / dir
+	case dir < 0:
+		w.left[a], w.stride[a] = coord, -stride
+		w.tDelta[a] = -cell / dir
+		boundary := lo + float64(coord)*cell
+		w.tNext[a] = (boundary - origin) / dir
+	default:
+		// Never the nearest boundary (left is 0 so that even a
+		// zero-direction ray ends).
+		w.left[a], w.tDelta[a], w.tNext[a] = 0, math.Inf(1), math.Inf(1)
 	}
-	if d.tNext[2] < d.tNext[axis] {
-		axis = 2
-	}
-	return axis
 }
 
-// advance steps into the neighbouring voxel across axis; false when the
-// ray ends inside the current voxel or leaves the grid.
-func (d *dda) advance(axis int) bool {
-	if d.tNext[axis] > d.tMax || d.left[axis] == 0 {
+// Voxel returns the flat index of the voxel the walk is in, the
+// parameter at which the ray leaves it (clamped to the walk's end) and
+// the axis whose boundary it crosses there — the lower axis on a tie.
+func (w *Walker) Voxel() (idx int, tLeave float64, axis int) {
+	if w.tNext[1] < w.tNext[axis] {
+		axis = 1
+	}
+	if w.tNext[2] < w.tNext[axis] {
+		axis = 2
+	}
+	// tNext is never NaN (+Inf on an axis the ray does not move along),
+	// so a plain compare clamps it.
+	tLeave = w.tNext[axis]
+	if tLeave > w.tMax {
+		tLeave = w.tMax
+	}
+	return w.idx, tLeave, axis
+}
+
+// Advance steps into the neighbouring voxel across axis (the one Voxel
+// returned); false when the ray ends inside the current voxel or leaves
+// the grid.
+func (w *Walker) Advance(axis int) bool {
+	if w.tNext[axis] > w.tMax || w.left[axis] == 0 {
 		return false
 	}
-	d.tNext[axis] += d.tDelta[axis]
-	d.left[axis]--
-	d.idx += d.stride[axis]
+	w.tNext[axis] += w.tDelta[axis]
+	w.left[axis]--
+	w.idx += w.stride[axis]
 	return true
 }
 
@@ -92,35 +113,21 @@ func (d *dda) advance(axis int) bool {
 // [tMin, tMax] in front-to-back order, calling visit for each. visit
 // receives the flat voxel index and the parameter interval [tEnter,
 // tLeave] the ray spends inside the voxel; returning false stops the
-// walk early (used by the tracer once a hit is confirmed inside the
-// current voxel).
+// walk early. The visitor form of the Walker, for callers off the
+// per-ray hot path.
 func (g *Grid) Walk(r vm.Ray, tMin, tMax float64, visit func(idx int, tEnter, tLeave float64) bool) {
-	var d dda
-	if !g.start(&d, r, tMin, tMax) {
+	var w Walker
+	if !g.StartWalk(&w, r, tMin, tMax) {
 		return
 	}
-	tEnter := d.tEnter
+	tEnter := w.tEnter
 	for {
-		axis := d.nearest()
-		// tNext is never NaN (+Inf on an axis the ray does not move
-		// along), so a plain compare clamps it.
-		tLeave := d.tNext[axis]
-		if tLeave > d.tMax {
-			tLeave = d.tMax
-		}
-		if !visit(d.idx, tEnter, tLeave) || !d.advance(axis) {
+		idx, tLeave, axis := w.Voxel()
+		if !visit(idx, tEnter, tLeave) || !w.Advance(axis) {
 			return
 		}
 		tEnter = tLeave
 	}
-}
-
-// WalkSegment traverses voxels along the segment from a to b, a
-// convenience wrapper used for shadow rays (which have a natural end at
-// the light position).
-func (g *Grid) WalkSegment(a, b vm.Vec3, visit func(idx int, tEnter, tLeave float64) bool) {
-	d := b.Sub(a)
-	g.Walk(vm.Ray{Origin: a, Dir: d}, 0, 1, visit)
 }
 
 // AppendVoxels appends to dst the flat indices of the voxels Walk visits
@@ -129,8 +136,8 @@ func (g *Grid) WalkSegment(a, b vm.Vec3, visit func(idx int, tEnter, tLeave floa
 // and no parameter intervals, and a full dst doubles, so an arena filled
 // ray after ray is copied O(log n) times.
 func (g *Grid) AppendVoxels(dst []int32, r vm.Ray, tMin, tMax float64) []int32 {
-	var d dda
-	if !g.start(&d, r, tMin, tMax) {
+	var w Walker
+	if !g.StartWalk(&w, r, tMin, tMax) {
 		return dst
 	}
 	// A walk starts in one voxel and steps at most n-1 times per axis.
@@ -140,9 +147,10 @@ func (g *Grid) AppendVoxels(dst []int32, r vm.Ray, tMin, tMax float64) []int32 {
 	}
 	dst = dst[:n+most]
 	for {
-		dst[n] = int32(d.idx)
+		idx, _, axis := w.Voxel()
+		dst[n] = int32(idx)
 		n++
-		if !d.advance(d.nearest()) {
+		if !w.Advance(axis) {
 			return dst[:n]
 		}
 	}

@@ -136,31 +136,6 @@ func abs(x int) int {
 	return x
 }
 
-func TestWalkSegment(t *testing.T) {
-	g := unitGrid(t, 4)
-	// Segment entirely inside one voxel.
-	var got []int
-	g.WalkSegment(vm.V(0.1, 0.1, 0.1), vm.V(0.2, 0.1, 0.1),
-		func(idx int, _, _ float64) bool { got = append(got, idx); return true })
-	if len(got) != 1 || got[0] != g.Index(0, 0, 0) {
-		t.Errorf("intra-voxel segment visited %v", got)
-	}
-	// Segment spanning the whole grid diagonal visits first and last.
-	got = got[:0]
-	g.WalkSegment(vm.V(0.01, 0.01, 0.01), vm.V(0.99, 0.99, 0.99),
-		func(idx int, _, _ float64) bool { got = append(got, idx); return true })
-	if got[0] != g.Index(0, 0, 0) || got[len(got)-1] != g.Index(3, 3, 3) {
-		t.Errorf("diagonal segment endpoints wrong: %v", got)
-	}
-	// Segment stops where it ends, not at the grid edge.
-	got = got[:0]
-	g.WalkSegment(vm.V(0.1, 0.1, 0.1), vm.V(0.3, 0.1, 0.1),
-		func(idx int, _, _ float64) bool { got = append(got, idx); return true })
-	if len(got) != 2 {
-		t.Errorf("half-grid segment visited %d voxels: %v", len(got), got)
-	}
-}
-
 // Cross-check the DDA against a brute-force geometric test: a voxel is
 // visited iff the ray's AABB-clipped segment overlaps the voxel box.
 func TestWalkMatchesBruteForce(t *testing.T) {

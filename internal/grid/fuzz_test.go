@@ -84,7 +84,7 @@ type visit struct {
 // same indices in the same order after whatever dst already held.
 func FuzzAppendVoxelsMatchesWalk(f *testing.F) {
 	inf := math.Inf(1)
-	// The dda_test.go cases on the unit box, then flat and degenerate
+	// The walk cases of dda_test.go on the unit box, then flat and degenerate
 	// boxes, rays along faces and from a corner, finite tMax.
 	f.Add(uint8(4), uint8(4), uint8(4), 1.0, 1.0, 1.0, -1.0, 0.6, 0.6, 1.0, 0.0, 0.0, inf, uint8(0))
 	f.Add(uint8(4), uint8(4), uint8(4), 1.0, 1.0, 1.0, 2.0, 0.1, 0.1, -1.0, 0.0, 0.0, inf, uint8(0))

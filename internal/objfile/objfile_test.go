@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"nowrender/internal/geom"
 	vm "nowrender/internal/vecmath"
 )
 
@@ -43,7 +44,7 @@ func TestParseCube(t *testing.T) {
 	}
 	// A ray through the middle hits front and would exit the back: the
 	// nearest hit is the front face at z=1 (from +z side).
-	h, ok := m.Intersect(vm.Ray{Origin: vm.V(0.5, 0.5, 5), Dir: vm.V(0, 0, -1)}, 0, math.Inf(1))
+	h, ok := geom.Intersect(m, vm.Ray{Origin: vm.V(0.5, 0.5, 5), Dir: vm.V(0, 0, -1)}, 0, math.Inf(1))
 	if !ok {
 		t.Fatal("missed cube")
 	}

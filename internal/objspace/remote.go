@@ -92,7 +92,7 @@ func (o *Owner) handle(fs ForwardState) {
 				}
 				o.mail[lid] = stamp
 				so := &s.Objs[lid]
-				if h, ok := so.RO.Shape.Intersect(fs.Ray, fs.TMin, bestBound(&fs)); ok {
+				if h, ok := geom.Intersect(so.RO.Shape, fs.Ray, fs.TMin, bestBound(&fs)); ok {
 					fs.Best, fs.BestObj, fs.Found = h, so.Global, true
 				}
 			}
@@ -201,7 +201,7 @@ func (cl *Client) Intersect(r vm.Ray, tMin, tMax float64) (geom.Hit, *scene.Reso
 	}
 	for _, id := range c.unbounded {
 		ro := &c.objs[id]
-		if h, ok := ro.Shape.Intersect(r, tMin, bestBound(&fs)); ok {
+		if h, ok := geom.Intersect(ro.Shape, r, tMin, bestBound(&fs)); ok {
 			fs.Best, fs.BestObj, fs.Found = h, id, true
 		}
 	}

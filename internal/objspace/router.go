@@ -48,7 +48,7 @@ func (rt *router) Intersect(r vm.Ray, tMin, tMax float64) (geom.Hit, *scene.Reso
 	// once per ray in object order, as the replicated tracer does.
 	for _, id := range c.unbounded {
 		ro := &c.objs[id]
-		if h, ok := ro.Shape.Intersect(r, tMin, best.T); ok {
+		if h, ok := geom.Intersect(ro.Shape, r, tMin, best.T); ok {
 			best, bestObj, found = h, id, true
 		}
 	}
@@ -99,7 +99,7 @@ func (rt *router) Intersect(r vm.Ray, tMin, tMax float64) (geom.Hit, *scene.Reso
 				}
 				mail[lid] = stamp
 				so := &s.Objs[lid]
-				if h, ok := so.RO.Shape.Intersect(r, tMin, best.T); ok {
+				if h, ok := geom.Intersect(so.RO.Shape, r, tMin, best.T); ok {
 					best, bestObj, found = h, so.Global, true
 				}
 			}

@@ -96,7 +96,7 @@ func TestObjectShapeAt(t *testing.T) {
 		t.Errorf("frame 10 bounds wrong: %v", b10)
 	}
 	// ShapeAt actually intersects at the moved location.
-	h, ok := obj.ShapeAt(10).Intersect(vm.Ray{Origin: vm.V(10, 0, -5), Dir: vm.V(0, 0, 1)}, 0, math.MaxFloat64)
+	h, ok := geom.Intersect(obj.ShapeAt(10), vm.Ray{Origin: vm.V(10, 0, -5), Dir: vm.V(0, 0, 1)}, 0, math.MaxFloat64)
 	if !ok || math.Abs(h.T-4) > 1e-9 {
 		t.Errorf("moved sphere intersect: ok=%v T=%v", ok, h.T)
 	}

@@ -132,7 +132,7 @@ func TestOpenCylinder(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Ray down the axis passes through an open cylinder.
-	h, ok := sc.Objects[0].Shape.Intersect(vm.Ray{Origin: vm.V(0, 5, 0), Dir: vm.V(0, -1, 0)}, 0, 1e18)
+	h, ok := geom.Intersect(sc.Objects[0].Shape, vm.Ray{Origin: vm.V(0, 5, 0), Dir: vm.V(0, -1, 0)}, 0, 1e18)
 	if ok {
 		t.Errorf("open cylinder capped: hit %+v", h)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"nowrender/internal/geom"
 	vm "nowrender/internal/vecmath"
 )
 
@@ -45,10 +46,10 @@ func TestScaleModifier(t *testing.T) {
 	}
 	// The ellipsoid reaches x=2 but not y=2.
 	sh := sc.Objects[0].Shape
-	if _, ok := sh.Intersect(vm.Ray{Origin: vm.V(1.9, 0, -5), Dir: vm.V(0, 0, 1)}, 0, inf); !ok {
+	if _, ok := geom.Intersect(sh, vm.Ray{Origin: vm.V(1.9, 0, -5), Dir: vm.V(0, 0, 1)}, 0, inf); !ok {
 		t.Error("scaled sphere does not extend to x=1.9")
 	}
-	if _, ok := sh.Intersect(vm.Ray{Origin: vm.V(0, 1.5, -5), Dir: vm.V(0, 0, 1)}, 0, inf); ok {
+	if _, ok := geom.Intersect(sh, vm.Ray{Origin: vm.V(0, 1.5, -5), Dir: vm.V(0, 0, 1)}, 0, inf); ok {
 		t.Error("scaled sphere extends to y=1.5 but should not")
 	}
 }
@@ -99,7 +100,7 @@ func TestConePrimitive(t *testing.T) {
 	}
 	sh := sc.Objects[0].Shape
 	// Side hit at half height where radius is 0.625.
-	h, ok := sh.Intersect(vm.Ray{Origin: vm.V(-5, 1, 0), Dir: vm.V(1, 0, 0)}, 0, inf)
+	h, ok := geom.Intersect(sh, vm.Ray{Origin: vm.V(-5, 1, 0), Dir: vm.V(1, 0, 0)}, 0, inf)
 	if !ok {
 		t.Fatal("missed cone")
 	}
@@ -113,8 +114,7 @@ func TestOpenConePrimitive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sc.Objects[0].Shape.Intersect(
-		vm.Ray{Origin: vm.V(0, 5, 0), Dir: vm.V(0, -1, 0)}, 0, inf); ok {
+	if _, ok := geom.Intersect(sc.Objects[0].Shape, vm.Ray{Origin: vm.V(0, 5, 0), Dir: vm.V(0, -1, 0)}, 0, inf); ok {
 		t.Error("open cone axis ray hit a cap")
 	}
 }
@@ -161,7 +161,7 @@ torus { 2, 0.5
 	}
 	sh := sc.Objects[0].Shape
 	// The upright ring at height 2: a ray along +Z through (2, 2).
-	h, ok := sh.Intersect(vm.Ray{Origin: vm.V(2, 2, -5), Dir: vm.V(0, 0, 1)}, 0, inf)
+	h, ok := geom.Intersect(sh, vm.Ray{Origin: vm.V(2, 2, -5), Dir: vm.V(0, 0, 1)}, 0, inf)
 	if !ok {
 		t.Fatal("missed SDL torus")
 	}

@@ -103,7 +103,7 @@ func TestFuzzGridIntersectAgreesBruteForce(t *testing.T) {
 			bestT := math.Inf(1)
 			hitAny := false
 			for _, ro := range objs {
-				if h, ok := ro.Shape.Intersect(r, vm.ShadowEps, bestT); ok {
+				if h, ok := geom.Intersect(ro.Shape, r, vm.ShadowEps, bestT); ok {
 					bestT = h.T
 					hitAny = true
 				}

@@ -84,6 +84,10 @@ type FrameTracer struct {
 	Frame int
 	Cam   scene.Camera
 
+	// The camera basis and tan(fov/2), fixed for the frame.
+	camFwd, camRight, camUp vm.Vec3
+	camHalfW                float64
+
 	grid      *grid.Grid
 	objs      []scene.ResolvedObject
 	gridIDs   []int32 // object indices placed in the grid
@@ -103,31 +107,11 @@ type FrameTracer struct {
 // constructing the voxel grid. The grid is populated here and never
 // mutated again: after New returns it is safe for concurrent traversal.
 func New(sc *scene.Scene, frame int, opts Options) (*FrameTracer, error) {
-	if err := sc.Validate(); err != nil {
+	ft, err := NewView(sc, frame, opts)
+	if err != nil {
 		return nil, err
 	}
-	if frame < 0 || frame >= sc.Frames {
-		return nil, fmt.Errorf("trace: frame %d out of range [0,%d)", frame, sc.Frames)
-	}
-	ft := &FrameTracer{
-		Scene:    sc,
-		Frame:    frame,
-		Cam:      sc.CameraAt(frame),
-		objs:     sc.ResolveFrame(frame),
-		maxDepth: sc.MaxDepth,
-		samples:  1,
-	}
-	if opts.MaxDepth > 0 {
-		ft.maxDepth = opts.MaxDepth
-	}
-	if opts.SamplesPerPixel > 1 {
-		ft.samples = opts.SamplesPerPixel
-	}
-	ft.aaThresh = opts.AAThreshold
-	ft.aaSamples = opts.AASamples
-	if ft.aaSamples <= 0 {
-		ft.aaSamples = 8
-	}
+	ft.objs = sc.ResolveFrame(frame)
 	bounds := sc.BoundsAt(frame)
 	var nx, ny, nz int
 	if opts.GridRes > 0 {
@@ -152,11 +136,7 @@ func New(sc *scene.Scene, frame int, opts Options) (*FrameTracer, error) {
 		g.Insert(id, ro.Bounds)
 		ft.gridIDs = append(ft.gridIDs, id)
 	}
-	ft.Worker = Worker{
-		ft:        ft,
-		observer:  opts.Observer,
-		mailboxes: make([]uint64, len(ft.objs)),
-	}
+	ft.mailboxes = make([]uint64, len(ft.objs))
 	return ft, nil
 }
 
@@ -180,6 +160,12 @@ func NewView(sc *scene.Scene, frame int, opts Options) (*FrameTracer, error) {
 		maxDepth: sc.MaxDepth,
 		samples:  1,
 	}
+	// The camera basis is computed here, not lazily on the first ray:
+	// tile workers share the tracer and only ever read it.
+	ft.camFwd = ft.Cam.LookAt.Sub(ft.Cam.Pos).Norm()
+	ft.camRight = ft.camFwd.Cross(ft.Cam.Up).Norm()
+	ft.camUp = ft.camRight.Cross(ft.camFwd)
+	ft.camHalfW = math.Tan(vm.Radians(ft.Cam.FOV) / 2)
 	if opts.MaxDepth > 0 {
 		ft.maxDepth = opts.MaxDepth
 	}
@@ -233,16 +219,11 @@ func (ft *FrameTracer) Objects() []scene.ResolvedObject { return ft.objs }
 // of a w x h image, with sub-pixel offsets (jx, jy) in [0,1). Pure
 // function of the immutable camera; safe for concurrent use.
 func (ft *FrameTracer) CameraRay(px, py, w, h int, jx, jy float64) vm.Ray {
-	cam := ft.Cam
-	fwd := cam.LookAt.Sub(cam.Pos).Norm()
-	right := fwd.Cross(cam.Up).Norm()
-	up := right.Cross(fwd)
 	aspect := float64(h) / float64(w)
-	halfW := math.Tan(vm.Radians(cam.FOV) / 2)
-	halfH := halfW * aspect
+	halfH := ft.camHalfW * aspect
 	// NDC in [-1,1], y flipped so row 0 is the top of the image.
-	u := (2*(float64(px)+jx)/float64(w) - 1) * halfW
+	u := (2*(float64(px)+jx)/float64(w) - 1) * ft.camHalfW
 	v := (1 - 2*(float64(py)+jy)/float64(h)) * halfH
-	dir := fwd.Add(right.Scale(u)).Add(up.Scale(v)).Norm()
-	return vm.Ray{Origin: cam.Pos, Dir: dir, Kind: vm.CameraRay}
+	dir := ft.camFwd.Add(ft.camRight.Scale(u)).Add(ft.camUp.Scale(v)).Norm()
+	return vm.Ray{Origin: ft.Cam.Pos, Dir: dir, Kind: vm.CameraRay}
 }

@@ -211,7 +211,7 @@ func TestGridIntersectMatchesBruteForce(t *testing.T) {
 		bestT := math.Inf(1)
 		bestI := -1
 		for i, ro := range objs {
-			if h, ok := ro.Shape.Intersect(r, vm.ShadowEps, bestT); ok {
+			if h, ok := geom.Intersect(ro.Shape, r, vm.ShadowEps, bestT); ok {
 				bestT, bestI = h.T, i
 			}
 		}

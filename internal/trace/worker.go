@@ -5,6 +5,7 @@ import (
 
 	"nowrender/internal/fb"
 	"nowrender/internal/geom"
+	"nowrender/internal/grid"
 	"nowrender/internal/scene"
 	"nowrender/internal/stats"
 	vm "nowrender/internal/vecmath"
@@ -134,7 +135,8 @@ func (w *Worker) traceRay(r vm.Ray) vm.Vec3 {
 // Intersect finds the nearest object hit along r in (tMin, tMax), using
 // the shared voxel grid with this worker's mailboxes plus the unbounded
 // list — or the worker's replacement intersector when one was installed
-// with NewWorkerWith.
+// with NewWorkerWith. Candidates only report their parameter; the Hit is
+// completed once, for the winner.
 func (w *Worker) Intersect(r vm.Ray, tMin, tMax float64) (geom.Hit, *scene.ResolvedObject, bool) {
 	if w.ix != nil {
 		return w.ix.Intersect(r, tMin, tMax)
@@ -142,37 +144,89 @@ func (w *Worker) Intersect(r vm.Ray, tMin, tMax float64) (geom.Hit, *scene.Resol
 	ft := w.ft
 	w.rayStamp++
 	stamp := w.rayStamp
-	best := geom.Hit{T: tMax}
-	var bestObj *scene.ResolvedObject
-	found := false
+	bestT, bestPart, bestID := tMax, int32(0), int32(-1)
 
 	// Unbounded primitives are tested once per ray.
 	for _, id := range ft.unbounded {
-		ro := &ft.objs[id]
-		if h, ok := ro.Shape.Intersect(r, tMin, best.T); ok {
-			best, bestObj, found = h, ro, true
+		if t, part, ok := ft.objs[id].Shape.IntersectT(r, tMin, bestT); ok {
+			bestT, bestPart, bestID = t, part, id
 		}
 	}
 
-	ft.grid.Walk(r, tMin, tMax, func(idx int, tEnter, tLeave float64) bool {
+	var wk grid.Walker
+	if ft.grid.StartWalk(&wk, r, tMin, tMax) {
+		for {
+			idx, tLeave, axis := wk.Voxel()
+			for _, id := range ft.grid.Items(idx) {
+				if w.mailboxes[id] == stamp {
+					continue
+				}
+				w.mailboxes[id] = stamp
+				if t, part, ok := ft.objs[id].Shape.IntersectT(r, tMin, bestT); ok {
+					bestT, bestPart, bestID = t, part, id
+				}
+			}
+			// Stop once the best hit lies inside the already-walked
+			// voxels: later voxels can only produce farther hits.
+			if (bestID >= 0 && bestT <= tLeave) || !wk.Advance(axis) {
+				break
+			}
+		}
+	}
+	if bestID < 0 {
+		return geom.Hit{}, nil, false
+	}
+	return ft.objs[bestID].Shape.HitAt(r, bestT, bestPart), &ft.objs[bestID], true
+}
+
+// occlusion is what lies on a shadow segment.
+type occlusion uint8
+
+const (
+	occClear        occlusion = iota // nothing between the point and the light
+	occTransmissive                  // only transmissive surfaces: the ordered march tints the light
+	occBlocked                       // an opaque surface: no light arrives
+)
+
+// occluded is the any-hit query for shadow rays on the builtin grid: it
+// returns occBlocked at the first opaque candidate with a parameter in
+// (tMin, tMax) — in whatever order the walk meets them, without a Hit —
+// and otherwise whether any transmissive surface was met.
+func (w *Worker) occluded(r vm.Ray, tMin, tMax float64) occlusion {
+	ft := w.ft
+	w.rayStamp++
+	stamp := w.rayStamp
+	occ := occClear
+	for _, id := range ft.unbounded {
+		if _, _, ok := ft.objs[id].Shape.IntersectT(r, tMin, tMax); ok {
+			if ft.objs[id].Obj.Mat.Finish.Transmit <= 0 {
+				return occBlocked
+			}
+			occ = occTransmissive
+		}
+	}
+	var wk grid.Walker
+	if !ft.grid.StartWalk(&wk, r, tMin, tMax) {
+		return occ
+	}
+	for {
+		idx, _, axis := wk.Voxel()
 		for _, id := range ft.grid.Items(idx) {
 			if w.mailboxes[id] == stamp {
 				continue
 			}
 			w.mailboxes[id] = stamp
-			ro := &ft.objs[id]
-			if h, ok := ro.Shape.Intersect(r, tMin, best.T); ok {
-				best, bestObj, found = h, ro, true
+			if _, _, ok := ft.objs[id].Shape.IntersectT(r, tMin, tMax); ok {
+				if ft.objs[id].Obj.Mat.Finish.Transmit <= 0 {
+					return occBlocked
+				}
+				occ = occTransmissive
 			}
 		}
-		// Stop once the best hit lies inside the already-walked voxels:
-		// later voxels can only produce farther hits.
-		return !(found && best.T <= tLeave)
-	})
-	if !found {
-		return geom.Hit{}, nil, false
+		if !wk.Advance(axis) {
+			return occ
+		}
 	}
-	return best, bestObj, true
 }
 
 // shade evaluates the Whitted shading model at a hit.
@@ -186,7 +240,8 @@ func (w *Worker) shade(r vm.Ray, h geom.Hit, obj *scene.ResolvedObject) vm.Vec3 
 	out := base.Mul(ft.Scene.Ambient).Scale(fin.Ambient)
 
 	// Direct illumination with shadow rays.
-	viewDir := r.Dir.Norm().Neg()
+	dir := r.Dir.Norm()
+	viewDir := dir.Neg()
 	for _, light := range ft.Scene.Lights {
 		lp := light.PosAt(ft.Frame)
 		toLight := lp.Sub(h.Point)
@@ -228,10 +283,9 @@ func (w *Worker) shade(r vm.Ray, h geom.Hit, obj *scene.ResolvedObject) vm.Vec3 
 
 	// Global reflection: k_rg * I_reflected.
 	if fin.Reflect > 0 {
-		rd := r.Dir.Norm().Reflect(h.Normal)
 		refl := w.traceRay(vm.Ray{
 			Origin: h.Point.Add(h.Normal.Scale(vm.ShadowEps)),
-			Dir:    rd,
+			Dir:    dir.Reflect(h.Normal),
 			Kind:   vm.ReflectedRay,
 			Depth:  r.Depth + 1,
 		})
@@ -244,7 +298,7 @@ func (w *Worker) shade(r vm.Ray, h geom.Hit, obj *scene.ResolvedObject) vm.Vec3 
 		if h.Inside {
 			eta = fin.IOR
 		}
-		if td, ok := r.Dir.Norm().Refract(h.Normal, eta); ok {
+		if td, ok := dir.Refract(h.Normal, eta); ok {
 			tr := w.traceRay(vm.Ray{
 				Origin: h.Point.Sub(h.Normal.Scale(vm.ShadowEps)),
 				Dir:    td,
@@ -255,10 +309,9 @@ func (w *Worker) shade(r vm.Ray, h geom.Hit, obj *scene.ResolvedObject) vm.Vec3 
 		} else {
 			// Total internal reflection: the transmitted energy reflects
 			// instead, as POV-Ray does.
-			rd := r.Dir.Norm().Reflect(h.Normal)
 			refl := w.traceRay(vm.Ray{
 				Origin: h.Point.Add(h.Normal.Scale(vm.ShadowEps)),
-				Dir:    rd,
+				Dir:    dir.Reflect(h.Normal),
 				Kind:   vm.ReflectedRay,
 				Depth:  r.Depth + 1,
 			})
@@ -278,9 +331,34 @@ func (w *Worker) shadowAttenuation(p, lp vm.Vec3, depth int) vm.Vec3 {
 	ray := vm.Ray{Origin: p, Dir: dir.Scale(1 / dist), Kind: vm.ShadowRay, Depth: depth}
 	w.Counters.Add(vm.ShadowRay, 1)
 
+	// The any-hit walk settles clear and opaquely blocked segments; only
+	// one crossing nothing but transmissive surfaces needs them in order.
+	// A replaced intersector has nearest-hit alone, so it always marches.
+	occ := occTransmissive
+	if w.ix == nil {
+		occ = w.occluded(ray, vm.ShadowEps, dist-vm.ShadowEps)
+	}
 	atten := vm.Splat(1)
-	// March through successive hits between p and the light,
-	// multiplying in transmission. Opaque hit -> zero.
+	switch occ {
+	case occBlocked:
+		atten = vm.Vec3{}
+	case occTransmissive:
+		atten = w.shadowMarch(ray, dist)
+	}
+	if w.observer != nil {
+		// Register the full segment to the light (conservative: a
+		// blocker moving anywhere on the segment can change this pixel).
+		w.observer.ObserveRay(ray, dist)
+	}
+	return atten
+}
+
+// shadowMarch walks the successive nearest hits between ray's origin
+// and the light at distance dist, multiplying in the transmission of
+// each surface crossed: an opaque hit gives zero, and after 16 hops the
+// light that is left gets through.
+func (w *Worker) shadowMarch(ray vm.Ray, dist float64) vm.Vec3 {
+	atten := vm.Splat(1)
 	tMin := vm.ShadowEps
 	for hop := 0; hop < 16; hop++ {
 		h, obj, ok := w.Intersect(ray, tMin, dist-vm.ShadowEps)
@@ -289,21 +367,14 @@ func (w *Worker) shadowAttenuation(p, lp vm.Vec3, depth int) vm.Vec3 {
 		}
 		fin := obj.Obj.Mat.Finish
 		if fin.Transmit <= 0 {
-			atten = vm.Vec3{}
-			break
+			return vm.Vec3{}
 		}
 		tint := obj.Obj.Mat.Pigment.ColorAt(h)
 		atten = atten.Mul(tint.Scale(fin.Transmit))
 		if atten.MaxComponent() < 1e-4 {
-			atten = vm.Vec3{}
-			break
+			return vm.Vec3{}
 		}
 		tMin = h.T + vm.ShadowEps
-	}
-	if w.observer != nil {
-		// Register the full segment to the light (conservative: a
-		// blocker moving anywhere on the segment can change this pixel).
-		w.observer.ObserveRay(ray, dist)
 	}
 	return atten
 }
