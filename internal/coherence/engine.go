@@ -9,6 +9,14 @@
 // pixel registered on those voxels for recomputation; all other pixels
 // are copied from the previous frame.
 //
+// The voxel grid covers only the part of object space in which change
+// can occur during the engine's frame range — the bounds, at every frame
+// of it, of the objects that move in it — not the whole scene: every
+// changed voxel is the voxel of a mover before or after a step, so a ray
+// segment outside that box can never dirty its pixel and registers
+// nothing. A range in which nothing moves has no grid at all and renders
+// like the plain tracer.
+//
 // The pixel-voxel relation is stored pixel-major: each pixel owns one
 // contiguous run of voxel indices in its tile worker's arena (see
 // regCollector). Re-tracing a pixel points it at a new run, so a stale
@@ -117,7 +125,11 @@ type Engine struct {
 	end    int // exclusive
 	opts   Options
 
-	grid *grid.Grid
+	// grid is the registration grid over the movers' swept bounds; nil
+	// when nothing moves in [start, end), and then movers, runs, changed
+	// and collectors stay empty too.
+	grid   *grid.Grid
+	movers []mover
 	// runs[p] is region-local pixel p's current registration run. Tile
 	// workers write disjoint entries (each pixel belongs to one tile).
 	runs []pixelRun
@@ -168,31 +180,14 @@ func NewEngine(sc *scene.Scene, w, h int, region fb.Rect, start, end int, opts O
 		}
 	}
 
-	// The registration grid must be identical for every frame of the
-	// sequence, so its bounds are the union of all per-frame bounds.
-	seqBounds := vm.EmptyAABB()
-	for f := start; f < end; f++ {
-		seqBounds = seqBounds.Union(sc.BoundsAt(f))
-	}
-	var nx, ny, nz int
-	if opts.GridRes > 0 {
-		nx, ny, nz = opts.GridRes, opts.GridRes, opts.GridRes
-	} else {
-		nx, ny, nz = registrationResolution(seqBounds)
-	}
-	g, err := grid.New(seqBounds, nx, ny, nz)
-	if err != nil {
-		return nil, fmt.Errorf("coherence: %w", err)
-	}
-
 	e := &Engine{
 		sc: sc, W: w, H: h, Region: region,
 		start: start, end: end, opts: opts,
-		grid:      g,
-		runs:      make([]pixelRun, region.Area()),
-		changed:   bitset.New(g.NumVoxels()),
 		nextFrame: start,
 		dirty:     bitset.New(region.Area()),
+	}
+	if err := e.layGrid(); err != nil {
+		return nil, err
 	}
 	// Everything is dirty for the first frame.
 	e.dirty.SetAll()
@@ -207,6 +202,52 @@ func NewEngine(sc *scene.Scene, w, h int, region fb.Rect, start, end int, opts O
 		}
 	}
 	return e, nil
+}
+
+// layGrid finds the objects that move in the engine's range and lays the
+// registration grid, identical for every frame of the range, over the
+// box their bounds sweep. A change between two frames is a mover entering
+// or leaving a voxel, and every such voxel lies in that box, so nothing
+// outside it needs registering. The box is clipped to the bounds the
+// per-frame tracers' grids span, which is what an unbounded mover (a
+// plane) degrades to.
+func (e *Engine) layGrid() error {
+	swept := vm.EmptyAABB()
+	for _, o := range e.sc.Objects {
+		moves := false
+		for f := e.start; f+1 < e.end && !moves; f++ {
+			moves = o.MovedBetween(f, f+1)
+		}
+		if !moves {
+			continue
+		}
+		e.movers = append(e.movers, mover{obj: o, at: -1})
+		for f := e.start; f < e.end; f++ {
+			swept = swept.Union(o.BoundsAt(f))
+		}
+	}
+	if len(e.movers) == 0 {
+		return nil
+	}
+	seq := vm.EmptyAABB()
+	for f := e.start; f < e.end; f++ {
+		seq = seq.Union(e.sc.BoundsAt(f))
+	}
+	swept = swept.Pad(1e-3)
+	bounds := vm.AABB{Min: swept.Min.Max(seq.Min), Max: swept.Max.Min(seq.Max)}
+
+	nx, ny, nz := registrationResolution(bounds)
+	if e.opts.GridRes > 0 {
+		nx, ny, nz = e.opts.GridRes, e.opts.GridRes, e.opts.GridRes
+	}
+	g, err := grid.New(bounds, nx, ny, nz)
+	if err != nil {
+		return fmt.Errorf("coherence: %w", err)
+	}
+	e.grid = g
+	e.runs = make([]pixelRun, e.Region.Area())
+	e.changed = bitset.New(g.NumVoxels())
+	return nil
 }
 
 // ObjSpaceStats returns the engine's object-space counters, or nil when
@@ -234,7 +275,8 @@ func registrationResolution(bounds vm.AABB) (nx, ny, nz int) {
 	return scale(size.X), scale(size.Y), scale(size.Z)
 }
 
-// Grid exposes the registration grid (tests and benches inspect it).
+// Grid exposes the registration grid, nil when nothing moves in the
+// engine's range (tests inspect it).
 func (e *Engine) Grid() *grid.Grid { return e.grid }
 
 // pixelIndex maps frame coordinates to region-local index.
@@ -386,11 +428,13 @@ func (e *Engine) RenderFrame(frame int, dst *fb.Framebuffer) (FrameReport, error
 	e.opts.TimelineTrack.EndArg(timeline.OpChangeDetect, frame, cdStart, int64(rep.ChangeVoxels))
 	rep.Overhead = time.Since(overheadStart)
 
-	// Keep the frame for pixel copying.
-	if e.prev == nil {
-		e.prev = dst.Clone()
-	} else {
-		e.prev.CopyRect(dst, e.Region)
+	// Keep the frame for the next one's pixel copying.
+	if frame+1 < e.end {
+		if e.prev == nil {
+			e.prev = dst.Clone()
+		} else {
+			e.prev.CopyRect(dst, e.Region)
+		}
 	}
 	e.nextFrame++
 	return rep, nil

@@ -7,6 +7,7 @@ import (
 
 	"nowrender/internal/fb"
 	"nowrender/internal/geom"
+	"nowrender/internal/scene"
 	"nowrender/internal/timeline"
 	"nowrender/internal/trace"
 	vm "nowrender/internal/vecmath"
@@ -138,7 +139,11 @@ func (e *Engine) renderTiles(newWorker func(trace.RayObserver) *trace.Worker, fr
 	if threads > len(tiles) {
 		threads = len(tiles)
 	}
-	e.ensureCollectors(threads)
+	// Without a grid nothing can change, so nothing is registered: there
+	// are no collectors and the workers get no observer.
+	if e.grid != nil {
+		e.ensureCollectors(threads)
+	}
 
 	type tally struct {
 		rendered, copied int
@@ -148,9 +153,14 @@ func (e *Engine) renderTiles(newWorker func(trace.RayObserver) *trace.Worker, fr
 	var next int64
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
-		c := e.collectors[i]
-		c.mark, c.replaced = len(c.arena), 0
-		w := newWorker(c)
+		var c *regCollector
+		var obs trace.RayObserver
+		if e.grid != nil {
+			c = e.collectors[i]
+			c.mark, c.replaced = len(c.arena), 0
+			obs = c
+		}
+		w := newWorker(obs)
 		workers[i] = w
 		var tr *timeline.Track
 		if i < len(e.opts.TileTracks) {
@@ -186,17 +196,20 @@ func (e *Engine) renderTiles(newWorker func(trace.RayObserver) *trace.Worker, fr
 		rep.Rendered += tallies[i].rendered
 		rep.Copied += tallies[i].copied
 		rep.Rays.Merge(workers[i].Counters)
-		c := e.collectors[i]
-		rep.Registrations += uint64(len(c.arena) - c.mark)
-		e.live -= c.replaced
+		if e.grid != nil {
+			c := e.collectors[i]
+			rep.Registrations += uint64(len(c.arena) - c.mark)
+			e.live -= c.replaced
+		}
 	}
 	e.live += int(rep.Registrations)
 	e.compactArenas()
 }
 
 // renderTile traces the dirty pixels of one tile and copies the clean
-// ones. Tiles are disjoint, so run and framebuffer writes from
-// concurrent tile workers never touch the same index.
+// ones; c is nil when the engine registers nothing. Tiles are disjoint,
+// so run and framebuffer writes from concurrent tile workers never touch
+// the same index.
 func (e *Engine) renderTile(w *trace.Worker, c *regCollector, dst *fb.Framebuffer, tile fb.Rect) (rendered, copied int) {
 	for y := tile.Y0; y < tile.Y1; y++ {
 		for x := tile.X0; x < tile.X1; x++ {
@@ -206,15 +219,58 @@ func (e *Engine) renderTile(w *trace.Worker, c *regCollector, dst *fb.Framebuffe
 				copied++
 				continue
 			}
+			rendered++
+			if c == nil {
+				dst.Set(x, y, w.TracePixel(x, y, e.W, e.H))
+				continue
+			}
 			// Trace afresh; the new run supersedes the pixel's old one.
 			off := c.beginPixel()
 			dst.Set(x, y, w.TracePixel(x, y, e.W, e.H))
 			c.replaced += int(e.runs[p].n)
 			e.runs[p] = pixelRun{off: off, n: int32(len(c.arena) - off), slot: c.slot}
-			rendered++
 		}
 	}
 	return rendered, copied
+}
+
+// mover is an object that moves somewhere in the engine's range, with
+// the voxels its shape overlapped at frame at (-1: none yet). One frame
+// pair's f1 is the next pair's f0, so each position is voxelised once;
+// the lists are per object because a per-frame union would keep marking
+// an object that has come to rest.
+type mover struct {
+	obj           *scene.Object
+	at            int
+	voxels, spare []int32
+}
+
+// voxelise appends to dst the voxels shape s overlaps. The exact
+// per-voxel test keeps thin slanted objects (the cradle strings) from
+// dirtying their whole bounding box.
+func (e *Engine) voxelise(dst []int32, s geom.Shape) []int32 {
+	g := e.grid
+	lo, hi, ok := g.VoxelRange(s.Bounds())
+	if !ok {
+		return dst
+	}
+	// Voxels are probed as centre ± half; the hair on half covers the
+	// rounding between that and the walker's voxel boundaries.
+	min, cell := g.Bounds().Min, g.CellSize()
+	probe := geom.NewBoxProbe(s, cell.Scale(0.5*(1+1e-9)))
+	for iz := lo[2]; iz <= hi[2]; iz++ {
+		cz := min.Z + (float64(iz)+0.5)*cell.Z
+		for iy := lo[1]; iy <= hi[1]; iy++ {
+			cy := min.Y + (float64(iy)+0.5)*cell.Y
+			for ix := lo[0]; ix <= hi[0]; ix++ {
+				cx := min.X + (float64(ix)+0.5)*cell.X
+				if probe.Overlaps(vm.V(cx, cy, cz)) {
+					dst = append(dst, int32(g.Index(ix, iy, iz)))
+				}
+			}
+		}
+	}
+	return dst
 }
 
 // markChanges sets the dirty flag of every pixel registered on a voxel
@@ -230,22 +286,27 @@ func (e *Engine) markChanges(f0, f1 int) int {
 		}
 	}
 
+	if e.grid == nil {
+		return 0
+	}
 	e.changed.Reset()
-	for _, o := range e.sc.Objects {
-		if !o.MovedBetween(f0, f1) {
+	for i := range e.movers {
+		m := &e.movers[i]
+		if !m.obj.MovedBetween(f0, f1) {
 			continue
 		}
-		// Space the object leaves and space it enters both change. The
-		// exact per-voxel shape overlap test keeps thin slanted objects
-		// (the cradle strings) from dirtying their whole bounding box.
-		for _, f := range [2]int{f0, f1} {
-			shape := o.ShapeAt(f)
-			e.grid.VoxelsOverlapping(shape.Bounds(), func(idx int) {
-				if !e.changed.Get(idx) && geom.ShapeOverlapsBox(shape, e.grid.VoxelBounds(e.grid.Coords(idx))) {
-					e.changed.Set(idx)
-				}
-			})
+		// Space the object leaves and space it enters both change.
+		if m.at != f0 {
+			m.voxels = e.voxelise(m.voxels[:0], m.obj.ShapeAt(f0))
 		}
+		m.spare = e.voxelise(m.spare[:0], m.obj.ShapeAt(f1))
+		for _, v := range m.voxels {
+			e.changed.Set(int(v))
+		}
+		for _, v := range m.spare {
+			e.changed.Set(int(v))
+		}
+		m.voxels, m.spare, m.at = m.spare, m.voxels, f1
 	}
 	changed := e.changed.Count()
 	if changed == 0 {

@@ -130,12 +130,16 @@ func TestVirtualSchemesProduceIdenticalImages(t *testing.T) {
 // Config. Twenty runs of the configuration with the most scheduling in it
 // — adaptive frame division with coherence on the 2:1:1 testbed, where
 // equal-remaining victims and simultaneous arrivals must break the same
-// way every time — agree on every number the run reports.
+// way every time — agree on every number the run reports. Eight frames at
+// twice the other tests' size (twenty blocks): a steal has to pay for a
+// cold first frame (see trySteal), and the five 40x32 frames this test
+// used to render never do — TestStealWeighsColdStart.
 func TestVirtualDeterminism(t *testing.T) {
-	sc := farmScene(5)
+	const w, h = 2 * fw, 2 * fh
+	sc := farmScene(8)
 	run := func() *Result {
 		res, err := RenderVirtual(Config{
-			Scene: sc, W: fw, H: fh, Machines: cluster.PaperTestbed(),
+			Scene: sc, W: w, H: h, Machines: cluster.PaperTestbed(),
 			Scheme: partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true}, Coherence: true,
 		})
 		if err != nil {
@@ -168,33 +172,51 @@ func TestVirtualDeterminism(t *testing.T) {
 	}
 }
 
+// TestStealWeighsColdStart: a stolen frame range starts a new coherence
+// engine with a full trace. Where that costs more than the frames the
+// steal takes off the victim, the master must leave the victim alone;
+// without coherence every frame costs the same and it steals as ever.
+func TestStealWeighsColdStart(t *testing.T) {
+	sc := farmScene(5)
+	want := referenceFrames(t, sc)
+	for _, coh := range []bool{false, true} {
+		res, err := RenderVirtual(Config{
+			Scene: sc, W: fw, H: fh, Machines: cluster.PaperTestbed(),
+			Scheme: partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true}, Coherence: coh,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertFramesEqual(t, fmt.Sprintf("coherence=%v", coh), res.Frames, want)
+		if stole := res.Subdivisions > 0; stole == coh {
+			t.Errorf("coherence=%v: %d subdivisions", coh, res.Subdivisions)
+		}
+	}
+}
+
 func TestVirtualSpeedupShape(t *testing.T) {
-	// Twelve frames: on this 40x32 scene a steady coherent frame costs
-	// about as much as one message, so with fewer frames the outcome is
-	// decided by whether the last steal's cold first frame lands on a
-	// slow machine, not by the techniques under test.
+	// Twelve frames at twice the other tests' size: at 40x32 a steady
+	// coherent frame of a block costs less than the message that carries
+	// it, so the shared bus, not the techniques under test, decides
+	// whether four blocks on three machines beat one machine.
+	const w, h = 2 * fw, 2 * fh
 	sc := farmScene(12)
 	fast := cluster.PaperTestbed()[0]
+	frameDiv := partition.FrameDivision{BlockW: w / 2, BlockH: h / 2, Adaptive: true}
 
-	single, err := RenderSingle(Config{Scene: sc, W: fw, H: fh}, fast)
+	single, err := RenderSingle(Config{Scene: sc, W: w, H: h}, fast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	singleFC, err := RenderSingle(Config{Scene: sc, W: fw, H: fh, Coherence: true}, fast)
+	singleFC, err := RenderSingle(Config{Scene: sc, W: w, H: h, Coherence: true}, fast)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, err := RenderVirtual(Config{
-		Scene: sc, W: fw, H: fh,
-		Scheme: partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
-	})
+	dist, err := RenderVirtual(Config{Scene: sc, W: w, H: h, Scheme: frameDiv})
 	if err != nil {
 		t.Fatal(err)
 	}
-	distFC, err := RenderVirtual(Config{
-		Scene: sc, W: fw, H: fh, Coherence: true,
-		Scheme: partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
-	})
+	distFC, err := RenderVirtual(Config{Scene: sc, W: w, H: h, Coherence: true, Scheme: frameDiv})
 	if err != nil {
 		t.Fatal(err)
 	}

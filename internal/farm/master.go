@@ -52,6 +52,12 @@ type workerRecord struct {
 	// sample (timeline recording only).
 	pingSeqSent int
 	pingSentNs  int64
+	// cold is what the current task's first frame took to render and
+	// steady/steadyN the total and count of its later frames: with
+	// coherence the first is a full trace and the rest mostly copies, and
+	// trySteal weighs one against the other.
+	cold, steady time.Duration
+	steadyN      int
 
 	st stats.WorkerStats
 }
@@ -241,6 +247,12 @@ func runMaster(cfg Config, ln link, sinks *sinkControl) (*Result, error) {
 		fs.Copied += copied
 		w.st.Busy += d
 		w.st.Rays.Merge(rays)
+		if frame == w.task.StartFrame {
+			w.cold = d
+		} else {
+			w.steady += d
+			w.steadyN++
+		}
 	}
 	frameFails := make(map[int]int) // per-frame requeue counts (retry budget)
 	speculated := make(map[int]bool)
@@ -330,6 +342,7 @@ func runMaster(cfg Config, ln link, sinks *sinkControl) (*Result, error) {
 		w.doneThrough = t.StartFrame
 		w.truncatePending = false
 		w.finishedAt = -1
+		w.cold, w.steady, w.steadyN = 0, 0, 0
 		w.lastProgress = ln.Now()
 		if err := ln.Send(w.name, msg.Message{Tag: TagTask, Data: data}); err != nil {
 			if errors.Is(err, msg.ErrClosed) {
@@ -433,6 +446,18 @@ func runMaster(cfg Config, ln link, sinks *sinkControl) (*Result, error) {
 		keep, _, ok := cfg.Scheme.Subdivide(unstarted)
 		if !ok {
 			return false, nil
+		}
+		// A stolen range starts a new coherence engine, whose first frame
+		// is a full trace. Left alone the victim needs (1 + keep + give)
+		// steady frames for the one in progress and both halves; the thief
+		// needs one cold frame and give - 1 steady ones, so the steal
+		// shortens the run only if cold < (keep + 2) steady. Without a
+		// sample of each, steal.
+		if cfg.Coherence && victim.cold > 0 && victim.steadyN > 0 {
+			steady := victim.steady / time.Duration(victim.steadyN)
+			if victim.cold >= time.Duration(keep.Frames()+2)*steady {
+				return false, nil
+			}
 		}
 		victim.truncatePending = true
 		waiting = append(waiting, thief)

@@ -92,31 +92,71 @@ func distPointToDiscCenter(p vm.Vec3, d *Disc) float64 {
 // projectedHalfExtent returns half the extent of box b projected onto
 // unit direction n.
 func projectedHalfExtent(b vm.AABB, n vm.Vec3) float64 {
-	half := b.Size().Scale(0.5)
+	return halfExtentAlong(b.Size().Scale(0.5), n)
+}
+
+// halfExtentAlong is the same for a box given by its half-size.
+func halfExtentAlong(half, n vm.Vec3) float64 {
 	return math.Abs(half.X*n.X) + math.Abs(half.Y*n.Y) + math.Abs(half.Z*n.Z)
 }
 
-// OverlapsBox implements BoxOverlapper for transformed shapes by mapping
-// the box into object space (taking the AABB of its transformed corners
-// — conservative for rotations) and delegating to the inner shape when
-// it supports tight overlap.
+// OverlapsBox implements BoxOverlapper for transformed shapes: a
+// one-box BoxProbe.
 func (tw *Transformed) OverlapsBox(b vm.AABB) bool {
-	if !tw.Bounds().Overlaps(b) {
-		return false
-	}
-	inner, ok := tw.Shape.(BoxOverlapper)
-	if !ok {
-		return true
-	}
-	local := vm.TransformAABB(tw.Xf.Inv, b)
-	return inner.OverlapsBox(local)
+	p := NewBoxProbe(tw, b.Size().Scale(0.5))
+	return p.Overlaps(b.Center())
 }
 
-// ShapeOverlapsBox tests shape-box overlap, using the tight test when
-// available and falling back to the shape's bounding box.
-func ShapeOverlapsBox(s Shape, b vm.AABB) bool {
-	if o, ok := s.(BoxOverlapper); ok {
-		return o.OverlapsBox(b)
+// BoxProbe tests boxes of one size against one shape, using the shape's
+// tight test (BoxOverlapper) when it has one and its bounding box
+// otherwise. The coherence engine asks the same question of every voxel
+// in a moving object's bounds, so whatever depends only on the box's
+// size is worked out once, in NewBoxProbe.
+type BoxProbe struct {
+	bounds vm.AABB
+	half   vm.Vec3
+	// tight, when non-nil, is asked about boxes that overlap bounds; for
+	// a Transformed shape it is the wrapped shape, asked in object space
+	// about the box of half-extent local around inv * centre.
+	tight BoxOverlapper
+	inv   *vm.Mat4
+	local vm.Vec3
+}
+
+// NewBoxProbe prepares tests of s against boxes of half-extent half.
+func NewBoxProbe(s Shape, half vm.Vec3) BoxProbe {
+	p := BoxProbe{bounds: s.Bounds(), half: half, local: half}
+	tw, ok := s.(*Transformed)
+	if !ok {
+		p.tight, _ = s.(BoxOverlapper)
+		return p
 	}
-	return s.Bounds().Overlaps(b)
+	if p.tight, ok = tw.Shape.(BoxOverlapper); ok {
+		// An affine map takes the box c ± h to a box inside c' ± |M|h
+		// (exactly the AABB of its eight mapped corners): per object axis,
+		// the box's half-extent along that row of M.
+		m := &tw.Xf.Inv.M
+		p.inv = &tw.Xf.Inv
+		p.local = vm.V(
+			halfExtentAlong(half, vm.V(m[0][0], m[0][1], m[0][2])),
+			halfExtentAlong(half, vm.V(m[1][0], m[1][1], m[1][2])),
+			halfExtentAlong(half, vm.V(m[2][0], m[2][1], m[2][2])),
+		)
+	}
+	return p
+}
+
+// Overlaps reports whether the shape may overlap the box centred at c —
+// conservatively, as BoxOverlapper allows.
+func (p *BoxProbe) Overlaps(c vm.Vec3) bool {
+	if !p.bounds.Overlaps(vm.AABB{Min: c.Sub(p.half), Max: c.Add(p.half)}) {
+		return false
+	}
+	if p.tight == nil {
+		return true
+	}
+	if p.inv != nil {
+		c = p.inv.MulPoint(c)
+	}
+	return p.tight.OverlapsBox(vm.AABB{Min: c.Sub(p.local), Max: c.Add(p.local)})
 }

@@ -11,11 +11,13 @@ import (
 type Transformed struct {
 	Shape Shape
 	Xf    vm.Transform
+	// bounds is the world-space box, computed once at construction.
+	bounds vm.AABB
 }
 
 // NewTransformed wraps shape with transform xf (object -> world).
 func NewTransformed(shape Shape, xf vm.Transform) *Transformed {
-	return &Transformed{Shape: shape, Xf: xf}
+	return &Transformed{Shape: shape, Xf: xf, bounds: vm.TransformAABB(xf.Fwd, shape.Bounds())}
 }
 
 // local maps r to object space. t values are preserved because the
@@ -43,6 +45,4 @@ func (tw *Transformed) HitAt(r vm.Ray, t float64, part int32) Hit {
 }
 
 // Bounds implements Shape.
-func (tw *Transformed) Bounds() vm.AABB {
-	return vm.TransformAABB(tw.Xf.Fwd, tw.Shape.Bounds())
-}
+func (tw *Transformed) Bounds() vm.AABB { return tw.bounds }
