@@ -6,7 +6,9 @@
 //     consecutive frames of one run, the cache reuses whole frames
 //     between *jobs* — a resubmitted or overlapping animation is served
 //     from memory with zero new rays traced (LRU under a byte budget,
-//     optional TTL).
+//     optional TTL). An entry is the frame's pixels plus, from the
+//     first time someone fetches it as a file, its encoded TGA: a
+//     repeat fetch is then a copy of bytes, not a re-encode.
 //
 //   - Across concurrent requests: in-flight coalescing. The first
 //     caller to Acquire a missing frame becomes its producer; everyone
@@ -33,6 +35,7 @@ import (
 
 	"nowrender/internal/fb"
 	"nowrender/internal/stats"
+	"nowrender/internal/tga"
 )
 
 // SeqKey addresses a rendered animation: scene source + resolution +
@@ -63,8 +66,13 @@ type Key struct {
 
 // centry is one cached frame on the LRU list.
 type centry struct {
-	key  Key
-	img  *fb.Framebuffer
+	key Key
+	img *fb.Framebuffer
+	// encoded is the frame as a TGA file, built by the first TGA call
+	// and nil until then. Shared and immutable like img.
+	encoded []byte
+	// size is what the entry is charged against the budget: len(img.Pix)
+	// plus len(encoded).
 	size int64
 	// expires is when the entry stops being servable (zero = never).
 	expires time.Time
@@ -85,9 +93,11 @@ type Cache struct {
 	mu     sync.Mutex
 	budget int64
 	ttl    time.Duration
-	bytes  int64
-	ll     *list.List // front = most recently used
-	items  map[Key]*list.Element
+	bytes  int64 // pixels plus encoded forms
+	// encodedBytes is the share of bytes that is encoded forms.
+	encodedBytes int64
+	ll           *list.List // front = most recently used
+	items        map[Key]*list.Element
 	// flights tracks frames some producer is currently rendering.
 	flights map[Key]*flight
 	// now is the clock, swappable by tests.
@@ -97,7 +107,8 @@ type Cache struct {
 	coalesced, flightsLed            uint64
 }
 
-// New returns a cache bounded to budget bytes of pixel data.
+// New returns a cache bounded to budget bytes of frame data: the cached
+// pixels plus the encoded forms TGA builds beside them.
 // budget <= 0 means unlimited.
 func New(budget int64) *Cache {
 	return NewTTL(budget, 0)
@@ -126,25 +137,49 @@ func (c *Cache) removeLocked(el *list.Element) {
 	c.ll.Remove(el)
 	delete(c.items, e.key)
 	c.bytes -= e.size
+	c.encodedBytes -= int64(len(e.encoded))
 }
 
-// lookupLocked returns the live cached frame for k, expiring stale
-// entries; callers hold c.mu.
-func (c *Cache) lookupLocked(k Key) (*fb.Framebuffer, bool) {
+// evictLocked drops least-recently-used entries until the cache fits
+// its budget; callers hold c.mu.
+func (c *Cache) evictLocked() {
+	for c.budget > 0 && c.bytes > c.budget {
+		back := c.ll.Back()
+		if back == nil {
+			break
+		}
+		c.removeLocked(back)
+		c.evictions++
+	}
+}
+
+// liveLocked returns k's entry, marked most recently used, or nil when
+// k is not cached; a stale entry is dropped and counted expired. It
+// counts no hit or miss. Callers hold c.mu.
+func (c *Cache) liveLocked(k Key) *centry {
 	el, ok := c.items[k]
 	if !ok {
-		c.misses++
-		return nil, false
+		return nil
 	}
 	e := el.Value.(*centry)
 	if !e.expires.IsZero() && c.now().After(e.expires) {
 		c.removeLocked(el)
 		c.expired++
+		return nil
+	}
+	c.ll.MoveToFront(el)
+	return e
+}
+
+// lookupLocked returns the live cached frame for k, expiring stale
+// entries; callers hold c.mu.
+func (c *Cache) lookupLocked(k Key) (*fb.Framebuffer, bool) {
+	e := c.liveLocked(k)
+	if e == nil {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.ll.MoveToFront(el)
 	return e.img, true
 }
 
@@ -154,6 +189,51 @@ func (c *Cache) Get(k Key) (*fb.Framebuffer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lookupLocked(k)
+}
+
+// TGA returns img, the frame k addresses, as an uncompressed 24-bit TGA
+// file. While k is cached the bytes are built once, by the first call,
+// and kept on the entry — charged to the byte budget like the pixels
+// (evicting from the LRU tail to make room) and released with them; a
+// frame that is not cached, or whose two forms together would not fit
+// the budget, is encoded for this caller alone. Either way the bytes
+// are those of tga.Encode. The lookup counts as a use of the entry but
+// not as a hit or a miss: the caller already holds the frame. The
+// returned slice is shared and must not be modified.
+func (c *Cache) TGA(k Key, img *fb.Framebuffer) ([]byte, error) {
+	c.mu.Lock()
+	e := c.liveLocked(k)
+	var data []byte
+	if e != nil {
+		data = e.encoded
+	}
+	c.mu.Unlock()
+	if data != nil {
+		return data, nil
+	}
+	// Encode outside the lock: a large frame must not stall every other
+	// job's lookups. Racing first fetches each encode; one result is kept.
+	data, err := tga.Bytes(img)
+	if err != nil || e == nil {
+		return data, err
+	}
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e = c.liveLocked(k)
+	switch n := int64(len(data)); {
+	case e == nil:
+		// Evicted or expired meanwhile.
+	case e.encoded != nil:
+		data = e.encoded
+	case c.budget <= 0 || e.size+n <= c.budget:
+		e.encoded = data
+		e.size += n
+		c.bytes += n
+		c.encodedBytes += n
+		c.evictLocked() // e is at the front, so it is the last to go
+	}
+	return data, nil
 }
 
 // Acquire is the coalescing lookup. Exactly one of the three outcomes
@@ -210,14 +290,7 @@ func (c *Cache) Put(k Key, img *fb.Framebuffer) {
 	}
 	c.items[k] = c.ll.PushFront(&centry{key: k, img: img, size: size, expires: c.expiry()})
 	c.bytes += size
-	for c.budget > 0 && c.bytes > c.budget {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		c.removeLocked(back)
-		c.evictions++
-	}
+	c.evictLocked()
 }
 
 // Abort ends an in-flight production without a frame: followers' wait
@@ -261,6 +334,6 @@ func (c *Cache) Stats() stats.CacheStats {
 	return stats.CacheStats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Expired: c.expired,
 		Coalesced: c.coalesced, FlightsLed: c.flightsLed, InFlight: len(c.flights),
-		Entries: c.ll.Len(), Bytes: c.bytes, Budget: c.budget,
+		Entries: c.ll.Len(), Bytes: c.bytes, EncodedBytes: c.encodedBytes, Budget: c.budget,
 	}
 }

@@ -1,11 +1,14 @@
 package framecache
 
 import (
+	"bytes"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
 	"nowrender/internal/fb"
+	"nowrender/internal/tga"
 )
 
 // TestCacheEviction keeps the cache under its byte budget, LRU-first.
@@ -315,5 +318,236 @@ func TestCoalescingConcurrent(t *testing.T) {
 	}
 	if delivered != 31 {
 		t.Fatalf("delivered = %d, want 31", delivered)
+	}
+}
+
+// --- encoded form beside the pixels ---------------------------------------
+
+// noiseFrame returns a frame of seeded random pixels and its TGA file as
+// tga.Encode writes it.
+func noiseFrame(t *testing.T, w, h int, seed int64) (*fb.Framebuffer, []byte) {
+	t.Helper()
+	img := fb.New(w, h)
+	rand.New(rand.NewSource(seed)).Read(img.Pix)
+	var buf bytes.Buffer
+	if err := tga.Encode(&buf, img); err != nil {
+		t.Fatal(err)
+	}
+	return img, buf.Bytes()
+}
+
+// mustTGA is Cache.TGA checked against the file tga.Encode writes.
+func mustTGA(t *testing.T, c *Cache, k Key, img *fb.Framebuffer, want []byte) {
+	t.Helper()
+	got, err := c.TGA(k, img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("frame %d: TGA bytes differ from tga.Encode", k.Frame)
+	}
+}
+
+// TestTGAChargedOnce: the first TGA call on a cached frame builds the
+// file and charges it to the budget, the second returns the same slice
+// and charges nothing, and no encoded lookup counts as a hit or a miss.
+func TestTGAChargedOnce(t *testing.T) {
+	c := New(0)
+	k := Key{Seq: NewSeqKey("s", 12, 10, 1), Frame: 3}
+	img, file := noiseFrame(t, 12, 10, 1)
+	c.Put(k, img)
+	pix, enc := int64(len(img.Pix)), int64(len(file))
+	if cs := c.Stats(); cs.Bytes != pix || cs.EncodedBytes != 0 {
+		t.Fatalf("before: bytes=%d encoded=%d, want %d/0", cs.Bytes, cs.EncodedBytes, pix)
+	}
+	mustTGA(t, c, k, img, file)
+	first, _ := c.TGA(k, img)
+	if cs := c.Stats(); cs.Bytes != pix+enc || cs.EncodedBytes != enc {
+		t.Fatalf("after two calls: bytes=%d encoded=%d, want %d/%d", cs.Bytes, cs.EncodedBytes, pix+enc, enc)
+	}
+	second, _ := c.TGA(k, img)
+	if &first[0] != &second[0] {
+		t.Error("repeat calls returned different slices: the file was rebuilt")
+	}
+	if cs := c.Stats(); cs.Hits != 0 || cs.Misses != 0 {
+		t.Errorf("hits=%d misses=%d after encoded lookups only, want 0/0", cs.Hits, cs.Misses)
+	}
+}
+
+// TestTGAUncachedChargesNothing: a key that was never cached, one that
+// was evicted, and a frame too large for its file to fit beside its
+// pixels all get correct bytes, built for that caller alone.
+func TestTGAUncachedChargesNothing(t *testing.T) {
+	img, file := noiseFrame(t, 16, 16, 2)
+	pix := int64(len(img.Pix))
+	seq := NewSeqKey("s", 16, 16, 1)
+
+	c := New(pix) // one frame of pixels, no room for its file
+	mustTGA(t, c, Key{Seq: seq, Frame: 0}, img, file)
+	if cs := c.Stats(); cs.Bytes != 0 || cs.Entries != 0 {
+		t.Fatalf("never cached: bytes=%d entries=%d, want 0/0", cs.Bytes, cs.Entries)
+	}
+	c.Put(Key{Seq: seq, Frame: 0}, img)
+	mustTGA(t, c, Key{Seq: seq, Frame: 0}, img, file)
+	if cs := c.Stats(); cs.Bytes != pix || cs.EncodedBytes != 0 || cs.Entries != 1 || cs.Evictions != 0 {
+		t.Fatalf("file does not fit: bytes=%d encoded=%d entries=%d evictions=%d, want %d/0/1/0",
+			cs.Bytes, cs.EncodedBytes, cs.Entries, cs.Evictions, pix)
+	}
+	c.Put(Key{Seq: seq, Frame: 1}, img) // evicts frame 0
+	mustTGA(t, c, Key{Seq: seq, Frame: 0}, img, file)
+	cs := c.Stats()
+	if cs.Bytes != pix || cs.EncodedBytes != 0 || cs.Entries != 1 {
+		t.Fatalf("evicted: bytes=%d encoded=%d entries=%d, want %d/0/1", cs.Bytes, cs.EncodedBytes, cs.Entries, pix)
+	}
+	if cs.Hits != 0 || cs.Misses != 0 {
+		t.Errorf("hits=%d misses=%d, want 0/0", cs.Hits, cs.Misses)
+	}
+}
+
+// TestTGAEvictsFromTail: a file that pushes the cache over budget makes
+// room from the LRU tail, never from the entry it belongs to; evicting
+// an entry releases its pixels and its file together; and pixels plus
+// files never exceed the budget.
+func TestTGAEvictsFromTail(t *testing.T) {
+	const side = 16
+	pix := int64(side * side * 3)
+	enc := pix + 18
+	seq := NewSeqKey("s", side, side, 1)
+	c := New(2*pix + 2*enc) // three frames and a file, or two and two
+	var imgs [4]*fb.Framebuffer
+	var files [4][]byte
+	for f := range imgs {
+		imgs[f], files[f] = noiseFrame(t, side, side, int64(f))
+	}
+	check := func(when string, bytes, encoded int64, entries int, evictions uint64) {
+		t.Helper()
+		cs := c.Stats()
+		if cs.Bytes != bytes || cs.EncodedBytes != encoded || cs.Entries != entries || cs.Evictions != evictions {
+			t.Fatalf("%s: bytes=%d encoded=%d entries=%d evictions=%d, want %d/%d/%d/%d",
+				when, cs.Bytes, cs.EncodedBytes, cs.Entries, cs.Evictions, bytes, encoded, entries, evictions)
+		}
+		if cs.Bytes > cs.Budget {
+			t.Fatalf("%s: %d bytes cached over a budget of %d", when, cs.Bytes, cs.Budget)
+		}
+	}
+	for f := 0; f < 3; f++ {
+		c.Put(Key{Seq: seq, Frame: f}, imgs[f])
+	}
+	// Frame 0 is the LRU tail; its own file must not evict it.
+	mustTGA(t, c, Key{Seq: seq, Frame: 0}, imgs[0], files[0])
+	check("first file fits", 3*pix+enc, enc, 3, 0)
+	// A second file does not fit: frame 1, now the tail, goes.
+	mustTGA(t, c, Key{Seq: seq, Frame: 2}, imgs[2], files[2])
+	check("second file evicts the tail", 2*pix+2*enc, 2*enc, 2, 1)
+	if _, ok := c.Get(Key{Seq: seq, Frame: 1}); ok {
+		t.Fatal("frame 1 survived; the tail was not what got evicted")
+	}
+	// A new frame evicts frame 0 (the tail again), pixels and file both.
+	c.Put(Key{Seq: seq, Frame: 3}, imgs[3])
+	check("put evicts pixels and file together", 2*pix+enc, enc, 2, 2)
+	if _, ok := c.Get(Key{Seq: seq, Frame: 0}); ok {
+		t.Fatal("frame 0 survived")
+	}
+}
+
+// TestTGAExpiresWithEntry: TTL expiry releases pixels and file together,
+// whether a Get or an encoded lookup finds the entry stale, and a stale
+// entry still yields correct bytes.
+func TestTGAExpiresWithEntry(t *testing.T) {
+	base := time.Unix(1_700_000_000, 0)
+	img, file := noiseFrame(t, 8, 8, 5)
+	k := Key{Seq: NewSeqKey("s", 8, 8, 1), Frame: 0}
+	for _, finder := range []string{"get", "tga"} {
+		c := NewTTL(0, time.Minute)
+		now := base
+		c.now = func() time.Time { return now }
+		c.Put(k, img)
+		mustTGA(t, c, k, img, file)
+		if cs := c.Stats(); cs.EncodedBytes != int64(len(file)) {
+			t.Fatalf("%s: encoded=%d before expiry, want %d", finder, cs.EncodedBytes, len(file))
+		}
+		now = base.Add(2 * time.Minute)
+		wantMisses := uint64(0)
+		if finder == "get" {
+			if _, ok := c.Get(k); ok {
+				t.Fatal("stale entry served")
+			}
+			wantMisses = 1
+		} else {
+			mustTGA(t, c, k, img, file)
+		}
+		cs := c.Stats()
+		if cs.Bytes != 0 || cs.EncodedBytes != 0 || cs.Entries != 0 || cs.Expired != 1 || cs.Misses != wantMisses {
+			t.Errorf("%s: bytes=%d encoded=%d entries=%d expired=%d misses=%d, want 0/0/0/1/%d",
+				finder, cs.Bytes, cs.EncodedBytes, cs.Entries, cs.Expired, cs.Misses, wantMisses)
+		}
+	}
+}
+
+// TestTGAHitShareUntouched: interleaving encoded lookups with Gets
+// leaves the hit and miss counters exactly where the Gets put them.
+func TestTGAHitShareUntouched(t *testing.T) {
+	c := New(0)
+	seq := NewSeqKey("s", 8, 8, 1)
+	img, file := noiseFrame(t, 8, 8, 6)
+	c.Put(Key{Seq: seq, Frame: 0}, img)
+	for i := 0; i < 5; i++ {
+		if _, ok := c.Get(Key{Seq: seq, Frame: 0}); !ok {
+			t.Fatal("miss on a cached frame")
+		}
+		mustTGA(t, c, Key{Seq: seq, Frame: 0}, img, file)
+		mustTGA(t, c, Key{Seq: seq, Frame: 9}, img, file) // not cached
+	}
+	if cs := c.Stats(); cs.Hits != 5 || cs.Misses != 0 || cs.HitRate() != 1 {
+		t.Errorf("hits=%d misses=%d rate=%g, want 5/0/1", cs.Hits, cs.Misses, cs.HitRate())
+	}
+}
+
+// TestTGAFirstFetchRace: goroutines racing on the first fetch of one
+// frame all get the same bytes and the file is charged once. Run under
+// -race.
+func TestTGAFirstFetchRace(t *testing.T) {
+	c := New(0)
+	k := Key{Seq: NewSeqKey("s", 40, 30, 1), Frame: 0}
+	img, file := noiseFrame(t, 40, 30, 8)
+	c.Put(k, img)
+	const racers = 8
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	got := make([][]byte, racers)
+	errs := make([]error, racers)
+	for i := 0; i < racers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			got[i], errs[i] = c.TGA(k, img)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil || !bytes.Equal(got[i], file) {
+			t.Fatalf("racer %d: err=%v, bytes equal=%v", i, errs[i], bytes.Equal(got[i], file))
+		}
+	}
+	want := int64(len(img.Pix) + len(file))
+	if cs := c.Stats(); cs.Bytes != want || cs.EncodedBytes != int64(len(file)) {
+		t.Fatalf("bytes=%d encoded=%d after the race, want %d/%d (one charge)", cs.Bytes, cs.EncodedBytes, want, len(file))
+	}
+}
+
+// TestTGARefusesOversize: the encoder's refusal reaches the caller and
+// nothing is stored.
+func TestTGARefusesOversize(t *testing.T) {
+	c := New(0)
+	k := Key{Seq: NewSeqKey("s", 65536, 1, 1), Frame: 0}
+	img := fb.New(65536, 1)
+	c.Put(k, img)
+	if data, err := c.TGA(k, img); err == nil || data != nil {
+		t.Fatalf("TGA of a 65536-wide frame: %d bytes, err=%v; want a refusal", len(data), err)
+	}
+	if cs := c.Stats(); cs.EncodedBytes != 0 || cs.Bytes != int64(len(img.Pix)) {
+		t.Errorf("bytes=%d encoded=%d after a refused encode", cs.Bytes, cs.EncodedBytes)
 	}
 }

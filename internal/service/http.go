@@ -2,11 +2,11 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"time"
 
 	"nowrender/internal/stats"
@@ -153,18 +153,17 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // handleFrame serves one finished frame, as soon as it is available
 // (streaming: clients need not wait for the whole job). Formats: tga
-// (default, the paper's output), ppm, png.
+// (default, the paper's output; sent with Content-Length), ppm, png.
 func (s *Service) handleFrame(w http.ResponseWriter, r *http.Request) {
 	frame, err := strconv.Atoi(r.PathValue("frame"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad frame number %q", r.PathValue("frame")))
 		return
 	}
-	img, err := s.Frame(r.PathValue("id"), frame)
+	img, key, err := s.frame(r.PathValue("id"), frame)
 	if err != nil {
 		code := http.StatusNotFound
-		if strings.Contains(err.Error(), "not rendered yet") {
-			// The frame exists but is still being rendered.
+		if errors.Is(err, ErrFrameNotReady) {
 			code = http.StatusConflict
 		}
 		writeError(w, code, err)
@@ -172,8 +171,16 @@ func (s *Service) handleFrame(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.URL.Query().Get("format") {
 	case "", "tga":
+		// The cache keeps a fetched frame's file beside its pixels, so a
+		// repeat fetch is one sized write of bytes already built.
+		data, err := s.cache.TGA(key, img)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
 		w.Header().Set("Content-Type", "image/x-tga")
-		_ = tga.Encode(w, img)
+		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+		_, _ = w.Write(data) // a failed write is the client hanging up
 	case "ppm":
 		w.Header().Set("Content-Type", "image/x-portable-pixmap")
 		_ = tga.EncodePPM(w, img)
@@ -300,9 +307,12 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# HELP nowrender_cache_hit_rate Hits over lookups since start.")
 	p("# TYPE nowrender_cache_hit_rate gauge")
 	p("nowrender_cache_hit_rate %g", cs.HitRate())
-	p("# HELP nowrender_cache_bytes Pixel bytes currently cached.")
+	p("# HELP nowrender_cache_bytes Bytes currently cached: frame pixels plus the encoded TGA files kept beside them.")
 	p("# TYPE nowrender_cache_bytes gauge")
 	p("nowrender_cache_bytes %d", cs.Bytes)
+	p("# HELP nowrender_cache_encoded_bytes Share of nowrender_cache_bytes that is encoded TGA files.")
+	p("# TYPE nowrender_cache_encoded_bytes gauge")
+	p("nowrender_cache_encoded_bytes %d", cs.EncodedBytes)
 	p("# HELP nowrender_cache_entries Frames currently cached.")
 	p("# TYPE nowrender_cache_entries gauge")
 	p("nowrender_cache_entries %d", cs.Entries)

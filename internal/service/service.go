@@ -79,8 +79,9 @@ type Config struct {
 	// clients and scrapes can tell replicas apart. Empty = single
 	// replica.
 	ReplicaID string
-	// CacheBytes is the frame cache's pixel-byte budget. 0 selects the
-	// default 64 MiB; negative disables caching.
+	// CacheBytes is the frame cache's byte budget: cached pixels plus
+	// the encoded TGA kept beside each frame once it has been fetched.
+	// 0 selects the default 64 MiB; negative disables caching.
 	CacheBytes int64
 	// Machines populate the virtual NOW for "virtual"-driver jobs.
 	// Defaults to the paper's 3-machine testbed.
@@ -900,25 +901,52 @@ func (s *Service) Wait(ctx context.Context, id string) (Status, error) {
 	}
 }
 
+// What a failed Frame lookup matches under errors.Is: ErrNoFrame when
+// the job is unknown or the frame lies outside its range,
+// ErrFrameNotReady when the frame exists but is still being rendered.
+var (
+	ErrNoFrame       = errors.New("service: no such frame")
+	ErrFrameNotReady = errors.New("service: frame not rendered yet")
+)
+
+// frameError says which job or frame was asked for and unwraps to the
+// sentinel that classifies it.
+type frameError struct {
+	kind error
+	msg  string
+}
+
+func (e *frameError) Error() string { return e.msg }
+func (e *frameError) Unwrap() error { return e.kind }
+
 // Frame returns the framebuffer of one absolute frame of a job, which
 // is available as soon as its "frame" progress event fires — before the
 // job completes. The framebuffer is shared and must not be modified.
 func (s *Service) Frame(id string, frame int) (*fb.Framebuffer, error) {
+	img, _, err := s.frame(id, frame)
+	return img, err
+}
+
+// frame is Frame plus the frame's cache address.
+func (s *Service) frame(id string, frame int) (*fb.Framebuffer, framecache.Key, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	fail := func(kind error, format string, args ...any) (*fb.Framebuffer, framecache.Key, error) {
+		return nil, framecache.Key{}, &frameError{kind: kind, msg: fmt.Sprintf(format, args...)}
+	}
 	j, ok := s.jobs[id]
 	if !ok {
-		return nil, fmt.Errorf("service: no job %q", id)
+		return fail(ErrNoFrame, "service: no job %q", id)
 	}
 	if frame < j.spec.StartFrame || frame >= j.spec.EndFrame {
-		return nil, fmt.Errorf("service: frame %d outside job range [%d,%d)",
+		return fail(ErrNoFrame, "service: frame %d outside job range [%d,%d)",
 			frame, j.spec.StartFrame, j.spec.EndFrame)
 	}
 	img := j.frames[frame-j.spec.StartFrame]
 	if img == nil {
-		return nil, fmt.Errorf("service: frame %d not rendered yet", frame)
+		return fail(ErrFrameNotReady, "service: frame %d not rendered yet", frame)
 	}
-	return img, nil
+	return img, framecache.Key{Seq: j.key, Frame: frame}, nil
 }
 
 // CacheStats snapshots the frame cache counters.

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -16,7 +17,7 @@ import (
 )
 
 // waitDone blocks until the job terminates, with a test-failing timeout.
-func waitDone(t *testing.T, s *Service, id string) Status {
+func waitDone(t testing.TB, s *Service, id string) Status {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -653,7 +654,9 @@ func TestServiceClose(t *testing.T) {
 
 // TestNegativeCacheBytesDisablesCaching pins the Config contract:
 // CacheBytes < 0 means no frame reuse (framecache itself reads
-// budget <= 0 as unlimited, so the service must translate).
+// budget <= 0 as unlimited, so the service must translate). With no
+// entry to keep a frame's file on, the handler still answers every TGA
+// fetch with the right sized bytes.
 func TestNegativeCacheBytesDisablesCaching(t *testing.T) {
 	s := New(Config{CacheBytes: -1})
 	defer s.Close()
@@ -669,8 +672,21 @@ func TestNegativeCacheBytesDisablesCaching(t *testing.T) {
 		if st.CacheHits != 0 || st.RaysTraced == 0 {
 			t.Fatalf("job %d hits=%d rays=%d: caching not disabled", i, st.CacheHits, st.RaysTraced)
 		}
+		for frame := 0; frame < 2; frame++ {
+			img, err := s.Frame(st.ID, frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := encoded(t, tga.Encode, img)
+			rec := fetchFrame(s.Handler(), st.ID, frame, "")
+			if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) ||
+				rec.Header().Get("Content-Length") != strconv.Itoa(len(want)) {
+				t.Fatalf("job %d frame %d: status %d, Content-Length %q, body equal=%v", i, frame,
+					rec.Code, rec.Header().Get("Content-Length"), bytes.Equal(rec.Body.Bytes(), want))
+			}
+		}
 	}
-	if cs := s.CacheStats(); cs.Entries != 0 {
-		t.Fatalf("cache entries = %d, want 0", cs.Entries)
+	if cs := s.CacheStats(); cs.Entries != 0 || cs.Bytes != 0 {
+		t.Fatalf("cache entries=%d bytes=%d, want 0/0", cs.Entries, cs.Bytes)
 	}
 }

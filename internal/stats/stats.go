@@ -433,11 +433,14 @@ type CacheStats struct {
 	Coalesced, FlightsLed uint64
 	// InFlight is the number of frames currently being produced.
 	InFlight int
-	// Entries and Bytes describe current occupancy; Budget is the
-	// configured byte limit (0 = unlimited).
-	Entries int
-	Bytes   int64
-	Budget  int64
+	// Entries and Bytes describe current occupancy — Bytes is cached
+	// pixels plus the encoded forms kept beside them, EncodedBytes the
+	// encoded share of it; Budget is the configured limit on Bytes
+	// (0 = unlimited).
+	Entries      int
+	Bytes        int64
+	EncodedBytes int64
+	Budget       int64
 }
 
 // HitRate returns hits / lookups, or 0 before any lookup.

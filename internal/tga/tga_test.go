@@ -1,7 +1,11 @@
 package tga
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -33,6 +37,108 @@ func TestTGARoundTrip(t *testing.T) {
 	}
 	if !got.Equal(img) {
 		t.Error("TGA round trip not identical")
+	}
+}
+
+// referenceEncode is the row-by-row encoder Encode replaced, kept as the
+// independent statement of the format: the benchmark's TGA oracle is
+// built with Encode itself, so only the comparison below pins the bytes.
+func referenceEncode(w io.Writer, img *fb.Framebuffer) error {
+	if img.W > 0xFFFF || img.H > 0xFFFF {
+		return fmt.Errorf("tga: image %dx%d exceeds format limits", img.W, img.H)
+	}
+	bw := bufio.NewWriter(w)
+	var hd [18]byte
+	hd[2] = 2 // uncompressed truecolor
+	hd[12] = byte(img.W)
+	hd[13] = byte(img.W >> 8)
+	hd[14] = byte(img.H)
+	hd[15] = byte(img.H >> 8)
+	hd[16] = 24   // bits per pixel
+	hd[17] = 0x20 // top-left origin
+	if _, err := bw.Write(hd[:]); err != nil {
+		return err
+	}
+	row := make([]byte, img.W*3)
+	for y := 0; y < img.H; y++ {
+		for x := 0; x < img.W; x++ {
+			r, g, b := img.At(x, y)
+			row[x*3+0] = b
+			row[x*3+1] = g
+			row[x*3+2] = r
+		}
+		if _, err := bw.Write(row); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// countingWriter records how its input was chunked.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Buffer.Write(p)
+}
+
+// TestEncodeMatchesReference: Encode is byte-identical to the row-by-row
+// reference on degenerate, thin, odd-width and frame-sized images, and
+// hands the writer the whole file in one Write.
+func TestEncodeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, d := range [][2]int{{0, 0}, {1, 1}, {1, 9}, {9, 1}, {33, 17}, {120, 160}} {
+		img := fb.New(d[0], d[1])
+		rng.Read(img.Pix)
+		orig := append([]byte(nil), img.Pix...)
+		var want bytes.Buffer
+		if err := referenceEncode(&want, img); err != nil {
+			t.Fatal(err)
+		}
+		var got countingWriter
+		if err := Encode(&got, img); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Errorf("%dx%d: Encode differs from the reference encoder", d[0], d[1])
+		}
+		if got.Len() != 18+3*d[0]*d[1] || got.writes != 1 {
+			t.Errorf("%dx%d: %d bytes in %d writes, want %d in 1", d[0], d[1], got.Len(), got.writes, 18+3*d[0]*d[1])
+		}
+		if !bytes.Equal(img.Pix, orig) {
+			t.Errorf("%dx%d: Encode modified the framebuffer", d[0], d[1])
+		}
+	}
+}
+
+// TestEncodeRefusesOversize: 16-bit header fields cannot hold a side
+// past 65535, and nothing may be written for such an image.
+func TestEncodeRefusesOversize(t *testing.T) {
+	for _, d := range [][2]int{{65536, 1}, {1, 65536}} {
+		var got countingWriter
+		if err := Encode(&got, fb.New(d[0], d[1])); err == nil || got.writes != 0 {
+			t.Errorf("%dx%d: err=%v after %d writes, want a refusal and no output", d[0], d[1], err, got.writes)
+		}
+	}
+	if err := Encode(io.Discard, fb.New(65535, 1)); err != nil {
+		t.Errorf("65535x1 refused: %v", err)
+	}
+}
+
+// BenchmarkEncode is the per-frame cost at the benchmark's frame size.
+func BenchmarkEncode(b *testing.B) {
+	img := fb.New(120, 160)
+	rand.New(rand.NewSource(7)).Read(img.Pix)
+	b.SetBytes(int64(len(img.Pix)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Encode(io.Discard, img); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
