@@ -11,6 +11,7 @@ package nowrender_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -20,9 +21,11 @@ import (
 	"nowrender/internal/experiments"
 	"nowrender/internal/farm"
 	"nowrender/internal/fb"
+	"nowrender/internal/geom"
 	"nowrender/internal/grid"
 	"nowrender/internal/msg"
 	"nowrender/internal/objfile"
+	"nowrender/internal/objspace"
 	"nowrender/internal/partition"
 	"nowrender/internal/scenes"
 	"nowrender/internal/timeline"
@@ -580,6 +583,97 @@ func BenchmarkGeom_CylinderIntersectT(b *testing.B) {
 			}
 		})
 	}
+}
+
+// rayLog records the rays of a render with the range the tracer
+// intersects each over (a shadow ray's observed parameter is its light's
+// distance).
+type rayLog struct {
+	rays       []vm.Ray
+	tMin, tMax []float64
+}
+
+func (l *rayLog) ObserveRay(r vm.Ray, tHit float64) {
+	tMax := math.Inf(1)
+	if r.Kind == vm.ShadowRay {
+		tMax = tHit - vm.ShadowEps
+	}
+	l.rays = append(l.rays, r)
+	l.tMin = append(l.tMin, vm.ShadowEps)
+	l.tMax = append(l.tMax, tMax)
+}
+
+// meshGalleryRays returns every ray of meshgallery's first frame at
+// 80x60, the benchmark workload's size.
+func meshGalleryRays(b *testing.B) (*nowrender.Scene, *rayLog) {
+	b.Helper()
+	sc := scenes.MeshGallery(scenes.MeshGalleryFrames)
+	ft, err := trace.New(sc, 0, trace.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	log := &rayLog{}
+	ft.NewWorker(log).RenderFull(fb.New(80, 60))
+	return sc, log
+}
+
+// BenchmarkMeshIntersectT is what one gallery tile costs a ray that
+// enters its box: the mesh walk under meshgallery-shard4-farm, the
+// reference render and every scene with a mesh in it. Most of the rays
+// are camera and shadow rays.
+func BenchmarkMeshIntersectT(b *testing.B) {
+	sc, log := meshGalleryRays(b)
+	// The tile the most rays enter, and those rays.
+	var tile *geom.Mesh
+	var idx []int
+	for _, ro := range sc.ResolveFrame(0) {
+		m, ok := ro.Shape.(*geom.Mesh)
+		if !ok {
+			continue
+		}
+		var in []int
+		for i, r := range log.rays {
+			if _, enters := m.Bounds().IntersectRay(r, log.tMin[i], log.tMax[i]); enters {
+				in = append(in, i)
+			}
+		}
+		if len(in) > len(idx) {
+			tile, idx = m, in
+		}
+	}
+	if len(idx) < 500 {
+		b.Fatalf("only %d rays enter a tile's box", len(idx))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	hits := 0
+	for i := 0; i < b.N; i++ {
+		k := idx[i%len(idx)]
+		if _, _, ok := tile.IntersectT(log.rays[k], log.tMin[k], log.tMax[k]); ok {
+			hits++
+		}
+	}
+	b.ReportMetric(float64(hits)/float64(b.N), "hit_share")
+}
+
+// BenchmarkRouterIntersect is the same frame's rays through a 4-shard
+// cluster: slab clipping, sub-grid walks, mesh views and the forward
+// record's encode and decode at every transition.
+func BenchmarkRouterIntersect(b *testing.B) {
+	sc, log := meshGalleryRays(b)
+	var st objspace.Stats
+	cl, err := objspace.Build(sc, 0, trace.Options{}, objspace.Options{Shards: 4, Stats: &st})
+	if err != nil {
+		b.Fatal(err)
+	}
+	wk := cl.NewWorker(nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % len(log.rays)
+		wk.Intersect(log.rays[k], log.tMin[k], log.tMax[k])
+	}
+	b.ReportMetric(float64(st.RaysForwarded())/float64(b.N), "forwards/ray")
 }
 
 // BenchmarkTracer_AdaptiveAA measures the edge-adaptive antialiasing

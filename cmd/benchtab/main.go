@@ -55,8 +55,6 @@ func main() {
 		timelineB = sel("timeline", "event-recorder overhead bench (off vs on), written to BENCH_timeline.json")
 		schedB    = sel("sched", "multi-tenant scheduling policy sweep (fifo vs priority vs fair), written to BENCH_sched.json")
 		fleetB    = sel("fleet", "multi-master control-plane sweep (1 vs 2 vs 3 replicas over one shared fleet), written to BENCH_fleet.json")
-		objB      = sel("objspace", "object-space sharding sweep (replicated vs 2 vs 4 shards on the mesh stress scene), written to BENCH_objspace.json")
-		objScene  = flag.String("objspace-scene", "meshgallery", "scene spec for the -objspace sharding sweep")
 		all       = flag.Bool("all", false, "run everything")
 		full      = flag.Bool("full", false, "paper-scale workload (240x320, 45 frames)")
 		frame     = flag.Int("frame", 10, "frame for -fig2")
@@ -76,15 +74,15 @@ func main() {
 		}
 	}
 	if err := run(*table1, *fig2, *fig4, *ablations, *scaling, *parallel, *wire,
-		*dfbB, *timelineB, *schedB, *fleetB, *objB,
-		*full, *frame, *outDir, *sceneSpec, *wireScene, *objScene, *csvOut,
+		*dfbB, *timelineB, *schedB, *fleetB,
+		*full, *frame, *outDir, *sceneSpec, *wireScene, *csvOut,
 		*wireCheck, *baseline); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
 		os.Exit(1)
 	}
 }
 
-func run(table1, fig2, fig4, ablations, scaling, parallel, wire, dfbB, timelineB, schedB, fleetB, objB, full bool, frame int, outDir, sceneSpec, wireScene, objScene string, csvOut, wireCheck bool, baselinePath string) error {
+func run(table1, fig2, fig4, ablations, scaling, parallel, wire, dfbB, timelineB, schedB, fleetB, full bool, frame int, outDir, sceneSpec, wireScene string, csvOut, wireCheck bool, baselinePath string) error {
 	sc, err := scenes.FromSpec(sceneSpec)
 	if err != nil {
 		return err
@@ -467,48 +465,6 @@ func run(table1, fig2, fig4, ablations, scaling, parallel, wire, dfbB, timelineB
 			return err
 		}
 		jsonPath := "BENCH_fleet.json"
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-			jsonPath = filepath.Join(outDir, jsonPath)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", jsonPath)
-	}
-
-	if objB {
-		osc, err := scenes.FromSpec(objScene)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("=== ObjSpace: object-space sharding sweep on %s (replicated vs 2 vs 4 shards) ===\n", osc.Name)
-		frames := 3
-		if full {
-			frames = 6
-		}
-		pts, err := farm.ObjSpaceSweep(osc, 120, 90, frames, []int{1, 2, 4}, 4)
-		if err != nil {
-			return err
-		}
-		var tb stats.Table
-		for _, pt := range pts {
-			tb.AddRow("shards", fmt.Sprintf("%d", pt.Shards),
-				"rays fwd/frame", fmt.Sprintf("%.0f", pt.RaysForwardedPerFrame),
-				"fwd B/frame", fmt.Sprintf("%.0f", pt.ForwardBytesPerFrame),
-				"peak resident", fmt.Sprintf("%d", pt.PeakResidentBytes),
-				"vs replicated", fmt.Sprintf("%.2fx", pt.ResidentVsReplicated),
-				"ms/frame", fmt.Sprintf("%.1f", pt.MSPerFrame),
-				"identical", fmt.Sprintf("%v", pt.Identical))
-		}
-		fmt.Println(tb.String())
-		data, err := json.MarshalIndent(pts, "", "  ")
-		if err != nil {
-			return err
-		}
-		jsonPath := "BENCH_objspace.json"
 		if outDir != "" {
 			if err := os.MkdirAll(outDir, 0o755); err != nil {
 				return err

@@ -7,9 +7,10 @@
 // All primitives implement Shape. Intersection is two-phase: IntersectT
 // decides whether and where a ray meets the surface (the nearest
 // parameter t in (tMin, tMax)), HitAt completes the point, normal and
-// texture coordinates for the one candidate that wins the ray. The
-// routines are exact (no acceleration) — spatial acceleration lives in
-// internal/grid.
+// texture coordinates for the one candidate that wins the ray. Spatial
+// acceleration across objects lives in internal/grid; inside one object
+// the routines are closed-form, except Mesh, which walks a hierarchy of
+// its own over its triangles to the answer the exhaustive loop gives.
 package geom
 
 import (

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math"
+	"sort"
 
 	vm "nowrender/internal/vecmath"
 )
@@ -78,37 +79,209 @@ func (tr *Triangle) Bounds() vm.AABB {
 	return vm.EmptyAABB().Extend(tr.P0).Extend(tr.P1).Extend(tr.P2).Pad(vm.Eps)
 }
 
-// Mesh is a bag of triangles intersected exhaustively. Meshes in the test
-// scenes are small; large meshes should be placed in the voxel grid,
-// which already distributes the triangles spatially.
+// meshLeafSize is the triangle count at or under which the hierarchy
+// stops splitting.
+const meshLeafSize = 4
+
+// meshStackDepth bounds the walk's fixed stack. The median split halves
+// the triangle count at every level whatever the geometry looks like, so
+// the largest mesh an int32 index allows is 30 levels deep, and the walk
+// holds at most one pending node per level plus the one it is visiting.
+const meshStackDepth = 32
+
+// meshNode is one node of a mesh's flat hierarchy. A leaf (n > 0) owns
+// the triangle indices order[start:start+n]; an inner node (n == 0) has
+// its left child right after it and its right child at index start, and
+// axis is the axis its triangles were split on.
+type meshNode struct {
+	box      vm.AABB
+	start, n int32
+	axis     uint8
+}
+
+// Mesh is a triangle mesh with a bounding-volume hierarchy of its own
+// over the triangle indices, built once by NewMesh: a ray meets the few
+// triangles whose boxes it enters instead of all of them, however the
+// mesh is placed in the voxel grid. A mesh is read-only after NewMesh
+// and may be intersected from any number of goroutines.
+//
+// Clip returns a view: the same triangles, boxes and hierarchy (shared,
+// never copied) restricted to the triangles whose box overlaps a slab.
+// Tris of a view is the parent's full list, so part indices mean the
+// same triangle in a mesh and in all of its views.
 type Mesh struct {
 	Tris []*Triangle
 
 	bounds vm.AABB
+	// boxes[i] is Tris[i].Bounds(); nodes[0] is the hierarchy's root
+	// (absent for an empty mesh) and order the triangle indices its
+	// leaves slice.
+	boxes []vm.AABB
+	nodes []meshNode
+	order []int32
+
+	// A view skips every node and triangle whose box misses slab; resident
+	// counts the triangles that remain. A whole mesh has view == false.
+	view     bool
+	slab     vm.AABB
+	resident int
 }
 
-// NewMesh returns a mesh over the given triangles.
+// NewMesh returns a mesh over the given triangles and builds its
+// hierarchy: median split on the longest axis of the centroids' box down
+// to leaves of meshLeafSize, so a mesh that small is a single leaf.
 func NewMesh(tris []*Triangle) *Mesh {
-	m := &Mesh{Tris: tris, bounds: vm.EmptyAABB()}
-	for _, t := range tris {
-		m.bounds = m.bounds.Union(t.Bounds())
+	m := &Mesh{
+		Tris:     tris,
+		bounds:   vm.EmptyAABB(),
+		boxes:    make([]vm.AABB, len(tris)),
+		order:    make([]int32, len(tris)),
+		resident: len(tris),
+	}
+	centroids := make([]vm.Vec3, len(tris))
+	for i, t := range tris {
+		m.boxes[i] = t.Bounds()
+		m.bounds = m.bounds.Union(m.boxes[i])
+		m.order[i] = int32(i)
+		centroids[i] = t.P0.Add(t.P1).Add(t.P2).Scale(1.0 / 3)
+	}
+	if len(tris) > 0 {
+		m.nodes = make([]meshNode, 0, 2*(len(tris)/meshLeafSize)+1)
+		m.split(0, len(tris), centroids)
 	}
 	return m
 }
 
+// split appends the subtree over order[lo:hi] to m.nodes.
+func (m *Mesh) split(lo, hi int, centroids []vm.Vec3) {
+	box, spread := vm.EmptyAABB(), vm.EmptyAABB()
+	for _, ti := range m.order[lo:hi] {
+		box = box.Union(m.boxes[ti])
+		spread = spread.Extend(centroids[ti])
+	}
+	self := len(m.nodes)
+	if hi-lo <= meshLeafSize {
+		m.nodes = append(m.nodes, meshNode{box: box, start: int32(lo), n: int32(hi - lo)})
+		return
+	}
+	size := spread.Size()
+	axis := 0
+	if size.Y > size.Axis(axis) {
+		axis = 1
+	}
+	if size.Z > size.Axis(axis) {
+		axis = 2
+	}
+	// Ties fall back to the triangle index, so coincident centroids still
+	// split in half and the hierarchy is the same on every build.
+	part := m.order[lo:hi]
+	sort.Slice(part, func(a, b int) bool {
+		ca, cb := centroids[part[a]].Axis(axis), centroids[part[b]].Axis(axis)
+		return ca < cb || (ca == cb && part[a] < part[b])
+	})
+	mid := lo + (hi-lo)/2
+	m.nodes = append(m.nodes, meshNode{box: box, axis: uint8(axis)})
+	m.split(lo, mid, centroids)
+	m.nodes[self].start = int32(len(m.nodes))
+	m.split(mid, hi, centroids)
+}
+
+// Clip returns the view of m that keeps exactly the triangles whose
+// Bounds overlap slab: it answers every ray as NewMesh over those
+// triangles would, up to the part index, which stays m's. Nothing is
+// copied or built; one pass over the stored boxes gives the view its
+// Bounds and NumTris. m must be a whole mesh, not itself a view.
+func (m *Mesh) Clip(slab vm.AABB) *Mesh {
+	if m.view {
+		panic("geom: Clip of a mesh view")
+	}
+	v := *m
+	v.view, v.slab = true, slab
+	v.bounds, v.resident = vm.EmptyAABB(), 0
+	for i := range m.boxes {
+		if m.boxes[i].Overlaps(slab) {
+			v.bounds = v.bounds.Union(m.boxes[i])
+			v.resident++
+		}
+	}
+	return &v
+}
+
+// NumTris returns how many triangles the mesh tests: all of Tris for a
+// whole mesh, the ones a view kept.
+func (m *Mesh) NumTris() int { return m.resident }
+
 // IntersectT implements Shape; part is the index of the nearest triangle
-// (the lower index on a tie).
+// (the lower index on a tie). It walks the hierarchy nearer child first,
+// dropping every node the ray enters no sooner than the best hit so far.
 func (m *Mesh) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
-	if _, hit := m.bounds.IntersectRay(r, tMin, tMax); !hit {
+	if _, hit := m.bounds.IntersectRay(r, tMin, tMax); !hit || len(m.nodes) == 0 {
 		return 0, 0, false
 	}
+	inv, neg := reciprocalDir(r.Dir)
 	best, part := tMax, int32(-1)
-	for i, tr := range m.Tris {
-		if t, _, _, ok := tr.mollerTrumbore(r); ok && t > tMin && t < best {
-			best, part = t, int32(i)
+	var stack [meshStackDepth]int32
+	sp := 0 // stack[0] is the root, node 0
+	for sp >= 0 {
+		ni := stack[sp]
+		sp--
+		n := &m.nodes[ni]
+		if m.view && !n.box.Overlaps(m.slab) {
+			continue
+		}
+		if !rayEntersBefore(&n.box, r.Origin, inv, tMin, best) {
+			continue
+		}
+		if n.n == 0 {
+			near, far := ni+1, n.start
+			if neg[n.axis] {
+				near, far = far, near
+			}
+			stack[sp+1], stack[sp+2] = far, near
+			sp += 2
+			continue
+		}
+		for _, ti := range m.order[n.start : n.start+n.n] {
+			if m.view && !m.boxes[ti].Overlaps(m.slab) {
+				continue
+			}
+			t, _, _, ok := m.Tris[ti].mollerTrumbore(r)
+			if ok && t > tMin && (t < best || (t == best && part >= 0 && ti < part)) {
+				best, part = t, ti
+			}
 		}
 	}
 	return best, part, part >= 0
+}
+
+// reciprocalDir hoists the per-ray half of the slab test out of the walk.
+// A component too small to invert (zero or denormal) gets the largest
+// finite float in place of an infinity, so no product in rayEntersBefore
+// is ever 0 * Inf.
+func reciprocalDir(d vm.Vec3) (inv vm.Vec3, neg [3]bool) {
+	finite := func(x float64) float64 {
+		return max(-math.MaxFloat64, min(math.MaxFloat64, 1/x))
+	}
+	return vm.Vec3{X: finite(d.X), Y: finite(d.Y), Z: finite(d.Z)},
+		[3]bool{d.X < 0, d.Y < 0, d.Z < 0}
+}
+
+// rayEntersBefore is the hierarchy's own slab test: whether the ray
+// o + t/inv overlaps b somewhere in [tMin, tMax]. It errs only towards
+// true. Every box is padded by vm.Eps, a million times the rounding
+// error of the products below at scene scale, so a hit Möller–Trumbore
+// accepts lies strictly inside its node's interval, and a tie
+// (tNear == tMax) passes. Along an axis the ray does not move on, the
+// huge inv sends both products to the same infinity outside the slab,
+// which empties the interval, and to opposite ones (or to zero, on a
+// face) inside it.
+func rayEntersBefore(b *vm.AABB, o, inv vm.Vec3, tMin, tMax float64) bool {
+	x0, x1 := (b.Min.X-o.X)*inv.X, (b.Max.X-o.X)*inv.X
+	y0, y1 := (b.Min.Y-o.Y)*inv.Y, (b.Max.Y-o.Y)*inv.Y
+	z0, z1 := (b.Min.Z-o.Z)*inv.Z, (b.Max.Z-o.Z)*inv.Z
+	tMin = max(tMin, min(x0, x1), min(y0, y1), min(z0, z1))
+	tMax = min(tMax, max(x0, x1), max(y0, y1), max(z0, z1))
+	return tMin <= tMax
 }
 
 // HitAt implements Shape.

@@ -17,8 +17,8 @@
 // begins.
 //
 // Each shard holds only the geometry overlapping its slab: whole objects
-// whose bounds overlap, and for large triangle meshes a clipped sub-mesh
-// keeping just the triangles whose bounds overlap the slab — which is
+// whose bounds overlap, and for large triangle meshes a view of the mesh
+// that tests just the triangles whose bounds overlap the slab — which is
 // what makes per-shard resident scene size genuinely shrink as the shard
 // count grows. Unbounded primitives (planes) are replicated on the frame
 // owner and tested once per ray, exactly as the replicated tracer's
@@ -315,11 +315,10 @@ func Build(sc *scene.Scene, frame int, topts trace.Options, o Options) (*Cluster
 
 // ReplicatedResident reports the replicated (single-copy) scene's
 // resident size for one frame under the same accounting the shard
-// builder uses: the shards=1 baseline the object-space bench compares
-// per-shard residents against. It is computed by building a one-slab
-// partition over the full frame grid, so mesh handling, grid-structure
-// accounting, and unbounded-object exclusion match the sharded rows
-// exactly.
+// builder uses: the shards=1 baseline per-shard residents are compared
+// against. It is computed by building a one-slab partition over the full
+// frame grid, so mesh handling, grid-structure accounting, and
+// unbounded-object exclusion match the sharded rows exactly.
 func ReplicatedResident(sc *scene.Scene, frame int, topts trace.Options) (uint64, error) {
 	objs := sc.ResolveFrame(frame)
 	bounds := sc.BoundsAt(frame)

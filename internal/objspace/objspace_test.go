@@ -9,6 +9,7 @@ import (
 
 	"nowrender/internal/fb"
 	"nowrender/internal/geom"
+	"nowrender/internal/msg"
 	"nowrender/internal/scene"
 	"nowrender/internal/scenes"
 	"nowrender/internal/sdl"
@@ -230,6 +231,175 @@ func TestForwardRoundTrip(t *testing.T) {
 		}
 		if got != fs {
 			t.Errorf("%s: round trip changed state:\n got %+v\nwant %+v", name, got, fs)
+		}
+	}
+}
+
+// packForward is the forward record as msg.Buffer packs it field by
+// field — the format's definition, and what EncodeForward was before it
+// became AppendForward into a fresh buffer.
+func packForward(fs *ForwardState) []byte {
+	b := msg.NewBuffer()
+	vec := func(v vm.Vec3) {
+		b.PackFloat(v.X)
+		b.PackFloat(v.Y)
+		b.PackFloat(v.Z)
+	}
+	b.PackInt(int64(fs.Seq))
+	b.PackInt(int64(fs.Pixel))
+	b.PackInt(int64(fs.Shard))
+	b.PackInt(int64(fs.Ray.Kind))
+	b.PackInt(int64(fs.Ray.Depth))
+	vec(fs.Ray.Origin)
+	vec(fs.Ray.Dir)
+	b.PackFloat(fs.TMin)
+	b.PackFloat(fs.TMax)
+	vec(fs.Throughput)
+	b.PackBool(fs.Found)
+	b.PackInt(int64(fs.BestObj))
+	b.PackFloat(fs.Best.T)
+	vec(fs.Best.Point)
+	vec(fs.Best.Normal)
+	b.PackBool(fs.Best.Inside)
+	b.PackFloat(fs.Best.U)
+	b.PackFloat(fs.Best.V)
+	return b.Bytes()
+}
+
+// TestAppendForwardIsTheWireFormat holds the append encoder to the bytes
+// msg.Buffer packs: appended after a prefix, into scratch that is reused,
+// and through EncodeForward, for a hit, a miss and an open ray.
+func TestAppendForwardIsTheWireFormat(t *testing.T) {
+	hit := sampleForward()
+	miss := sampleForward()
+	miss.Found, miss.BestObj, miss.Best = false, -1, geom.Hit{T: math.Inf(1)}
+	miss.TMax, miss.Pixel = math.Inf(1), -1
+	neg := sampleForward()
+	neg.Ray.Origin, neg.Best.Inside, neg.Best.U = vm.V(-1e-300, math.Copysign(0, -1), -7), false, -0.25
+	scratch := make([]byte, 0, forwardSize)
+	for name, fs := range map[string]ForwardState{"hit": hit, "miss": miss, "negatives": neg} {
+		want := packForward(&fs)
+		if len(want) != forwardSize {
+			t.Fatalf("%s: msg.Buffer packs %d bytes, forwardSize is %d", name, len(want), forwardSize)
+		}
+		if got := EncodeForward(&fs); !bytes.Equal(got, want) {
+			t.Errorf("%s: EncodeForward differs from the packed record", name)
+		}
+		scratch = AppendForward(scratch[:0], &fs)
+		if !bytes.Equal(scratch, want) {
+			t.Errorf("%s: AppendForward into reused scratch differs from the packed record", name)
+		}
+		prefixed := AppendForward([]byte("hdr"), &fs)
+		if string(prefixed[:3]) != "hdr" || !bytes.Equal(prefixed[3:], want) {
+			t.Errorf("%s: AppendForward after a prefix differs from the packed record", name)
+		}
+		if got, err := DecodeForward(scratch); err != nil || got != fs {
+			t.Errorf("%s: decode of the appended record: %+v, %v", name, got, err)
+		}
+	}
+}
+
+// rayLog records every ray a worker casts, with the range the tracer
+// intersects it over.
+type rayLog struct {
+	rays       []vm.Ray
+	tMin, tMax []float64
+}
+
+func (l *rayLog) ObserveRay(r vm.Ray, tHit float64) {
+	tMax := math.Inf(1)
+	if r.Kind == vm.ShadowRay {
+		tMax = tHit - vm.ShadowEps // tHit is the light's distance
+	}
+	l.rays = append(l.rays, r)
+	l.tMin = append(l.tMin, vm.ShadowEps)
+	l.tMax = append(l.tMax, tMax)
+}
+
+// TestRouterIntersectAllocatesNothing replays one frame's rays — camera,
+// shadow and secondary — through a 4-shard router: forwarding included,
+// no ray may allocate.
+func TestRouterIntersectAllocatesNothing(t *testing.T) {
+	sc := scenes.MeshGallery(1)
+	var st Stats
+	cl, err := Build(sc, 0, trace.Options{}, Options{Shards: 4, Stats: &st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log rayLog
+	cl.NewWorker(&log).RenderFull(fb.New(40, 30))
+	if len(log.rays) < 2000 {
+		t.Fatalf("only %d rays recorded", len(log.rays))
+	}
+	rt := cl.newRouter()
+	before := st.RaysForwarded()
+	allocs := testing.AllocsPerRun(3, func() {
+		for i, r := range log.rays {
+			rt.Intersect(r, log.tMin[i], log.tMax[i])
+		}
+	})
+	if st.RaysForwarded() == before {
+		t.Fatal("the replay forwarded no ray")
+	}
+	if allocs != 0 {
+		t.Errorf("%v allocations per %d rays through the router, want 0", allocs, len(log.rays))
+	}
+}
+
+// TestMeshGalleryPins holds the numbers BENCH_objspace.json was committed
+// for (meshgallery, 120x90, 3 frames; bench/'s objspace.* metrics report
+// the same quantities per run): the forwarding traffic at 2 and 4 shards
+// to the ray and the byte, the peak resident share of the replicated
+// scene, and frames byte-identical to the replicated render.
+func TestMeshGalleryPins(t *testing.T) {
+	const w, h, frames = 120, 90, 3
+	sc := scenes.MeshGallery(scenes.MeshGalleryFrames) // the camera's path depends on the animation's length
+	refs := make([]*fb.Framebuffer, frames)
+	var replicated uint64
+	for f := range refs {
+		refs[f], _ = renderReplicated(t, sc, f, w, h, trace.Options{})
+		r, err := ReplicatedResident(sc, f, trace.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		replicated = max(replicated, r)
+	}
+	for _, want := range []struct {
+		shards          int
+		forwards, bytes uint64
+		resident        float64
+	}{
+		// 0.664 / 0.336 in the committed file: charging every triangle its
+		// share of the hierarchy left the grid structures, which split less
+		// evenly than the triangles do (2/3 and 1/3), a smaller part of both
+		// sides of the ratio.
+		{2, 38716, 8672384, 0.665},
+		{4, 122066, 27342784, 0.335},
+	} {
+		var st Stats
+		for f := range refs {
+			cl, err := Build(sc, f, trace.Options{}, Options{Shards: want.shards, Stats: &st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			img := fb.New(w, h)
+			cl.NewWorker(nil).RenderFull(img)
+			if !bytes.Equal(img.Pix, refs[f].Pix) {
+				t.Errorf("%d shards: frame %d differs from the replicated render", want.shards, f)
+			}
+		}
+		snap := st.Snapshot()
+		if snap.RaysForwarded != want.forwards || snap.ForwardBytes != want.bytes {
+			t.Errorf("%d shards: %d forwards / %d bytes, want %d / %d",
+				want.shards, snap.RaysForwarded, snap.ForwardBytes, want.forwards, want.bytes)
+		}
+		if snap.ForwardBytes != snap.RaysForwarded*forwardSize {
+			t.Errorf("%d shards: %d bytes for %d forwards is not %d a ray",
+				want.shards, snap.ForwardBytes, snap.RaysForwarded, forwardSize)
+		}
+		got := float64(snap.PeakResidentBytes) / float64(replicated)
+		if math.Abs(got-want.resident) >= 0.0005 {
+			t.Errorf("%d shards: resident_vs_replicated %.4f, want %.3f", want.shards, got, want.resident)
 		}
 	}
 }

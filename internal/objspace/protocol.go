@@ -1,6 +1,7 @@
 package objspace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -51,30 +52,59 @@ type ForwardState struct {
 	Best    geom.Hit
 }
 
-// EncodeForward serializes a ForwardState. Floats travel as IEEE-754
-// bits, so every value round-trips bit-exactly — the property the
-// byte-identity invariant leans on.
+// forwardSize is the encoded size of a ForwardState: 28 eight-byte
+// fields.
+const forwardSize = 28 * 8
+
+// EncodeForward serializes a ForwardState into a buffer of its own.
+// Floats travel as IEEE-754 bits, so every value round-trips bit-exactly
+// — the property the byte-identity invariant leans on.
 func EncodeForward(fs *ForwardState) []byte {
-	b := msg.NewBuffer()
-	b.PackInt(int64(fs.Seq))
-	b.PackInt(int64(fs.Pixel))
-	b.PackInt(int64(fs.Shard))
-	b.PackInt(int64(fs.Ray.Kind))
-	b.PackInt(int64(fs.Ray.Depth))
-	packVec(b, fs.Ray.Origin)
-	packVec(b, fs.Ray.Dir)
-	b.PackFloat(fs.TMin)
-	b.PackFloat(fs.TMax)
-	packVec(b, fs.Throughput)
-	b.PackBool(fs.Found)
-	b.PackInt(int64(fs.BestObj))
-	b.PackFloat(fs.Best.T)
-	packVec(b, fs.Best.Point)
-	packVec(b, fs.Best.Normal)
-	b.PackBool(fs.Best.Inside)
-	b.PackFloat(fs.Best.U)
-	b.PackFloat(fs.Best.V)
-	return b.Bytes()
+	return AppendForward(make([]byte, 0, forwardSize), fs)
+}
+
+// AppendForward appends the encoding EncodeForward returns to dst, in
+// msg.Buffer's format (big-endian 64-bit fields): with capacity in dst it
+// allocates nothing, which is what lets the router forward a ray out of
+// scratch it owns.
+func AppendForward(dst []byte, fs *ForwardState) []byte {
+	dst = appendInt(dst, int64(fs.Seq))
+	dst = appendInt(dst, int64(fs.Pixel))
+	dst = appendInt(dst, int64(fs.Shard))
+	dst = appendInt(dst, int64(fs.Ray.Kind))
+	dst = appendInt(dst, int64(fs.Ray.Depth))
+	dst = appendVec(dst, fs.Ray.Origin)
+	dst = appendVec(dst, fs.Ray.Dir)
+	dst = appendFloat(dst, fs.TMin)
+	dst = appendFloat(dst, fs.TMax)
+	dst = appendVec(dst, fs.Throughput)
+	dst = appendBool(dst, fs.Found)
+	dst = appendInt(dst, int64(fs.BestObj))
+	dst = appendFloat(dst, fs.Best.T)
+	dst = appendVec(dst, fs.Best.Point)
+	dst = appendVec(dst, fs.Best.Normal)
+	dst = appendBool(dst, fs.Best.Inside)
+	dst = appendFloat(dst, fs.Best.U)
+	return appendFloat(dst, fs.Best.V)
+}
+
+func appendInt(dst []byte, v int64) []byte {
+	return binary.BigEndian.AppendUint64(dst, uint64(v))
+}
+
+func appendFloat(dst []byte, v float64) []byte {
+	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
+}
+
+func appendBool(dst []byte, v bool) []byte {
+	if v {
+		return appendInt(dst, 1)
+	}
+	return appendInt(dst, 0)
+}
+
+func appendVec(dst []byte, v vm.Vec3) []byte {
+	return appendFloat(appendFloat(appendFloat(dst, v.X), v.Y), v.Z)
 }
 
 // DecodeForward parses and validates a ForwardState. It never panics on
@@ -147,12 +177,6 @@ func DecodeForward(data []byte) (ForwardState, error) {
 		return fs, fmt.Errorf("objspace: no hit but object id %d", fs.BestObj)
 	}
 	return fs, nil
-}
-
-func packVec(b *msg.Buffer, v vm.Vec3) {
-	b.PackFloat(v.X)
-	b.PackFloat(v.Y)
-	b.PackFloat(v.Z)
 }
 
 func unpackVec(b *msg.Buffer) vm.Vec3 {

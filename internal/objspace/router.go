@@ -11,7 +11,8 @@ import (
 // nearest-hit query sweeps the slabs front-to-back along the partition
 // axis, forwarding the ray (through the wire codec, even in-process) at
 // each shard-to-shard transition. One router per worker goroutine — the
-// mailboxes are single-owner scratch, the cluster itself is read-only.
+// mailboxes and the forward buffer are single-owner scratch, the cluster
+// itself is read-only.
 type router struct {
 	c     *Cluster
 	stamp uint64
@@ -20,10 +21,13 @@ type router struct {
 	// of the same shard. (Across shards an object IS retested, exactly as
 	// a distributed deployment would: shard owners share no mailboxes.)
 	mail [][]uint64
+	// fwd is the buffer every forward of this router is encoded into and
+	// decoded from before the next one overwrites it.
+	fwd []byte
 }
 
 func (c *Cluster) newRouter() *router {
-	rt := &router{c: c, mail: make([][]uint64, len(c.shard))}
+	rt := &router{c: c, mail: make([][]uint64, len(c.shard)), fwd: make([]byte, 0, forwardSize)}
 	for i, s := range c.shard {
 		rt.mail[i] = make([]uint64, len(s.Objs))
 	}
@@ -82,7 +86,8 @@ func (rt *router) Intersect(r vm.Ray, tMin, tMax float64) (geom.Hit, *scene.Reso
 				Throughput: vm.Splat(1),
 				Found:      found, BestObj: bestObj, Best: best,
 			}
-			data := EncodeForward(&fs)
+			data := AppendForward(rt.fwd[:0], &fs)
+			rt.fwd = data
 			if c.stats != nil {
 				c.stats.countForward(prev, len(data))
 			}

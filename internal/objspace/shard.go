@@ -11,18 +11,20 @@ import (
 
 const hugeExtent = geom.HugeExtent
 
-// meshClipMin is the triangle count above which a mesh is clipped into a
-// per-slab sub-mesh instead of being referenced whole. Small meshes are
-// cheaper to replicate than to clip.
+// meshClipMin is the triangle count from which a mesh is clipped to the
+// slab instead of being referenced whole. Small meshes are cheaper to
+// replicate than to clip.
 const meshClipMin = 16
 
 // Rough per-item resident-size estimates for the accounting the
-// object-space bench reports. A Triangle is three Vec3 points plus three
-// normal pointers; non-mesh primitives are a shape struct plus a
+// object-space metrics report. A Triangle is three Vec3 points plus three
+// normal pointers, and each resident triangle is also charged its share
+// of the mesh's hierarchy (its own box, its index, and half a 64-byte
+// node for leaves of four); non-mesh primitives are a shape struct plus a
 // resolved-object header; grid cells cost a slice header per voxel plus
 // an int32 per entry.
 const (
-	triBytes   = 3*24 + 3*8 + 16
+	triBytes   = 3*24 + 3*8 + 16 + (48 + 4 + 64/2)
 	objBytes   = 160
 	voxelBytes = 24
 	itemBytes  = 4
@@ -30,8 +32,8 @@ const (
 
 // ShardObject is one object resident on a shard: the global object id
 // (an index into the frame's resolved-object table, identical on every
-// shard) and the shard-local geometry — the full shape, or a clipped
-// sub-mesh for large meshes.
+// shard) and the shard-local geometry — the full shape, or for large
+// meshes a view clipped to the slab.
 type ShardObject struct {
 	Global int32
 	RO     scene.ResolvedObject
@@ -54,7 +56,11 @@ type Shard struct {
 // buildShard collects the geometry overlapping slab i and builds its
 // sub-grid. Voxel counts match the slab's share of the full grid along
 // the partition axis and the full counts elsewhere, so traversal density
-// matches the replicated grid.
+// matches the replicated grid. A clipped mesh is a view (geom.Mesh.Clip):
+// it shares the scene mesh's triangles, boxes and hierarchy, read-only,
+// with every other shard and every worker thread, and is charged in
+// ResidentBytes only for the triangles it keeps — what an owner on
+// another machine would have to hold.
 func buildShard(p *Partition, i int, objs []scene.ResolvedObject) (*Shard, error) {
 	sb := p.SlabBounds(i)
 	s := &Shard{Index: i, Bounds: sb}
@@ -67,22 +73,16 @@ func buildShard(p *Partition, i int, objs []scene.ResolvedObject) (*Shard, error
 			continue
 		}
 		so := ShardObject{Global: int32(gi), RO: *ro}
-		if m, ok := ro.Shape.(*geom.Mesh); ok && len(m.Tris) >= meshClipMin {
-			kept := make([]*geom.Triangle, 0, len(m.Tris)/2)
-			for _, tr := range m.Tris {
-				if tr.Bounds().Overlaps(sb) {
-					kept = append(kept, tr)
+		if m, ok := ro.Shape.(*geom.Mesh); ok {
+			if len(m.Tris) >= meshClipMin {
+				m = m.Clip(sb)
+				if m.NumTris() == 0 {
+					continue
 				}
+				so.RO.Shape = m
+				so.RO.Bounds = m.Bounds()
 			}
-			if len(kept) == 0 {
-				continue
-			}
-			sub := geom.NewMesh(kept)
-			so.RO.Shape = sub
-			so.RO.Bounds = sub.Bounds()
-			so.Tris = len(kept)
-		} else if m, ok := ro.Shape.(*geom.Mesh); ok {
-			so.Tris = len(m.Tris)
+			so.Tris = m.NumTris()
 		}
 		s.Objs = append(s.Objs, so)
 		s.Tris += so.Tris
