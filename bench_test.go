@@ -415,6 +415,52 @@ func BenchmarkCoherentFrameParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkBlockEnginesOneWorker is what frame division gives one worker
+// on the ledger's Newton workload: twelve 40x40 block engines, each
+// through the same 60 frames at 120x160, back to back on one goroutine —
+// no master, no wire. "shared" makes them from one coherence.Range, as the
+// worker loop does; "private" gives each its own (coherence.NewEngine),
+// which rebuilds every frame's tracer, the motion grid and the movers'
+// voxels per block. Run with -benchmem: the gap in B/op is the 720 - 60
+// tracers.
+func BenchmarkBlockEnginesOneWorker(b *testing.B) {
+	const w, h, frames = 120, 160, 60
+	sc := scenes.Newton(frames)
+	blocks := fb.NewRect(0, 0, w, h).Blocks(40, 40)
+	opts := coherence.Options{Threads: 1}
+	for _, mode := range []string{"shared", "private"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			img := fb.New(w, h)
+			for i := 0; i < b.N; i++ {
+				var r *coherence.Range
+				for _, region := range blocks {
+					var eng *coherence.Engine
+					var err error
+					if mode == "private" {
+						eng, err = coherence.NewEngine(sc, w, h, region, 0, frames, opts)
+					} else {
+						if r == nil {
+							if r, err = coherence.NewRange(sc, 0, frames, opts); err != nil {
+								b.Fatal(err)
+							}
+						}
+						eng, err = r.NewEngine(w, h, region, opts)
+					}
+					if err != nil {
+						b.Fatal(err)
+					}
+					for f := 0; f < frames; f++ {
+						if _, err := eng.RenderFrame(f, img); err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkGrid_DDAWalk measures the 3D-DDA voxel traversal.
 func BenchmarkGrid_DDAWalk(b *testing.B) {
 	g, err := grid.New(vm.NewAABB(vm.V(0, 0, 0), vm.V(1, 1, 1)), 32, 32, 32)

@@ -89,9 +89,10 @@ func TestCountsPinned(t *testing.T) {
 }
 
 // TestSteadyStateAllocs: on a warmed engine a frame allocates for its
-// tracer (trace.New builds the frame's scene grid) and nothing that
-// scales with the registrations it writes — the arenas, the spare
-// buffers and change detection's scratch are all reused.
+// tracer (trace.New builds the frame's scene grid), for the frame pair's
+// changed set (one bitset; the movers' voxel lists are carved out of the
+// Range's one arena) and nothing that scales with the registrations it
+// writes — the arenas and the spare buffers are reused.
 func TestSteadyStateAllocs(t *testing.T) {
 	const warm, runs = 20, 40
 	s := movingScene(warm + runs + 2)

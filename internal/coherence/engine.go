@@ -28,7 +28,12 @@
 // pixel (an NxN block mode is provided as the Jevans-style baseline for
 // the ablation benches), shadow rays participate in registration, and the
 // engine is built to run on subregions so the parallel decompositions of
-// §3 can each own an engine.
+// §3 can each own an engine. Engines over the same frames of the same
+// scene — the blocks frame division hands one worker — share a Range:
+// the scene checks, the movers and the grid, each frame's tracer, each
+// mover's voxels per frame and each frame pair's changed voxels are built
+// once per Range, and an engine keeps only what depends on its region
+// (its pixels' registrations, its dirty mask, its previous frame).
 //
 // # Concurrency
 //
@@ -55,7 +60,6 @@ import (
 	"nowrender/internal/stats"
 	"nowrender/internal/timeline"
 	"nowrender/internal/trace"
-	vm "nowrender/internal/vecmath"
 )
 
 // Options configure an Engine.
@@ -116,27 +120,24 @@ type pixelRun struct {
 // at the sequence's first frame. Callers drive an Engine from one
 // goroutine; RenderFrame parallelises internally (see the package
 // comment). Parallel farm schemes still give each worker its own engine
-// over its own region or subsequence — the two levels compose.
+// over its own region or subsequence — the two levels compose — and what
+// does not depend on the region comes from the engines' Range.
 type Engine struct {
-	sc     *scene.Scene
+	// rng is the per-range state, shared with the other engines made
+	// from it and read-only to all of them.
+	rng    *Range
 	W, H   int
 	Region fb.Rect
-	start  int
-	end    int // exclusive
 	opts   Options
 
-	// grid is the registration grid over the movers' swept bounds; nil
-	// when nothing moves in [start, end), and then movers, runs, changed
-	// and collectors stay empty too.
-	grid   *grid.Grid
-	movers []mover
+	// grid is the Range's registration grid; nil when nothing moves in
+	// the range, and then runs and collectors stay empty too.
+	grid *grid.Grid
 	// runs[p] is region-local pixel p's current registration run. Tile
 	// workers write disjoint entries (each pixel belongs to one tile).
 	runs []pixelRun
 	// live is the sum of n over runs (see RegistrationCount).
 	live int
-	// changed is change detection's per-frame set of changed voxels.
-	changed *bitset.Bitset
 
 	prev      *fb.Framebuffer
 	nextFrame int
@@ -159,121 +160,24 @@ type Engine struct {
 }
 
 // NewEngine prepares a coherence engine for frames [start, end) of the
-// scene, rendering only pixels inside region of a W x H frame. The
-// camera must be stationary across the range — the caller (see
-// internal/anim) splits animations at camera cuts.
+// scene, rendering only pixels inside region of a W x H frame: NewRange
+// and Range.NewEngine in one call, for the caller with a single engine.
+// The Range is private to the engine and keeps no tracer beyond the frame
+// being rendered. The scene validation, the O(frames) stationary-camera
+// scan and the O(objects x frames) swept-bounds union run once per Range,
+// so a caller that makes several engines over the same frames (a farm
+// worker's blocks) should make one Range and call Range.NewEngine.
 func NewEngine(sc *scene.Scene, w, h int, region fb.Rect, start, end int, opts Options) (*Engine, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	if start < 0 || end > sc.Frames || start >= end {
-		return nil, fmt.Errorf("coherence: bad frame range [%d,%d) for %d frames", start, end, sc.Frames)
-	}
-	full := fb.NewRect(0, 0, w, h)
-	if region.Empty() || region.Intersect(full) != region {
-		return nil, fmt.Errorf("coherence: region %v outside frame %dx%d", region, w, h)
-	}
-	cam0 := sc.CameraAt(start)
-	for f := start + 1; f < end; f++ {
-		if !sc.CameraAt(f).Equal(cam0) {
-			return nil, fmt.Errorf("coherence: camera moves at frame %d; split the sequence first", f)
-		}
-	}
-
-	e := &Engine{
-		sc: sc, W: w, H: h, Region: region,
-		start: start, end: end, opts: opts,
-		nextFrame: start,
-		dirty:     bitset.New(region.Area()),
-	}
-	if err := e.layGrid(); err != nil {
-		return nil, err
-	}
-	// Everything is dirty for the first frame.
-	e.dirty.SetAll()
-
-	if opts.ObjSpaceShards != 0 {
-		if opts.ObjSpaceShards < 2 || opts.ObjSpaceShards > objspace.MaxShards {
-			return nil, fmt.Errorf("coherence: object-space shard count %d outside [2,%d]", opts.ObjSpaceShards, objspace.MaxShards)
-		}
-		e.objStats = opts.ObjSpaceStats
-		if e.objStats == nil {
-			e.objStats = &objspace.Stats{}
-		}
-	}
-	return e, nil
-}
-
-// layGrid finds the objects that move in the engine's range and lays the
-// registration grid, identical for every frame of the range, over the
-// box their bounds sweep. A change between two frames is a mover entering
-// or leaving a voxel, and every such voxel lies in that box, so nothing
-// outside it needs registering. The box is clipped to the bounds the
-// per-frame tracers' grids span, which is what an unbounded mover (a
-// plane) degrades to.
-func (e *Engine) layGrid() error {
-	swept := vm.EmptyAABB()
-	for _, o := range e.sc.Objects {
-		moves := false
-		for f := e.start; f+1 < e.end && !moves; f++ {
-			moves = o.MovedBetween(f, f+1)
-		}
-		if !moves {
-			continue
-		}
-		e.movers = append(e.movers, mover{obj: o, at: -1})
-		for f := e.start; f < e.end; f++ {
-			swept = swept.Union(o.BoundsAt(f))
-		}
-	}
-	if len(e.movers) == 0 {
-		return nil
-	}
-	seq := vm.EmptyAABB()
-	for f := e.start; f < e.end; f++ {
-		seq = seq.Union(e.sc.BoundsAt(f))
-	}
-	swept = swept.Pad(1e-3)
-	bounds := vm.AABB{Min: swept.Min.Max(seq.Min), Max: swept.Max.Min(seq.Max)}
-
-	nx, ny, nz := registrationResolution(bounds)
-	if e.opts.GridRes > 0 {
-		nx, ny, nz = e.opts.GridRes, e.opts.GridRes, e.opts.GridRes
-	}
-	g, err := grid.New(bounds, nx, ny, nz)
+	r, err := newRange(sc, start, end, opts, true)
 	if err != nil {
-		return fmt.Errorf("coherence: %w", err)
+		return nil, err
 	}
-	e.grid = g
-	e.runs = make([]pixelRun, e.Region.Area())
-	e.changed = bitset.New(g.NumVoxels())
-	return nil
+	return r.NewEngine(w, h, region, opts)
 }
 
 // ObjSpaceStats returns the engine's object-space counters, or nil when
 // Options.ObjSpaceShards is off.
 func (e *Engine) ObjSpaceStats() *objspace.Stats { return e.objStats }
-
-// registrationResolution picks the default registration-grid density:
-// finer than the intersection-acceleration heuristic, because voxel size
-// directly bounds how tightly object motion localises dirty pixels. The
-// longest axis gets 32 voxels; other axes scale with extent.
-func registrationResolution(bounds vm.AABB) (nx, ny, nz int) {
-	const target = 32
-	size := bounds.Size()
-	maxExt := size.MaxComponent()
-	if maxExt <= 0 {
-		return 1, 1, 1
-	}
-	scale := func(ext float64) int {
-		v := int(ext / maxExt * target)
-		if v < 1 {
-			return 1
-		}
-		return v
-	}
-	return scale(size.X), scale(size.Y), scale(size.Z)
-}
 
 // Grid exposes the registration grid, nil when nothing moves in the
 // engine's range (tests inspect it).
@@ -365,8 +269,8 @@ func (e *Engine) RenderFrame(frame int, dst *fb.Framebuffer) (FrameReport, error
 	if frame != e.nextFrame {
 		return FrameReport{}, fmt.Errorf("coherence: frames must be consecutive: want %d, got %d", e.nextFrame, frame)
 	}
-	if frame >= e.end {
-		return FrameReport{}, fmt.Errorf("coherence: frame %d beyond sequence end %d", frame, e.end)
+	if frame >= e.rng.end {
+		return FrameReport{}, fmt.Errorf("coherence: frame %d beyond sequence end %d", frame, e.rng.end)
 	}
 	if dst.W != e.W || dst.H != e.H {
 		return FrameReport{}, fmt.Errorf("coherence: dst is %dx%d, want %dx%d", dst.W, dst.H, e.W, e.H)
@@ -377,24 +281,19 @@ func (e *Engine) RenderFrame(frame int, dst *fb.Framebuffer) (FrameReport, error
 	// tracer is swapped for a per-frame sharded cluster; every tile
 	// worker routes its rays through the same partition, so the
 	// byte-identity of the sharded path carries straight through the
-	// coherence machinery.
-	topts := trace.Options{
-		GridRes:         e.opts.GridRes,
-		SamplesPerPixel: e.opts.SamplesPerPixel,
-		AAThreshold:     e.opts.AAThreshold,
-		AASamples:       e.opts.AASamples,
-	}
+	// coherence machinery. The replicated tracer is the Range's: the
+	// first engine to reach the frame builds it for all of them.
 	var newWorker func(trace.RayObserver) *trace.Worker
 	var fwd0 uint64
 	if e.opts.ObjSpaceShards >= 2 {
-		cl, err := objspace.Build(e.sc, frame, topts, objspace.Options{Shards: e.opts.ObjSpaceShards, Stats: e.objStats})
+		cl, err := objspace.Build(e.rng.sc, frame, e.rng.topts, objspace.Options{Shards: e.opts.ObjSpaceShards, Stats: e.objStats})
 		if err != nil {
 			return FrameReport{}, err
 		}
 		newWorker = cl.NewWorker
 		fwd0 = e.objStats.RaysForwarded()
 	} else {
-		ft, err := trace.New(e.sc, frame, topts)
+		ft, err := e.rng.tracer(frame)
 		if err != nil {
 			return FrameReport{}, err
 		}
@@ -418,8 +317,8 @@ func (e *Engine) RenderFrame(frame int, dst *fb.Framebuffer) (FrameReport, error
 	overheadStart := time.Now()
 	cdStart := e.opts.TimelineTrack.Begin()
 	e.dirty.Reset()
-	if frame+1 < e.end {
-		rep.ChangeVoxels = e.markChanges(frame, frame+1)
+	if frame+1 < e.rng.end {
+		rep.ChangeVoxels = e.markChanges(frame)
 		if e.opts.BlockGranularity > 1 {
 			e.dilateToBlocks(e.opts.BlockGranularity)
 		}
@@ -429,7 +328,7 @@ func (e *Engine) RenderFrame(frame int, dst *fb.Framebuffer) (FrameReport, error
 	rep.Overhead = time.Since(overheadStart)
 
 	// Keep the frame for the next one's pixel copying.
-	if frame+1 < e.end {
+	if frame+1 < e.rng.end {
 		if e.prev == nil {
 			e.prev = dst.Clone()
 		} else {
@@ -475,7 +374,7 @@ func (e *Engine) RegistrationCount() int { return e.live }
 func (e *Engine) RenderSequence(emit func(frame int, img *fb.Framebuffer, rep FrameReport) error) (stats.RunStats, error) {
 	var run stats.RunStats
 	startAll := time.Now()
-	for f := e.start; f < e.end; f++ {
+	for f := e.rng.start; f < e.rng.end; f++ {
 		img := fb.New(e.W, e.H)
 		frameStart := time.Now()
 		rep, err := e.RenderFrame(f, img)

@@ -234,14 +234,14 @@ func TestMotionBoxPixelIdentical(t *testing.T) {
 // a voxel it enters or leaves is a voxel of the grid.
 func checkMoversInsideGrid(t *testing.T, name string, e *Engine) {
 	t.Helper()
-	for _, m := range e.movers {
-		for f := e.start; f < e.end; f++ {
-			b, g := m.obj.BoundsAt(f), e.grid.Bounds()
+	for _, m := range e.rng.movers {
+		for f := e.rng.start; f < e.rng.end; f++ {
+			b, g := m.BoundsAt(f), e.grid.Bounds()
 			if b.Size().MaxComponent() >= geom.HugeExtent {
 				continue
 			}
 			if !g.Contains(b.Min) || !g.Contains(b.Max) {
-				t.Errorf("%s: %s at frame %d spans %v, outside the grid %v", name, m.obj.Name, f, b, g)
+				t.Errorf("%s: %s at frame %d spans %v, outside the grid %v", name, m.Name, f, b, g)
 			}
 		}
 	}

@@ -5,9 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"nowrender/internal/bitset"
 	"nowrender/internal/fb"
-	"nowrender/internal/geom"
-	"nowrender/internal/scene"
 	"nowrender/internal/timeline"
 	"nowrender/internal/trace"
 	vm "nowrender/internal/vecmath"
@@ -234,82 +233,18 @@ func (e *Engine) renderTile(w *trace.Worker, c *regCollector, dst *fb.Framebuffe
 	return rendered, copied
 }
 
-// mover is an object that moves somewhere in the engine's range, with
-// the voxels its shape overlapped at frame at (-1: none yet). One frame
-// pair's f1 is the next pair's f0, so each position is voxelised once;
-// the lists are per object because a per-frame union would keep marking
-// an object that has come to rest.
-type mover struct {
-	obj           *scene.Object
-	at            int
-	voxels, spare []int32
-}
-
-// voxelise appends to dst the voxels shape s overlaps. The exact
-// per-voxel test keeps thin slanted objects (the cradle strings) from
-// dirtying their whole bounding box.
-func (e *Engine) voxelise(dst []int32, s geom.Shape) []int32 {
-	g := e.grid
-	lo, hi, ok := g.VoxelRange(s.Bounds())
-	if !ok {
-		return dst
-	}
-	// Voxels are probed as centre ± half; the hair on half covers the
-	// rounding between that and the walker's voxel boundaries.
-	min, cell := g.Bounds().Min, g.CellSize()
-	probe := geom.NewBoxProbe(s, cell.Scale(0.5*(1+1e-9)))
-	for iz := lo[2]; iz <= hi[2]; iz++ {
-		cz := min.Z + (float64(iz)+0.5)*cell.Z
-		for iy := lo[1]; iy <= hi[1]; iy++ {
-			cy := min.Y + (float64(iy)+0.5)*cell.Y
-			for ix := lo[0]; ix <= hi[0]; ix++ {
-				cx := min.X + (float64(ix)+0.5)*cell.X
-				if probe.Overlaps(vm.V(cx, cy, cz)) {
-					dst = append(dst, int32(g.Index(ix, iy, iz)))
-				}
-			}
-		}
-	}
-	return dst
-}
-
 // markChanges sets the dirty flag of every pixel registered on a voxel
-// in which change occurs between frames f0 and f1, returning the number
-// of changed voxels.
-func (e *Engine) markChanges(f0, f1 int) int {
-	// A moving light invalidates every pixel: all shadow terms may
-	// change. (The paper's scenes keep lights fixed.)
-	for _, l := range e.sc.Lights {
-		if l.MovedBetween(f0, f1) {
-			e.dirty.SetAll()
-			return 0
-		}
-	}
-
-	if e.grid == nil {
+// in which change occurs between frames f and f+1, returning the number
+// of changed voxels. Which voxels those are is the same for every region
+// and comes from the Range; the engine's share is the scan of its own
+// pixels' runs.
+func (e *Engine) markChanges(f int) int {
+	cs := e.rng.changes(f)
+	if cs.all {
+		e.dirty.SetAll()
 		return 0
 	}
-	e.changed.Reset()
-	for i := range e.movers {
-		m := &e.movers[i]
-		if !m.obj.MovedBetween(f0, f1) {
-			continue
-		}
-		// Space the object leaves and space it enters both change.
-		if m.at != f0 {
-			m.voxels = e.voxelise(m.voxels[:0], m.obj.ShapeAt(f0))
-		}
-		m.spare = e.voxelise(m.spare[:0], m.obj.ShapeAt(f1))
-		for _, v := range m.voxels {
-			e.changed.Set(int(v))
-		}
-		for _, v := range m.spare {
-			e.changed.Set(int(v))
-		}
-		m.voxels, m.spare, m.at = m.spare, m.voxels, f1
-	}
-	changed := e.changed.Count()
-	if changed == 0 {
+	if cs.n == 0 {
 		return 0
 	}
 
@@ -324,19 +259,19 @@ func (e *Engine) markChanges(f0, f1 int) int {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			e.dirtyRuns(lo, hi)
+			e.dirtyRuns(cs.voxels, lo, hi)
 		}(i*n/threads, (i+1)*n/threads)
 	}
-	e.dirtyRuns(0, n/threads)
+	e.dirtyRuns(cs.voxels, 0, n/threads)
 	wg.Wait()
-	return changed
+	return cs.n
 }
 
 // dirtyRuns dirties the pixels of [lo, hi) registered on a changed voxel.
-func (e *Engine) dirtyRuns(lo, hi int) {
+func (e *Engine) dirtyRuns(changed *bitset.Bitset, lo, hi int) {
 	for p := lo; p < hi; p++ {
 		for _, v := range e.voxels(e.runs[p]) {
-			if e.changed.Get(int(v)) {
+			if changed.Get(int(v)) {
 				e.dirty.SetAtomic(p)
 				break
 			}

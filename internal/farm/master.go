@@ -365,7 +365,7 @@ func runMaster(cfg Config, ln link, sinks *sinkControl) (*Result, error) {
 		tm := taskFor(partition.Task{ID: -1, Region: region, StartFrame: f, EndFrame: f + 1})
 		tm.Coherence, tm.OSShards, tm.WireFlags = false, 0, 0
 		qStart := mt.Begin()
-		step, err := newFrameStep(sc, tm, nil, nil)
+		step, err := newFrameStep(sc, tm, new(rangeHolder), nil, nil)
 		if err != nil {
 			return err
 		}

@@ -21,6 +21,8 @@ type vmachine struct {
 	// to render next, end the one to stop before (a truncate moves it).
 	step      *frameStep
 	next, end int
+	// ranges is what the machine keeps between tasks, as a worker loop does.
+	ranges rangeHolder
 }
 
 // vmsg is a message on its way to the master, off the bus at time at.
@@ -137,7 +139,7 @@ func (l *virtualLink) Send(to string, m msg.Message) error {
 		if err != nil {
 			return err
 		}
-		step, err := newFrameStep(l.cfg.Scene, tm, nil, nil)
+		step, err := newFrameStep(l.cfg.Scene, tm, &vm.ranges, nil, nil)
 		if err != nil {
 			return err
 		}

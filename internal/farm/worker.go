@@ -229,7 +229,8 @@ func RunWorkerCtx(ctx context.Context, name string, conn msg.Conn, sc *scene.Sce
 
 // RunWorkerWithOptions is RunWorkerCtx with local worker tuning.
 func RunWorkerWithOptions(ctx context.Context, name string, conn msg.Conn, sc *scene.Scene, opts WorkerOptions) error {
-	err := runWorkerLoop(ctx, name, conn, sc, opts)
+	// The loop's Range holder is made here and goes with the loop.
+	err := runWorkerLoop(ctx, name, conn, sc, opts, new(rangeHolder))
 	if errors.Is(err, msg.ErrClosed) {
 		// The master closed the connection — the PVM-style shutdown a
 		// slave can observe mid-send as easily as mid-receive (e.g. a
@@ -240,7 +241,10 @@ func RunWorkerWithOptions(ctx context.Context, name string, conn msg.Conn, sc *s
 	return err
 }
 
-func runWorkerLoop(ctx context.Context, name string, conn msg.Conn, sc *scene.Scene, opts WorkerOptions) error {
+// runWorkerLoop is the worker's receive loop. ranges keeps the Range of
+// the task being run beyond the task: frame division hands this worker
+// block after block of the same frames.
+func runWorkerLoop(ctx context.Context, name string, conn msg.Conn, sc *scene.Scene, opts WorkerOptions, ranges *rangeHolder) error {
 	ac := newAsyncConn(conn)
 	if err := ac.Send(msg.Message{Tag: TagHello, From: name, Data: encodeHello(name)}); err != nil {
 		return err
@@ -294,7 +298,7 @@ func runWorkerLoop(ctx context.Context, name string, conn msg.Conn, sc *scene.Sc
 				}
 				wt.ensure(threads)
 			}
-			if err := runTask(ctx, name, ac, sc, tm, wt, sinks); err != nil {
+			if err := runTask(ctx, name, ac, sc, tm, wt, sinks, ranges); err != nil {
 				return err
 			}
 		case TagTruncate:
@@ -339,9 +343,37 @@ type frameStep struct {
 	tiles []*timeline.Track
 }
 
-// newFrameStep builds the render state for a decoded task. main and
-// tiles receive the engine's change-detect and tile spans (nil = none).
-func newFrameStep(sc *scene.Scene, tm taskMsg, main *timeline.Track, tiles []*timeline.Track) (*frameStep, error) {
+// rangeHolder is what a worker keeps between tasks: the coherence.Range
+// of the coherent task it ran last, so that the next block of the same
+// frames finds every frame's tracer, the motion grid and the changed
+// voxels already built. It holds exactly one Range — a task over another
+// scene, other frames (a stolen sub-range) or other tracer options
+// replaces it — and whoever owns the holder (a worker loop, a virtual
+// machine) drops it with itself.
+type rangeHolder struct {
+	cur *coherence.Range
+}
+
+// rangeFor returns the held Range if it is the task's, a new one (which
+// it holds from now on) otherwise.
+func (h *rangeHolder) rangeFor(sc *scene.Scene, start, end int, opts coherence.Options) (*coherence.Range, error) {
+	if h.cur != nil && h.cur.Matches(sc, start, end, opts) {
+		return h.cur, nil
+	}
+	// Let the old Range go first: the two need not be live together.
+	h.cur = nil
+	r, err := coherence.NewRange(sc, start, end, opts)
+	if err != nil {
+		return nil, err
+	}
+	h.cur = r
+	return r, nil
+}
+
+// newFrameStep builds the render state for a decoded task. A coherent
+// task's engine is made from the Range in ranges. main and tiles receive
+// the engine's change-detect and tile spans (nil = none).
+func newFrameStep(sc *scene.Scene, tm taskMsg, ranges *rangeHolder, main *timeline.Track, tiles []*timeline.Track) (*frameStep, error) {
 	s := &frameStep{
 		sc: sc, tm: tm, main: main, tiles: tiles,
 		topts: trace.Options{
@@ -369,11 +401,13 @@ func newFrameStep(sc *scene.Scene, tm taskMsg, main *timeline.Track, tiles []*ti
 			copts.ObjSpaceStats = s.osStats
 		}
 		t := tm.Task
-		eng, err := coherence.NewEngine(sc, tm.W, tm.H, t.Region, t.StartFrame, t.EndFrame, copts)
+		r, err := ranges.rangeFor(sc, t.StartFrame, t.EndFrame, copts)
 		if err != nil {
 			return nil, err
 		}
-		s.eng = eng
+		if s.eng, err = r.NewEngine(tm.W, tm.H, t.Region, copts); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
@@ -447,14 +481,14 @@ func (s *frameStep) takeOSStats() []byte {
 
 // runTask renders one task frame-by-frame, honouring truncation and
 // graceful shutdown between frames.
-func runTask(ctx context.Context, name string, ac *asyncConn, sc *scene.Scene, tm taskMsg, wt *workerTimeline, sinks *sinkLinks) error {
+func runTask(ctx context.Context, name string, ac *asyncConn, sc *scene.Scene, tm taskMsg, wt *workerTimeline, sinks *sinkLinks, ranges *rangeHolder) error {
 	t := tm.Task
 	end := t.EndFrame
 	// When the task names sinks, pixels ship straight to the compositor
 	// sink owning each frame's shard; the master only gets small acks.
 	dfb := len(tm.Sinks) > 0
 	shard := partition.ShardMap{Start: tm.JobStart, End: tm.JobEnd, N: len(tm.Sinks)}
-	step, err := newFrameStep(sc, tm, wt.main, wt.tiles)
+	step, err := newFrameStep(sc, tm, ranges, wt.main, wt.tiles)
 	if err != nil {
 		return err
 	}

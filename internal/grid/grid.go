@@ -160,23 +160,6 @@ func (g *Grid) Insert(id int32, b vm.AABB) {
 // slice is owned by the grid and must not be mutated.
 func (g *Grid) Items(idx int) []int32 { return g.cells[idx] }
 
-// VoxelsOverlapping calls visit for every voxel index whose box overlaps
-// b. Used by the coherence engine to mark changed voxels from an object's
-// swept bounds.
-func (g *Grid) VoxelsOverlapping(b vm.AABB, visit func(idx int)) {
-	lo, hi, ok := g.voxelRange(b)
-	if !ok {
-		return
-	}
-	for iz := lo[2]; iz <= hi[2]; iz++ {
-		for iy := lo[1]; iy <= hi[1]; iy++ {
-			for ix := lo[0]; ix <= hi[0]; ix++ {
-				visit(g.Index(ix, iy, iz))
-			}
-		}
-	}
-}
-
 // VoxelRange clips box b to the grid and returns inclusive voxel
 // coordinate ranges; ok is false when b misses the grid entirely. The
 // object-space partition uses this to histogram geometry along an axis.

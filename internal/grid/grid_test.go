@@ -115,20 +115,6 @@ func TestInsertClipped(t *testing.T) {
 	}
 }
 
-func TestVoxelsOverlapping(t *testing.T) {
-	g := unitGrid(t, 4)
-	var got []int
-	g.VoxelsOverlapping(vm.NewAABB(vm.V(0.3, 0.3, 0.3), vm.V(0.4, 0.4, 0.4)),
-		func(idx int) { got = append(got, idx) })
-	if len(got) != 1 {
-		t.Fatalf("overlap count = %d, want 1", len(got))
-	}
-	ix, iy, iz := g.Coords(got[0])
-	if ix != 1 || iy != 1 || iz != 1 {
-		t.Errorf("voxel = %d,%d,%d", ix, iy, iz)
-	}
-}
-
 func TestAutoResolution(t *testing.T) {
 	b := vm.NewAABB(vm.V(0, 0, 0), vm.V(1, 1, 1))
 	nx, ny, nz := AutoResolution(b, 22)
