@@ -1,12 +1,13 @@
-// Benchmarks regenerating the paper's evaluation: one benchmark per
-// Table 1 column group, per figure, and per ablation from DESIGN.md.
+// Kernel benchmarks: the pieces too small to be a layer of the wall-clock
+// ledger, kept because a perf PR pairs them against its parent before it
+// spends a bench/ run (EXPERIMENTS.md quotes them by name).
 //
-// Wall time measures this host's tracer; the reported "virtual_ms"
-// metric is the deterministic virtual-NOW makespan — the number whose
-// *ratios* reproduce the paper's speedups (run cmd/benchtab for the
-// assembled table). Workloads are reduced-size (the shape, not the
-// absolute 1998 numbers, is the target); pass -full via cmd/benchtab for
-// paper-scale runs.
+// They are not the repo's benchmark and not the paper's tables. Wall-clock
+// numbers per layer and end to end are bench/ (`bash bench/run.sh`,
+// BENCHMARK.json); Table 1, the figures, the ablations and the scaling
+// sweep on the virtual NOW are cmd/benchtab; bytes and orderings that do
+// not depend on the clock are assertions in ordinary tests. DESIGN.md §4
+// has the table of which question each instrument answers.
 package nowrender_test
 
 import (
@@ -16,19 +17,15 @@ import (
 	"testing"
 
 	"nowrender"
-	"nowrender/internal/cluster"
 	"nowrender/internal/coherence"
-	"nowrender/internal/experiments"
 	"nowrender/internal/farm"
 	"nowrender/internal/fb"
 	"nowrender/internal/geom"
 	"nowrender/internal/grid"
-	"nowrender/internal/msg"
 	"nowrender/internal/objfile"
 	"nowrender/internal/objspace"
 	"nowrender/internal/partition"
 	"nowrender/internal/scenes"
-	"nowrender/internal/timeline"
 	"nowrender/internal/trace"
 	vm "nowrender/internal/vecmath"
 )
@@ -36,163 +33,11 @@ import (
 const (
 	benchW, benchH = 60, 80
 	benchFrames    = 12
-	benchBlock     = 20
 )
 
 func benchScene() *nowrender.Scene { return scenes.Newton(benchFrames) }
 
-func reportVirtual(b *testing.B, res *farm.Result) {
-	b.Helper()
-	b.ReportMetric(float64(res.Makespan.Milliseconds()), "virtual_ms")
-	total := res.Run.TotalRays()
-	b.ReportMetric(float64(total.Total()), "rays")
-}
-
-// --- Table 1 ---------------------------------------------------------
-
-// BenchmarkTable1_Single is column (1): one processor, no coherence.
-func BenchmarkTable1_Single(b *testing.B) {
-	sc := benchScene()
-	for i := 0; i < b.N; i++ {
-		res, err := farm.RenderSingle(farm.Config{Scene: sc, W: benchW, H: benchH},
-			cluster.PaperTestbed()[0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportVirtual(b, res)
-	}
-}
-
-// BenchmarkTable1_SingleFC is columns (2)-(3): one processor with the
-// frame-coherence algorithm.
-func BenchmarkTable1_SingleFC(b *testing.B) {
-	sc := benchScene()
-	for i := 0; i < b.N; i++ {
-		res, err := farm.RenderSingle(farm.Config{Scene: sc, W: benchW, H: benchH, Coherence: true},
-			cluster.PaperTestbed()[0])
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportVirtual(b, res)
-	}
-}
-
-// BenchmarkTable1_Distributed is columns (4)-(5): the 3-machine NOW
-// without coherence.
-func BenchmarkTable1_Distributed(b *testing.B) {
-	sc := benchScene()
-	for i := 0; i < b.N; i++ {
-		res, err := farm.RenderVirtual(farm.Config{
-			Scene: sc, W: benchW, H: benchH,
-			Scheme: partition.FrameDivision{BlockW: benchBlock, BlockH: benchBlock, Adaptive: true},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportVirtual(b, res)
-	}
-}
-
-// BenchmarkTable1_DistFCSeqDiv is columns (6)-(7): distributed +
-// coherence with sequence division.
-func BenchmarkTable1_DistFCSeqDiv(b *testing.B) {
-	sc := benchScene()
-	for i := 0; i < b.N; i++ {
-		res, err := farm.RenderVirtual(farm.Config{
-			Scene: sc, W: benchW, H: benchH, Coherence: true,
-			Scheme: partition.SequenceDivision{Adaptive: true},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportVirtual(b, res)
-	}
-}
-
-// BenchmarkTable1_DistFCFrameDiv is columns (8)-(9): distributed +
-// coherence with frame division (the paper's winner).
-func BenchmarkTable1_DistFCFrameDiv(b *testing.B) {
-	sc := benchScene()
-	for i := 0; i < b.N; i++ {
-		res, err := farm.RenderVirtual(farm.Config{
-			Scene: sc, W: benchW, H: benchH, Coherence: true,
-			Scheme: partition.FrameDivision{BlockW: benchBlock, BlockH: benchBlock, Adaptive: true},
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		reportVirtual(b, res)
-	}
-}
-
-// --- Figures ----------------------------------------------------------
-
-// BenchmarkFigure1_RenderFramePair renders the two consecutive
-// bouncing-ball frames of Figure 1.
-func BenchmarkFigure1_RenderFramePair(b *testing.B) {
-	sc := scenes.Bouncing(8)
-	for i := 0; i < b.N; i++ {
-		for f := 2; f <= 3; f++ {
-			ft, err := trace.New(sc, f, trace.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			img := fb.New(benchW, benchH)
-			ft.RenderFull(img)
-		}
-	}
-}
-
-// BenchmarkFigure2_ActualDiff measures the pixel-by-pixel comparison of
-// Figure 2(a).
-func BenchmarkFigure2_ActualDiff(b *testing.B) {
-	sc := scenes.Bouncing(8)
-	imgs := make([]*fb.Framebuffer, 2)
-	for f := 0; f < 2; f++ {
-		ft, err := trace.New(sc, f+2, trace.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		imgs[f] = fb.New(benchW, benchH)
-		ft.RenderFull(imgs[f])
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := nowrender.DiffFrames(imgs[0], imgs[1]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFigure2_PredictedDiff measures producing the coherence
-// engine's dirty mask of Figure 2(b) (render frame + change detection).
-func BenchmarkFigure2_PredictedDiff(b *testing.B) {
-	sc := scenes.Bouncing(8)
-	full := fb.NewRect(0, 0, benchW, benchH)
-	for i := 0; i < b.N; i++ {
-		eng, err := coherence.NewEngine(sc, benchW, benchH, full, 0, sc.Frames, coherence.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		img := fb.New(benchW, benchH)
-		if _, err := eng.RenderFrame(0, img); err != nil {
-			b.Fatal(err)
-		}
-		_ = eng.DirtyMask()
-	}
-}
-
-// BenchmarkFigure4_Partitioning measures task generation for both
-// schemes of Figure 4.
-func BenchmarkFigure4_Partitioning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		seq := partition.SequenceDivision{Adaptive: true}.InitialTasks(240, 320, 0, 120, 4)
-		fd := partition.FrameDivision{BlockW: 120, BlockH: 160}.InitialTasks(240, 320, 0, 120, 4)
-		if len(seq) != 4 || len(fd) != 4 {
-			b.Fatal("unexpected task counts")
-		}
-	}
-}
+// --- The render core --------------------------------------------------
 
 // BenchmarkFigure5_NewtonFrame renders frame 22 of the Newton animation
 // (the paper's Figure 5).
@@ -207,119 +52,6 @@ func BenchmarkFigure5_NewtonFrame(b *testing.B) {
 		ft.RenderFull(img)
 	}
 }
-
-// --- Ablations (DESIGN.md §5) ----------------------------------------
-
-// BenchmarkAblation_GridResolution sweeps the coherence voxel grid.
-func BenchmarkAblation_GridResolution(b *testing.B) {
-	for _, res := range []int{4, 8, 16, 32} {
-		b.Run(fmt.Sprintf("res%d", res), func(b *testing.B) {
-			p := experiments.Params{Scene: benchScene(), W: benchW, H: benchH}
-			for i := 0; i < b.N; i++ {
-				out, err := experiments.AblationGridResolution(p, []int{res})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(out[0].Rendered), "pixels_traced")
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_BlockSize sweeps frame-division block sizes,
-// including the paper's inefficient extremes.
-func BenchmarkAblation_BlockSize(b *testing.B) {
-	for _, bs := range []int{5, 10, 20, 40, benchW} {
-		b.Run(fmt.Sprintf("block%d", bs), func(b *testing.B) {
-			sc := benchScene()
-			for i := 0; i < b.N; i++ {
-				res, err := farm.RenderVirtual(farm.Config{
-					Scene: sc, W: benchW, H: benchH, Coherence: true,
-					Scheme: partition.FrameDivision{BlockW: bs, BlockH: bs, Adaptive: true},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportVirtual(b, res)
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_JevansBlocks compares per-pixel coherence to
-// Jevans-style block granularity.
-func BenchmarkAblation_JevansBlocks(b *testing.B) {
-	for _, g := range []int{1, 4, 8, 16} {
-		name := "perpixel"
-		if g > 1 {
-			name = fmt.Sprintf("jevans%dx%d", g, g)
-		}
-		b.Run(name, func(b *testing.B) {
-			p := experiments.Params{Scene: benchScene(), W: benchW, H: benchH}
-			for i := 0; i < b.N; i++ {
-				out, err := experiments.AblationJevansBlocks(p, []int{g})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(float64(out[0].Rendered), "pixels_traced")
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_AdaptiveSeq compares adaptive and static sequence
-// division on the heterogeneous testbed.
-func BenchmarkAblation_AdaptiveSeq(b *testing.B) {
-	for _, adaptive := range []bool{false, true} {
-		name := "static"
-		if adaptive {
-			name = "adaptive"
-		}
-		b.Run(name, func(b *testing.B) {
-			sc := benchScene()
-			for i := 0; i < b.N; i++ {
-				res, err := farm.RenderVirtual(farm.Config{
-					Scene: sc, W: benchW, H: benchH, Coherence: true,
-					Scheme: partition.SequenceDivision{Adaptive: adaptive},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				reportVirtual(b, res)
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_ShadowCoherence measures shadow-segment registration
-// on/off (off is incorrect; see the ablation in cmd/benchtab).
-func BenchmarkAblation_ShadowCoherence(b *testing.B) {
-	for _, disable := range []bool{false, true} {
-		name := "on"
-		if disable {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			sc := benchScene()
-			full := fb.NewRect(0, 0, benchW, benchH)
-			for i := 0; i < b.N; i++ {
-				eng, err := coherence.NewEngine(sc, benchW, benchH, full, 0, sc.Frames,
-					coherence.Options{DisableShadowRegistration: disable})
-				if err != nil {
-					b.Fatal(err)
-				}
-				img := fb.New(benchW, benchH)
-				for f := 0; f < 4; f++ {
-					if _, err := eng.RenderFrame(f, img); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		})
-	}
-}
-
-// --- Substrate micro-benchmarks --------------------------------------
 
 // BenchmarkTracer_PrimaryRays measures raw single-frame tracing.
 func BenchmarkTracer_PrimaryRays(b *testing.B) {
@@ -338,8 +70,7 @@ func BenchmarkTracer_PrimaryRays(b *testing.B) {
 
 // BenchmarkRenderFrameParallel measures the intra-frame tile pool at
 // 1/2/4/8 threads on a full bench-scene frame. On a multicore host the
-// speedup should approach the thread count (up to the core count);
-// cmd/benchtab -parallel records the same sweep into BENCH_parallel.json.
+// speedup should approach the thread count (up to the core count).
 func BenchmarkRenderFrameParallel(b *testing.B) {
 	sc := benchScene()
 	for _, threads := range []int{1, 2, 4, 8} {
@@ -352,38 +83,6 @@ func BenchmarkRenderFrameParallel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ft.RenderRegionParallel(img, img.Bounds(), threads)
-			}
-			b.ReportMetric(float64(benchW*benchH), "pixels/op")
-		})
-	}
-}
-
-// BenchmarkRenderFrameTimeline measures the timeline recorder's cost on
-// the tile-pool hot path: the same full-frame render with tile tracks
-// absent (the single-branch disabled path) and with live ring buffers
-// recording every tile span. The two should be indistinguishable when
-// off and within ~2% when on; cmd/benchtab -timeline records the same
-// comparison into BENCH_timeline.json.
-func BenchmarkRenderFrameTimeline(b *testing.B) {
-	sc := benchScene()
-	const threads = 4
-	for _, mode := range []string{"off", "on"} {
-		b.Run(mode, func(b *testing.B) {
-			ft, err := trace.New(sc, 0, trace.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			img := fb.New(benchW, benchH)
-			var tracks []*timeline.Track
-			if mode == "on" {
-				rec := timeline.New(0)
-				for i := 0; i < threads; i++ {
-					tracks = append(tracks, rec.Track(fmt.Sprintf("bench/tile%02d", i)))
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ft.RenderRegionParallelTimed(img, img.Bounds(), threads, i, tracks)
 			}
 			b.ReportMetric(float64(benchW*benchH), "pixels/op")
 		})
@@ -475,57 +174,6 @@ func BenchmarkGrid_DDAWalk(b *testing.B) {
 	}
 	if n == 0 {
 		b.Fatal("walk visited nothing")
-	}
-}
-
-// BenchmarkTransport_Chan measures in-process message round trips.
-func BenchmarkTransport_Chan(b *testing.B) {
-	a, c := msg.Pipe(16)
-	defer a.Close()
-	payload := make([]byte, 4096)
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := a.Send(msg.Message{Tag: 1, Data: payload}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := c.Recv(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTransport_TCP measures loopback TCP message round trips.
-func BenchmarkTransport_TCP(b *testing.B) {
-	l, err := msg.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	done := make(chan msg.Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			done <- c
-		}
-	}()
-	client, err := msg.Dial(l.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	server := <-done
-	l.Close()
-	defer client.Close()
-	defer server.Close()
-	payload := make([]byte, 4096)
-	b.SetBytes(int64(len(payload)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := client.Send(msg.Message{Tag: 1, Data: payload}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := server.Recv(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -6,10 +6,6 @@
 //	benchtab -fig4                # Figure 4: partition assignment maps
 //	benchtab -ablations           # design-choice ablations from DESIGN.md
 //	benchtab -scaling             # cluster-size scaling sweep
-//	benchtab -parallel            # intra-frame thread sweep -> BENCH_parallel.json
-//	benchtab -wire                # frame codec sweep -> BENCH_wire.json
-//	benchtab -sched               # multi-tenant policy sweep -> BENCH_sched.json
-//	benchtab -fleet               # multi-master replica sweep -> BENCH_fleet.json
 //	benchtab -all                 # everything
 //
 // The default workload is the paper's Newton scene. -full runs the
@@ -18,14 +14,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 
 	"nowrender/internal/experiments"
-	"nowrender/internal/farm"
 	"nowrender/internal/scenes"
 	"nowrender/internal/stats"
 	"nowrender/internal/tga"
@@ -34,7 +28,7 @@ import (
 func main() {
 	// Every artefact selector is declared through sel, so "nothing
 	// selected means everything" and -all range over the same list and a
-	// new sweep cannot be left out of either.
+	// new artefact cannot be left out of either.
 	var selectors []*bool
 	sel := func(name, usage string) *bool {
 		b := flag.Bool(name, false, usage)
@@ -47,20 +41,11 @@ func main() {
 		fig4      = sel("fig4", "print Figure 4 assignment maps")
 		ablations = sel("ablations", "run the design ablations")
 		scaling   = sel("scaling", "cluster-size scaling sweep")
-		parallel  = sel("parallel", "intra-frame thread sweep, written to BENCH_parallel.json")
-		wire      = sel("wire", "frame codec sweep (full, delta, delta+span), written to BENCH_wire.json")
-		wireCheck = flag.Bool("check", false, "with -wire: gate the sweep against the committed BENCH_wire.json baseline, exiting nonzero on violation")
-		baseline  = flag.String("baseline", "BENCH_wire.json", "committed baseline path for -check")
-		dfbB      = sel("dfb", "distributed-framebuffer routing sweep (master vs compositor sinks), written to BENCH_dfb.json")
-		timelineB = sel("timeline", "event-recorder overhead bench (off vs on), written to BENCH_timeline.json")
-		schedB    = sel("sched", "multi-tenant scheduling policy sweep (fifo vs priority vs fair), written to BENCH_sched.json")
-		fleetB    = sel("fleet", "multi-master control-plane sweep (1 vs 2 vs 3 replicas over one shared fleet), written to BENCH_fleet.json")
 		all       = flag.Bool("all", false, "run everything")
 		full      = flag.Bool("full", false, "paper-scale workload (240x320, 45 frames)")
 		frame     = flag.Int("frame", 10, "frame for -fig2")
 		outDir    = flag.String("out", "", "directory for figure images")
 		sceneSpec = flag.String("scene", "newton", "workload scene spec")
-		wireScene = flag.String("wire-scene", "gallery", "coherence bench scene for the -wire codec sweep")
 		csvOut    = flag.Bool("csv", false, "emit Table 1 as CSV instead of a text table")
 	)
 	flag.Parse()
@@ -73,16 +58,14 @@ func main() {
 			*b = true
 		}
 	}
-	if err := run(*table1, *fig2, *fig4, *ablations, *scaling, *parallel, *wire,
-		*dfbB, *timelineB, *schedB, *fleetB,
-		*full, *frame, *outDir, *sceneSpec, *wireScene, *csvOut,
-		*wireCheck, *baseline); err != nil {
+	if err := run(*table1, *fig2, *fig4, *ablations, *scaling,
+		*full, *frame, *outDir, *sceneSpec, *csvOut); err != nil {
 		fmt.Fprintln(os.Stderr, "benchtab:", err)
 		os.Exit(1)
 	}
 }
 
-func run(table1, fig2, fig4, ablations, scaling, parallel, wire, dfbB, timelineB, schedB, fleetB, full bool, frame int, outDir, sceneSpec, wireScene string, csvOut, wireCheck bool, baselinePath string) error {
+func run(table1, fig2, fig4, ablations, scaling, full bool, frame int, outDir, sceneSpec string, csvOut bool) error {
 	sc, err := scenes.FromSpec(sceneSpec)
 	if err != nil {
 		return err
@@ -219,262 +202,6 @@ func run(table1, fig2, fig4, ablations, scaling, parallel, wire, dfbB, timelineB
 				"speedup", fmt.Sprintf("%.2f", pt.Speedup))
 		}
 		fmt.Println(tb.String())
-	}
-
-	if parallel {
-		fmt.Println("=== Parallel: intra-frame tile-pool thread sweep (wall clock) ===")
-		frames := 4
-		if full {
-			frames = 8
-		}
-		pts, err := experiments.ParallelSweep(p, []int{1, 2, 4, 8}, frames)
-		if err != nil {
-			return err
-		}
-		var tb stats.Table
-		for _, pt := range pts {
-			tb.AddRow("threads", fmt.Sprintf("%d", pt.Threads),
-				"ms/frame", fmt.Sprintf("%.1f", pt.MSPerFrame),
-				"speedup", fmt.Sprintf("%.2f", pt.Speedup),
-				"identical", fmt.Sprintf("%v", pt.IdenticalToSerial))
-		}
-		fmt.Println(tb.String())
-		data, err := json.MarshalIndent(pts, "", "  ")
-		if err != nil {
-			return err
-		}
-		jsonPath := "BENCH_parallel.json"
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-			jsonPath = filepath.Join(outDir, jsonPath)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", jsonPath)
-	}
-
-	if wire {
-		wsc, err := scenes.FromSpec(wireScene)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("=== Wire: frame codec sweep on %s (full, delta, delta+span) ===\n", wsc.Name)
-		frames := 16
-		if full {
-			frames = 32
-		}
-		// The wire sweep always measures at the paper's canonical 240x320
-		// frame size, regardless of -quick: BENCH_wire.json is a committed
-		// baseline compared across runs by -check, so its workload must
-		// not vary with the convenience flags of the other experiments.
-		const wireW, wireH = 240, 320
-		// Read the committed baseline before anything overwrites it.
-		var baseBench farm.WireBench
-		if wireCheck {
-			raw, err := os.ReadFile(baselinePath)
-			if err != nil {
-				return fmt.Errorf("-check: baseline: %w", err)
-			}
-			if err := json.Unmarshal(raw, &baseBench); err != nil {
-				return fmt.Errorf("-check: baseline %s: %w", baselinePath, err)
-			}
-		}
-		bench, err := farm.WireSweep(wsc, wireW, wireH, frames)
-		if err != nil {
-			return err
-		}
-		var tb stats.Table
-		for _, pt := range bench.Modes {
-			tb.AddRow("mode", pt.Mode,
-				"bytes/frame", fmt.Sprintf("%.0f", pt.BytesPerFrame),
-				"ratio", fmt.Sprintf("%.2fx", pt.RatioVsFull),
-				"enc ns/frame", fmt.Sprintf("%.0f", pt.EncodeNSPerFrame),
-				"key enc ns", fmt.Sprintf("%.0f", pt.KeyEncodeNS),
-				"steady enc", fmt.Sprintf("%.0f", pt.SteadyEncodeNSPerFrame),
-				"dec ns/frame", fmt.Sprintf("%.0f", pt.DecodeNSPerFrame),
-				"deltas", fmt.Sprintf("%d", pt.FramesDelta),
-				"span", fmt.Sprintf("%d", pt.FramesSpan),
-				"identical", fmt.Sprintf("%v", pt.Identical))
-		}
-		fmt.Println(tb.String())
-		data, err := json.MarshalIndent(bench, "", "  ")
-		if err != nil {
-			return err
-		}
-		jsonPath := "BENCH_wire.json"
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-			jsonPath = filepath.Join(outDir, jsonPath)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", jsonPath)
-		if wireCheck {
-			if bad := farm.WireCheck(&baseBench, bench); len(bad) > 0 {
-				for _, msg := range bad {
-					fmt.Fprintln(os.Stderr, "wire check FAIL:", msg)
-				}
-				return fmt.Errorf("wire perf gate: %d violation(s) against %s", len(bad), baselinePath)
-			}
-			fmt.Printf("wire check OK against %s\n\n", baselinePath)
-		}
-	}
-
-	if dfbB {
-		wsc, err := scenes.FromSpec(wireScene)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("=== DFB: master-ingress routing sweep on %s (master vs compositor sinks) ===\n", wsc.Name)
-		frames := 8
-		if full {
-			frames = 16
-		}
-		pts, err := farm.DFBSweep(wsc, p.W, p.H, frames, 4, []int{1, 2, 4})
-		if err != nil {
-			return err
-		}
-		var tb stats.Table
-		for _, pt := range pts {
-			tb.AddRow("mode", pt.Mode,
-				"master B/frame", fmt.Sprintf("%.0f", pt.MasterIngressPerFrame),
-				"ratio", fmt.Sprintf("%.1fx", pt.IngressRatio),
-				"sink bytes", fmt.Sprintf("%d", pt.SinkIngressBytes),
-				"acks", fmt.Sprintf("%d", pt.FramesAcked),
-				"identical", fmt.Sprintf("%v", pt.Identical))
-		}
-		fmt.Println(tb.String())
-		data, err := json.MarshalIndent(pts, "", "  ")
-		if err != nil {
-			return err
-		}
-		jsonPath := "BENCH_dfb.json"
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-			jsonPath = filepath.Join(outDir, jsonPath)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", jsonPath)
-	}
-
-	if timelineB {
-		fmt.Println("=== Timeline: event-recorder overhead (off vs on) ===")
-		frames := 6
-		if full {
-			frames = 12
-		}
-		pts, err := experiments.TimelineSweep(p, 0, frames, 3)
-		if err != nil {
-			return err
-		}
-		var tb stats.Table
-		for _, pt := range pts {
-			tb.AddRow("recorder", pt.Mode,
-				"ms/frame", fmt.Sprintf("%.2f", pt.MSPerFrame),
-				"overhead", fmt.Sprintf("%+.2f%%", pt.OverheadPct),
-				"events", fmt.Sprintf("%d", pt.Events))
-		}
-		fmt.Println(tb.String())
-		data, err := json.MarshalIndent(pts, "", "  ")
-		if err != nil {
-			return err
-		}
-		jsonPath := "BENCH_timeline.json"
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-			jsonPath = filepath.Join(outDir, jsonPath)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", jsonPath)
-	}
-
-	if schedB {
-		fmt.Println("=== Sched: multi-tenant policy sweep (heavy flood vs light tenants) ===")
-		heavy := 4
-		if full {
-			heavy = 8
-		}
-		pts, err := experiments.SchedSweep([]string{"fifo", "priority", "fair"}, heavy)
-		if err != nil {
-			return err
-		}
-		var tb stats.Table
-		for _, pt := range pts {
-			tb.AddRow("policy", pt.Policy,
-				"tenant", pt.Tenant,
-				"jobs", fmt.Sprintf("%d", pt.Jobs),
-				"mean queue ms", fmt.Sprintf("%.1f", pt.MeanQueueMS),
-				"max queue ms", fmt.Sprintf("%.1f", pt.MaxQueueMS),
-				"admit slots", fmt.Sprintf("%v", pt.AdmitSlots))
-		}
-		fmt.Println(tb.String())
-		data, err := json.MarshalIndent(pts, "", "  ")
-		if err != nil {
-			return err
-		}
-		jsonPath := "BENCH_sched.json"
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-			jsonPath = filepath.Join(outDir, jsonPath)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", jsonPath)
-	}
-
-	if fleetB {
-		fmt.Println("=== Fleet: multi-master replicas over one shared worker fleet ===")
-		jobs := 6
-		if full {
-			jobs = 12
-		}
-		pts, err := experiments.FleetSweep([]int{1, 2, 3}, jobs)
-		if err != nil {
-			return err
-		}
-		var tb stats.Table
-		for _, pt := range pts {
-			tb.AddRow("replicas", fmt.Sprintf("%d", pt.Replicas),
-				"jobs", fmt.Sprintf("%d", pt.Jobs),
-				"fleet slots", fmt.Sprintf("%d", pt.FleetSlots),
-				"wall ms", fmt.Sprintf("%.1f", pt.WallMS),
-				"jobs/sec", fmt.Sprintf("%.2f", pt.JobsPerSec),
-				"grants", fmt.Sprintf("%d", pt.Grants),
-				"waits", fmt.Sprintf("%d", pt.Waits))
-		}
-		fmt.Println(tb.String())
-		data, err := json.MarshalIndent(pts, "", "  ")
-		if err != nil {
-			return err
-		}
-		jsonPath := "BENCH_fleet.json"
-		if outDir != "" {
-			if err := os.MkdirAll(outDir, 0o755); err != nil {
-				return err
-			}
-			jsonPath = filepath.Join(outDir, jsonPath)
-		}
-		if err := os.WriteFile(jsonPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n\n", jsonPath)
 	}
 	return nil
 }

@@ -1,12 +1,11 @@
 // Package experiments regenerates the paper's evaluation artefacts:
 // Table 1 (the Newton performance table), the Figure 2 difference masks,
 // the Figure 4 partition maps, and the ablation studies DESIGN.md calls
-// out. cmd/benchtab prints them; bench_test.go measures them.
+// out. cmd/benchtab prints them.
 package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"nowrender/internal/cluster"
@@ -17,7 +16,6 @@ import (
 	"nowrender/internal/partition"
 	"nowrender/internal/scene"
 	"nowrender/internal/stats"
-	"nowrender/internal/timeline"
 )
 
 // Params scale an experiment. The paper's full size is 240x320 over 45
@@ -534,163 +532,4 @@ func Scaling(p Params, sizes []int) ([]ScalingPoint, error) {
 		})
 	}
 	return out, nil
-}
-
-// ParallelPoint is one thread count's wall-clock measurement of the
-// intra-frame tile pool (the node-level parallelism that multiplies with
-// the paper's farm-level speedups). Serialised into BENCH_parallel.json
-// by cmd/benchtab so the perf trajectory is recorded over time.
-type ParallelPoint struct {
-	Threads int `json:"threads"`
-	Frames  int `json:"frames"`
-	// WallMS is the wall-clock time for the whole frame run; MSPerFrame
-	// the per-frame average.
-	WallMS     float64 `json:"wall_ms"`
-	MSPerFrame float64 `json:"ms_per_frame"`
-	// Speedup is relative to the first (serial) entry. Wall-clock, so it
-	// depends on the host's core count — expect ~1.0 on a single-core
-	// machine and near-linear scaling up to the core count elsewhere.
-	Speedup float64 `json:"speedup"`
-	// IdenticalToSerial records the determinism check: the framebuffers
-	// of this run compared byte-for-byte against the serial run's.
-	IdenticalToSerial bool `json:"identical_to_serial"`
-}
-
-// ParallelSweep renders the first `frames` frames through a coherence
-// engine at each thread count, measuring wall time and verifying the
-// byte-identical-output contract against the serial run. threadCounts
-// should start with 1 (the speedup baseline).
-func ParallelSweep(p Params, threadCounts []int, frames int) ([]ParallelPoint, error) {
-	if frames <= 0 || frames > p.Scene.Frames {
-		frames = p.Scene.Frames
-	}
-	full := fb.NewRect(0, 0, p.W, p.H)
-	var ref []*fb.Framebuffer
-	var base time.Duration
-	out := make([]ParallelPoint, 0, len(threadCounts))
-	for i, t := range threadCounts {
-		eng, err := coherence.NewEngine(p.Scene, p.W, p.H, full, 0, frames, coherence.Options{Threads: t})
-		if err != nil {
-			return nil, err
-		}
-		bufs := make([]*fb.Framebuffer, frames)
-		start := time.Now()
-		for f := 0; f < frames; f++ {
-			img := fb.New(p.W, p.H)
-			if _, err := eng.RenderFrame(f, img); err != nil {
-				return nil, err
-			}
-			bufs[f] = img
-		}
-		wall := time.Since(start)
-		pt := ParallelPoint{
-			Threads:           t,
-			Frames:            frames,
-			WallMS:            float64(wall.Microseconds()) / 1000,
-			MSPerFrame:        float64(wall.Microseconds()) / 1000 / float64(frames),
-			Speedup:           1,
-			IdenticalToSerial: true,
-		}
-		if i == 0 {
-			base = wall
-			ref = bufs
-		} else {
-			pt.Speedup = float64(base) / float64(wall)
-			for f := range bufs {
-				if !bufs[f].Equal(ref[f]) {
-					pt.IdenticalToSerial = false
-				}
-			}
-		}
-		out = append(out, pt)
-	}
-	return out, nil
-}
-
-// TimelinePoint is one recorder configuration's wall-clock measurement
-// of the event-recorder overhead on the render hot path. Serialised
-// into BENCH_timeline.json by cmd/benchtab: "off" is the nil-track
-// single-branch disabled path, "on" records frame, change-detect and
-// per-tile spans into live ring buffers.
-type TimelinePoint struct {
-	Mode       string  `json:"mode"`
-	Frames     int     `json:"frames"`
-	WallMS     float64 `json:"wall_ms"`
-	MSPerFrame float64 `json:"ms_per_frame"`
-	// OverheadPct is (this run / the "off" baseline - 1) in percent.
-	// The acceptance bar is <2% for "on"; "off" is 0 by construction.
-	OverheadPct float64 `json:"overhead_pct"`
-	// Events recorded during the run (0 when off).
-	Events int `json:"events"`
-}
-
-// TimelineSweep renders the same frame run with the recorder disabled
-// and enabled, best-of-`repeats` each, and reports the wall-clock
-// overhead of recording. Pixels are unaffected by instrumentation, so
-// only time is compared.
-func TimelineSweep(p Params, threads, frames, repeats int) ([]TimelinePoint, error) {
-	if frames <= 0 || frames > p.Scene.Frames {
-		frames = p.Scene.Frames
-	}
-	if repeats <= 0 {
-		repeats = 3
-	}
-	slots := threads
-	if slots <= 0 {
-		slots = runtime.NumCPU()
-	}
-	full := fb.NewRect(0, 0, p.W, p.H)
-	img := fb.New(p.W, p.H)
-
-	measure := func(opts coherence.Options) (time.Duration, error) {
-		best := time.Duration(0)
-		for r := 0; r < repeats; r++ {
-			eng, err := coherence.NewEngine(p.Scene, p.W, p.H, full, 0, frames, opts)
-			if err != nil {
-				return 0, err
-			}
-			start := time.Now()
-			for f := 0; f < frames; f++ {
-				if _, err := eng.RenderFrame(f, img); err != nil {
-					return 0, err
-				}
-			}
-			if wall := time.Since(start); r == 0 || wall < best {
-				best = wall
-			}
-		}
-		return best, nil
-	}
-
-	off, err := measure(coherence.Options{Threads: threads})
-	if err != nil {
-		return nil, err
-	}
-
-	rec := timeline.New(0)
-	tiles := make([]*timeline.Track, slots)
-	for i := range tiles {
-		tiles[i] = rec.Track(fmt.Sprintf("bench/tile%02d", i))
-	}
-	on, err := measure(coherence.Options{
-		Threads:       threads,
-		TimelineTrack: rec.Track("bench/main"),
-		TileTracks:    tiles,
-	})
-	if err != nil {
-		return nil, err
-	}
-	events := rec.Snapshot().Events()
-
-	point := func(mode string, wall time.Duration, events int) TimelinePoint {
-		return TimelinePoint{
-			Mode:        mode,
-			Frames:      frames,
-			WallMS:      float64(wall.Microseconds()) / 1000,
-			MSPerFrame:  float64(wall.Microseconds()) / 1000 / float64(frames),
-			OverheadPct: 100 * (float64(wall)/float64(off) - 1),
-			Events:      events,
-		}
-	}
-	return []TimelinePoint{point("off", off, 0), point("on", on, events)}, nil
 }

@@ -12,6 +12,8 @@ import (
 	"nowrender/internal/fb"
 	"nowrender/internal/msg"
 	"nowrender/internal/partition"
+	"nowrender/internal/scene"
+	"nowrender/internal/scenes"
 	"nowrender/internal/stats"
 )
 
@@ -56,45 +58,86 @@ func TestDFBGolden(t *testing.T) {
 
 // TestDFBMasterIngress: the whole point of the subsystem — pixel bytes
 // must leave the master's ingress path. The master should receive only
-// small control acks while the sinks take the pixel payloads.
+// small control acks while the sinks take the pixel payloads, and the
+// frames must be the master-routed run's, byte for byte.
 func TestDFBMasterIngress(t *testing.T) {
-	// Large enough frames that pixel payloads dwarf the fixed-size
-	// control acks — the regime the subsystem exists for. At thumbnail
-	// sizes the ack overhead is comparable to a compressed tile and the
-	// ratio is meaningless.
-	const iw, ih = 160, 120
-	base := Config{
-		Scene: farmScene(4), W: iw, H: ih, Coherence: true, Workers: 3,
-		Scheme:        partition.FrameDivision{BlockW: 80, BlockH: 60, Adaptive: true},
-		WireDelta:     true,
-		WireSpanCodec: true,
+	for _, tc := range []struct {
+		name    string
+		scene   func() *scene.Scene
+		w, h    int
+		frames  int
+		workers int
+		scheme  partition.FrameDivision
+		sinks   []int
+		// minRatio is how far below the master-routed run's the master's
+		// ingress must fall; ackBytes, when set, bounds it per frame.
+		minRatio uint64
+		ackBytes uint64
+	}{
+		// Large enough frames that pixel payloads dwarf the fixed-size
+		// control acks — the regime the subsystem exists for. At
+		// thumbnail sizes the ack overhead is comparable to a compressed
+		// tile and the ratio is meaningless.
+		{
+			name: "quadrants", scene: func() *scene.Scene { return farmScene(4) },
+			w: 160, h: 120, frames: 4, workers: 3,
+			scheme: partition.FrameDivision{BlockW: 80, BlockH: 60, Adaptive: true},
+			sinks:  []int{2}, minRatio: 4,
+		},
+		// The deployment shape: whole-frame blocks, so the control plane
+		// is one 248-byte ack per frame however many sinks share the
+		// pixels. An upper bound, not an equality: a frame requeued by a
+		// steal can be confirmed by its sink without the ack having
+		// counted. The master-routed total is not pinned at all — one
+		// borderline steal moves it by a key-frame.
+		{
+			name: "whole-frame gallery", scene: func() *scene.Scene { return scenes.Gallery(0) },
+			w: 120, h: 160, frames: 8, workers: 4,
+			scheme: partition.FrameDivision{BlockW: 120, BlockH: 160, Adaptive: true},
+			sinks:  []int{1, 2, 4}, minRatio: 25, ackBytes: 248,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := func(dfb *DFBConfig) Config {
+				return Config{
+					Scene: tc.scene(), W: tc.w, H: tc.h, EndFrame: tc.frames,
+					Coherence: true, Workers: tc.workers, Scheme: tc.scheme,
+					WireDelta: true, WireSpanCodec: true, DFB: dfb,
+				}
+			}
+			routed, err := RenderLocal(cfg(nil))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if routed.Wire.MasterIngressBytes != routed.Wire.WireBytes {
+				t.Errorf("master-routed: MasterIngressBytes %d != WireBytes %d (all results route through the master)",
+					routed.Wire.MasterIngressBytes, routed.Wire.WireBytes)
+			}
+			for _, n := range tc.sinks {
+				label := fmt.Sprintf("%d sinks", n)
+				dfb, err := RenderLocal(cfg(&DFBConfig{Sinks: n}))
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				assertFramesEqual(t, label, dfb.Frames, routed.Frames)
+				if dfb.Wire.MasterIngressBytes*tc.minRatio >= routed.Wire.MasterIngressBytes {
+					t.Errorf("%s: master ingress %d B not %dx below master-routed %d B",
+						label, dfb.Wire.MasterIngressBytes, tc.minRatio, routed.Wire.MasterIngressBytes)
+				}
+				if max := tc.ackBytes * uint64(tc.frames); max > 0 && dfb.Wire.MasterIngressBytes > max {
+					t.Errorf("%s: master ingress %d B over %d frames, want at most one %d B ack a frame",
+						label, dfb.Wire.MasterIngressBytes, tc.frames, tc.ackBytes)
+				}
+				if dfb.Wire.SinkIngressBytes == 0 {
+					t.Errorf("%s: confirmed no sink ingress", label)
+				}
+				t.Logf("%s: master ingress %d B vs master-routed %d B (%.1fx), %d acks; sink ingress %d B",
+					label, dfb.Wire.MasterIngressBytes, routed.Wire.MasterIngressBytes,
+					float64(routed.Wire.MasterIngressBytes)/float64(dfb.Wire.MasterIngressBytes),
+					dfb.Wire.FramesAcked, dfb.Wire.SinkIngressBytes)
+			}
+		})
 	}
-	routed, err := RenderLocal(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withDFB := base
-	withDFB.Scene = farmScene(4)
-	withDFB.DFB = &DFBConfig{Sinks: 2}
-	dfb, err := RenderLocal(withDFB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if routed.Wire.MasterIngressBytes != routed.Wire.WireBytes {
-		t.Errorf("master-routed: MasterIngressBytes %d != WireBytes %d (all results route through the master)",
-			routed.Wire.MasterIngressBytes, routed.Wire.WireBytes)
-	}
-	if dfb.Wire.MasterIngressBytes*4 >= routed.Wire.MasterIngressBytes {
-		t.Errorf("DFB master ingress %d not well below master-routed %d",
-			dfb.Wire.MasterIngressBytes, routed.Wire.MasterIngressBytes)
-	}
-	if dfb.Wire.SinkIngressBytes == 0 {
-		t.Error("DFB run confirmed no sink ingress")
-	}
-	t.Logf("master ingress: master-routed %d B, dfb %d B (%.1fx); sink ingress %d B",
-		routed.Wire.MasterIngressBytes, dfb.Wire.MasterIngressBytes,
-		float64(routed.Wire.MasterIngressBytes)/float64(dfb.Wire.MasterIngressBytes),
-		dfb.Wire.SinkIngressBytes)
 }
 
 // TestDFBOnFrameDelivery: under DFB the sinks own frame delivery — the

@@ -79,7 +79,6 @@ const (
 	capWireSpanCodec = wire.CapSpanCodec
 	wireFlagsMask    = capWireDelta | capWireTimeline | capWireSpanCodec
 
-	frameFull  = wire.KindFull
 	frameDelta = wire.KindDelta
 
 	encRaw  = wire.EncRaw
@@ -99,8 +98,6 @@ type frameEncoder = wire.Encoder
 func encodeFrameDone(m frameDoneMsg) []byte { return wire.EncodeFrameDone(m) }
 
 func decodeFrameDone(data []byte) (frameDoneMsg, error) { return wire.DecodeFrameDone(data) }
-
-func validateSpans(spans []fb.Span, region fb.Rect) error { return wire.ValidateSpans(spans, region) }
 
 // encodeHello packs a worker's hello: the protocol version it speaks,
 // then its name. The version comes first so that no other build's hello

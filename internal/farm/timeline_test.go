@@ -7,94 +7,9 @@ import (
 	"time"
 
 	"nowrender/internal/cluster"
-	"nowrender/internal/fb"
-	"nowrender/internal/msg"
 	"nowrender/internal/partition"
 	"nowrender/internal/timeline"
-	vm "nowrender/internal/vecmath"
 )
-
-// TestFrameDoneTimelineRoundTrip: a frame-done message carrying a
-// timeline section survives encode/decode with every field intact,
-// including an instant event (Dur = -1).
-func TestFrameDoneTimelineRoundTrip(t *testing.T) {
-	region := fb.NewRect(0, 0, 4, 4)
-	in := frameDoneMsg{
-		TaskID: 3, Frame: 7, Region: region,
-		Kind: frameFull, Encoding: encRaw,
-		Pix:      bytes.Repeat([]byte{1, 2, 3}, region.Area()),
-		Rendered: 16, ElapsedNs: 12345,
-		TLNow:    999_000,
-		TLTracks: []string{"w0/main", "w0/tile00"},
-		TLEvents: []wireEvent{
-			{Track: 0, Ev: timeline.Event{Start: 100, Dur: 50, Op: timeline.OpFrame, Frame: 7, Arg: 16}},
-			{Track: 1, Ev: timeline.Event{Start: 110, Dur: 20, Op: timeline.OpTile, Frame: 7, Arg: 4}},
-			{Track: 0, Ev: timeline.Event{Start: 160, Dur: -1, Op: timeline.OpBaseMiss, Frame: 7}},
-		},
-	}
-	out, err := decodeFrameDone(encodeFrameDone(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.TLNow != in.TLNow {
-		t.Errorf("TLNow = %d, want %d", out.TLNow, in.TLNow)
-	}
-	if len(out.TLTracks) != len(in.TLTracks) {
-		t.Fatalf("TLTracks = %v, want %v", out.TLTracks, in.TLTracks)
-	}
-	for i, name := range in.TLTracks {
-		if out.TLTracks[i] != name {
-			t.Errorf("track %d = %q, want %q", i, out.TLTracks[i], name)
-		}
-	}
-	if len(out.TLEvents) != len(in.TLEvents) {
-		t.Fatalf("got %d events, want %d", len(out.TLEvents), len(in.TLEvents))
-	}
-	for i, we := range in.TLEvents {
-		if out.TLEvents[i] != we {
-			t.Errorf("event %d = %+v, want %+v", i, out.TLEvents[i], we)
-		}
-	}
-	if !bytes.Equal(out.Pix, in.Pix) {
-		t.Error("pixels corrupted by the timeline section")
-	}
-}
-
-// TestFrameDoneRawKeyFrameLayout: a raw key-frame with no timeline
-// section encodes as the bare header, payload and counters — no
-// kind/encoding/span section. The plain path ships nothing else, and
-// BENCH_wire.json pins the resulting byte totals.
-func TestFrameDoneRawKeyFrameLayout(t *testing.T) {
-	region := fb.NewRect(2, 1, 6, 5)
-	m := frameDoneMsg{
-		TaskID: 1, Frame: 4, Region: region,
-		Kind: frameFull, Encoding: encRaw,
-		Pix:      bytes.Repeat([]byte{9}, region.Area()*3),
-		Rendered: region.Area(), Copied: 0, Regs: 42, ElapsedNs: 777,
-	}
-	m.Rays.ByKind[0] = 12
-
-	want := msg.GetBuffer()
-	defer want.Release()
-	want.PackInt(int64(m.TaskID))
-	want.PackInt(int64(m.Frame))
-	want.PackInt(int64(m.Region.X0))
-	want.PackInt(int64(m.Region.Y0))
-	want.PackInt(int64(m.Region.X1))
-	want.PackInt(int64(m.Region.Y1))
-	want.PackBytes(m.Pix)
-	want.PackInt(int64(m.Rendered))
-	want.PackInt(int64(m.Copied))
-	want.PackInt(int64(m.Regs))
-	for k := 0; k < vm.NumRayKinds; k++ {
-		want.PackInt(int64(m.Rays.ByKind[k]))
-	}
-	want.PackInt(m.ElapsedNs)
-
-	if got, want := encodeFrameDone(m), want.Sealed(); !bytes.Equal(got, want) {
-		t.Errorf("raw key-frame encoding diverged from the pinned layout:\ngot  %d bytes\nwant %d bytes", len(got), len(want))
-	}
-}
 
 // TestPongRoundTrip: a pong is exactly three fields; the two-field pair
 // a ping carries is not one.

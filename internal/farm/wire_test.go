@@ -1,11 +1,8 @@
 package farm
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -16,20 +13,8 @@ import (
 	"nowrender/internal/msg"
 	"nowrender/internal/objspace"
 	"nowrender/internal/partition"
-	"nowrender/internal/stats"
 	"nowrender/internal/timeline"
-	"nowrender/internal/wire"
 )
-
-// patternFB fills a framebuffer with a deterministic pseudorandom
-// pattern so payload comparisons are meaningful (an all-black buffer
-// would let off-by-one span bugs slip through).
-func patternFB(w, h int, seed int64) *fb.Framebuffer {
-	img := fb.New(w, h)
-	rng := rand.New(rand.NewSource(seed))
-	rng.Read(img.Pix)
-	return img
-}
 
 // v1Hello is the hello a protocol-version-1 worker sent: its name, then
 // its capability bits, sealed.
@@ -184,248 +169,6 @@ func TestFrameAckRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrameDoneRoundTrip is the property test for the frame codec:
-// every span shape that matters — empty delta, single pixel, full
-// region, many random runs — crossed with raw and span-codec encodings
-// must decode to the bytes that went in.
-func TestFrameDoneRoundTrip(t *testing.T) {
-	const w, h = 24, 16
-	region := fb.NewRect(2, 1, 22, 15)
-	src := patternFB(w, h, 42)
-	rng := rand.New(rand.NewSource(99))
-	randomSpans := func() []fb.Span {
-		var out []fb.Span
-		for y := region.Y0; y < region.Y1; y++ {
-			x := region.X0
-			for x < region.X1 && rng.Intn(3) > 0 {
-				x0 := x + rng.Intn(region.X1-x)
-				x1 := x0 + 1 + rng.Intn(region.X1-x0)
-				out = append(out, fb.Span{Y: y, X0: x0, X1: x1})
-				x = x1 + 1
-			}
-		}
-		return out
-	}
-	fullRegion := []fb.Span{}
-	for y := region.Y0; y < region.Y1; y++ {
-		fullRegion = append(fullRegion, fb.Span{Y: y, X0: region.X0, X1: region.X1})
-	}
-
-	cases := []struct {
-		name  string
-		kind  int
-		spans []fb.Span
-	}{
-		{"full", frameFull, nil},
-		{"delta-empty", frameDelta, []fb.Span{}},
-		{"delta-one-pixel", frameDelta, []fb.Span{{Y: 3, X0: 7, X1: 8}}},
-		{"delta-full-region", frameDelta, fullRegion},
-		{"delta-random", frameDelta, randomSpans()},
-	}
-	for _, tc := range cases {
-		for _, enc := range []int{encRaw, encSpan} {
-			name := fmt.Sprintf("%s/enc=%d", tc.name, enc)
-			var pix []byte
-			if tc.kind == frameDelta {
-				pix = src.AppendSpans(nil, tc.spans)
-			} else {
-				pix = extractRegion(src, region)
-			}
-			m := frameDoneMsg{
-				TaskID: 9, Frame: 4, Region: region,
-				Kind: tc.kind, Spans: tc.spans,
-				Rendered: 11, Copied: 5, Regs: 3,
-				Rays:      stats.RayCounters{},
-				ElapsedNs: 777,
-			}
-			if enc == encSpan {
-				in := pix
-				if stride := wire.FilterStride(region); tc.kind == frameFull && stride > 0 {
-					in = make([]byte, len(pix))
-					msg.SpanFilterUp(in, pix, stride)
-				}
-				m.Encoding, m.Pix = encSpan, msg.SpanCompress(nil, in)
-			} else {
-				m.Encoding, m.Pix = encRaw, pix
-			}
-			got, err := decodeFrameDone(encodeFrameDone(m))
-			if err != nil {
-				t.Fatalf("%s: decode: %v", name, err)
-			}
-			if got.Kind != tc.kind || got.Encoding != enc {
-				t.Errorf("%s: kind/enc %d/%d, want %d/%d", name, got.Kind, got.Encoding, tc.kind, enc)
-			}
-			if !bytes.Equal(got.Pix, pix) {
-				t.Errorf("%s: pixel payload mismatch", name)
-			}
-			if len(got.Spans) != len(tc.spans) {
-				t.Fatalf("%s: %d spans, want %d", name, len(got.Spans), len(tc.spans))
-			}
-			for i := range tc.spans {
-				if got.Spans[i] != tc.spans[i] {
-					t.Errorf("%s: span %d = %v, want %v", name, i, got.Spans[i], tc.spans[i])
-				}
-			}
-			if got.TaskID != 9 || got.Frame != 4 || got.Rendered != 11 || got.ElapsedNs != 777 {
-				t.Errorf("%s: stats fields corrupted: %+v", name, got)
-			}
-			got.Release()
-		}
-	}
-}
-
-// TestFrameEncoderDecision pins the encoder's choice logic: key-frames
-// stay full, small deltas win, big deltas fall back to a full frame, and
-// the span codec's output is kept only when it actually shrinks the
-// payload.
-func TestFrameEncoderDecision(t *testing.T) {
-	const w, h = 32, 32
-	region := fb.NewRect(0, 0, w, h)
-	src := patternFB(w, h, 7)
-	var enc frameEncoder
-
-	small := []fb.Span{{Y: 4, X0: 2, X1: 10}}
-	var big []fb.Span
-	for y := 0; y < h; y++ {
-		big = append(big, fb.Span{Y: y, X0: 0, X1: w - 1})
-	}
-
-	cases := []struct {
-		name     string
-		flags    int
-		spans    []fb.Span
-		first    bool
-		wantKind int
-	}{
-		{"first-frame-always-full", capWireDelta, small, true, frameFull},
-		{"no-flags-full", 0, small, false, frameFull},
-		{"plain-path-full", capWireDelta, nil, false, frameFull},
-		{"small-delta", capWireDelta, small, false, frameDelta},
-		{"size-guard-fallback", capWireDelta, big, false, frameFull},
-	}
-	for _, tc := range cases {
-		fd := frameDoneMsg{TaskID: 1, Frame: 3, Region: region}
-		data := enc.Encode(&fd, src, tc.flags, tc.spans, tc.first)
-		got, err := decodeFrameDone(data)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if got.Kind != tc.wantKind {
-			t.Errorf("%s: kind %d, want %d", tc.name, got.Kind, tc.wantKind)
-		}
-		got.Release()
-	}
-
-	// Incompressible random pixels: the codec's output is larger, so the
-	// encoder must keep the raw payload.
-	fd := frameDoneMsg{TaskID: 1, Frame: 0, Region: region}
-	got, err := decodeFrameDone(enc.Encode(&fd, src, capWireSpanCodec, nil, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Encoding != encRaw {
-		t.Errorf("incompressible payload was shipped as encoding %d", got.Encoding)
-	}
-	got.Release()
-
-	// Compressible pixels (constant colour) must use the codec when asked
-	// to, and stay raw when not.
-	flat := fb.New(w, h)
-	fd = frameDoneMsg{TaskID: 1, Frame: 0, Region: region}
-	got, err = decodeFrameDone(enc.Encode(&fd, flat, capWireSpanCodec, nil, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Encoding != encSpan {
-		t.Errorf("compressible payload stayed raw")
-	}
-	if !bytes.Equal(got.Pix, extractRegion(flat, region)) {
-		t.Error("span-codec round-trip corrupted pixels")
-	}
-	got.Release()
-	fd = frameDoneMsg{TaskID: 1, Frame: 0, Region: region}
-	got, err = decodeFrameDone(enc.Encode(&fd, flat, capWireDelta, nil, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Encoding != encRaw {
-		t.Errorf("payload was compressed without the span-codec flag")
-	}
-	got.Release()
-}
-
-func TestValidateSpansRejects(t *testing.T) {
-	region := fb.NewRect(2, 2, 10, 10)
-	bad := [][]fb.Span{
-		{{Y: 1, X0: 2, X1: 4}},                       // row above region
-		{{Y: 10, X0: 2, X1: 4}},                      // row below region
-		{{Y: 3, X0: 1, X1: 4}},                       // left of region
-		{{Y: 3, X0: 8, X1: 11}},                      // right of region
-		{{Y: 3, X0: 5, X1: 5}},                       // empty span
-		{{Y: 3, X0: 6, X1: 8}, {Y: 3, X0: 2, X1: 4}}, // out of order in row
-		{{Y: 5, X0: 2, X1: 4}, {Y: 3, X0: 2, X1: 4}}, // rows descending
-		{{Y: 3, X0: 2, X1: 6}, {Y: 3, X0: 5, X1: 8}}, // overlap
-	}
-	for i, spans := range bad {
-		if err := validateSpans(spans, region); err == nil {
-			t.Errorf("case %d: spans %v accepted", i, spans)
-		}
-	}
-	good := []fb.Span{{Y: 3, X0: 2, X1: 4}, {Y: 3, X0: 4, X1: 6}, {Y: 4, X0: 9, X1: 10}}
-	if err := validateSpans(good, region); err != nil {
-		t.Errorf("valid spans rejected: %v", err)
-	}
-}
-
-// TestDeliverSpans exercises the master-side delta merge directly:
-// apply-on-base correctness, the base-missing discard, duplicate
-// detection, and payload length checking.
-func TestDeliverSpans(t *testing.T) {
-	const w, h = 12, 8
-	region := fb.NewRect(0, 0, w, h)
-	base := patternFB(w, h, 1)
-	next := patternFB(w, h, 2)
-	spans := []fb.Span{{Y: 1, X0: 2, X1: 7}, {Y: 5, X0: 0, X1: 12}}
-	pix := next.AppendSpans(nil, spans)
-
-	asm := newAssembly(w, h, 3)
-	if _, _, err := asm.Deliver(0, region, extractRegion(base, region), 0); err != nil {
-		t.Fatal(err)
-	}
-	complete, dup, err := asm.DeliverSpans(1, region, spans, pix, time.Millisecond)
-	if err != nil || dup || !complete {
-		t.Fatalf("deliverSpans: complete=%v dup=%v err=%v", complete, dup, err)
-	}
-	want := fb.New(w, h)
-	want.CopyRect(base, region)
-	if err := want.ApplySpans(spans, pix); err != nil {
-		t.Fatal(err)
-	}
-	if !asm.Frame(1).Equal(want) {
-		t.Error("delta-applied frame differs from CopyRect+ApplySpans reference")
-	}
-
-	// Duplicate: second delivery of the same (frame, region) is dropped.
-	if _, dup, err := asm.DeliverSpans(1, region, spans, pix, 0); err != nil || !dup {
-		t.Errorf("duplicate delta: dup=%v err=%v", dup, err)
-	}
-
-	// Base missing: frame 2's predecessor region never landed... frame 1
-	// did, so frame 2 works; frame 0 has no predecessor at all.
-	asm2 := newAssembly(w, h, 3)
-	if _, _, err := asm2.DeliverSpans(0, region, spans, pix, 0); !errors.Is(err, errDeltaBase) {
-		t.Errorf("delta for frame 0 gave %v, want errDeltaBase", err)
-	}
-	if _, _, err := asm2.DeliverSpans(2, region, spans, pix, 0); !errors.Is(err, errDeltaBase) {
-		t.Errorf("delta without base gave %v, want errDeltaBase", err)
-	}
-
-	// Wrong payload length is a protocol violation, not a base miss.
-	if _, _, err := asm.DeliverSpans(2, region, spans, pix[:len(pix)-3], 0); err == nil || errors.Is(err, errDeltaBase) {
-		t.Errorf("short payload gave %v", err)
-	}
-}
-
 // TestWireGolden locks the data path's invariant: every (delta, span
 // codec) combination produces byte-identical frames, matching the
 // committed golden hashes, on both the local and virtual drivers — and
@@ -520,54 +263,6 @@ func TestChaosSoakWire(t *testing.T) {
 	t.Logf("injected %+v; wire %s; faults %s", inj, res.Wire, res.Faults.String())
 }
 
-// FuzzDeltaDecode aims the fuzzer at the delta decoder specifically:
-// seeds cover every kind/encoding combination, and the property is the
-// usual one — arbitrary bytes never panic, and anything that decodes
-// passed every structural validation.
-func FuzzDeltaDecode(f *testing.F) {
-	src := patternFB(16, 16, 5)
-	region := fb.NewRect(0, 0, 16, 16)
-	spans := []fb.Span{{Y: 2, X0: 1, X1: 6}, {Y: 9, X0: 0, X1: 16}}
-	var enc frameEncoder
-
-	fd := frameDoneMsg{TaskID: 1, Frame: 1, Region: region}
-	f.Add(enc.Encode(&fd, src, capWireDelta, spans, false))
-	fd = frameDoneMsg{TaskID: 1, Frame: 1, Region: region}
-	f.Add(enc.Encode(&fd, src, capWireDelta|capWireSpanCodec, spans, false))
-	fd = frameDoneMsg{TaskID: 1, Frame: 0, Region: region}
-	f.Add(enc.Encode(&fd, src, capWireSpanCodec, nil, true))
-	fd = frameDoneMsg{TaskID: 1, Frame: 0, Region: region}
-	full := enc.Encode(&fd, src, 0, nil, true)
-	f.Add(full)
-	f.Add(full[:len(full)-7])
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := decodeFrameDone(data)
-		if err != nil {
-			return
-		}
-		defer m.Release()
-		if m.Kind == frameDelta {
-			if err := validateSpans(m.Spans, m.Region); err != nil {
-				t.Fatalf("decode accepted invalid spans: %v", err)
-			}
-			if len(m.Pix) != fb.SpanArea(m.Spans)*3 {
-				t.Fatalf("delta payload %d bytes for %d span pixels", len(m.Pix), fb.SpanArea(m.Spans))
-			}
-		} else if len(m.Pix) != m.Region.Area()*3 {
-			t.Fatalf("full payload %d bytes for region %v", len(m.Pix), m.Region)
-		}
-		// The decoded message must be applicable: a framebuffer the size
-		// of the region absorbs it without error.
-		img := fb.New(m.Region.X1, m.Region.Y1)
-		if m.Kind == frameDelta {
-			if err := img.ApplySpans(m.Spans, m.Pix); err != nil {
-				t.Fatalf("validated delta failed to apply: %v", err)
-			}
-		}
-	})
-}
-
 // TestProtocolPinned pins the protocol version, the task wire flag bits
 // and the payload encoding ids. These values are the wire format: a
 // renumbered bit would make a worker read a task's flags as something
@@ -591,65 +286,4 @@ func TestProtocolPinned(t *testing.T) {
 			t.Errorf("%s = %#x, want %#x", c.name, c.got, c.want)
 		}
 	}
-}
-
-// TestFrameEncoderSpanCodec exercises the span-codec payload path in the
-// production encoder on both frame kinds: a key-frame (which ships the
-// vertically filtered residual) and a dirty-span delta, each decoded back
-// to byte-identical pixels by the production decoder.
-func TestFrameEncoderSpanCodec(t *testing.T) {
-	const w, h = 48, 40
-	region := fb.NewRect(0, 0, w, h)
-	// Vertically coherent gradient: compressible by the span codec, and
-	// exactly the content the key-frame filter is for.
-	src := fb.New(w, h)
-	for y := 0; y < h; y++ {
-		for x := 0; x < w*3; x++ {
-			src.Pix[y*w*3+x] = byte(x + y*2)
-		}
-	}
-	var enc frameEncoder
-
-	fd := frameDoneMsg{TaskID: 1, Frame: 0, Region: region}
-	got, err := decodeFrameDone(enc.Encode(&fd, src, capWireDelta|capWireSpanCodec, nil, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != frameFull {
-		t.Fatalf("key frame kind %d, want full", got.Kind)
-	}
-	if got.Encoding != encSpan {
-		t.Fatalf("key frame encoding %d, want span", got.Encoding)
-	}
-	if !bytes.Equal(got.Pix, src.Pix) {
-		t.Fatal("span key frame did not restore byte-identical pixels")
-	}
-	got.Release()
-
-	// Delta frame: a band of full-width dirty rows, span-coded, applied
-	// over the previous frame.
-	var spans []fb.Span
-	for y := 8; y < 24; y++ {
-		spans = append(spans, fb.Span{Y: y, X0: 0, X1: w - 1})
-	}
-	fd = frameDoneMsg{TaskID: 1, Frame: 1, Region: region}
-	got, err = decodeFrameDone(enc.Encode(&fd, src, capWireDelta|capWireSpanCodec, spans, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Kind != frameDelta {
-		t.Fatalf("delta frame kind %d, want delta", got.Kind)
-	}
-	if got.Encoding != encSpan {
-		t.Fatalf("delta frame encoding %d, want span", got.Encoding)
-	}
-	cur := fb.New(w, h)
-	copy(cur.Pix, src.Pix)
-	if err := cur.ApplySpans(got.Spans, got.Pix); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cur.Pix, src.Pix) {
-		t.Fatal("span delta did not restore byte-identical pixels")
-	}
-	got.Release()
 }

@@ -281,51 +281,62 @@ func TestAdmissionControl(t *testing.T) {
 	}
 }
 
-// TestWeightedFairPreventsStarvation: with the fair policy and one run
-// slot, a lone job from a second tenant submitted behind a flood from
-// the first is admitted ahead of the flood — its tenant's virtual time
-// lags the heavy tenant's.
+// TestWeightedFairPreventsStarvation: with one run slot, a lone job
+// from a second tenant submitted behind a flood from the first is
+// admitted ahead of the whole flood under the fair policy — its tenant's
+// virtual time lags the heavy tenant's — and behind all of it under
+// fifo. Admission order is the policy's alone, so both are exact.
 func TestWeightedFairPreventsStarvation(t *testing.T) {
-	s := New(Config{MaxConcurrent: 1, Policy: "fair"})
-	defer s.Close()
+	for _, tc := range []struct {
+		policy     string
+		lightFirst bool
+	}{
+		{"fair", true},
+		{"fifo", false},
+	} {
+		t.Run(tc.policy, func(t *testing.T) {
+			s := New(Config{MaxConcurrent: 1, Policy: tc.policy})
+			defer s.Close()
 
-	blocker, err := s.Submit(JobSpec{Scene: "newton:6", W: 120, H: 160, Tenant: "heavy"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "blocker to run", func() bool {
-		st, _ := s.JobStatus(blocker.ID)
-		return st.State == StateRunning
-	})
+			blocker, err := s.Submit(JobSpec{Scene: "newton:6", W: 120, H: 160, Tenant: "heavy"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "blocker to run", func() bool {
+				st, _ := s.JobStatus(blocker.ID)
+				return st.State == StateRunning
+			})
 
-	// Flood from the heavy tenant, then one job from the light one.
-	// Distinct resolutions keep the cache out of the picture.
-	var flood []string
-	for i := 0; i < 3; i++ {
-		st, err := s.Submit(JobSpec{Scene: "newton:2", W: 40 + 8*i, H: 30 + 6*i, Tenant: "heavy"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		flood = append(flood, st.ID)
-	}
-	light, err := s.Submit(JobSpec{Scene: "newton:2", W: 64, H: 48, Tenant: "light"})
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Flood from the heavy tenant, then one job from the light one.
+			// Distinct resolutions keep the cache out of the picture.
+			var flood []string
+			for i := 0; i < 3; i++ {
+				st, err := s.Submit(JobSpec{Scene: "newton:2", W: 40 + 8*i, H: 30 + 6*i, Tenant: "heavy"})
+				if err != nil {
+					t.Fatal(err)
+				}
+				flood = append(flood, st.ID)
+			}
+			light, err := s.Submit(JobSpec{Scene: "newton:2", W: 64, H: 48, Tenant: "light"})
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	for _, id := range append(append([]string{blocker.ID}, flood...), light.ID) {
-		if st := waitDone(t, s, id); st.State != StateDone {
-			t.Fatalf("job %s: %s (%s)", id, st.State, st.Error)
-		}
-	}
+			for _, id := range append(append([]string{blocker.ID}, flood...), light.ID) {
+				if st := waitDone(t, s, id); st.State != StateDone {
+					t.Fatalf("job %s: %s (%s)", id, st.State, st.Error)
+				}
+			}
 
-	lightSt, _ := s.JobStatus(light.ID)
-	for _, id := range flood {
-		st, _ := s.JobStatus(id)
-		if !lightSt.Started.Before(st.Started) {
-			t.Errorf("light tenant started %v, after heavy job %s at %v — starved",
-				lightSt.Started, id, st.Started)
-		}
+			lightSt, _ := s.JobStatus(light.ID)
+			for _, id := range flood {
+				st, _ := s.JobStatus(id)
+				if lightSt.Started.Before(st.Started) != tc.lightFirst {
+					t.Errorf("light tenant started %v, heavy job %s at %v; light ahead of the flood: want %v",
+						lightSt.Started, id, st.Started, tc.lightFirst)
+				}
+			}
+		})
 	}
 }
 

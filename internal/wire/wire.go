@@ -209,9 +209,9 @@ func EncodeFrameDone(m FrameDone) []byte {
 	b.PackInt(m.ElapsedNs)
 	// The kind/encoding/span section is omitted for raw key-frames —
 	// the plain path's every result — saving 24 bytes each; the layout is
-	// frozen (BENCH_wire.json pins its byte totals). The timeline section
-	// trails the span section and forces it present, since the decoder
-	// reads them in order.
+	// frozen (TestGalleryBytesPinned pins its byte totals). The timeline
+	// section trails the span section and forces it present, since the
+	// decoder reads them in order.
 	if m.Kind != KindFull || m.Encoding != EncRaw || m.HasTimeline() {
 		b.PackInt(int64(m.Kind))
 		b.PackInt(int64(m.Encoding))
