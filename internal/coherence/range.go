@@ -30,11 +30,11 @@ import (
 //
 // A Range made by NewRange keeps what it has built until it is dropped:
 // one tracer, one voxel list per mover and one changed set per frame —
-// 16.5 kB a frame on Newton, 14 of them the tracer's scene grid
-// (TestRangeRetainedBytes). The private Range behind NewEngine serves one
-// engine and keeps no tracer, so a single-engine render's heap does not
-// grow by a scene grid per frame; the lists and sets it does keep are the
-// other 2 kB.
+// 10.9 kB a frame on Newton, about 9 of them the tracer's resolved
+// objects and scene grid (TestRangeRetainedBytes). The private Range
+// behind NewEngine serves one engine and keeps no tracer, so a
+// single-engine render's heap does not grow by a scene grid per frame;
+// the lists and sets it does keep are the other 2 kB.
 type Range struct {
 	sc         *scene.Scene
 	start, end int // end exclusive
@@ -198,9 +198,12 @@ func (r *Range) NewEngine(w, h int, region fb.Rect, opts Options) (*Engine, erro
 // registration grid, identical for every frame of the range, over the
 // box their bounds sweep. A change between two frames is a mover entering
 // or leaving a voxel, and every such voxel lies in that box, so nothing
-// outside it needs registering. The box is clipped to the bounds the
-// per-frame tracers' grids span, which is what an unbounded mover (a
-// plane) degrades to.
+// outside it needs registering. The box is clipped to Scene.BoundsAt over
+// the range — geometry, camera and lights, padded past the planes — which
+// is what an unbounded mover (a plane) degrades to. That clip is wider
+// than the tracers' grids, which cover the bounded geometry alone, and
+// must stay so: rays that meet a moving plane outside the geometry's box
+// would register nowhere, and their pixels would go stale.
 func (r *Range) layGrid() error {
 	swept := vm.EmptyAABB()
 	for _, o := range r.sc.Objects {

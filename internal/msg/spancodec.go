@@ -62,9 +62,14 @@ const spanSkipShift = 4
 const spanMaxLen = 1 << 24
 
 // spanEnc is the pooled encoder state: the position table survives
-// between payloads and is never cleared — stale entries point into an
-// older payload and simply fail the byte-compare against the current
-// one, so reuse costs nothing.
+// between payloads and is never cleared, because zeroing 128 KiB per call
+// would sit on the farm's encode path. A stale entry points at an offset
+// written for an older payload; most fail the byte-compare against the
+// current one, but one that still verifies is a real match in the current
+// payload, which a zeroed table would have missed. So every output decodes
+// to its input, but SpanCompress's exact bytes depend on the pool's
+// history: a byte-exact wire figure means the fresh-table one that
+// wire.TestGalleryBytesPinned pins after emptying the pool.
 type spanEnc struct {
 	table [1 << spanHashBits]int32
 }

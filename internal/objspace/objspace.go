@@ -7,11 +7,11 @@
 //
 // # Partition
 //
-// A frame's full grid is built exactly as trace.New builds it (same
-// bounds, same resolution heuristic), then its voxel index space is split
-// into Shards contiguous slabs balanced by geometry mass (see
-// MakePartition). Slab boundaries lie on voxel planes and
-// are computed with the same float arithmetic the grid itself uses, so
+// A frame's full grid is the one trace.New fills — both take it from
+// trace.NewGrid, over the bounded geometry's box — then its voxel index
+// space is split into Shards contiguous slabs balanced by geometry mass
+// (see MakePartition). Slab boundaries lie on voxel planes and are
+// computed with the same float arithmetic the grid itself uses, so
 // every party — local router, remote owners, the sharded coherence
 // engine — agrees bit-exactly on where one shard ends and the next
 // begins.
@@ -100,8 +100,8 @@ type Partition struct {
 // broken toward more voxels, then the longer extent, then the lower
 // index), and the cuts are the equal-mass quantiles of that histogram.
 // Mass balancing is what makes per-shard resident size actually shrink
-// with the shard count — the frame bounds include the camera and lights,
-// so equal-voxel slabs can leave whole shards empty. Deterministic: every
+// with the shard count — geometry clusters inside its box, so
+// equal-voxel slabs can leave whole shards empty. Deterministic: every
 // party derives the same partition from the same frame.
 func MakePartition(g *grid.Grid, shards int, objs []scene.ResolvedObject) Partition {
 	nx, ny, nz := g.Dims()
@@ -112,7 +112,7 @@ func MakePartition(g *grid.Grid, shards int, objs []scene.ResolvedObject) Partit
 	}
 	for i := range objs {
 		ro := &objs[i]
-		if ro.Bounds.Size().MaxComponent() >= hugeExtent {
+		if trace.Unbounded(*ro) {
 			continue
 		}
 		lo, hi, ok := g.VoxelRange(ro.Bounds)
@@ -179,8 +179,8 @@ func weightedCuts(w []float64, k int) [][2]int {
 		return partition.ShardMap{Start: 0, End: n, N: k}.Ranges()
 	}
 	// Cuts are confined to the occupied voxel span: leading and trailing
-	// empty planes (camera/light padding in the frame bounds) attach to
-	// the first and last slab instead of becoming geometry-free shards.
+	// empty planes attach to the first and last slab instead of becoming
+	// geometry-free shards.
 	occLo, occHi := 0, n // occupied span [occLo, occHi)
 	for occLo < n && w[occLo] <= 0 {
 		occLo++
@@ -234,20 +234,6 @@ func (p *Partition) SlabBounds(i int) vm.AABB {
 	return vm.AABB{Min: min, Max: max}
 }
 
-// ShardOf returns the shard owning coordinate x along the partition
-// axis, clamped to the partition (points on an interior boundary belong
-// to the higher shard, matching the DDA's half-open voxels).
-func (p *Partition) ShardOf(x float64) int {
-	rel := (x - p.Bounds.Min.Axis(p.Axis)) / p.Cell
-	v := int(rel)
-	for i, s := range p.Slabs {
-		if v < s[1] {
-			return i
-		}
-	}
-	return len(p.Slabs) - 1
-}
-
 // Cluster is one frame's sharded scene: the partition, the per-shard
 // geometry and sub-grids, and the frame owner's view (camera, shading
 // parameters, and the global object table rays resolve against). Build
@@ -265,9 +251,9 @@ type Cluster struct {
 	stats     *Stats
 }
 
-// Build constructs the sharded scene for one frame. Grid bounds and
-// resolution replicate trace.New's choices exactly, so the partition is
-// a pure re-labelling of the replicated grid's voxel space.
+// Build constructs the sharded scene for one frame. The full grid comes
+// from trace.NewGrid, as trace.New's does, so the partition is a pure
+// re-labelling of the replicated grid's voxel space.
 func Build(sc *scene.Scene, frame int, topts trace.Options, o Options) (*Cluster, error) {
 	if o.Shards < 2 || o.Shards > MaxShards {
 		return nil, fmt.Errorf("objspace: shard count %d outside [2,%d]", o.Shards, MaxShards)
@@ -277,16 +263,9 @@ func Build(sc *scene.Scene, frame int, topts trace.Options, o Options) (*Cluster
 		return nil, err
 	}
 	objs := sc.ResolveFrame(frame)
-	bounds := sc.BoundsAt(frame)
-	var nx, ny, nz int
-	if topts.GridRes > 0 {
-		nx, ny, nz = topts.GridRes, topts.GridRes, topts.GridRes
-	} else {
-		nx, ny, nz = grid.AutoResolution(bounds, len(objs))
-	}
-	full, err := grid.New(bounds, nx, ny, nz)
+	full, err := trace.NewGrid(objs, topts.GridRes)
 	if err != nil {
-		return nil, fmt.Errorf("objspace: %w", err)
+		return nil, err
 	}
 	c := &Cluster{
 		view:  view,
@@ -295,7 +274,7 @@ func Build(sc *scene.Scene, frame int, topts trace.Options, o Options) (*Cluster
 		stats: o.Stats,
 	}
 	for i, ro := range objs {
-		if ro.Bounds.Size().MaxComponent() >= hugeExtent {
+		if trace.Unbounded(ro) {
 			c.unbounded = append(c.unbounded, int32(i))
 		}
 	}
@@ -321,16 +300,9 @@ func Build(sc *scene.Scene, frame int, topts trace.Options, o Options) (*Cluster
 // unbounded-object exclusion match the sharded rows exactly.
 func ReplicatedResident(sc *scene.Scene, frame int, topts trace.Options) (uint64, error) {
 	objs := sc.ResolveFrame(frame)
-	bounds := sc.BoundsAt(frame)
-	var nx, ny, nz int
-	if topts.GridRes > 0 {
-		nx, ny, nz = topts.GridRes, topts.GridRes, topts.GridRes
-	} else {
-		nx, ny, nz = grid.AutoResolution(bounds, len(objs))
-	}
-	full, err := grid.New(bounds, nx, ny, nz)
+	full, err := trace.NewGrid(objs, topts.GridRes)
 	if err != nil {
-		return 0, fmt.Errorf("objspace: %w", err)
+		return 0, err
 	}
 	part := MakePartition(full, 1, objs)
 	s, err := buildShard(&part, 0, objs)

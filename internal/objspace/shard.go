@@ -6,10 +6,9 @@ import (
 	"nowrender/internal/geom"
 	"nowrender/internal/grid"
 	"nowrender/internal/scene"
+	"nowrender/internal/trace"
 	vm "nowrender/internal/vecmath"
 )
-
-const hugeExtent = geom.HugeExtent
 
 // meshClipMin is the triangle count from which a mesh is clipped to the
 // slab instead of being referenced whole. Small meshes are cheaper to
@@ -66,7 +65,7 @@ func buildShard(p *Partition, i int, objs []scene.ResolvedObject) (*Shard, error
 	s := &Shard{Index: i, Bounds: sb}
 	for gi := range objs {
 		ro := &objs[gi]
-		if ro.Bounds.Size().MaxComponent() >= hugeExtent {
+		if trace.Unbounded(*ro) {
 			continue // unbounded: replicated on the frame owner
 		}
 		if !ro.Bounds.Overlaps(sb) {

@@ -348,10 +348,13 @@ func (s *Scene) Validate() error {
 	return nil
 }
 
-// BoundsAt returns the union of all object bounds at the given frame,
-// which the voxel grid uses as its extent. Unbounded primitives (planes)
-// are clipped to a padded box around the bounded geometry; if the scene
-// has only unbounded geometry a default cube is used.
+// BoundsAt returns the scene's extent at the given frame: the bounded
+// objects, the camera and the lights. Unbounded primitives (planes) are
+// clipped to a box padded by a quarter of it plus one; if the scene has
+// only unbounded geometry a default cube is used. Its one use in
+// rendering is the coherence engine's clip for an unbounded mover's swept
+// box — the tracer's grid covers the bounded geometry alone
+// (trace.NewGrid).
 func (s *Scene) BoundsAt(frame int) vm.AABB {
 	bounded := vm.EmptyAABB()
 	hasUnbounded := false

@@ -69,7 +69,12 @@ func TestOccludedMatchesMarch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := ft.Grid().Bounds()
+		// Random segment ends come from the scene's extent — geometry,
+		// camera and lights, padded past the planes — not from the grid,
+		// which covers the bounded geometry alone: bouncing's only opaque
+		// surfaces are its walls, floor and ceiling, so a segment blocks
+		// only where it crosses one.
+		b := sc.BoundsAt(frame)
 		rng := vm.NewRNG(uint64(len(name)))
 		inBounds := func() vm.Vec3 {
 			return vm.V(rng.InRange(b.Min.X, b.Max.X), rng.InRange(b.Min.Y, b.Max.Y), rng.InRange(b.Min.Z, b.Max.Z))

@@ -112,16 +112,9 @@ func New(sc *scene.Scene, frame int, opts Options) (*FrameTracer, error) {
 		return nil, err
 	}
 	ft.objs = sc.ResolveFrame(frame)
-	bounds := sc.BoundsAt(frame)
-	var nx, ny, nz int
-	if opts.GridRes > 0 {
-		nx, ny, nz = opts.GridRes, opts.GridRes, opts.GridRes
-	} else {
-		nx, ny, nz = grid.AutoResolution(bounds, len(ft.objs))
-	}
-	g, err := grid.New(bounds, nx, ny, nz)
+	g, err := NewGrid(ft.objs, opts.GridRes)
 	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
+		return nil, err
 	}
 	ft.grid = g
 	for i, ro := range ft.objs {
@@ -129,7 +122,7 @@ func New(sc *scene.Scene, frame int, opts Options) (*FrameTracer, error) {
 		// Primitives whose bounds blow past the grid (planes) are kept
 		// on the per-ray list so hits outside the grid region are not
 		// lost.
-		if ro.Bounds.Size().MaxComponent() >= geom.HugeExtent {
+		if Unbounded(ro) {
 			ft.unbounded = append(ft.unbounded, id)
 			continue
 		}
@@ -138,6 +131,43 @@ func New(sc *scene.Scene, frame int, opts Options) (*FrameTracer, error) {
 	}
 	ft.mailboxes = make([]uint64, len(ft.objs))
 	return ft, nil
+}
+
+// Unbounded reports whether a resolved object is too large for any grid
+// (a plane): it is tested once per ray instead of being voxelised.
+func Unbounded(ro scene.ResolvedObject) bool {
+	return ro.Bounds.Size().MaxComponent() >= geom.HugeExtent
+}
+
+// NewGrid returns the empty acceleration grid for a frame's resolved
+// objects: gridRes voxels a side when positive, grid.AutoResolution
+// otherwise. It is the one place the grid's box is chosen — trace.New
+// fills the grid, and the object-space partition re-labels the voxel
+// space of the same grid — and the box is the bounded objects' union
+// padded by 1e-3, nothing more. Camera rays, and shadow rays to lights
+// outside the box, enter it through StartWalk's clip; planes stay on the
+// unbounded list. A frame with no bounded object gets a cube around the
+// origin, in which no ray finds anything.
+func NewGrid(objs []scene.ResolvedObject, gridRes int) (*grid.Grid, error) {
+	bounds := vm.EmptyAABB()
+	for _, ro := range objs {
+		if !Unbounded(ro) {
+			bounds = bounds.Union(ro.Bounds)
+		}
+	}
+	if bounds.IsEmpty() {
+		bounds = vm.NewAABB(vm.Splat(-1), vm.Splat(1))
+	}
+	bounds = bounds.Pad(1e-3)
+	nx, ny, nz := gridRes, gridRes, gridRes
+	if gridRes <= 0 {
+		nx, ny, nz = grid.AutoResolution(bounds, len(objs))
+	}
+	g, err := grid.New(bounds, nx, ny, nz)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
+	}
+	return g, nil
 }
 
 // NewView builds a FrameTracer that carries only the frame's camera and
