@@ -14,16 +14,7 @@ import (
 // The virtual makespan is the sum of sequence makespans — the master
 // processes sequences in order, as the paper's two-run Newton animation
 // was processed.
-func RenderAuto(cfg Config) (*Result, error) { return renderSequences(cfg, RenderVirtual) }
-
-// RenderLocalAuto is the wall-clock counterpart of RenderAuto: each
-// camera-stationary sequence runs through RenderLocal with fresh
-// goroutine workers.
-func RenderLocalAuto(cfg Config) (*Result, error) { return renderSequences(cfg, RenderLocal) }
-
-// renderSequences drives render once per camera-stationary sequence of
-// the animation, in order, and concatenates the results.
-func renderSequences(cfg Config, render func(Config) (*Result, error)) (*Result, error) {
+func RenderAuto(cfg Config) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
@@ -44,7 +35,7 @@ func renderSequences(cfg Config, render func(Config) (*Result, error)) (*Result,
 			// would subsume each other and double-count on merge.
 			c.Timeline = timeline.New(0)
 		}
-		res, err := render(c)
+		res, err := RenderVirtual(c)
 		if err != nil {
 			return nil, err
 		}

@@ -127,19 +127,3 @@ func TestFrameRangeConfig(t *testing.T) {
 		t.Error("overlong range accepted")
 	}
 }
-
-func TestRenderLocalAutoMatchesReference(t *testing.T) {
-	sc := cutScene(6)
-	want := referenceFrames(t, sc)
-	res, err := RenderLocalAuto(Config{
-		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 2,
-		Scheme: partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertFramesEqual(t, "local-auto", res.Frames, want)
-	if len(res.Workers) != 2 {
-		t.Errorf("%d worker entries", len(res.Workers))
-	}
-}

@@ -33,7 +33,7 @@ func TestChaosSoak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RenderLocal(Config{
+			res, err := renderLocal(Config{
 				Scene: sc, W: fw, H: fh, Coherence: true, Workers: 4,
 				Scheme:       partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
 				Heartbeat:    20 * time.Millisecond,
@@ -42,7 +42,7 @@ func TestChaosSoak(t *testing.T) {
 				FrameRetries: 2,
 				Speculate:    true,
 				WrapConn:     plan.Wrap,
-			})
+			}, checked(t))
 			if err != nil {
 				t.Fatalf("chaos run failed: %v", err)
 			}
@@ -58,8 +58,10 @@ func TestChaosSoak(t *testing.T) {
 }
 
 // TestChaosSeedLivenessGivesUpOnMuteWorker: a worker whose every message
-// (including its hello) vanishes must be given up on at the seed-phase
-// liveness deadline instead of being awaited forever.
+// (including its hello) vanishes must not hold up the run. Whether the
+// liveness deadline retires it before the other worker has rendered
+// everything is a race; TestTickRetiresUnjoinedWorker pins that rule on a
+// scripted link.
 func TestChaosSeedLivenessGivesUpOnMuteWorker(t *testing.T) {
 	sc := farmScene(4)
 	want := referenceFrames(t, sc)
@@ -68,23 +70,17 @@ func TestChaosSeedLivenessGivesUpOnMuteWorker(t *testing.T) {
 		Rules:   []faulty.Rule{{Dir: faulty.SendOnly, Prob: 1, Action: faulty.Drop}},
 		Protect: []string{"worker00"},
 	}
-	res, err := RenderLocal(Config{
+	res, err := renderLocal(Config{
 		Scene: sc, W: fw, H: fh, Workers: 2,
 		Scheme:    partition.SequenceDivision{Adaptive: true},
 		Heartbeat: 10 * time.Millisecond,
 		Liveness:  300 * time.Millisecond,
 		WrapConn:  plan.Wrap,
-	})
+	}, checked(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertFramesEqual(t, "mute-worker", res.Frames, want)
-	if res.Faults.WorkersLost != 1 {
-		t.Errorf("WorkersLost = %d, want 1", res.Faults.WorkersLost)
-	}
-	if res.Faults.HeartbeatTimeouts < 1 {
-		t.Errorf("HeartbeatTimeouts = %d, want >= 1", res.Faults.HeartbeatTimeouts)
-	}
 }
 
 // TestChaosStallRetiresSilentTaskHolder: a worker that stays reachable
@@ -102,14 +98,14 @@ func TestChaosStallRetiresSilentTaskHolder(t *testing.T) {
 		},
 		Protect: []string{"worker00"},
 	}
-	res, err := RenderLocal(Config{
+	res, err := renderLocal(Config{
 		Scene: sc, W: fw, H: fh, Workers: 2,
 		Scheme:       partition.SequenceDivision{Adaptive: true},
 		Heartbeat:    25 * time.Millisecond,
 		Liveness:     10 * time.Second, // pongs flow; isolate the stall path
 		StallTimeout: 600 * time.Millisecond,
 		WrapConn:     plan.Wrap,
-	})
+	}, joinedFirst(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,12 +138,12 @@ func TestChaosQuarantinePoisonFrame(t *testing.T) {
 		Seed:  1,
 		Rules: []faulty.Rule{{Tag: TagFrameDone, Dir: faulty.SendOnly, After: 1, Action: faulty.Sever}},
 	}
-	res, err := RenderLocal(Config{
+	res, err := renderLocal(Config{
 		Scene: sc, W: fw, H: fh, Workers: 2,
 		Scheme:       partition.SequenceDivision{Adaptive: false},
 		FrameRetries: 1,
 		WrapConn:     plan.Wrap,
-	})
+	}, checked(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,12 +169,12 @@ func TestChaosSpeculationCoversStraggler(t *testing.T) {
 		Rules:   []faulty.Rule{{Tag: TagFrameDone, Dir: faulty.SendOnly, Prob: 1, Action: faulty.Delay, Delay: time.Second}},
 		Protect: []string{"worker00"},
 	}
-	res, err := RenderLocal(Config{
+	res, err := renderLocal(Config{
 		Scene: sc, W: fw, H: fh, Workers: 2,
 		Scheme:    partition.SequenceDivision{Adaptive: false},
 		Speculate: true,
 		WrapConn:  plan.Wrap,
-	})
+	}, joinedFirst(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +196,11 @@ func TestChaosCorruptionRetiresSender(t *testing.T) {
 		Rules:   []faulty.Rule{{Tag: TagFrameDone, Dir: faulty.SendOnly, After: 1, Action: faulty.Corrupt}},
 		Protect: []string{"worker00"},
 	}
-	res, err := RenderLocal(Config{
+	res, err := renderLocal(Config{
 		Scene: sc, W: fw, H: fh, Workers: 2,
 		Scheme:   partition.SequenceDivision{Adaptive: false},
 		WrapConn: plan.Wrap,
-	})
+	}, joinedFirst(t))
 	if err != nil {
 		t.Fatal(err)
 	}

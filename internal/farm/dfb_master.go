@@ -105,15 +105,15 @@ func (s *sinkControl) index(name string) (i int, stale, ok bool) {
 	return i, s.names[i] != name, true
 }
 
-// relay forwards a master-routed frame result to the owning sink.
-func (s *sinkControl) relay(worker string, frame int, region fb.Rect, frameDone []byte) {
+// relay forwards a master-routed frame result to the owning sink; the
+// caller marks it pending.
+func (s *sinkControl) relay(worker string, frame int, frameDone []byte) {
 	si := s.shard.Of(frame)
 	// Best-effort: a failed send surfaces as the sink's TagDown, whose
 	// recovery resets and requeues the shard.
 	_ = s.hub.Send(s.names[si], msg.Message{
 		Tag: compositor.TagRelayPix, Data: compositor.EncodeRelay(worker, frameDone),
 	})
-	s.pending[pendKey{frame, region}] = worker
 }
 
 // close ends the run on every sink (persistent daemons keep listening).

@@ -225,7 +225,7 @@ func TestDFBChaosSoak(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := RenderLocal(Config{
+			res, err := renderLocal(Config{
 				Scene: sc, W: fw, H: fh, Coherence: true, Workers: 4,
 				Scheme:        partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
 				WireDelta:     true,
@@ -237,7 +237,7 @@ func TestDFBChaosSoak(t *testing.T) {
 				FrameRetries:  2,
 				Speculate:     true,
 				WrapConn:      plan.Wrap,
-			})
+			}, checked(t))
 			if err != nil {
 				t.Fatalf("dfb chaos run failed: %v", err)
 			}

@@ -4,9 +4,14 @@
 // out. The only communication is master<->worker (the paper: "the slaves
 // themselves do not need to communicate with each other").
 //
-// Two drivers share the task-management logic — one master loop
-// (runMaster) and one worker frame step (frameStep) — and differ only in
-// the link (names, Recv, Send, Detach, a clock) they run it over:
+// The master is a state machine: one struct (master) holding what it
+// knows of every worker, the queue, the assembly and the tallies, with
+// one method per event — hello, frame result, frame ack, object-space
+// stats, task done, truncate ack, pong, a worker's loss, a sink message,
+// a heartbeat tick. runMaster only steps it through the link's events
+// until every frame is in. Two drivers share it and one worker frame
+// step (frameStep), and differ only in the link (names, Recv, Send,
+// Detach, a clock) they run them over:
 //
 //   - RunMaster and RenderLocal supply a msg.Hub on the wall clock:
 //     goroutine workers joined by msg.Pipe, or TCP workers
@@ -31,7 +36,6 @@ import (
 	"nowrender/internal/scene"
 	"nowrender/internal/stats"
 	"nowrender/internal/timeline"
-	"nowrender/internal/wire"
 )
 
 // Config describes a render-farm run.
@@ -310,8 +314,8 @@ func (r *Result) Speedup(baseline *Result) float64 {
 }
 
 // mergeTimeline folds one sequence run's timeline into the combined
-// result — the RenderAuto/RenderLocalAuto path, which drives one farm
-// run per camera-stationary sequence, each with its own recorder epoch.
+// result — the RenderAuto path, which drives one farm run per
+// camera-stationary sequence, each with its own recorder epoch.
 func (r *Result) mergeTimeline(tl *timeline.Timeline) {
 	if tl == nil {
 		return
@@ -327,23 +331,4 @@ func (r *Result) mergeTimeline(tl *timeline.Timeline) {
 		r.Timeline.AddTrack(td.Name, td.Events, td.Dropped)
 	}
 	r.Timeline.Sort()
-}
-
-// assembly is the shared frame assembly, extracted to internal/wire so
-// the compositor can reuse it; the farm-side aliases keep the original
-// call sites unchanged.
-type assembly = wire.Assembly
-
-func newAssembly(w, h, frames int) *assembly { return wire.NewAssembly(w, h, frames) }
-
-func newAssemblyRange(w, h, start, end int) *assembly {
-	return wire.NewAssemblyRange(w, h, start, end)
-}
-
-// errDeltaBase aliases the shared codec's delta-base-miss sentinel.
-var errDeltaBase = wire.ErrDeltaBase
-
-// extractRegion packs a region of img into a fresh RGB byte slice.
-func extractRegion(img *fb.Framebuffer, region fb.Rect) []byte {
-	return wire.ExtractRegion(img, region)
 }

@@ -102,9 +102,9 @@ func TestVirtualSchemesProduceIdenticalImages(t *testing.T) {
 	wantAA := aaReferenceFrames(t, sc, 0.1)
 	for _, coh := range []bool{false, true} {
 		for _, sch := range schemes {
-			res, err := RenderVirtual(Config{
+			res, err := renderVirtual(Config{
 				Scene: sc, W: fw, H: fh, Scheme: sch, Coherence: coh,
-			})
+			}, checked(t))
 			if err != nil {
 				t.Fatalf("%s coherence=%v: %v", sch.Name(), coh, err)
 			}
@@ -115,10 +115,10 @@ func TestVirtualSchemesProduceIdenticalImages(t *testing.T) {
 		}
 		// Render options travel in the task message, so they reach the
 		// pixels with coherence on and off alike.
-		res, err := RenderVirtual(Config{
+		res, err := renderVirtual(Config{
 			Scene: sc, W: fw, H: fh, Scheme: schemes[2], Coherence: coh,
 			CoherenceOpts: coherence.Options{AAThreshold: 0.1},
-		})
+		}, checked(t))
 		if err != nil {
 			t.Fatalf("antialiased coherence=%v: %v", coh, err)
 		}
@@ -138,10 +138,10 @@ func TestVirtualDeterminism(t *testing.T) {
 	const w, h = 2 * fw, 2 * fh
 	sc := farmScene(8)
 	run := func() *Result {
-		res, err := RenderVirtual(Config{
+		res, err := renderVirtual(Config{
 			Scene: sc, W: w, H: h, Machines: cluster.PaperTestbed(),
 			Scheme: partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true}, Coherence: true,
-		})
+		}, checked(t))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,20 +352,20 @@ func TestRenderLocalMatchesReference(t *testing.T) {
 	want := referenceFrames(t, sc)
 	wantAA := aaReferenceFrames(t, sc, 0.1)
 	for _, coh := range []bool{false, true} {
-		aa, err := RenderLocal(Config{
+		aa, err := renderLocal(Config{
 			Scene: sc, W: fw, H: fh, Coherence: coh, Workers: 3,
 			Scheme:        partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
 			CoherenceOpts: coherence.Options{AAThreshold: 0.1},
-		})
+		}, checked(t))
 		if err != nil {
 			t.Fatalf("antialiased coherence=%v: %v", coh, err)
 		}
 		assertFramesEqual(t, fmt.Sprintf("local antialiased coherence=%v", coh), aa.Frames, wantAA)
 
-		res, err := RenderLocal(Config{
+		res, err := renderLocal(Config{
 			Scene: sc, W: fw, H: fh, Coherence: coh, Workers: 3,
 			Scheme: partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
-		})
+		}, checked(t))
 		if err != nil {
 			t.Fatalf("coherence=%v: %v", coh, err)
 		}
@@ -405,51 +405,6 @@ func TestRenderLocalSingleWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertFramesEqual(t, "local-1", res.Frames, want)
-}
-
-func TestAssemblyValidation(t *testing.T) {
-	a := newAssembly(4, 4, 2)
-	full := fb.NewRect(0, 0, 4, 4)
-	pix := make([]byte, full.Area()*3)
-	if _, _, err := a.Deliver(5, full, pix, 0); err == nil {
-		t.Error("out-of-range frame accepted")
-	}
-	if _, _, err := a.Deliver(0, full, pix[:3], 0); err == nil {
-		t.Error("short pixel payload accepted")
-	}
-	if _, _, err := a.Deliver(0, fb.NewRect(-1, 0, 4, 4), pix, 0); err == nil {
-		t.Error("negative-origin region accepted")
-	}
-	if _, _, err := a.Deliver(0, fb.NewRect(0, 0, 5, 4), make([]byte, 5*4*3), 0); err == nil {
-		t.Error("out-of-bounds region accepted")
-	}
-	if _, _, err := a.Deliver(0, fb.Rect{X0: 3, Y0: 0, X1: 1, Y1: 4}, pix, 0); err == nil {
-		t.Error("inverted region accepted")
-	}
-	done, dup, err := a.Deliver(0, full, pix, 0)
-	if err != nil || !done || dup {
-		t.Errorf("full delivery: done=%v dup=%v err=%v", done, dup, err)
-	}
-	// The identical (frame, region) again is a duplicate — dropped, not
-	// an error (speculative copies and post-failure retries produce it).
-	done, dup, err = a.Deliver(0, full, pix, 0)
-	if err != nil || done || !dup {
-		t.Errorf("duplicate delivery: done=%v dup=%v err=%v", done, dup, err)
-	}
-	if !a.Delivered(0, full) {
-		t.Error("delivered() lost track of a landed region")
-	}
-	if a.Delivered(1, full) {
-		t.Error("delivered() reports an undelivered frame")
-	}
-	// A different, overlapping region for the same frame is structural
-	// over-delivery, still an error.
-	if _, _, err := a.Deliver(0, fb.NewRect(0, 0, 2, 4), make([]byte, 2*4*3), 0); err == nil {
-		t.Error("over-delivery accepted")
-	}
-	if err := a.Complete(); err == nil {
-		t.Error("incomplete assembly accepted")
-	}
 }
 
 func TestProtocolRoundTrips(t *testing.T) {
@@ -492,18 +447,5 @@ func TestProtocolRoundTrips(t *testing.T) {
 	a, b, err := decodePair(encodePair(-7, 42))
 	if err != nil || a != -7 || b != 42 {
 		t.Errorf("pair round trip: %d,%d,%v", a, b, err)
-	}
-}
-
-func TestExtractRegion(t *testing.T) {
-	img := fb.New(4, 4)
-	img.SetRGB(1, 1, 10, 20, 30)
-	img.SetRGB(2, 1, 40, 50, 60)
-	pix := extractRegion(img, fb.NewRect(1, 1, 3, 2))
-	if len(pix) != 6 {
-		t.Fatalf("extracted %d bytes", len(pix))
-	}
-	if pix[0] != 10 || pix[3] != 40 {
-		t.Errorf("pixels = %v", pix)
 	}
 }

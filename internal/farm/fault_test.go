@@ -11,6 +11,7 @@ import (
 	"nowrender/internal/partition"
 	"nowrender/internal/scene"
 	"nowrender/internal/trace"
+	"nowrender/internal/wire"
 )
 
 // crashingWorker behaves like a normal worker for its first frame, then
@@ -37,7 +38,7 @@ func crashingWorker(name string, conn msg.Conn, sc *scene.Scene) {
 	ft.RenderRegion(buf, tm.Task.Region)
 	fd := frameDoneMsg{
 		TaskID: tm.Task.ID, Frame: tm.Task.StartFrame, Region: tm.Task.Region,
-		Pix: extractRegion(buf, tm.Task.Region), Rendered: tm.Task.Region.Area(),
+		Pix: wire.ExtractRegion(buf, tm.Task.Region), Rendered: tm.Task.Region.Area(),
 	}
 	_ = conn.Send(msg.Message{Tag: TagFrameDone, From: name, Data: encodeFrameDone(fd)})
 	// ...and vanish.

@@ -13,6 +13,7 @@ import (
 
 	"nowrender/internal/fb"
 	"nowrender/internal/partition"
+	"nowrender/internal/wire"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the golden frame hashes from the current renderer")
@@ -27,7 +28,7 @@ const goldenFrames = 6
 const goldenPath = "testdata/golden/farm-scene-40x32.sha256"
 
 func frameHash(img *fb.Framebuffer) string {
-	sum := sha256.Sum256(extractRegion(img, fb.NewRect(0, 0, fw, fh)))
+	sum := sha256.Sum256(wire.ExtractRegion(img, fb.NewRect(0, 0, fw, fh)))
 	return hex.EncodeToString(sum[:])
 }
 

@@ -222,7 +222,10 @@ func (l *virtualLink) finishTask(i int) {
 // (internal/cluster): RunMaster's loop over a virtualLink. Repeated runs
 // with the same Config produce identical images, statistics and
 // makespans. This is the driver behind Table 1.
-func RenderVirtual(cfg Config) (*Result, error) {
+func RenderVirtual(cfg Config) (*Result, error) { return renderVirtual(cfg, runMaster) }
+
+// renderVirtual is RenderVirtual with the master loop to run.
+func renderVirtual(cfg Config, loop masterLoop) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
@@ -230,7 +233,7 @@ func RenderVirtual(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := runMaster(cfg, ln, nil)
+	res, err := loop(cfg, ln, nil)
 	if err != nil {
 		return nil, err
 	}

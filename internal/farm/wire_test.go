@@ -240,7 +240,7 @@ func TestChaosSoakWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RenderLocal(Config{
+	res, err := renderLocal(Config{
 		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 4,
 		Scheme:        partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
 		Heartbeat:     20 * time.Millisecond,
@@ -251,7 +251,7 @@ func TestChaosSoakWire(t *testing.T) {
 		WrapConn:      plan.Wrap,
 		WireDelta:     true,
 		WireSpanCodec: true,
-	})
+	}, checked(t))
 	if err != nil {
 		t.Fatalf("wire chaos run failed: %v", err)
 	}
