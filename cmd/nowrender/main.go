@@ -76,7 +76,7 @@ func (f faultOpts) apply(cfg *farm.Config) error {
 func main() {
 	var (
 		sceneSpec = flag.String("scene", "newton", "scene: newton[:frames], bouncing[:frames], quickstart, or a .sdl file")
-		mode      = flag.String("mode", "virtual", "single | coherent | virtual | auto | local | master")
+		mode      = flag.String("mode", "virtual", "single | coherent | virtual | local | master")
 		scheme    = flag.String("scheme", "framediv", "partitioning: seqdiv | seqdiv-static | seqdiv-weighted | framediv | hybrid | pixeldiv")
 		blockW    = flag.Int("blockw", 80, "frame-division block width")
 		blockH    = flag.Int("blockh", 80, "frame-division block height")
@@ -202,13 +202,6 @@ func run(sceneSpec, mode, schemeName string, blockW, blockH, w, h int,
 			return err
 		}
 		report(sc.Name, fmt.Sprintf("virtual/%s", scheme.Name()), res)
-	case "auto":
-		// Split at camera cuts, then render each stationary sequence.
-		res, err = farm.RenderAuto(cfg)
-		if err != nil {
-			return err
-		}
-		report(sc.Name, fmt.Sprintf("auto/%s", scheme.Name()), res)
 	case "local":
 		res, err = farm.RenderLocal(cfg)
 		if err != nil {

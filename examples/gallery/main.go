@@ -1,8 +1,8 @@
 // Gallery renders the complex museum animation — many primitives, two
-// independently moving objects and a camera cut — through the
-// cut-aware farm driver: the animation is split into camera-stationary
-// sequences (the unit the paper's coherence algorithm requires) and
-// each sequence runs on the virtual NOW with frame coherence.
+// independently moving objects and a camera cut — on the virtual NOW
+// with frame coherence. The master tiles each camera-stationary sequence
+// (the unit the paper's coherence algorithm requires) on its own, so
+// both sequences render in one run.
 //
 //	go run ./examples/gallery -out gallery-out/
 package main
@@ -45,7 +45,7 @@ func run(frames, w, h int, outDir string) error {
 
 	fmt.Printf("gallery: %d frames at %dx%d, camera cut at frame %d\n", frames, w, h, frames/2)
 	start := time.Now()
-	res, err := nowrender.RenderFarmAuto(nowrender.FarmConfig{
+	res, err := nowrender.RenderFarmVirtual(nowrender.FarmConfig{
 		Scene: sc, W: w, H: h, Coherence: true,
 		Scheme: nowrender.FrameDivision{BlockW: w / 4, BlockH: h / 4, Adaptive: true},
 		Emit:   emit,

@@ -44,25 +44,3 @@ func SplitSequences(sc *scene.Scene) []Sequence {
 	}
 	return append(out, cur)
 }
-
-// Validate checks that sequences exactly tile [0, frames) in order.
-func Validate(seqs []Sequence, frames int) error {
-	if len(seqs) == 0 {
-		if frames == 0 {
-			return nil
-		}
-		return fmt.Errorf("anim: no sequences for %d frames", frames)
-	}
-	if seqs[0].Start != 0 {
-		return fmt.Errorf("anim: first sequence starts at %d", seqs[0].Start)
-	}
-	for i := 1; i < len(seqs); i++ {
-		if seqs[i].Start != seqs[i-1].End {
-			return fmt.Errorf("anim: gap between sequences %d and %d", i-1, i)
-		}
-	}
-	if last := seqs[len(seqs)-1]; last.End != frames {
-		return fmt.Errorf("anim: sequences end at %d, want %d", last.End, frames)
-	}
-	return nil
-}

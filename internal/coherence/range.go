@@ -109,8 +109,7 @@ func (o Options) tracerOptions() trace.Options {
 // NewRange prepares the state engines over frames [start, end) of the
 // scene share; opts contributes its tracer fields (GridRes,
 // SamplesPerPixel, AAThreshold, AASamples). The scene is validated, the
-// camera checked stationary across the range — the caller (see
-// internal/anim) splits animations at camera cuts — and the movers' swept
+// camera checked stationary across the range, and the movers' swept
 // bounds are gathered here, once, however many engines follow.
 func NewRange(sc *scene.Scene, start, end int, opts Options) (*Range, error) {
 	return newRange(sc, start, end, opts, false)

@@ -47,8 +47,7 @@ type Config struct {
 	// sequence division.
 	Scheme partition.Scheme
 	// StartFrame and EndFrame select a sub-range [StartFrame, EndFrame)
-	// of the animation; both zero means the whole animation. RenderAuto
-	// uses this to render camera-stationary sequences independently.
+	// of the animation; both zero means the whole animation.
 	StartFrame, EndFrame int
 	// Coherence enables the frame-coherence algorithm inside each task.
 	Coherence bool
@@ -311,24 +310,4 @@ type Result struct {
 // Speedup returns baseline.Makespan / r.Makespan.
 func (r *Result) Speedup(baseline *Result) float64 {
 	return cluster.Speedup(baseline.Makespan, r.Makespan)
-}
-
-// mergeTimeline folds one sequence run's timeline into the combined
-// result — the RenderAuto path, which drives one farm run per
-// camera-stationary sequence, each with its own recorder epoch.
-func (r *Result) mergeTimeline(tl *timeline.Timeline) {
-	if tl == nil {
-		return
-	}
-	if r.Timeline == nil {
-		r.Timeline = &timeline.Timeline{Meta: map[string]string{}}
-	}
-	for k, v := range tl.Meta {
-		r.Timeline.Meta[k] = v
-	}
-	for i := range tl.Tracks {
-		td := &tl.Tracks[i]
-		r.Timeline.AddTrack(td.Name, td.Events, td.Dropped)
-	}
-	r.Timeline.Sort()
 }

@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -57,7 +58,9 @@ func TestMasterSurvivesWorkerCrash(t *testing.T) {
 		if err := hub.Attach(name, masterEnd); err != nil {
 			t.Fatal(err)
 		}
-		go func(n string, c msg.Conn) { healthyDone <- RunWorker(n, c, sc) }(name, workerEnd)
+		go func(n string, c msg.Conn) {
+			healthyDone <- RunWorkerWithOptions(context.Background(), n, c, sc, WorkerOptions{})
+		}(name, workerEnd)
 	}
 	masterEnd, workerEnd := msg.Pipe(64)
 	if err := hub.Attach("doomed", masterEnd); err != nil {
@@ -121,7 +124,7 @@ func TestMasterSurvivesCrashBeforeHello(t *testing.T) {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
-	go func() { done <- RunWorker("survivor", workerEnd, sc) }()
+	go func() { done <- RunWorkerWithOptions(context.Background(), "survivor", workerEnd, sc, WorkerOptions{}) }()
 
 	res, err := RunMaster(Config{Scene: sc, W: fw, H: fh, Coherence: true}, hub)
 	hub.Close()
@@ -246,7 +249,9 @@ func TestMasterRefusesStrayWorker(t *testing.T) {
 				if err := hub.Attach(name, masterEnd); err != nil {
 					t.Fatal(err)
 				}
-				go func(name string) { done <- RunWorker(name, workerEnd, sc) }(name)
+				go func(name string) {
+					done <- RunWorkerWithOptions(context.Background(), name, workerEnd, sc, WorkerOptions{})
+				}(name)
 			}
 			res, err := RunMaster(Config{
 				Scene: sc, W: fw, H: fh, Coherence: true,

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"time"
 
+	"nowrender/internal/anim"
 	"nowrender/internal/compositor"
 	"nowrender/internal/fb"
 	"nowrender/internal/msg"
@@ -241,7 +242,7 @@ func newMaster(cfg Config, ln link, sinks *sinkControl) (*master, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("farm: no workers attached")
 	}
-	queue := cfg.Scheme.InitialTasks(cfg.W, cfg.H, cfg.StartFrame, cfg.EndFrame, len(names))
+	queue := initialQueue(cfg, len(names))
 	if err := partition.ValidateTiling(queue, cfg.W, cfg.H, cfg.StartFrame, cfg.EndFrame); err != nil {
 		return nil, err
 	}
@@ -292,6 +293,30 @@ func newMaster(cfg Config, ln link, sinks *sinkControl) (*master, error) {
 		}
 	}
 	return m, nil
+}
+
+// initialQueue is the scheme's tiling of [StartFrame, EndFrame). Under
+// coherence the scheme tiles each camera-stationary sequence on its own
+// (§3: "any camera movement logically separates one sequence from
+// another"), and steals, requeues and speculation only ever narrow a
+// task's frames, so no task crosses a cut. A window without a cut is one
+// sequence and gets the scheme's tiling unchanged.
+func initialQueue(cfg Config, workers int) []partition.Task {
+	if !cfg.Coherence {
+		return cfg.Scheme.InitialTasks(cfg.W, cfg.H, cfg.StartFrame, cfg.EndFrame, workers)
+	}
+	var queue []partition.Task
+	for _, sq := range anim.SplitSequences(cfg.Scene) {
+		start, end := max(sq.Start, cfg.StartFrame), min(sq.End, cfg.EndFrame)
+		if start >= end {
+			continue
+		}
+		for _, t := range cfg.Scheme.InitialTasks(cfg.W, cfg.H, start, end, workers) {
+			t.ID = len(queue)
+			queue = append(queue, t)
+		}
+	}
+	return queue
 }
 
 // step applies one event: a message from a worker or a sink, a heartbeat

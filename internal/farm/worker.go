@@ -93,19 +93,6 @@ func (a *asyncConn) tryRecv() (msg.Message, bool, error) {
 	}
 }
 
-// RunWorker executes the slave side of the farm protocol on conn: say
-// hello, then loop rendering assigned tasks until shutdown. The scene is
-// provided by the caller (in-process workers share it; cmd/nowworker
-// parses the SDL source the master ships first).
-//
-// The worker honours TagTruncate between frames: it stops its current
-// task at the requested end (or wherever it already got to, if further)
-// and acknowledges the actual stop frame so the master can reassign the
-// remainder without duplication.
-func RunWorker(name string, conn msg.Conn, sc *scene.Scene) error {
-	return RunWorkerCtx(context.Background(), name, conn, sc)
-}
-
 // WorkerOptions tune the local side of a worker, independent of what the
 // master sends.
 type WorkerOptions struct {
@@ -218,16 +205,20 @@ func (wt *workerTimeline) attachAck(a *frameAckMsg) {
 	a.TLNow = wt.drainTo(&a.TLTracks, &a.TLEvents)
 }
 
-// RunWorkerCtx is RunWorker with graceful-shutdown support: when ctx is
-// cancelled the worker finishes the frame it is rendering, sends a
-// TagBye status message telling the master where it stopped (so the
-// remainder of its task is requeued, not lost), and returns ctx's
-// error. cmd/nowworker wires SIGINT/SIGTERM to this.
-func RunWorkerCtx(ctx context.Context, name string, conn msg.Conn, sc *scene.Scene) error {
-	return RunWorkerWithOptions(ctx, name, conn, sc, WorkerOptions{})
-}
-
-// RunWorkerWithOptions is RunWorkerCtx with local worker tuning.
+// RunWorkerWithOptions executes the slave side of the farm protocol on
+// conn: say hello, then loop rendering assigned tasks until shutdown. The
+// scene is provided by the caller (in-process workers share it;
+// cmd/nowworker parses the SDL source the master ships first); opts tune
+// the local side.
+//
+// The worker honours TagTruncate between frames: it stops its current
+// task at the requested end (or wherever it already got to, if further)
+// and acknowledges the actual stop frame so the master can reassign the
+// remainder without duplication. When ctx is cancelled the worker
+// finishes the frame it is rendering, sends a TagBye status message
+// telling the master where it stopped (so the remainder of its task is
+// requeued, not lost), and returns ctx's error. cmd/nowworker wires
+// SIGINT/SIGTERM to this.
 func RunWorkerWithOptions(ctx context.Context, name string, conn msg.Conn, sc *scene.Scene, opts WorkerOptions) error {
 	// The loop's Range holder is made here and goes with the loop.
 	err := runWorkerLoop(ctx, name, conn, sc, opts, new(rangeHolder))

@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"nowrender/internal/anim"
 	"nowrender/internal/cluster"
 	"nowrender/internal/farm"
 	"nowrender/internal/fb"
@@ -37,7 +36,6 @@ import (
 	"nowrender/internal/objspace"
 	"nowrender/internal/partition"
 	"nowrender/internal/queue"
-	"nowrender/internal/scene"
 	"nowrender/internal/sched"
 	"nowrender/internal/stats"
 	"nowrender/internal/timeline"
@@ -594,7 +592,7 @@ func (s *Service) render(j *job) error {
 		// split at camera cuts (the coherence engine is only valid within
 		// a camera-stationary sequence), and drive the farm over each run.
 		if anyLead {
-			runs := missingRuns(missing, spec.StartFrame, j.scene)
+			runs := missingRuns(missing, spec.StartFrame)
 			for _, r := range runs {
 				if err := j.ctx.Err(); err != nil {
 					return err
@@ -637,14 +635,10 @@ func (s *Service) render(j *job) error {
 }
 
 // missingRuns converts the missing-frame mask (indexed from offset)
-// into absolute contiguous [start, end) runs, further split at camera
-// cuts so the coherence engine never spans a cut.
-func missingRuns(missing []bool, offset int, sc *scene.Scene) [][2]int {
-	// Camera-stationary sequence boundaries: a run may not cross one.
-	cut := make(map[int]bool)
-	for _, sq := range anim.SplitSequences(sc) {
-		cut[sq.Start] = true
-	}
+// into absolute contiguous [start, end) runs. A run may span a camera
+// cut: the farm's master tiles each camera-stationary sequence on its
+// own.
+func missingRuns(missing []bool, offset int) [][2]int {
 	var runs [][2]int
 	for i := 0; i < len(missing); {
 		if !missing[i] {
@@ -652,7 +646,7 @@ func missingRuns(missing []bool, offset int, sc *scene.Scene) [][2]int {
 			continue
 		}
 		start := i
-		for i < len(missing) && missing[i] && (i == start || !cut[offset+i]) {
+		for i < len(missing) && missing[i] {
 			i++
 		}
 		runs = append(runs, [2]int{offset + start, offset + i})

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -345,26 +346,51 @@ func TestObjSpaceJob(t *testing.T) {
 
 // TestMissingRuns covers the gap-grouping used for overlapping jobs.
 func TestMissingRuns(t *testing.T) {
-	s := New(Config{})
-	defer s.Close()
-	st, err := s.Submit(JobSpec{Scene: "newton:6", W: 8, H: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitDone(t, s, st.ID)
-	s.mu.Lock()
-	sc := s.jobs[st.ID].scene
-	s.mu.Unlock()
-
-	runs := missingRuns([]bool{true, false, true, true, false, true}, 0, sc)
-	want := [][2]int{{0, 1}, {2, 4}, {5, 6}}
-	if len(runs) != len(want) {
+	runs := missingRuns([]bool{true, false, true, true, false, true}, 10)
+	want := [][2]int{{10, 11}, {12, 14}, {15, 16}}
+	if !slices.Equal(runs, want) {
 		t.Fatalf("runs = %v, want %v", runs, want)
 	}
-	for i := range want {
-		if runs[i] != want[i] {
-			t.Fatalf("runs = %v, want %v", runs, want)
-		}
+}
+
+// TestCoherentJobOverCameraCut renders the gallery's camera cut under
+// coherence in one farm run — the master splits the run at the cut — and
+// gets the frames of a plain render.
+func TestCoherentJobOverCameraCut(t *testing.T) {
+	const frames = 8
+	for _, driver := range []string{"local", "virtual"} {
+		t.Run(driver, func(t *testing.T) {
+			render := func(plain bool) ([]*fb.Framebuffer, uint64) {
+				s := New(Config{})
+				defer s.Close()
+				st, err := s.Submit(JobSpec{Scene: "gallery:8", W: 40, H: 30, Driver: driver, Plain: plain})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st = waitDone(t, s, st.ID); st.State != StateDone {
+					t.Fatalf("plain=%v: %s (%s)", plain, st.State, st.Error)
+				}
+				var out []*fb.Framebuffer
+				for f := 0; f < frames; f++ {
+					img, err := s.Frame(st.ID, f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, img)
+				}
+				return out, s.FleetStats().Leases
+			}
+			want, _ := render(true)
+			got, leases := render(false)
+			if leases != 1 {
+				t.Errorf("coherent job made %d farm runs, want 1", leases)
+			}
+			for f := range want {
+				if !bytes.Equal(got[f].Pix, want[f].Pix) {
+					t.Errorf("frame %d differs from the plain render", f)
+				}
+			}
+		})
 	}
 }
 

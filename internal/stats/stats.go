@@ -152,7 +152,7 @@ func (w WorkerStats) Utilisation(total time.Duration) float64 {
 // farm run: workers retired, frames requeued or quarantined, duplicate
 // and malformed messages absorbed. Like RayCounters they are plain
 // values owned by one goroutine (the master loop) and combined with
-// Merge when runs are aggregated (RenderAuto, the service).
+// Merge when runs are aggregated (the service).
 type FaultCounters struct {
 	// WorkersLost counts workers retired for any reason: connection
 	// failure (TagDown), graceful departure (TagBye), heartbeat or

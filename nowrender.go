@@ -238,14 +238,12 @@ type (
 	RunStats = stats.RunStats
 	// RayCounters tallies rays by kind.
 	RayCounters = stats.RayCounters
+	// WorkerOptions tune the local side of a worker.
+	WorkerOptions = farm.WorkerOptions
 )
 
 // RenderFarmVirtual runs the farm on the deterministic virtual NOW.
 func RenderFarmVirtual(cfg FarmConfig) (*FarmResult, error) { return farm.RenderVirtual(cfg) }
-
-// RenderFarmAuto splits the animation at camera cuts and renders each
-// camera-stationary sequence on the virtual NOW, concatenating results.
-func RenderFarmAuto(cfg FarmConfig) (*FarmResult, error) { return farm.RenderAuto(cfg) }
 
 // RenderFarmLocal runs the farm with goroutine workers over the message
 // protocol, in wall-clock time.
@@ -260,12 +258,10 @@ func RenderFarmSingle(cfg FarmConfig, m Machine) (*FarmResult, error) {
 // Worker protocol access for custom deployments (TCP workers on a real
 // NOW); see cmd/nowworker and cmd/nowrender.
 var (
-	// RunWorker executes the slave side of the farm protocol.
-	RunWorker = farm.RunWorker
-	// RunWorkerCtx is RunWorker with graceful shutdown: on cancellation
-	// the worker finishes its in-flight frame, tells the master where it
-	// stopped, and exits.
-	RunWorkerCtx = farm.RunWorkerCtx
+	// RunWorker executes the slave side of the farm protocol until
+	// shutdown; on cancellation the worker finishes its in-flight frame,
+	// tells the master where it stopped, and exits.
+	RunWorker = farm.RunWorkerWithOptions
 	// RunMaster drives the master side over an attached hub.
 	RunMaster = farm.RunMaster
 )
