@@ -356,11 +356,11 @@ func BenchmarkMeshIntersectT(b *testing.B) {
 func BenchmarkRouterIntersect(b *testing.B) {
 	sc, log := meshGalleryRays(b)
 	var st objspace.Stats
-	cl, err := objspace.Build(sc, 0, trace.Options{}, objspace.Options{Shards: 4, Stats: &st})
+	cl, err := objspace.Build(sc, 0, trace.Options{}, objspace.Options{Shards: 4})
 	if err != nil {
 		b.Fatal(err)
 	}
-	wk := cl.NewWorker(nil)
+	wk := cl.WorkersFor(&st)(nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -73,11 +73,11 @@ func run(frames, w, h, shards int, objPath, outDir string) error {
 	for f := 0; f < sc.Frames; f++ {
 		img := nowrender.NewFramebuffer(w, h)
 		if shards >= 2 {
-			cl, err := objspace.Build(sc, f, trace.Options{}, objspace.Options{Shards: shards, Stats: &stats})
+			cl, err := objspace.Build(sc, f, trace.Options{}, objspace.Options{Shards: shards})
 			if err != nil {
 				return err
 			}
-			cl.NewWorker(nil).RenderFull(img)
+			cl.WorkersFor(&stats)(nil).RenderFull(img)
 		} else {
 			frame, err := nowrender.RenderFrame(sc, f, w, h)
 			if err != nil {

@@ -30,10 +30,11 @@
 // engine is built to run on subregions so the parallel decompositions of
 // §3 can each own an engine. Engines over the same frames of the same
 // scene — the blocks frame division hands one worker — share a Range:
-// the scene checks, the movers and the grid, each frame's tracer, each
-// mover's voxels per frame and each frame pair's changed voxels are built
-// once per Range, and an engine keeps only what depends on its region
-// (its pixels' registrations, its dirty mask, its previous frame).
+// the scene checks, the movers and the grid, each frame's tracer or
+// object-space cluster, each mover's voxels per frame and each frame
+// pair's changed voxels are built once per Range, and an engine keeps
+// only what depends on its region (its pixels' registrations, its dirty
+// mask, its previous frame).
 //
 // # Concurrency
 //
@@ -277,32 +278,23 @@ func (e *Engine) RenderFrame(frame int, dst *fb.Framebuffer) (FrameReport, error
 	}
 
 	// No Observer here: each tile worker gets its own registration
-	// collector in renderTiles. With object-space shards the replicated
-	// tracer is swapped for a per-frame sharded cluster; every tile
-	// worker routes its rays through the same partition, so the
-	// byte-identity of the sharded path carries straight through the
-	// coherence machinery. The replicated tracer is the Range's: the
-	// first engine to reach the frame builds it for all of them.
-	var newWorker func(trace.RayObserver) *trace.Worker
+	// collector in renderTiles. The frame's geometry is the Range's — the
+	// first engine to reach the frame builds it for all of them — and with
+	// object-space shards it is a sharded cluster: every tile worker routes
+	// its rays through the same partition, so the byte-identity of the
+	// sharded path carries straight through the coherence machinery.
+	g, err := e.rng.geo.At(frame)
+	if err != nil {
+		return FrameReport{}, err
+	}
 	var fwd0 uint64
-	if e.opts.ObjSpaceShards >= 2 {
-		cl, err := objspace.Build(e.rng.sc, frame, e.rng.topts, objspace.Options{Shards: e.opts.ObjSpaceShards, Stats: e.objStats})
-		if err != nil {
-			return FrameReport{}, err
-		}
-		newWorker = cl.NewWorker
+	if e.objStats != nil {
 		fwd0 = e.objStats.RaysForwarded()
-	} else {
-		ft, err := e.rng.tracer(frame)
-		if err != nil {
-			return FrameReport{}, err
-		}
-		newWorker = ft.NewWorker
 	}
 
 	rep := FrameReport{Frame: frame}
 	fwdSpan := e.opts.TimelineTrack.Begin()
-	e.renderTiles(newWorker, frame, dst, &rep)
+	e.renderTiles(g.NewWorkers(e.objStats), frame, dst, &rep)
 	if e.objStats != nil {
 		rep.Forwarded = e.objStats.RaysForwarded() - fwd0
 		e.opts.TimelineTrack.EndArg(timeline.OpForward, frame, fwdSpan, int64(rep.Forwarded))

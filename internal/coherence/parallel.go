@@ -129,9 +129,9 @@ func (e *Engine) compactArenas() {
 // thread count cannot change a single output byte; counters are merged
 // in worker-slot order at the barrier, and which slot holds a pixel's
 // run changes neither its contents nor any count (see regCollector).
-// newWorker abstracts over trace.FrameTracer.NewWorker (the replicated
-// path) and objspace.Cluster.NewWorker (the sharded path): both yield a
-// trace.Worker wired to the given observer.
+// newWorker is the frame's Geometry.NewWorkers: over the replicated
+// tracer or through the sharded cluster, it yields a trace.Worker wired
+// to the given observer.
 func (e *Engine) renderTiles(newWorker func(trace.RayObserver) *trace.Worker, frame int, dst *fb.Framebuffer, rep *FrameReport) {
 	tiles := e.Region.Blocks(trace.TileW, trace.TileH)
 	threads := e.threads()

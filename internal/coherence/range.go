@@ -14,13 +14,14 @@ import (
 	vm "nowrender/internal/vecmath"
 )
 
-// Range holds what engines over the same scene, frame range and tracer
-// options share whatever their region: the validated scene and its
-// stationary camera, the objects that move in the range and the
-// registration grid over their swept bounds, each frame's tracer, each
-// mover's voxels at each frame and the changed voxels of each frame pair.
-// Frame division gives a worker several blocks of the same frames; with
-// one Range behind its block engines the worker builds each of these once
+// Range holds what engines over the same scene, frame range, tracer
+// options and shard count share whatever their region: the validated
+// scene and its stationary camera, the objects that move in the range and
+// the registration grid over their swept bounds, each frame's geometry
+// (its tracer, or its object-space cluster — see Frames), each mover's
+// voxels at each frame and the changed voxels of each frame pair. Frame
+// division gives a worker several blocks of the same frames; with one
+// Range behind its block engines the worker builds each of these once
 // instead of once per block.
 //
 // Everything past the grid is filled by the first engine that asks for
@@ -38,7 +39,9 @@ import (
 type Range struct {
 	sc         *scene.Scene
 	start, end int // end exclusive
-	topts      trace.Options
+	// geo is each frame's geometry, built by the first engine to reach
+	// the frame.
+	geo *Frames
 
 	// grid is the registration grid, identical for every frame of the
 	// range; nil when nothing moves in it, and then movers is empty and
@@ -48,10 +51,6 @@ type Range struct {
 
 	// mu guards the lazy fills below and the counters.
 	mu sync.Mutex
-	// tracers[f-start] is frame f's tracer once built. Nil for the private
-	// Range behind NewEngine: its tracers are built for the frame in
-	// flight and not kept.
-	tracers []*trace.FrameTracer
 	// lists[(f-start)*len(movers)+m] is mover m's voxels at frame f, nil
 	// until voxelised. The lists are kept per mover and frame, not as a
 	// per-frame union, so that an object that has come to rest stops
@@ -80,23 +79,24 @@ type changeSet struct {
 	n         int
 }
 
-// RangeStats counts what a Range has built so far and the tracers it
-// holds — how tests tell shared work from repeated work.
+// RangeStats counts what a Range has built so far and the frame geometry
+// it holds — how tests tell shared work from repeated work.
 type RangeStats struct {
 	// Movers is the number of objects that move in the range, Engines the
 	// number of engines made from it.
 	Movers, Engines int
-	// TracersBuilt counts trace.New calls, TracersHeld the tracers kept
-	// (always 0 for the private Range behind NewEngine).
-	TracersBuilt, TracersHeld int
+	// FramesBuilt counts frame geometries built (trace.New, or
+	// objspace.Build on a sharded Range), FramesHeld the ones kept (always
+	// 0 for the private Range behind NewEngine).
+	FramesBuilt, FramesHeld int
 	// Voxelisations counts (mover, frame) voxel lists built, ChangeSets
 	// the frame pairs resolved.
 	Voxelisations, ChangeSets int
 }
 
 // tracerOptions is the part of Options that reaches the per-frame tracer
-// (and, through GridRes, the registration grid): the part engines sharing
-// a Range must agree on.
+// (and, through GridRes, the registration grid): with the shard count,
+// the part engines sharing a Range must agree on.
 func (o Options) tracerOptions() trace.Options {
 	return trace.Options{
 		GridRes:         o.GridRes,
@@ -108,9 +108,10 @@ func (o Options) tracerOptions() trace.Options {
 
 // NewRange prepares the state engines over frames [start, end) of the
 // scene share; opts contributes its tracer fields (GridRes,
-// SamplesPerPixel, AAThreshold, AASamples). The scene is validated, the
-// camera checked stationary across the range, and the movers' swept
-// bounds are gathered here, once, however many engines follow.
+// SamplesPerPixel, AAThreshold, AASamples) and ObjSpaceShards. The scene
+// is validated, the camera checked stationary across the range, and the
+// movers' swept bounds are gathered here, once, however many engines
+// follow.
 func NewRange(sc *scene.Scene, start, end int, opts Options) (*Range, error) {
 	return newRange(sc, start, end, opts, false)
 }
@@ -119,8 +120,9 @@ func newRange(sc *scene.Scene, start, end int, opts Options, private bool) (*Ran
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	if start < 0 || end > sc.Frames || start >= end {
-		return nil, fmt.Errorf("coherence: bad frame range [%d,%d) for %d frames", start, end, sc.Frames)
+	geo, err := newFrames(sc, start, end, opts.tracerOptions(), opts.ObjSpaceShards, private)
+	if err != nil {
+		return nil, err
 	}
 	cam0 := sc.CameraAt(start)
 	for f := start + 1; f < end; f++ {
@@ -128,16 +130,13 @@ func newRange(sc *scene.Scene, start, end int, opts Options, private bool) (*Ran
 			return nil, fmt.Errorf("coherence: camera moves at frame %d; split the sequence first", f)
 		}
 	}
-	r := &Range{sc: sc, start: start, end: end, topts: opts.tracerOptions()}
+	r := &Range{sc: sc, start: start, end: end, geo: geo}
 	if err := r.layGrid(); err != nil {
 		return nil, err
 	}
 	n := end - start
 	r.pairs = make([]changeSet, n)
 	r.lists = make([][]int32, n*len(r.movers))
-	if !private {
-		r.tracers = make([]*trace.FrameTracer, n)
-	}
 	r.stats.Movers = len(r.movers)
 	return r, nil
 }
@@ -145,22 +144,34 @@ func newRange(sc *scene.Scene, start, end int, opts Options, private bool) (*Ran
 // Matches reports whether the Range is the one NewRange would build for
 // these arguments, so that a holder can keep it for the next engine.
 func (r *Range) Matches(sc *scene.Scene, start, end int, opts Options) bool {
-	return r.sc == sc && r.start == start && r.end == end && r.topts == opts.tracerOptions()
+	return r.sc == sc && r.start == start && r.end == end && r.agrees(opts)
 }
+
+// agrees reports whether opts build frames the way the Range's are built.
+func (r *Range) agrees(opts Options) bool {
+	return r.geo.topts == opts.tracerOptions() && r.geo.shards == opts.ObjSpaceShards
+}
+
+// Frames returns the Range's frame geometry, for renders of the same
+// frames that need no engine.
+func (r *Range) Frames() *Frames { return r.geo }
 
 // Stats returns the Range's build counters.
 func (r *Range) Stats() RangeStats {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
+	st := r.stats
+	r.mu.Unlock()
+	_, st.FramesBuilt, st.FramesHeld = r.geo.Stats()
+	return st
 }
 
 // NewEngine prepares a coherence engine over the range, rendering only
 // pixels inside region of a w x h frame. opts must carry the tracer
-// fields the Range was made with.
+// fields and the shard count the Range was made with.
 func (r *Range) NewEngine(w, h int, region fb.Rect, opts Options) (*Engine, error) {
-	if opts.tracerOptions() != r.topts {
-		return nil, fmt.Errorf("coherence: engine tracer options %+v differ from the range's %+v", opts.tracerOptions(), r.topts)
+	if !r.agrees(opts) {
+		return nil, fmt.Errorf("coherence: engine tracer options %+v at %d shards differ from the range's %+v at %d",
+			opts.tracerOptions(), opts.ObjSpaceShards, r.geo.topts, r.geo.shards)
 	}
 	full := fb.NewRect(0, 0, w, h)
 	if region.Empty() || region.Intersect(full) != region {
@@ -179,9 +190,6 @@ func (r *Range) NewEngine(w, h int, region fb.Rect, opts Options) (*Engine, erro
 	e.dirty.SetAll()
 
 	if opts.ObjSpaceShards != 0 {
-		if opts.ObjSpaceShards < 2 || opts.ObjSpaceShards > objspace.MaxShards {
-			return nil, fmt.Errorf("coherence: object-space shard count %d outside [2,%d]", opts.ObjSpaceShards, objspace.MaxShards)
-		}
 		e.objStats = opts.ObjSpaceStats
 		if e.objStats == nil {
 			e.objStats = &objspace.Stats{}
@@ -229,8 +237,8 @@ func (r *Range) layGrid() error {
 	bounds := vm.AABB{Min: swept.Min.Max(seq.Min), Max: swept.Max.Min(seq.Max)}
 
 	nx, ny, nz := registrationResolution(bounds)
-	if r.topts.GridRes > 0 {
-		nx, ny, nz = r.topts.GridRes, r.topts.GridRes, r.topts.GridRes
+	if res := r.geo.topts.GridRes; res > 0 {
+		nx, ny, nz = res, res, res
 	}
 	g, err := grid.New(bounds, nx, ny, nz)
 	if err != nil {
@@ -259,27 +267,6 @@ func registrationResolution(bounds vm.AABB) (nx, ny, nz int) {
 		return v
 	}
 	return scale(size.X), scale(size.Y), scale(size.Z)
-}
-
-// tracer returns frame f's tracer — exactly what trace.New returns, read
-// only from here on — building it on the first request. The private Range
-// builds it for its one engine and forgets it.
-func (r *Range) tracer(f int) (*trace.FrameTracer, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.tracers != nil && r.tracers[f-r.start] != nil {
-		return r.tracers[f-r.start], nil
-	}
-	ft, err := trace.New(r.sc, f, r.topts)
-	if err != nil {
-		return nil, err
-	}
-	r.stats.TracersBuilt++
-	if r.tracers != nil {
-		r.tracers[f-r.start] = ft
-		r.stats.TracersHeld++
-	}
-	return ft, nil
 }
 
 // changes returns what changes between frames f and f+1, resolving the

@@ -177,7 +177,7 @@ func TestSharedRangeMatchesPrivate(t *testing.T) {
 		if st.Movers == 0 {
 			t.Fatalf("%s: no movers; the case shares nothing", c.name)
 		}
-		if st.Engines != len(blocks) || st.TracersBuilt != c.frames || st.TracersHeld != c.frames || st.ChangeSets != c.frames-1 ||
+		if st.Engines != len(blocks) || st.FramesBuilt != c.frames || st.FramesHeld != c.frames || st.ChangeSets != c.frames-1 ||
 			st.Voxelisations == 0 || st.Voxelisations > c.frames*st.Movers {
 			t.Errorf("%s: twelve engines over %d frames built %+v", c.name, c.frames, st)
 		}
@@ -210,7 +210,7 @@ func TestSharedRangeBoxCases(t *testing.T) {
 		}
 		st := r.Stats()
 		n := c.end - c.start
-		if st.TracersBuilt != n || st.ChangeSets != n-1 || st.Voxelisations > n*st.Movers {
+		if st.FramesBuilt != n || st.ChangeSets != n-1 || st.Voxelisations > n*st.Movers {
 			t.Errorf("%s: four engines over %d frames built %+v", c.name, n, st)
 		}
 		switch c.name {
@@ -297,7 +297,7 @@ func TestPrivateRangeKeepsNoTracer(t *testing.T) {
 		if _, err := e.RenderFrame(f, img); err != nil {
 			t.Fatal(err)
 		}
-		if st := e.rng.Stats(); st.TracersBuilt != f+1 || st.TracersHeld != 0 || e.rng.tracers != nil {
+		if st := e.rng.Stats(); st.FramesBuilt != f+1 || st.FramesHeld != 0 || e.rng.geo.held != nil {
 			t.Fatalf("after frame %d: %+v", f, st)
 		}
 	}
@@ -323,8 +323,8 @@ func TestRangeRetainedBytes(t *testing.T) {
 	r, engines := sharedEngines(t, sc, w, h, 0, frames, []fb.Rect{fb.NewRect(0, 0, 40, 40)}, Options{Threads: 1})
 	renderBlocks(t, engines, w, h, 0, frames, 1)
 	after := heap()
-	if st := r.Stats(); st.TracersHeld != frames {
-		t.Fatalf("the Range holds %d tracers, want %d", st.TracersHeld, frames)
+	if st := r.Stats(); st.FramesHeld != frames {
+		t.Fatalf("the Range holds %d tracers, want %d", st.FramesHeld, frames)
 	}
 	perFrame := (int64(after) - int64(before)) / frames
 	t.Logf("a Newton Range retains %d bytes a frame", perFrame)

@@ -2,16 +2,20 @@ package farm
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"nowrender/internal/coherence"
 	"nowrender/internal/fb"
 	"nowrender/internal/material"
 	"nowrender/internal/msg"
+	"nowrender/internal/objspace"
 	"nowrender/internal/partition"
 	"nowrender/internal/scene"
 	"nowrender/internal/scenes"
 	"nowrender/internal/stats"
+	"nowrender/internal/trace"
 )
 
 // TestWorkerBuildsEachFrameOnce: frame division gives one worker twelve
@@ -31,30 +35,12 @@ func TestWorkerBuildsEachFrameOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hub := msg.NewHub()
-	masterEnd, workerEnd := msg.Pipe(64)
-	if err := hub.Attach("worker00", masterEnd); err != nil {
-		t.Fatal(err)
-	}
 	ranges := new(rangeHolder)
-	exited := make(chan error, 1)
-	go func() {
-		err := runWorkerLoop(context.Background(), "worker00", workerEnd, sc, WorkerOptions{}, ranges)
-		workerEnd.Close()
-		exited <- err
-	}()
-	res, err := RunMaster(Config{
+	res := oneWorker(t, Config{
 		Scene: sc, W: w, H: h, Coherence: true, Workers: 1, Threads: 1,
 		Scheme:    partition.FrameDivision{BlockW: 40, BlockH: 40, Adaptive: true},
 		WireDelta: true, WireSpanCodec: true,
-	}, hub)
-	hub.Close()
-	if werr := <-exited; werr != nil {
-		t.Fatalf("worker: %v", werr)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, ranges)
 	assertFramesEqual(t, "one worker, twelve blocks", res.Frames, want)
 	if res.TasksExecuted != 12 {
 		t.Fatalf("%d tasks executed, want 12", res.TasksExecuted)
@@ -63,9 +49,107 @@ func TestWorkerBuildsEachFrameOnce(t *testing.T) {
 	if st.Engines != 12 {
 		t.Errorf("the worker's Range served %d of the twelve tasks over the same frames", st.Engines)
 	}
-	if st.TracersBuilt != frames || st.Voxelisations == 0 || st.Voxelisations > frames*st.Movers || st.ChangeSets != frames-1 {
+	if st.FramesBuilt != frames || st.Voxelisations == 0 || st.Voxelisations > frames*st.Movers || st.ChangeSets != frames-1 {
 		t.Errorf("the job built %+v, want %d tracers, at most %d voxelisations for each of %d movers, %d changed sets",
 			st, frames, frames, st.Movers, frames-1)
+	}
+}
+
+// oneWorker runs cfg's master over one real worker loop keeping ranges,
+// through a hub and the wire.
+func oneWorker(t *testing.T, cfg Config, ranges *rangeHolder) *Result {
+	t.Helper()
+	hub := msg.NewHub()
+	masterEnd, workerEnd := msg.Pipe(64)
+	if err := hub.Attach("worker00", masterEnd); err != nil {
+		t.Fatal(err)
+	}
+	exited := make(chan error, 1)
+	go func() {
+		err := runWorkerLoop(context.Background(), "worker00", workerEnd, cfg.Scene, WorkerOptions{}, ranges)
+		workerEnd.Close()
+		exited <- err
+	}()
+	res, err := RunMaster(cfg, hub)
+	hub.Close()
+	// The master may finish and close the link while the worker still
+	// sends its last TagTaskDone: RunWorkerWithOptions calls that a clean
+	// shutdown, and so does this.
+	if werr := <-exited; werr != nil && !errors.Is(werr, msg.ErrClosed) {
+		t.Fatalf("worker: %v", werr)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestPlainWorkerBuildsEachFrameOnce: frame division gives one worker
+// four blocks of the same six meshgallery frames, whose camera moves
+// every frame, so the tasks are plain. Through the real worker loop its
+// holder builds six object-space clusters — or on the replicated path six
+// tracers — for the whole job, not one per block; the frames are the
+// plain render's. The forwards the master totals are exactly those of the
+// six frames rendered whole, each counted toward the task that routed it,
+// with the clusters' resident sizes. A task on another scene replaces the
+// held frames.
+func TestPlainWorkerBuildsEachFrameOnce(t *testing.T) {
+	const w, h, frames = 80, 60, 6
+	sc := scenes.MeshGallery(frames)
+	var want []*fb.Framebuffer
+	if _, err := coherence.FullRender(sc, w, h, fb.NewRect(0, 0, w, h), 0, frames, 1,
+		func(_ int, img *fb.Framebuffer, _ stats.RayCounters) error {
+			want = append(want, img)
+			return nil
+		}); err != nil {
+		t.Fatal(err)
+	}
+	var whole objspace.Stats
+	for f := 0; f < frames; f++ {
+		cl, err := objspace.Build(sc, f, trace.Options{}, objspace.Options{Shards: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cl.WorkersFor(&whole)(nil).RenderFull(fb.New(w, h))
+	}
+	for _, shards := range []int{0, 4} {
+		ranges := new(rangeHolder)
+		res := oneWorker(t, Config{
+			Scene: sc, W: w, H: h, Workers: 1, Threads: 1, ObjSpaceShards: shards,
+			Scheme: partition.FrameDivision{BlockW: 40, BlockH: 30, Adaptive: true},
+		}, ranges)
+		assertFramesEqual(t, fmt.Sprintf("%d shards", shards), res.Frames, want)
+		if res.TasksExecuted != 4 {
+			t.Fatalf("%d shards: %d tasks executed, want 4", shards, res.TasksExecuted)
+		}
+		if asked, built, kept := ranges.geo.Stats(); asked != 4*frames || built != frames || kept != frames || ranges.cur != nil {
+			t.Errorf("%d shards: four blocks of %d frames asked the held frames %d times, built %d frames' geometry and kept %d (Range %v)",
+				shards, frames, asked, built, kept, ranges.cur)
+		}
+		if shards == 0 {
+			if res.ObjSpace.Enabled() {
+				t.Errorf("replicated job reports object-space traffic: %s", res.ObjSpace)
+			}
+			continue
+		}
+		got, ref := res.ObjSpace, whole.Snapshot()
+		if ref.RaysForwarded == 0 || ref.PeakResidentBytes == 0 {
+			t.Fatalf("the whole frames forward nothing: %+v", ref)
+		}
+		if got.RaysForwarded != ref.RaysForwarded || got.ForwardBytes != ref.ForwardBytes ||
+			got.PeakResidentBytes != ref.PeakResidentBytes || fmt.Sprint(got.PerShard) != fmt.Sprint(ref.PerShard) {
+			t.Errorf("the job's tasks total %+v, the whole frames %+v", got, ref)
+		}
+
+		held := ranges.geo
+		other := scenes.MeshGallery(frames)
+		task := partition.Task{Region: fb.NewRect(0, 0, 40, 30), StartFrame: 0, EndFrame: frames}
+		if _, err := newFrameStep(other, taskMsg{Task: task, W: w, H: h, Samples: 1, OSShards: shards}, ranges, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		if ranges.geo == held || !ranges.geo.Covers(other, 0, frames, trace.Options{SamplesPerPixel: 1}, shards) {
+			t.Error("a task on another scene was served the first scene's frames")
+		}
 	}
 }
 

@@ -310,19 +310,21 @@ func runWorkerLoop(ctx context.Context, name string, conn msg.Conn, sc *scene.Sc
 }
 
 // frameStep is the worker-side state of one task and the one place a
-// farm frame is rendered and encoded: the coherence engine (or none),
-// the object-space counters, the task framebuffer and the result
-// encoder. The real worker loop (runTask) and the virtual link drive the
-// same step, each stamping its own clock between render and encode, so
-// an option that reaches pixels on one driver reaches them on both.
+// farm frame is rendered and encoded: the coherence engine or the frames'
+// geometry, the object-space counters, the task framebuffer and the
+// result encoder. The real worker loop (runTask) and the virtual link
+// drive the same step, each stamping its own clock between render and
+// encode, so an option that reaches pixels on one driver reaches them on
+// both.
 type frameStep struct {
-	sc    *scene.Scene
-	tm    taskMsg
-	topts trace.Options
-	eng   *coherence.Engine
+	tm taskMsg
+	// eng renders a coherent task; a plain one renders straight off geo,
+	// the worker's geometry for its frames.
+	eng *coherence.Engine
+	geo *coherence.Frames
 	// osStats accumulates an object-space task's forwarding traffic and
-	// per-shard resident sizes; nil on the replicated path. osShipped is
-	// set once they have gone to the master.
+	// the resident sizes of the clusters it used; nil on the replicated
+	// path. osShipped is set once they have gone to the master.
 	osStats   *objspace.Stats
 	osShipped bool
 	buf       *fb.Framebuffer
@@ -334,15 +336,36 @@ type frameStep struct {
 	tiles []*timeline.Track
 }
 
-// rangeHolder is what a worker keeps between tasks: the coherence.Range
-// of the coherent task it ran last, so that the next block of the same
-// frames finds every frame's tracer, the motion grid and the changed
-// voxels already built. It holds exactly one Range — a task over another
-// scene, other frames (a stolen sub-range) or other tracer options
-// replaces it — and whoever owns the holder (a worker loop, a virtual
-// machine) drops it with itself.
+// rangeHolder is what a worker keeps between tasks: the geometry of the
+// frames its last task rendered — each frame's tracer, or its
+// object-space cluster — and, when that task was coherent, the
+// coherence.Range built over it with the motion grid and the changed
+// voxels. So the next block of the same frames finds all of it already
+// built: a worker builds each frame once, not once per block. It holds
+// one set of frames at most. A plain task whose frames it covers reuses
+// it; a coherent task needs its exact Range. Anything else — another
+// scene, other tracer options or shards, frames outside it — replaces it,
+// and whoever owns the holder (a worker loop, a virtual machine) drops it
+// with itself.
 type rangeHolder struct {
-	cur *coherence.Range
+	geo *coherence.Frames
+	cur *coherence.Range // nil unless geo is cur's
+}
+
+// framesFor returns the held frames if they cover the task's, new ones
+// (which it holds from now on) otherwise.
+func (h *rangeHolder) framesFor(sc *scene.Scene, start, end int, topts trace.Options, shards int) (*coherence.Frames, error) {
+	if h.geo != nil && h.geo.Covers(sc, start, end, topts, shards) {
+		return h.geo, nil
+	}
+	// Let the old frames go first: the two need not be live together.
+	h.geo, h.cur = nil, nil
+	geo, err := coherence.NewFrames(sc, start, end, topts, shards)
+	if err != nil {
+		return nil, err
+	}
+	h.geo = geo
+	return geo, nil
 }
 
 // rangeFor returns the held Range if it is the task's, a new one (which
@@ -351,54 +374,54 @@ func (h *rangeHolder) rangeFor(sc *scene.Scene, start, end int, opts coherence.O
 	if h.cur != nil && h.cur.Matches(sc, start, end, opts) {
 		return h.cur, nil
 	}
-	// Let the old Range go first: the two need not be live together.
-	h.cur = nil
+	h.geo, h.cur = nil, nil
 	r, err := coherence.NewRange(sc, start, end, opts)
 	if err != nil {
 		return nil, err
 	}
-	h.cur = r
+	h.geo, h.cur = r.Frames(), r
 	return r, nil
 }
 
-// newFrameStep builds the render state for a decoded task. A coherent
-// task's engine is made from the Range in ranges. main and tiles receive
-// the engine's change-detect and tile spans (nil = none).
+// newFrameStep builds the render state for a decoded task: a coherent
+// task's engine is made from the Range in ranges, a plain task renders
+// off the frames in ranges. main and tiles receive the engine's
+// change-detect and tile spans (nil = none).
 func newFrameStep(sc *scene.Scene, tm taskMsg, ranges *rangeHolder, main *timeline.Track, tiles []*timeline.Track) (*frameStep, error) {
-	s := &frameStep{
-		sc: sc, tm: tm, main: main, tiles: tiles,
-		topts: trace.Options{
-			SamplesPerPixel: tm.Samples, GridRes: tm.GridRes,
-			AAThreshold: tm.AAThreshold, AASamples: tm.AASamples,
-		},
-		buf: fb.New(tm.W, tm.H),
-	}
+	s := &frameStep{tm: tm, main: main, tiles: tiles, buf: fb.New(tm.W, tm.H)}
 	if tm.OSShards >= 2 {
 		s.osStats = &objspace.Stats{}
 	}
-	if tm.Coherence {
-		copts := coherence.Options{
-			SamplesPerPixel:  tm.Samples,
-			GridRes:          tm.GridRes,
-			BlockGranularity: tm.BlockGran,
-			AAThreshold:      tm.AAThreshold,
-			AASamples:        tm.AASamples,
-			Threads:          tm.Threads,
-			TimelineTrack:    main,
-			TileTracks:       tiles,
+	t := tm.Task
+	if !tm.Coherence {
+		topts := trace.Options{
+			SamplesPerPixel: tm.Samples, GridRes: tm.GridRes,
+			AAThreshold: tm.AAThreshold, AASamples: tm.AASamples,
 		}
-		if s.osStats != nil {
-			copts.ObjSpaceShards = tm.OSShards
-			copts.ObjSpaceStats = s.osStats
-		}
-		t := tm.Task
-		r, err := ranges.rangeFor(sc, t.StartFrame, t.EndFrame, copts)
-		if err != nil {
+		var err error
+		if s.geo, err = ranges.framesFor(sc, t.StartFrame, t.EndFrame, topts, tm.OSShards); err != nil {
 			return nil, err
 		}
-		if s.eng, err = r.NewEngine(tm.W, tm.H, t.Region, copts); err != nil {
-			return nil, err
-		}
+		return s, nil
+	}
+	copts := coherence.Options{
+		SamplesPerPixel:  tm.Samples,
+		GridRes:          tm.GridRes,
+		BlockGranularity: tm.BlockGran,
+		AAThreshold:      tm.AAThreshold,
+		AASamples:        tm.AASamples,
+		Threads:          tm.Threads,
+		ObjSpaceShards:   tm.OSShards,
+		ObjSpaceStats:    s.osStats,
+		TimelineTrack:    main,
+		TileTracks:       tiles,
+	}
+	r, err := ranges.rangeFor(sc, t.StartFrame, t.EndFrame, copts)
+	if err != nil {
+		return nil, err
+	}
+	if s.eng, err = r.NewEngine(tm.W, tm.H, t.Region, copts); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -429,23 +452,17 @@ func (s *frameStep) render(f int) (frameDoneMsg, cluster.Work, error) {
 			MemoryMB:      t.MemoryMB(),
 		}, nil
 	}
+	g, err := s.geo.At(f)
+	if err != nil {
+		return fd, cluster.Work{}, err
+	}
+	var fwd0 uint64
 	if s.osStats != nil {
-		fwd0 := s.osStats.RaysForwarded()
-		cl, err := objspace.Build(s.sc, f, s.topts, objspace.Options{Shards: s.tm.OSShards, Stats: s.osStats})
-		if err != nil {
-			return fd, cluster.Work{}, err
-		}
-		ft := cl.Tracer()
-		ft.RenderRegionParallelWorkers(s.buf, t.Region, s.tm.Threads, f, s.tiles, cl.NewWorker)
-		fd.Rays = ft.Counters
+		fwd0 = s.osStats.RaysForwarded()
+	}
+	fd.Rays = trace.RenderTiles(s.buf, t.Region, s.tm.Threads, f, s.tiles, g.NewWorkers(s.osStats))
+	if s.osStats != nil {
 		s.main.Instant(timeline.OpForward, f, int64(s.osStats.RaysForwarded()-fwd0))
-	} else {
-		ft, err := trace.New(s.sc, f, s.topts)
-		if err != nil {
-			return fd, cluster.Work{}, err
-		}
-		ft.RenderRegionParallelTimed(s.buf, t.Region, s.tm.Threads, f, s.tiles)
-		fd.Rays = ft.Counters
 	}
 	return fd, cluster.Work{Rays: fd.Rays.Total(), MemoryMB: t.PlainMemoryMB()}, nil
 }

@@ -41,17 +41,14 @@ func (b *Box) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
 // HitAt implements Shape.
 func (b *Box) HitAt(r vm.Ray, t float64, _ int32) Hit {
 	p := r.At(t)
-	outward, axis := b.normalAt(p)
 	// For an exit hit the outward normal points along the ray, so
 	// faceForward both flips it and flags the hit as inside.
-	n, inside := faceForward(outward, r.Dir)
-	u, v := boxUV(b, p, axis)
-	return Hit{T: t, Point: p, Normal: n, Inside: inside, U: u, V: v}
+	n, inside := faceForward(b.normalAt(p), r.Dir)
+	return Hit{T: t, Point: p, Normal: n, Inside: inside}
 }
 
-// normalAt returns the outward normal of the face nearest to p and the
-// axis index of that face.
-func (b *Box) normalAt(p vm.Vec3) (vm.Vec3, int) {
+// normalAt returns the outward normal of the face nearest to p.
+func (b *Box) normalAt(p vm.Vec3) vm.Vec3 {
 	bestAxis, bestSign, bestDist := 0, 1.0, math.Inf(1)
 	for axis := 0; axis < 3; axis++ {
 		if d := math.Abs(p.Axis(axis) - b.Min.Axis(axis)); d < bestDist {
@@ -61,16 +58,7 @@ func (b *Box) normalAt(p vm.Vec3) (vm.Vec3, int) {
 			bestDist, bestAxis, bestSign = d, axis, 1
 		}
 	}
-	return vm.Vec3{}.SetAxis(bestAxis, bestSign), bestAxis
-}
-
-func boxUV(b *Box, p vm.Vec3, axis int) (float64, float64) {
-	ua := (axis + 1) % 3
-	va := (axis + 2) % 3
-	size := b.Max.Sub(b.Min)
-	u := (p.Axis(ua) - b.Min.Axis(ua)) / math.Max(size.Axis(ua), vm.Eps)
-	v := (p.Axis(va) - b.Min.Axis(va)) / math.Max(size.Axis(va), vm.Eps)
-	return u, v
+	return vm.Vec3{}.SetAxis(bestAxis, bestSign)
 }
 
 // Bounds implements Shape.
@@ -96,7 +84,7 @@ func (d *Disc) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
 
 // HitAt implements Shape.
 func (d *Disc) HitAt(r vm.Ray, t float64, _ int32) Hit {
-	return discHit(r, t, d.Center, d.Normal, d.Radius)
+	return discHit(r, t, d.Normal)
 }
 
 // discT is the plane-then-radius test of the disc (center, normal,
@@ -116,17 +104,10 @@ func discT(r vm.Ray, tMin, tMax float64, center, normal vm.Vec3, radius float64)
 	return t, true
 }
 
-// discHit completes the hit discT found.
-func discHit(r vm.Ray, t float64, center, normal vm.Vec3, radius float64) Hit {
-	p := r.At(t)
-	rel := p.Sub(center)
+// discHit completes the hit discT found on a disc with the given normal.
+func discHit(r vm.Ray, t float64, normal vm.Vec3) Hit {
 	n, inside := faceForward(normal, r.Dir)
-	onb := vm.NewONB(normal)
-	return Hit{
-		T: t, Point: p, Normal: n, Inside: inside,
-		U: rel.Dot(onb.U)/radius*0.5 + 0.5,
-		V: rel.Dot(onb.V)/radius*0.5 + 0.5,
-	}
+	return Hit{T: t, Point: r.At(t), Normal: n, Inside: inside}
 }
 
 // Bounds implements Shape.

@@ -94,9 +94,9 @@ func (c *Cone) slope() float64 { return (c.CapRadius - c.BaseRadius) / c.height 
 func (c *Cone) HitAt(r vm.Ray, t float64, part int32) Hit {
 	switch part {
 	case partBase:
-		return discHit(r, t, c.Base, c.axis.Neg(), c.BaseRadius)
+		return discHit(r, t, c.axis.Neg())
 	case partCap:
-		return discHit(r, t, c.Cap, c.axis, c.CapRadius)
+		return discHit(r, t, c.axis)
 	}
 	h := r.Origin.Sub(c.Base).Dot(c.axis) + t*r.Dir.Dot(c.axis)
 	p := r.At(t)
@@ -104,9 +104,7 @@ func (c *Cone) HitAt(r vm.Ray, t float64, part int32) Hit {
 	// Outward normal tilts along the axis by the slope.
 	outward := radial.Scale(1 / radial.Len()).Sub(c.axis.Scale(c.slope())).Norm()
 	normal, inside := faceForward(outward, r.Dir)
-	onb := vm.NewONB(c.axis)
-	u := 0.5 + math.Atan2(radial.Dot(onb.V), radial.Dot(onb.U))/(2*math.Pi)
-	return Hit{T: t, Point: p, Normal: normal, Inside: inside, U: u, V: h / c.height}
+	return Hit{T: t, Point: p, Normal: normal, Inside: inside}
 }
 
 // Bounds implements Shape.

@@ -78,19 +78,15 @@ func (c *Cylinder) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, boo
 func (c *Cylinder) HitAt(r vm.Ray, t float64, part int32) Hit {
 	switch part {
 	case partBase:
-		return discHit(r, t, c.Base, c.axis.Neg(), c.Radius)
+		return discHit(r, t, c.axis.Neg())
 	case partCap:
-		return discHit(r, t, c.Cap, c.axis, c.Radius)
+		return discHit(r, t, c.axis)
 	}
 	p := r.At(t)
-	h := p.Sub(c.Base).Dot(c.axis)
-	axisPt := c.Base.Add(c.axis.Scale(h))
+	axisPt := c.Base.Add(c.axis.Scale(p.Sub(c.Base).Dot(c.axis)))
 	outward := p.Sub(axisPt).Scale(1 / c.Radius)
 	normal, inside := faceForward(outward, r.Dir)
-	// Cylindrical parameterisation.
-	onb := vm.NewONB(c.axis)
-	u := 0.5 + math.Atan2(outward.Dot(onb.V), outward.Dot(onb.U))/(2*math.Pi)
-	return Hit{T: t, Point: p, Normal: normal, Inside: inside, U: u, V: h / c.height}
+	return Hit{T: t, Point: p, Normal: normal, Inside: inside}
 }
 
 // Bounds implements Shape.

@@ -36,11 +36,7 @@ func (p *Plane) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) 
 func (p *Plane) HitAt(r vm.Ray, t float64, _ int32) Hit {
 	pt := r.At(t)
 	normal, inside := faceForward(p.Normal, r.Dir)
-	// Planar parameterisation: project onto the two tangent axes.
-	onb := vm.NewONB(p.Normal)
-	u := pt.Dot(onb.U)
-	v := pt.Dot(onb.V)
-	return Hit{T: t, Point: pt, Normal: normal, Inside: inside, U: u, V: v}
+	return Hit{T: t, Point: pt, Normal: normal, Inside: inside}
 }
 
 // Bounds implements Shape. Planes are unbounded; return a huge slab

@@ -6,8 +6,8 @@
 //
 // All primitives implement Shape. Intersection is two-phase: IntersectT
 // decides whether and where a ray meets the surface (the nearest
-// parameter t in (tMin, tMax)), HitAt completes the point, normal and
-// texture coordinates for the one candidate that wins the ray. Spatial
+// parameter t in (tMin, tMax)), HitAt completes the point and normal for
+// the one candidate that wins the ray. Spatial
 // acceleration across objects lives in internal/grid; inside one object
 // the routines are closed-form, except Mesh, which walks a hierarchy of
 // its own over its triangles to the answer the exhaustive loop gives.
@@ -32,9 +32,6 @@ type Hit struct {
 	// Inside is true when the ray origin was inside the closed surface —
 	// needed to pick the right refraction index ratio.
 	Inside bool
-	// U, V are surface parameterisation coordinates used by procedural
-	// textures (checker, brick).
-	U, V float64
 }
 
 // Shape is a geometric surface a ray can hit. The ray travels by value:
@@ -57,7 +54,7 @@ type Shape interface {
 
 // Intersect returns the nearest hit of r on s with t in (tMin, tMax):
 // both phases in one call, for callers that test one shape at a time and
-// want the whole Hit (object-space forwarding, tests).
+// want the whole Hit (the tests of every package that builds shapes).
 func Intersect(s Shape, r vm.Ray, tMin, tMax float64) (Hit, bool) {
 	t, part, ok := s.IntersectT(r, tMin, tMax)
 	if !ok {

@@ -1,8 +1,6 @@
 package geom
 
 import (
-	"math"
-
 	vm "nowrender/internal/vecmath"
 )
 
@@ -42,10 +40,7 @@ func (s *Sphere) HitAt(r vm.Ray, t float64, _ int32) Hit {
 	p := r.At(t)
 	outward := p.Sub(s.Center).Scale(1 / s.Radius)
 	normal, inside := faceForward(outward, r.Dir)
-	// Spherical parameterisation for textures.
-	u := 0.5 + math.Atan2(outward.Z, outward.X)/(2*math.Pi)
-	v := 0.5 - math.Asin(vm.Clamp(outward.Y, -1, 1))/math.Pi
-	return Hit{T: t, Point: p, Normal: normal, Inside: inside, U: u, V: v}
+	return Hit{T: t, Point: p, Normal: normal, Inside: inside}
 }
 
 // Bounds implements Shape.

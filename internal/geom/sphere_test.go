@@ -92,19 +92,6 @@ func TestSphereBounds(t *testing.T) {
 	}
 }
 
-func TestSphereUV(t *testing.T) {
-	s := NewSphere(vm.V(0, 0, 0), 1)
-	// Hit the north pole: v should be ~0.
-	r := vm.Ray{Origin: vm.V(0, 5, 0), Dir: vm.V(0, -1, 0)}
-	h, ok := Intersect(s, r, 0, inf)
-	if !ok {
-		t.Fatal("missed pole")
-	}
-	if math.Abs(h.V) > 1e-9 {
-		t.Errorf("north pole V = %v, want 0", h.V)
-	}
-}
-
 // Property: any hit point lies on the sphere surface and within the
 // query interval, and the normal faces the ray.
 func TestQuickSphereHitOnSurface(t *testing.T) {

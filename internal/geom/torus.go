@@ -68,9 +68,7 @@ func (to *Torus) HitAt(ray vm.Ray, t float64, _ int32) Hit {
 	ring := vm.V(p.X/ringLen*to.Major, 0, p.Z/ringLen*to.Major)
 	outward := p.Sub(ring).Norm()
 	normal, inside := faceForward(outward, ray.Dir)
-	u := 0.5 + math.Atan2(p.Z, p.X)/(2*math.Pi)
-	v := 0.5 + math.Atan2(p.Y, ringLen-to.Major)/(2*math.Pi)
-	return Hit{T: t, Point: p, Normal: normal, Inside: inside, U: u, V: v}
+	return Hit{T: t, Point: p, Normal: normal, Inside: inside}
 }
 
 // Bounds implements Shape.

@@ -60,18 +60,19 @@ func (tr *Triangle) mollerTrumbore(r vm.Ray) (t, u, v float64, ok bool) {
 	return e2.Dot(qv) * invDet, u, v, true
 }
 
-// HitAt implements Shape: it redoes Möller–Trumbore for the barycentric
-// coordinates rather than carry them through every candidate test.
+// HitAt implements Shape. A smooth triangle redoes Möller–Trumbore for the
+// barycentric coordinates its normal interpolates with, rather than carry
+// them through every candidate test; a flat one needs none.
 func (tr *Triangle) HitAt(r vm.Ray, t float64, _ int32) Hit {
-	_, u, v, _ := tr.mollerTrumbore(r)
 	var outward vm.Vec3
 	if tr.N0 != nil {
+		_, u, v, _ := tr.mollerTrumbore(r)
 		outward = tr.N0.Scale(1 - u - v).Add(tr.N1.Scale(u)).Add(tr.N2.Scale(v)).Norm()
 	} else {
 		outward = tr.P1.Sub(tr.P0).Cross(tr.P2.Sub(tr.P0)).Norm()
 	}
 	normal, inside := faceForward(outward, r.Dir)
-	return Hit{T: t, Point: r.At(t), Normal: normal, Inside: inside, U: u, V: v}
+	return Hit{T: t, Point: r.At(t), Normal: normal, Inside: inside}
 }
 
 // Bounds implements Shape.

@@ -9,8 +9,9 @@ import (
 // Walker is the state of one incremental traversal — the "modified
 // 3D-DDA" of the paper (§2), i.e. Amanatides & Woo: after initialisation
 // each step is one comparison and one addition per axis. It is the one
-// stepping primitive: Walk, AppendVoxels and the tracer's
-// Worker.Intersect all drive it, so they cannot visit different voxels.
+// stepping primitive: Walk, AppendVoxels, the tracer's Worker queries and
+// the object-space router's shard walks all drive it, so they cannot
+// visit different voxels.
 //
 //	var w grid.Walker
 //	if g.StartWalk(&w, r, tMin, tMax) {

@@ -12,9 +12,8 @@
 // space is split into Shards contiguous slabs balanced by geometry mass
 // (see MakePartition). Slab boundaries lie on voxel planes and are
 // computed with the same float arithmetic the grid itself uses, so
-// every party — local router, remote owners, the sharded coherence
-// engine — agrees bit-exactly on where one shard ends and the next
-// begins.
+// every party routing rays agrees bit-exactly on where one shard ends
+// and the next begins.
 //
 // Each shard holds only the geometry overlapping its slab: whole objects
 // whose bounds overlap, and for large triangle meshes a view of the mesh
@@ -26,19 +25,22 @@
 //
 // # Ray routing and termination
 //
-// A ray visits shards front-to-back along the partition axis. A shard
-// walks its own sub-grid (3D-DDA with per-shard mailboxes) carrying the
-// running nearest hit; when the walk leaves the slab without settling the
-// ray — no hit yet, or the best hit lies beyond the slab exit — the full
-// ray state (origin, direction, kind, depth, pixel id, t-range,
-// throughput, and the best-hit-so-far) is serialized through the
-// forwarding codec and handed to the next shard owner. The ray terminates
-// at the first shard whose exit parameter the running best hit does not
-// exceed: geometry in later slabs can only produce farther hits, because
-// any object able to hit earlier overlaps an earlier slab and was already
-// tested there. The final state routes to the frame owner, which shades
-// and recurses locally — secondary and shadow rays re-enter the same
-// routing, so no separate shadow protocol exists.
+// A ray visits shards front-to-back along the partition axis, and each
+// shard answers it as trace.Worker answers a ray on the replicated grid:
+// it steps its own sub-grid (a grid.Walker, per-shard mailboxes), and
+// every candidate reports only IntersectT's parameter and part. When the
+// walk leaves the slab without settling the ray, the ray state — the ray,
+// its t-range and the running best as (object, t, part), 104 bytes — is
+// serialized through the forwarding codec and handed to the next shard
+// owner. A nearest-hit query terminates at the first shard whose exit
+// parameter the running best does not exceed: geometry in later slabs can
+// only produce farther hits, because any object able to hit earlier
+// overlaps an earlier slab and was already tested there. The frame owner
+// then completes the one winning hit (Shape.HitAt), shades and recurses
+// locally. A shadow segment takes the tracer's any-hit query first: it
+// crosses every slab it spans until an opaque surface blocks it, and only
+// a segment meeting nothing but transmissive surfaces marches nearest
+// hits through the same routing.
 //
 // Every hop is serialized through the codec even in-process (floats
 // round-trip bit-exactly via IEEE-754 bits), so forwarded-ray and
@@ -70,10 +72,6 @@ type Options struct {
 	// Shards is the slab count; values < 2 are rejected (a 1-shard
 	// cluster is the replicated path — render without objspace instead).
 	Shards int
-	// Stats, when non-nil, accumulates forwarding counters and resident
-	// sizes across every frame cluster built with it (the farm worker
-	// keeps one per task).
-	Stats *Stats
 }
 
 // Partition is the slab decomposition of one grid's voxel index space:
@@ -238,17 +236,18 @@ func (p *Partition) SlabBounds(i int) vm.AABB {
 // geometry and sub-grids, and the frame owner's view (camera, shading
 // parameters, and the global object table rays resolve against). Build
 // once per frame; everything is read-only afterwards, so any number of
-// workers (from NewWorker) may route rays concurrently.
+// workers (from NewWorker or WorkersFor) may route rays concurrently, for
+// any number of tasks.
 type Cluster struct {
 	view  *trace.FrameTracer
 	part  Partition
 	shard []*Shard
-	// objs is the frame owner's global object table (materials and, for
-	// unbounded primitives, shapes); unbounded lists the plane-like
-	// object ids tested once per ray, in the replicated tracer's order.
+	// objs is the frame owner's global object table (materials, and the
+	// whole shapes every winning hit is completed on); unbounded lists the
+	// plane-like object ids tested once per ray, in the replicated
+	// tracer's order.
 	objs      []scene.ResolvedObject
 	unbounded []int32
-	stats     *Stats
 }
 
 // Build constructs the sharded scene for one frame. The full grid comes
@@ -268,10 +267,9 @@ func Build(sc *scene.Scene, frame int, topts trace.Options, o Options) (*Cluster
 		return nil, err
 	}
 	c := &Cluster{
-		view:  view,
-		part:  MakePartition(full, o.Shards, objs),
-		objs:  objs,
-		stats: o.Stats,
+		view: view,
+		part: MakePartition(full, o.Shards, objs),
+		objs: objs,
 	}
 	for i, ro := range objs {
 		if trace.Unbounded(ro) {
@@ -285,9 +283,6 @@ func Build(sc *scene.Scene, frame int, topts trace.Options, o Options) (*Cluster
 			return nil, err
 		}
 		c.shard[i] = s
-	}
-	if c.stats != nil {
-		c.stats.observeBuild(c)
 	}
 	return c, nil
 }
@@ -319,12 +314,26 @@ func (c *Cluster) Tracer() *trace.FrameTracer { return c.view }
 // Partition returns the cluster's slab decomposition.
 func (c *Cluster) Partition() *Partition { return &c.part }
 
-// Shard returns shard i (tests and the remote owners use this).
+// Shard returns shard i.
 func (c *Cluster) Shard(i int) *Shard { return c.shard[i] }
 
 // NewWorker returns a rendering worker whose every intersection routes
-// through the cluster's shards with per-hop serialization. One worker
-// per goroutine, as with trace.NewWorker.
+// through the cluster's shards with per-hop serialization, counted
+// nowhere. One worker per goroutine, as with trace.NewWorker.
 func (c *Cluster) NewWorker(obs trace.RayObserver) *trace.Worker {
-	return c.view.NewWorkerWith(obs, c.newRouter())
+	return c.view.NewWorkerWith(obs, c.newRouter(nil))
+}
+
+// WorkersFor is NewWorker for a task that accounts its use of the cluster
+// in st: st records the cluster's per-shard resident sizes now, and every
+// worker the returned function makes counts the rays it forwards there.
+// Tasks sharing one cluster each pass their own Stats, so a forward
+// counts toward the task whose worker routed it. A nil st counts nothing.
+func (c *Cluster) WorkersFor(st *Stats) func(trace.RayObserver) *trace.Worker {
+	if st != nil {
+		st.observe(c)
+	}
+	return func(obs trace.RayObserver) *trace.Worker {
+		return c.view.NewWorkerWith(obs, c.newRouter(st))
+	}
 }

@@ -2,13 +2,13 @@ package objspace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"nowrender/internal/fb"
-	"nowrender/internal/geom"
 	"nowrender/internal/msg"
 	"nowrender/internal/scene"
 	"nowrender/internal/scenes"
@@ -66,11 +66,11 @@ func TestShardedByteIdentity(t *testing.T) {
 		for _, shards := range []int{2, 4} {
 			ref, ft := renderReplicated(t, sc, 0, w, h, trace.Options{})
 			var st Stats
-			cl, err := Build(sc, 0, trace.Options{}, Options{Shards: shards, Stats: &st})
+			cl, err := Build(sc, 0, trace.Options{}, Options{Shards: shards})
 			if err != nil {
 				t.Fatalf("%s/%d: %v", name, shards, err)
 			}
-			wk := cl.NewWorker(nil)
+			wk := cl.WorkersFor(&st)(nil)
 			img := fb.New(w, h)
 			wk.RenderFull(img)
 			if !bytes.Equal(ref.Pix, img.Pix) {
@@ -119,34 +119,16 @@ func TestResidentShrinks(t *testing.T) {
 	sc := scenes.MeshGallery(1)
 	peak := func(shards int) uint64 {
 		var st Stats
-		if _, err := Build(sc, 0, trace.Options{}, Options{Shards: shards, Stats: &st}); err != nil {
+		cl, err := Build(sc, 0, trace.Options{}, Options{Shards: shards})
+		if err != nil {
 			t.Fatal(err)
 		}
+		cl.WorkersFor(&st)
 		return st.Snapshot().PeakResidentBytes
 	}
 	p2, p4 := peak(2), peak(4)
 	if p4 >= p2 {
 		t.Errorf("peak resident did not shrink: %d bytes at 2 shards, %d at 4", p2, p4)
-	}
-}
-
-// TestRemoteFleetByteIdentity runs the full wire topology — one owner
-// goroutine per shard over msg.Pipe links — and demands the same bytes.
-func TestRemoteFleetByteIdentity(t *testing.T) {
-	sc := scenes.MeshGallery(1)
-	const w, h = 48, 36
-	ref, _ := renderReplicated(t, sc, 0, w, h, trace.Options{})
-	var st Stats
-	cl, err := Build(sc, 0, trace.Options{}, Options{Shards: 3, Stats: &st})
-	if err != nil {
-		t.Fatal(err)
-	}
-	client := NewLocalFleet(cl)
-	defer client.Close()
-	img := fb.New(w, h)
-	client.NewWorker(nil).RenderFull(img)
-	if !bytes.Equal(ref.Pix, img.Pix) {
-		t.Error("remote fleet render differs from replicated")
 	}
 }
 
@@ -193,36 +175,40 @@ func TestBuildRejectsBadShardCounts(t *testing.T) {
 	}
 }
 
+// sampleForward is a nearest-hit query that has met a mesh triangle.
 func sampleForward() ForwardState {
-	n := vm.V(0, 1, 0)
 	return ForwardState{
-		Seq: 42, Pixel: 1234, Shard: 2,
 		Ray:  vm.Ray{Origin: vm.V(0.1, -2.5, 3e8), Dir: vm.V(-0.3, 0.9, 0.1), Kind: vm.ShadowRay, Depth: 3},
-		TMin: 1e-4, TMax: 17.25, Throughput: vm.V(0.5, 0.25, 1),
-		Found: true, BestObj: 7,
-		Best: geom.Hit{T: 4.125, Point: vm.V(1, 2, 3), Normal: n, Inside: true, U: 0.5, V: 0.75},
+		TMin: 1e-4, TMax: 17.25,
+		Obj: 7, T: 4.125, Part: 1234,
 	}
 }
 
+// sampleMiss is an any-hit query over an open ray that has met nothing.
+func sampleMiss() ForwardState {
+	fs := sampleForward()
+	fs.AnyHit, fs.TMax = true, math.Inf(1)
+	fs.Obj, fs.T, fs.Part = -1, math.Inf(1), 0
+	return fs
+}
+
+func encodeForward(fs ForwardState) []byte { return AppendForward(nil, &fs) }
+
 func TestForwardRoundTrip(t *testing.T) {
-	cases := map[string]ForwardState{"hit": sampleForward()}
-	miss := sampleForward()
-	miss.Found, miss.BestObj, miss.Best = false, -1, geom.Hit{T: math.Inf(1)}
-	miss.TMax = math.Inf(1)
-	miss.Pixel = -1
-	cases["miss-inf"] = miss
+	cases := map[string]ForwardState{"hit": sampleForward(), "miss-inf": sampleMiss()}
 	rng := vm.NewRNG(99)
 	for i := 0; i < 64; i++ {
 		fs := sampleForward()
-		fs.Seq = uint64(i)
+		fs.AnyHit = i%2 == 0
 		fs.Ray.Origin = vm.V(rng.Float64()*1e6-5e5, rng.Float64(), rng.Float64()*1e-9)
 		fs.Ray.Dir = vm.V(rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()+0.01)
-		fs.Best.T = rng.Float64() * 100
-		fs.TMax = fs.Best.T + rng.Float64()
+		fs.T = fs.TMin + 1e-3 + rng.Float64()*100
+		fs.TMax = fs.T + rng.Float64() + 1e-9
+		fs.Part = int32(rng.Intn(1 << 20))
 		cases[string(rune('a'+i))] = fs
 	}
 	for name, fs := range cases {
-		got, err := DecodeForward(EncodeForward(&fs))
+		got, err := DecodeForward(encodeForward(fs))
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
@@ -233,8 +219,7 @@ func TestForwardRoundTrip(t *testing.T) {
 }
 
 // packForward is the forward record as msg.Buffer packs it field by
-// field — the format's definition, and what EncodeForward was before it
-// became AppendForward into a fresh buffer.
+// field: the format's definition.
 func packForward(fs *ForwardState) []byte {
 	b := msg.NewBuffer()
 	vec := func(v vm.Vec3) {
@@ -242,45 +227,35 @@ func packForward(fs *ForwardState) []byte {
 		b.PackFloat(v.Y)
 		b.PackFloat(v.Z)
 	}
-	b.PackInt(int64(fs.Seq))
-	b.PackInt(int64(fs.Pixel))
-	b.PackInt(int64(fs.Shard))
-	b.PackInt(int64(fs.Ray.Kind))
-	b.PackInt(int64(fs.Ray.Depth))
 	vec(fs.Ray.Origin)
 	vec(fs.Ray.Dir)
+	kind := int64(fs.Ray.Kind)
+	if fs.AnyHit {
+		kind += 256
+	}
+	b.PackInt(kind)
+	b.PackInt(int64(fs.Ray.Depth))
 	b.PackFloat(fs.TMin)
 	b.PackFloat(fs.TMax)
-	vec(fs.Throughput)
-	b.PackBool(fs.Found)
-	b.PackInt(int64(fs.BestObj))
-	b.PackFloat(fs.Best.T)
-	vec(fs.Best.Point)
-	vec(fs.Best.Normal)
-	b.PackBool(fs.Best.Inside)
-	b.PackFloat(fs.Best.U)
-	b.PackFloat(fs.Best.V)
+	b.PackInt(int64(fs.Obj))
+	b.PackFloat(fs.T)
+	b.PackInt(int64(fs.Part))
 	return b.Bytes()
 }
 
 // TestAppendForwardIsTheWireFormat holds the append encoder to the bytes
-// msg.Buffer packs: appended after a prefix, into scratch that is reused,
-// and through EncodeForward, for a hit, a miss and an open ray.
+// msg.Buffer packs — 104 of them — appended after a prefix and into
+// scratch that is reused, for a hit, an any-hit miss over an open ray and
+// a record of negative values.
 func TestAppendForwardIsTheWireFormat(t *testing.T) {
-	hit := sampleForward()
-	miss := sampleForward()
-	miss.Found, miss.BestObj, miss.Best = false, -1, geom.Hit{T: math.Inf(1)}
-	miss.TMax, miss.Pixel = math.Inf(1), -1
 	neg := sampleForward()
-	neg.Ray.Origin, neg.Best.Inside, neg.Best.U = vm.V(-1e-300, math.Copysign(0, -1), -7), false, -0.25
+	neg.Ray.Origin, neg.Ray.Dir = vm.V(-1e-300, math.Copysign(0, -1), -7), vm.V(-1, -2, -3)
+	neg.TMin, neg.T, neg.TMax = -5, -0.25, math.Copysign(0, -1)
 	scratch := make([]byte, 0, forwardSize)
-	for name, fs := range map[string]ForwardState{"hit": hit, "miss": miss, "negatives": neg} {
+	for name, fs := range map[string]ForwardState{"hit": sampleForward(), "miss": sampleMiss(), "negatives": neg} {
 		want := packForward(&fs)
-		if len(want) != forwardSize {
-			t.Fatalf("%s: msg.Buffer packs %d bytes, forwardSize is %d", name, len(want), forwardSize)
-		}
-		if got := EncodeForward(&fs); !bytes.Equal(got, want) {
-			t.Errorf("%s: EncodeForward differs from the packed record", name)
+		if len(want) != forwardSize || forwardSize != 104 {
+			t.Fatalf("%s: msg.Buffer packs %d bytes, forwardSize is %d, want 104", name, len(want), forwardSize)
 		}
 		scratch = AppendForward(scratch[:0], &fs)
 		if !bytes.Equal(scratch, want) {
@@ -314,12 +289,12 @@ func (l *rayLog) ObserveRay(r vm.Ray, tHit float64) {
 }
 
 // TestRouterIntersectAllocatesNothing replays one frame's rays — camera,
-// shadow and secondary — through a 4-shard router: forwarding included,
-// no ray may allocate.
+// shadow and secondary — through a 4-shard router, as nearest-hit
+// queries and, for the shadow segments, as any-hit queries: forwarding
+// included, no query may allocate.
 func TestRouterIntersectAllocatesNothing(t *testing.T) {
 	sc := scenes.MeshGallery(1)
-	var st Stats
-	cl, err := Build(sc, 0, trace.Options{}, Options{Shards: 4, Stats: &st})
+	cl, err := Build(sc, 0, trace.Options{}, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,18 +303,87 @@ func TestRouterIntersectAllocatesNothing(t *testing.T) {
 	if len(log.rays) < 2000 {
 		t.Fatalf("only %d rays recorded", len(log.rays))
 	}
-	rt := cl.newRouter()
-	before := st.RaysForwarded()
-	allocs := testing.AllocsPerRun(3, func() {
-		for i, r := range log.rays {
-			rt.Intersect(r, log.tMin[i], log.tMax[i])
+	var st Stats
+	wk := cl.WorkersFor(&st)(nil)
+	for name, query := range map[string]func(i int){
+		"nearest": func(i int) { wk.Intersect(log.rays[i], log.tMin[i], log.tMax[i]) },
+		"any-hit": func(i int) {
+			if log.rays[i].Kind == vm.ShadowRay {
+				wk.Occluded(log.rays[i], log.tMin[i], log.tMax[i])
+			}
+		},
+	} {
+		before := st.RaysForwarded()
+		allocs := testing.AllocsPerRun(3, func() {
+			for i := range log.rays {
+				query(i)
+			}
+		})
+		if st.RaysForwarded() == before {
+			t.Fatalf("%s: the replay forwarded no ray", name)
 		}
-	})
-	if st.RaysForwarded() == before {
-		t.Fatal("the replay forwarded no ray")
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per %d rays through the router, want 0", name, allocs, len(log.rays))
+		}
 	}
-	if allocs != 0 {
-		t.Errorf("%v allocations per %d rays through the router, want 0", allocs, len(log.rays))
+}
+
+// TestRouterOccludedMatchesReplicated: on every shadow segment a render
+// casts, and on segments between random points of the scene, the
+// router's any-hit class is the replicated worker's at 2 and 4 shards —
+// on meshgallery's meshes and glass and on bouncing, whose glass ball
+// gives segments that cross nothing but glass.
+func TestRouterOccludedMatchesReplicated(t *testing.T) {
+	for name, sc := range map[string]*scene.Scene{
+		"meshgallery": scenes.MeshGallery(scenes.MeshGalleryFrames),
+		"bouncing":    scenes.Bouncing(30),
+	} {
+		frame := sc.Frames / 2
+		ft, err := trace.New(sc, frame, trace.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log rayLog
+		ft.NewWorker(&log).RenderFull(fb.New(48, 36))
+		var segs []vm.Ray
+		var ends []float64
+		for i, r := range log.rays {
+			if r.Kind == vm.ShadowRay {
+				segs, ends = append(segs, r), append(ends, log.tMax[i])
+			}
+		}
+		b := sc.BoundsAt(frame)
+		rng := vm.NewRNG(7)
+		at := func() vm.Vec3 {
+			return vm.V(rng.InRange(b.Min.X, b.Max.X), rng.InRange(b.Min.Y, b.Max.Y), rng.InRange(b.Min.Z, b.Max.Z))
+		}
+		for i := 0; i < 2000; i++ {
+			p, q := at(), at()
+			d := q.Sub(p)
+			segs = append(segs, vm.Ray{Origin: p, Dir: d.Scale(1 / d.Len()), Kind: vm.ShadowRay})
+			ends = append(ends, d.Len()-vm.ShadowEps)
+		}
+		replicated := ft.NewWorker(nil)
+		for _, shards := range []int{2, 4} {
+			cl, err := Build(sc, frame, trace.Options{}, Options{Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rt := cl.newRouter(nil)
+			var seen [3]int
+			for i, r := range segs {
+				want := replicated.Occluded(r, vm.ShadowEps, ends[i])
+				if got := rt.Occluded(r, vm.ShadowEps, ends[i]); got != want {
+					t.Fatalf("%s at %d shards: segment %+v to %g: router class %d, replicated %d",
+						name, shards, r, ends[i], got, want)
+				}
+				seen[want]++
+			}
+			if seen[trace.OccClear] == 0 || seen[trace.OccTransmissive] == 0 || seen[trace.OccBlocked] == 0 {
+				t.Errorf("%s: segments miss a class: clear %d, glass only %d, blocked %d",
+					name, seen[trace.OccClear], seen[trace.OccTransmissive], seen[trace.OccBlocked])
+			}
+		}
 	}
 }
 
@@ -366,25 +410,28 @@ func TestMeshGalleryPins(t *testing.T) {
 		forwards, bytes uint64
 		resident        float64
 	}{
-		// Re-pinned (was 38716 / 122066 forwards, resident 0.665 / 0.335)
-		// when the grid moved off the camera, the lights and a quarter of
-		// padding onto the geometry's own box: the slabs now cut the
-		// gallery's geometry instead of empty padding, so far fewer rays
-		// cross a slab plane before they settle, and the resident ratio
-		// moves in its fourth decimal with the smaller per-shard grids.
-		// Pixels are unchanged; they are the oracle, here and in
-		// TestShardedByteIdentity.
-		{2, 3511, 786464, 0.6663},
-		{4, 11229, 2515296, 0.3334},
+		// Re-pinned (was 3511 / 11229 forwards of 224 bytes) when shadow
+		// segments took the any-hit query through the router: an opaquely
+		// blocked segment now stops at the first opaque surface it meets,
+		// a clear one still crosses every slab to its light, and a segment
+		// meeting only glass crosses them once for the any-hit query before
+		// it marches nearest hits — so the count moves a little, up on
+		// balance. Bytes are forwards x 104: the record keeps the ray, its
+		// t-range and the running best as (object, t, part). (3511 / 11229
+		// had been 38716 / 122066 while the grid spanned the camera, the
+		// lights and a quarter of padding.) Pixels are unchanged; they are
+		// the oracle, here and in TestShardedByteIdentity.
+		{2, 3525, 366600, 0.6663},
+		{4, 11517, 1197768, 0.3334},
 	} {
 		var st Stats
 		for f := range refs {
-			cl, err := Build(sc, f, trace.Options{}, Options{Shards: want.shards, Stats: &st})
+			cl, err := Build(sc, f, trace.Options{}, Options{Shards: want.shards})
 			if err != nil {
 				t.Fatal(err)
 			}
 			img := fb.New(w, h)
-			cl.NewWorker(nil).RenderFull(img)
+			cl.WorkersFor(&st)(nil).RenderFull(img)
 			if !bytes.Equal(img.Pix, refs[f].Pix) {
 				t.Errorf("%d shards: frame %d differs from the replicated render", want.shards, f)
 			}
@@ -409,26 +456,36 @@ func TestDecodeForwardRejects(t *testing.T) {
 	mutate := func(f func(*ForwardState)) []byte {
 		fs := sampleForward()
 		f(&fs)
-		return EncodeForward(&fs)
+		return encodeForward(fs)
+	}
+	word := func(i int, v uint64) []byte { // the record with field i replaced
+		data := encodeForward(sampleForward())
+		binary.BigEndian.PutUint64(data[8*i:], v)
+		return data
 	}
 	cases := map[string][]byte{
-		"empty":       {},
-		"truncated":   EncodeForward(&ForwardState{})[:40],
-		"trailing":    append(EncodeForward(&ForwardState{Ray: vm.Ray{Dir: vm.V(1, 0, 0)}, BestObj: -1}), 0),
-		"bad-kind":    mutate(func(fs *ForwardState) { fs.Ray.Kind = 200 }),
-		"neg-depth":   mutate(func(fs *ForwardState) { fs.Ray.Depth = -1 }),
-		"huge-depth":  mutate(func(fs *ForwardState) { fs.Ray.Depth = maxForwardDepth + 1 }),
-		"bad-pixel":   mutate(func(fs *ForwardState) { fs.Pixel = -2 }),
-		"bad-shard":   mutate(func(fs *ForwardState) { fs.Shard = MaxShards }),
-		"nan-origin":  mutate(func(fs *ForwardState) { fs.Ray.Origin.X = math.NaN() }),
-		"inf-dir":     mutate(func(fs *ForwardState) { fs.Ray.Dir.Y = math.Inf(1) }),
-		"zero-dir":    mutate(func(fs *ForwardState) { fs.Ray.Dir = vm.Vec3{} }),
-		"nan-tmin":    mutate(func(fs *ForwardState) { fs.TMin = math.NaN() }),
-		"inf-tmin":    mutate(func(fs *ForwardState) { fs.TMin = math.Inf(1) }),
-		"inverted-t":  mutate(func(fs *ForwardState) { fs.TMax = fs.TMin - 1 }),
-		"nan-hit":     mutate(func(fs *ForwardState) { fs.Best.T = math.NaN() }),
-		"neg-bestobj": mutate(func(fs *ForwardState) { fs.BestObj = -1 }),
-		"ghost-obj":   mutate(func(fs *ForwardState) { fs.Found = false }),
+		"empty":          {},
+		"truncated":      encodeForward(sampleForward())[:40],
+		"trailing":       append(encodeForward(sampleMiss()), 0),
+		"bad-kind":       mutate(func(fs *ForwardState) { fs.Ray.Kind = 200 }),
+		"high-kind-bits": word(6, 1<<40|uint64(vm.ShadowRay)),
+		"any-hit-camera": mutate(func(fs *ForwardState) { fs.AnyHit, fs.Ray.Kind = true, vm.CameraRay }),
+		"neg-depth":      mutate(func(fs *ForwardState) { fs.Ray.Depth = -1 }),
+		"huge-depth":     mutate(func(fs *ForwardState) { fs.Ray.Depth = maxForwardDepth + 1 }),
+		"nan-origin":     mutate(func(fs *ForwardState) { fs.Ray.Origin.X = math.NaN() }),
+		"inf-dir":        mutate(func(fs *ForwardState) { fs.Ray.Dir.Y = math.Inf(1) }),
+		"zero-dir":       mutate(func(fs *ForwardState) { fs.Ray.Dir = vm.Vec3{} }),
+		"nan-tmin":       mutate(func(fs *ForwardState) { fs.TMin = math.NaN() }),
+		"inf-tmin":       mutate(func(fs *ForwardState) { fs.TMin = math.Inf(1) }),
+		"inverted-t":     mutate(func(fs *ForwardState) { fs.TMax = fs.TMin - 1 }),
+		"nan-best":       mutate(func(fs *ForwardState) { fs.T = math.NaN() }),
+		"best-past-tmax": mutate(func(fs *ForwardState) { fs.T = fs.TMax }),
+		"best-at-tmin":   mutate(func(fs *ForwardState) { fs.T = fs.TMin }),
+		"neg-obj":        mutate(func(fs *ForwardState) { fs.Obj = -2 }),
+		"neg-part":       mutate(func(fs *ForwardState) { fs.Part = -1 }),
+		"huge-obj":       word(10, 1<<40),
+		"ghost-t":        mutate(func(fs *ForwardState) { fs.Obj = -1 }),
+		"ghost-part":     mutate(func(fs *ForwardState) { fs.Obj, fs.T = -1, fs.TMax }),
 	}
 	for name, data := range cases {
 		if _, err := DecodeForward(data); err == nil {
@@ -440,12 +497,14 @@ func TestDecodeForwardRejects(t *testing.T) {
 func TestStatsCodecRoundTrip(t *testing.T) {
 	var st Stats
 	sc := scenes.MeshGallery(1)
-	if _, err := Build(sc, 0, trace.Options{}, Options{Shards: 3, Stats: &st}); err != nil {
+	cl, err := Build(sc, 0, trace.Options{}, Options{Shards: 3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	st.countForward(0, 224)
-	st.countForward(0, 224)
-	st.countForward(2, 224)
+	cl.WorkersFor(&st)
+	st.countForward(0, forwardSize)
+	st.countForward(0, forwardSize)
+	st.countForward(2, forwardSize)
 	snap := st.Snapshot()
 	got, err := DecodeStats(EncodeStats(snap))
 	if err != nil {
@@ -478,17 +537,28 @@ func TestStatsCodecRoundTrip(t *testing.T) {
 // must never panic, and anything they accept must re-encode to a payload
 // that decodes to the identical state.
 func FuzzObjSpaceDecode(f *testing.F) {
-	fs := sampleForward()
-	f.Add(EncodeForward(&fs))
+	f.Add(encodeForward(sampleForward()))
 	miss := sampleForward()
-	miss.Found, miss.BestObj = false, -1
-	f.Add(EncodeForward(&miss))
+	miss.Obj, miss.T, miss.Part = -1, miss.TMax, 0
+	f.Add(encodeForward(miss))
 	f.Add(EncodeStats(stats3()))
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	// The 104-byte record: an any-hit miss over an open ray, a hit on a
+	// mesh triangle far into the index space, and a valid record with
+	// trailing bytes.
+	f.Add(encodeForward(sampleMiss()))
+	tri := sampleForward()
+	tri.Part = 1<<31 - 1
+	f.Add(encodeForward(tri))
+	f.Add(append(encodeForward(sampleForward()), 0, 0, 0, 0, 0, 0, 0, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if fs, err := DecodeForward(data); err == nil {
-			again, err := DecodeForward(EncodeForward(&fs))
+			enc := encodeForward(fs)
+			if !bytes.Equal(enc, data) {
+				t.Fatalf("accepted %x, re-encodes to %x", data, enc)
+			}
+			again, err := DecodeForward(enc)
 			if err != nil {
 				t.Fatalf("re-decode failed: %v", err)
 			}
@@ -511,9 +581,9 @@ func FuzzObjSpaceDecode(f *testing.F) {
 func stats3() (s statsReport) {
 	s.Shards = 3
 	s.PerShard = append(s.PerShard,
-		shardRow{RaysForwarded: 10, ForwardBytes: 2240, Objects: 4, Tris: 100, ResidentBytes: 5000},
-		shardRow{RaysForwarded: 3, ForwardBytes: 672, Objects: 2, Tris: 50, ResidentBytes: 2500},
+		shardRow{RaysForwarded: 10, ForwardBytes: 1040, Objects: 4, Tris: 100, ResidentBytes: 5000},
+		shardRow{RaysForwarded: 3, ForwardBytes: 312, Objects: 2, Tris: 50, ResidentBytes: 2500},
 		shardRow{})
-	s.RaysForwarded, s.ForwardBytes, s.PeakResidentBytes = 13, 2912, 5000
+	s.RaysForwarded, s.ForwardBytes, s.PeakResidentBytes = 13, 1352, 5000
 	return s
 }

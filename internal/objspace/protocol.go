@@ -5,87 +5,64 @@ import (
 	"fmt"
 	"math"
 
-	"nowrender/internal/geom"
 	"nowrender/internal/msg"
 	"nowrender/internal/stats"
 	vm "nowrender/internal/vecmath"
-)
-
-// Message tags for the remote ray-forwarding protocol, numbered far above
-// the farm's task tags so a misrouted message fails loudly.
-const (
-	// TagOSRay carries a ForwardState from the client (or a previous
-	// shard owner) to a shard owner.
-	TagOSRay = 301
-	// TagOSResult carries the settled ForwardState back to the client.
-	TagOSResult = 302
 )
 
 // maxForwardDepth bounds the recursion depth accepted off the wire; the
 // tracer's own maximum is far below this.
 const maxForwardDepth = 64
 
-// ForwardState is the complete state of a ray in flight between shard
-// owners: enough to resume the front-to-back sweep on another machine and
-// to route the final result home. It is exactly what the issue's protocol
-// names: origin, direction, t-range, pixel id, depth, accumulated
-// throughput — plus the running best hit, which is what makes the sweep
-// resumable mid-flight.
+// ForwardState is what a ray carries from one shard owner to the next:
+// the ray, its t-range and the running best — everything the next owner
+// reads to resume the front-to-back sweep, and nothing it does not. The
+// point, normal and side of a hit are not in it: the frame owner completes
+// the one winning hit (Shape.HitAt) when the sweep ends.
 type ForwardState struct {
-	// Seq matches asynchronous results to requests on a remote link.
-	Seq uint64
-	// Pixel identifies the requesting pixel for attribution (-1 for
-	// in-process forwards, which need no routing).
-	Pixel int32
-	// Shard is the destination shard index.
-	Shard int32
-	Ray   vm.Ray
-	TMin  float64
-	TMax  float64
-	// Throughput is the accumulated path weight at the time the ray was
-	// spawned (carried for attribution; shading happens on the owner).
-	Throughput vm.Vec3
-	// Found/BestObj/Best carry the nearest hit settled so far; BestObj is
-	// a global object id, -1 when Found is false.
-	Found   bool
-	BestObj int32
-	Best    geom.Hit
+	Ray vm.Ray
+	// AnyHit marks the any-hit query of a shadow segment: the sweep stops
+	// at the first opaque surface, and the running best is the nearest
+	// transmissive surface met so far rather than the nearest hit.
+	AnyHit     bool
+	TMin, TMax float64
+	// Obj, T and Part are the running best: a global object id, the ray
+	// parameter at which it was met and the part IntersectT reported. Obj
+	// is -1, with T = TMax and Part 0, while nothing has been met.
+	Obj  int32
+	T    float64
+	Part int32
 }
 
-// forwardSize is the encoded size of a ForwardState: 28 eight-byte
-// fields.
-const forwardSize = 28 * 8
+// forwardSize is the encoded size of a ForwardState: 13 eight-byte
+// fields — origin and direction, kind and depth, the t-range, and the
+// running best's object, parameter and part.
+const forwardSize = 13 * 8
 
-// EncodeForward serializes a ForwardState into a buffer of its own.
-// Floats travel as IEEE-754 bits, so every value round-trips bit-exactly
-// — the property the byte-identity invariant leans on.
-func EncodeForward(fs *ForwardState) []byte {
-	return AppendForward(make([]byte, 0, forwardSize), fs)
-}
+// anyHitBit marks an any-hit query in the ray-kind field, above every
+// RayKind value.
+const anyHitBit = 1 << 8
 
-// AppendForward appends the encoding EncodeForward returns to dst, in
-// msg.Buffer's format (big-endian 64-bit fields): with capacity in dst it
-// allocates nothing, which is what lets the router forward a ray out of
+// AppendForward appends fs's encoding to dst in msg.Buffer's format
+// (big-endian 64-bit fields) and returns the extended slice. Floats travel
+// as IEEE-754 bits, so every value round-trips bit-exactly — the property
+// the byte-identity invariant leans on — and with capacity in dst nothing
+// is allocated, which is what lets the router forward a ray out of
 // scratch it owns.
 func AppendForward(dst []byte, fs *ForwardState) []byte {
-	dst = appendInt(dst, int64(fs.Seq))
-	dst = appendInt(dst, int64(fs.Pixel))
-	dst = appendInt(dst, int64(fs.Shard))
-	dst = appendInt(dst, int64(fs.Ray.Kind))
-	dst = appendInt(dst, int64(fs.Ray.Depth))
+	kind := int64(fs.Ray.Kind)
+	if fs.AnyHit {
+		kind |= anyHitBit
+	}
 	dst = appendVec(dst, fs.Ray.Origin)
 	dst = appendVec(dst, fs.Ray.Dir)
+	dst = appendInt(dst, kind)
+	dst = appendInt(dst, int64(fs.Ray.Depth))
 	dst = appendFloat(dst, fs.TMin)
 	dst = appendFloat(dst, fs.TMax)
-	dst = appendVec(dst, fs.Throughput)
-	dst = appendBool(dst, fs.Found)
-	dst = appendInt(dst, int64(fs.BestObj))
-	dst = appendFloat(dst, fs.Best.T)
-	dst = appendVec(dst, fs.Best.Point)
-	dst = appendVec(dst, fs.Best.Normal)
-	dst = appendBool(dst, fs.Best.Inside)
-	dst = appendFloat(dst, fs.Best.U)
-	return appendFloat(dst, fs.Best.V)
+	dst = appendInt(dst, int64(fs.Obj))
+	dst = appendFloat(dst, fs.T)
+	return appendInt(dst, int64(fs.Part))
 }
 
 func appendInt(dst []byte, v int64) []byte {
@@ -96,62 +73,45 @@ func appendFloat(dst []byte, v float64) []byte {
 	return binary.BigEndian.AppendUint64(dst, math.Float64bits(v))
 }
 
-func appendBool(dst []byte, v bool) []byte {
-	if v {
-		return appendInt(dst, 1)
-	}
-	return appendInt(dst, 0)
-}
-
 func appendVec(dst []byte, v vm.Vec3) []byte {
 	return appendFloat(appendFloat(appendFloat(dst, v.X), v.Y), v.Z)
 }
 
 // DecodeForward parses and validates a ForwardState. It never panics on
 // hostile input (fuzzed); every structural and numeric violation returns
-// an error instead.
+// an error instead, and whatever it accepts re-encodes to the same bytes.
 func DecodeForward(data []byte) (ForwardState, error) {
 	var fs ForwardState
 	b := msg.FromBytes(data)
-	fs.Seq = uint64(b.UnpackInt())
-	fs.Pixel = int32(b.UnpackInt())
-	fs.Shard = int32(b.UnpackInt())
-	kind := b.UnpackInt()
-	depth := b.UnpackInt()
 	fs.Ray.Origin = unpackVec(b)
 	fs.Ray.Dir = unpackVec(b)
+	kind := b.UnpackInt()
+	depth := b.UnpackInt()
 	fs.TMin = b.UnpackFloat()
 	fs.TMax = b.UnpackFloat()
-	fs.Throughput = unpackVec(b)
-	fs.Found = b.UnpackBool()
-	fs.BestObj = int32(b.UnpackInt())
-	fs.Best.T = b.UnpackFloat()
-	fs.Best.Point = unpackVec(b)
-	fs.Best.Normal = unpackVec(b)
-	fs.Best.Inside = b.UnpackBool()
-	fs.Best.U = b.UnpackFloat()
-	fs.Best.V = b.UnpackFloat()
+	obj := b.UnpackInt()
+	fs.T = b.UnpackFloat()
+	part := b.UnpackInt()
 	if err := b.Err(); err != nil {
 		return fs, err
 	}
 	if b.Len() != 0 {
 		return fs, fmt.Errorf("objspace: %d trailing bytes after forward state", b.Len())
 	}
+	fs.AnyHit = kind&anyHitBit != 0
+	kind &^= anyHitBit
 	if kind < 0 || kind >= int64(vm.NumRayKinds) {
 		return fs, fmt.Errorf("objspace: ray kind %d out of range", kind)
 	}
 	fs.Ray.Kind = vm.RayKind(kind)
+	if fs.AnyHit && fs.Ray.Kind != vm.ShadowRay {
+		return fs, fmt.Errorf("objspace: any-hit query on a %v ray", fs.Ray.Kind)
+	}
 	if depth < 0 || depth > maxForwardDepth {
 		return fs, fmt.Errorf("objspace: ray depth %d out of range", depth)
 	}
 	fs.Ray.Depth = int(depth)
-	if fs.Pixel < -1 {
-		return fs, fmt.Errorf("objspace: pixel id %d out of range", fs.Pixel)
-	}
-	if fs.Shard < 0 || fs.Shard >= MaxShards {
-		return fs, fmt.Errorf("objspace: shard %d out of range", fs.Shard)
-	}
-	if !finiteVec(fs.Ray.Origin) || !finiteVec(fs.Ray.Dir) || !finiteVec(fs.Throughput) {
+	if !finiteVec(fs.Ray.Origin) || !finiteVec(fs.Ray.Dir) {
 		return fs, fmt.Errorf("objspace: non-finite vector in forward state")
 	}
 	if fs.Ray.Dir == (vm.Vec3{}) {
@@ -165,17 +125,17 @@ func DecodeForward(data []byte) (ForwardState, error) {
 	if math.IsNaN(fs.TMax) || math.IsInf(fs.TMax, -1) || fs.TMax < fs.TMin {
 		return fs, fmt.Errorf("objspace: bad t-range [%g,%g]", fs.TMin, fs.TMax)
 	}
-	if fs.Found {
-		if fs.BestObj < 0 {
-			return fs, fmt.Errorf("objspace: found hit with object id %d", fs.BestObj)
+	switch {
+	case obj == -1:
+		if fs.T != fs.TMax || part != 0 {
+			return fs, fmt.Errorf("objspace: no best but t %g, part %d", fs.T, part)
 		}
-		if math.IsNaN(fs.Best.T) || math.IsInf(fs.Best.T, 0) ||
-			!finiteVec(fs.Best.Point) || !finiteVec(fs.Best.Normal) {
-			return fs, fmt.Errorf("objspace: non-finite hit in forward state")
-		}
-	} else if fs.BestObj != -1 {
-		return fs, fmt.Errorf("objspace: no hit but object id %d", fs.BestObj)
+	case obj < 0 || obj > math.MaxInt32 || part < 0 || part > math.MaxInt32:
+		return fs, fmt.Errorf("objspace: best object %d, part %d out of range", obj, part)
+	case !(fs.T > fs.TMin && fs.T < fs.TMax):
+		return fs, fmt.Errorf("objspace: best t %g outside (%g,%g)", fs.T, fs.TMin, fs.TMax)
 	}
+	fs.Obj, fs.Part = int32(obj), int32(part)
 	return fs, nil
 }
 

@@ -2,19 +2,25 @@ package objspace
 
 import (
 	"nowrender/internal/geom"
+	"nowrender/internal/grid"
 	"nowrender/internal/scene"
 	"nowrender/internal/trace"
 	vm "nowrender/internal/vecmath"
 )
 
 // router implements trace.Intersector over a cluster's shards: every
-// nearest-hit query sweeps the slabs front-to-back along the partition
-// axis, forwarding the ray (through the wire codec, even in-process) at
-// each shard-to-shard transition. One router per worker goroutine — the
-// mailboxes and the forward buffer are single-owner scratch, the cluster
-// itself is read-only.
+// query sweeps the slabs front-to-back along the partition axis,
+// forwarding the ray (through the wire codec, even in-process) at each
+// shard-to-shard transition. It intersects the way trace.Worker does:
+// candidates report only IntersectT's parameter and part, each shard's
+// sub-grid is stepped with a grid.Walker, and the one winning hit is
+// completed at the end. One router per worker goroutine — the mailboxes
+// and the forward buffer are single-owner scratch, the cluster itself is
+// read-only.
 type router struct {
-	c     *Cluster
+	c *Cluster
+	// stats, when non-nil, counts every forward this router sends.
+	stats *Stats
 	stamp uint64
 	// mail holds per-shard mailbox stamps indexed by shard-local object
 	// id, so one ray never re-tests an object it met in an earlier voxel
@@ -26,8 +32,8 @@ type router struct {
 	fwd []byte
 }
 
-func (c *Cluster) newRouter() *router {
-	rt := &router{c: c, mail: make([][]uint64, len(c.shard)), fwd: make([]byte, 0, forwardSize)}
+func (c *Cluster) newRouter(st *Stats) *router {
+	rt := &router{c: c, stats: st, mail: make([][]uint64, len(c.shard)), fwd: make([]byte, 0, forwardSize)}
 	for i, s := range c.shard {
 		rt.mail[i] = make([]uint64, len(s.Objs))
 	}
@@ -42,85 +48,172 @@ func (c *Cluster) newRouter() *router {
 // exceed loses nothing.
 func (rt *router) Intersect(r vm.Ray, tMin, tMax float64) (geom.Hit, *scene.ResolvedObject, bool) {
 	c := rt.c
-	rt.stamp++
-	stamp := rt.stamp
-	best := geom.Hit{T: tMax}
-	bestObj := int32(-1)
-	found := false
-
+	fs := ForwardState{Ray: r, TMin: tMin, TMax: tMax, Obj: -1, T: tMax}
 	// Unbounded primitives are replicated on the frame owner and tested
 	// once per ray in object order, as the replicated tracer does.
 	for _, id := range c.unbounded {
-		ro := &c.objs[id]
-		if h, ok := geom.Intersect(ro.Shape, r, tMin, best.T); ok {
-			best, bestObj, found = h, id, true
+		if t, part, ok := c.objs[id].Shape.IntersectT(r, tMin, fs.T); ok {
+			fs.Obj, fs.T, fs.Part = id, t, part
 		}
 	}
+	rt.sweep(&fs)
+	if fs.Obj < 0 {
+		return geom.Hit{}, nil, false
+	}
+	// A shard's mesh view shares its parent's triangles and part indices,
+	// so the frame owner's whole object completes the hit a view found.
+	ro := &c.objs[fs.Obj]
+	return ro.Shape.HitAt(fs.Ray, fs.T, fs.Part), ro, true
+}
 
-	// Sweep slabs front-to-back: ascending shard order when the ray
-	// points up the partition axis, descending otherwise.
+// Occluded is the any-hit query of a shadow segment, routed like a
+// nearest-hit query but never cut short by a hit: it sweeps every slab
+// the segment crosses until an opaque surface blocks it. The class is
+// the replicated worker's, because it depends only on which objects the
+// segment meets, and every object it meets overlaps a slab it crosses.
+func (rt *router) Occluded(r vm.Ray, tMin, tMax float64) trace.Occlusion {
+	c := rt.c
+	fs := ForwardState{Ray: r, AnyHit: true, TMin: tMin, TMax: tMax, Obj: -1, T: tMax}
+	for _, id := range c.unbounded {
+		if t, part, ok := c.objs[id].Shape.IntersectT(r, tMin, tMax); ok {
+			if trace.Opaque(&c.objs[id]) {
+				return trace.OccBlocked
+			}
+			fs.meet(id, t, part)
+		}
+	}
+	switch {
+	case rt.sweep(&fs):
+		return trace.OccBlocked
+	case fs.Obj >= 0:
+		return trace.OccTransmissive
+	}
+	return trace.OccClear
+}
+
+// meet records a transmissive surface on an any-hit query's segment: the
+// running best is the nearest one so far.
+func (fs *ForwardState) meet(obj int32, t float64, part int32) {
+	if t < fs.T {
+		fs.Obj, fs.T, fs.Part = obj, t, part
+	}
+}
+
+// sweep carries fs through the slabs its ray crosses, front to back —
+// ascending shard order when the ray points up the partition axis,
+// descending otherwise — walking each one's sub-grid and forwarding the
+// state at every transition. A nearest-hit query ends at the first slab
+// whose exit the running best does not pass; an any-hit query ends when
+// it meets an opaque surface, and sweep then reports blocked.
+func (rt *router) sweep(fs *ForwardState) (blocked bool) {
+	c := rt.c
+	rt.stamp++
 	n := len(c.shard)
 	si, step := 0, 1
-	if r.Dir.Axis(c.part.Axis) < 0 {
+	if fs.Ray.Dir.Axis(c.part.Axis) < 0 {
 		si, step = n-1, -1
 	}
 	prev := -1 // last shard that actually walked this ray
 	for k := 0; k < n; k, si = k+1, si+step {
 		s := c.shard[si]
-		// Clip against the slab with the running best as the upper bound:
-		// slabs entirely beyond the settled hit are skipped without a
-		// forward, exactly as a remote owner would drop the ray.
-		iv, ok := s.Bounds.IntersectRay(r, tMin, best.T)
+		// Clip against the slab: a nearest-hit query only up to its running
+		// best, so slabs entirely beyond the settled hit are skipped without
+		// a forward, exactly as a remote owner would drop the ray.
+		end := fs.T
+		if fs.AnyHit {
+			end = fs.TMax
+		}
+		iv, ok := s.Bounds.IntersectRay(fs.Ray, fs.TMin, end)
 		if !ok {
 			continue
 		}
 		if prev >= 0 {
-			// Shard-to-shard transition: serialize the full ray state
-			// through the wire codec and resume from the decoded copy.
-			// Floats travel as IEEE-754 bits, so the resumed state is
-			// bit-identical — and the forward/byte counters measure real
-			// serialized traffic, attributed to the sending shard.
-			fs := ForwardState{
-				Pixel: -1, Shard: int32(si),
-				Ray: r, TMin: tMin, TMax: tMax,
-				Throughput: vm.Splat(1),
-				Found:      found, BestObj: bestObj, Best: best,
-			}
-			data := AppendForward(rt.fwd[:0], &fs)
-			rt.fwd = data
-			if c.stats != nil {
-				c.stats.countForward(prev, len(data))
-			}
-			if dec, err := DecodeForward(data); err == nil {
-				r, tMin, tMax = dec.Ray, dec.TMin, dec.TMax
-				best, bestObj, found = dec.Best, dec.BestObj, dec.Found
-			}
+			rt.forward(prev, fs)
 		}
-		mail := rt.mail[si]
-		s.Grid.Walk(r, tMin, tMax, func(idx int, tEnter, tLeave float64) bool {
-			for _, lid := range s.Grid.Items(idx) {
-				if mail[lid] == stamp {
-					continue
-				}
-				mail[lid] = stamp
-				so := &s.Objs[lid]
-				if h, ok := geom.Intersect(so.RO.Shape, r, tMin, best.T); ok {
-					best, bestObj, found = h, so.Global, true
-				}
+		if fs.AnyHit {
+			if rt.walkAny(s, rt.mail[si], fs) {
+				return true
 			}
-			return !(found && best.T <= tLeave)
-		})
-		// Terminate once the best hit lies inside the slabs already swept;
-		// later slabs can only produce farther hits.
-		if found && best.T <= iv.Max {
-			break
+		} else if rt.walkNearest(s, rt.mail[si], fs); fs.Obj >= 0 && fs.T <= iv.Max {
+			// The best hit lies inside the slabs already swept; later slabs
+			// can only produce farther hits.
+			return false
 		}
 		prev = si
 	}
-	if !found {
-		return geom.Hit{}, nil, false
+	return false
+}
+
+// forward hands fs from shard from to the next owner: the state is
+// serialized through the wire codec and the sweep resumes from the
+// decoded copy. Floats travel as IEEE-754 bits, so the resumed state is
+// bit-identical — and the forward and byte counters measure real
+// serialized traffic, attributed to the sending shard.
+func (rt *router) forward(from int, fs *ForwardState) {
+	rt.fwd = AppendForward(rt.fwd[:0], fs)
+	if rt.stats != nil {
+		rt.stats.countForward(from, len(rt.fwd))
 	}
-	return best, &c.objs[bestObj], true
+	// The router encoded a state it holds; a decode failure would be a
+	// codec bug, and the state in hand is the right one to go on with.
+	if dec, err := DecodeForward(rt.fwd); err == nil {
+		*fs = dec
+	}
+}
+
+// walkNearest steps the ray through shard s's sub-grid, keeping the
+// nearest candidate in fs, until the best hit lies inside the voxels
+// already walked.
+func (rt *router) walkNearest(s *Shard, mail []uint64, fs *ForwardState) {
+	var wk grid.Walker
+	if !s.Grid.StartWalk(&wk, fs.Ray, fs.TMin, fs.TMax) {
+		return
+	}
+	for {
+		idx, tLeave, axis := wk.Voxel()
+		for _, lid := range s.Grid.Items(idx) {
+			if mail[lid] == rt.stamp {
+				continue
+			}
+			mail[lid] = rt.stamp
+			so := &s.Objs[lid]
+			if t, part, ok := so.RO.Shape.IntersectT(fs.Ray, fs.TMin, fs.T); ok {
+				fs.Obj, fs.T, fs.Part = so.Global, t, part
+			}
+		}
+		if (fs.Obj >= 0 && fs.T <= tLeave) || !wk.Advance(axis) {
+			return
+		}
+	}
+}
+
+// walkAny steps the segment through shard s's sub-grid; it returns true
+// at the first opaque candidate and otherwise records the transmissive
+// ones in fs.
+func (rt *router) walkAny(s *Shard, mail []uint64, fs *ForwardState) bool {
+	var wk grid.Walker
+	if !s.Grid.StartWalk(&wk, fs.Ray, fs.TMin, fs.TMax) {
+		return false
+	}
+	for {
+		idx, _, axis := wk.Voxel()
+		for _, lid := range s.Grid.Items(idx) {
+			if mail[lid] == rt.stamp {
+				continue
+			}
+			mail[lid] = rt.stamp
+			so := &s.Objs[lid]
+			if t, part, ok := so.RO.Shape.IntersectT(fs.Ray, fs.TMin, fs.TMax); ok {
+				if trace.Opaque(&so.RO) {
+					return true
+				}
+				fs.meet(so.Global, t, part)
+			}
+		}
+		if !wk.Advance(axis) {
+			return false
+		}
+	}
 }
 
 // compile-time check: the router satisfies the tracer's seam.

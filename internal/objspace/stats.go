@@ -6,10 +6,10 @@ import (
 	"nowrender/internal/stats"
 )
 
-// Stats accumulates forwarding counters across every frame cluster built
-// with the same Options.Stats. All methods are safe for concurrent use by
-// any number of routing workers; counters are attributed to the shard
-// that *sent* each forward.
+// Stats accumulates one task's forwarding counters and the resident sizes
+// of the clusters it used, across every frame (see Cluster.WorkersFor).
+// All methods are safe for concurrent use by any number of routing
+// workers; counters are attributed to the shard that *sent* each forward.
 type Stats struct {
 	shards    atomic.Int32
 	forwarded [MaxShards]atomic.Uint64
@@ -19,9 +19,9 @@ type Stats struct {
 	resident  [MaxShards]atomic.Uint64
 }
 
-// observeBuild records per-shard resident sizes from a freshly built
-// cluster (max-merged, so the peak across frames survives).
-func (st *Stats) observeBuild(c *Cluster) {
+// observe records a cluster's per-shard resident sizes (max-merged, so
+// the peak across frames survives).
+func (st *Stats) observe(c *Cluster) {
 	n := int32(len(c.shard))
 	for {
 		cur := st.shards.Load()

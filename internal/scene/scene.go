@@ -144,9 +144,14 @@ func (o *Object) MovedBetween(f0, f1 int) bool {
 	return !tr.At(f0).Fwd.ApproxEq(tr.At(f1).Fwd, 0)
 }
 
+// identityTrack is the track of an object without one, boxed into the
+// interface once: boxing a fresh 256-byte StaticTrack allocated on every
+// frame query of every static object.
+var identityTrack Track = IdentityTrack()
+
 func (o *Object) track() Track {
 	if o.Track == nil {
-		return IdentityTrack()
+		return identityTrack
 	}
 	return o.Track
 }

@@ -111,6 +111,25 @@ func TestObjectShapeAtIdentityReturnsBase(t *testing.T) {
 	}
 }
 
+// TestStaticObjectQueriesAllocateNothing: an object without a track
+// answers every frame query without boxing an identity track of its own.
+func TestStaticObjectQueriesAllocateNothing(t *testing.T) {
+	s := New("t")
+	obj := s.Add("static", geom.NewSphere(vm.V(0, 0, 0), 1), material.Matte(material.Red), nil)
+	var b vm.AABB
+	allocs := testing.AllocsPerRun(100, func() {
+		_ = obj.ShapeAt(3)
+		b = obj.BoundsAt(3)
+		_ = obj.MovedBetween(3, 4)
+	})
+	if allocs != 0 {
+		t.Errorf("ShapeAt, BoundsAt and MovedBetween of a static object: %v allocations, want 0", allocs)
+	}
+	if b.IsEmpty() {
+		t.Error("empty bounds")
+	}
+}
+
 func TestObjectMovedBetween(t *testing.T) {
 	s := New("t")
 	moving := s.Add("m", geom.NewSphere(vm.V(0, 0, 0), 1), material.Matte(material.Red),

@@ -11,19 +11,19 @@ import (
 
 // exhaustive is the oracle the grid is fuzzed against: every object of
 // the frame in object order, no grid, no mailboxes. It returns the nearest
-// parameter in (tMin, tMax) and the class of the segment as occluded
+// parameter in (tMin, tMax) and the class of the segment as Occluded
 // defines it.
-func exhaustive(ft *FrameTracer, r vm.Ray, tMin, tMax float64) (float64, bool, occlusion) {
-	bestT, found, occ := tMax, false, occClear
+func exhaustive(ft *FrameTracer, r vm.Ray, tMin, tMax float64) (float64, bool, Occlusion) {
+	bestT, found, occ := tMax, false, OccClear
 	for _, ro := range ft.Objects() {
 		if t, _, ok := ro.Shape.IntersectT(r, tMin, bestT); ok {
 			bestT, found = t, true
 		}
 		if _, _, ok := ro.Shape.IntersectT(r, tMin, tMax); ok {
 			if ro.Obj.Mat.Finish.Transmit <= 0 {
-				occ = occBlocked
-			} else if occ == occClear {
-				occ = occTransmissive
+				occ = OccBlocked
+			} else if occ == OccClear {
+				occ = OccTransmissive
 			}
 		}
 	}
@@ -36,7 +36,7 @@ func unit(x float64) float64 { return math.Abs(x - math.Trunc(x)) }
 // FuzzIntersectMatchesExhaustive: the grid covers the bounded geometry
 // alone, so camera rays, shadow rays to far lights and rays skimming the
 // box reach it through StartWalk's clip. On such rays Worker.Intersect
-// must return the exhaustive loop's nearest t bit for bit, and occluded
+// must return the exhaustive loop's nearest t bit for bit, and Occluded
 // the exhaustive class. The frames cover quadrics beside a plane
 // (newton), a glass ball between five planes (bouncing), transmissive and
 // transformed shapes (gallery), triangle meshes (meshgallery) and random
@@ -140,7 +140,7 @@ func FuzzIntersectMatchesExhaustive(f *testing.F) {
 			t.Fatalf("%s frame %d, ray %+v over (%g, %g): grid hit=%v t=%v, exhaustive hit=%v t=%v",
 				ft.Scene.Name, ft.Frame, r, vm.ShadowEps, tMax, ok, h.T, wantOK, wantT)
 		}
-		if occ := w.occluded(r, vm.ShadowEps, tMax); occ != wantOcc {
+		if occ := w.Occluded(r, vm.ShadowEps, tMax); occ != wantOcc {
 			t.Fatalf("%s frame %d, ray %+v over (%g, %g): occluded %d, exhaustive %d",
 				ft.Scene.Name, ft.Frame, r, vm.ShadowEps, tMax, occ, wantOcc)
 		}

@@ -99,11 +99,11 @@ func TestOccludedMatchesMarch(t *testing.T) {
 			if got := ft.shadowAttenuation(p, lp, 0); got != want {
 				t.Fatalf("%s: segment %v -> %v: attenuation %v, the march alone gives %v", name, p, lp, got, want)
 			}
-			seen[ft.occluded(ray, vm.ShadowEps, dist-vm.ShadowEps)]++
+			seen[ft.Occluded(ray, vm.ShadowEps, dist-vm.ShadowEps)]++
 		}
-		if seen[occClear] == 0 || seen[occBlocked] == 0 || (name != "newton" && seen[occTransmissive] == 0) {
+		if seen[OccClear] == 0 || seen[OccBlocked] == 0 || (name != "newton" && seen[OccTransmissive] == 0) {
 			t.Errorf("%s: segments miss a class: clear %d, transmissive only %d, blocked %d",
-				name, seen[occClear], seen[occTransmissive], seen[occBlocked])
+				name, seen[OccClear], seen[OccTransmissive], seen[OccBlocked])
 		}
 	}
 }

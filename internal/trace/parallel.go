@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"nowrender/internal/fb"
+	"nowrender/internal/stats"
 	"nowrender/internal/timeline"
 )
 
@@ -50,6 +51,17 @@ func (ft *FrameTracer) RenderRegionParallelTimed(dst *fb.Framebuffer, region fb.
 // ft.Counters at the barrier, in worker-slot order, same as the default
 // path.
 func (ft *FrameTracer) RenderRegionParallelWorkers(dst *fb.Framebuffer, region fb.Rect, threads, frame int, tracks []*timeline.Track, newWorker func(RayObserver) *Worker) {
+	ft.Counters.Merge(RenderTiles(dst, region, threads, frame, tracks, newWorker))
+}
+
+// RenderTiles renders region into dst through a pool of up to threads
+// tile workers from newWorker (threads <= 0 selects runtime.NumCPU()),
+// with tracks as in RenderRegionParallelTimed, and returns the workers'
+// ray tallies merged in worker-slot order. It writes no tracer's
+// counters, so any number of renders may share one frame's tracer or
+// cluster — a farm worker's blocks do.
+func RenderTiles(dst *fb.Framebuffer, region fb.Rect, threads, frame int, tracks []*timeline.Track, newWorker func(RayObserver) *Worker) stats.RayCounters {
+	var rays stats.RayCounters
 	if threads <= 0 {
 		threads = runtime.NumCPU()
 	}
@@ -63,8 +75,8 @@ func (ft *FrameTracer) RenderRegionParallelWorkers(dst *fb.Framebuffer, region f
 		s := tr.Begin()
 		w.RenderRegion(dst, region)
 		tr.EndArg(timeline.OpTile, frame, s, int64(region.Area()))
-		ft.Counters.Merge(w.Counters)
-		return
+		rays.Merge(w.Counters)
+		return rays
 	}
 	if threads > len(tiles) {
 		threads = len(tiles)
@@ -95,9 +107,8 @@ func (ft *FrameTracer) RenderRegionParallelWorkers(dst *fb.Framebuffer, region f
 		}()
 	}
 	wg.Wait()
-	// Merge ray tallies into the tracer's own counters so ft.Counters
-	// reports the full render, same as the serial path.
 	for _, w := range workers {
-		ft.Counters.Merge(w.Counters)
+		rays.Merge(w.Counters)
 	}
+	return rays
 }

@@ -40,15 +40,18 @@ type RayObserver interface {
 	ObserveRay(r vm.Ray, tHit float64)
 }
 
-// Intersector finds the nearest hit along a ray. A Worker's builtin
+// Intersector answers a Worker's two ray queries: the nearest hit along a
+// ray, and the any-hit class of a shadow segment. A Worker's builtin
 // intersector is the tracer's shared voxel grid plus its unbounded list;
 // NewWorkerWith swaps in an alternative — the object-space cluster routes
 // rays across spatial shards through one — without touching shading or
 // recursion, which is what keeps alternative intersectors byte-identical
-// whenever they return the same nearest hits. Like a Worker, an
-// Intersector is single-owner scratch: one goroutine intersects with it.
+// whenever they return the same nearest hits and occlusion classes. Like
+// a Worker, an Intersector is single-owner scratch: one goroutine
+// intersects with it.
 type Intersector interface {
 	Intersect(r vm.Ray, tMin, tMax float64) (geom.Hit, *scene.ResolvedObject, bool)
+	Occluded(r vm.Ray, tMin, tMax float64) Occlusion
 }
 
 // Options configure a FrameTracer.
@@ -224,8 +227,9 @@ func (ft *FrameTracer) NewWorker(obs RayObserver) *Worker {
 }
 
 // NewWorkerWith is NewWorker with the builtin grid intersector replaced:
-// the worker's every nearest-hit query — primary, secondary and
-// shadow-march alike — goes through ix instead of the tracer's grid.
+// the worker's every query — nearest hits for primary, secondary and
+// shadow-march rays, and the any-hit test of every shadow segment — goes
+// through ix instead of the tracer's grid.
 // Shading, recursion, jitter and ray accounting are unchanged, so two
 // workers whose intersectors return the same hits produce byte-identical
 // pixels and counters.

@@ -22,8 +22,8 @@ type Worker struct {
 	observer RayObserver
 
 	// ix, when non-nil, replaces the builtin grid intersector for every
-	// nearest-hit query (see NewWorkerWith). The object-space cluster
-	// plugs its shard router in here.
+	// query (see NewWorkerWith). The object-space cluster plugs its shard
+	// router in here.
 	ix Intersector
 
 	// Mailboxing: avoid re-testing an object in multiple voxels along
@@ -179,30 +179,39 @@ func (w *Worker) Intersect(r vm.Ray, tMin, tMax float64) (geom.Hit, *scene.Resol
 	return ft.objs[bestID].Shape.HitAt(r, bestT, bestPart), &ft.objs[bestID], true
 }
 
-// occlusion is what lies on a shadow segment.
-type occlusion uint8
+// Occlusion is what lies on a shadow segment.
+type Occlusion uint8
 
 const (
-	occClear        occlusion = iota // nothing between the point and the light
-	occTransmissive                  // only transmissive surfaces: the ordered march tints the light
-	occBlocked                       // an opaque surface: no light arrives
+	OccClear        Occlusion = iota // nothing between the point and the light
+	OccTransmissive                  // only transmissive surfaces: the ordered march tints the light
+	OccBlocked                       // an opaque surface: no light arrives
 )
 
-// occluded is the any-hit query for shadow rays on the builtin grid: it
-// returns occBlocked at the first opaque candidate with a parameter in
-// (tMin, tMax) — in whatever order the walk meets them, without a Hit —
-// and otherwise whether any transmissive surface was met.
-func (w *Worker) occluded(r vm.Ray, tMin, tMax float64) occlusion {
+// Opaque reports whether an object stops light outright — what makes an
+// any-hit query's candidate settle the segment as OccBlocked.
+func Opaque(ro *scene.ResolvedObject) bool { return ro.Obj.Mat.Finish.Transmit <= 0 }
+
+// Occluded is the any-hit query for shadow rays: it returns OccBlocked at
+// the first opaque candidate with a parameter in (tMin, tMax) — in
+// whatever order the walk meets them, without a Hit — and otherwise
+// whether any transmissive surface was met. The builtin grid answers it,
+// or the worker's replacement intersector when one was installed with
+// NewWorkerWith.
+func (w *Worker) Occluded(r vm.Ray, tMin, tMax float64) Occlusion {
+	if w.ix != nil {
+		return w.ix.Occluded(r, tMin, tMax)
+	}
 	ft := w.ft
 	w.rayStamp++
 	stamp := w.rayStamp
-	occ := occClear
+	occ := OccClear
 	for _, id := range ft.unbounded {
 		if _, _, ok := ft.objs[id].Shape.IntersectT(r, tMin, tMax); ok {
-			if ft.objs[id].Obj.Mat.Finish.Transmit <= 0 {
-				return occBlocked
+			if Opaque(&ft.objs[id]) {
+				return OccBlocked
 			}
-			occ = occTransmissive
+			occ = OccTransmissive
 		}
 	}
 	var wk grid.Walker
@@ -217,10 +226,10 @@ func (w *Worker) occluded(r vm.Ray, tMin, tMax float64) occlusion {
 			}
 			w.mailboxes[id] = stamp
 			if _, _, ok := ft.objs[id].Shape.IntersectT(r, tMin, tMax); ok {
-				if ft.objs[id].Obj.Mat.Finish.Transmit <= 0 {
-					return occBlocked
+				if Opaque(&ft.objs[id]) {
+					return OccBlocked
 				}
-				occ = occTransmissive
+				occ = OccTransmissive
 			}
 		}
 		if !wk.Advance(axis) {
@@ -331,18 +340,13 @@ func (w *Worker) shadowAttenuation(p, lp vm.Vec3, depth int) vm.Vec3 {
 	ray := vm.Ray{Origin: p, Dir: dir.Scale(1 / dist), Kind: vm.ShadowRay, Depth: depth}
 	w.Counters.Add(vm.ShadowRay, 1)
 
-	// The any-hit walk settles clear and opaquely blocked segments; only
+	// The any-hit query settles clear and opaquely blocked segments; only
 	// one crossing nothing but transmissive surfaces needs them in order.
-	// A replaced intersector has nearest-hit alone, so it always marches.
-	occ := occTransmissive
-	if w.ix == nil {
-		occ = w.occluded(ray, vm.ShadowEps, dist-vm.ShadowEps)
-	}
 	atten := vm.Splat(1)
-	switch occ {
-	case occBlocked:
+	switch w.Occluded(ray, vm.ShadowEps, dist-vm.ShadowEps) {
+	case OccBlocked:
 		atten = vm.Vec3{}
-	case occTransmissive:
+	case OccTransmissive:
 		atten = w.shadowMarch(ray, dist)
 	}
 	if w.observer != nil {
