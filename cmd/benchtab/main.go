@@ -173,7 +173,7 @@ func run(table1, fig2, fig4, ablations, scaling, full bool, frame int, outDir, s
 			return err
 		}
 		fmt.Println("-- aggregate memory (the paper's +18.5% explanation) --")
-		for _, mem := range []int{0, 2} {
+		for _, mem := range []int{0, 1} {
 			mr, err := experiments.AblationMemory(p, mem)
 			if err != nil {
 				return err

@@ -52,6 +52,7 @@ package coherence
 import (
 	"fmt"
 	"time"
+	"unsafe"
 
 	"nowrender/internal/bitset"
 	"nowrender/internal/fb"
@@ -137,8 +138,9 @@ type Engine struct {
 	// runs[p] is region-local pixel p's current registration run. Tile
 	// workers write disjoint entries (each pixel belongs to one tile).
 	runs []pixelRun
-	// live is the sum of n over runs (see RegistrationCount).
-	live int
+	// live is the sum of n over runs (see RegistrationCount); peak is the
+	// most arena entries, live and superseded, held at a frame's end.
+	live, peak int
 
 	prev      *fb.Framebuffer
 	nextFrame int
@@ -246,9 +248,9 @@ type FrameReport struct {
 	// frame (0 after the last frame).
 	DirtyNext int
 	// Registrations counts voxel-pixel registrations made this frame and
-	// ChangeVoxels the voxels examined by change detection — the work
-	// quantities the virtual NOW cost model charges for coherence
-	// bookkeeping.
+	// ChangeVoxels the voxels some mover leaves or enters before the next
+	// one; when it is non-zero, change detection scans every region
+	// pixel's run for them.
 	Registrations uint64
 	ChangeVoxels  int
 	// Forwarded counts rays forwarded between object-space shards this
@@ -354,6 +356,21 @@ func (e *Engine) dilateToBlocks(n int) {
 	}
 }
 
+// bytes is what the engine holds: runs, masks, the previous frame, and
+// the arena as one tile worker holds it at any thread count — room for
+// the most entries held, a spare as large, one dedup table.
+func (e *Engine) bytes() int {
+	n := len(e.runs)*int(unsafe.Sizeof(pixelRun{})) + e.dirty.Len()/8 +
+		len(e.lastSpans)*int(unsafe.Sizeof(fb.Span{}))
+	if e.prev != nil {
+		n += len(e.prev.Pix)
+	}
+	if e.grid != nil {
+		n += 4 * (2*e.peak + e.grid.NumVoxels())
+	}
+	return n
+}
+
 // RegistrationCount returns the total number of live voxel-pixel
 // registrations (memory accounting; the paper notes memory requirements
 // are proportional to image area).
@@ -374,12 +391,11 @@ func (e *Engine) RenderSequence(emit func(frame int, img *fb.Framebuffer, rep Fr
 			return run, err
 		}
 		fs := stats.FrameStats{
-			Frame:             f,
-			Rendered:          rep.Rendered,
-			Copied:            rep.Copied,
-			Rays:              rep.Rays,
-			Elapsed:           time.Since(frameStart),
-			CoherenceOverhead: rep.Overhead,
+			Frame:    f,
+			Rendered: rep.Rendered,
+			Copied:   rep.Copied,
+			Rays:     rep.Rays,
+			Elapsed:  time.Since(frameStart),
 		}
 		run.AddFrame(fs)
 		if emit != nil {

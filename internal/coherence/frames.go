@@ -3,6 +3,7 @@ package coherence
 import (
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"nowrender/internal/objspace"
 	"nowrender/internal/scene"
@@ -52,6 +53,26 @@ func (g Geometry) NewWorkers(st *objspace.Stats) func(trace.RayObserver) *trace.
 		return g.cl.WorkersFor(st)
 	}
 	return g.ft.NewWorker
+}
+
+// bytes is what g holds: the cluster's shards as objspace accounts them,
+// or the tracer, its resolved objects (each with a mailbox in the
+// tracer's own worker) and its grid's voxel lists.
+func (g Geometry) bytes() int {
+	if g.cl != nil {
+		n := 0
+		for i := range g.cl.Partition().Shards() {
+			n += int(g.cl.Shard(i).ResidentBytes)
+		}
+		return n
+	}
+	gr := g.ft.Grid()
+	n := int(unsafe.Sizeof(*g.ft)) + len(g.ft.Objects())*int(unsafe.Sizeof(scene.ResolvedObject{})+8) +
+		gr.NumVoxels()*int(unsafe.Sizeof([]int32(nil)))
+	for v := range gr.NumVoxels() {
+		n += 4 * len(gr.Items(v))
+	}
+	return n
 }
 
 // NewFrames prepares the geometry of frames [start, end) of sc, built
@@ -108,6 +129,25 @@ func (fr *Frames) At(f int) (Geometry, error) {
 		fr.kept++
 	}
 	return g, nil
+}
+
+// WorkingSet returns the bytes a machine holds to render with fr: the
+// geometry fr keeps and, when e (an engine over fr's Range) is non-nil,
+// what e and the Range hold. The virtual NOW weighs it against a
+// machine's memory; nothing on the wall clock asks.
+func (fr *Frames) WorkingSet(e *Engine) int {
+	n := 0
+	fr.mu.Lock()
+	for _, g := range fr.held {
+		if g.ft != nil || g.cl != nil {
+			n += g.bytes()
+		}
+	}
+	fr.mu.Unlock()
+	if e != nil {
+		n += e.bytes() + e.rng.bytes()
+	}
+	return n
 }
 
 // Stats returns how many times a frame's geometry was asked for, how many

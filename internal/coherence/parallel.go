@@ -102,6 +102,7 @@ func (e *Engine) compactArenas() {
 	for _, c := range e.collectors {
 		total += len(c.arena)
 	}
+	e.peak = max(e.peak, total)
 	if total <= 2*e.live+arenaSlack {
 		return
 	}

@@ -269,6 +269,23 @@ func registrationResolution(bounds vm.AABB) (nx, ny, nz int) {
 	return scale(size.X), scale(size.Y), scale(size.Z)
 }
 
+// bytes is what the Range holds beside its frames: the movers' voxel
+// lists and the changed-voxel sets.
+func (r *Range) bytes() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := 0
+	for _, l := range r.lists {
+		n += 4 * len(l)
+	}
+	for _, cs := range r.pairs {
+		if cs.voxels != nil {
+			n += cs.voxels.Len() / 8
+		}
+	}
+	return n
+}
+
 // changes returns what changes between frames f and f+1, resolving the
 // pair on the first request.
 func (r *Range) changes(f int) changeSet {

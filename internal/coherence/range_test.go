@@ -333,3 +333,37 @@ func TestRangeRetainedBytes(t *testing.T) {
 	}
 	runtime.KeepAlive(r)
 }
+
+// TestWorkingSetTracksHeap: Frames.WorkingSet, which the virtual NOW
+// weighs against a machine's memory, is what the heap holds, less the
+// slack append leaves in the grown registration arena. A serial
+// whole-frame engine over twelve Newton frames at 120x160 and its Range,
+// which keeps every frame's tracer, plus the frame it renders into, must
+// account for between two thirds and all of the heap they grew (2.0 of
+// 2.5 MB).
+func TestWorkingSetTracksHeap(t *testing.T) {
+	const w, h, frames = 120, 160, 12
+	sc := scenes.Newton(frames)
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	before := heap()
+	r, engines := sharedEngines(t, sc, w, h, 0, frames, []fb.Rect{fb.NewRect(0, 0, w, h)}, Options{Threads: 1})
+	buf := fb.New(w, h)
+	for f := 0; f < frames; f++ {
+		if _, err := engines[0].RenderFrame(f, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grew := int64(heap() - before)
+	got := int64(r.Frames().WorkingSet(engines[0]) + len(buf.Pix))
+	t.Logf("working set %d bytes, heap grew %d", got, grew)
+	if got < grew*2/3 || got > grew {
+		t.Errorf("working set %d bytes, heap grew %d: not between two thirds and all of it", got, grew)
+	}
+	runtime.KeepAlive(r)
+	runtime.KeepAlive(buf)
+}

@@ -68,13 +68,9 @@ type Config struct {
 	// (the cost model charges per ray, not per core).
 	Threads int
 
-	// Machines populate the virtual NOW (RenderVirtual). Defaults to
-	// the paper's 3-machine testbed.
+	// Machines populate the virtual NOW (RenderVirtual), on the paper's
+	// Ethernet. Defaults to the paper's 3-machine testbed.
 	Machines []cluster.Machine
-	// Net is the virtual interconnect. Zero value = 10 Mb/s Ethernet.
-	Net cluster.Ethernet
-	// Cost converts work to virtual time. Zero value = defaults.
-	Cost cluster.CostModel
 
 	// Workers is the goroutine count for RenderLocal. Defaults to the
 	// machine count, or 3.
@@ -252,12 +248,6 @@ func (c *Config) defaults() error {
 	}
 	if len(c.Machines) == 0 {
 		c.Machines = cluster.PaperTestbed()
-	}
-	if c.Net == (cluster.Ethernet{}) {
-		c.Net = cluster.TenBaseT()
-	}
-	if c.Cost == (cluster.CostModel{}) {
-		c.Cost = cluster.DefaultCostModel()
 	}
 	if c.Workers <= 0 {
 		c.Workers = len(c.Machines)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"time"
 
 	"nowrender/internal/cluster"
 	"nowrender/internal/coherence"
@@ -52,6 +53,43 @@ func referenceFrames(t *testing.T, sc *scene.Scene) []*fb.Framebuffer {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// steadyVersusMessage renders every w x h frame-division block of sc
+// (bw x bh) through the frame step and returns what the virtual NOW
+// charges, on average, for a block's steady (non-first) coherent frame
+// on a speed-1 machine and for the message carrying its result: the
+// master's handling plus the bus. A test whose blocks' steady frames cost
+// less than their messages measures the bus, not the schedule.
+func steadyVersusMessage(t *testing.T, sc *scene.Scene, w, h, bw, bh int) (steady, message time.Duration) {
+	t.Helper()
+	cost := cluster.DefaultCostModel()
+	bus, err := cluster.NewVirtualNOW(cluster.Uniform(1, 1, 0)) // one machine: a transfer never waits
+	if err != nil {
+		t.Fatal(err)
+	}
+	tasks := partition.FrameDivision{BlockW: bw, BlockH: bh}.InitialTasks(w, h, 0, sc.Frames, 1)
+	for _, task := range tasks {
+		tm := taskMsg{Task: task, W: w, H: h, Coherence: true, Samples: 1, Threads: 1}
+		step, err := newFrameStep(sc, tm, &rangeHolder{}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f := 0; f < sc.Frames; f++ {
+			fd, work, err := step.render(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := step.encode(&fd, f == 0)
+			if f > 0 {
+				steady += time.Duration(cost.Seconds(work) * float64(time.Second))
+				sent := bus.Time(0)
+				message += time.Duration(cost.SecPerMessage*float64(time.Second)) + bus.Communicate(0, len(data)) - sent
+			}
+		}
+	}
+	n := time.Duration(len(tasks) * (sc.Frames - 1))
+	return steady / n, message / n
 }
 
 // aaReferenceFrames is referenceFrames with the tracer's adaptive
@@ -130,13 +168,18 @@ func TestVirtualSchemesProduceIdenticalImages(t *testing.T) {
 // Config. Twenty runs of the configuration with the most scheduling in it
 // — adaptive frame division with coherence on the 2:1:1 testbed, where
 // equal-remaining victims and simultaneous arrivals must break the same
-// way every time — agree on every number the run reports. Eight frames at
-// twice the other tests' size (twenty blocks): a steal has to pay for a
-// cold first frame (see trySteal), and the five 40x32 frames this test
-// used to render never do — TestStealWeighsColdStart.
+// way every time — agree on every number the run reports. Eight frames of
+// 16x16 blocks (twenty of them) at twice the other tests' size: the
+// smallest size, in quarter steps of 40x32, at which a block's steady
+// frame costs a speed-1 machine more than its message costs the master
+// and the bus (7.8 against 7.6 ms; 7.1 against 7.5 at 60x48). Below it
+// the messages, not the steal rule, set the schedule.
 func TestVirtualDeterminism(t *testing.T) {
 	const w, h = 2 * fw, 2 * fh
 	sc := farmScene(8)
+	if steady, message := steadyVersusMessage(t, sc, w, h, 16, 16); steady <= message {
+		t.Fatalf("a steady block frame costs %v, its message %v: size the test up", steady, message)
+	}
 	run := func() *Result {
 		res, err := renderVirtual(Config{
 			Scene: sc, W: w, H: h, Machines: cluster.PaperTestbed(),
@@ -176,8 +219,11 @@ func TestVirtualDeterminism(t *testing.T) {
 // engine with a full trace. Where that costs more than the frames the
 // steal takes off the victim, the master must leave the victim alone;
 // without coherence every frame costs the same and it steals as ever.
+// Eight frames: over five, the last blocks go out so late that a thief
+// asks before the victim's first results are in, and with no sample to
+// weigh the master steals.
 func TestStealWeighsColdStart(t *testing.T) {
-	sc := farmScene(5)
+	sc := farmScene(8)
 	want := referenceFrames(t, sc)
 	for _, coh := range []bool{false, true} {
 		res, err := RenderVirtual(Config{
@@ -195,14 +241,20 @@ func TestStealWeighsColdStart(t *testing.T) {
 }
 
 func TestVirtualSpeedupShape(t *testing.T) {
-	// Twelve frames at twice the other tests' size: at 40x32 a steady
-	// coherent frame of a block costs less than the message that carries
-	// it, so the shared bus, not the techniques under test, decides
-	// whether four blocks on three machines beat one machine.
-	const w, h = 2 * fw, 2 * fh
+	// Twelve frames at 60x48: the smallest size, in quarter steps of
+	// 40x32, at which a quarter-frame block's steady frame costs the
+	// testbed's fast machine more than its message costs the master and
+	// the bus (10.0 against 8.7 ms; 6.8 against 8.2 at 50x40). Below it
+	// the messages, not the techniques under test, decide whether four
+	// blocks on three machines beat one machine.
+	const w, h = 3 * fw / 2, 3 * fh / 2
 	sc := farmScene(12)
 	fast := cluster.PaperTestbed()[0]
 	frameDiv := partition.FrameDivision{BlockW: w / 2, BlockH: h / 2, Adaptive: true}
+	if steady, message := steadyVersusMessage(t, sc, w, h, w/2, h/2); steady/time.Duration(fast.Speed) <= message {
+		t.Fatalf("a steady block frame costs the fast machine %v, its message %v: size the test up",
+			steady/time.Duration(fast.Speed), message)
+	}
 
 	single, err := RenderSingle(Config{Scene: sc, W: w, H: h}, fast)
 	if err != nil {

@@ -37,21 +37,23 @@ type vmsg struct {
 // machine says hello at t=0, then per task sends one TagFrameDone per
 // frame and a TagTaskDone, acknowledging a TagTruncate at its next frame
 // boundary. Rendering is the real frame step; time is what the cost model
-// charges for its work and the bus for the real encoded messages. Nothing
-// is lost, late or garbled, so Config.DFB, Heartbeat, Liveness,
-// StallTimeout and WrapConn have nothing to act on.
+// charges for its work, the bus for the real encoded messages and the
+// master for handling each message, one at a time. Nothing is lost, late
+// or garbled, so Config.DFB, Heartbeat, Liveness, StallTimeout and
+// WrapConn have nothing to act on.
 type virtualLink struct {
 	cfg      *Config
 	now      *cluster.VirtualNOW
 	machines []*vmachine
 	byName   map[string]int
 	inflight []vmsg
-	// clock is the master's time: when the last message Recv returned arrived.
+	// clock is the master's time: when it finished handling the last
+	// message Recv returned.
 	clock time.Duration
 }
 
 func newVirtualLink(cfg *Config) (*virtualLink, error) {
-	now, err := cluster.NewVirtualNOW(cfg.Machines, cfg.Net, cfg.Cost)
+	now, err := cluster.NewVirtualNOW(cfg.Machines)
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +86,8 @@ func (l *virtualLink) Now() time.Duration { return l.clock }
 func (l *virtualLink) Detach(string) {}
 
 // Recv is one conservative discrete-event step: hand over the earliest
-// message in flight, unless a busy machine's clock is earlier still — it
+// message in flight, handled from when both it and the master are free,
+// unless a busy machine's clock is earlier than the handling's end — it
 // could yet send something sooner, so it renders its next frame first.
 // Ties go to the lower machine index. Every busy clock is therefore at or
 // past the master's, and so is everything sent later: time never runs back.
@@ -105,7 +108,11 @@ func (l *virtualLink) Recv() (msg.Message, error) {
 				busy = i
 			}
 		}
-		if busy >= 0 && (first < 0 || l.now.Time(busy) < l.inflight[first].at) {
+		var handled time.Duration // when the master will be done with first
+		if first >= 0 {
+			handled = max(l.clock, l.inflight[first].at) + time.Duration(l.now.Cost.SecPerMessage*float64(time.Second))
+		}
+		if busy >= 0 && (first < 0 || l.now.Time(busy) < handled) {
 			if err := l.renderFrame(busy); err != nil {
 				return msg.Message{}, err
 			}
@@ -116,7 +123,7 @@ func (l *virtualLink) Recv() (msg.Message, error) {
 		}
 		v := l.inflight[first]
 		l.inflight = append(l.inflight[:first], l.inflight[first+1:]...)
-		l.clock = v.at
+		l.clock = handled
 		return v.m, nil
 	}
 }
@@ -186,6 +193,9 @@ func (l *virtualLink) renderFrame(i int) error {
 	if err != nil {
 		return err
 	}
+	// What the machine holds: its frames, the task's engine and Range, the
+	// task framebuffer. Only the virtual NOW asks.
+	work.MemoryMB = float64(vm.step.geo.WorkingSet(vm.step.eng)+len(vm.step.buf.Pix)) / (1 << 20)
 	began := l.now.Time(i)
 	rendered := l.now.Exec(i, work)
 	fd.ElapsedNs = int64(rendered - began)

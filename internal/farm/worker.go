@@ -318,8 +318,8 @@ func runWorkerLoop(ctx context.Context, name string, conn msg.Conn, sc *scene.Sc
 // both.
 type frameStep struct {
 	tm taskMsg
-	// eng renders a coherent task; a plain one renders straight off geo,
-	// the worker's geometry for its frames.
+	// geo is the worker's geometry for the task's frames: a plain task
+	// renders straight off it, a coherent one through eng.
 	eng *coherence.Engine
 	geo *coherence.Frames
 	// osStats accumulates an object-space task's forwarding traffic and
@@ -423,6 +423,7 @@ func newFrameStep(sc *scene.Scene, tm taskMsg, ranges *rangeHolder, main *timeli
 	if s.eng, err = r.NewEngine(tm.W, tm.H, t.Region, copts); err != nil {
 		return nil, err
 	}
+	s.geo = r.Frames()
 	return s, nil
 }
 
@@ -444,13 +445,11 @@ func (s *frameStep) render(f int) (frameDoneMsg, cluster.Work, error) {
 		fd.Regs = rep.Registrations
 		fd.Rays = rep.Rays
 		s.spans = s.eng.LastSpans()
-		return fd, cluster.Work{
-			Rays:          rep.Rays.Total(),
-			Registrations: rep.Registrations,
-			CopiedPixels:  uint64(rep.Copied),
-			ChangeVoxels:  uint64(rep.ChangeVoxels),
-			MemoryMB:      t.MemoryMB(),
-		}, nil
+		w := cluster.Work{Rays: rep.Rays.Total(), Registrations: rep.Registrations, CopiedPixels: uint64(rep.Copied)}
+		if rep.ChangeVoxels > 0 { // change detection scanned every pixel's run
+			w.ScannedPixels = uint64(t.Region.Area())
+		}
+		return fd, w, nil
 	}
 	g, err := s.geo.At(f)
 	if err != nil {
@@ -464,7 +463,7 @@ func (s *frameStep) render(f int) (frameDoneMsg, cluster.Work, error) {
 	if s.osStats != nil {
 		s.main.Instant(timeline.OpForward, f, int64(s.osStats.RaysForwarded()-fwd0))
 	}
-	return fd, cluster.Work{Rays: fd.Rays.Total(), MemoryMB: t.PlainMemoryMB()}, nil
+	return fd, cluster.Work{Rays: fd.Rays.Total()}, nil
 }
 
 // encode seals fd's pixels for the wire. first forces a key-frame (see

@@ -13,10 +13,10 @@
 // (Rule.After) trigger on the Nth matching message with no randomness at
 // all, which is what the deterministic protocol-failure tests use.
 //
-// The wrapper plugs into both transports: the in-process pipes of the
-// virtual NOW (farm.Config.WrapConn wraps each goroutine worker's end)
-// and real TCP (cmd/nowworker's -chaos flag wraps its dialed
-// connection).
+// The wrapper plugs into both transports: the in-process pipes of
+// RenderLocal's goroutine workers (farm.Config.WrapConn wraps each
+// worker's end) and real TCP (cmd/nowworker's -chaos flag wraps its
+// dialed connection). The virtual NOW has no connections to wrap.
 package faulty
 
 import (

@@ -49,34 +49,6 @@ func (t Task) String() string {
 	return fmt.Sprintf("task %d: %v frames [%d,%d)", t.ID, t.Region, t.StartFrame, t.EndFrame)
 }
 
-// MemoryMB estimates the working set of a coherent task: the coherence
-// engine's registration structures plus two framebuffers, proportional
-// to region area (the paper: "memory requirements are directly
-// proportional to the size of the image area").
-func (t Task) MemoryMB() int {
-	const bytesPerPixel = 160 // registrations + dirty + two 24-bit buffers
-	return ceilMB(t.Region.Area() * bytesPerPixel)
-}
-
-// PlainMemoryMB estimates the working set without coherence: just the
-// framebuffers, roughly 25x smaller than the coherent estimate. The gap
-// between the two is what gives multiple machines their aggregate-memory
-// advantage (§4: "we actually do a little better than the multiplicative
-// expectation ... due to the increased aggregate memory").
-func (t Task) PlainMemoryMB() int {
-	return ceilMB(t.Region.Area() * 6)
-}
-
-// ceilMB converts bytes to whole megabytes, rounding up with a 1 MB
-// floor.
-func ceilMB(bytes int) int {
-	mb := (bytes + (1 << 20) - 1) >> 20
-	if mb < 1 {
-		return 1
-	}
-	return mb
-}
-
 // Scheme produces and subdivides tasks.
 type Scheme interface {
 	// Name identifies the scheme in reports ("seq div", "frame div"...).

@@ -191,13 +191,6 @@ func TestTaskAccessors(t *testing.T) {
 	if task.Frames() != 10 || task.Pixels() != 64000 {
 		t.Errorf("Frames=%d Pixels=%d", task.Frames(), task.Pixels())
 	}
-	if task.MemoryMB() < 1 {
-		t.Error("memory estimate must be at least 1 MB")
-	}
-	big := Task{Region: fb.NewRect(0, 0, 2000, 2000), StartFrame: 0, EndFrame: 1}
-	if big.MemoryMB() <= task.MemoryMB() {
-		t.Error("memory estimate not proportional to area")
-	}
 }
 
 func TestValidateTilingCatchesOverlap(t *testing.T) {

@@ -83,9 +83,10 @@ func MeshGallery(frames int) *scene.Scene {
 // instance of the mesh (vertices transformed at build time, not via a
 // shared Transformed wrapper), so the global triangle count really is
 // nine tiles' worth and a spatial shard holds only the instances — and,
-// within an instance, only the triangles — overlapping its slab. A
-// dollying camera and an orbiting glass ball keep the animation
-// exercising coherence and secondary rays.
+// within an instance, only the triangles — overlapping its slab. An
+// orbiting glass ball keeps secondary rays busy. The camera dollies every
+// frame, so every frame is a camera cut and no run of it can use frame
+// coherence.
 func MeshGalleryFrom(tile *geom.Mesh, frames int) *scene.Scene {
 	if frames <= 0 {
 		frames = MeshGalleryFrames

@@ -66,10 +66,6 @@ type FrameStats struct {
 	// Elapsed is the time spent producing the frame. Depending on the
 	// execution mode this is wall-clock or virtual NOW time.
 	Elapsed time.Duration
-	// CoherenceOverhead is the extra time spent on coherence
-	// bookkeeping (registration + change detection), included in
-	// Elapsed. The paper reports this as ~12% on the first frame.
-	CoherenceOverhead time.Duration
 }
 
 // RunStats aggregates an animation run.

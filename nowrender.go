@@ -210,15 +210,9 @@ type (
 	WeightedSequenceDivision = partition.WeightedSequenceDivision
 )
 
-// Cluster modelling.
-type (
-	// Machine describes one workstation (relative speed, memory).
-	Machine = cluster.Machine
-	// Ethernet models the shared interconnect.
-	Ethernet = cluster.Ethernet
-	// CostModel converts work quantities to virtual time.
-	CostModel = cluster.CostModel
-)
+// Machine describes one workstation of the virtual NOW (relative speed,
+// memory).
+type Machine = cluster.Machine
 
 // PaperTestbed returns the paper's 3-machine SGI cluster.
 func PaperTestbed() []Machine { return cluster.PaperTestbed() }
