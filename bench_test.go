@@ -213,6 +213,45 @@ func BenchmarkCoherence_ChangeDetection(b *testing.B) {
 	}
 }
 
+// BenchmarkCoherence_FirstFrame is newton-fc's first frame at the ledger's
+// size and seed-1 window (frames [1, 61) of newton:90 at 120x160, one
+// thread): NewEngine, then RenderFrame of frame 1 — the scene checks, the
+// motion grid, the tracer and the frame with every registration. Paired
+// with BenchmarkCoherence_FirstFramePlain, which renders the same frame
+// without coherence, it is first_frame_overhead_pct without a ledger run
+// (run with -benchmem; the B/op gap is the engine's).
+func BenchmarkCoherence_FirstFrame(b *testing.B) {
+	const w, h = 120, 160
+	sc := scenes.Newton(90)
+	full := fb.NewRect(0, 0, w, h)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eng, err := coherence.NewEngine(sc, w, h, full, 1, 61, coherence.Options{Threads: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.RenderFrame(1, fb.New(w, h)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCoherence_FirstFramePlain is BenchmarkCoherence_FirstFrame's
+// frame through the plain tracer: trace.New and every pixel, as
+// newton-plain renders it.
+func BenchmarkCoherence_FirstFramePlain(b *testing.B) {
+	const w, h = 120, 160
+	sc := scenes.Newton(90)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ft, err := trace.New(sc, 1, trace.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ft.RenderFull(fb.New(w, h))
+	}
+}
+
 // BenchmarkFarm_LocalProtocol measures the full wall-clock goroutine
 // farm on a small animation.
 func BenchmarkFarm_LocalProtocol(b *testing.B) {

@@ -110,11 +110,12 @@ type Options struct {
 }
 
 // pixelRun locates a pixel's registrations: the voxels its rays
-// traversed when it was last traced are arena[off:off+n] of collector
-// slot, each voxel once.
+// traversed when it was last traced, each voxel once, are the record of
+// collector slot whose voxels start at arena offset off, after its header
+// (pixel, n) at off-2 (see regCollector). off is 0 for a pixel that
+// registered nothing.
 type pixelRun struct {
-	off     int
-	n, slot int32
+	off, slot int32
 }
 
 // Engine renders a region of an animation sequence exploiting frame
@@ -138,9 +139,10 @@ type Engine struct {
 	// runs[p] is region-local pixel p's current registration run. Tile
 	// workers write disjoint entries (each pixel belongs to one tile).
 	runs []pixelRun
-	// live is the sum of n over runs (see RegistrationCount); peak is the
-	// most arena entries, live and superseded, held at a frame's end.
-	live, peak int
+	// live counts the registrations the runs hold (see
+	// RegistrationCount); reserved is the arena entries the first frame
+	// reserved over all tile workers.
+	live, reserved int
 
 	prev      *fb.Framebuffer
 	nextFrame int
@@ -357,8 +359,10 @@ func (e *Engine) dilateToBlocks(n int) {
 }
 
 // bytes is what the engine holds: runs, masks, the previous frame, and
-// the arena as one tile worker holds it at any thread count — room for
-// the most entries held, a spare as large, one dedup table.
+// the arenas, counted the same at any thread count: what the first frame
+// reserved or, once the live records (registrations and headers) outgrow
+// half of that, twice them — the room makeRoom keeps — plus one tile
+// worker's dedup table.
 func (e *Engine) bytes() int {
 	n := len(e.runs)*int(unsafe.Sizeof(pixelRun{})) + e.dirty.Len()/8 +
 		len(e.lastSpans)*int(unsafe.Sizeof(fb.Span{}))
@@ -366,7 +370,13 @@ func (e *Engine) bytes() int {
 		n += len(e.prev.Pix)
 	}
 	if e.grid != nil {
-		n += 4 * (2*e.peak + e.grid.NumVoxels())
+		records := e.live
+		for _, run := range e.runs {
+			if run.off > 0 {
+				records += 2
+			}
+		}
+		n += 4 * (max(2*records, e.reserved) + e.grid.NumVoxels())
 	}
 	return n
 }

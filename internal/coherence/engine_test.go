@@ -345,7 +345,7 @@ func TestBlockGranularityDilates(t *testing.T) {
 }
 
 // arenaEntries is the storage the engine holds for registrations, live
-// and superseded, in voxel indices.
+// and dead, headers included, in int32s.
 func arenaEntries(e *Engine) int {
 	total := 0
 	for _, c := range e.collectors {
@@ -354,15 +354,32 @@ func arenaEntries(e *Engine) int {
 	return total
 }
 
+// liveRecords is what the live records take: the live registrations and a
+// two-entry header for every pixel that has any.
+func liveRecords(e *Engine) int {
+	n := e.RegistrationCount()
+	for _, run := range e.runs {
+		if run.off > 0 {
+			n += 2
+		}
+	}
+	return n
+}
+
 // checkRuns fails unless the pixels' runs are exactly the live
-// registrations: they sum to RegistrationCount, stay inside their arena
-// and name each voxel once.
+// registrations — they sum to RegistrationCount, each follows its own
+// header and names each voxel once — and every arena parses into records
+// whose live ones are exactly the runs and whose dead ones add up to the
+// collector's dead count.
 func checkRuns(t *testing.T, e *Engine) {
 	t.Helper()
 	sum := 0
 	seen := make(map[int32]bool)
 	for p, run := range e.runs {
-		sum += int(run.n)
+		sum += len(e.voxels(run))
+		if run.off > 0 && e.collectors[run.slot].arena[run.off-2] != int32(p) {
+			t.Fatalf("pixel %d: run %+v after the header of pixel %d", p, run, e.collectors[run.slot].arena[run.off-2])
+		}
 		clear(seen)
 		for _, v := range e.voxels(run) {
 			if seen[v] {
@@ -374,6 +391,21 @@ func checkRuns(t *testing.T, e *Engine) {
 	if sum != e.RegistrationCount() {
 		t.Fatalf("runs hold %d registrations, RegistrationCount says %d", sum, e.RegistrationCount())
 	}
+	for _, c := range e.collectors {
+		r, dead := 0, 0
+		for r < len(c.arena) {
+			p, n := c.arena[r], int(c.arena[r+1])
+			if p < 0 {
+				dead += 2 + n
+			} else if run := e.runs[p]; run.slot != c.slot || int(run.off) != r+2 {
+				t.Fatalf("collector %d: live record of pixel %d at %d, but its run is %+v", c.slot, p, r, run)
+			}
+			r += 2 + n
+		}
+		if r != len(c.arena) || dead != c.dead {
+			t.Fatalf("collector %d: records end at %d of %d, %d dead entries, counted %d", c.slot, r, len(c.arena), dead, c.dead)
+		}
+	}
 }
 
 func TestRegistrationAccounting(t *testing.T) {
@@ -384,10 +416,10 @@ func TestRegistrationAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Nothing is superseded yet: storage, the report and the live count
-	// agree.
+	// Nothing is superseded yet: storage holds only live records, and the
+	// report and the live count agree.
 	n0 := e.RegistrationCount()
-	if n0 == 0 || uint64(n0) != rep0.Registrations || arenaEntries(e) != n0 {
+	if n0 == 0 || uint64(n0) != rep0.Registrations || arenaEntries(e) != liveRecords(e) {
 		t.Fatalf("after the first frame: live %d, reported %d, stored %d", n0, rep0.Registrations, arenaEntries(e))
 	}
 	checkRuns(t, e)
@@ -488,9 +520,9 @@ func TestCoherentRenderPixelIdenticalWithAA(t *testing.T) {
 }
 
 // Long animations must not accumulate superseded registrations: after
-// every frame the arenas hold at most twice the live entries plus the
-// slack, whatever the thread count, and the runs stay consistent across
-// the rewrites that keep it so.
+// every frame the arenas hold at most three times the live records,
+// whatever the thread count, and the runs stay consistent across the
+// compactions that keep it so.
 func TestRegistrationMemoryBounded(t *testing.T) {
 	const frames = 64
 	s := movingScene(frames)
@@ -506,7 +538,7 @@ func TestRegistrationMemoryBounded(t *testing.T) {
 				t.Fatal(err)
 			}
 			stored := arenaEntries(e)
-			if limit := 2*e.RegistrationCount() + arenaSlack; stored > limit {
+			if limit := 3 * liveRecords(e); stored > limit {
 				t.Fatalf("threads %d frame %d: %d entries stored, limit %d", threads, f, stored, limit)
 			}
 			if stored < prev {

@@ -231,9 +231,26 @@ func TestMotionBoxPixelIdentical(t *testing.T) {
 
 // checkMoversInsideGrid is the invariant the clipped grid rests on: at
 // every frame of the range every (bounded) mover lies inside the grid, so
-// a voxel it enters or leaves is a voxel of the grid.
+// a voxel it enters or leaves is a voxel of the grid. The grid's box is
+// also, bit for bit, the movers' padded swept box clipped to the
+// sequence's Scene.BoundsAt, which layGrid computes only for an unbounded
+// mover.
 func checkMoversInsideGrid(t *testing.T, name string, e *Engine) {
 	t.Helper()
+	if e.grid == nil {
+		return
+	}
+	swept, seq := vm.EmptyAABB(), vm.EmptyAABB()
+	for f := e.rng.start; f < e.rng.end; f++ {
+		for _, m := range e.rng.movers {
+			swept = swept.Union(m.BoundsAt(f))
+		}
+		seq = seq.Union(e.rng.sc.BoundsAt(f))
+	}
+	swept = swept.Pad(1e-3)
+	if clipped := (vm.AABB{Min: swept.Min.Max(seq.Min), Max: swept.Max.Min(seq.Max)}); e.grid.Bounds() != clipped {
+		t.Errorf("%s: grid spans %v, the clipped swept box is %v", name, e.grid.Bounds(), clipped)
+	}
 	for _, m := range e.rng.movers {
 		for f := e.rng.start; f < e.rng.end; f++ {
 			b, g := m.BoundsAt(f), e.grid.Bounds()

@@ -205,14 +205,18 @@ func (r *Range) NewEngine(w, h int, region fb.Rect, opts Options) (*Engine, erro
 // registration grid, identical for every frame of the range, over the
 // box their bounds sweep. A change between two frames is a mover entering
 // or leaving a voxel, and every such voxel lies in that box, so nothing
-// outside it needs registering. The box is clipped to Scene.BoundsAt over
-// the range — geometry, camera and lights, padded past the planes — which
-// is what an unbounded mover (a plane) degrades to. That clip is wider
-// than the tracers' grids, which cover the bounded geometry alone, and
-// must stay so: rays that meet a moving plane outside the geometry's box
-// would register nowhere, and their pixels would go stale.
+// outside it needs registering. An unbounded mover (a plane) clips the box
+// to Scene.BoundsAt over the range — geometry, camera and lights, padded
+// past the planes. That clip is wider than the tracers' grids, which cover
+// the bounded geometry alone, and must stay so: rays that meet a moving
+// plane outside the geometry's box would register nowhere, and their
+// pixels would go stale. Bounded movers need no clip: each frame's
+// Scene.BoundsAt holds their boxes padded at least as far, so the clip
+// would return the padded box bit for bit, after a pass over every object
+// at every frame.
 func (r *Range) layGrid() error {
 	swept := vm.EmptyAABB()
+	unbounded := false
 	for _, o := range r.sc.Objects {
 		moves := false
 		for f := r.start; f+1 < r.end && !moves; f++ {
@@ -223,18 +227,22 @@ func (r *Range) layGrid() error {
 		}
 		r.movers = append(r.movers, o)
 		for f := r.start; f < r.end; f++ {
-			swept = swept.Union(o.BoundsAt(f))
+			b := o.BoundsAt(f)
+			unbounded = unbounded || b.Size().MaxComponent() >= geom.HugeExtent
+			swept = swept.Union(b)
 		}
 	}
 	if len(r.movers) == 0 {
 		return nil
 	}
-	seq := vm.EmptyAABB()
-	for f := r.start; f < r.end; f++ {
-		seq = seq.Union(r.sc.BoundsAt(f))
+	bounds := swept.Pad(1e-3)
+	if unbounded {
+		seq := vm.EmptyAABB()
+		for f := r.start; f < r.end; f++ {
+			seq = seq.Union(r.sc.BoundsAt(f))
+		}
+		bounds = vm.AABB{Min: bounds.Min.Max(seq.Min), Max: bounds.Max.Min(seq.Max)}
 	}
-	swept = swept.Pad(1e-3)
-	bounds := vm.AABB{Min: swept.Min.Max(seq.Min), Max: swept.Max.Min(seq.Max)}
 
 	nx, ny, nz := registrationResolution(bounds)
 	if res := r.geo.topts.GridRes; res > 0 {

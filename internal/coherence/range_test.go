@@ -335,12 +335,12 @@ func TestRangeRetainedBytes(t *testing.T) {
 }
 
 // TestWorkingSetTracksHeap: Frames.WorkingSet, which the virtual NOW
-// weighs against a machine's memory, is what the heap holds, less the
-// slack append leaves in the grown registration arena. A serial
+// weighs against a machine's memory, is what the heap holds. A serial
 // whole-frame engine over twelve Newton frames at 120x160 and its Range,
 // which keeps every frame's tracer, plus the frame it renders into, must
-// account for between two thirds and all of the heap they grew (2.0 of
-// 2.5 MB).
+// account for between 85 % and all of the heap they grew (1.28 of 1.41
+// MB; the rest is the registration grid's unused cell table and the
+// tracers' grids as Geometry.bytes undercounts them).
 func TestWorkingSetTracksHeap(t *testing.T) {
 	const w, h, frames = 120, 160, 12
 	sc := scenes.Newton(frames)
@@ -361,8 +361,8 @@ func TestWorkingSetTracksHeap(t *testing.T) {
 	grew := int64(heap() - before)
 	got := int64(r.Frames().WorkingSet(engines[0]) + len(buf.Pix))
 	t.Logf("working set %d bytes, heap grew %d", got, grew)
-	if got < grew*2/3 || got > grew {
-		t.Errorf("working set %d bytes, heap grew %d: not between two thirds and all of it", got, grew)
+	if got < grew*85/100 || got > grew {
+		t.Errorf("working set %d bytes, heap grew %d: not between 85 %% and all of it", got, grew)
 	}
 	runtime.KeepAlive(r)
 	runtime.KeepAlive(buf)

@@ -244,7 +244,7 @@ func heldMB(t *testing.T, p Params, region fb.Rect, coherent bool) float64 {
 
 // TestAblationMemory squeezes every machine to 1 MB, chosen from what the
 // tasks hold at the end: a whole-frame coherent task over these twelve
-// frames 1.89 MB, a 40x40 block's 0.24 MB, a plain task 0.12 MB.
+// frames 1.22 MB, a 40x40 block's 0.24 MB, a plain task 0.12 MB.
 func TestAblationMemory(t *testing.T) {
 	const squeezeMB = 1
 	p := Params{Scene: scenes.Newton(12), W: 120, H: 160, BlockW: 40, BlockH: 40}

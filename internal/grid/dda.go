@@ -134,15 +134,20 @@ func (g *Grid) Walk(r vm.Ray, tMin, tMax float64, visit func(idx int, tEnter, tL
 // AppendVoxels appends to dst the flat indices of the voxels Walk visits
 // for the same arguments, in the same order, and returns the extended
 // slice. It is the coherence engine's registration path: no visitor call
-// and no parameter intervals, and a full dst doubles, so an arena filled
-// ray after ray is copied O(log n) times.
+// and no parameter intervals, and a segment that lies beyond one face of
+// the box (see beyondFace) returns before the walk is set up — on Newton
+// most registration walks miss the motion box. A dst with fewer than
+// MaxWalk free entries doubles, so an arena filled ray after ray is copied
+// O(log n) times.
 func (g *Grid) AppendVoxels(dst []int32, r vm.Ray, tMin, tMax float64) []int32 {
+	if tMin >= 0 && g.beyondFace(&r, tMax) {
+		return dst
+	}
 	var w Walker
 	if !g.StartWalk(&w, r, tMin, tMax) {
 		return dst
 	}
-	// A walk starts in one voxel and steps at most n-1 times per axis.
-	n, most := len(dst), g.nx+g.ny+g.nz-2
+	n, most := len(dst), g.MaxWalk()
 	if cap(dst)-n < most {
 		dst = append(make([]int32, 0, 2*cap(dst)+most), dst...)
 	}
@@ -155,6 +160,34 @@ func (g *Grid) AppendVoxels(dst []int32, r vm.Ray, tMin, tMax float64) []int32 {
 			return dst[:n]
 		}
 	}
+}
+
+// MaxWalk is the most voxels one walk visits: it starts in one voxel and
+// steps at most n-1 times along each axis.
+func (g *Grid) MaxWalk() int { return g.nx + g.ny + g.nz - 2 }
+
+// beyondFace reports whether the segment from r's origin o to
+// e = o + tMax·d lies wholly beyond one face of the box — both ends below
+// its minimum or both above its maximum on one axis — so that StartWalk
+// over any [tMin, tMax] with tMin >= 0 finds no voxel. It multiplies and
+// compares only. The ends must clear the face by a margin far above the
+// rounding of e and of StartWalk's slab test, which both scale with the
+// magnitudes of o and of the face (e lies near the face when rounding
+// matters): g.outer holds the faces moved out by 1e-9 of their own, and
+// beyondSlab adds 1e-9 of o's. An infinite e compares by its sign; a NaN
+// one (tMax +Inf along an axis the ray does not move on) refuses nothing.
+func (g *Grid) beyondFace(r *vm.Ray, tMax float64) bool {
+	o, d := r.Origin, r.Dir
+	return beyondSlab(o.X, o.X+tMax*d.X, g.outer.Min.X, g.outer.Max.X) ||
+		beyondSlab(o.Y, o.Y+tMax*d.Y, g.outer.Min.Y, g.outer.Max.Y) ||
+		beyondSlab(o.Z, o.Z+tMax*d.Z, g.outer.Min.Z, g.outer.Max.Z)
+}
+
+// beyondSlab is beyondFace on one axis: o and e against the slab
+// [lo, hi] the margin has already widened.
+func beyondSlab(o, e, lo, hi float64) bool {
+	m := 1e-9 * math.Abs(o)
+	return o < lo-m && e < lo-m || o > hi+m && e > hi+m
 }
 
 // VoxelsOnRay collects the flat indices of all voxels the ray visits, in

@@ -155,3 +155,83 @@ func FuzzAppendVoxelsMatchesWalk(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRegistrationRejectIsExact: AppendVoxels' early reject (beyondFace)
+// refuses only segments Walk finds no voxel on, and every segment it lets
+// through appends exactly the voxels Walk visits. Boxes sit anywhere,
+// directions may be axis-parallel, and the segment may run to +Inf or end
+// exactly on a face (end picks one of the six; 0 keeps tHit, 1 is +Inf).
+func FuzzRegistrationRejectIsExact(f *testing.F) {
+	// Misses beyond each face, a ray that runs along a face, segments that
+	// stop just short of the box, on it and inside it, an escaping ray that
+	// heads away, and a box far from the origin.
+	f.Add(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, uint8(4), -1.0, 0.5, 0.5, -1.0, 0.1, 0.0, 3.0, uint8(0), uint8(0))
+	f.Add(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, uint8(4), 2.0, 0.5, 0.5, 1.0, 0.0, 0.0, 3.0, uint8(1), uint8(0))
+	f.Add(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, uint8(4), -1.0, 0.5, 0.5, 1.0, 0.0, 0.0, 0.999, uint8(0), uint8(0))
+	f.Add(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, uint8(4), -1.0, 0.5, 0.5, 1.0, 0.3, 0.1, 0.0, uint8(2), uint8(0))
+	f.Add(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, uint8(4), 0.5, 2.0, 0.5, 0.2, -1.0, 0.3, 0.0, uint8(5), uint8(0))
+	f.Add(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, uint8(4), 1.0, 0.5, 0.5, 0.0, 1.0, 0.0, 0.0, uint8(1), uint8(1))
+	f.Add(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, uint8(4), 0.5, 0.5, -3.0, 0.1, 0.1, 1.0, 2.9, uint8(0), uint8(0))
+	f.Add(-3.1, 0.7, -12.5, 6.2, 1.9, 2.1, uint8(32), 4.0, 3.0, 12.0, 0.1, -0.2, -1.0, 0.0, uint8(6), uint8(0))
+	f.Add(1e5, -2e5, 3e5, 0.25, 0.5, 0.125, uint8(7), 0.0, 0.0, 0.0, 1e5, -2e5, 3e5, 1.0000001, uint8(0), uint8(0))
+
+	f.Fuzz(func(t *testing.T, bx, by, bz, sx, sy, sz float64, res uint8, ox, oy, oz, dx, dy, dz, tHit float64, end, parallel uint8) {
+		lo, size := [3]float64{bx, by, bz}, [3]float64{sx, sy, sz}
+		o, d := [3]float64{ox, oy, oz}, [3]float64{dx, dy, dz}
+		for a := 0; a < 3; a++ {
+			// Boxes up to 1e6 across within 1e6 of the origin, rays from
+			// there in any representable direction.
+			if !(math.Abs(lo[a]) <= 1e6) || !(size[a] >= 0 && size[a] <= 1e6) ||
+				!(math.Abs(o[a]) <= 1e6) || !(math.Abs(d[a]) <= 1e6) {
+				t.Skip()
+			}
+			if parallel&(1<<a) != 0 {
+				d[a] = 0
+			}
+		}
+		hi := [3]float64{lo[0] + size[0], lo[1] + size[1], lo[2] + size[2]}
+		end %= 8
+		switch {
+		case end == 1:
+			tHit = math.Inf(1)
+		case end >= 2:
+			// The segment ends on face end-2: axis (end-2)/2, low or high.
+			a, face := int(end-2)/2, lo[int(end-2)/2]
+			if end%2 == 1 {
+				face = hi[a]
+			}
+			if d[a] == 0 {
+				t.Skip()
+			}
+			tHit = (face - o[a]) / d[a]
+		}
+		if math.IsNaN(tHit) {
+			t.Skip()
+		}
+		n := int(res%40) + 1
+		g, err := New(vm.NewAABB(vm.V(lo[0], lo[1], lo[2]), vm.V(hi[0], hi[1], hi[2])), n, n/2+1, n/3+1)
+		if err != nil {
+			t.Skip() // an empty box
+		}
+		r := vm.Ray{Origin: vm.V(o[0], o[1], o[2]), Dir: vm.V(d[0], d[1], d[2])}
+
+		var walked []int32
+		g.Walk(r, 0, tHit, func(idx int, _, _ float64) bool {
+			walked = append(walked, int32(idx))
+			return true
+		})
+		refused := g.beyondFace(&r, tHit)
+		if refused && len(walked) > 0 {
+			t.Fatalf("refused a segment Walk visits %d voxels on (box %v, ray %+v, tHit %v)", len(walked), g.Bounds(), r, tHit)
+		}
+		got := g.AppendVoxels([]int32{-7}, r, 0, tHit)
+		if got[0] != -7 || len(got) != 1+len(walked) {
+			t.Fatalf("AppendVoxels appended %d voxels, Walk visits %d (refused %v)", len(got)-1, len(walked), refused)
+		}
+		for i, v := range got[1:] {
+			if v != walked[i] {
+				t.Fatalf("step %d: AppendVoxels %d, Walk %d", i, v, walked[i])
+			}
+		}
+	})
+}

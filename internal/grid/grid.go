@@ -25,6 +25,10 @@ type Grid struct {
 	invCell    vm.Vec3
 	// cells holds the item list of each voxel, indexed by Index().
 	cells [][]int32
+	// outer is bounds moved out on every side by 1e-9 of (1 + |min| +
+	// |max|) on that axis: the faces AppendVoxels' early reject tests.
+	// Last, so that the fields the tracer's walk reads keep their place.
+	outer vm.AABB
 }
 
 // New creates a grid over bounds with the given per-axis voxel counts.
@@ -55,12 +59,15 @@ func New(bounds vm.AABB, nx, ny, nz int) (*Grid, error) {
 	if cell.Z < minCell {
 		cell.Z = minCell
 	}
+	lo, hi := bounds.Min, bounds.Max
+	m := vm.V(1+math.Abs(lo.X)+math.Abs(hi.X), 1+math.Abs(lo.Y)+math.Abs(hi.Y), 1+math.Abs(lo.Z)+math.Abs(hi.Z)).Scale(1e-9)
 	return &Grid{
 		bounds: bounds,
 		nx:     nx, ny: ny, nz: nz,
 		cellSize: cell,
 		invCell:  vm.V(1/cell.X, 1/cell.Y, 1/cell.Z),
 		cells:    make([][]int32, nx*ny*nz),
+		outer:    vm.AABB{Min: lo.Sub(m), Max: hi.Add(m)},
 	}, nil
 }
 

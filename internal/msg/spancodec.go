@@ -3,6 +3,7 @@ package msg
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 )
@@ -61,17 +62,36 @@ const spanSkipShift = 4
 // length cannot overflow arithmetic on any platform.
 const spanMaxLen = 1 << 24
 
-// spanEnc is the pooled encoder state: the position table survives
-// between payloads and is never cleared, because zeroing 128 KiB per call
-// would sit on the farm's encode path. A stale entry points at an offset
-// written for an older payload; most fail the byte-compare against the
-// current one, but one that still verifies is a real match in the current
-// payload, which a zeroed table would have missed. So every output decodes
-// to its input, but SpanCompress's exact bytes depend on the pool's
-// history: a byte-exact wire figure means the fresh-table one that
-// wire.TestGalleryBytesPinned pins after emptying the pool.
+// spanEnc is the pooled encoder state. Zeroing its 128 KiB position table
+// per call would sit on the farm's encode path, so the table is not
+// cleared: an entry holds a byte offset plus the base of the call that
+// wrote it, and each call starts with a base past every value an earlier
+// call stored. An entry below the current base is stale and reads as 0,
+// which is what a fresh table holds, so SpanCompress's bytes are a pure
+// function of its input whatever the pool handed it. Only when the base
+// would overflow int32 is the table cleared and the base reset.
 type spanEnc struct {
 	table [1 << spanHashBits]int32
+	base  int
+}
+
+// begin starts a call over an n-byte payload: after it, base is above
+// every stored entry and base+n still fits an entry.
+func (e *spanEnc) begin(n int) {
+	if e.base+n > math.MaxInt32 {
+		clear(e.table[:])
+		e.base = 0
+	}
+}
+
+// at reads the table entry h as an offset into the current payload.
+func (e *spanEnc) at(h uint32) int {
+	return max(int(e.table[h])-e.base, 0)
+}
+
+// set records offset bi in the table entry h.
+func (e *spanEnc) set(h uint32, bi int) {
+	e.table[h] = int32(bi + e.base)
 }
 
 var spanEncPool = sync.Pool{New: func() any { return new(spanEnc) }}
@@ -137,15 +157,23 @@ const (
 // SpanCompress appends the span-codec encoding of src to dst (usually a
 // reused scratch slice truncated to [:0]) and returns the extended
 // slice. It cannot fail and, given dst capacity, does not allocate
-// beyond amortised append growth: the match table comes from a pool.
-// The output is never guaranteed smaller than src — callers keep the
-// raw payload when it is not.
+// beyond amortised append growth: the match table comes from a pool, and
+// the bytes appended depend on src alone (see spanEnc). The output is
+// never guaranteed smaller than src — callers keep the raw payload when
+// it is not.
 func SpanCompress(dst, src []byte) []byte {
+	e := spanEncPool.Get().(*spanEnc)
+	dst = e.compress(dst, src)
+	spanEncPool.Put(e)
+	return dst
+}
+
+// compress is SpanCompress on encoder state e.
+func (e *spanEnc) compress(dst, src []byte) []byte {
 	n := len(src) / 3 // whole pixels; the 0–2 byte tail ships verbatim
 	pixEnd := n * 3
 	probeEnd := len(src) - 8 // last byte offset whose 8-byte hash load fits
-	e := spanEncPool.Get().(*spanEnc)
-	table := &e.table
+	e.begin(len(src))
 	// The hot loop works in byte offsets (bi = 3*pixel) so the common
 	// path does no pixel<->byte arithmetic; table entries are byte
 	// offsets too. There is no separate RLE scan: a flat run is a
@@ -173,19 +201,19 @@ func SpanCompress(dst, src []byte) []byte {
 			// likely return some far older copy of the same pixel.
 			if bi >= 3 && (binary.LittleEndian.Uint64(src[bi-3:])^v1)<<16 == 0 {
 				cand = bi - 3
-				table[spanHashV(v1)] = int32(bi)
+				e.set(spanHashV(v1), bi)
 			} else {
 				v2 := binary.LittleEndian.Uint64(src[bi+3:])
 				h1 := spanHashV(v1)
 				h2 := spanHashV(v2)
-				c1 := int(table[h1])
-				c2 := int(table[h2])
-				table[h1] = int32(bi)
-				table[h2] = int32(bi + 3)
-				if c1 >= 0 && c1 < bi &&
+				c1 := e.at(h1)
+				c2 := e.at(h2)
+				e.set(h1, bi)
+				e.set(h2, bi+3)
+				if c1 < bi &&
 					(binary.LittleEndian.Uint64(src[c1:])^v1)<<16 == 0 {
 					cand = c1
-				} else if c2 >= 0 && c2 < bi+3 &&
+				} else if c2 < bi+3 &&
 					(binary.LittleEndian.Uint64(src[c2:])^v2)<<16 == 0 {
 					cand = c2
 					bi += 3
@@ -194,11 +222,11 @@ func SpanCompress(dst, src []byte) []byte {
 		} else if bi <= probeEnd {
 			// Tail: too close to the end for the second probe.
 			h := spanHashV(binary.LittleEndian.Uint64(src[bi:]))
-			if c := int(table[h]); c >= 0 && c < bi &&
+			if c := e.at(h); c < bi &&
 				(binary.LittleEndian.Uint64(src[c:])^binary.LittleEndian.Uint64(src[bi:]))<<16 == 0 {
 				cand = c
 			}
-			table[h] = int32(bi)
+			e.set(h, bi)
 		}
 		if cand >= 0 {
 			// Whole pixels only: round the byte match length down. Most
@@ -237,7 +265,7 @@ func SpanCompress(dst, src []byte) []byte {
 			// and every unseeded pixel is a match the next occurrence
 			// cannot find.
 			for j, end := bi+6, min(bi+m, probeEnd); j < end; j += 6 {
-				table[spanHashV(binary.LittleEndian.Uint64(src[j:]))] = int32(j)
+				e.set(spanHashV(binary.LittleEndian.Uint64(src[j:])), j)
 			}
 			bi += m
 			litStart = bi
@@ -253,7 +281,7 @@ func SpanCompress(dst, src []byte) []byte {
 		bi += 6 + (fails>>spanSkipShift)*3
 	}
 	dst = flushLits(dst, src, litStart, pixEnd)
-	spanEncPool.Put(e)
+	e.base += len(src)
 	return append(dst, src[pixEnd:]...)
 }
 

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -203,6 +204,54 @@ func TestSpanCompressEncoderReuse(t *testing.T) {
 		if !bytes.Equal(dst, src) {
 			t.Fatalf("iter %d (len %d): round-trip mismatch", i, n)
 		}
+	}
+}
+
+// TestSpanCompressIsPure: a payload compresses to the bytes a fresh
+// encoder gives it, whatever the encoder compressed before, and across the
+// reset when the base would overflow int32. B is random pixels P followed
+// by short repeats of P's middle between random fillers; A shares P's
+// middle but reaches it with its probe stride reset by a flat start, so
+// A's table holds offsets at which B's repeats verify and which B's
+// skipping probes never stored. A table that read them found 87 bytes of
+// matches a fresh one does not.
+func TestSpanCompressIsPure(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	p := randomPayload(3*4000, rng)
+	a := append(flatPayload(3*1000), p[3*1000:]...)
+	b := append([]byte(nil), p...)
+	for range 40 {
+		c := 3 * (1500 + rng.Intn(1000))
+		b = append(append(b, p[c:c+3*6]...), randomPayload(3*10, rng)...)
+	}
+	want := new(spanEnc).compress(nil, b)
+
+	e := new(spanEnc)
+	e.compress(nil, a)
+	if got := e.compress(nil, b); !bytes.Equal(got, want) {
+		t.Errorf("after another payload: %d bytes, fresh encoder %d", len(got), len(want))
+	}
+	// A's entries just below int32's limit; B does not fit above them, so
+	// its call resets the base.
+	high := math.MaxInt32 - len(a) - len(b)/2
+	e.base = high
+	e.compress(nil, a)
+	if got := e.compress(nil, b); !bytes.Equal(got, want) {
+		t.Errorf("across the base's reset: %d bytes, fresh encoder %d", len(got), len(want))
+	}
+	// The same with a flat payload resetting it, which writes few entries:
+	// when, 2 GB of payloads later, the base is back where A's entries
+	// are, they must be gone.
+	e.base = high
+	e.compress(nil, a)
+	e.compress(nil, flatPayload(len(b)))
+	e.base = high
+	if got := e.compress(nil, b); !bytes.Equal(got, want) {
+		t.Errorf("back at the base before the reset: %d bytes, fresh encoder %d", len(got), len(want))
+	}
+	SpanCompress(nil, a)
+	if got := SpanCompress(nil, b); !bytes.Equal(got, want) {
+		t.Errorf("through the pool: %d bytes, fresh encoder %d", len(got), len(want))
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 
@@ -469,16 +468,9 @@ func TestFrameDoneRawKeyFrameLayout(t *testing.T) {
 // of the scene, the engine's dirty set and the message layout: a header
 // byte more or a span less moves them, and then the change either meant
 // to (re-pin, with the reason) or is a regression. Every mode must also
-// decode back to the rendered frames byte for byte.
-//
-// One thing besides the pixels reaches a span-coded result: the span
-// codec's match table is pooled and never cleared, and a stale entry
-// that still verifies against the current payload is a match a zeroed
-// table would not have found (here: 8 bytes, in frame 7, when the table
-// last saw frame 6). Whether a result gets a used table is sync.Pool's
-// business — under -race it drops a quarter of the Puts at random — so
-// the span-coded mode empties the pool before every result and pins what
-// a zeroed table gives.
+// decode back to the rendered frames byte for byte. The span codec's
+// pooled match table does not reach the bytes: it reads every entry an
+// earlier payload wrote as a fresh table's zero (msg.TestSpanCompressIsPure).
 func TestGalleryBytesPinned(t *testing.T) {
 	const w, h, frames = 240, 320, 16
 	region := fb.NewRect(0, 0, w, h)
@@ -511,12 +503,6 @@ func TestGalleryBytesPinned(t *testing.T) {
 		cur := fb.New(w, h)
 		total, deltas, span := 0, 0, 0
 		for f := 0; f < frames; f++ {
-			if mode.flags&wire.CapSpanCodec != 0 {
-				// Two collections: the first moves pooled tables to the
-				// pool's victim cache, the second frees them.
-				runtime.GC()
-				runtime.GC()
-			}
 			fd := wire.FrameDone{TaskID: 1, Frame: f, Region: region}
 			data := enc.Encode(&fd, rendered[f], mode.flags, spans[f], f == 0)
 			total += len(data)
