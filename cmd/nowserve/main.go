@@ -11,9 +11,9 @@
 //	curl -s localhost:8080/metrics
 //
 // Multi-tenant operation: -tenants installs an allow list with
-// fair-share weights, -fair schedules across tenants by weighted fair
-// queuing, and -max-queued-per-tenant caps any one tenant's queue
-// backlog:
+// fair-share weights, each tenant named once; -fair schedules across
+// tenants by weighted fair queuing instead of priority order; and
+// -max-queued-per-tenant caps any one tenant's queue backlog:
 //
 //	nowserve -tenants alice=3,bob -fair -max-queued-per-tenant 8
 //
@@ -96,10 +96,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nowserve:", err)
 		os.Exit(1)
 	}
-	policy := "priority"
-	if *fair {
-		policy = "fair"
-	}
 	cfg := service.Config{
 		MaxConcurrent: *maxJobs,
 		QueueCap:      *queueCap,
@@ -120,9 +116,10 @@ func main() {
 		Timeline:      *timelineOn,
 
 		Tenants:            tenantWeights,
-		Policy:             policy,
+		Fair:               *fair,
 		MaxQueuedPerTenant: *tenantQueue,
 		FleetCapacity:      *fleetCap,
+		ReplicaID:          *replicaID,
 	}
 	if *machines > 0 {
 		cfg.Machines = cluster.Uniform(*machines, 1.0, 64)
@@ -139,7 +136,6 @@ func main() {
 		// Multi-master: this replica draws worker capacity from the shared
 		// nowfleetd broker instead of its private pool. A crashed replica
 		// stops renewing and its slots return to the pool for survivors.
-		cfg.ReplicaID = *replicaID
 		if cfg.ReplicaID == "" {
 			cfg.ReplicaID = *listen
 		}
@@ -155,8 +151,9 @@ func main() {
 		}
 		defer rp.Close()
 		cfg.Leaser = rp
-	} else if *replicaID != "" {
-		cfg.ReplicaID = *replicaID
+	} else if *leaseTerm != 0 {
+		fmt.Fprintln(os.Stderr, "nowserve: -lease-term needs -fleet-broker")
+		os.Exit(2)
 	}
 	if err := run(*listen, *driver, cfg, *pprofOn, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "nowserve:", err)
@@ -165,7 +162,7 @@ func main() {
 }
 
 // parseTenants reads "alice=3,bob,carol=2" into the service's tenant
-// weight map: bare names get weight 1.
+// weight map: bare names get weight 1; a name may appear once.
 func parseTenants(s string) (map[string]float64, error) {
 	if s == "" {
 		return nil, nil
@@ -180,6 +177,9 @@ func parseTenants(s string) (map[string]float64, error) {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			return nil, fmt.Errorf("bad -tenants entry %q", part)
+		}
+		if _, dup := out[name]; dup {
+			return nil, fmt.Errorf("tenant %q repeated in -tenants", name)
 		}
 		weight := 1.0
 		if hasWeight {

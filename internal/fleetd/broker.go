@@ -10,15 +10,16 @@
 // Leases are granted as named slot units ("pool/2", "ws01/0"), so the
 // single-leaseholder invariant — no worker slot held by two replicas at
 // once — is a checkable property of the ledger (CheckInvariant), not a
-// convention. Like internal/fleet's Pool, a lease is capacity
+// convention. Like the service's private pool, a lease is capacity
 // accounting rather than worker pinning: the farm drivers still spin up
 // their own workers per run, bounded by the slots granted.
 //
 // The package splits into the Broker (the ledger; this file), the wire
 // protocol (protocol.go, tagged messages over internal/msg), the
 // Server (server.go) and the replica-side client (client.go), which
-// implements fleet.Leaser so internal/service plugs into a broker the
-// same way it plugs into its private pool.
+// implements Leaser — the seam internal/service renders through — so
+// the service plugs into a broker the same way it plugs into its
+// private pool.
 package fleetd
 
 import (
@@ -111,7 +112,7 @@ type Broker struct {
 	leases  map[uint64]*brokerLease
 	nextID  uint64
 	// freed is closed and replaced whenever units return, waking
-	// blocked Acquire calls (the fleet.Pool pattern).
+	// blocked Acquire calls.
 	freed chan struct{}
 
 	grants, renews, expiries, releases, waits uint64
@@ -198,8 +199,7 @@ func (b *Broker) joinLocked(member string, slots int) {
 }
 
 // Leave deregisters a member. Its free units vanish immediately; units
-// out on leases are retired when those leases end (the lame-duck drain
-// matching fleet.Pool.Leave).
+// out on leases are retired when those leases end (the lame-duck drain).
 func (b *Broker) Leave(member string) {
 	b.mu.Lock()
 	delete(b.members, member)
@@ -324,7 +324,7 @@ func (b *Broker) Expire() {
 
 // Acquire grants replica a lease of up to n slot units for the given
 // term (0 = the broker default), blocking while the pool is empty. Like
-// fleet.Pool.Lease, an over-ask clamps to the pool's total capacity —
+// the service's private pool, an over-ask clamps to the pool's capacity —
 // the caller sizes its run to the granted slots — and n <= 0 asks for
 // the whole pool. An empty ledger (no members at all) errors rather
 // than blocks.

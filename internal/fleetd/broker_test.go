@@ -176,7 +176,7 @@ func TestBrokerAcquireHonoursContext(t *testing.T) {
 	}
 }
 
-// TestBrokerOverAskClampsToCapacity mirrors fleet.Pool: asking for more
+// TestBrokerOverAskClampsToCapacity mirrors the service's pool: asking for more
 // than the whole pool grants the whole pool, not a deadlock.
 func TestBrokerOverAskClampsToCapacity(t *testing.T) {
 	b, _ := testBroker(t, 3)

@@ -6,9 +6,42 @@ import (
 	"sync"
 	"time"
 
-	"nowrender/internal/fleet"
 	"nowrender/internal/msg"
 )
+
+// Leaser is a source of worker-capacity leases: the seam internal/service
+// renders through, so a replica's private pool and a ReplicaPool drawing
+// on the broker are interchangeable.
+type Leaser interface {
+	// Acquire blocks until up to n slots are granted (n <= 0 asks for
+	// the whole pool) or ctx ends.
+	Acquire(ctx context.Context, n int) (Lease, error)
+	// Stats snapshots the capacity this leaser draws from.
+	Stats() PoolStats
+}
+
+// Lease is worker capacity granted to one farm run.
+type Lease interface {
+	// Granted is the slot count the run must size itself to.
+	Granted() int
+	// Return gives the capacity back exactly once; further calls are
+	// no-ops.
+	Return()
+}
+
+// PoolStats snapshots the capacity a Leaser draws from.
+type PoolStats struct {
+	// Capacity is the worker-slot capacity (< 0 = unlimited); Leased is
+	// the number of slots currently out on leases.
+	Capacity, Leased int
+	// Leases counts leases ever granted; Waits counts Acquire calls that
+	// had to block for capacity.
+	Leases, Waits uint64
+	// Renews and Expired count lease renewals and expiries: zero for a
+	// private pool, whose leases have no term; the cluster totals for a
+	// ReplicaPool.
+	Renews, Expired uint64
+}
 
 // ClientConfig tunes a ReplicaPool.
 type ClientConfig struct {
@@ -25,14 +58,13 @@ type ClientConfig struct {
 	RenewEvery time.Duration
 }
 
-// ReplicaPool is a replica's view of the shared fleet: a fleet.Leaser
-// whose slots come from broker leases instead of a private pool. Leases
-// are renewed in the background while held; a lease the broker reports
-// gone (expired during a partition, or voided by a broker restart) is
-// marked orphaned — the in-flight run it backs finishes on the slots it
-// already sized itself to, a bounded, documented over-subscription that
-// mirrors fleet.Pool.Leave's lame-duck drain, while the broker is free
-// to re-grant the underlying units.
+// ReplicaPool is a replica's view of the shared fleet: a Leaser whose
+// slots come from broker leases instead of a private pool. Leases are
+// renewed in the background while held; a lease the broker reports gone
+// (expired during a partition, or voided by a broker restart) is marked
+// orphaned — the in-flight run it backs finishes on the slots it already
+// sized itself to, a bounded, documented over-subscription, while the
+// broker is free to re-grant the underlying units.
 type ReplicaPool struct {
 	cfg ClientConfig
 
@@ -45,7 +77,7 @@ type ReplicaPool struct {
 	pending   map[uint64]chan msg.Message
 	held      map[uint64]*RemoteGrant
 	closed    bool
-	lastStats fleet.Stats
+	lastStats PoolStats
 	acquires  uint64
 	orphaned  uint64
 
@@ -205,10 +237,10 @@ func (p *ReplicaPool) roundtrip(ctx context.Context, tag int, encode func(req ui
 	}
 }
 
-// Acquire implements fleet.Leaser: it blocks — on the broker's ledger,
-// and across reconnects — until the broker grants up to n slots or ctx
-// ends. The grant renews itself in the background until Return.
-func (p *ReplicaPool) Acquire(ctx context.Context, n int) (fleet.Grant, error) {
+// Acquire implements Leaser: it blocks — on the broker's ledger, and
+// across reconnects — until the broker grants up to n slots or ctx ends.
+// The grant renews itself in the background until Return.
+func (p *ReplicaPool) Acquire(ctx context.Context, n int) (Lease, error) {
 	backoff := 20 * time.Millisecond
 	for {
 		m, err := p.roundtrip(ctx, TagAcquire, func(req uint64) []byte {
@@ -324,11 +356,11 @@ func (p *ReplicaPool) renewInterval() time.Duration {
 	return iv
 }
 
-// Stats implements fleet.Leaser with the broker's cluster-wide view:
-// capacity and leased slots across every replica, grant/renew/expiry
-// totals. When the broker is unreachable the last good snapshot is
-// returned, so a metrics scrape never blocks on a dead broker.
-func (p *ReplicaPool) Stats() fleet.Stats {
+// Stats implements Leaser with the broker's cluster-wide view: capacity
+// and leased slots across every replica, grant/renew/expiry totals. When
+// the broker is unreachable the last good snapshot is returned, so a
+// metrics scrape never blocks on a dead broker.
+func (p *ReplicaPool) Stats() PoolStats {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	m, err := p.roundtrip(ctx, TagStatsReq, EncodeReq)
@@ -343,10 +375,9 @@ func (p *ReplicaPool) Stats() fleet.Stats {
 		defer p.mu.Unlock()
 		return p.lastStats
 	}
-	st := fleet.Stats{
+	st := PoolStats{
 		Capacity: s.Capacity,
 		Leased:   s.Leased,
-		Members:  s.Members,
 		Leases:   s.Grants,
 		Waits:    s.Waits,
 		Renews:   s.Renews,
@@ -425,7 +456,7 @@ func (p *ReplicaPool) Abandon() {
 }
 
 // RemoteGrant is one broker lease held by this replica; it implements
-// fleet.Grant.
+// Lease.
 type RemoteGrant struct {
 	pool  *ReplicaPool
 	id    uint64
@@ -437,7 +468,7 @@ type RemoteGrant struct {
 	orphaned bool
 }
 
-// Granted implements fleet.Grant.
+// Granted implements Lease.
 func (g *RemoteGrant) Granted() int { return g.slots }
 
 // Lease returns the broker's lease id.

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"nowrender/internal/fleet"
 	"nowrender/internal/msg"
 )
 
@@ -129,7 +128,7 @@ func TestReplicaCrashFailsOverWithinOneTerm(t *testing.T) {
 	}
 	defer pb.Close()
 
-	got := make(chan fleet.Grant, 1)
+	got := make(chan Lease, 1)
 	go func() {
 		g, err := pb.Acquire(context.Background(), 2)
 		if err != nil {

@@ -239,9 +239,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			timings = append(timings, t)
 		}
 	}
-	queueDepth := s.queue.Len()
-	tenantDepths := s.queue.Depths()
-	running := s.sched.Running()
+	queueDepth := s.queue.n
+	tenantDepths := s.queue.depths()
+	running := s.running
+	leaseWait := s.leaseWait
 	framesRendered := s.framesRendered
 	framesCached := s.framesCached
 	coalescedFrames := s.coalescedFrames
@@ -327,7 +328,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# TYPE nowrender_coalesced_jobs_total counter")
 	p("nowrender_coalesced_jobs_total %d", coalescedJobs)
 
-	p("# HELP nowrender_fleet_capacity Worker slots in the fleet pool (-1 = unlimited).")
+	p("# HELP nowrender_fleet_capacity Worker slots farm runs lease from (-1 = unlimited).")
 	p("# TYPE nowrender_fleet_capacity gauge")
 	p("nowrender_fleet_capacity %d", fs.Capacity)
 	p("# HELP nowrender_fleet_leased Worker slots currently leased to farm runs.")
@@ -339,6 +340,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# HELP nowrender_fleet_lease_waits_total Lease requests that had to wait for capacity.")
 	p("# TYPE nowrender_fleet_lease_waits_total counter")
 	p("nowrender_fleet_lease_waits_total %d", fs.Waits)
+	p("# HELP nowrender_fleet_lease_wait_seconds_total Time farm runs spent waiting for a worker lease.")
+	p("# TYPE nowrender_fleet_lease_wait_seconds_total counter")
+	p("nowrender_fleet_lease_wait_seconds_total %g", leaseWait.Seconds())
 	p("# HELP nowrender_fleet_lease_renews_total Broker lease renewals (0 in single-replica mode).")
 	p("# TYPE nowrender_fleet_lease_renews_total counter")
 	p("nowrender_fleet_lease_renews_total %d", fs.Renews)

@@ -8,7 +8,6 @@ import (
 
 	"nowrender/internal/fb"
 	"nowrender/internal/framecache"
-	"nowrender/internal/queue"
 	"nowrender/internal/scene"
 	"nowrender/internal/scenes"
 	"nowrender/internal/sdl"
@@ -149,9 +148,12 @@ type Status struct {
 	Started   time.Time `json:"started"`
 	Finished  time.Time `json:"finished"`
 	// QueueDurationMS and RunDurationMS are the measured phase timings
-	// (exported in /metrics as nowrender_job_*_seconds).
+	// (exported in /metrics as nowrender_job_*_seconds). LeaseWaitMS is
+	// the part of the run spent waiting for worker slots, whether from
+	// the private pool or the fleet broker.
 	QueueDurationMS int64 `json:"queue_ms"`
 	RunDurationMS   int64 `json:"run_ms"`
+	LeaseWaitMS     int64 `json:"lease_wait_ms"`
 }
 
 // Event is one server-sent progress event on GET /jobs/{id}/events.
@@ -199,8 +201,10 @@ type job struct {
 	// in-flight cache flight for: it must either Put (via OnFrame) or
 	// Abort (at its terminal state) every one of them.
 	led map[int]bool
-	// item is the job's queue entry while queued (Cancel removes it).
-	item *queue.Item
+	// qi is the job's slot in its tenant's queue heap while queued.
+	qi int
+	// leaseWait is the time the job's farm runs spent acquiring workers.
+	leaseWait time.Duration
 	// timeline accumulates the merged cluster timeline of the job's farm
 	// runs (Config.Timeline on); nil otherwise.
 	timeline *timeline.Timeline
@@ -231,6 +235,7 @@ func (j *job) status() Status {
 		CacheHits: j.cacheHits, CoalescedFrames: j.coalesced,
 		RaysTraced:  j.rays.Total(),
 		Attempts:    j.attempts,
+		LeaseWaitMS: j.leaseWait.Milliseconds(),
 		WorkersLost: j.faults.WorkersLost, FramesRequeued: j.faults.FramesRequeued,
 		WireFramesFull: j.wire.FramesFull, WireFramesDelta: j.wire.FramesDelta,
 		WireFramesSpan: j.wire.FramesSpan,

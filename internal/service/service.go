@@ -1,17 +1,19 @@
-// Package service is the thin facade of the long-lived render service:
-// it owns job lifecycle (states, events, SSE fan-out) and the HTTP API
-// (http.go), and wires together the four subsystems the former
-// monolith has been split into:
+// Package service is the long-lived render service: job lifecycle
+// (states, events, SSE fan-out), the HTTP API (http.go) and, under one
+// mutex, what decides when a job runs and on how many workers
+// (sched.go):
 //
-//   - internal/queue: multi-tenant admission-controlled priority queues
-//     (global cap, per-tenant quotas, tenant allow list);
-//   - internal/sched: the bounded-concurrency scheduler with a pluggable
-//     cross-tenant policy (priority, fifo, weighted-fair);
-//   - internal/fleet: the leasable worker pool over the farm drivers
-//     (capacity accounting, live join/leave);
-//   - internal/framecache: the content-addressed frame cache with
-//     in-flight request coalescing — two tenants rendering the same
-//     scene+frame concurrently cost exactly one render.
+//   - admission control: a global queue cap, per-tenant quotas and a
+//     tenant allow list, each refusal counted by reason;
+//   - per-tenant priority queues, dispatched up to MaxConcurrent at a
+//     time in global priority order or, with Config.Fair, by weighted
+//     fair queuing across tenants;
+//   - worker capacity leased per farm run, from a private pool or, in
+//     a multi-master deployment, from the internal/fleetd broker.
+//
+// Frames go through internal/framecache, the content-addressed frame
+// cache with in-flight request coalescing: two tenants rendering the
+// same scene+frame concurrently cost exactly one render.
 //
 // This is the subsystem the paper's §5 "production use" direction asks
 // for: the farm renders one animation as fast as the NOW allows; the
@@ -30,13 +32,11 @@ import (
 	"nowrender/internal/cluster"
 	"nowrender/internal/farm"
 	"nowrender/internal/fb"
-	"nowrender/internal/fleet"
+	"nowrender/internal/fleetd"
 	"nowrender/internal/framecache"
 	"nowrender/internal/msg"
 	"nowrender/internal/objspace"
 	"nowrender/internal/partition"
-	"nowrender/internal/queue"
-	"nowrender/internal/sched"
 	"nowrender/internal/stats"
 	"nowrender/internal/timeline"
 )
@@ -57,21 +57,19 @@ type Config struct {
 	// tenants outside it are rejected. Nil admits any tenant at weight
 	// 1.
 	Tenants map[string]float64
-	// Policy picks the cross-tenant scheduling policy: "priority"
-	// (default; the pre-split behavior — priority, then submission
-	// order), "fifo", or "fair" (weighted fair queuing across tenants).
-	Policy string
+	// Fair dispatches across tenants by weighted fair queuing. Off, jobs
+	// run in one global order: priority, then submission order.
+	Fair bool
 	// FleetCapacity bounds the worker slots farm runs may lease
-	// concurrently from the shared pool; 0 = unlimited (every run gets
+	// concurrently from the private pool; 0 = unlimited (every run gets
 	// the workers it asks for).
 	FleetCapacity int
-	// Leaser, when non-nil, replaces the private fleet pool as the
-	// source of worker-capacity grants — this is how a replica in the
-	// multi-master control plane draws from the shared broker
-	// (internal/fleetd) instead of owning its workers. Nil preserves the
-	// single-replica behavior: a private pool bounded by FleetCapacity.
-	// The pool still exists either way (it owns the farm drivers).
-	Leaser fleet.Leaser
+	// Leaser, when non-nil, replaces the private pool as the source of
+	// worker-capacity leases — this is how a replica in the multi-master
+	// control plane draws from the shared broker (internal/fleetd)
+	// instead of owning its workers. Nil: a private pool bounded by
+	// FleetCapacity.
+	Leaser fleetd.Leaser
 	// ReplicaID names this service instance in a multi-replica
 	// deployment; surfaced in /metrics and the healthz payload so
 	// clients and scrapes can tell replicas apart. Empty = single
@@ -159,9 +157,6 @@ func (c *Config) defaults() {
 	if c.MaxJobRetries <= 0 {
 		c.MaxJobRetries = 5
 	}
-	if c.Policy == "" {
-		c.Policy = "priority"
-	}
 }
 
 // Rejection reasons counted for nowrender_jobs_rejected_total.
@@ -172,19 +167,19 @@ const (
 	RejectDraining      = "draining"
 )
 
-// Service is a long-lived render-job service wiring the queue, the
-// scheduler, the fleet pool and the frame cache together behind the
-// HTTP API. Create with New, serve its Handler, and Close on shutdown
-// (or Drain for a graceful one).
+// Service is a long-lived render-job service: the job queue, dispatch,
+// worker leases and the frame cache behind the HTTP API. Create with
+// New, serve its Handler, and Close on shutdown (or Drain for a
+// graceful one).
 type Service struct {
 	cfg    Config
 	cache  *framecache.Cache
-	queue  *queue.Q
-	pool   *fleet.Pool
-	leaser fleet.Leaser // = pool, or the broker client in multi-master
+	leaser fleetd.Leaser // the private pool, or the broker client in multi-master
 
 	mu       sync.Mutex
-	sched    *sched.Scheduler // passive; driven under mu
+	queue    jobQueue
+	fair     *fairShare // nil: global priority order
+	running  int
 	jobs     map[string]*job
 	order    []string // submission order, for listings
 	nextSeq  int
@@ -193,6 +188,7 @@ type Service struct {
 	wg       sync.WaitGroup
 
 	// Aggregate counters for /metrics.
+	leaseWait       time.Duration
 	framesRendered  uint64
 	framesCached    uint64
 	coalescedFrames uint64
@@ -208,39 +204,30 @@ type Service struct {
 }
 
 // New returns a ready service. No background goroutines run until jobs
-// are submitted. An unknown Config.Policy panics — it is a programming
-// error (cmd/nowserve only produces valid names).
+// are submitted.
 func New(cfg Config) *Service {
 	cfg.defaults()
-	policy, err := sched.NewPolicy(cfg.Policy, cfg.Tenants)
-	if err != nil {
-		panic("service: " + err.Error())
-	}
-	var allowed map[string]bool
 	if cfg.Tenants != nil {
-		allowed = make(map[string]bool, len(cfg.Tenants))
-		for t := range cfg.Tenants {
-			allowed[queue.Tenant(t)] = true
+		tenants := make(map[string]float64, len(cfg.Tenants))
+		for t, w := range cfg.Tenants {
+			tenants[tenantName(t)] = w
 		}
+		cfg.Tenants = tenants
 	}
 	s := &Service{
-		cfg:   cfg,
-		cache: framecache.NewTTL(cfg.CacheBytes, cfg.CacheTTL),
-		queue: queue.New(queue.Config{
-			Cap:          cfg.QueueCap,
-			MaxPerTenant: cfg.MaxQueuedPerTenant,
-			Allowed:      allowed,
-		}),
-		pool:       fleet.NewPool(cfg.FleetCapacity),
-		sched:      sched.New(policy, cfg.MaxConcurrent),
+		cfg:        cfg,
+		cache:      framecache.NewTTL(cfg.CacheBytes, cfg.CacheTTL),
+		leaser:     cfg.Leaser,
 		jobs:       make(map[string]*job),
 		rejected:   make(map[string]uint64),
 		workerBusy: make(map[string]time.Duration),
 		started:    time.Now(),
 	}
-	s.leaser = cfg.Leaser
 	if s.leaser == nil {
-		s.leaser = s.pool
+		s.leaser = newPool(&s.mu, cfg.FleetCapacity)
+	}
+	if cfg.Fair {
+		s.fair = &fairShare{weights: cfg.Tenants, vtime: make(map[string]float64)}
 	}
 	return s
 }
@@ -248,14 +235,19 @@ func New(cfg Config) *Service {
 // ReplicaID names this service instance ("" in single-replica mode).
 func (s *Service) ReplicaID() string { return s.cfg.ReplicaID }
 
-// Pool exposes the fleet pool so operators (and tests) can join or
-// remove capacity while the service runs.
-func (s *Service) Pool() *fleet.Pool { return s.pool }
+// tenantName canonicalises a tenant: jobs submitted without one belong
+// to "default".
+func tenantName(t string) string {
+	if t == "" {
+		return "default"
+	}
+	return t
+}
 
 // normalize validates and defaults a spec against the scene it resolved
 // to.
 func (s *Service) normalize(spec *JobSpec, frames int) error {
-	spec.Tenant = queue.Tenant(spec.Tenant)
+	spec.Tenant = tenantName(spec.Tenant)
 	if spec.W == 0 && spec.H == 0 {
 		spec.W, spec.H = 240, 320
 	}
@@ -328,17 +320,23 @@ func (s *Service) rejectLocked(reason string) {
 	s.rejected[reason]++
 }
 
-// rejectReason maps a queue admission error onto its metrics reason.
-func rejectReason(err error) string {
+// admitLocked queues j, or returns why admission control refused it:
+// the reason /metrics counts and the error Submit reports. Callers hold
+// s.mu.
+func (s *Service) admitLocked(j *job) (string, error) {
+	t := j.spec.Tenant
+	_, known := s.cfg.Tenants[t]
+	depth := len(s.queue.heaps[t])
 	switch {
-	case errors.Is(err, queue.ErrFull):
-		return RejectQueueFull
-	case errors.Is(err, queue.ErrTenantQuota):
-		return RejectTenantQuota
-	case errors.Is(err, queue.ErrUnknownTenant):
-		return RejectUnknownTenant
+	case s.cfg.Tenants != nil && !known:
+		return RejectUnknownTenant, fmt.Errorf("unknown tenant %q", t)
+	case s.queue.n >= s.cfg.QueueCap:
+		return RejectQueueFull, fmt.Errorf("queue full (%d jobs)", s.queue.n)
+	case s.cfg.MaxQueuedPerTenant > 0 && depth >= s.cfg.MaxQueuedPerTenant:
+		return RejectTenantQuota, fmt.Errorf("tenant queue quota exceeded (tenant %q, %d jobs)", t, depth)
 	}
-	return "other"
+	s.queue.push(j)
+	return "", nil
 }
 
 // Submit validates spec, parses its scene, and enqueues the job
@@ -379,18 +377,9 @@ func (s *Service) Submit(spec JobSpec) (Status, error) {
 		cancel:     cancel,
 		finishedCh: make(chan struct{}),
 	}
-	j.item = &queue.Item{
-		ID:       j.id,
-		Tenant:   spec.Tenant,
-		Priority: spec.Priority,
-		Seq:      j.seq,
-		// Cost in frames: the weighted-fair policy charges big jobs more.
-		Cost:    float64(len(j.frames)),
-		Payload: j,
-	}
-	if err := s.queue.Push(j.item); err != nil {
+	if reason, err := s.admitLocked(j); err != nil {
 		cancel()
-		s.rejectLocked(rejectReason(err))
+		s.rejectLocked(reason)
 		return Status{}, fmt.Errorf("service: %w", err)
 	}
 	s.nextSeq++
@@ -407,16 +396,22 @@ func (s *Service) Submit(spec JobSpec) (Status, error) {
 	return j.status(), nil
 }
 
-// startQueuedLocked asks the scheduler for dispatchable jobs while
-// concurrency slots are free; the policy decides which tenant's job
-// each slot gets. Callers hold s.mu.
+// startQueuedLocked dispatches queued jobs while fewer than
+// MaxConcurrent run; the picker decides which tenant's job each slot
+// gets. Draining does not stop dispatch: admitted work finishes.
+// Callers hold s.mu.
 func (s *Service) startQueuedLocked() {
-	for {
-		it := s.sched.TryStart(s.queue)
-		if it == nil {
+	for s.running < s.cfg.MaxConcurrent {
+		var j *job
+		if s.fair != nil {
+			j = s.fair.pick(&s.queue)
+		} else {
+			j = s.queue.pickPriority()
+		}
+		if j == nil {
 			return
 		}
-		j := it.Payload.(*job)
+		s.running++
 		j.state = StateRunning
 		j.started = time.Now()
 		if j.schedTrack != nil {
@@ -492,7 +487,7 @@ func (s *Service) run(j *job) {
 	s.publishLocked(j, ev)
 	close(j.finishedCh)
 	j.cancel()
-	s.sched.Finish()
+	s.running--
 	s.startQueuedLocked()
 	s.mu.Unlock()
 }
@@ -655,31 +650,33 @@ func missingRuns(missing []bool, offset int) [][2]int {
 }
 
 // renderRange drives one farm run over absolute frames [start, end):
-// it leases worker slots from the fleet pool, sizes the run to the
-// lease, and streams each completed frame into the cache (completing
-// any coalesced flights) and the job.
+// it leases worker slots, sizes the run to the lease, and streams each
+// completed frame into the cache (completing any coalesced flights) and
+// the job.
 func (s *Service) renderRange(j *job, start, end int) error {
 	scheme, err := schemeByName(j.spec.Scheme)
 	if err != nil {
 		return err
 	}
-	driver, err := s.pool.Driver(j.spec.Driver)
-	if err != nil {
-		return err
+	render, want := farm.RenderVirtual, len(s.cfg.Machines)
+	if j.spec.Driver == "local" {
+		render, want = farm.RenderLocal, s.cfg.Workers
 	}
-	want := s.cfg.Workers
-	if j.spec.Driver == "virtual" {
-		want = len(s.cfg.Machines)
-	}
-	grant, err := s.leaser.Acquire(j.ctx, want)
-	if err != nil {
-		return err
-	}
-	defer grant.Return()
-	slots := grant.Granted()
+	asked := time.Now()
+	lease, err := s.leaser.Acquire(j.ctx, want)
+	waited := time.Since(asked)
 	s.mu.Lock()
-	j.schedTrack.Instant(timeline.OpLease, start, int64(slots))
+	j.leaseWait += waited
+	s.leaseWait += waited
+	if err == nil {
+		j.schedTrack.Instant(timeline.OpLease, start, int64(lease.Granted()))
+	}
 	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	defer lease.Return()
+	slots := lease.Granted()
 
 	var rec *timeline.Recorder
 	if s.cfg.Timeline {
@@ -732,7 +729,7 @@ func (s *Service) renderRange(j *job, start, end int) error {
 		s.mu.Unlock()
 		return nil
 	}
-	res, err := driver.Render(cfg)
+	res, err := render(cfg)
 	// A failed run still returns its partial result; the faults it
 	// absorbed (workers lost, frames requeued) must survive into the
 	// job's status and /metrics or failed attempts would be invisible.
@@ -831,7 +828,7 @@ func (s *Service) Cancel(id string) (Status, error) {
 	}
 	switch j.state {
 	case StateQueued:
-		s.queue.Remove(j.item)
+		s.queue.remove(j)
 		j.state = StateCancelled
 		j.err = context.Canceled
 		j.finished = time.Now()
@@ -949,13 +946,21 @@ func (s *Service) CacheStats() stats.CacheStats { return s.cache.Stats() }
 // FleetStats snapshots the capacity source farm runs lease from: the
 // private pool in single-replica mode, the shared broker's view when a
 // Leaser was configured.
-func (s *Service) FleetStats() fleet.Stats { return s.leaser.Stats() }
+func (s *Service) FleetStats() fleetd.PoolStats { return s.leaser.Stats() }
 
 // QueueDepth returns the number of queued (not yet running) jobs.
-func (s *Service) QueueDepth() int { return s.queue.Len() }
+func (s *Service) QueueDepth() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queue.n
+}
 
 // QueueDepths returns the queued-job count per tenant.
-func (s *Service) QueueDepths() map[string]int { return s.queue.Depths() }
+func (s *Service) QueueDepths() map[string]int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.queue.depths()
+}
 
 // Rejected snapshots the rejected-submission counters by reason.
 func (s *Service) Rejected() map[string]uint64 {
@@ -1061,7 +1066,6 @@ func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	if !s.draining {
 		s.draining = true
-		s.sched.Drain()
 		for _, id := range s.order {
 			j := s.jobs[id]
 			if !j.state.Terminal() && j.schedTrack != nil {

@@ -60,7 +60,7 @@ func TestCoalescingAcrossTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "blocker to lease the pool", func() bool {
-		return s.Pool().Stats().Leased == 3
+		return s.FleetStats().Leased == 3
 	})
 
 	const scene = "newton:4"
@@ -87,7 +87,7 @@ func TestCoalescingAcrossTenants(t *testing.T) {
 		return true
 	})
 	waitFor(t, "lead job to wait on the pool", func() bool {
-		return s.Pool().Stats().Waits >= 1
+		return s.FleetStats().Waits >= 1
 	})
 
 	specB := spec
@@ -124,6 +124,11 @@ func TestCoalescingAcrossTenants(t *testing.T) {
 	}
 	if b.FramesDone != 4 || a.FramesDone != 4 {
 		t.Fatalf("frames done = %d/%d, want 4/4", a.FramesDone, b.FramesDone)
+	}
+	// The lead job waited for the blocker's lease; the blocker found the
+	// pool empty and waited for nothing.
+	if bl, _ := s.JobStatus(blocker.ID); a.LeaseWaitMS <= 0 || bl.LeaseWaitMS != 0 {
+		t.Errorf("lease_wait_ms: lead %d, blocker %d; want > 0 and 0", a.LeaseWaitMS, bl.LeaseWaitMS)
 	}
 
 	// Both event streams are complete: every frame announced, then done.
@@ -203,6 +208,7 @@ func TestCoalescingAcrossTenants(t *testing.T) {
 		"nowrender_coalesced_jobs_total 1",
 		"nowrender_fleet_capacity 3",
 		"nowrender_fleet_lease_waits_total",
+		"nowrender_fleet_lease_wait_seconds_total",
 	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("/metrics missing %q", want)
@@ -282,20 +288,22 @@ func TestAdmissionControl(t *testing.T) {
 }
 
 // TestWeightedFairPreventsStarvation: with one run slot, a lone job
-// from a second tenant submitted behind a flood from the first is
-// admitted ahead of the whole flood under the fair policy — its tenant's
-// virtual time lags the heavy tenant's — and behind all of it under
-// fifo. Admission order is the policy's alone, so both are exact.
+// from a second tenant submitted behind a flood from the first, all at
+// one priority, is admitted ahead of the whole flood under fair
+// scheduling — its tenant's virtual time lags the heavy tenant's — and
+// behind all of it in priority order. Admission order is the picker's
+// alone, so both are exact.
 func TestWeightedFairPreventsStarvation(t *testing.T) {
 	for _, tc := range []struct {
-		policy     string
+		name       string
+		fair       bool
 		lightFirst bool
 	}{
-		{"fair", true},
-		{"fifo", false},
+		{"fair", true, true},
+		{"priority", false, false},
 	} {
-		t.Run(tc.policy, func(t *testing.T) {
-			s := New(Config{MaxConcurrent: 1, Policy: tc.policy})
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{MaxConcurrent: 1, Fair: tc.fair})
 			defer s.Close()
 
 			blocker, err := s.Submit(JobSpec{Scene: "newton:6", W: 120, H: 160, Tenant: "heavy"})
