@@ -161,7 +161,12 @@ func (c *regCollector) compact() {
 // retireRuns kills the records of the pixels this frame traces, before
 // any tile worker starts: the trace supersedes them, so their
 // registrations leave the live count now, and no worker ever touches a
-// record in another worker's arena.
+// record in another worker's arena. A pixel's new record may land in
+// another worker's arena, so an arena whose worker writes little would
+// keep its dead records until its own makeRoom ran; any arena left more
+// dead than live is compacted here, which keeps the arenas within twice
+// the live records at any thread count, at fewer entries moved than
+// reclaimed.
 func (e *Engine) retireRuns() {
 	e.dirty.Runs(func(start, end int) {
 		for p := start; p < end; p++ {
@@ -177,6 +182,11 @@ func (e *Engine) retireRuns() {
 			e.runs[p] = pixelRun{}
 		}
 	})
+	for _, c := range e.collectors {
+		if 2*c.dead > len(c.arena) {
+			c.compact()
+		}
+	}
 }
 
 // sampleStride is the row spacing of an engine's first-frame sample.
