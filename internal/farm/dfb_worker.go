@@ -76,6 +76,27 @@ func (s *sinkLinks) get(addr string) (*sinkLink, error) {
 	return l, nil
 }
 
+// push ships an encoded result to lk's sink, re-dialing once on failure:
+// the sink may have restarted and lost our delta base, so the frame goes
+// again as a key-frame. It returns the link that took the pixels and
+// their payload; a nil link means the master must relay them.
+func (s *sinkLinks) push(lk *sinkLink, step *frameStep, fd *frameDoneMsg, data []byte) (*sinkLink, []byte) {
+	for retry := false; ; retry = true {
+		if err := lk.conn.Send(msg.Message{Tag: compositor.TagPix, From: s.worker, Data: data}); err == nil {
+			lk.rekey = false
+			return lk, data
+		}
+		lk.dead.Store(true)
+		if retry {
+			return nil, data
+		}
+		if lk, _ = s.get(lk.addr); lk == nil {
+			return nil, data
+		}
+		data = step.encode(fd, true)
+	}
+}
+
 // close shuts every link down.
 func (s *sinkLinks) close() {
 	for _, l := range s.links {

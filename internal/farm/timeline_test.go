@@ -33,7 +33,7 @@ func TestPongData(t *testing.T) {
 
 	wt := &workerTimeline{}
 	wt.ensure(1)
-	stamped := pongData(ping, wt)
+	stamped := pongData(ping, wt.rec.Now())
 	seq, masterNs, workerNs, err := decodePong(stamped)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +48,7 @@ func TestPongData(t *testing.T) {
 	// Malformed pings are echoed, not dropped: the master only needs
 	// the bytes back to count the pong as liveness.
 	junk := []byte{0xde, 0xad}
-	if got := pongData(junk, wt); !bytes.Equal(got, junk) {
+	if got := pongData(junk, wt.rec.Now()); !bytes.Equal(got, junk) {
 		t.Error("malformed ping was not echoed verbatim")
 	}
 }

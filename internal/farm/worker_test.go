@@ -1,0 +1,183 @@
+package farm
+
+import (
+	"context"
+	"errors"
+	"reflect"
+	"testing"
+	"time"
+
+	"nowrender/internal/cluster"
+	"nowrender/internal/fb"
+	"nowrender/internal/msg"
+	"nowrender/internal/partition"
+)
+
+// TestWorkerHostsAgree runs one scripted exchange through both hosts of
+// the worker state machine — the conn loop over a msg.Pipe and a machine
+// of the virtual NOW — and asserts they answer alike: a task, after its
+// first frame a truncate that leaves it running, a truncate for an older
+// task delivered twice while this one runs, a ping, and the shutdown. Both
+// acknowledge every truncate, the stale ones as they came, and answer
+// the ping.
+func TestWorkerHostsAgree(t *testing.T) {
+	sc := farmScene(3)
+	task := partition.Task{ID: 7, Region: fb.NewRect(0, 0, fw, fh), StartFrame: 0, EndFrame: 3}
+	script := []msg.Message{
+		{Tag: TagTask, Data: encodeTask(taskMsg{Task: task, W: fw, H: fh, Coherence: true, Samples: 1, Threads: 1})},
+		{Tag: TagTruncate, Data: encodePair(7, 2)},
+		{Tag: TagTruncate, Data: encodePair(6, 4)},
+		{Tag: TagTruncate, Data: encodePair(6, 4)},
+		{Tag: TagPing, Data: encodePair(1, 500)},
+		{Tag: TagShutdown},
+	}
+
+	masterEnd, workerEnd := msg.Pipe(64)
+	defer masterEnd.Close()
+	conn := newLockstepConn(workerEnd, len(script))
+	for _, m := range script {
+		if err := masterEnd.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() { done <- runWorkerLoop(context.Background(), "ws", conn, sc, WorkerOptions{}, new(rangeHolder)) }()
+	var werr error
+	select {
+	case werr = <-done:
+	case <-time.After(10 * time.Second):
+		t.Error("conn loop still running 10 s after TagShutdown")
+		workerEnd.Close()
+		werr = <-done
+	}
+	if werr != nil && !errors.Is(werr, msg.ErrClosed) {
+		t.Fatalf("conn loop: %v", werr)
+	}
+	workerEnd.Close()
+
+	cfg := Config{Scene: sc, W: fw, H: fh, Machines: []cluster.Machine{{Name: "ws", Speed: 1}}}
+	l, err := newVirtualLink(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range script {
+		if err := l.Send("ws", m); err != nil {
+			t.Fatalf("virtual machine, message %d: %v", i, err)
+		}
+		if i == 0 {
+			if err := l.machines[0].w.frame(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var virtual []msg.Message
+	for _, v := range l.inflight {
+		virtual = append(virtual, v.m)
+	}
+
+	got, want := outbox(t, conn.out), outbox(t, virtual)
+	wantTags := []int{TagHello, TagFrameDone, TagTruncateAck, TagTruncateAck, TagTruncateAck, TagPong}
+	if tags := outboxTags(want); !reflect.DeepEqual(tags, wantTags) {
+		t.Fatalf("virtual machine sent %v, want %v", tags, wantTags)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("conn loop sent %v, virtual machine %v", outboxTags(got), outboxTags(want))
+		for i := range min(len(got), len(want)) {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("message %d: conn %+v, virtual %+v", i, got[i].Body, want[i].Body)
+			}
+		}
+	}
+}
+
+// lockstepConn is the worker's end of the pipe, run in lockstep with its
+// receive pump so that the script meets the worker where it meets a
+// virtual machine: the pump takes nothing past the task until the first
+// frame result is sent, and that send returns only once the pump has
+// taken the rest of the script (it is calling Recv again after the last
+// message), so all of it waits in the worker's inbox at the frame
+// boundary.
+type lockstepConn struct {
+	msg.Conn
+	shipped chan struct{} // closed by the first frame result
+	calls   chan struct{} // one per Recv after the task's
+	n       int           // Recv calls so far, on the pump's goroutine
+	rest    int           // messages after the task
+	held    bool
+	out     []msg.Message
+}
+
+func newLockstepConn(c msg.Conn, script int) *lockstepConn {
+	return &lockstepConn{Conn: c, shipped: make(chan struct{}), calls: make(chan struct{}, script+1), rest: script - 1}
+}
+
+func (c *lockstepConn) Recv() (msg.Message, error) {
+	c.n++
+	if c.n > 1 {
+		if c.n == 2 {
+			<-c.shipped
+		}
+		c.calls <- struct{}{}
+	}
+	return c.Conn.Recv()
+}
+
+func (c *lockstepConn) Send(m msg.Message) error {
+	c.out = append(c.out, m)
+	if m.Tag == TagFrameDone && !c.held {
+		c.held = true
+		close(c.shipped)
+		for range c.rest + 1 {
+			<-c.calls
+		}
+	}
+	return c.Conn.Send(m)
+}
+
+// sent is one decoded message a worker sent, without its wall- or
+// virtual-clock fields.
+type sent struct {
+	Tag  int
+	From string
+	Body any
+}
+
+func outbox(t *testing.T, ms []msg.Message) []sent {
+	t.Helper()
+	out := make([]sent, len(ms))
+	for i, m := range ms {
+		var body any
+		var err error
+		switch m.Tag {
+		case TagHello:
+			body, err = decodeHello(m.Data)
+		case TagFrameDone:
+			var fd frameDoneMsg
+			fd, err = decodeFrameDone(m.Data)
+			fd.ElapsedNs, fd.TLNow, fd.TLTracks, fd.TLEvents = 0, 0, nil, nil
+			body = fd
+		case TagPong:
+			var seq int
+			var masterNs int64
+			seq, masterNs, _, err = decodePong(m.Data)
+			body = [2]int64{int64(seq), masterNs}
+		default:
+			var a, b int
+			a, b, err = decodePair(m.Data)
+			body = [2]int{a, b}
+		}
+		if err != nil {
+			t.Fatalf("message %d (tag %d): %v", i, m.Tag, err)
+		}
+		out[i] = sent{Tag: m.Tag, From: m.From, Body: body}
+	}
+	return out
+}
+
+func outboxTags(s []sent) []int {
+	tags := make([]int, len(s))
+	for i, m := range s {
+		tags[i] = m.Tag
+	}
+	return tags
+}
