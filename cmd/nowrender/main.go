@@ -21,11 +21,11 @@ import (
 
 	"nowrender/internal/buildinfo"
 	"nowrender/internal/cluster"
-	"nowrender/internal/coherence"
 	"nowrender/internal/farm"
 	"nowrender/internal/faulty"
 	"nowrender/internal/fb"
 	"nowrender/internal/msg"
+	"nowrender/internal/objspace"
 	"nowrender/internal/partition"
 	"nowrender/internal/scenes"
 	"nowrender/internal/stats"
@@ -89,8 +89,7 @@ func main() {
 		samples   = flag.Int("samples", 1, "supersamples per pixel")
 		aa        = flag.Float64("aa", 0, "adaptive antialiasing threshold (0 = off; try 0.1)")
 		threads   = flag.Int("threads", 0, "intra-frame render threads per worker (0 = all cores, 1 = serial; pixels are identical for every value)")
-		objspace  = flag.Bool("objspace", false, "partition the scene into spatial shards with ray forwarding between owners instead of replicating it (pixels are identical either way)")
-		shards    = flag.Int("shards", 4, "object-space shard count when -objspace is on (2..64)")
+		shards    = flag.Int("shards", 0, "partition the scene into this many spatial shards (2..64) with ray forwarding between owners instead of replicating it (0 = replicated; pixels are identical either way)")
 		usePNG    = flag.Bool("png", false, "write PNG instead of TGA")
 		tlOut     = flag.String("timeline", "", "write the run's cluster timeline as Chrome trace JSON to this file (load in Perfetto or feed to nowtrace)")
 		version   = flag.Bool("version", false, "print version and exit")
@@ -118,13 +117,13 @@ func main() {
 		fmt.Println("nowrender", buildinfo.Version())
 		return
 	}
-	fmt.Printf("nowrender %s\n", buildinfo.Version())
-	osShards := 0
-	if *objspace {
-		osShards = *shards
+	if *shards != 0 && (*shards < 2 || *shards > objspace.MaxShards) {
+		fmt.Fprintf(os.Stderr, "nowrender: -shards %d: want 0 (replicated) or 2..%d\n", *shards, objspace.MaxShards)
+		os.Exit(2)
 	}
+	fmt.Printf("nowrender %s\n", buildinfo.Version())
 	if err := run(*sceneSpec, *mode, *scheme, *blockW, *blockH, *width, *height,
-		*outDir, *workers, *listen, *coherent, *samples, *aa, *threads, osShards, *usePNG, *tlOut, ft); err != nil {
+		*outDir, *workers, *listen, *coherent, *samples, *aa, *threads, *shards, *usePNG, *tlOut, ft); err != nil {
 		fmt.Fprintln(os.Stderr, "nowrender:", err)
 		os.Exit(1)
 	}
@@ -176,9 +175,8 @@ func run(sceneSpec, mode, schemeName string, blockW, blockH, w, h int,
 	cfg := farm.Config{
 		Scene: sc, W: w, H: h, Scheme: scheme,
 		Coherence: coherent, Samples: samples, Threads: threads,
-		ObjSpaceShards: osShards,
-		CoherenceOpts:  coherence.Options{AAThreshold: aa},
-		Workers:        workers, Emit: emit,
+		ObjSpaceShards: osShards, AAThreshold: aa,
+		Workers: workers, Emit: emit,
 	}
 	if err := ft.apply(&cfg); err != nil {
 		return err

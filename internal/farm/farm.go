@@ -9,17 +9,17 @@
 // one method per event — hello, frame result, frame ack, object-space
 // stats, task done, truncate ack, pong, a worker's loss, a sink message,
 // a heartbeat tick. runMaster only steps it through the link's events
-// until every frame is in. Two drivers share it and one worker frame
-// step (frameStep), and differ only in the link (names, Recv, Send,
-// Detach, a clock) they run them over:
+// until every frame is in. The worker is one too (worker.go). Two
+// drivers share both, and differ only in the link (names, Recv, Send,
+// Detach, a clock) under the master and the host under the worker:
 //
 //   - RunMaster and RenderLocal supply a msg.Hub on the wall clock:
 //     goroutine workers joined by msg.Pipe, or TCP workers
 //     (cmd/nowworker) on a physical NOW.
 //   - RenderVirtual supplies the deterministic virtual NOW
-//     (internal/cluster): each machine is a protocol-speaking worker
-//     rendering inline, charged per work quantity and real encoded
-//     message. This is the driver the Table 1 benchmarks use.
+//     (internal/cluster): each machine hosts the worker inline,
+//     charged per work quantity and real encoded message. This is the
+//     driver the Table 1 benchmarks use.
 package farm
 
 import (
@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"nowrender/internal/cluster"
-	"nowrender/internal/coherence"
 	"nowrender/internal/fb"
 	"nowrender/internal/msg"
 	"nowrender/internal/objspace"
@@ -51,14 +50,10 @@ type Config struct {
 	StartFrame, EndFrame int
 	// Coherence enables the frame-coherence algorithm inside each task.
 	Coherence bool
-	// CoherenceOpts carry the render options. GridRes, BlockGranularity,
-	// AAThreshold and AASamples travel in every task message and are
-	// honoured by every driver, coherence on or off. Nothing else in it
-	// reaches a farm run: samples, threads, sharding and timeline come
-	// from the fields below, and DisableShadowRegistration
-	// (ablation-only) is not a pixel option of a farm, so it stays off
-	// the wire.
-	CoherenceOpts coherence.Options
+	// AAThreshold is the tracer's adaptive antialiasing threshold in
+	// [0, 1] (0 = off); it travels in every task message and reaches the
+	// pixels on every driver, coherence on or off.
+	AAThreshold float64
 	// Samples is the supersampling factor (0/1 = one ray per pixel).
 	Samples int
 	// Threads bounds each worker's intra-frame tile pool. 0 lets every
@@ -258,7 +253,7 @@ func (c *Config) defaults() error {
 	if c.ObjSpaceShards != 0 && (c.ObjSpaceShards < 2 || c.ObjSpaceShards > objspace.MaxShards) {
 		return fmt.Errorf("farm: object-space shard count %d outside [2,%d]", c.ObjSpaceShards, objspace.MaxShards)
 	}
-	return validateAA(c.CoherenceOpts.AAThreshold, c.CoherenceOpts.AASamples)
+	return validateAA(c.AAThreshold)
 }
 
 // Result summarises a farm run.

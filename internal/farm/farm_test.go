@@ -94,7 +94,7 @@ func steadyVersusMessage(t *testing.T, sc *scene.Scene, w, h, bw, bh int) (stead
 
 // aaReferenceFrames is referenceFrames with the tracer's adaptive
 // antialiasing on: the ground truth for runs that set
-// CoherenceOpts.AAThreshold. It also checks the option is not vacuous on
+// Config.AAThreshold. It also checks the option is not vacuous on
 // this scene.
 func aaReferenceFrames(t *testing.T, sc *scene.Scene, threshold float64) []*fb.Framebuffer {
 	t.Helper()
@@ -155,7 +155,7 @@ func TestVirtualSchemesProduceIdenticalImages(t *testing.T) {
 		// pixels with coherence on and off alike.
 		res, err := renderVirtual(Config{
 			Scene: sc, W: fw, H: fh, Scheme: schemes[2], Coherence: coh,
-			CoherenceOpts: coherence.Options{AAThreshold: 0.1},
+			AAThreshold: 0.1,
 		}, checked(t))
 		if err != nil {
 			t.Fatalf("antialiased coherence=%v: %v", coh, err)
@@ -406,8 +406,8 @@ func TestRenderLocalMatchesReference(t *testing.T) {
 	for _, coh := range []bool{false, true} {
 		aa, err := renderLocal(Config{
 			Scene: sc, W: fw, H: fh, Coherence: coh, Workers: 3,
-			Scheme:        partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
-			CoherenceOpts: coherence.Options{AAThreshold: 0.1},
+			Scheme:      partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
+			AAThreshold: 0.1,
 		}, checked(t))
 		if err != nil {
 			t.Fatalf("antialiased coherence=%v: %v", coh, err)
@@ -462,8 +462,7 @@ func TestRenderLocalSingleWorker(t *testing.T) {
 func TestProtocolRoundTrips(t *testing.T) {
 	tm := taskMsg{
 		Task: partition.Task{ID: 3, Region: fb.NewRect(1, 2, 33, 44), StartFrame: 5, EndFrame: 9},
-		W:    240, H: 320, Coherence: true, Samples: 2, GridRes: 16, BlockGran: 4,
-		AAThreshold: 0.25, AASamples: 6,
+		W:    240, H: 320, Coherence: true, Samples: 2, AAThreshold: 0.25,
 	}
 	got, err := decodeTask(encodeTask(tm))
 	if err != nil {

@@ -287,13 +287,13 @@ func TestMasterFailsWhenEveryWorkerIsRefused(t *testing.T) {
 	sc := farmScene(2)
 	hub := msg.NewHub()
 	strayWorker(t, hub, "old", msg.Message{Tag: TagHello, Data: v1Hello("old", 0x3f)})
-	strayWorker(t, hub, "new", msg.Message{Tag: TagHello, Data: versionHello("new", 4)})
+	strayWorker(t, hub, "new", msg.Message{Tag: TagHello, Data: versionHello("new", ProtocolVersion+1)})
 	_, err := RunMaster(Config{Scene: sc, W: fw, H: fh}, hub)
 	hub.Close()
 	if err == nil {
 		t.Fatal("master ran with every worker refused")
 	}
-	for _, want := range []string{"old: ", "new: ", "version 4", fmt.Sprintf("version %d", ProtocolVersion)} {
+	for _, want := range []string{"old: ", "new: ", fmt.Sprintf("version %d", ProtocolVersion+1), fmt.Sprintf("version %d", ProtocolVersion)} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}

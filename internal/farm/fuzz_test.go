@@ -19,13 +19,13 @@ func FuzzProtocolDecode(f *testing.F) {
 	// inside the interesting part of the input space.
 	tm := taskMsg{
 		Task: partition.Task{ID: 3, Region: fb.NewRect(1, 2, 33, 30), StartFrame: 0, EndFrame: 8},
-		W:    40, H: 32, Coherence: true, Samples: 2, GridRes: 16, BlockGran: 4, Threads: 2,
+		W:    40, H: 32, Coherence: true, Samples: 2, Threads: 2,
 	}
 	task := encodeTask(tm)
 	// Every section of the fixed task layout populated.
 	tm.WireFlags = wireFlagsMask
 	tm.JobStart, tm.JobEnd, tm.Sinks, tm.OSShards = 0, 8, []string{"sink0", "127.0.0.1:7001"}, 4
-	tm.AAThreshold, tm.AASamples = 0.1, 8
+	tm.AAThreshold = 0.1
 	fullTask := encodeTask(tm)
 	// Retired values must be rejected, not ignored: a task carrying the
 	// old flate flag bit, and a frame result claiming encoding id 1.
@@ -84,8 +84,8 @@ func FuzzProtocolDecode(f *testing.F) {
 			if tm.WireFlags&^wireFlagsMask != 0 {
 				t.Fatalf("decodeTask accepted unknown wire flags %#x", tm.WireFlags)
 			}
-			if !(tm.AAThreshold >= 0 && tm.AAThreshold <= 1) || tm.AASamples < 0 || tm.AASamples > maxAASamples {
-				t.Fatalf("decodeTask accepted antialiasing (%v, %d)", tm.AAThreshold, tm.AASamples)
+			if !(tm.AAThreshold >= 0 && tm.AAThreshold <= 1) {
+				t.Fatalf("decodeTask accepted antialiasing threshold %v", tm.AAThreshold)
 			}
 		}
 		if m, err := decodeFrameDone(data); err == nil {

@@ -984,12 +984,10 @@ func (m *master) reconcileTruncate(w *workerRecord, stop int) error {
 // render option of the run, so the frame step at the other end of the
 // link — and the quarantine render at this end — see one answer.
 func (m *master) taskFor(t partition.Task) taskMsg {
-	cfg, co := &m.cfg, m.cfg.CoherenceOpts
+	cfg := &m.cfg
 	return taskMsg{
 		Task: t, W: cfg.W, H: cfg.H,
-		Coherence: cfg.Coherence, Samples: cfg.Samples,
-		GridRes: co.GridRes, BlockGran: co.BlockGranularity,
-		AAThreshold: co.AAThreshold, AASamples: co.AASamples,
+		Coherence: cfg.Coherence, Samples: cfg.Samples, AAThreshold: cfg.AAThreshold,
 		Threads: cfg.Threads, WireFlags: cfg.wireFlags(), OSShards: cfg.ObjSpaceShards,
 	}
 }

@@ -68,7 +68,7 @@ const (
 // Master and workers are built from one commit, so the hello carries
 // this one number instead of a capability set, and the master refuses
 // any other value. Bump it whenever a layout changes.
-const ProtocolVersion = 3
+const ProtocolVersion = 4
 
 // Task wire flags, frame kinds, encodings, and codec types all live in
 // internal/wire (shared with the compositor subsystem); the farm keeps
@@ -156,7 +156,7 @@ func (t taskMsg) validate() error {
 	if t.Samples < 0 || t.Threads < 0 {
 		return fmt.Errorf("farm: bad task options (samples %d, threads %d)", t.Samples, t.Threads)
 	}
-	if err := validateAA(t.AAThreshold, t.AASamples); err != nil {
+	if err := validateAA(t.AAThreshold); err != nil {
 		return err
 	}
 	if t.WireFlags&^wireFlagsMask != 0 {
@@ -179,13 +179,10 @@ type taskMsg struct {
 	W, H      int
 	Coherence bool
 	Samples   int
-	GridRes   int
-	BlockGran int
-	// AAThreshold and AASamples are the tracer's adaptive antialiasing
-	// (trace.Options); they change pixels, so every render branch of the
-	// frame step and the master's quarantine render apply them.
+	// AAThreshold is the tracer's adaptive antialiasing (trace.Options);
+	// it changes pixels, so every render branch of the frame step and the
+	// master's quarantine render apply it.
 	AAThreshold float64
-	AASamples   int
 	// Threads bounds the worker's intra-frame tile pool; 0 lets the
 	// worker use all its cores. Pixels are thread-count-invariant, so
 	// this is purely a speed knob.
@@ -208,17 +205,12 @@ type taskMsg struct {
 // maxSinks bounds the sink list accepted off the wire.
 const maxSinks = 1024
 
-// maxAASamples bounds the per-pixel antialiasing sample count accepted
-// off the wire (the tracer's default is 8).
-const maxAASamples = 1024
-
-// validateAA bounds the antialiasing options, for the master's config
-// and the worker's task message alike. The range test is negated so
-// that NaN fails it too.
-func validateAA(threshold float64, samples int) error {
-	if !(threshold >= 0 && threshold <= 1) || samples < 0 || samples > maxAASamples {
-		return fmt.Errorf("farm: antialiasing threshold %v outside [0,1] or sample count %d outside [0,%d]",
-			threshold, samples, maxAASamples)
+// validateAA bounds the antialiasing threshold, for the master's config
+// and the worker's task message alike. The range test is negated so that
+// NaN fails it too.
+func validateAA(threshold float64) error {
+	if !(threshold >= 0 && threshold <= 1) {
+		return fmt.Errorf("farm: antialiasing threshold %v outside [0,1]", threshold)
 	}
 	return nil
 }
@@ -237,10 +229,7 @@ func encodeTask(t taskMsg) []byte {
 	b.PackInt(int64(t.H))
 	b.PackBool(t.Coherence)
 	b.PackInt(int64(t.Samples))
-	b.PackInt(int64(t.GridRes))
-	b.PackInt(int64(t.BlockGran))
 	b.PackFloat(t.AAThreshold)
-	b.PackInt(int64(t.AASamples))
 	b.PackInt(int64(t.Threads))
 	b.PackInt(int64(t.WireFlags))
 	b.PackInt(int64(t.JobStart))
@@ -270,10 +259,7 @@ func decodeTask(data []byte) (taskMsg, error) {
 	t.H = int(b.UnpackInt())
 	t.Coherence = b.UnpackBool()
 	t.Samples = int(b.UnpackInt())
-	t.GridRes = int(b.UnpackInt())
-	t.BlockGran = int(b.UnpackInt())
 	t.AAThreshold = b.UnpackFloat()
-	t.AASamples = int(b.UnpackInt())
 	t.Threads = int(b.UnpackInt())
 	t.WireFlags = int(b.UnpackInt())
 	t.JobStart = int(b.UnpackInt())

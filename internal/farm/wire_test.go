@@ -46,7 +46,8 @@ func TestHelloRoundTrip(t *testing.T) {
 		"raw name bytes":        []byte("old-worker"),
 		"empty":                 nil,
 		"version 2":             versionHello("ws01", 2),
-		"version 4":             versionHello("ws01", 4),
+		"version 3":             versionHello("ws01", 3),
+		"version 5":             versionHello("ws01", 5),
 		"version 0":             versionHello("ws01", 0),
 		"trailing field": func() []byte {
 			b := msg.NewBuffer()
@@ -80,7 +81,7 @@ func TestTaskWireFlagsRoundTrip(t *testing.T) {
 	sharded.OSShards = 4
 	everything := dfb
 	everything.OSShards = 4
-	everything.AAThreshold, everything.AASamples = 0.1, 8
+	everything.AAThreshold = 0.1
 	for _, tm := range []taskMsg{base, dfb, sharded, everything} {
 		for _, flags := range []int{0, capWireDelta, capWireSpanCodec, wireFlagsMask} {
 			tm.WireFlags = flags
@@ -116,15 +117,12 @@ func TestTaskWireFlagsRoundTrip(t *testing.T) {
 			t.Errorf("object-space shard count %d decoded successfully", n)
 		}
 	}
-	// Antialiasing options outside the tracer's domain are rejected.
-	for _, aa := range []struct {
-		threshold float64
-		samples   int
-	}{{-0.1, 0}, {1.5, 0}, {math.NaN(), 0}, {math.Inf(1), 0}, {0.1, -1}, {0.1, maxAASamples + 1}} {
+	// An antialiasing threshold outside the tracer's domain is rejected.
+	for _, threshold := range []float64{-0.1, 1.5, math.NaN(), math.Inf(1)} {
 		bad = base
-		bad.AAThreshold, bad.AASamples = aa.threshold, aa.samples
+		bad.AAThreshold = threshold
 		if _, err := decodeTask(encodeTask(bad)); err == nil {
-			t.Errorf("antialiasing (%v, %d) decoded successfully", aa.threshold, aa.samples)
+			t.Errorf("antialiasing threshold %v decoded successfully", threshold)
 		}
 	}
 	// The layout is fixed: a message cut short or with bytes to spare is
@@ -273,7 +271,7 @@ func TestProtocolPinned(t *testing.T) {
 		name      string
 		got, want int
 	}{
-		{"protocol version", ProtocolVersion, 3},
+		{"protocol version", ProtocolVersion, 4},
 		{"delta flag", capWireDelta, 1 << 0},
 		{"timeline flag", capWireTimeline, 1 << 2},
 		{"span-codec flag", capWireSpanCodec, 1 << 4},
