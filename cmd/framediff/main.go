@@ -125,9 +125,8 @@ func diffScene(spec string, frame, w, h int, outDir string) error {
 	if err != nil {
 		return err
 	}
-	scratch := fb.New(w, h)
 	for f := 0; f <= frame; f++ {
-		if _, err := eng.RenderFrame(f, scratch); err != nil {
+		if _, err := eng.Render(f); err != nil {
 			return err
 		}
 	}

@@ -72,9 +72,8 @@ func run(frame, frames, w, h int, outDir string) error {
 	if err != nil {
 		return err
 	}
-	scratch := nowrender.NewFramebuffer(w, h)
 	for f := 0; f <= frame; f++ {
-		if _, err := eng.RenderFrame(f, scratch); err != nil {
+		if _, err := eng.Render(f); err != nil {
 			return err
 		}
 	}

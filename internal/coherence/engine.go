@@ -7,7 +7,9 @@
 // the ray traverses. Between frame f and f+1 the engine finds the voxels
 // in which change occurs (objects moving in or out) and marks every
 // pixel registered on those voxels for recomputation; all other pixels
-// are copied from the previous frame.
+// keep the previous frame's colour. The engine renders each frame over
+// the last one in a framebuffer of its own region's size, so a clean
+// pixel costs nothing: it is already there.
 //
 // The voxel grid covers only the part of object space in which change
 // can occur during the engine's frame range — the bounds, at every frame
@@ -34,7 +36,7 @@
 // object-space cluster, each mover's voxels per frame and each frame
 // pair's changed voxels are built once per Range, and an engine keeps
 // only what depends on its region (its pixels' registrations, its dirty
-// mask, its previous frame).
+// mask, its framebuffer).
 //
 // # Concurrency
 //
@@ -144,7 +146,9 @@ type Engine struct {
 	// reserved over all tile workers.
 	live, reserved int
 
-	prev      *fb.Framebuffer
+	// buf holds the region of the last frame rendered, which the next
+	// frame is rendered over in place.
+	buf       *fb.Framebuffer
 	nextFrame int
 	// dirty is the region-local dirty mask for nextFrame. Frozen while
 	// tiles render; rebuilt between frames (atomically during parallel
@@ -240,6 +244,12 @@ func (e *Engine) appendDirtySpans(out []fb.Span) []fb.Span {
 	return out
 }
 
+// Frame returns the engine's framebuffer: its region of the frame the
+// last Render produced, in frame coordinates (fb.NewRegion). The next
+// Render overwrites it in place; a caller that keeps frames copies the
+// region out (RenderFrame does).
+func (e *Engine) Frame() *fb.Framebuffer { return e.buf }
+
 // FrameReport describes one rendered frame.
 type FrameReport struct {
 	Frame int
@@ -265,20 +275,32 @@ type FrameReport struct {
 	Overhead time.Duration
 }
 
-// RenderFrame renders the engine's next frame into dst (a full W x H
-// framebuffer; only the engine's region is touched). Frames must be
-// rendered consecutively. Dirty pixels are traced by the intra-frame
-// tile pool (Options.Threads); clean pixels are copied from the
-// previous frame.
+// RenderFrame renders the engine's next frame and copies its region into
+// dst (typically a full W x H framebuffer; only the engine's region is
+// touched), one row span at a time: Render for a caller that keeps its
+// frames.
 func (e *Engine) RenderFrame(frame int, dst *fb.Framebuffer) (FrameReport, error) {
+	if dst.Bounds().Intersect(e.Region) != e.Region {
+		return FrameReport{}, fmt.Errorf("coherence: dst covers %v, not the region %v", dst.Bounds(), e.Region)
+	}
+	rep, err := e.Render(frame)
+	if err != nil {
+		return rep, err
+	}
+	dst.CopyRect(e.buf, e.Region)
+	return rep, nil
+}
+
+// Render renders the engine's next frame over the last one in the
+// engine's framebuffer (Frame). Frames must be rendered consecutively.
+// Dirty pixels are traced by the intra-frame tile pool
+// (Options.Threads); clean pixels keep the previous frame's colour.
+func (e *Engine) Render(frame int) (FrameReport, error) {
 	if frame != e.nextFrame {
 		return FrameReport{}, fmt.Errorf("coherence: frames must be consecutive: want %d, got %d", e.nextFrame, frame)
 	}
 	if frame >= e.rng.end {
 		return FrameReport{}, fmt.Errorf("coherence: frame %d beyond sequence end %d", frame, e.rng.end)
-	}
-	if dst.W != e.W || dst.H != e.H {
-		return FrameReport{}, fmt.Errorf("coherence: dst is %dx%d, want %dx%d", dst.W, dst.H, e.W, e.H)
 	}
 
 	// No Observer here: each tile worker gets its own registration
@@ -298,7 +320,7 @@ func (e *Engine) RenderFrame(frame int, dst *fb.Framebuffer) (FrameReport, error
 
 	rep := FrameReport{Frame: frame}
 	fwdSpan := e.opts.TimelineTrack.Begin()
-	e.renderTiles(g.NewWorkers(e.objStats), frame, dst, &rep)
+	e.renderTiles(g.NewWorkers(e.objStats), frame, &rep)
 	if e.objStats != nil {
 		rep.Forwarded = e.objStats.RaysForwarded() - fwd0
 		e.opts.TimelineTrack.EndArg(timeline.OpForward, frame, fwdSpan, int64(rep.Forwarded))
@@ -322,15 +344,6 @@ func (e *Engine) RenderFrame(frame int, dst *fb.Framebuffer) (FrameReport, error
 	}
 	e.opts.TimelineTrack.EndArg(timeline.OpChangeDetect, frame, cdStart, int64(rep.ChangeVoxels))
 	rep.Overhead = time.Since(overheadStart)
-
-	// Keep the frame for the next one's pixel copying.
-	if frame+1 < e.rng.end {
-		if e.prev == nil {
-			e.prev = dst.Clone()
-		} else {
-			e.prev.CopyRect(dst, e.Region)
-		}
-	}
 	e.nextFrame++
 	return rep, nil
 }
@@ -358,17 +371,14 @@ func (e *Engine) dilateToBlocks(n int) {
 	}
 }
 
-// bytes is what the engine holds: runs, masks, the previous frame, and
+// bytes is what the engine holds: runs, masks, its framebuffer, and
 // the arenas, counted the same at any thread count: what the first frame
 // reserved or, once the live records (registrations and headers) outgrow
 // half of that, twice them — the room makeRoom keeps — plus one tile
 // worker's dedup table.
 func (e *Engine) bytes() int {
 	n := len(e.runs)*int(unsafe.Sizeof(pixelRun{})) + e.dirty.Len()/8 +
-		len(e.lastSpans)*int(unsafe.Sizeof(fb.Span{}))
-	if e.prev != nil {
-		n += len(e.prev.Pix)
-	}
+		len(e.lastSpans)*int(unsafe.Sizeof(fb.Span{})) + len(e.buf.Pix)
 	if e.grid != nil {
 		records := e.live
 		for _, run := range e.runs {

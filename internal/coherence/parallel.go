@@ -238,7 +238,7 @@ func (e *Engine) reserveArenas(n, sampled int) {
 // newWorker is the frame's Geometry.NewWorkers: over the replicated
 // tracer or through the sharded cluster, it yields a trace.Worker wired
 // to the given observer.
-func (e *Engine) renderTiles(newWorker func(trace.RayObserver) *trace.Worker, frame int, dst *fb.Framebuffer, rep *FrameReport) {
+func (e *Engine) renderTiles(newWorker func(trace.RayObserver) *trace.Worker, frame int, rep *FrameReport) {
 	tiles := e.Region.Blocks(trace.TileW, trace.TileH)
 	threads := min(e.threads(), len(tiles))
 	// Without a grid nothing can change, so nothing is registered: there
@@ -247,7 +247,7 @@ func (e *Engine) renderTiles(newWorker func(trace.RayObserver) *trace.Worker, fr
 		e.ensureCollectors(threads)
 		e.retireRuns()
 	}
-	pool := tilePool{e: e, frame: frame, dst: dst, workers: make([]*trace.Worker, threads), tallies: make([]tally, threads)}
+	pool := tilePool{e: e, frame: frame, workers: make([]*trace.Worker, threads), tallies: make([]tally, threads)}
 	for i := range pool.workers {
 		var obs trace.RayObserver
 		if e.grid != nil {
@@ -282,7 +282,6 @@ func (e *Engine) renderTiles(newWorker func(trace.RayObserver) *trace.Worker, fr
 type tilePool struct {
 	e       *Engine
 	frame   int
-	dst     *fb.Framebuffer
 	workers []*trace.Worker
 	tallies []tally
 }
@@ -311,7 +310,7 @@ func (p *tilePool) run(tiles []fb.Rect) {
 				return
 			}
 			s := tr.Begin()
-			r, cp := p.e.renderTile(p.workers[slot], c, p.dst, tiles[t])
+			r, cp := p.e.renderTile(p.workers[slot], c, tiles[t])
 			tr.EndArg(timeline.OpTile, p.frame, s, int64(r))
 			p.tallies[slot].rendered += r
 			p.tallies[slot].copied += cp
@@ -331,17 +330,17 @@ func (p *tilePool) run(tiles []fb.Rect) {
 	wg.Wait()
 }
 
-// renderTile traces the dirty pixels of one tile and copies the clean
-// ones; c is nil when the engine registers nothing. Tiles are disjoint,
-// so run and framebuffer writes from concurrent tile workers never touch
-// the same index.
-func (e *Engine) renderTile(w *trace.Worker, c *regCollector, dst *fb.Framebuffer, tile fb.Rect) (rendered, copied int) {
+// renderTile traces the dirty pixels of one tile over the engine's
+// framebuffer, where the clean ones already hold the previous frame; c is
+// nil when the engine registers nothing. Tiles are disjoint, so run and
+// framebuffer writes from concurrent tile workers never touch the same
+// index.
+func (e *Engine) renderTile(w *trace.Worker, c *regCollector, tile fb.Rect) (rendered, copied int) {
+	dst := e.buf
 	for y := tile.Y0; y < tile.Y1; y++ {
 		for x := tile.X0; x < tile.X1; x++ {
 			p := e.pixelIndex(x, y)
 			if !e.dirty.Get(int(p)) {
-				dst.CopyPixel(e.prev, x, y)
-				copied++
 				continue
 			}
 			rendered++
@@ -355,7 +354,7 @@ func (e *Engine) renderTile(w *trace.Worker, c *regCollector, dst *fb.Framebuffe
 			e.runs[p] = c.endPixel()
 		}
 	}
-	return rendered, copied
+	return rendered, tile.Area() - rendered
 }
 
 // markChanges sets the dirty flag of every pixel registered on a voxel

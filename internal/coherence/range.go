@@ -181,6 +181,7 @@ func (r *Range) NewEngine(w, h int, region fb.Rect, opts Options) (*Engine, erro
 		rng: r, W: w, H: h, Region: region, opts: opts,
 		grid:      r.grid,
 		nextFrame: r.start,
+		buf:       fb.NewRegion(region),
 		dirty:     bitset.New(region.Area()),
 	}
 	if r.grid != nil {

@@ -237,9 +237,7 @@ func TestSinkDeltaChain(t *testing.T) {
 	// Frame 1 = frame 0 with row 0 replaced by frame 1's row 0.
 	want := testFrame(0)
 	src := testFrame(1)
-	for x := 0; x < tw; x++ {
-		want.CopyPixel(src, x, 0)
-	}
+	want.CopyRect(src, fb.NewRect(0, 0, tw, 1))
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if img := h.frames[1]; img == nil || !img.Equal(want) {

@@ -204,9 +204,8 @@ func Figure2(p Params, frame int) (*Figure2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	scratch := fb.New(p.W, p.H)
 	for f := 0; f <= frame; f++ {
-		if _, err := eng.RenderFrame(f, scratch); err != nil {
+		if _, err := eng.Render(f); err != nil {
 			return nil, err
 		}
 	}

@@ -212,9 +212,10 @@ func TestAblationWeighted(t *testing.T) {
 }
 
 // heldMB is what a machine of the virtual NOW holds, in MB, at the end of
-// a task over region and all of p's frames: the frames' geometry, with
-// coherence the engine and its Range (coherence.Frames.WorkingSet), and
-// the task framebuffer.
+// a task over region and all of p's frames: the frames' geometry and,
+// with coherence, the engine (its region framebuffer included) and its
+// Range (coherence.Frames.WorkingSet), or without, the task's region
+// framebuffer — what the farm's frame step charges.
 func heldMB(t *testing.T, p Params, region fb.Rect, coherent bool) float64 {
 	t.Helper()
 	opts := coherence.Options{Threads: 1}
@@ -228,10 +229,9 @@ func heldMB(t *testing.T, p Params, region fb.Rect, coherent bool) float64 {
 			t.Fatal(err)
 		}
 	}
-	buf := fb.New(p.W, p.H)
 	for f := range p.Scene.Frames {
 		if e != nil {
-			_, err = e.RenderFrame(f, buf)
+			_, err = e.Render(f)
 		} else {
 			_, err = r.Frames().At(f)
 		}
@@ -239,15 +239,22 @@ func heldMB(t *testing.T, p Params, region fb.Rect, coherent bool) float64 {
 			t.Fatal(err)
 		}
 	}
-	return float64(r.Frames().WorkingSet(e)+len(buf.Pix)) / (1 << 20)
+	n := r.Frames().WorkingSet(e)
+	if e == nil {
+		n += 3 * region.Area()
+	}
+	return float64(n) / (1 << 20)
 }
 
 // TestAblationMemory squeezes every machine to 1 MB, chosen from what the
 // tasks hold at the end: a whole-frame coherent task over these twelve
-// frames 1.22 MB, a 40x40 block's 0.24 MB, a plain task 0.12 MB.
+// 144x192 frames 1.34 MB, a 48x48 block's 0.13 MB, a plain task 0.15 MB.
+// (At 120x160 a whole frame held 1.02 MB once an engine kept its region
+// instead of a second frame: too close to the squeeze for most of its
+// frames to swap.)
 func TestAblationMemory(t *testing.T) {
 	const squeezeMB = 1
-	p := Params{Scene: scenes.Newton(12), W: 120, H: 160, BlockW: 40, BlockH: 40}
+	p := Params{Scene: scenes.Newton(12), W: 144, H: 192, BlockW: 48, BlockH: 48}
 	whole, block := fb.NewRect(0, 0, p.W, p.H), fb.NewRect(0, 0, p.BlockW, p.BlockH)
 	w, b, plain := heldMB(t, p, whole, true), heldMB(t, p, block, true), heldMB(t, p, whole, false)
 	t.Logf("a whole frame holds %.2f MB, a block %.2f, a plain task %.2f", w, b, plain)

@@ -188,21 +188,26 @@ func TestMasterRequiresWorkers(t *testing.T) {
 }
 
 // strayWorker attaches a scripted worker to hub: it sends the given
-// messages, then reads until the master drops it. The returned channel
+// messages and returns once the hub has queued them all for the master,
+// ahead of anything a worker started later says — otherwise two good
+// workers can render every frame before the master reads the stray at
+// all. It then reads until the master drops it; the returned channel
 // yields how many tasks it was sent.
 func strayWorker(t *testing.T, hub *msg.Hub, name string, script ...msg.Message) <-chan int {
 	t.Helper()
 	masterEnd, workerEnd := msg.Pipe(8)
-	if err := hub.Attach(name, masterEnd); err != nil {
+	queued := &queuedEnd{Conn: masterEnd, after: len(script), done: make(chan struct{})}
+	if err := hub.Attach(name, queued); err != nil {
 		t.Fatal(err)
 	}
+	for _, m := range script {
+		if err := workerEnd.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-queued.done
 	tasks := make(chan int, 1)
 	go func() {
-		for _, m := range script {
-			if workerEnd.Send(m) != nil {
-				break
-			}
-		}
 		n := 0
 		for {
 			m, err := workerEnd.Recv()
@@ -218,9 +223,26 @@ func strayWorker(t *testing.T, hub *msg.Hub, name string, script ...msg.Message)
 	return tasks
 }
 
+// queuedEnd is the hub's end of a stray worker's pipe. The hub's pump
+// queues each message it receives before it receives again, so once the
+// pump asks for message after+1, the first after messages are queued:
+// done closes then.
+type queuedEnd struct {
+	msg.Conn
+	after, calls int // touched by the pump's goroutine alone
+	done         chan struct{}
+}
+
+func (c *queuedEnd) Recv() (msg.Message, error) {
+	if c.calls++; c.calls == c.after+1 {
+		close(c.done)
+	}
+	return c.Conn.Recv()
+}
+
 // TestMasterRefusesStrayWorker: a worker that is not this build — an
 // older hello, a newer version, no hello at all — or that says hello
-// twice is refused, in the seed phase as in the main loop: it is
+// twice is refused, the second hello after it was sent a task: it is
 // detached and counted lost, a foreign build is never sent a task, and
 // the other two workers deliver the golden frames.
 func TestMasterRefusesStrayWorker(t *testing.T) {

@@ -1050,7 +1050,7 @@ func (m *master) renderQuarantined(f int, region fb.Rect) error {
 		m.sinks.setPending(f, region, "master")
 		return nil
 	}
-	_, dup, err := m.asm.Deliver(f, region, wire.ExtractRegion(step.buf, region), m.ln.Now())
+	_, dup, err := m.asm.Deliver(f, region, step.buf.Pix, m.ln.Now())
 	if err != nil || dup {
 		return err
 	}

@@ -159,14 +159,14 @@ func (vm *vmachine) clock() int64 { return int64(vm.l.now.Time(vm.i)) }
 func (vm *vmachine) tracks(taskMsg) (*timeline.Track, []*timeline.Track) { return nil, nil }
 
 // render is the real frame step, charged on the machine's clock for its
-// work and for what it holds: its frames, the task's engine and Range,
-// the task framebuffer (only the virtual NOW asks).
+// work and for what it holds (frameStep.workingSet; only the virtual NOW
+// asks).
 func (vm *vmachine) render(s *frameStep, f int) (frameDoneMsg, error) {
 	fd, work, err := s.render(f)
 	if err != nil {
 		return fd, err
 	}
-	work.MemoryMB = float64(s.geo.WorkingSet(s.eng)+len(s.buf.Pix)) / (1 << 20)
+	work.MemoryMB = float64(s.workingSet()) / (1 << 20)
 	began := vm.l.now.Time(vm.i)
 	vm.rendered = vm.l.now.Exec(vm.i, work)
 	fd.ElapsedNs = int64(vm.rendered - began)

@@ -501,9 +501,11 @@ func (h *connHost) ship(s *frameStep, fd frameDoneMsg, first bool) error {
 // frameStep is the worker-side state of one task and the one place a
 // farm frame is rendered and encoded: the coherence engine or the frames'
 // geometry, the object-space counters, the task framebuffer and the
-// result encoder. The worker drives it on every host, each host stamping
-// its own clock between render and encode, so an option that reaches
-// pixels on one driver reaches them on all.
+// result encoder. The framebuffer holds the task's region, not the frame:
+// a plain task's own, or a coherent task's engine's, which each frame is
+// rendered over in place. The worker drives it on every host, each host
+// stamping its own clock between render and encode, so an option that
+// reaches pixels on one driver reaches them on all.
 type frameStep struct {
 	tm taskMsg
 	// geo is the worker's geometry for the task's frames: a plain task
@@ -515,7 +517,7 @@ type frameStep struct {
 	// path. osShipped is set once they have gone to the master.
 	osStats   *objspace.Stats
 	osShipped bool
-	buf       *fb.Framebuffer
+	buf       *fb.Framebuffer // the region's pixels of the last frame
 	enc       frameEncoder
 	// spans is the traced-pixel set of the frame render just produced
 	// (nil without coherence) — what a delta encoding ships.
@@ -576,12 +578,13 @@ func (h *rangeHolder) rangeFor(sc *scene.Scene, start, end int, opts coherence.O
 // off the frames in ranges. main and tiles receive the engine's
 // change-detect and tile spans (nil = none).
 func newFrameStep(sc *scene.Scene, tm taskMsg, ranges *rangeHolder, main *timeline.Track, tiles []*timeline.Track) (*frameStep, error) {
-	s := &frameStep{tm: tm, main: main, tiles: tiles, buf: fb.New(tm.W, tm.H)}
+	s := &frameStep{tm: tm, main: main, tiles: tiles}
 	if tm.OSShards >= 2 {
 		s.osStats = &objspace.Stats{}
 	}
 	t := tm.Task
 	if !tm.Coherence {
+		s.buf = fb.NewRegion(t.Region)
 		topts := trace.Options{SamplesPerPixel: tm.Samples, AAThreshold: tm.AAThreshold}
 		var err error
 		if s.geo, err = ranges.framesFor(sc, t.StartFrame, t.EndFrame, topts, tm.OSShards); err != nil {
@@ -605,7 +608,7 @@ func newFrameStep(sc *scene.Scene, tm taskMsg, ranges *rangeHolder, main *timeli
 	if s.eng, err = r.NewEngine(tm.W, tm.H, t.Region, copts); err != nil {
 		return nil, err
 	}
-	s.geo = r.Frames()
+	s.geo, s.buf = r.Frames(), s.eng.Frame()
 	return s, nil
 }
 
@@ -618,7 +621,7 @@ func (s *frameStep) render(f int) (frameDoneMsg, cluster.Work, error) {
 	fd := frameDoneMsg{TaskID: t.ID, Frame: f, Region: t.Region, Rendered: t.Region.Area()}
 	s.spans = nil
 	if s.eng != nil {
-		rep, err := s.eng.RenderFrame(f, s.buf)
+		rep, err := s.eng.Render(f)
 		if err != nil {
 			return fd, cluster.Work{}, err
 		}
@@ -641,11 +644,22 @@ func (s *frameStep) render(f int) (frameDoneMsg, cluster.Work, error) {
 	if s.osStats != nil {
 		fwd0 = s.osStats.RaysForwarded()
 	}
-	fd.Rays = trace.RenderTiles(s.buf, t.Region, s.tm.Threads, f, s.tiles, g.NewWorkers(s.osStats))
+	fd.Rays = trace.RenderTiles(s.buf, s.tm.W, s.tm.H, t.Region, s.tm.Threads, f, s.tiles, g.NewWorkers(s.osStats))
 	if s.osStats != nil {
 		s.main.Instant(timeline.OpForward, f, int64(s.osStats.RaysForwarded()-fwd0))
 	}
 	return fd, cluster.Work{Rays: fd.Rays.Total()}, nil
+}
+
+// workingSet is the bytes the step holds to render with: the frames, the
+// engine and its Range, and a plain task's framebuffer (an engine's is
+// the engine's).
+func (s *frameStep) workingSet() int {
+	n := s.geo.WorkingSet(s.eng)
+	if s.eng == nil {
+		n += len(s.buf.Pix)
+	}
+	return n
 }
 
 // encode seals fd's pixels for the wire. first forces a key-frame (see

@@ -11,6 +11,7 @@ import (
 	"nowrender/internal/fb"
 	"nowrender/internal/msg"
 	"nowrender/internal/partition"
+	"nowrender/internal/scenes"
 )
 
 // TestWorkerHostsAgree runs one scripted exchange through both hosts of
@@ -180,4 +181,78 @@ func outboxTags(s []sent) []int {
 		tags[i] = m.Tag
 	}
 	return tags
+}
+
+// TestBlockTaskHoldsItsBlock runs a 40x40 block of Newton 120x160,
+// coherent and plain, through both hosts. The task's framebuffer holds
+// the block, 3 bytes a block pixel, and a coherent task's is its engine's
+// own; the working set the virtual NOW charges (Work.MemoryMB) counts it
+// once. Both hosts ship the same frames.
+func TestBlockTaskHoldsItsBlock(t *testing.T) {
+	const w, h = 120, 160
+	sc := scenes.Newton(3)
+	region := fb.NewRect(40, 80, 80, 120)
+	for _, coherent := range []bool{true, false} {
+		tm := taskMsg{
+			Task: partition.Task{ID: 1, Region: region, StartFrame: 0, EndFrame: 3},
+			W:    w, H: h, Coherence: coherent, Samples: 1, Threads: 2, WireFlags: capWireDelta,
+		}
+		// holds renders the task on wk a frame at a time, checking what
+		// its step holds after every frame.
+		holds := func(host string, wk *worker) {
+			t.Helper()
+			if _, err := wk.handle(msg.Message{Tag: TagTask, Data: encodeTask(tm)}); err != nil {
+				t.Fatal(err)
+			}
+			for wk.busy() {
+				s := wk.step
+				if err := wk.frame(); err != nil {
+					t.Fatal(err)
+				}
+				if s.buf.Bounds() != region || len(s.buf.Pix) != 3*region.Area() {
+					t.Fatalf("%s, coherent %v: the task holds %v in %d framebuffer bytes, want %v in %d",
+						host, coherent, s.buf.Bounds(), len(s.buf.Pix), region, 3*region.Area())
+				}
+				want := s.geo.WorkingSet(nil) + 3*region.Area()
+				if coherent {
+					if s.buf != s.eng.Frame() {
+						t.Fatalf("%s: a coherent task's framebuffer is not its engine's", host)
+					}
+					want = s.geo.WorkingSet(s.eng)
+				}
+				if got := s.workingSet(); got != want {
+					t.Errorf("%s, coherent %v: the task charges %d B of working set, want %d", host, coherent, got, want)
+				}
+			}
+		}
+
+		masterEnd, workerEnd := msg.Pipe(64)
+		ch := newConnHost("ws", workerEnd, WorkerOptions{})
+		holds("conn host", &worker{name: "ws", sc: sc, host: ch, threads: 1, ranges: new(rangeHolder)})
+		var conn []msg.Message
+		for range 4 { // three results and the task's end
+			m, err := masterEnd.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn = append(conn, m)
+		}
+		ch.close()
+		masterEnd.Close()
+
+		l, err := newVirtualLink(&Config{Scene: sc, W: w, H: h, Machines: []cluster.Machine{{Name: "ws", Speed: 1}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		holds("virtual host", &l.machines[0].w)
+		var virtual []msg.Message
+		for _, v := range l.inflight {
+			if v.m.Tag != TagHello { // the machine's, sent as the link starts
+				virtual = append(virtual, v.m)
+			}
+		}
+		if got, want := outbox(t, conn), outbox(t, virtual); !reflect.DeepEqual(got, want) {
+			t.Errorf("coherent %v: the conn host sent %v, the virtual host %v", coherent, outboxTags(got), outboxTags(want))
+		}
+	}
 }

@@ -11,38 +11,58 @@ import (
 	vm "nowrender/internal/vecmath"
 )
 
-// Framebuffer is a W x H image with 8-bit RGB pixels.
+// Framebuffer is a W x H image with 8-bit RGB pixels covering the
+// rectangle Bounds() of a frame: a whole frame has its origin (X0, Y0)
+// at (0, 0), a region of one (NewRegion) holds only the region's pixels.
+// Set, At and the span and rectangle copies take frame coordinates
+// either way, so a worker that owns one block of every frame holds a
+// block, not a frame.
 type Framebuffer struct {
 	W, H int
+	// X0, Y0 are the frame coordinates of pixel Pix[0:3].
+	X0, Y0 int
 	// Pix is packed RGB, 3 bytes per pixel, rows top to bottom.
 	Pix []byte
 }
 
 // New returns a black framebuffer.
 func New(w, h int) *Framebuffer {
-	if w < 0 || h < 0 {
-		panic(fmt.Sprintf("fb: negative dimensions %dx%d", w, h))
+	return NewRegion(NewRect(0, 0, w, h))
+}
+
+// NewRegion returns a black framebuffer over rectangle r of a frame.
+func NewRegion(r Rect) *Framebuffer {
+	if r.W() < 0 || r.H() < 0 {
+		panic(fmt.Sprintf("fb: negative dimensions %dx%d", r.W(), r.H()))
 	}
-	return &Framebuffer{W: w, H: h, Pix: make([]byte, w*h*3)}
+	return Wrap(r, make([]byte, r.Area()*3))
+}
+
+// Wrap returns a framebuffer over rectangle r whose pixels are pix, r's
+// packed RGB rows (the wire's full-region payload), without copying, so
+// a payload can be copied in or out by row span.
+func Wrap(r Rect, pix []byte) *Framebuffer {
+	return &Framebuffer{W: r.W(), H: r.H(), X0: r.X0, Y0: r.Y0, Pix: pix}
 }
 
 // Clone returns a deep copy.
 func (f *Framebuffer) Clone() *Framebuffer {
-	c := New(f.W, f.H)
+	c := NewRegion(f.Bounds())
 	copy(c.Pix, f.Pix)
 	return c
 }
 
 // offset returns the byte offset of pixel (x, y).
-func (f *Framebuffer) offset(x, y int) int { return (y*f.W + x) * 3 }
+func (f *Framebuffer) offset(x, y int) int { return ((y-f.Y0)*f.W + x - f.X0) * 3 }
 
 // checkBounds panics with the offending coordinates when (x, y) lies
-// outside the framebuffer. Raw slice indexing would also panic, but on a
-// byte offset — useless when a tile rectangle is off by one; this names
+// outside the framebuffer. Raw slice indexing would not catch (W, y),
+// which lands on the next row's first pixel, and panics on a byte offset
+// otherwise — useless when a tile rectangle is off by one; this names
 // the pixel.
 func (f *Framebuffer) checkBounds(x, y int) {
-	if x < 0 || x >= f.W || y < 0 || y >= f.H {
-		panic(fmt.Sprintf("fb: pixel (%d,%d) outside %dx%d framebuffer", x, y, f.W, f.H))
+	if !f.Bounds().Contains(x, y) {
+		panic(fmt.Sprintf("fb: pixel (%d,%d) outside %dx%d framebuffer at (%d,%d)", x, y, f.W, f.H, f.X0, f.Y0))
 	}
 }
 
@@ -65,8 +85,10 @@ func (f *Framebuffer) SetRGB(x, y int, r, g, b byte) {
 	f.Pix[o+0], f.Pix[o+1], f.Pix[o+2] = r, g, b
 }
 
-// At returns the raw bytes of pixel (x, y).
+// At returns the raw bytes of pixel (x, y). Panics if (x, y) is out of
+// bounds.
 func (f *Framebuffer) At(x, y int) (r, g, b byte) {
+	f.checkBounds(x, y)
 	o := f.offset(x, y)
 	return f.Pix[o+0], f.Pix[o+1], f.Pix[o+2]
 }
@@ -77,15 +99,8 @@ func (f *Framebuffer) AtColor(x, y int) vm.Vec3 {
 	return vm.V(float64(r)/255, float64(g)/255, float64(b)/255)
 }
 
-// CopyPixel copies one pixel from src (same dimensions assumed by index
-// math; callers validate).
-func (f *Framebuffer) CopyPixel(src *Framebuffer, x, y int) {
-	o := f.offset(x, y)
-	so := src.offset(x, y)
-	copy(f.Pix[o:o+3], src.Pix[so:so+3])
-}
-
-// CopyRect copies a rectangle of pixels from src.
+// CopyRect copies a rectangle of pixels from src, row by row; r is in
+// frame coordinates and must lie inside both framebuffers.
 func (f *Framebuffer) CopyRect(src *Framebuffer, r Rect) {
 	for y := r.Y0; y < r.Y1; y++ {
 		o := f.offset(r.X0, y)
@@ -97,16 +112,17 @@ func (f *Framebuffer) CopyRect(src *Framebuffer, r Rect) {
 
 // Fill sets every pixel to colour c.
 func (f *Framebuffer) Fill(c vm.Vec3) {
-	for y := 0; y < f.H; y++ {
-		for x := 0; x < f.W; x++ {
+	for y := f.Y0; y < f.Y0+f.H; y++ {
+		for x := f.X0; x < f.X0+f.W; x++ {
 			f.Set(x, y, c)
 		}
 	}
 }
 
-// Equal reports whether two framebuffers are pixel-identical.
+// Equal reports whether two framebuffers cover the same rectangle with
+// identical pixels.
 func (f *Framebuffer) Equal(o *Framebuffer) bool {
-	if f.W != o.W || f.H != o.H {
+	if f.Bounds() != o.Bounds() {
 		return false
 	}
 	for i := range f.Pix {
@@ -129,8 +145,8 @@ func (f *Framebuffer) DiffCount(o *Framebuffer) int {
 	return n
 }
 
-// Bounds returns the full-frame rectangle.
-func (f *Framebuffer) Bounds() Rect { return Rect{X0: 0, Y0: 0, X1: f.W, Y1: f.H} }
+// Bounds returns the rectangle of the frame the framebuffer covers.
+func (f *Framebuffer) Bounds() Rect { return Rect{X0: f.X0, Y0: f.Y0, X1: f.X0 + f.W, Y1: f.Y0 + f.H} }
 
 // Rect is a half-open pixel rectangle [X0,X1) x [Y0,Y1).
 type Rect struct {

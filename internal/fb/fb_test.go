@@ -1,6 +1,8 @@
 package fb
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -66,7 +68,7 @@ func TestEqualAndDiffCount(t *testing.T) {
 	}
 }
 
-func TestCopyPixelAndRect(t *testing.T) {
+func TestCopyRect(t *testing.T) {
 	src := New(4, 4)
 	for y := 0; y < 4; y++ {
 		for x := 0; x < 4; x++ {
@@ -74,18 +76,100 @@ func TestCopyPixelAndRect(t *testing.T) {
 		}
 	}
 	dst := New(4, 4)
-	dst.CopyPixel(src, 2, 3)
-	if r, g, _ := dst.At(2, 3); r != 20 || g != 30 {
-		t.Error("CopyPixel wrong")
-	}
-	dst2 := New(4, 4)
-	dst2.CopyRect(src, NewRect(1, 1, 3, 3))
-	if got := dst2.DiffCount(src); got != 16-4 {
+	dst.CopyRect(src, NewRect(1, 1, 3, 3))
+	if got := dst.DiffCount(src); got != 16-4 {
 		t.Errorf("after CopyRect, %d pixels differ, want 12", got)
 	}
-	if r, _, _ := dst2.At(0, 0); r != 0 {
+	if r, _, _ := dst.At(0, 0); r != 0 {
 		t.Error("CopyRect touched pixels outside the rect")
 	}
+	// Out to a region framebuffer and back, by frame coordinates.
+	r := NewRect(1, 2, 4, 4)
+	reg := NewRegion(r)
+	reg.CopyRect(src, r)
+	if g := reg.Bounds(); g != r || len(reg.Pix) != r.Area()*3 {
+		t.Fatalf("region framebuffer covers %v in %d bytes", g, len(reg.Pix))
+	}
+	if red, green, _ := reg.At(2, 3); red != 20 || green != 30 {
+		t.Errorf("region At(2,3) = %d,%d, want 20,30", red, green)
+	}
+	back := New(4, 4)
+	back.CopyRect(reg, r)
+	if got := back.DiffCount(src); got != 16-r.Area() {
+		t.Errorf("after the round trip, %d pixels differ, want %d", got, 16-r.Area())
+	}
+}
+
+// TestRegionFramebuffer: a framebuffer over a rectangle of the frame
+// takes frame coordinates everywhere and holds only its own pixels.
+func TestRegionFramebuffer(t *testing.T) {
+	r := NewRect(40, 80, 80, 120)
+	f := NewRegion(r)
+	if f.Bounds() != r || len(f.Pix) != 3*r.Area() {
+		t.Fatalf("NewRegion(%v) covers %v in %d bytes", r, f.Bounds(), len(f.Pix))
+	}
+	f.SetRGB(40, 80, 1, 2, 3)
+	f.Set(79, 119, vm.V(1, 1, 1))
+	if got := f.Pix[:3]; got[0] != 1 || got[1] != 2 || got[2] != 3 {
+		t.Errorf("origin pixel stored at %v", got)
+	}
+	if red, _, _ := f.At(79, 119); red != 255 || f.Pix[len(f.Pix)-3] != 255 {
+		t.Error("last pixel not at the end of Pix")
+	}
+	if c := f.Clone(); !c.Equal(f) || c.Bounds() != r {
+		t.Error("clone lost the origin")
+	}
+	if f.Equal(Wrap(NewRect(0, 0, 40, 40), f.Pix)) {
+		t.Error("same pixels at another origin reported equal")
+	}
+	f.Fill(vm.V(0, 1, 0))
+	if _, g, _ := f.At(40, 80); g != 255 {
+		t.Error("Fill missed the origin")
+	}
+	spans := []Span{{Y: 100, X0: 50, X1: 52}}
+	if err := f.ApplySpans(spans, []byte{9, 9, 9, 8, 8, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if red, _, _ := f.At(51, 100); red != 8 {
+		t.Error("ApplySpans missed frame coordinates")
+	}
+	if got := f.AppendSpans(nil, spans); len(got) != 6 || got[0] != 9 {
+		t.Errorf("AppendSpans = %v", got)
+	}
+	if err := f.ApplySpans([]Span{{Y: 100, X0: 30, X1: 41}}, make([]byte, 33)); err == nil {
+		t.Error("span left of the origin accepted")
+	}
+	for _, p := range [][2]int{{39, 80}, {80, 80}, {40, 79}, {40, 120}, {0, 0}} {
+		mustPanic(t, fmt.Sprintf("Set(%d,%d)", p[0], p[1]), func() { f.SetRGB(p[0], p[1], 0, 0, 0) })
+		mustPanic(t, fmt.Sprintf("At(%d,%d)", p[0], p[1]), func() { f.At(p[0], p[1]) })
+	}
+}
+
+// TestAtChecksBounds: At panics naming the pixel, as Set does, instead
+// of answering (W, y) with the next row's first pixel or panicking on a
+// byte offset.
+func TestAtChecksBounds(t *testing.T) {
+	f := New(4, 3)
+	f.SetRGB(0, 1, 7, 7, 7)
+	for _, p := range [][2]int{{4, 0}, {-1, 0}, {0, 3}, {0, -1}} {
+		mustPanic(t, fmt.Sprintf("(%d,%d)", p[0], p[1]), func() { f.At(p[0], p[1]) })
+	}
+}
+
+// mustPanic fails unless fn panics with a message naming the pixel.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Errorf("%s did not panic", what)
+			return
+		}
+		if msg, _ := r.(string); !strings.Contains(msg, "fb: pixel") {
+			t.Errorf("%s panicked with %v, want the pixel named", what, r)
+		}
+	}()
+	fn()
 }
 
 func TestFill(t *testing.T) {

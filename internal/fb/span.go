@@ -41,8 +41,8 @@ func (f *Framebuffer) AppendSpans(out []byte, spans []Span) []byte {
 func (f *Framebuffer) ApplySpans(spans []Span, pix []byte) error {
 	pos := 0
 	for _, s := range spans {
-		if s.X0 < 0 || s.X0 >= s.X1 || s.X1 > f.W || s.Y < 0 || s.Y >= f.H {
-			return fmt.Errorf("fb: span y=%d [%d,%d) outside %dx%d framebuffer", s.Y, s.X0, s.X1, f.W, f.H)
+		if b := f.Bounds(); s.X0 < b.X0 || s.X0 >= s.X1 || s.X1 > b.X1 || s.Y < b.Y0 || s.Y >= b.Y1 {
+			return fmt.Errorf("fb: span y=%d [%d,%d) outside framebuffer %v", s.Y, s.X0, s.X1, b)
 		}
 		n := s.Area() * 3
 		if pos+n > len(pix) {

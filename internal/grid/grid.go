@@ -23,7 +23,9 @@ type Grid struct {
 	nx, ny, nz int
 	cellSize   vm.Vec3
 	invCell    vm.Vec3
-	// cells holds the item list of each voxel, indexed by Index().
+	// cells holds the item list of each voxel, indexed by Index(); nil
+	// until the first Insert, so a grid nothing is inserted into (the
+	// coherence engine's registration grid) holds no table.
 	cells [][]int32
 	// outer is bounds moved out on every side by 1e-9 of (1 + |min| +
 	// |max|) on that axis: the faces AppendVoxels' early reject tests.
@@ -66,7 +68,6 @@ func New(bounds vm.AABB, nx, ny, nz int) (*Grid, error) {
 		nx:     nx, ny: ny, nz: nz,
 		cellSize: cell,
 		invCell:  vm.V(1/cell.X, 1/cell.Y, 1/cell.Z),
-		cells:    make([][]int32, nx*ny*nz),
 		outer:    vm.AABB{Min: lo.Sub(m), Max: hi.Add(m)},
 	}, nil
 }
@@ -153,6 +154,9 @@ func (g *Grid) Insert(id int32, b vm.AABB) {
 	if !ok {
 		return
 	}
+	if g.cells == nil {
+		g.cells = make([][]int32, g.NumVoxels())
+	}
 	for iz := lo[2]; iz <= hi[2]; iz++ {
 		for iy := lo[1]; iy <= hi[1]; iy++ {
 			for ix := lo[0]; ix <= hi[0]; ix++ {
@@ -163,9 +167,15 @@ func (g *Grid) Insert(id int32, b vm.AABB) {
 	}
 }
 
-// Items returns the item list of a voxel by flat index. The returned
-// slice is owned by the grid and must not be mutated.
-func (g *Grid) Items(idx int) []int32 { return g.cells[idx] }
+// Items returns the item list of a voxel by flat index (nil while
+// nothing is inserted). The returned slice is owned by the grid and must
+// not be mutated.
+func (g *Grid) Items(idx int) []int32 {
+	if g.cells == nil {
+		return nil
+	}
+	return g.cells[idx]
+}
 
 // VoxelRange clips box b to the grid and returns inclusive voxel
 // coordinate ranges; ok is false when b misses the grid entirely. The

@@ -3,6 +3,8 @@ package msg
 import (
 	"bytes"
 	"errors"
+	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -259,6 +261,51 @@ func TestTCPConcurrentSenders(t *testing.T) {
 	wg.Wait()
 	if len(seen) != n {
 		t.Errorf("received %d distinct messages, want %d", len(seen), n)
+	}
+}
+
+// TestTCPSendCopiesNothing: a Send writes the header and the payload
+// with one writev, so a 64 kB message allocates no 64 kB copy. The far
+// end drains the socket raw, so only the sender's allocations count.
+func TestTCPSendCopiesNothing(t *testing.T) {
+	ln, err := Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	near, err := Dial(ln.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer near.Close()
+	far, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer far.Close()
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		_, _ = io.Copy(io.Discard, far.(*tcpConn).nc)
+	}()
+
+	m := Message{Tag: 3, From: "worker07", Data: make([]byte, 64<<10)}
+	if err := near.Send(m); err != nil { // warm the connection's scratch
+		t.Fatal(err)
+	}
+	const sends = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range sends {
+		if err := near.Send(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	near.Close()
+	<-drained
+	if per := (after.TotalAlloc - before.TotalAlloc) / sends; per >= 1<<10 {
+		t.Errorf("a 64 kB Send allocates %d B, want < 1 kB", per)
 	}
 }
 

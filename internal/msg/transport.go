@@ -118,8 +118,15 @@ func (c *chanConn) Close() error {
 // tcpConn frames messages over a net.Conn:
 // [4-byte big-endian total length][4-byte tag][4-byte fromLen][from][payload].
 type tcpConn struct {
-	nc      net.Conn
-	sendMu  sync.Mutex
+	nc     net.Conn
+	sendMu sync.Mutex
+	// head, iov and vec are Send's scratch, under sendMu: the framing
+	// header with the sender's name, and the two-buffer vector that
+	// writes it and the payload in one writev (WriteTo consumes vec, so
+	// it is re-sliced from iov each time).
+	head    []byte
+	iov     [2][]byte
+	vec     net.Buffers
 	recvMu  sync.Mutex
 	maxSize uint32
 }
@@ -173,22 +180,26 @@ func (l *Listener) Accept() (Conn, error) {
 // Close stops the listener.
 func (l *Listener) Close() error { return l.nl.Close() }
 
-// Send implements Conn.
+// Send implements Conn. The header and the sender's name go out with
+// the payload in one writev (net.Buffers), so the payload is never
+// copied.
 func (c *tcpConn) Send(m Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
-	from := []byte(m.From)
-	total := 4 + 4 + len(from) + len(m.Data)
+	total := 4 + 4 + len(m.From) + len(m.Data)
 	if uint32(total) > c.maxSize {
 		return fmt.Errorf("msg: message of %d bytes exceeds limit", total)
 	}
-	hdr := make([]byte, 4+total)
-	binary.BigEndian.PutUint32(hdr[0:], uint32(total))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(m.Tag))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(len(from)))
-	copy(hdr[12:], from)
-	copy(hdr[12+len(from):], m.Data)
-	if _, err := c.nc.Write(hdr); err != nil {
+	h := binary.BigEndian.AppendUint32(c.head[:0], uint32(total))
+	h = binary.BigEndian.AppendUint32(h, uint32(m.Tag))
+	h = binary.BigEndian.AppendUint32(h, uint32(len(m.From)))
+	c.head = append(h, m.From...)
+	c.iov = [2][]byte{c.head, m.Data}
+	c.vec = c.iov[:]
+	_, err := c.vec.WriteTo(c.nc)
+	// Hold no reference to the payload past the send.
+	c.iov, c.vec = [2][]byte{}, nil
+	if err != nil {
 		return fmt.Errorf("msg: send: %w", err)
 	}
 	return nil

@@ -25,11 +25,16 @@ func (fi frameImage) ColorModel() color.Model { return color.RGBAModel }
 
 // Bounds implements image.Image.
 func (fi frameImage) Bounds() image.Rectangle {
-	return image.Rect(0, 0, fi.f.W, fi.f.H)
+	b := fi.f.Bounds()
+	return image.Rect(b.X0, b.Y0, b.X1, b.Y1)
 }
 
-// At implements image.Image.
+// At implements image.Image: the zero colour outside Bounds, as
+// image.RGBA answers.
 func (fi frameImage) At(x, y int) color.Color {
+	if !fi.f.Bounds().Contains(x, y) {
+		return color.RGBA{}
+	}
 	r, g, b := fi.f.At(x, y)
 	return color.RGBA{R: r, G: g, B: b, A: 0xFF}
 }

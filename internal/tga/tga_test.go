@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"fmt"
+	"image"
+	"image/color"
 	"io"
 	"math/rand"
 	"os"
@@ -273,6 +275,31 @@ func TestImageAdapterRoundTrip(t *testing.T) {
 	back := FromImage(adapted)
 	if !back.Equal(img) {
 		t.Error("image.Image round trip changed pixels")
+	}
+}
+
+// TestImageAdapterOutsideBounds: the adapter answers the zero colour
+// outside its bounds, as image.RGBA does, and a region framebuffer's
+// bounds are its rectangle of the frame.
+func TestImageAdapterOutsideBounds(t *testing.T) {
+	img := gradientImage(13, 9)
+	adapted := ToImage(img)
+	for _, p := range [][2]int{{13, 0}, {-1, 0}, {0, 9}, {0, -1}} {
+		if c := adapted.At(p[0], p[1]); c != (color.RGBA{}) {
+			t.Errorf("At(%d,%d) = %v, want the zero colour", p[0], p[1], c)
+		}
+	}
+	region := fb.NewRegion(fb.NewRect(5, 3, 8, 7))
+	region.SetRGB(5, 3, 1, 2, 3)
+	ri := ToImage(region)
+	if b := ri.Bounds(); b != image.Rect(5, 3, 8, 7) {
+		t.Errorf("region bounds = %v", b)
+	}
+	if c := ri.At(5, 3); c != (color.RGBA{R: 1, G: 2, B: 3, A: 0xFF}) {
+		t.Errorf("region origin = %v", c)
+	}
+	if c := ri.At(0, 0); c != (color.RGBA{}) {
+		t.Errorf("region At(0,0) = %v, want the zero colour", c)
 	}
 }
 

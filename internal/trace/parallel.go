@@ -51,16 +51,18 @@ func (ft *FrameTracer) RenderRegionParallelTimed(dst *fb.Framebuffer, region fb.
 // ft.Counters at the barrier, in worker-slot order, same as the default
 // path.
 func (ft *FrameTracer) RenderRegionParallelWorkers(dst *fb.Framebuffer, region fb.Rect, threads, frame int, tracks []*timeline.Track, newWorker func(RayObserver) *Worker) {
-	ft.Counters.Merge(RenderTiles(dst, region, threads, frame, tracks, newWorker))
+	ft.Counters.Merge(RenderTiles(dst, dst.W, dst.H, region, threads, frame, tracks, newWorker))
 }
 
-// RenderTiles renders region into dst through a pool of up to threads
-// tile workers from newWorker (threads <= 0 selects runtime.NumCPU()),
-// with tracks as in RenderRegionParallelTimed, and returns the workers'
-// ray tallies merged in worker-slot order. It writes no tracer's
-// counters, so any number of renders may share one frame's tracer or
-// cluster — a farm worker's blocks do.
-func RenderTiles(dst *fb.Framebuffer, region fb.Rect, threads, frame int, tracks []*timeline.Track, newWorker func(RayObserver) *Worker) stats.RayCounters {
+// RenderTiles renders region of a width x height frame into dst, which
+// may hold just that region (fb.NewRegion), through a pool of up to
+// threads tile workers from newWorker (threads <= 0 selects
+// runtime.NumCPU()), with tracks as in RenderRegionParallelTimed, and
+// returns the workers' ray tallies merged in worker-slot order. The frame
+// size, not dst's, aims the camera rays. It writes no tracer's counters,
+// so any number of renders may share one frame's tracer or cluster — a
+// farm worker's blocks do.
+func RenderTiles(dst *fb.Framebuffer, width, height int, region fb.Rect, threads, frame int, tracks []*timeline.Track, newWorker func(RayObserver) *Worker) stats.RayCounters {
 	var rays stats.RayCounters
 	if threads <= 0 {
 		threads = runtime.NumCPU()
@@ -73,7 +75,7 @@ func RenderTiles(dst *fb.Framebuffer, region fb.Rect, threads, frame int, tracks
 		}
 		w := newWorker(nil)
 		s := tr.Begin()
-		w.RenderRegion(dst, region)
+		w.renderRect(dst, width, height, region)
 		tr.EndArg(timeline.OpTile, frame, s, int64(region.Area()))
 		rays.Merge(w.Counters)
 		return rays
@@ -101,7 +103,7 @@ func RenderTiles(dst *fb.Framebuffer, region fb.Rect, threads, frame int, tracks
 					return
 				}
 				s := tr.Begin()
-				w.RenderRegion(dst, tiles[t])
+				w.renderRect(dst, width, height, tiles[t])
 				tr.EndArg(timeline.OpTile, frame, s, int64(tiles[t].Area()))
 			}
 		}()

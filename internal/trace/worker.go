@@ -100,12 +100,18 @@ func (w *Worker) tracePixelAdaptive(px, py, width, height int) vm.Vec3 {
 	return sum.Scale(1 / float64(n))
 }
 
-// RenderRegion renders rectangle region of a dst.W x dst.H frame into
-// dst on this worker's goroutine.
+// RenderRegion renders rectangle region of the frame dst holds whole
+// (a dst.W x dst.H frame) into dst on this worker's goroutine.
 func (w *Worker) RenderRegion(dst *fb.Framebuffer, region fb.Rect) {
+	w.renderRect(dst, dst.W, dst.H, region)
+}
+
+// renderRect renders rectangle region of a width x height frame into
+// dst, which may hold any part of the frame that contains region.
+func (w *Worker) renderRect(dst *fb.Framebuffer, width, height int, region fb.Rect) {
 	for y := region.Y0; y < region.Y1; y++ {
 		for x := region.X0; x < region.X1; x++ {
-			dst.Set(x, y, w.TracePixel(x, y, dst.W, dst.H))
+			dst.Set(x, y, w.TracePixel(x, y, width, height))
 		}
 	}
 }

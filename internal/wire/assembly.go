@@ -119,14 +119,7 @@ func (a *Assembly) Deliver(absFrame int, region fb.Rect, pix []byte, t time.Dura
 	if a.frames[frame] == nil {
 		a.frames[frame] = fb.New(a.w, a.h)
 	}
-	img := a.frames[frame]
-	i := 0
-	for y := region.Y0; y < region.Y1; y++ {
-		for x := region.X0; x < region.X1; x++ {
-			img.SetRGB(x, y, pix[i], pix[i+1], pix[i+2])
-			i += 3
-		}
-	}
+	a.frames[frame].CopyRect(fb.Wrap(region, pix), region)
 	complete, err = a.account(frame, absFrame, region, t)
 	return complete, false, err
 }

@@ -354,7 +354,7 @@ func DecodeFrameDone(data []byte) (FrameDone, error) {
 // virtual driver modelling it) allocates only the final sealed message.
 // It reads no clock: identical inputs always encode to identical bytes.
 type Encoder struct {
-	pix  []byte // span/region pixel extraction scratch
+	pix  []byte // span (or whole-frame region) pixel extraction scratch
 	z    []byte // span codec output scratch
 	filt []byte // span codec input: the filtered payload residual
 }
@@ -364,7 +364,9 @@ type Encoder struct {
 // traced-pixel set for this frame (nil on the plain path); first marks
 // the first frame of a task, which is always a key-frame so the
 // receiver can reseed its copy after any retry, steal, or truncation.
-// flags is the task's wire flags.
+// flags is the task's wire flags. buf may hold the whole frame or, as a
+// farm task's does, exactly fd.Region: then a key-frame's raw pixels are
+// buf's own bytes, not a copy.
 func (we *Encoder) Encode(fd *FrameDone, buf *fb.Framebuffer, flags int, spans []fb.Span, first bool) []byte {
 	fd.Kind, fd.Encoding, fd.Spans = KindFull, EncRaw, nil
 	if flags&CapDelta != 0 && spans != nil && !first {
@@ -377,12 +379,17 @@ func (we *Encoder) Encode(fd *FrameDone, buf *fb.Framebuffer, flags int, spans [
 			fd.Spans = spans
 		}
 	}
-	if fd.Kind == KindDelta {
+	var payload []byte
+	switch {
+	case fd.Kind == KindDelta:
 		we.pix = buf.AppendSpans(we.pix[:0], fd.Spans)
-	} else {
+		payload = we.pix
+	case buf.Bounds() == fd.Region:
+		payload = buf.Pix
+	default:
 		we.pix = AppendRegion(we.pix[:0], buf, fd.Region)
+		payload = we.pix
 	}
-	payload := we.pix
 	if flags&CapSpanCodec != 0 && len(payload) >= CompressMin {
 		we.z = msg.SpanCompress(we.z[:0], we.spanInput(fd, payload))
 		if len(we.z) < len(payload) {
@@ -442,11 +449,9 @@ func FilterStride(region fb.Rect) int {
 // AppendRegion packs a region of img into RGB bytes (the wire format of
 // full frame results), appending to out so hot paths can reuse scratch.
 func AppendRegion(out []byte, img *fb.Framebuffer, region fb.Rect) []byte {
-	n := region.W() * 3
-	for y := region.Y0; y < region.Y1; y++ {
-		o := (y*img.W + region.X0) * 3
-		out = append(out, img.Pix[o:o+n]...)
-	}
+	n := len(out)
+	out = append(out, make([]byte, region.Area()*3)...)
+	fb.Wrap(region, out[n:]).CopyRect(img, region)
 	return out
 }
 
