@@ -57,7 +57,9 @@ func (g Geometry) NewWorkers(st *objspace.Stats) func(trace.RayObserver) *trace.
 
 // bytes is what g holds: the cluster's shards as objspace accounts them,
 // or the tracer, its resolved objects (each with a mailbox in the
-// tracer's own worker) and its grid's voxel lists.
+// tracer's own worker) and its grid's voxel lists. The grid is charged a
+// slice header a voxel, not its two flat tables: that is the model the
+// virtual NOW's working sets were fitted on.
 func (g Geometry) bytes() int {
 	if g.cl != nil {
 		n := 0

@@ -429,9 +429,10 @@ func (m *master) onHello(w *workerRecord, data []byte) error {
 	return m.giveWork(w)
 }
 
-// onFrameDone takes one frame result's pixels: into the assembly, or —
+// onFrameDone takes one frame result's pixels: into the assembly, whose
+// merge is the message's last use, so its bytes go back to the pool — or,
 // under the distributed framebuffer, from a worker that could not reach
-// its sink — on to the owning sink, whose confirmation marks the
+// its sink, on to the owning sink, whose confirmation marks the
 // delivery. Either way the worker advances past the frame and is
 // credited with it, unless the pixels were a duplicate or a delta whose
 // base was lost.
@@ -464,8 +465,10 @@ func (m *master) onFrameDone(w *workerRecord, data []byte) error {
 		if err == nil {
 			m.mt.Instant(timeline.OpDeltaApply, fd.Frame, int64(len(fd.Spans)))
 		}
+		msg.PutBytes(data)
 	default:
 		_, dup, err = m.asm.Deliver(fd.Frame, fd.Region, fd.Pix, m.ln.Now())
+		msg.PutBytes(data)
 	}
 	if err != nil && !errors.Is(err, wire.ErrDeltaBase) {
 		return m.malformed(w)

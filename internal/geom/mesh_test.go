@@ -91,7 +91,8 @@ func (b *bagOfTriangles) tied(r vm.Ray, tMin, tMax float64) bool {
 type checker struct {
 	t     *testing.T
 	name  string
-	mesh  *geom.Mesh
+	mesh  geom.Shape
+	tris  []*geom.Triangle // the triangles the sweep aims at
 	ref   *bagOfTriangles
 	aim   vm.AABB
 	rays  int
@@ -136,7 +137,7 @@ func (c *checker) probe(r vm.Ray) {
 // sweep runs every family of rays the issue names against c.
 func (c *checker) sweep(rng *vm.RNG, perFamily int) {
 	c.t.Helper()
-	b, tris := c.aim, c.mesh.Tris
+	b, tris := c.aim, c.tris
 	centre, reach := b.Center(), b.Size().Len()+1
 	inBox := func() vm.Vec3 {
 		return vm.V(rng.InRange(b.Min.X, b.Max.X), rng.InRange(b.Min.Y, b.Max.Y), rng.InRange(b.Min.Z, b.Max.Z))
@@ -247,7 +248,7 @@ func TestMeshIntersectMatchesExhaustive(t *testing.T) {
 	}
 	total, ties := 0, 0
 	for name, m := range meshes {
-		c := &checker{t: t, name: name, mesh: m, ref: newBag(m.Tris), aim: m.Bounds()}
+		c := &checker{t: t, name: name, mesh: m, tris: m.Tris, ref: newBag(m.Tris), aim: m.Bounds()}
 		c.sweep(vm.NewRNG(160), 160) // a fresh stream: map order must not move the rays
 		if c.hits == 0 || c.hits == c.rays {
 			t.Errorf("%s: %d of %d rays hit — the sweep proves nothing", name, c.hits, c.rays)
@@ -313,7 +314,7 @@ func TestMeshDegenerateInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		m := geom.NewMesh(tc.tris)
-		c := &checker{t: t, name: tc.name, mesh: m, ref: newBag(tc.tris), aim: m.Bounds()}
+		c := &checker{t: t, name: tc.name, mesh: m, tris: m.Tris, ref: newBag(tc.tris), aim: m.Bounds()}
 		if len(tc.tris) == 0 {
 			c.aim = vm.NewAABB(vm.V(-1, -1, -1), vm.V(1, 1, 1))
 		}
@@ -385,7 +386,7 @@ func TestMeshClipIsTheClippedMesh(t *testing.T) {
 			}
 			// The sweep aims at the whole mesh, so it also sends rays
 			// through the triangles the view dropped.
-			c := &checker{t: t, name: name, mesh: view, ref: ref, aim: m.Bounds()}
+			c := &checker{t: t, name: name, mesh: &view, tris: m.Tris, ref: ref, aim: m.Bounds()}
 			c.sweep(vm.NewRNG(25), 25)
 		}
 		if m.NumTris() != len(m.Tris) {
@@ -400,11 +401,9 @@ func TestMeshClipIsTheClippedMesh(t *testing.T) {
 func TestMeshSharedAcrossGoroutines(t *testing.T) {
 	tile := scenes.MeshGalleryTile()
 	b := tile.Bounds()
-	shared := []*geom.Mesh{
-		tile,
-		tile.Clip(vm.AABB{Min: b.Min, Max: b.Max.SetAxis(0, 0.5)}),
-		tile.Clip(vm.AABB{Min: b.Min.SetAxis(0, 0.5), Max: b.Max}),
-	}
+	low := tile.Clip(vm.AABB{Min: b.Min, Max: b.Max.SetAxis(0, 0.5)})
+	high := tile.Clip(vm.AABB{Min: b.Min.SetAxis(0, 0.5), Max: b.Max})
+	shared := []geom.Shape{tile, &low, &high}
 	refs := []*bagOfTriangles{
 		newBag(tile.Tris),
 		clipBag(tile.Tris, vm.AABB{Min: b.Min, Max: b.Max.SetAxis(0, 0.5)}),

@@ -106,10 +106,10 @@ type meshNode struct {
 // mesh is placed in the voxel grid. A mesh is read-only after NewMesh
 // and may be intersected from any number of goroutines.
 //
-// Clip returns a view: the same triangles, boxes and hierarchy (shared,
-// never copied) restricted to the triangles whose box overlaps a slab.
-// Tris of a view is the parent's full list, so part indices mean the
-// same triangle in a mesh and in all of its views.
+// Clip returns a MeshView: the same triangles, boxes and hierarchy
+// (shared, never copied) restricted to the triangles whose box overlaps
+// a slab. Part indices mean the same triangle in a mesh and in all of
+// its views.
 type Mesh struct {
 	Tris []*Triangle
 
@@ -120,11 +120,16 @@ type Mesh struct {
 	boxes []vm.AABB
 	nodes []meshNode
 	order []int32
+}
 
-	// A view skips every node and triangle whose box misses slab; resident
-	// counts the triangles that remain. A whole mesh has view == false.
-	view     bool
+// MeshView is a mesh restricted to the triangles whose box overlaps a
+// slab: the parent mesh, the slab, the kept triangles' bounds and their
+// count, and nothing of the parent copied. It implements Shape, and is
+// read-only after Clip.
+type MeshView struct {
+	mesh     *Mesh
 	slab     vm.AABB
+	bounds   vm.AABB
 	resident int
 }
 
@@ -133,11 +138,10 @@ type Mesh struct {
 // to leaves of meshLeafSize, so a mesh that small is a single leaf.
 func NewMesh(tris []*Triangle) *Mesh {
 	m := &Mesh{
-		Tris:     tris,
-		bounds:   vm.EmptyAABB(),
-		boxes:    make([]vm.AABB, len(tris)),
-		order:    make([]int32, len(tris)),
-		resident: len(tris),
+		Tris:   tris,
+		bounds: vm.EmptyAABB(),
+		boxes:  make([]vm.AABB, len(tris)),
+		order:  make([]int32, len(tris)),
 	}
 	centroids := make([]vm.Vec3, len(tris))
 	for i, t := range tris {
@@ -191,32 +195,33 @@ func (m *Mesh) split(lo, hi int, centroids []vm.Vec3) {
 // Bounds overlap slab: it answers every ray as NewMesh over those
 // triangles would, up to the part index, which stays m's. Nothing is
 // copied or built; one pass over the stored boxes gives the view its
-// Bounds and NumTris. m must be a whole mesh, not itself a view.
-func (m *Mesh) Clip(slab vm.AABB) *Mesh {
-	if m.view {
-		panic("geom: Clip of a mesh view")
-	}
-	v := *m
-	v.view, v.slab = true, slab
-	v.bounds, v.resident = vm.EmptyAABB(), 0
+// Bounds and NumTris.
+func (m *Mesh) Clip(slab vm.AABB) MeshView {
+	v := MeshView{mesh: m, slab: slab, bounds: vm.EmptyAABB()}
 	for i := range m.boxes {
 		if m.boxes[i].Overlaps(slab) {
 			v.bounds = v.bounds.Union(m.boxes[i])
 			v.resident++
 		}
 	}
-	return &v
+	return v
 }
 
-// NumTris returns how many triangles the mesh tests: all of Tris for a
-// whole mesh, the ones a view kept.
-func (m *Mesh) NumTris() int { return m.resident }
+// NumTris returns how many triangles the mesh tests: all of Tris.
+func (m *Mesh) NumTris() int { return len(m.Tris) }
 
 // IntersectT implements Shape; part is the index of the nearest triangle
-// (the lower index on a tie). It walks the hierarchy nearer child first,
-// dropping every node the ray enters no sooner than the best hit so far.
+// (the lower index on a tie).
 func (m *Mesh) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
-	if _, hit := m.bounds.IntersectRay(r, tMin, tMax); !hit || len(m.nodes) == 0 {
+	return m.walk(r, tMin, tMax, &m.bounds, nil)
+}
+
+// walk is the one hierarchy walk of a mesh and of its views: it visits
+// the nodes nearer child first, dropping every node the ray enters no
+// sooner than the best hit so far, and — for a view, whose slab is
+// non-nil — every node and triangle whose box misses the slab.
+func (m *Mesh) walk(r vm.Ray, tMin, tMax float64, bounds, slab *vm.AABB) (float64, int32, bool) {
+	if _, hit := bounds.IntersectRay(r, tMin, tMax); !hit || len(m.nodes) == 0 {
 		return 0, 0, false
 	}
 	inv, neg := reciprocalDir(r.Dir)
@@ -227,7 +232,7 @@ func (m *Mesh) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
 		ni := stack[sp]
 		sp--
 		n := &m.nodes[ni]
-		if m.view && !n.box.Overlaps(m.slab) {
+		if slab != nil && !n.box.Overlaps(*slab) {
 			continue
 		}
 		if !rayEntersBefore(&n.box, r.Origin, inv, tMin, best) {
@@ -243,7 +248,7 @@ func (m *Mesh) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
 			continue
 		}
 		for _, ti := range m.order[n.start : n.start+n.n] {
-			if m.view && !m.boxes[ti].Overlaps(m.slab) {
+			if slab != nil && !m.boxes[ti].Overlaps(*slab) {
 				continue
 			}
 			t, _, _, ok := m.Tris[ti].mollerTrumbore(r)
@@ -254,6 +259,24 @@ func (m *Mesh) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
 	}
 	return best, part, part >= 0
 }
+
+// NumTris returns how many triangles the view kept.
+func (v *MeshView) NumTris() int { return v.resident }
+
+// IntersectT implements Shape, as Mesh.IntersectT over the kept
+// triangles; part is the parent mesh's triangle index.
+func (v *MeshView) IntersectT(r vm.Ray, tMin, tMax float64) (float64, int32, bool) {
+	return v.mesh.walk(r, tMin, tMax, &v.bounds, &v.slab)
+}
+
+// HitAt implements Shape.
+func (v *MeshView) HitAt(r vm.Ray, t float64, part int32) Hit {
+	return v.mesh.HitAt(r, t, part)
+}
+
+// Bounds implements Shape: the kept triangles' boxes, empty when the
+// view kept none.
+func (v *MeshView) Bounds() vm.AABB { return v.bounds }
 
 // reciprocalDir hoists the per-ray half of the slab test out of the walk.
 // A component too small to invert (zero or denormal) gets the largest

@@ -235,3 +235,66 @@ func FuzzRegistrationRejectIsExact(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFillMatchesBoxes: after Fill, every voxel lists exactly the ids
+// whose box, clipped to the grid (VoxelRange), covers it, in id order —
+// the two-pass offsets and items tables hold what one list per voxel
+// would. Boxes are drawn from seed around the unit box, so they miss it,
+// cover all of it, sit flat on a face or inside one voxel; skip drops
+// every id whose bit (mod 64) is set.
+func FuzzFillMatchesBoxes(f *testing.F) {
+	f.Add(uint8(4), uint8(4), uint8(4), uint8(12), uint64(1), uint64(0))
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(3), uint64(2), uint64(0))
+	f.Add(uint8(9), uint8(3), uint8(5), uint8(40), uint64(3), uint64(0x5555))
+	f.Add(uint8(32), uint8(1), uint8(7), uint8(0), uint64(4), uint64(0))
+	f.Add(uint8(6), uint8(6), uint8(6), uint8(64), uint64(5), ^uint64(0))
+
+	f.Fuzz(func(t *testing.T, nx, ny, nz, n uint8, seed, skip uint64) {
+		g, err := New(vm.NewAABB(vm.V(0, 0, 0), vm.V(1, 1, 1)), int(nx%40)+1, int(ny%40)+1, int(nz%40)+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := vm.NewRNG(seed)
+		boxes := make([]vm.AABB, n)
+		for i := range boxes {
+			a := vm.V(rng.InRange(-0.5, 1.5), rng.InRange(-0.5, 1.5), rng.InRange(-0.5, 1.5))
+			b := a.Add(vm.V(rng.InRange(0, 0.6), rng.InRange(0, 0.6), rng.InRange(0, 0.6)))
+			switch i % 4 {
+			case 1:
+				b.Y = a.Y // flat
+			case 2:
+				b = a // a point
+			}
+			boxes[i] = vm.NewAABB(a, b)
+		}
+		keep := func(i int) bool { return skip&(1<<(i%64)) == 0 }
+		g.Fill(len(boxes), func(i int) (vm.AABB, bool) { return boxes[i], keep(i) })
+
+		want := make([][]int32, g.NumVoxels())
+		for i, b := range boxes {
+			lo, hi, ok := g.VoxelRange(b)
+			if !ok || !keep(i) {
+				continue
+			}
+			for iz := lo[2]; iz <= hi[2]; iz++ {
+				for iy := lo[1]; iy <= hi[1]; iy++ {
+					for ix := lo[0]; ix <= hi[0]; ix++ {
+						v := g.Index(ix, iy, iz)
+						want[v] = append(want[v], int32(i))
+					}
+				}
+			}
+		}
+		for v := range want {
+			got := g.Items(v)
+			if len(got) != len(want[v]) {
+				t.Fatalf("voxel %d lists %v, want %v", v, got, want[v])
+			}
+			for k := range got {
+				if got[k] != want[v][k] {
+					t.Fatalf("voxel %d lists %v, want %v", v, got, want[v])
+				}
+			}
+		}
+	})
+}

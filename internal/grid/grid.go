@@ -23,10 +23,12 @@ type Grid struct {
 	nx, ny, nz int
 	cellSize   vm.Vec3
 	invCell    vm.Vec3
-	// cells holds the item list of each voxel, indexed by Index(); nil
-	// until the first Insert, so a grid nothing is inserted into (the
-	// coherence engine's registration grid) holds no table.
-	cells [][]int32
+	// items holds every voxel's item list back to back, and voxel v's
+	// list is items[offs[v]:offs[v+1]]. Both are nil until Fill, so a
+	// grid nothing is filled into (the coherence engine's registration
+	// grid) holds no table.
+	offs  []int32
+	items []int32
 	// outer is bounds moved out on every side by 1e-9 of (1 + |min| +
 	// |max|) on that axis: the faces AppendVoxels' early reject tests.
 	// Last, so that the fields the tracer's walk reads keep their place.
@@ -147,34 +149,60 @@ func (g *Grid) VoxelBounds(ix, iy, iz int) vm.AABB {
 	return vm.AABB{Min: min, Max: min.Add(g.cellSize)}
 }
 
-// Insert registers item id in every voxel overlapping box b (clipped to
-// the grid).
-func (g *Grid) Insert(id int32, b vm.AABB) {
-	lo, hi, ok := g.voxelRange(b)
-	if !ok {
-		return
+// Fill lists item i in every voxel its box overlaps (clipped to the
+// grid), for each i in [0, n) whose box reports ok, and replaces what the
+// grid listed before. It takes two passes over the boxes — count, then
+// place — so the grid holds exactly one offsets table and one items
+// table, and each voxel lists its items in ascending order. box is
+// called twice per item and must answer the same both times.
+func (g *Grid) Fill(n int, box func(i int) (vm.AABB, bool)) {
+	g.offs = make([]int32, g.NumVoxels()+1)
+	// Pass one counts each voxel's items into offs[v+1] ...
+	g.visit(n, box, func(c int, _ int32) { g.offs[c+1]++ })
+	for v := 1; v < len(g.offs); v++ {
+		g.offs[v] += g.offs[v-1]
 	}
-	if g.cells == nil {
-		g.cells = make([][]int32, g.NumVoxels())
-	}
-	for iz := lo[2]; iz <= hi[2]; iz++ {
-		for iy := lo[1]; iy <= hi[1]; iy++ {
-			for ix := lo[0]; ix <= hi[0]; ix++ {
-				c := g.Index(ix, iy, iz)
-				g.cells[c] = append(g.cells[c], id)
+	// ... pass two places them, using offs[v] as voxel v's cursor, so at
+	// its end offs[v] is voxel v+1's start; the shift restores the table.
+	g.items = make([]int32, g.offs[len(g.offs)-1])
+	g.visit(n, box, func(c int, id int32) {
+		g.items[g.offs[c]] = id
+		g.offs[c]++
+	})
+	copy(g.offs[1:], g.offs)
+	g.offs[0] = 0
+}
+
+// visit calls fn(voxel, i) for every voxel the box of each item i
+// overlaps, items in ascending order.
+func (g *Grid) visit(n int, box func(i int) (vm.AABB, bool), fn func(c int, id int32)) {
+	for i := 0; i < n; i++ {
+		b, ok := box(i)
+		if !ok {
+			continue
+		}
+		lo, hi, ok := g.voxelRange(b)
+		if !ok {
+			continue
+		}
+		for iz := lo[2]; iz <= hi[2]; iz++ {
+			for iy := lo[1]; iy <= hi[1]; iy++ {
+				for ix := lo[0]; ix <= hi[0]; ix++ {
+					fn(g.Index(ix, iy, iz), int32(i))
+				}
 			}
 		}
 	}
 }
 
 // Items returns the item list of a voxel by flat index (nil while
-// nothing is inserted). The returned slice is owned by the grid and must
+// nothing is filled). The returned slice is owned by the grid and must
 // not be mutated.
 func (g *Grid) Items(idx int) []int32 {
-	if g.cells == nil {
+	if g.offs == nil {
 		return nil
 	}
-	return g.cells[idx]
+	return g.items[g.offs[idx]:g.offs[idx+1]:g.offs[idx+1]]
 }
 
 // VoxelRange clips box b to the grid and returns inclusive voxel

@@ -77,26 +77,33 @@ func TestVoxelBounds(t *testing.T) {
 	}
 }
 
-func TestInsertAndItems(t *testing.T) {
+// fillOne fills g with the single item 0 over box b.
+func fillOne(g *Grid, b vm.AABB) {
+	g.Fill(1, func(int) (vm.AABB, bool) { return b, true })
+}
+
+func TestFillAndItems(t *testing.T) {
 	g := unitGrid(t, 4)
-	// A box covering the low corner 2x2x2 voxels.
-	g.Insert(7, vm.NewAABB(vm.V(0, 0, 0), vm.V(0.49, 0.49, 0.49)))
+	// Item 1 covers the low corner 2x2x2 voxels; item 0 is skipped.
+	low := vm.NewAABB(vm.V(0, 0, 0), vm.V(0.49, 0.49, 0.49))
+	g.Fill(2, func(i int) (vm.AABB, bool) { return low, i == 1 })
 	count := 0
 	for idx := 0; idx < g.NumVoxels(); idx++ {
 		for _, id := range g.Items(idx) {
-			if id == 7 {
-				count++
+			if id != 1 {
+				t.Fatalf("voxel %d lists skipped item %d", idx, id)
 			}
+			count++
 		}
 	}
 	if count != 8 {
-		t.Errorf("inserted into %d voxels, want 8", count)
+		t.Errorf("filled into %d voxels, want 8", count)
 	}
 }
 
-func TestInsertOutsideIgnored(t *testing.T) {
+func TestFillOutsideIgnored(t *testing.T) {
 	g := unitGrid(t, 4)
-	g.Insert(1, vm.NewAABB(vm.V(5, 5, 5), vm.V(6, 6, 6)))
+	fillOne(g, vm.NewAABB(vm.V(5, 5, 5), vm.V(6, 6, 6)))
 	for idx := 0; idx < g.NumVoxels(); idx++ {
 		if len(g.Items(idx)) != 0 {
 			t.Fatal("outside box registered in grid")
@@ -104,10 +111,10 @@ func TestInsertOutsideIgnored(t *testing.T) {
 	}
 }
 
-func TestInsertClipped(t *testing.T) {
+func TestFillClipped(t *testing.T) {
 	g := unitGrid(t, 4)
 	// Box overlapping the whole grid and beyond: lands in all 64 voxels.
-	g.Insert(3, vm.NewAABB(vm.V(-10, -10, -10), vm.V(10, 10, 10)))
+	fillOne(g, vm.NewAABB(vm.V(-10, -10, -10), vm.V(10, 10, 10)))
 	for idx := 0; idx < g.NumVoxels(); idx++ {
 		if len(g.Items(idx)) != 1 {
 			t.Fatalf("voxel %d has %d items", idx, len(g.Items(idx)))

@@ -105,58 +105,6 @@ func (b *Buffer) PackString(s string) { b.PackBytes([]byte(s)) }
 // UnpackString consumes a string.
 func (b *Buffer) UnpackString() string { return string(b.UnpackBytes()) }
 
-// PackInts appends a length-prefixed int64 slice.
-func (b *Buffer) PackInts(vs []int64) {
-	b.PackInt(int64(len(vs)))
-	for _, v := range vs {
-		b.PackInt(v)
-	}
-}
-
-// UnpackInts consumes a length-prefixed int64 slice.
-func (b *Buffer) UnpackInts() []int64 {
-	n := b.UnpackInt()
-	if b.err != nil {
-		return nil
-	}
-	// n*8 can overflow for hostile prefixes; divide instead.
-	if n < 0 || n > int64(b.Len())/8 {
-		b.fail("UnpackInts")
-		return nil
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = b.UnpackInt()
-	}
-	return out
-}
-
-// PackFloats appends a length-prefixed float64 slice.
-func (b *Buffer) PackFloats(vs []float64) {
-	b.PackInt(int64(len(vs)))
-	for _, v := range vs {
-		b.PackFloat(v)
-	}
-}
-
-// UnpackFloats consumes a length-prefixed float64 slice.
-func (b *Buffer) UnpackFloats() []float64 {
-	n := b.UnpackInt()
-	if b.err != nil {
-		return nil
-	}
-	// Same overflow guard as UnpackInts.
-	if n < 0 || n > int64(b.Len())/8 {
-		b.fail("UnpackFloats")
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = b.UnpackFloat()
-	}
-	return out
-}
-
 // PackBool appends a boolean.
 func (b *Buffer) PackBool(v bool) {
 	if v {

@@ -18,8 +18,6 @@ func TestBufferRoundTrip(t *testing.T) {
 	b.PackString("hello NOW")
 	b.PackBytes([]byte{1, 2, 3})
 	b.PackBool(true)
-	b.PackInts([]int64{7, -8, 9})
-	b.PackFloats([]float64{0.5, -0.25})
 
 	u := FromBytes(b.Bytes())
 	if got := u.UnpackInt(); got != -42 {
@@ -36,14 +34,6 @@ func TestBufferRoundTrip(t *testing.T) {
 	}
 	if got := u.UnpackBool(); !got {
 		t.Error("bool = false")
-	}
-	ints := u.UnpackInts()
-	if len(ints) != 3 || ints[1] != -8 {
-		t.Errorf("ints = %v", ints)
-	}
-	floats := u.UnpackFloats()
-	if len(floats) != 2 || floats[0] != 0.5 {
-		t.Errorf("floats = %v", floats)
 	}
 	if u.Err() != nil {
 		t.Errorf("unexpected error: %v", u.Err())
@@ -77,8 +67,8 @@ func TestBufferCorruptLengths(t *testing.T) {
 	b2 := NewBuffer()
 	b2.PackInt(-1)
 	u2 := FromBytes(b2.Bytes())
-	if u2.UnpackInts() != nil || u2.Err() == nil {
-		t.Error("negative slice length accepted")
+	if u2.UnpackBytes() != nil || u2.Err() == nil {
+		t.Error("negative byte length accepted")
 	}
 }
 
@@ -152,15 +142,14 @@ func TestConnTransports(t *testing.T) {
 			a, b, cleanup := testConnPair(t, kind)
 			defer cleanup()
 
-			want := Message{Tag: 7, From: "master", Data: []byte("payload")}
-			if err := a.Send(want); err != nil {
+			if err := a.Send(Message{Tag: 7, From: "master", Data: []byte("payload")}); err != nil {
 				t.Fatal(err)
 			}
 			got, err := b.Recv()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Tag != 7 || got.From != "master" || !bytes.Equal(got.Data, want.Data) {
+			if got.Tag != 7 || got.From != "master" || !bytes.Equal(got.Data, []byte("payload")) {
 				t.Errorf("got %+v", got)
 			}
 
@@ -265,8 +254,10 @@ func TestTCPConcurrentSenders(t *testing.T) {
 }
 
 // TestTCPSendCopiesNothing: a Send writes the header and the payload
-// with one writev, so a 64 kB message allocates no 64 kB copy. The far
-// end drains the socket raw, so only the sender's allocations count.
+// with one writev (and then hands the payload to the byte pool), so a
+// 64 kB message allocates no 64 kB copy. The payloads are made before
+// the count, and the far end drains the socket raw, so only Send's own
+// allocations count.
 func TestTCPSendCopiesNothing(t *testing.T) {
 	ln, err := Listen("127.0.0.1:0")
 	if err != nil {
@@ -289,15 +280,21 @@ func TestTCPSendCopiesNothing(t *testing.T) {
 		_, _ = io.Copy(io.Discard, far.(*tcpConn).nc)
 	}()
 
-	m := Message{Tag: 3, From: "worker07", Data: make([]byte, 64<<10)}
-	if err := near.Send(m); err != nil { // warm the connection's scratch
+	const sends = 100
+	payloads := make([][]byte, sends+1)
+	for i := range payloads {
+		payloads[i] = make([]byte, 64<<10)
+	}
+	send := func(i int) error {
+		return near.Send(Message{Tag: 3, From: "worker07", Data: payloads[i]})
+	}
+	if err := send(sends); err != nil { // warm the connection's scratch
 		t.Fatal(err)
 	}
-	const sends = 100
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for range sends {
-		if err := near.Send(m); err != nil {
+	for i := range sends {
+		if err := send(i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -346,17 +343,6 @@ func TestHubRouting(t *testing.T) {
 	}
 	if got.From != "beta" || got.Tag != 8 {
 		t.Errorf("hub recv = %+v", got)
-	}
-
-	// Broadcast reaches everyone.
-	if err := h.Broadcast(Message{Tag: 99}); err != nil {
-		t.Fatal(err)
-	}
-	if m, _ := wA.Recv(); m.Tag != 99 {
-		t.Error("alpha missed broadcast")
-	}
-	if m, _ := wB.Recv(); m.Tag != 99 {
-		t.Error("beta missed broadcast")
 	}
 
 	if err := h.Close(); err != nil {

@@ -1,6 +1,9 @@
 package msg
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Buffer ownership contract
 //
@@ -11,19 +14,29 @@ import "sync"
 // payload is handed off exactly once along the pipeline:
 //
 //   - Send transfers ownership of Message.Data to the transport. After
-//     Send returns, the sender must not modify or reuse the slice: the
-//     in-process pipe passes it by reference to the peer, and the TCP
-//     transport may still be copying it. Encoders that want to reuse
-//     scratch must produce the final Data with (*Buffer).Sealed, which
-//     allocates an exact-size, unaliased slice.
+//     Send returns, the sender must not read, modify or resend the
+//     slice: the in-process pipe passes it by reference to the peer, and
+//     the TCP transport returns it to the byte pool (PutBytes) once its
+//     writev is done. A Send that fails keeps nothing, so its sender may
+//     route the same bytes elsewhere (a worker whose sink is unreachable
+//     hands the result to the master).
 //   - Recv transfers ownership of Message.Data to the receiver. Both
-//     transports deliver a slice nobody else retains, so decoders may
-//     alias it (Open, UnpackBytes) instead of copying; the decoded view
-//     is valid until the receiver drops the message.
+//     transports deliver a slice nobody else retains — TCP reads it into
+//     storage from the byte pool — so decoders may alias it (Open,
+//     UnpackBytes) instead of copying; the decoded view is valid until
+//     the receiver drops the message or returns it to the pool.
 //
-// Intermediate buffers — pack scratch, compression scratch, decompressed
-// pixel buffers — never cross the transport and are therefore pooled
-// freely via GetBuffer/Release and GetBytes/PutBytes.
+// Frame results are the one message whose storage goes round: the
+// encoder seals it into pool storage (GetBytes), and the master returns
+// it (PutBytes) once the pixels are merged, or the TCP transport once it
+// has sent it. Every other message is sealed with (*Buffer).Sealed into
+// exact-size storage no pool has handed out; a TCP send recycles that
+// too, and a receiver simply drops it. Intermediate buffers — pack
+// scratch, compression scratch, decompressed pixel buffers — never cross
+// the transport and are pooled freely via GetBuffer/Release and
+// GetBytes/PutBytes. Under the race detector PutBytes overwrites what it
+// recycles, so a read after the hand-back changes pixels and the goldens
+// fail.
 
 // bufferPool recycles pack/unpack buffers between messages.
 var bufferPool = sync.Pool{
@@ -55,28 +68,61 @@ func (b *Buffer) Sealed() []byte {
 	return Seal(append(make([]byte, 0, len(b.data)+4), b.data...))
 }
 
-// bytesPool recycles decode scratch slices (pooled by pointer so the
-// interface conversion does not allocate).
-var bytesPool = sync.Pool{
-	New: func() any { return new([]byte) },
-}
+// Byte storage is pooled by size class: class c holds slices of
+// capacity at least 1<<c, from minClass (smaller requests are served
+// from it) to maxClass, which holds MaxMessageSize. A free slice waits
+// in a holder, a *[]byte, so that neither Get nor Put converts a fresh
+// pointer to an interface: Get moves the holder it is handed to
+// holders, and Put takes one from there.
+const (
+	minClass = 6
+	maxClass = 26
+)
 
-// GetBytes returns a pooled byte slice of length n. Contents are
-// unspecified; the caller must overwrite them.
+var (
+	byteClasses [maxClass + 1]sync.Pool
+	holders     = sync.Pool{New: func() any { return new([]byte) }}
+)
+
+// scribble is set in race-detector builds (race.go): PutBytes then
+// overwrites the storage it recycles.
+var scribble bool
+
+// GetBytes returns a byte slice of length n from the pool (capacity
+// rounded up to its size class). Contents are unspecified; the caller
+// must overwrite them.
 func GetBytes(n int) []byte {
-	p := bytesPool.Get().(*[]byte)
-	if cap(*p) < n {
-		*p = make([]byte, n)
+	c := minClass
+	if n > 1<<minClass {
+		c = bits.Len(uint(n - 1))
 	}
-	return (*p)[:n]
+	if c > maxClass {
+		return make([]byte, n)
+	}
+	h, _ := byteClasses[c].Get().(*[]byte)
+	if h == nil {
+		return make([]byte, n, 1<<c)
+	}
+	p := *h
+	*h = nil
+	holders.Put(h)
+	return p[:n]
 }
 
-// PutBytes returns a slice obtained from GetBytes to the pool. The
-// caller must not use p afterwards.
+// PutBytes returns p's storage to the pool: a slice from GetBytes, or
+// one whose ownership the caller holds outright (a received message).
+// The caller must not use p afterwards.
 func PutBytes(p []byte) {
-	if cap(p) == 0 {
+	if cap(p) < 1<<minClass {
 		return
 	}
-	p = p[:0]
-	bytesPool.Put(&p)
+	p = p[:cap(p)]
+	if scribble {
+		for i := range p {
+			p[i] = 0xA5
+		}
+	}
+	h := holders.Get().(*[]byte)
+	*h = p
+	byteClasses[min(bits.Len(uint(cap(p)))-1, maxClass)].Put(h)
 }

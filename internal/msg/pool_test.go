@@ -45,3 +45,26 @@ func TestGetBytes(t *testing.T) {
 	}
 	PutBytes(nil)
 }
+
+// TestBytesSizeClasses: GetBytes rounds capacity up to the size class, a
+// slice of any capacity serves the class it fills, and a received
+// message's storage (not from GetBytes) may be returned too.
+func TestBytesSizeClasses(t *testing.T) {
+	if p := GetBytes(1000); len(p) != 1000 || cap(p) != 1024 {
+		t.Errorf("GetBytes(1000): len %d cap %d, want 1000 1024", len(p), cap(p))
+	}
+	if p := GetBytes(MaxMessageSize + 1); cap(p) != MaxMessageSize+1 {
+		t.Errorf("GetBytes past the largest class: cap %d", cap(p))
+	}
+	// A 3000-byte slice fills class 11 (requests up to 2048) and must
+	// never serve class 12.
+	for range 8 {
+		PutBytes(make([]byte, 3000))
+		if p := GetBytes(4000); cap(p) < 4000 {
+			t.Fatalf("GetBytes(4000) returned cap %d", cap(p))
+		}
+		if p := GetBytes(2048); cap(p) < 2048 {
+			t.Fatalf("GetBytes(2048) returned cap %d", cap(p))
+		}
+	}
+}

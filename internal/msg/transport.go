@@ -124,10 +124,12 @@ type tcpConn struct {
 	// header with the sender's name, and the two-buffer vector that
 	// writes it and the payload in one writev (WriteTo consumes vec, so
 	// it is re-sliced from iov each time).
-	head    []byte
-	iov     [2][]byte
-	vec     net.Buffers
-	recvMu  sync.Mutex
+	head   []byte
+	iov    [2][]byte
+	vec    net.Buffers
+	recvMu sync.Mutex
+	// from is Recv's scratch for the sender's name, under recvMu.
+	from    []byte
 	maxSize uint32
 }
 
@@ -182,7 +184,7 @@ func (l *Listener) Close() error { return l.nl.Close() }
 
 // Send implements Conn. The header and the sender's name go out with
 // the payload in one writev (net.Buffers), so the payload is never
-// copied.
+// copied, and once it is written the payload returns to the byte pool.
 func (c *tcpConn) Send(m Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -202,33 +204,42 @@ func (c *tcpConn) Send(m Message) error {
 	if err != nil {
 		return fmt.Errorf("msg: send: %w", err)
 	}
+	PutBytes(m.Data)
 	return nil
 }
 
-// Recv implements Conn.
+// Recv implements Conn. The header and the sender's name are read into
+// connection scratch, and the payload into storage from the byte pool,
+// which the receiver then owns.
 func (c *tcpConn) Recv() (Message, error) {
 	c.recvMu.Lock()
 	defer c.recvMu.Unlock()
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(c.nc, lenBuf[:]); err != nil {
+	// Every frame has its length, tag and name length: 12 bytes.
+	var head [12]byte
+	if _, err := io.ReadFull(c.nc, head[:]); err != nil {
 		return Message{}, fmt.Errorf("%w: %v", ErrClosed, err)
 	}
-	total := binary.BigEndian.Uint32(lenBuf[:])
+	total := binary.BigEndian.Uint32(head[0:])
 	if total < 8 || total > c.maxSize {
 		return Message{}, fmt.Errorf("msg: bad frame length %d", total)
 	}
-	body := make([]byte, total)
-	if _, err := io.ReadFull(c.nc, body); err != nil {
-		return Message{}, fmt.Errorf("%w: %v", ErrClosed, err)
-	}
-	tag := int(int32(binary.BigEndian.Uint32(body[0:])))
-	fromLen := binary.BigEndian.Uint32(body[4:])
-	if 8+fromLen > total {
+	tag := int(int32(binary.BigEndian.Uint32(head[4:])))
+	fromLen := binary.BigEndian.Uint32(head[8:])
+	if fromLen > total-8 {
 		return Message{}, fmt.Errorf("msg: bad from length %d", fromLen)
 	}
-	from := string(body[8 : 8+fromLen])
-	data := body[8+fromLen:]
-	return Message{Tag: tag, From: from, Data: data}, nil
+	c.from = append(c.from[:0], make([]byte, fromLen)...)
+	if _, err := io.ReadFull(c.nc, c.from); err != nil {
+		return Message{}, fmt.Errorf("%w: %v", ErrClosed, err)
+	}
+	var data []byte
+	if n := int(total - 8 - fromLen); n > 0 {
+		data = GetBytes(n)
+		if _, err := io.ReadFull(c.nc, data); err != nil {
+			return Message{}, fmt.Errorf("%w: %v", ErrClosed, err)
+		}
+	}
+	return Message{Tag: tag, From: string(c.from), Data: data}, nil
 }
 
 // Close implements Conn.
@@ -354,22 +365,6 @@ func (h *Hub) Send(to string, m Message) error {
 		return fmt.Errorf("msg: unknown slave %q", to)
 	}
 	return c.Send(m)
-}
-
-// Broadcast sends a message to every slave.
-func (h *Hub) Broadcast(m Message) error {
-	h.mu.Lock()
-	conns := make([]Conn, 0, len(h.conns))
-	for _, c := range h.conns {
-		conns = append(conns, c)
-	}
-	h.mu.Unlock()
-	for _, c := range conns {
-		if err := c.Send(m); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Recv blocks for the next message from any slave.

@@ -177,7 +177,7 @@ func (rt *router) walkNearest(s *Shard, mail []uint64, fs *ForwardState) {
 			}
 			mail[lid] = rt.stamp
 			so := &s.Objs[lid]
-			if t, part, ok := so.RO.Shape.IntersectT(fs.Ray, fs.TMin, fs.T); ok {
+			if t, part, ok := so.Shape.IntersectT(fs.Ray, fs.TMin, fs.T); ok {
 				fs.Obj, fs.T, fs.Part = so.Global, t, part
 			}
 		}
@@ -203,8 +203,8 @@ func (rt *router) walkAny(s *Shard, mail []uint64, fs *ForwardState) bool {
 			}
 			mail[lid] = rt.stamp
 			so := &s.Objs[lid]
-			if t, part, ok := so.RO.Shape.IntersectT(fs.Ray, fs.TMin, fs.TMax); ok {
-				if trace.Opaque(&so.RO) {
+			if t, part, ok := so.Shape.IntersectT(fs.Ray, fs.TMin, fs.TMax); ok {
+				if trace.Opaque(&rt.c.objs[so.Global]) {
 					return true
 				}
 				fs.meet(so.Global, t, part)

@@ -31,13 +31,13 @@ const (
 
 // ShardObject is one object resident on a shard: the global object id
 // (an index into the frame's resolved-object table, identical on every
-// shard) and the shard-local geometry — the full shape, or for large
-// meshes a view clipped to the slab.
+// shard, where its material lives), its resident triangle count (0 for
+// non-mesh shapes) and the shape the shard tests — the object's own, or
+// for a large mesh a view clipped to the slab.
 type ShardObject struct {
 	Global int32
-	RO     scene.ResolvedObject
-	// Tris is the resident triangle count (0 for non-mesh shapes).
-	Tris int
+	Tris   int32
+	Shape  geom.Shape
 }
 
 // Shard owns one slab of the partition: the geometry overlapping it and
@@ -47,9 +47,19 @@ type Shard struct {
 	Bounds vm.AABB
 	Grid   *grid.Grid
 	Objs   []ShardObject
+	// views holds the shard's mesh views by value; the ShardObjects of
+	// clipped meshes point into it.
+	views []geom.MeshView
 	// Tris and ResidentBytes account the shard's resident scene size.
 	Tris          int
 	ResidentBytes uint64
+}
+
+// clipped reports whether ro is a mesh large enough to be clipped to a
+// slab rather than held whole.
+func clipped(ro *scene.ResolvedObject) (*geom.Mesh, bool) {
+	m, ok := ro.Shape.(*geom.Mesh)
+	return m, ok && len(m.Tris) >= meshClipMin
 }
 
 // buildShard collects the geometry overlapping slab i and builds its
@@ -59,32 +69,46 @@ type Shard struct {
 // it shares the scene mesh's triangles, boxes and hierarchy, read-only,
 // with every other shard and every worker thread, and is charged in
 // ResidentBytes only for the triangles it keeps — what an owner on
-// another machine would have to hold.
+// another machine would have to hold. A counting pass sizes the object
+// and view tables, so a shard holds one of each at its exact size (less
+// a slot for each large mesh whose box meets the slab but none of whose
+// triangles do).
 func buildShard(p *Partition, i int, objs []scene.ResolvedObject) (*Shard, error) {
 	sb := p.SlabBounds(i)
 	s := &Shard{Index: i, Bounds: sb}
+	resident := func(ro *scene.ResolvedObject) bool {
+		// Unbounded objects are replicated on the frame owner instead.
+		return !trace.Unbounded(*ro) && ro.Bounds.Overlaps(sb)
+	}
+	n, views := 0, 0
+	for gi := range objs {
+		if ro := &objs[gi]; resident(ro) {
+			n++
+			if _, ok := clipped(ro); ok {
+				views++
+			}
+		}
+	}
+	s.Objs = make([]ShardObject, 0, n)
+	s.views = make([]geom.MeshView, 0, views)
 	for gi := range objs {
 		ro := &objs[gi]
-		if trace.Unbounded(*ro) {
-			continue // unbounded: replicated on the frame owner
-		}
-		if !ro.Bounds.Overlaps(sb) {
+		if !resident(ro) {
 			continue
 		}
-		so := ShardObject{Global: int32(gi), RO: *ro}
-		if m, ok := ro.Shape.(*geom.Mesh); ok {
-			if len(m.Tris) >= meshClipMin {
-				m = m.Clip(sb)
-				if m.NumTris() == 0 {
-					continue
-				}
-				so.RO.Shape = m
-				so.RO.Bounds = m.Bounds()
+		so := ShardObject{Global: int32(gi), Shape: ro.Shape}
+		if m, ok := clipped(ro); ok {
+			v := m.Clip(sb)
+			if v.NumTris() == 0 {
+				continue
 			}
-			so.Tris = m.NumTris()
+			s.views = append(s.views, v)
+			so.Shape, so.Tris = &s.views[len(s.views)-1], int32(v.NumTris())
+		} else if m, ok := ro.Shape.(*geom.Mesh); ok {
+			so.Tris = int32(m.NumTris())
 		}
 		s.Objs = append(s.Objs, so)
-		s.Tris += so.Tris
+		s.Tris += int(so.Tris)
 	}
 
 	// The sub-grid covers only the slab; resolution keeps the full
@@ -95,9 +119,13 @@ func buildShard(p *Partition, i int, objs []scene.ResolvedObject) (*Shard, error
 	if err != nil {
 		return nil, fmt.Errorf("objspace: shard %d grid: %w", i, err)
 	}
-	for li, so := range s.Objs {
-		g.Insert(int32(li), so.RO.Bounds)
-	}
+	g.Fill(len(s.Objs), func(li int) (vm.AABB, bool) {
+		so := &s.Objs[li]
+		if v, ok := so.Shape.(*geom.MeshView); ok {
+			return v.Bounds(), true
+		}
+		return objs[so.Global].Bounds, true
+	})
 	s.Grid = g
 
 	// Resident accounting: geometry plus grid structures.

@@ -340,10 +340,22 @@ func (s *Scene) Validate() error {
 	if s.MaxDepth < 1 {
 		return fmt.Errorf("scene %q: max depth must be >= 1, got %d", s.Name, s.MaxDepth)
 	}
-	seen := make(map[ObjectID]bool, len(s.Objects))
-	for _, o := range s.Objects {
+	// Add numbers objects densely, and while every id so far is its own
+	// index none can repeat; only the first object off that numbering
+	// makes the check build the set of ids seen.
+	var seen map[ObjectID]bool
+	for i, o := range s.Objects {
 		if o.Shape == nil {
 			return fmt.Errorf("scene %q: object %q has no shape", s.Name, o.Name)
+		}
+		if seen == nil {
+			if o.ID == ObjectID(i) {
+				continue
+			}
+			seen = make(map[ObjectID]bool, len(s.Objects))
+			for j := range i {
+				seen[ObjectID(j)] = true
+			}
 		}
 		if seen[o.ID] {
 			return fmt.Errorf("scene %q: duplicate object id %d", s.Name, o.ID)

@@ -196,6 +196,30 @@ func TestSceneValidateDuplicateIDs(t *testing.T) {
 	}
 }
 
+// TestSceneValidateAllocatesNothing: a scene built with Add has dense
+// ids, so Validate — run for every frame a tracer is made for — needs no
+// set of the ids it has seen.
+func TestSceneValidateAllocatesNothing(t *testing.T) {
+	s := New("dense")
+	for i := range 50 {
+		s.Add("o", geom.NewSphere(vm.V(float64(i), 0, 0), 1), material.Matte(material.Red), nil)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("Validate of an Add-built scene: %v allocs, want 0", got)
+	}
+	// Off the dense numbering, a repeat of an id from before is still
+	// caught.
+	s.Objects[30].ID = 1000
+	s.Objects[40].ID = 7
+	if err := s.Validate(); err == nil {
+		t.Error("duplicate of a dense id accepted")
+	}
+}
+
 func TestSceneBoundsClipsPlanes(t *testing.T) {
 	s := New("b")
 	s.Add("floor", geom.NewPlane(vm.V(0, 1, 0), 0), material.Matte(material.White), nil)

@@ -129,9 +129,11 @@ func New(sc *scene.Scene, frame int, opts Options) (*FrameTracer, error) {
 			ft.unbounded = append(ft.unbounded, id)
 			continue
 		}
-		g.Insert(id, ro.Bounds)
 		ft.gridIDs = append(ft.gridIDs, id)
 	}
+	g.Fill(len(ft.objs), func(i int) (vm.AABB, bool) {
+		return ft.objs[i].Bounds, !Unbounded(ft.objs[i])
+	})
 	ft.mailboxes = make([]uint64, len(ft.objs))
 	return ft, nil
 }

@@ -189,7 +189,10 @@ func UnpackTL(b *msg.Buffer) (now int64, tracks []string, events []TLEvent, err 
 	return now, tracks, events, nil
 }
 
-// EncodeFrameDone seals a frame result into its wire bytes.
+// EncodeFrameDone seals a frame result into its wire bytes, in storage
+// from the msg byte pool: whoever ends up owning the message — the TCP
+// transport once it has written it, the master once it has merged the
+// pixels — returns it there (see the msg package's ownership contract).
 func EncodeFrameDone(m FrameDone) []byte {
 	b := msg.GetBuffer()
 	defer b.Release()
@@ -225,7 +228,10 @@ func EncodeFrameDone(m FrameDone) []byte {
 			PackTL(b, m.TLNow, m.TLTracks, m.TLEvents)
 		}
 	}
-	return b.Sealed()
+	body := b.Bytes()
+	out := msg.GetBytes(len(body) + 4)
+	copy(out, body)
+	return msg.Seal(out[:len(body)])
 }
 
 // ValidateSpans rejects a span set that is not strictly ordered (rows
