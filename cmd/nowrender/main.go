@@ -45,8 +45,8 @@ type faultOpts struct {
 	dfbAddrs                   string
 }
 
-// apply wires the options into a farm config; -chaos parses into a
-// fault-injection plan wrapped around every worker connection.
+// apply wires the options into a farm config; -chaos parses into the
+// fault-injection plan of the local and virtual drivers.
 func (f faultOpts) apply(cfg *farm.Config) error {
 	cfg.Heartbeat = f.heartbeat
 	cfg.Liveness = f.liveness
@@ -64,13 +64,8 @@ func (f faultOpts) apply(cfg *farm.Config) error {
 		cfg.DFB = &farm.DFBConfig{Sinks: f.dfbSinks}
 	}
 	plan, err := faulty.ParsePlan(f.chaos)
-	if err != nil {
-		return err
-	}
-	if plan != nil {
-		cfg.WrapConn = plan.Wrap
-	}
-	return nil
+	cfg.Faults = plan
+	return err
 }
 
 func main() {
@@ -101,7 +96,7 @@ func main() {
 	flag.DurationVar(&ft.stall, "stall", 0, "retire a worker holding a task without progress this long (0 = off)")
 	flag.IntVar(&ft.frameRetries, "frame-retries", 0, "per-frame requeue budget before the master renders it locally (0 = 3, negative = unlimited)")
 	flag.BoolVar(&ft.speculate, "speculate", false, "speculatively re-issue the slowest in-flight task to idle workers")
-	flag.StringVar(&ft.chaos, "chaos", "", "fault-injection plan, e.g. seed=7,drop=0.01,corrupt=0.005,delay=0.02:5ms,protect=worker00 (local mode)")
+	flag.StringVar(&ft.chaos, "chaos", "", "fault-injection plan, e.g. seed=7,drop=0.01,corrupt=0.005,delay=0.02:5ms,protect=worker00 (local and virtual modes; over TCP, give each nowworker its own -chaos)")
 	flag.BoolVar(&ft.wireDelta, "wire-delta", false, "ship dirty-span delta frames instead of full regions (pixels are identical either way)")
 	flag.BoolVar(&ft.wireCompress, "wire-compress", false, "compress frame payloads with the span codec (pixels are identical either way)")
 	flag.IntVar(&ft.dfbSinks, "dfb", 0, "route pixels through this many in-process compositor sinks instead of the master (local mode; 0 = off)")
@@ -188,8 +183,11 @@ func run(sceneSpec, mode, schemeName string, blockW, blockH, w, h int,
 	var res *farm.Result
 	switch mode {
 	case "single", "coherent":
+		// The fastest machine alone, whole frames in one task.
 		cfg.Coherence = mode == "coherent"
-		res, err = farm.RenderSingle(cfg, cluster.PaperTestbed()[0])
+		cfg.Machines = cluster.PaperTestbed()[:1]
+		cfg.Scheme = partition.SequenceDivision{}
+		res, err = farm.RenderVirtual(cfg)
 		if err != nil {
 			return err
 		}
@@ -207,6 +205,9 @@ func run(sceneSpec, mode, schemeName string, blockW, blockH, w, h int,
 		}
 		report(sc.Name, fmt.Sprintf("local/%s", scheme.Name()), res)
 	case "master":
+		if cfg.Faults != nil {
+			return fmt.Errorf("-chaos does not reach TCP workers: start each nowworker with its own -chaos")
+		}
 		res, err = runTCPMaster(cfg, sceneSpec, listen, workers)
 		if err != nil {
 			return err

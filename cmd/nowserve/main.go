@@ -57,13 +57,13 @@ func main() {
 		machines = flag.Int("machines", 0, "virtual NOW size (0 = the paper's 3-machine testbed)")
 		threads  = flag.Int("threads", 0, "default intra-frame render threads per farm worker (0 = all cores)")
 
-		heartbeat    = flag.Duration("heartbeat", 0, "farm master->worker ping interval for local-driver jobs (0 = off)")
+		heartbeat    = flag.Duration("heartbeat", 0, "farm master->worker ping interval (0 = off)")
 		liveness     = flag.Duration("liveness", 0, "retire a farm worker silent this long (0 = 4x heartbeat)")
 		stall        = flag.Duration("stall", 0, "retire a farm worker holding a task without progress this long (0 = off)")
 		frameRetries = flag.Int("frame-retries", 0, "per-frame requeue budget before the master renders locally (0 = 3)")
 		speculate    = flag.Bool("speculate", false, "speculatively re-issue the slowest in-flight farm task")
 		jobRetries   = flag.Int("max-job-retries", 0, "cap on a job spec's retries field (0 = 5)")
-		chaos        = flag.String("chaos", "", "fault-injection plan for local-driver farm runs, e.g. seed=7,drop=0.01,protect=worker00")
+		chaos        = flag.String("chaos", "", "fault-injection plan for farm runs on either driver, e.g. seed=7,drop=0.01,protect=worker00")
 		wireDelta    = flag.Bool("wire-delta", false, "ship dirty-span delta frames instead of full regions")
 		wireCompress = flag.Bool("wire-compress", false, "compress frame payloads with the span codec")
 		dfbSinks     = flag.Int("dfb", 0, "route local-driver pixels through this many in-process compositor sinks instead of the farm master (0 = off)")
@@ -129,9 +129,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nowserve:", err)
 		os.Exit(1)
 	}
-	if plan != nil {
-		cfg.FaultWrap = plan.Wrap
-	}
+	cfg.Faults = plan
 	if *fleetBroker != "" {
 		// Multi-master: this replica draws worker capacity from the shared
 		// nowfleetd broker instead of its private pool. A crashed replica

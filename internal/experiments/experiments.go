@@ -73,8 +73,8 @@ func Table1(p Params) (*Table1Result, error) {
 		coh    bool
 		scheme partition.Scheme
 	}{
-		{"(1) single", true, false, nil},
-		{"(2) single + FC", true, true, nil},
+		{"(1) single", true, false, partition.SequenceDivision{}},
+		{"(2) single + FC", true, true, partition.SequenceDivision{}},
 		{"(4) distributed", false, false, partition.FrameDivision{BlockW: p.BlockW, BlockH: p.BlockH, Adaptive: true}},
 		{"(6) dist + FC (seq div)", false, true, partition.SequenceDivision{Adaptive: true}},
 		{"(8) dist + FC (frame div)", false, true, partition.FrameDivision{BlockW: p.BlockW, BlockH: p.BlockH, Adaptive: true}},
@@ -86,13 +86,11 @@ func Table1(p Params) (*Table1Result, error) {
 		cfg := base
 		cfg.Coherence = r.coh
 		cfg.Scheme = r.scheme
-		var res *farm.Result
-		var err error
 		if r.single {
-			res, err = farm.RenderSingle(cfg, fastest)
-		} else {
-			res, err = farm.RenderVirtual(cfg)
+			// One machine, whole frames: sequence division is one task.
+			cfg.Machines = []cluster.Machine{fastest}
 		}
+		res, err := farm.RenderVirtual(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", r.label, err)
 		}
@@ -457,11 +455,14 @@ func AblationMemory(p Params, memMB int) (*MemoryResult, error) {
 	}
 	base := farm.Config{Scene: p.Scene, W: p.W, H: p.H, Machines: machines}
 
-	single, err := farm.RenderSingle(withMem(base, false, nil), machines[0])
+	// The single-processor baselines: the fast machine alone, whole frames.
+	one := base
+	one.Machines = machines[:1]
+	single, err := farm.RenderVirtual(withMem(one, false, partition.SequenceDivision{}))
 	if err != nil {
 		return nil, err
 	}
-	singleFC, err := farm.RenderSingle(withMem(base, true, nil), machines[0])
+	singleFC, err := farm.RenderVirtual(withMem(one, true, partition.SequenceDivision{}))
 	if err != nil {
 		return nil, err
 	}

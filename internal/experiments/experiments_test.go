@@ -338,7 +338,8 @@ func TestCostModelPredictsLedger(t *testing.T) {
 		msgs := len(res.Workers) + int(res.Wire.FramesFull+res.Wire.FramesDelta) + res.TasksExecuted + res.Subdivisions
 		return busy.Seconds() + float64(msgs)*cost.SecPerMessage
 	}
-	plainCfg := farm.Config{Scene: scenes.Newton(90), W: 120, H: 160, StartFrame: 1, EndFrame: 61}
+	plainCfg := farm.Config{Scene: scenes.Newton(90), W: 120, H: 160, StartFrame: 1, EndFrame: 61,
+		Machines: cluster.Uniform(1, 1, 0), Scheme: partition.SequenceDivision{}} // one machine, one task
 	fcCfg := plainCfg
 	fcCfg.Coherence = true
 	farmCfg := fcCfg
@@ -346,12 +347,11 @@ func TestCostModelPredictsLedger(t *testing.T) {
 	farmCfg.Scheme = partition.FrameDivision{BlockW: 40, BlockH: 40, Adaptive: true}
 	farmCfg.WireDelta, farmCfg.WireSpanCodec = true, true
 
-	one := cluster.Machine{Name: "ws00", Speed: 1}
-	plain, err := farm.RenderSingle(plainCfg, one)
+	plain, err := farm.RenderVirtual(plainCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fc, err := farm.RenderSingle(fcCfg, one)
+	fc, err := farm.RenderVirtual(fcCfg)
 	if err != nil {
 		t.Fatal(err)
 	}

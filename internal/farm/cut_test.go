@@ -42,7 +42,6 @@ func TestCameraCutEveryLink(t *testing.T) {
 	}{
 		{"virtual", RenderVirtual},
 		{"local", RenderLocal},
-		{"checked", func(cfg Config) (*Result, error) { return renderVirtual(cfg, checked(t)) }},
 	}
 	schemes := []partition.Scheme{
 		partition.SequenceDivision{Adaptive: true},

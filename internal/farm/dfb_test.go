@@ -195,7 +195,7 @@ func TestDFBWorkerDeathMidFrame(t *testing.T) {
 		StallTimeout:  1500 * time.Millisecond,
 		FrameRetries:  2,
 		Speculate:     true,
-		WrapConn:      plan.Wrap,
+		Faults:        plan,
 	})
 	if err != nil {
 		t.Fatalf("dfb chaos run failed: %v", err)
@@ -212,37 +212,10 @@ func TestDFBWorkerDeathMidFrame(t *testing.T) {
 // with pixels routed through compositor sinks. Drops, corruption and
 // severs on the control plane must not change a byte of output.
 func TestDFBChaosSoak(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos soak skipped in -short mode")
-	}
-	sc := farmScene(8)
-	want := referenceFrames(t, sc)
+	cfg := Config{WireDelta: true, WireSpanCodec: true, DFB: &DFBConfig{Sinks: 2}}
 	for _, seed := range []int64{7, 101} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			spec := fmt.Sprintf(
-				"seed=%d,drop=0.03,corrupt=0.02,truncate=0.02,delay=0.05:2ms,sever=0.005,protect=worker00", seed)
-			plan, err := faulty.ParsePlan(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := renderLocal(Config{
-				Scene: sc, W: fw, H: fh, Coherence: true, Workers: 4,
-				Scheme:        partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
-				WireDelta:     true,
-				WireSpanCodec: true,
-				DFB:           &DFBConfig{Sinks: 2},
-				Heartbeat:     20 * time.Millisecond,
-				Liveness:      2 * time.Second,
-				StallTimeout:  1500 * time.Millisecond,
-				FrameRetries:  2,
-				Speculate:     true,
-				WrapConn:      plan.Wrap,
-			}, checked(t))
-			if err != nil {
-				t.Fatalf("dfb chaos run failed: %v", err)
-			}
-			assertFramesEqual(t, "dfb-chaos", res.Frames, want)
-			t.Logf("injected %+v; farm absorbed %s", plan.Snapshot(), res.Faults.String())
+			soak(t, seed, cfg, []driver{local}, faulty.Stats{}, stats.FaultCounters{})
 		})
 	}
 }

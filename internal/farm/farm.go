@@ -8,18 +8,18 @@
 // knows of every worker, the queue, the assembly and the tallies, with
 // one method per event — hello, frame result, frame ack, object-space
 // stats, task done, truncate ack, pong, a worker's loss, a sink message,
-// a heartbeat tick. runMaster only steps it through the link's events
-// until every frame is in. The worker is one too (worker.go). Two
-// drivers share both, and differ only in the link (names, Recv, Send,
-// Detach, a clock) under the master and the host under the worker:
+// a heartbeat tick. runMaster steps it through the link's events until
+// every frame is in, checking its invariants after each. The worker is
+// one too (worker.go). Each driver builds a link and calls runMaster;
+// links differ only in names, Recv, Send, Detach and a clock under the
+// master, and in the host under the worker:
 //
-//   - RunMaster and RenderLocal supply a msg.Hub on the wall clock:
-//     goroutine workers joined by msg.Pipe, or TCP workers
-//     (cmd/nowworker) on a physical NOW.
+//   - RunMaster and RenderLocal supply a msg.Hub on the wall clock, a
+//     ticker and, for RenderLocal, Config.Faults at each worker's pipe.
 //   - RenderVirtual supplies the deterministic virtual NOW
-//     (internal/cluster): each machine hosts the worker inline,
-//     charged per work quantity and real encoded message. This is the
-//     driver the Table 1 benchmarks use.
+//     (internal/cluster): each machine hosts the worker inline, charged
+//     per work quantity and real encoded message, with ticks and faults
+//     on the virtual clock. Table 1 and the chaos tests run on it.
 package farm
 
 import (
@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"nowrender/internal/cluster"
+	"nowrender/internal/faulty"
 	"nowrender/internal/fb"
 	"nowrender/internal/msg"
 	"nowrender/internal/objspace"
@@ -90,9 +91,8 @@ type Config struct {
 
 	// Heartbeat, when > 0, makes the master ping each worker at this
 	// interval. Workers answer between frames, so pongs prove the render
-	// loop is alive. Heartbeat, Liveness, StallTimeout, WrapConn and DFB
-	// do not apply on the virtual NOW, where no message is lost and no
-	// machine hangs.
+	// loop is alive. On the virtual NOW the heartbeat ticks fall on the
+	// virtual clock (see tickEvery).
 	Heartbeat time.Duration
 	// Liveness is how long a worker may stay completely silent before
 	// the master retires it like a TagDown. 0 defaults to 4x Heartbeat;
@@ -114,12 +114,12 @@ type Config struct {
 	// to idle workers near the end of the run; whichever copy delivers a
 	// (frame, region) first wins and the duplicate is dropped.
 	Speculate bool
-	// WrapConn, when non-nil, wraps each worker connection before use —
-	// the fault-injection hook (see internal/faulty). RenderLocal wraps
-	// the worker-side end, so both directions of that worker's traffic
-	// pass through it. It also relaxes worker-exit handling: with faults
-	// injected, a worker dying is expected, not a run failure.
-	WrapConn func(name string, c msg.Conn) msg.Conn
+	// Faults, when non-nil, injects this plan's faults into every
+	// worker's traffic (see internal/faulty): at each worker's end of its
+	// pipe under RenderLocal, on the virtual clock under RenderVirtual. A
+	// worker dying is then expected, not a run failure. RunMaster cannot
+	// reach the caller's connections, which each nowworker -chaos wraps.
+	Faults *faulty.Plan
 
 	// WireDelta makes workers ship dirty-span delta frames after each
 	// task's key-frame instead of full regions (coherence tasks only; a
@@ -144,7 +144,8 @@ type Config struct {
 	// only small control acks, and a worker that cannot reach its sink
 	// falls back to master-routed results, which the master relays to
 	// the owning sink so assembly happens in exactly one place. Final
-	// frames are byte-identical to the master-routed path.
+	// frames are byte-identical to the master-routed path. The virtual
+	// NOW, master-routed, ignores it.
 	DFB *DFBConfig
 
 	// Timeline, when non-nil, records the run into this recorder: the
@@ -211,6 +212,19 @@ func (c *Config) wireFlags() int {
 		flags |= capWireTimeline
 	}
 	return flags
+}
+
+// tickEvery is both links' heartbeat tick interval, 0 for none:
+// Heartbeat, else a quarter of StallTimeout, at least 1 ms.
+func (c *Config) tickEvery() time.Duration {
+	every := c.Heartbeat
+	if every <= 0 {
+		every = c.StallTimeout / 4
+	}
+	if every <= 0 {
+		return 0
+	}
+	return max(every, time.Millisecond)
 }
 
 // cancelled returns the context error if the run was cancelled.

@@ -16,6 +16,7 @@ import (
 	"nowrender/internal/stats"
 	"nowrender/internal/trace"
 	vm "nowrender/internal/vecmath"
+	"nowrender/internal/wire"
 )
 
 const fw, fh = 40, 32
@@ -140,9 +141,9 @@ func TestVirtualSchemesProduceIdenticalImages(t *testing.T) {
 	wantAA := aaReferenceFrames(t, sc, 0.1)
 	for _, coh := range []bool{false, true} {
 		for _, sch := range schemes {
-			res, err := renderVirtual(Config{
+			res, err := RenderVirtual(Config{
 				Scene: sc, W: fw, H: fh, Scheme: sch, Coherence: coh,
-			}, checked(t))
+			})
 			if err != nil {
 				t.Fatalf("%s coherence=%v: %v", sch.Name(), coh, err)
 			}
@@ -153,10 +154,10 @@ func TestVirtualSchemesProduceIdenticalImages(t *testing.T) {
 		}
 		// Render options travel in the task message, so they reach the
 		// pixels with coherence on and off alike.
-		res, err := renderVirtual(Config{
+		res, err := RenderVirtual(Config{
 			Scene: sc, W: fw, H: fh, Scheme: schemes[2], Coherence: coh,
 			AAThreshold: 0.1,
-		}, checked(t))
+		})
 		if err != nil {
 			t.Fatalf("antialiased coherence=%v: %v", coh, err)
 		}
@@ -181,10 +182,10 @@ func TestVirtualDeterminism(t *testing.T) {
 		t.Fatalf("a steady block frame costs %v, its message %v: size the test up", steady, message)
 	}
 	run := func() *Result {
-		res, err := renderVirtual(Config{
+		res, err := RenderVirtual(Config{
 			Scene: sc, W: w, H: h, Machines: cluster.PaperTestbed(),
 			Scheme: partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true}, Coherence: true,
-		}, checked(t))
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,11 +257,12 @@ func TestVirtualSpeedupShape(t *testing.T) {
 			steady/time.Duration(fast.Speed), message)
 	}
 
-	single, err := RenderSingle(Config{Scene: sc, W: w, H: h}, fast)
+	one := []cluster.Machine{fast} // the single-processor runs: one machine, one task
+	single, err := RenderVirtual(Config{Scene: sc, W: w, H: h, Machines: one, Scheme: partition.SequenceDivision{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	singleFC, err := RenderSingle(Config{Scene: sc, W: w, H: h, Coherence: true}, fast)
+	singleFC, err := RenderVirtual(Config{Scene: sc, W: w, H: h, Coherence: true, Machines: one, Scheme: partition.SequenceDivision{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,20 +406,20 @@ func TestRenderLocalMatchesReference(t *testing.T) {
 	want := referenceFrames(t, sc)
 	wantAA := aaReferenceFrames(t, sc, 0.1)
 	for _, coh := range []bool{false, true} {
-		aa, err := renderLocal(Config{
+		aa, err := RenderLocal(Config{
 			Scene: sc, W: fw, H: fh, Coherence: coh, Workers: 3,
 			Scheme:      partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
 			AAThreshold: 0.1,
-		}, checked(t))
+		})
 		if err != nil {
 			t.Fatalf("antialiased coherence=%v: %v", coh, err)
 		}
 		assertFramesEqual(t, fmt.Sprintf("local antialiased coherence=%v", coh), aa.Frames, wantAA)
 
-		res, err := renderLocal(Config{
+		res, err := RenderLocal(Config{
 			Scene: sc, W: fw, H: fh, Coherence: coh, Workers: 3,
 			Scheme: partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
-		}, checked(t))
+		})
 		if err != nil {
 			t.Fatalf("coherence=%v: %v", coh, err)
 		}
@@ -479,7 +481,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 	}
 	fd.Rays.ByKind[0] = 11
 	fd.Rays.ByKind[3] = 44
-	gotFD, err := decodeFrameDone(encodeFrameDone(fd))
+	gotFD, err := wire.DecodeFrameDone(wire.EncodeFrameDone(fd))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +494,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 	if _, err := decodeTask([]byte{1, 2}); err == nil {
 		t.Error("short task decoded")
 	}
-	if _, err := decodeFrameDone([]byte{1}); err == nil {
+	if _, err := wire.DecodeFrameDone([]byte{1}); err == nil {
 		t.Error("short frame-done decoded")
 	}
 	a, b, err := decodePair(encodePair(-7, 42))

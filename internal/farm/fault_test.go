@@ -5,176 +5,82 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
-	"nowrender/internal/fb"
+	"nowrender/internal/faulty"
 	"nowrender/internal/msg"
 	"nowrender/internal/partition"
-	"nowrender/internal/scene"
-	"nowrender/internal/trace"
-	"nowrender/internal/wire"
+	"nowrender/internal/stats"
 )
 
-// crashingWorker behaves like a normal worker for its first frame, then
-// drops its connection without warning — a workstation going down
-// mid-render.
-func crashingWorker(name string, conn msg.Conn, sc *scene.Scene) {
-	defer conn.Close()
-	if err := conn.Send(msg.Message{Tag: TagHello, From: name, Data: encodeHello(name)}); err != nil {
-		return
-	}
-	m, err := conn.Recv()
-	if err != nil || m.Tag != TagTask {
-		return
-	}
-	tm, err := decodeTask(m.Data)
-	if err != nil {
-		return
-	}
-	ft, err := trace.New(sc, tm.Task.StartFrame, trace.Options{})
-	if err != nil {
-		return
-	}
-	buf := fb.New(tm.W, tm.H)
-	ft.RenderRegion(buf, tm.Task.Region)
-	fd := frameDoneMsg{
-		TaskID: tm.Task.ID, Frame: tm.Task.StartFrame, Region: tm.Task.Region,
-		Pix: wire.ExtractRegion(buf, tm.Task.Region), Rendered: tm.Task.Region.Area(),
-	}
-	_ = conn.Send(msg.Message{Tag: TagFrameDone, From: name, Data: encodeFrameDone(fd)})
-	// ...and vanish.
+// crash is a plan under which every worker but the protected ones drops
+// its connection without warning as it sends its nth message of the tag
+// — a workstation going down.
+func crash(tag, nth int, protect ...string) *faulty.Plan {
+	return &faulty.Plan{Rules: []faulty.Rule{{Tag: tag, Dir: faulty.SendOnly, After: nth, Action: faulty.Sever}}, Protect: protect}
 }
 
+// TestMasterSurvivesWorkerCrash: one of three workers delivers a frame
+// and drops its connection; the other two finish its frames.
 func TestMasterSurvivesWorkerCrash(t *testing.T) {
-	sc := farmScene(8)
-	want := referenceFrames(t, sc)
-
-	hub := msg.NewHub()
-	// Two healthy workers plus one that crashes after a single frame.
-	healthyDone := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		masterEnd, workerEnd := msg.Pipe(64)
-		name := []string{"healthy0", "healthy1"}[i]
-		if err := hub.Attach(name, masterEnd); err != nil {
-			t.Fatal(err)
-		}
-		go func(n string, c msg.Conn) {
-			healthyDone <- RunWorkerWithOptions(context.Background(), n, c, sc, WorkerOptions{})
-		}(name, workerEnd)
-	}
-	masterEnd, workerEnd := msg.Pipe(64)
-	if err := hub.Attach("doomed", masterEnd); err != nil {
-		t.Fatal(err)
-	}
-	go crashingWorker("doomed", workerEnd, sc)
-
-	res, err := RunMaster(Config{
-		Scene: sc, W: fw, H: fh, Coherence: false,
-		Scheme: partition.SequenceDivision{Adaptive: true},
-	}, hub)
-	hub.Close()
-	if err != nil {
-		t.Fatalf("master did not survive the crash: %v", err)
-	}
-	assertFramesEqual(t, "crash-recovery", res.Frames, want)
-	for i := 0; i < 2; i++ {
-		select {
-		case werr := <-healthyDone:
-			if werr != nil {
-				t.Errorf("healthy worker failed: %v", werr)
+	for _, d := range bothWays {
+		t.Run(d.name, func(t *testing.T) {
+			plan := crash(TagFrameDone, 2, "worker00", "worker01")
+			res := d.chaos(t, Config{
+				Scene: farmScene(8), W: fw, H: fh, Scheme: partition.SequenceDivision{Adaptive: true}, Faults: plan,
+			}, 3)
+			if d.virtual { // on the wall clock the others may finish first
+				pin(t, res, plan, faulty.Stats{Severed: 1}, stats.FaultCounters{WorkersLost: 1, FramesRequeued: 2})
 			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("healthy worker did not exit")
-		}
+		})
 	}
 }
 
+// TestMasterFailsWhenAllWorkersDie: a run whose only worker drops its
+// connection after one frame fails instead of waiting for ever.
 func TestMasterFailsWhenAllWorkersDie(t *testing.T) {
-	sc := farmScene(4)
-	hub := msg.NewHub()
-	masterEnd, workerEnd := msg.Pipe(64)
-	if err := hub.Attach("only", masterEnd); err != nil {
-		t.Fatal(err)
-	}
-	go crashingWorker("only", workerEnd, sc)
-	_, err := RunMaster(Config{
-		Scene: sc, W: fw, H: fh,
-		Scheme: partition.SequenceDivision{Adaptive: true},
-	}, hub)
-	hub.Close()
-	if err == nil {
-		t.Fatal("master succeeded with every worker dead")
-	}
-}
-
-func TestMasterSurvivesCrashBeforeHello(t *testing.T) {
-	sc := farmScene(4)
-	want := referenceFrames(t, sc)
-	hub := msg.NewHub()
-
-	// One worker dies before saying hello.
-	deadEnd, deadWorkerEnd := msg.Pipe(4)
-	if err := hub.Attach("stillborn", deadEnd); err != nil {
-		t.Fatal(err)
-	}
-	deadWorkerEnd.Close()
-
-	masterEnd, workerEnd := msg.Pipe(64)
-	if err := hub.Attach("survivor", masterEnd); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- RunWorkerWithOptions(context.Background(), "survivor", workerEnd, sc, WorkerOptions{}) }()
-
-	res, err := RunMaster(Config{Scene: sc, W: fw, H: fh, Coherence: true}, hub)
-	hub.Close()
-	if err != nil {
-		t.Fatalf("master failed: %v", err)
-	}
-	assertFramesEqual(t, "stillborn", res.Frames, want)
-	if werr := <-done; werr != nil {
-		t.Errorf("survivor failed: %v", werr)
-	}
-}
-
-// rogueWorker sends a malformed message stream to the master.
-func TestMasterRejectsProtocolViolations(t *testing.T) {
-	sc := farmScene(4)
-	hub := msg.NewHub()
-	masterEnd, workerEnd := msg.Pipe(8)
-	if err := hub.Attach("rogue", masterEnd); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		workerEnd.Send(msg.Message{Tag: TagHello, Data: encodeHello("rogue")})
-		// Garbage tag after hello.
-		workerEnd.Send(msg.Message{Tag: 9999})
-	}()
-	_, err := RunMaster(Config{Scene: sc, W: fw, H: fh}, hub)
-	hub.Close()
-	if err == nil {
-		t.Fatal("master accepted an unknown message tag")
-	}
-}
-
-func TestMasterRejectsCorruptFrameDone(t *testing.T) {
-	sc := farmScene(4)
-	hub := msg.NewHub()
-	masterEnd, workerEnd := msg.Pipe(8)
-	if err := hub.Attach("corrupt", masterEnd); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		workerEnd.Send(msg.Message{Tag: TagHello, Data: encodeHello("corrupt")})
-		if _, err := workerEnd.Recv(); err != nil { // task
-			return
+	cfg := Config{Scene: farmScene(4), W: fw, H: fh, Workers: 1, Machines: workstations(1)}
+	for _, render := range []func(Config) (*Result, error){RenderLocal, RenderVirtual} {
+		cfg.Faults = crash(TagFrameDone, 2)
+		if _, err := render(cfg); err == nil {
+			t.Error("master succeeded with every worker dead")
 		}
-		workerEnd.Send(msg.Message{Tag: TagFrameDone, Data: []byte{1, 2, 3}})
-	}()
-	_, err := RunMaster(Config{Scene: sc, W: fw, H: fh}, hub)
-	hub.Close()
-	if err == nil {
-		t.Fatal("master accepted a corrupt frame-done payload")
+	}
+}
+
+// TestMasterSurvivesCrashBeforeHello: a worker whose connection drops
+// before its hello holds nothing up.
+func TestMasterSurvivesCrashBeforeHello(t *testing.T) {
+	for _, d := range bothWays {
+		t.Run(d.name, func(t *testing.T) {
+			d.chaos(t, Config{
+				Scene: farmScene(4), W: fw, H: fh, Coherence: true, Faults: crash(TagHello, 1, "worker01"),
+			}, 2)
+		})
+	}
+}
+
+// TestMasterRejectsProtocolViolations: a worker that sends an unknown
+// tag after its hello is retired; with no worker left the run fails.
+func TestMasterRejectsProtocolViolations(t *testing.T) {
+	cfg := Config{Scene: farmScene(4), W: fw, H: fh}
+	if err := cfg.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	ln := &scriptLink{names: []string{"rogue"}, script: at(0, helloFrom("rogue"), msg.Message{Tag: 9999, From: "rogue"})}
+	if res, err := runMaster(cfg, ln, nil); err == nil || res.Faults.MalformedMessages != 1 {
+		t.Fatalf("master accepted an unknown message tag (%v)", err)
+	}
+}
+
+// TestMasterRejectsCorruptFrameDone: a frame result that fails its CRC
+// retires its sender; with no worker left the run fails.
+func TestMasterRejectsCorruptFrameDone(t *testing.T) {
+	cfg := Config{Scene: farmScene(4), W: fw, H: fh, Workers: 1, Machines: workstations(1)}
+	for _, render := range []func(Config) (*Result, error){RenderLocal, RenderVirtual} {
+		cfg.Faults = &faulty.Plan{Rules: []faulty.Rule{{Tag: TagFrameDone, Dir: faulty.SendOnly, After: 1, Action: faulty.Corrupt}}}
+		if res, err := render(cfg); err == nil || res.Faults.MalformedMessages != 1 {
+			t.Errorf("master accepted a corrupt frame-done payload (%v)", err)
+		}
 	}
 }
 

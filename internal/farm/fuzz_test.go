@@ -7,6 +7,7 @@ import (
 	"nowrender/internal/msg"
 	"nowrender/internal/partition"
 	"nowrender/internal/stats"
+	"nowrender/internal/wire"
 )
 
 // FuzzProtocolDecode proves every farm wire decoder is total: arbitrary
@@ -31,11 +32,11 @@ func FuzzProtocolDecode(f *testing.F) {
 	// old flate flag bit, and a frame result claiming encoding id 1.
 	tm.WireFlags = capWireDelta | 1<<1
 	retiredFlag := encodeTask(tm)
-	retiredEnc := encodeFrameDone(frameDoneMsg{
+	retiredEnc := wire.EncodeFrameDone(frameDoneMsg{
 		TaskID: 3, Frame: 5, Region: fb.NewRect(0, 0, 4, 2),
 		Kind: frameDelta, Encoding: 1, Pix: []byte{0x01},
 	})
-	fd := encodeFrameDone(frameDoneMsg{
+	fd := wire.EncodeFrameDone(frameDoneMsg{
 		TaskID: 3, Frame: 5, Region: fb.NewRect(0, 0, 4, 2),
 		Pix:      make([]byte, 4*2*3),
 		Rendered: 8, Copied: 2, Regs: 11,
@@ -88,7 +89,7 @@ func FuzzProtocolDecode(f *testing.F) {
 				t.Fatalf("decodeTask accepted antialiasing threshold %v", tm.AAThreshold)
 			}
 		}
-		if m, err := decodeFrameDone(data); err == nil {
+		if m, err := wire.DecodeFrameDone(data); err == nil {
 			if m.Encoding != encRaw && m.Encoding != encSpan {
 				t.Fatalf("decodeFrameDone accepted encoding id %d", m.Encoding)
 			}

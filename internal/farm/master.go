@@ -21,8 +21,9 @@ import (
 	"nowrender/internal/wire"
 )
 
-// tagTick is the synthetic local message the heartbeat ticker posts into
-// the hub's stream; it never crosses a connection.
+// tagTick is the synthetic heartbeat tick a link hands the master: the
+// hub link's ticker posts it into the hub's stream, the virtual link
+// interleaves it on its clock. It never crosses a connection.
 const tagTick = -0x7FFFFFFE
 
 // workerRecord is the master's view of one worker.
@@ -74,8 +75,8 @@ func (w *workerRecord) remaining() int {
 
 // link is all the master loop sees of the world outside it. RunMaster
 // supplies a msg.Hub on the wall clock; RenderVirtual the virtual NOW,
-// whose clock only moves when a machine computes or a message crosses
-// the bus.
+// whose clock only moves when a machine computes, a message crosses the
+// bus or a heartbeat tick falls due.
 type link interface {
 	// Names lists the workers, sorted.
 	Names() []string
@@ -96,10 +97,6 @@ type hubLink struct {
 
 func (l hubLink) Now() time.Duration { return time.Since(l.start) }
 
-// masterLoop runs the master over a link: runMaster, or in tests a copy
-// of it that checks the master's invariants after every event.
-type masterLoop func(cfg Config, ln link, sinks *sinkControl) (*Result, error)
-
 // RunMaster drives the master side of the farm protocol over an
 // attached hub until every frame is assembled, then shuts the workers
 // down. The caller attaches one connection per worker before calling.
@@ -114,10 +111,7 @@ type masterLoop func(cfg Config, ln link, sinks *sinkControl) (*Result, error)
 // FrameRetries times is quarantined: the master renders the region
 // locally instead of feeding it to another doomed worker. The run fails
 // only when every worker is lost with frames outstanding.
-func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) { return runHub(cfg, hub, runMaster) }
-
-// runHub is RunMaster with the master loop to run over the hub.
-func runHub(cfg Config, hub *msg.Hub, loop masterLoop) (*Result, error) {
+func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
@@ -133,15 +127,8 @@ func runHub(cfg Config, hub *msg.Hub, loop masterLoop) (*Result, error) {
 	// The ticker interleaves liveness/stall checks with slave traffic so
 	// the event loop stays single-threaded. Posts are best-effort; a
 	// dropped tick is followed by another.
-	tickEvery := cfg.Heartbeat
-	if tickEvery <= 0 && cfg.StallTimeout > 0 {
-		tickEvery = cfg.StallTimeout / 4
-	}
-	if tickEvery > 0 {
-		if tickEvery < time.Millisecond {
-			tickEvery = time.Millisecond
-		}
-		ticker := time.NewTicker(tickEvery)
+	if every := cfg.tickEvery(); every > 0 {
+		ticker := time.NewTicker(every)
 		stopTick := make(chan struct{})
 		defer func() { close(stopTick); ticker.Stop() }()
 		go func() {
@@ -163,20 +150,26 @@ func runHub(cfg Config, hub *msg.Hub, loop masterLoop) (*Result, error) {
 		shard := partition.ShardMap{Start: cfg.StartFrame, End: cfg.EndFrame, N: len(cfg.DFB.Addrs)}
 		sinks = newSinkControl(cfg.DFB, hub, cfg.W, cfg.H, shard)
 	}
-	return loop(cfg, hubLink{hub, time.Now()}, sinks)
+	return runMaster(cfg, hubLink{hub, time.Now()}, sinks)
 }
 
 // runMaster is the one master loop (§3): it steps the master through the
-// link's events until every frame is in. cfg has had its defaults
-// applied; sinks is nil unless the distributed framebuffer is on.
+// link's events until every frame is in, and checks the master's
+// invariants after every event — a violation ends the run with an error
+// naming the event. cfg has had its defaults applied; sinks is nil
+// unless the distributed framebuffer is on.
 func runMaster(cfg Config, ln link, sinks *sinkControl) (*Result, error) {
 	m, err := newMaster(cfg, ln, sinks)
 	if err != nil {
 		return nil, err
 	}
-	for m.framesRemaining > 0 {
-		if err := m.step(ln.Recv()); err != nil {
+	for n := 1; m.framesRemaining > 0; n++ {
+		e, err := ln.Recv()
+		if err := m.step(e, err); err != nil {
 			return m.res, err
+		}
+		if err := m.check(); err != nil {
+			return m.res, fmt.Errorf("farm: after event %d (tag %d from %q): %w", n, e.Tag, e.From, err)
 		}
 	}
 	return m.finish()
@@ -437,7 +430,7 @@ func (m *master) onHello(w *workerRecord, data []byte) error {
 // credited with it, unless the pixels were a duplicate or a delta whose
 // base was lost.
 func (m *master) onFrameDone(w *workerRecord, data []byte) error {
-	fd, err := decodeFrameDone(data)
+	fd, err := wire.DecodeFrameDone(data)
 	if err != nil {
 		return m.malformed(w)
 	}
@@ -1181,7 +1174,8 @@ func (m *master) countDown(frame int) error {
 	return m.cfg.OnFrame(frame, m.asm.Frame(frame))
 }
 
-// check states the master's invariants; tests call it after every event.
+// check states the master's invariants; runMaster asserts them after
+// every event.
 //   - Retire-once: framesRemaining counts exactly the frames of the run
 //     the assembly does not hold complete.
 //   - A worker holding a task is joined and alive.
@@ -1364,14 +1358,11 @@ func (t *shippedTimeline) merge(cfg *Config) *timeline.Timeline {
 
 // RenderLocal runs the farm with in-process goroutine workers connected
 // by channel pipes — the wall-clock counterpart of RenderVirtual, and a
-// live exercise of the full wire protocol. With cfg.WrapConn set, each
+// live exercise of the full wire protocol. With cfg.Faults set, each
 // worker's end of its pipe is wrapped (fault injection), and worker
 // exit errors are tolerated: under injected faults a worker dying is the
 // scenario, not a failure — the master's result is the verdict.
-func RenderLocal(cfg Config) (*Result, error) { return renderLocal(cfg, runMaster) }
-
-// renderLocal is RenderLocal with the master loop to run.
-func renderLocal(cfg Config, loop masterLoop) (*Result, error) {
+func RenderLocal(cfg Config) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
@@ -1432,8 +1423,8 @@ func renderLocal(cfg Config, loop masterLoop) (*Result, error) {
 			return nil, err
 		}
 		conn := workerEnd
-		if cfg.WrapConn != nil {
-			conn = cfg.WrapConn(name, workerEnd)
+		if cfg.Faults != nil {
+			conn = cfg.Faults.Wrap(name, workerEnd)
 		}
 		go func(name string, conn msg.Conn) {
 			err := RunWorkerWithOptions(context.Background(), name, conn, cfg.Scene, opts)
@@ -1444,7 +1435,7 @@ func renderLocal(cfg Config, loop masterLoop) (*Result, error) {
 			errCh <- err
 		}(name, conn)
 	}
-	res, err := runHub(cfg, hub, loop)
+	res, err := RunMaster(cfg, hub)
 	hub.Close()
 	// Collect worker exits; surface the first failure.
 	var workerErr error
@@ -1459,7 +1450,7 @@ func renderLocal(cfg Config, loop masterLoop) (*Result, error) {
 		// absorbed before it died.
 		return res, err
 	}
-	if workerErr != nil && cfg.WrapConn == nil {
+	if workerErr != nil && cfg.Faults == nil {
 		return nil, fmt.Errorf("farm: worker failed: %w", workerErr)
 	}
 	return res, nil

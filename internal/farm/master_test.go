@@ -3,6 +3,9 @@ package farm
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,77 +13,9 @@ import (
 	"nowrender/internal/fb"
 	"nowrender/internal/msg"
 	"nowrender/internal/partition"
+	"nowrender/internal/stats"
+	"nowrender/internal/wire"
 )
-
-// runChecked is runMaster with the master's invariants (check) asserted
-// after every event; a violation fails the test and ends the run.
-func runChecked(t *testing.T, cfg Config, ln link, sinks *sinkControl) (*Result, error) {
-	t.Helper()
-	m, err := newMaster(cfg, ln, sinks)
-	if err != nil {
-		return nil, err
-	}
-	for n := 1; m.framesRemaining > 0; n++ {
-		e, err := ln.Recv()
-		if err := m.step(e, err); err != nil {
-			return m.res, err
-		}
-		if err := m.check(); err != nil {
-			t.Errorf("after event %d (tag %d from %q): %v", n, e.Tag, e.From, err)
-			return m.res, err
-		}
-	}
-	return m.finish()
-}
-
-// checked is runChecked as the loop a driver runs: renderLocal(cfg,
-// checked(t)) is RenderLocal with the invariants asserted throughout.
-func checked(t *testing.T) masterLoop {
-	return func(cfg Config, ln link, sinks *sinkControl) (*Result, error) {
-		return runChecked(t, cfg, ln, sinks)
-	}
-}
-
-// joinedFirst is checked over a link that holds back what joined workers
-// send until every worker has spoken. On a real link a worker's hello
-// can arrive after another worker has finished the whole animation; a
-// chaos test that faults one worker's results needs that worker seeded
-// with one of the scheme's initial tasks. Every hello must arrive.
-func joinedFirst(t *testing.T) masterLoop {
-	return func(cfg Config, ln link, sinks *sinkControl) (*Result, error) {
-		quiet := make(map[string]bool)
-		for _, n := range ln.Names() {
-			quiet[n] = true
-		}
-		return runChecked(t, cfg, &joinLink{link: ln, quiet: quiet}, sinks)
-	}
-}
-
-type joinLink struct {
-	link
-	quiet map[string]bool // workers not heard from yet
-	held  []msg.Message
-}
-
-func (l *joinLink) Recv() (msg.Message, error) {
-	for {
-		if len(l.quiet) == 0 && len(l.held) > 0 {
-			m := l.held[0]
-			l.held = l.held[1:]
-			return m, nil
-		}
-		m, err := l.link.Recv()
-		switch {
-		case err != nil || m.Tag == tagTick || l.quiet[m.From]:
-			delete(l.quiet, m.From)
-			return m, err
-		case len(l.quiet) > 0:
-			l.held = append(l.held, m)
-		default:
-			return m, nil
-		}
-	}
-}
 
 // scriptLink is a link whose traffic a test writes: Recv hands out the
 // script in order, moving the clock (settable through now) to each
@@ -135,6 +70,28 @@ func (l *scriptLink) tasksTo(t *testing.T, name string) []partition.Task {
 	return tasks
 }
 
+// transcript is what the master sent, a line per message: the
+// addressee, then a task's id and frames, a truncate's task and stop
+// frame, or the tag.
+func (l *scriptLink) transcript() []string {
+	var out []string
+	for _, s := range l.sent {
+		line := fmt.Sprintf("%s tag %d", s.m.From, s.m.Tag)
+		switch s.m.Tag {
+		case TagTask:
+			tm, _ := decodeTask(s.m.Data)
+			line = fmt.Sprintf("%s task %d [%d,%d)", s.m.From, tm.Task.ID, tm.Task.StartFrame, tm.Task.EndFrame)
+		case TagTruncate:
+			id, stop, _ := decodePair(s.m.Data)
+			line = fmt.Sprintf("%s truncate %d at %d", s.m.From, id, stop)
+		case TagShutdown:
+			line = s.m.From + " shutdown"
+		}
+		out = append(out, line)
+	}
+	return out
+}
+
 // Script entries: what worker from says.
 func helloFrom(from string) msg.Message {
 	return msg.Message{Tag: TagHello, From: from, Data: encodeHello(from)}
@@ -153,28 +110,42 @@ func resultsFrom(from string, task partition.Task, f0, f1 int) []msg.Message {
 			TaskID: task.ID, Frame: f, Region: task.Region,
 			Pix: make([]byte, task.Region.Area()*3), Rendered: task.Region.Area(),
 		}
-		ms = append(ms, msg.Message{Tag: TagFrameDone, From: from, Data: encodeFrameDone(fd)})
+		ms = append(ms, msg.Message{Tag: TagFrameDone, From: from, Data: wire.EncodeFrameDone(fd)})
 	}
 	return ms
 }
 
-// scriptRun runs the checked master over a script of untimed messages.
+// scriptRun runs the master over a script of untimed messages.
 func scriptRun(t *testing.T, cfg Config, names []string, script ...[]msg.Message) (*Result, *scriptLink) {
 	t.Helper()
-	ln := &scriptLink{names: names}
+	var timed []scripted
 	for _, ms := range script {
-		for _, m := range ms {
-			ln.script = append(ln.script, scripted{m: m})
-		}
+		timed = append(timed, at(0, ms...)...)
 	}
+	return runScript(t, cfg, names, timed...)
+}
+
+// runScript runs the master over a script.
+func runScript(t *testing.T, cfg Config, names []string, script ...scripted) (*Result, *scriptLink) {
+	t.Helper()
+	ln := &scriptLink{names: names, script: script}
 	if err := cfg.defaults(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := runChecked(t, cfg, ln, nil)
+	res, err := runMaster(cfg, ln, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res, ln
+}
+
+// at is a script's entries for messages that arrive at time d.
+func at(d time.Duration, ms ...msg.Message) []scripted {
+	s := make([]scripted, len(ms))
+	for i, m := range ms {
+		s[i] = scripted{d, m}
+	}
+	return s
 }
 
 func one(m msg.Message) []msg.Message { return []msg.Message{m} }
@@ -273,34 +244,98 @@ func TestReconciledStealKeepsItsRegion(t *testing.T) {
 	}
 }
 
+// TestLateAckForOldTaskLeavesNewTruncateParked: a victim's truncate ack
+// for its old task comes late, after its task-done has reconciled the
+// steal. By then the victim holds a new task and a second thief is parked
+// on a truncate of that one. The late ack names the old task, so it must
+// not reconcile the new truncate: the thief stays parked until the new
+// task's own ack hands it the stolen frames.
+func TestLateAckForOldTaskLeavesNewTruncateParked(t *testing.T) {
+	const w, h = 8, 8
+	full := fb.NewRect(0, 0, w, h)
+	task := func(id, f0, f1 int) partition.Task {
+		return partition.Task{ID: id, Region: full, StartFrame: f0, EndFrame: f1}
+	}
+	_, ln := scriptRun(t, Config{
+		Scene: farmScene(32), W: w, H: h, Scheme: partition.SequenceDivision{Adaptive: true},
+	}, []string{"w0", "w1", "w2", "w3"},
+		one(helloFrom("w0")), one(helloFrom("w1")), one(helloFrom("w2")), one(helloFrom("w3")),
+		resultsFrom("w3", task(3, 24, 32), 24, 31), // w3 has too little left to steal from
+		resultsFrom("w0", task(0, 0, 8), 0, 8),
+		one(pairFrom("w0", TagTaskDone, 0, 8)), // w0 steals [12,16) of w1's task and parks
+		resultsFrom("w1", task(1, 8, 16), 8, 12),
+		one(pairFrom("w1", TagTaskDone, 1, 12)), // its ack is late: w0 takes [12,16), w1 steals from w2
+		resultsFrom("w0", task(4, 12, 16), 12, 16),
+		one(pairFrom("w0", TagTaskDone, 4, 16)),        // nothing left to steal: w0 idles
+		one(msg.Message{Tag: msg.TagDown, From: "w2"}), // w1 takes w2's requeued [16,24)
+		resultsFrom("w3", task(3, 24, 32), 31, 32),
+		one(pairFrom("w3", TagTaskDone, 3, 32)),    // w3 steals [20,24) of w1's new task and parks
+		one(pairFrom("w1", TagTruncateAck, 1, 12)), // the late ack, for the old task
+		resultsFrom("w1", task(5, 16, 24), 16, 17),
+		one(pairFrom("w1", TagTruncateAck, 5, 20)), // the new task's ack: w3 takes [20,24)
+		resultsFrom("w3", task(6, 20, 24), 20, 24),
+		resultsFrom("w1", task(5, 16, 24), 17, 20),
+	)
+	want := []string{
+		"w0 task 0 [0,8)", "w1 task 1 [8,16)", "w2 task 2 [16,24)", "w3 task 3 [24,32)", "w1 truncate 1 at 12",
+		"w2 truncate 2 at 20", "w0 task 4 [12,16)", "w1 task 5 [16,24)", "w1 truncate 5 at 20", "w3 task 6 [20,24)",
+		"w0 shutdown", "w1 shutdown", "w2 shutdown", "w3 shutdown",
+	}
+	if got := ln.transcript(); !slices.Equal(got, want) {
+		t.Errorf("master sent\n  %s\nwant\n  %s", strings.Join(got, "\n  "), strings.Join(want, "\n  "))
+	}
+}
+
+// TestTruncateAckRefreshesStallDeadline: a truncate ack is progress. A
+// victim handed its task at 0 ms acks a truncate at 90 ms, so under a
+// 100 ms stall deadline the tick at 150 ms must not retire it, and the
+// tick at 200 ms must — handing its unfinished frames to the idle thief.
+func TestTruncateAckRefreshesStallDeadline(t *testing.T) {
+	full := fb.NewRect(0, 0, 8, 8)
+	task := func(id int) partition.Task { return partition.Task{ID: id, Region: full} }
+	ms, tick := time.Millisecond, msg.Message{Tag: tagTick}
+	res, ln := runScript(t, Config{
+		Scene: farmScene(8), W: 8, H: 8, Scheme: partition.SequenceDivision{Adaptive: true},
+		StallTimeout: 100 * time.Millisecond,
+	}, []string{"w0", "w1"}, slices.Concat(
+		at(0, helloFrom("w0"), helloFrom("w1")), // [0,4) and [4,8)
+		at(10*ms, resultsFrom("w0", task(0), 0, 4)...),
+		at(30*ms, pairFrom("w0", TagTaskDone, 0, 4)),    // w0 steals [6,8) of w1's task
+		at(90*ms, pairFrom("w1", TagTruncateAck, 1, 6)), // and takes it
+		at(100*ms, resultsFrom("w0", task(2), 6, 8)...),
+		at(110*ms, pairFrom("w0", TagTaskDone, 2, 8)), // w1's [5,6) is too short to steal
+		at(150*ms, tick), // w1 last progressed at 90 ms
+		at(200*ms, tick), // now past the deadline: w0 takes [4,6)
+		at(210*ms, resultsFrom("w0", task(3), 4, 6)...),
+	)...)
+	if want := (stats.FaultCounters{WorkersLost: 1, StallTimeouts: 1, FramesRequeued: 2}); res.Faults != want {
+		t.Errorf("faults %s, want %s", res.Faults.String(), want.String())
+	}
+	if last := ln.sent[len(ln.sent)-3]; last.at != 200*ms || last.m.From != "w0" || last.m.Tag != TagTask {
+		t.Errorf("the last task went to %s at %v, want to w0 at 200ms", last.m.From, last.at)
+	}
+}
+
 // TestTickRetiresUnjoinedWorker: a worker whose hello never arrives
 // counts as silent since t=0; the first tick past the liveness deadline
 // retires it, and it is never pinged or given work.
 func TestTickRetiresUnjoinedWorker(t *testing.T) {
 	const w, h = 8, 8
 	full := fb.NewRect(0, 0, w, h)
-	cfg := Config{
-		Scene: farmScene(2), W: w, H: h, Scheme: partition.SequenceDivision{Adaptive: false},
-		Heartbeat: 10 * time.Millisecond, Liveness: 300 * time.Millisecond,
-	}
-	if err := cfg.defaults(); err != nil {
-		t.Fatal(err)
-	}
 	ms := time.Millisecond
 	tick := msg.Message{Tag: tagTick}
-	ln := &scriptLink{names: []string{"w0", "mute"}, script: []scripted{
-		{0, helloFrom("w0")},
-		{100 * ms, tick}, // pings w0; mute has been silent 100 ms
-		{150 * ms, msg.Message{Tag: TagPong, From: "w0", Data: encodePong(1, 0, 0)}},
-		{350 * ms, tick}, // mute silent past liveness: retired
-		{360 * ms, resultsFrom("w0", partition.Task{ID: 0, Region: full}, 0, 1)[0]},
-		{370 * ms, pairFrom("w0", TagTaskDone, 0, 1)},
-		{380 * ms, resultsFrom("w0", partition.Task{ID: 1, Region: full}, 1, 2)[0]},
-	}}
-	res, err := runChecked(t, cfg, ln, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, ln := runScript(t, Config{
+		Scene: farmScene(2), W: w, H: h, Scheme: partition.SequenceDivision{Adaptive: false},
+		Heartbeat: 10 * time.Millisecond, Liveness: 300 * time.Millisecond,
+	}, []string{"w0", "mute"},
+		scripted{0, helloFrom("w0")},
+		scripted{100 * ms, tick}, // pings w0; mute has been silent 100 ms
+		scripted{150 * ms, msg.Message{Tag: TagPong, From: "w0", Data: encodePong(1, 0, 0)}},
+		scripted{350 * ms, tick}, // mute silent past liveness: retired
+		scripted{360 * ms, resultsFrom("w0", partition.Task{ID: 0, Region: full}, 0, 1)[0]},
+		scripted{370 * ms, pairFrom("w0", TagTaskDone, 0, 1)},
+		scripted{380 * ms, resultsFrom("w0", partition.Task{ID: 1, Region: full}, 1, 2)[0]},
+	)
 	if res.Faults.WorkersLost != 1 || res.Faults.HeartbeatTimeouts != 1 || res.Faults.PingsSent != 2 {
 		t.Errorf("faults %s, want the mute worker lost to one heartbeat timeout and w0 pinged twice", res.Faults.String())
 	}
@@ -319,25 +354,22 @@ func TestTickRetiresUnjoinedWorker(t *testing.T) {
 // wait for it: it ends when the frames are in, and the mute worker is
 // shut down with the rest.
 func TestMuteWorkerDoesNotHangHeartbeatlessRun(t *testing.T) {
-	sc := farmScene(4)
-	want := referenceFrames(t, sc)
-	plan := &faulty.Plan{
-		Seed:    1,
-		Rules:   []faulty.Rule{{Dir: faulty.SendOnly, Prob: 1, Action: faulty.Drop}},
-		Protect: []string{"worker00"},
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	res, err := renderLocal(Config{
-		Scene: sc, W: fw, H: fh, Workers: 2, Ctx: ctx,
-		Scheme:   partition.SequenceDivision{Adaptive: true},
-		WrapConn: plan.Wrap,
-	}, checked(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertFramesEqual(t, "mute-heartbeatless", res.Frames, want)
-	if res.Faults.WorkersLost != 0 {
-		t.Errorf("WorkersLost = %d: nothing should retire a worker with heartbeats off", res.Faults.WorkersLost)
+	for _, d := range bothWays {
+		t.Run(d.name, func(t *testing.T) {
+			plan := &faulty.Plan{
+				Seed:    1,
+				Rules:   []faulty.Rule{{Dir: faulty.SendOnly, Prob: 1, Action: faulty.Drop}},
+				Protect: []string{"worker00"},
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			res := d.chaos(t, Config{
+				Scene: farmScene(4), W: fw, H: fh, Ctx: ctx,
+				Scheme: partition.SequenceDivision{Adaptive: true}, Faults: plan,
+			}, 2)
+			if res.Faults != (stats.FaultCounters{}) {
+				t.Errorf("faults %s: nothing should retire a worker with heartbeats off", res.Faults.String())
+			}
+		})
 	}
 }

@@ -95,10 +95,6 @@ type wireEvent = wire.TLEvent
 // optional compression) with reusable scratch.
 type frameEncoder = wire.Encoder
 
-func encodeFrameDone(m frameDoneMsg) []byte { return wire.EncodeFrameDone(m) }
-
-func decodeFrameDone(data []byte) (frameDoneMsg, error) { return wire.DecodeFrameDone(data) }
-
 // encodeHello packs a worker's hello: the protocol version it speaks,
 // then its name. The version comes first so that no other build's hello
 // — whatever it packed after its name — can parse as this one.

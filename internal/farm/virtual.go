@@ -7,8 +7,8 @@ import (
 	"time"
 
 	"nowrender/internal/cluster"
+	"nowrender/internal/faulty"
 	"nowrender/internal/msg"
-	"nowrender/internal/partition"
 	"nowrender/internal/timeline"
 )
 
@@ -23,6 +23,10 @@ type vmachine struct {
 	// there, whatever the machine posts in between.
 	rendered time.Duration
 	w        worker
+	// decide is the fault plan's schedule for its messages (nil: none);
+	// down, once it has left the network, stops it rendering and sending.
+	decide func(tag int, d faulty.Dir, data []byte) (*faulty.Rule, []byte)
+	down   bool
 }
 
 // vmsg is a message on its way to the master, off the bus at time at.
@@ -39,8 +43,10 @@ type vmsg struct {
 // boundary, and a busy machine renders its frames one at a time. Time is
 // what the cost model charges for the frames' work, the bus for the real
 // encoded messages and the master for handling each message, one at a
-// time. Nothing is lost, late or garbled, so Config.DFB, Heartbeat,
-// Liveness, StallTimeout and WrapConn have nothing to act on.
+// time. Heartbeat ticks fall at multiples of Config.tickEvery on the
+// master's clock and cost it nothing. Config.Faults reaches every message
+// a machine sends or receives, on the virtual clock (see hit); without a
+// plan nothing is lost, late or garbled. Config.DFB has nothing to act on.
 type virtualLink struct {
 	cfg      *Config
 	now      *cluster.VirtualNOW
@@ -50,6 +56,8 @@ type virtualLink struct {
 	// clock is the master's time: when it finished handling the last
 	// message Recv returned.
 	clock time.Duration
+	// every is the tick interval (0: no ticks), tick the next tick's time.
+	every, tick time.Duration
 }
 
 func newVirtualLink(cfg *Config) (*virtualLink, error) {
@@ -57,7 +65,8 @@ func newVirtualLink(cfg *Config) (*virtualLink, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &virtualLink{cfg: cfg, now: now, byName: make(map[string]int)}
+	l := &virtualLink{cfg: cfg, now: now, byName: make(map[string]int), every: cfg.tickEvery()}
+	l.tick = l.every
 	// The loop's own timeline calls now stamp the master's virtual time.
 	cfg.Timeline.SetClock(func() int64 { return int64(l.clock) })
 	for i, m := range cfg.Machines {
@@ -65,10 +74,13 @@ func newVirtualLink(cfg *Config) (*virtualLink, error) {
 			return nil, fmt.Errorf("farm: machine %d needs a unique name, has %q", i, m.Name)
 		}
 		l.byName[m.Name] = i
-		vm := &vmachine{l: l, i: i, track: cfg.Timeline.Track(m.Name + "/main")}
+		vm := &vmachine{l: l, i: i, track: cfg.Timeline.Track(m.Name + "/main"), decide: cfg.Faults.Decide(m.Name)}
 		vm.w = worker{name: m.Name, sc: cfg.Scene, host: vm, ranges: new(rangeHolder)}
 		l.machines = append(l.machines, vm)
-		l.inflight = append(l.inflight, vmsg{from: i, m: msg.Message{Tag: TagHello, From: m.Name, Data: encodeHello(m.Name)}})
+		// The hello leaves at the machine's clock, 0 unless delayed.
+		if hello, ok := vm.hit(TagHello, faulty.SendOnly, encodeHello(m.Name)); ok {
+			l.inflight = append(l.inflight, vmsg{at: now.Time(i), from: i, m: msg.Message{Tag: TagHello, From: m.Name, Data: hello}})
+		}
 	}
 	return l, nil
 }
@@ -84,15 +96,21 @@ func (l *virtualLink) Names() []string {
 
 func (l *virtualLink) Now() time.Duration { return l.clock }
 
-// Detach has nothing to sever: virtual machines do not fail.
-func (l *virtualLink) Detach(string) {}
+// Detach takes a retired machine off the network.
+func (l *virtualLink) Detach(name string) {
+	if i, ok := l.byName[name]; ok {
+		l.machines[i].down = true
+	}
+}
 
 // Recv is one conservative discrete-event step: hand over the earliest
-// message in flight, handled from when both it and the master are free,
-// unless a busy machine's clock is earlier than the handling's end — it
-// could yet send something sooner, so it renders its next frame first.
-// Ties go to the lower machine index. Every busy clock is therefore at or
-// past the master's, and so is everything sent later: time never runs back.
+// event — a message in flight, handled from when both it and the master
+// are free, or a tick, due before that message arrives — unless a busy
+// machine's clock is earlier than the handling's end: it could yet send
+// something sooner, so it renders its next frame first. Ties go to the
+// message, then to the lower machine index. Every busy clock is therefore
+// at or past the master's, and so is everything sent later: time never
+// runs back.
 func (l *virtualLink) Recv() (msg.Message, error) {
 	for {
 		if err := l.cfg.cancelled(); err != nil {
@@ -104,28 +122,33 @@ func (l *virtualLink) Recv() (msg.Message, error) {
 				first = i
 			}
 		}
+		tick := l.every > 0 && (first < 0 || l.tick < l.inflight[first].at)
+		handled := max(l.clock, l.tick) // when the master will be done with the event
+		if !tick && first >= 0 {
+			handled = max(l.clock, l.inflight[first].at) + time.Duration(l.now.Cost.SecPerMessage*float64(time.Second))
+		}
 		busy := -1
 		for i, m := range l.machines {
-			if m.w.busy() && (busy < 0 || l.now.Time(i) < l.now.Time(busy)) {
+			if !m.down && m.w.busy() && (busy < 0 || l.now.Time(i) < l.now.Time(busy)) {
 				busy = i
 			}
 		}
-		var handled time.Duration // when the master will be done with first
-		if first >= 0 {
-			handled = max(l.clock, l.inflight[first].at) + time.Duration(l.now.Cost.SecPerMessage*float64(time.Second))
-		}
-		if busy >= 0 && (first < 0 || l.now.Time(busy) < handled) {
-			if err := l.machines[busy].w.frame(); err != nil {
+		if busy >= 0 && ((first < 0 && !tick) || l.now.Time(busy) < handled) {
+			if err := l.machines[busy].fail(l.machines[busy].w.frame()); err != nil {
 				return msg.Message{}, err
 			}
 			continue
 		}
-		if first < 0 {
+		l.clock = handled
+		switch {
+		case tick:
+			l.tick = (l.clock/l.every + 1) * l.every
+			return msg.Message{Tag: tagTick}, nil
+		case first < 0:
 			return msg.Message{}, errors.New("farm: virtual NOW idle with the master still waiting")
 		}
 		v := l.inflight[first]
 		l.inflight = append(l.inflight[:first], l.inflight[first+1:]...)
-		l.clock = handled
 		return v.m, nil
 	}
 }
@@ -133,21 +156,74 @@ func (l *virtualLink) Recv() (msg.Message, error) {
 // Send carries a master message across the bus and has the machine act
 // on it at once: the receiver first catches up to the master's time (an
 // idle machine was waiting; a busy one stands at its next frame boundary,
-// where a real worker reads its control messages).
+// where a real worker reads its control messages). A machine that is down
+// cannot be reached.
 func (l *virtualLink) Send(to string, m msg.Message) error {
 	i, ok := l.byName[to]
 	if !ok {
 		return fmt.Errorf("farm: unknown machine %q", to)
 	}
+	vm := l.machines[i]
+	if vm.down {
+		return msg.ErrClosed
+	}
 	l.now.AdvanceTo(i, l.clock)
 	l.now.Communicate(i, len(m.Data))
-	_, err := l.machines[i].w.handle(m)
-	return err
+	if m.Data, ok = vm.hit(m.Tag, faulty.RecvOnly, m.Data); !ok {
+		return nil
+	}
+	_, err := vm.w.handle(m)
+	return vm.fail(err)
+}
+
+// fail is the machine's worker returning err. Under a fault plan a
+// non-nil err takes the machine off the network, once, with a TagDown
+// at its clock, as a goroutine worker's exit does under RenderLocal;
+// without one, err is the run's.
+func (vm *vmachine) fail(err error) error {
+	l := vm.l
+	if err == nil || l.cfg.Faults == nil {
+		return err
+	}
+	if !vm.down {
+		vm.down = true
+		l.inflight = append(l.inflight, vmsg{at: l.now.Time(vm.i), from: vm.i, m: msg.Message{Tag: msg.TagDown, From: vm.w.name}})
+	}
+	return nil
+}
+
+// hit applies the fault plan to one of the machine's messages, going in
+// direction d: a delay holds the machine back by its length, corruption
+// and truncation mangle the payload, and a sever takes the machine off
+// the network. It returns the payload to carry on with, or false when
+// the message is lost — as is every message of a machine that is down.
+func (vm *vmachine) hit(tag int, d faulty.Dir, data []byte) ([]byte, bool) {
+	if vm.down || vm.decide == nil {
+		return data, !vm.down
+	}
+	r, data := vm.decide(tag, d, data)
+	switch {
+	case r == nil:
+	case r.Action == faulty.Drop:
+		return nil, false
+	case r.Action == faulty.Sever:
+		vm.fail(msg.ErrClosed) // under a plan, so the machine leaves
+		return nil, false
+	case r.Action == faulty.Delay:
+		vm.l.now.AdvanceTo(vm.i, vm.l.now.Time(vm.i)+r.Delay)
+	}
+	return data, true
 }
 
 // send charges the machine one message to the master on the bus and
-// puts it in flight, to arrive when the machine's clock says.
+// puts it in flight, to arrive when the machine's clock says — unless
+// the fault plan loses it or the machine is down. Either way the worker
+// carries on, as over a conn; a down machine is stepped no further.
 func (vm *vmachine) send(tag int, data []byte) error {
+	data, ok := vm.hit(tag, faulty.SendOnly, data)
+	if !ok {
+		return nil
+	}
 	l := vm.l
 	at := l.now.Communicate(vm.i, len(data))
 	l.inflight = append(l.inflight, vmsg{at: at, from: vm.i, m: msg.Message{Tag: tag, From: vm.w.name, Data: data}})
@@ -182,13 +258,10 @@ func (vm *vmachine) ship(s *frameStep, fd frameDoneMsg, first bool) error {
 }
 
 // RenderVirtual runs the farm on the deterministic virtual NOW
-// (internal/cluster): RunMaster's loop over a virtualLink. Repeated runs
-// with the same Config produce identical images, statistics and
-// makespans. This is the driver behind Table 1.
-func RenderVirtual(cfg Config) (*Result, error) { return renderVirtual(cfg, runMaster) }
-
-// renderVirtual is RenderVirtual with the master loop to run.
-func renderVirtual(cfg Config, loop masterLoop) (*Result, error) {
+// (internal/cluster): the master loop over a virtualLink. Repeated runs
+// with the same Config, fault plan included, produce identical images,
+// statistics and makespans. This is the driver behind Table 1.
+func RenderVirtual(cfg Config) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
@@ -196,23 +269,12 @@ func renderVirtual(cfg Config, loop masterLoop) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := loop(cfg, ln, nil)
+	res, err := runMaster(cfg, ln, nil)
 	if err != nil {
-		return nil, err
+		return res, err
 	}
 	if res.Timeline != nil {
 		res.Timeline.Meta["clock"] = "virtual"
 	}
 	return res, nil
-}
-
-// RenderSingle runs the whole animation on one machine of the virtual
-// NOW (the paper's single-processor baselines, columns (1)-(3) of
-// Table 1: the fastest machine is used). Coherence is applied when
-// cfg.Coherence is set.
-func RenderSingle(cfg Config, machine cluster.Machine) (*Result, error) {
-	cfg.Machines = []cluster.Machine{machine}
-	// One machine, whole frames: sequence division is a single task.
-	cfg.Scheme = partition.SequenceDivision{Adaptive: false}
-	return RenderVirtual(cfg)
 }

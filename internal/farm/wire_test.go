@@ -6,13 +6,13 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"nowrender/internal/faulty"
 	"nowrender/internal/fb"
 	"nowrender/internal/msg"
 	"nowrender/internal/objspace"
 	"nowrender/internal/partition"
+	"nowrender/internal/stats"
 	"nowrender/internal/timeline"
 )
 
@@ -228,37 +228,9 @@ func TestWireGolden(t *testing.T) {
 // still converge to byte-identical output, with retried tasks reseeded
 // by their key-frames.
 func TestChaosSoakWire(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos soak skipped in -short mode")
-	}
-	sc := farmScene(8)
-	want := referenceFrames(t, sc)
-	spec := "seed=23,drop=0.03,corrupt=0.02,truncate=0.02,delay=0.05:2ms,sever=0.005,protect=worker00"
-	plan, err := faulty.ParsePlan(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := renderLocal(Config{
-		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 4,
-		Scheme:        partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
-		Heartbeat:     20 * time.Millisecond,
-		Liveness:      2 * time.Second,
-		StallTimeout:  1500 * time.Millisecond,
-		FrameRetries:  2,
-		Speculate:     true,
-		WrapConn:      plan.Wrap,
-		WireDelta:     true,
-		WireSpanCodec: true,
-	}, checked(t))
-	if err != nil {
-		t.Fatalf("wire chaos run failed: %v", err)
-	}
-	assertFramesEqual(t, "wire-chaos", res.Frames, want)
-	inj := plan.Snapshot()
-	if inj.Dropped+inj.Corrupted+inj.Truncated+inj.Delayed+inj.Severed == 0 {
-		t.Error("fault plan injected nothing; the soak was vacuous")
-	}
-	t.Logf("injected %+v; wire %s; faults %s", inj, res.Wire, res.Faults.String())
+	soak(t, 23, Config{WireDelta: true, WireSpanCodec: true}, bothWays, faulty.Stats{Dropped: 2, Delayed: 2}, stats.FaultCounters{
+		DuplicatesDropped: 2, FramesRequeued: 3, SpeculativeTasks: 2, PingsSent: 12, PongsReceived: 7,
+	})
 }
 
 // TestProtocolPinned pins the protocol version, the task wire flag bits

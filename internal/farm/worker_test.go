@@ -3,6 +3,7 @@ package farm
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"nowrender/internal/msg"
 	"nowrender/internal/partition"
 	"nowrender/internal/scenes"
+	"nowrender/internal/wire"
 )
 
 // TestWorkerHostsAgree runs one scripted exchange through both hosts of
@@ -91,6 +93,46 @@ func TestWorkerHostsAgree(t *testing.T) {
 	}
 }
 
+// TestTruncateOfAnotherTaskLeavesRunningTask: a truncate that names a
+// task other than the running one — a duplicate, or one for a task that
+// already ended — is acknowledged as it came and stops nothing: the
+// running task keeps its end and renders every frame to it. The host is
+// a virtual machine, whose sends wait in flight.
+func TestTruncateOfAnotherTaskLeavesRunningTask(t *testing.T) {
+	cfg := Config{Scene: farmScene(3), W: fw, H: fh, Machines: []cluster.Machine{{Name: "ws", Speed: 1}}}
+	l, err := newVirtualLink(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task := partition.Task{ID: 5, Region: fb.NewRect(0, 0, fw, fh), StartFrame: 0, EndFrame: 3}
+	for _, m := range []msg.Message{
+		{Tag: TagTask, Data: encodeTask(taskMsg{Task: task, W: fw, H: fh, Samples: 1, Threads: 1})},
+		{Tag: TagTruncate, Data: encodePair(4, 1)},
+	} {
+		if err := l.Send("ws", m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for w := &l.machines[0].w; w.busy(); {
+		if err := w.frame(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	for _, v := range l.inflight[1:] { // after the hello
+		s := outbox(t, []msg.Message{v.m})[0]
+		if fd, ok := s.Body.(frameDoneMsg); ok {
+			s.Body = fmt.Sprintf("task %d frame %d", fd.TaskID, fd.Frame)
+		}
+		got = append(got, fmt.Sprint(s.Tag, s.Body))
+	}
+	want := []string{fmt.Sprint(TagTruncateAck, [2]int{4, 1}), fmt.Sprint(TagFrameDone, "task 5 frame 0"),
+		fmt.Sprint(TagFrameDone, "task 5 frame 1"), fmt.Sprint(TagFrameDone, "task 5 frame 2"), fmt.Sprint(TagTaskDone, [2]int{5, 3})}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("worker sent %q, want %q", got, want)
+	}
+}
+
 // lockstepConn is the worker's end of the pipe, run in lockstep with its
 // receive pump so that the script meets the worker where it meets a
 // virtual machine: the pump takes nothing past the task until the first
@@ -154,7 +196,7 @@ func outbox(t *testing.T, ms []msg.Message) []sent {
 			body, err = decodeHello(m.Data)
 		case TagFrameDone:
 			var fd frameDoneMsg
-			fd, err = decodeFrameDone(m.Data)
+			fd, err = wire.DecodeFrameDone(m.Data)
 			fd.ElapsedNs, fd.TLNow, fd.TLTracks, fd.TLEvents = 0, 0, nil, nil
 			body = fd
 		case TagPong:

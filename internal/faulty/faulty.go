@@ -5,23 +5,26 @@
 // byte-identical whether the transport is clean or hostile, as long as
 // one worker survives.
 //
-// A Plan is a seeded list of Rules. Each wrapped connection evaluates
-// the rules against every message it sends and receives; probabilistic
-// rules draw from a per-connection RNG derived from the plan seed and
-// the connection name, so a given (plan, name) pair always produces the
-// same schedule for the same message sequence. Count-based rules
+// A Plan is a seeded list of Rules. Each name — a worker — gets its own
+// schedule that evaluates the rules against every message it sends and
+// receives; probabilistic rules draw from an RNG derived from the plan
+// seed and the name, so a given (plan, name) pair always produces the
+// same faults for the same message sequence. Count-based rules
 // (Rule.After) trigger on the Nth matching message with no randomness at
 // all, which is what the deterministic protocol-failure tests use.
 //
-// The wrapper plugs into both transports: the in-process pipes of
-// RenderLocal's goroutine workers (farm.Config.WrapConn wraps each
-// worker's end) and real TCP (cmd/nowworker's -chaos flag wraps its
-// dialed connection). The virtual NOW has no connections to wrap.
+// A schedule reaches a worker two ways. Wrap applies it to a msg.Conn on
+// the wall clock: the in-process pipes of farm.RenderLocal's goroutine
+// workers and real TCP (cmd/nowworker's -chaos flag wraps its dialed
+// connection). Decide hands it to a host with no connections — the
+// virtual NOW of farm.RenderVirtual, which applies each fault to a
+// machine's messages on the virtual clock.
 package faulty
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,7 +41,8 @@ const (
 	// Drop silently discards the message (Send pretends it succeeded,
 	// Recv skips to the next message).
 	Drop Action = iota
-	// Delay sleeps Rule.Delay before delivering the message.
+	// Delay holds the message back by Rule.Delay: a sleep on a wrapped
+	// conn, the sending or receiving machine's clock on the virtual NOW.
 	Delay
 	// Corrupt flips bytes in a copy of the payload.
 	Corrupt
@@ -127,17 +131,17 @@ type Plan struct {
 	// vacuously failed.
 	Protect []string
 
-	dropped, delayed, corrupted, truncated, severed atomic.Uint64
+	injected [Sever + 1]atomic.Uint64 // by Action
 }
 
 // Snapshot returns the faults injected so far across all connections.
 func (p *Plan) Snapshot() Stats {
 	return Stats{
-		Dropped:   p.dropped.Load(),
-		Delayed:   p.delayed.Load(),
-		Corrupted: p.corrupted.Load(),
-		Truncated: p.truncated.Load(),
-		Severed:   p.severed.Load(),
+		Dropped:   p.injected[Drop].Load(),
+		Delayed:   p.injected[Delay].Load(),
+		Corrupted: p.injected[Corrupt].Load(),
+		Truncated: p.injected[Truncate].Load(),
+		Severed:   p.injected[Sever].Load(),
 	}
 }
 
@@ -145,18 +149,28 @@ func (p *Plan) Snapshot() Stats {
 // names get c back unchanged. Safe to call from concurrent goroutines;
 // each call derives an independent deterministic RNG.
 func (p *Plan) Wrap(name string, c msg.Conn) msg.Conn {
-	for _, keep := range p.Protect {
-		if keep == name {
-			return c
-		}
+	if decide := p.Decide(name); decide != nil {
+		return &conn{inner: c, decide: decide}
 	}
-	return &conn{
-		inner: c,
+	return c
+}
+
+// Decide returns name's schedule for a host with no connection to wrap:
+// given a message's tag, direction and payload, the triggered rule (nil:
+// none), counted in Snapshot, and the payload, mangled for Corrupt and
+// Truncate. Acting on the rule is the caller's. A protected name, or a
+// nil plan, gets nil.
+func (p *Plan) Decide(name string) func(tag int, d Dir, data []byte) (*Rule, []byte) {
+	if p == nil || slices.Contains(p.Protect, name) {
+		return nil
+	}
+	s := &schedule{
 		plan:  p,
 		rng:   rand.New(rand.NewSource(p.Seed ^ int64(fnv64(name)))),
 		sent:  make([]int, len(p.Rules)),
 		recvd: make([]int, len(p.Rules)),
 	}
+	return s.apply
 }
 
 // fnv64 hashes a connection name (FNV-1a) to diversify per-conn seeds.
@@ -169,30 +183,42 @@ func fnv64(s string) uint64 {
 	return h
 }
 
-// conn is one faulty connection. The RNG and match counters are guarded
-// by mu; Send and Recv themselves may run concurrently.
-type conn struct {
-	inner msg.Conn
-	plan  *Plan
+// schedule is one name's faults: the rules' per-direction match counts
+// and the seeded RNG, guarded by mu (a conn's Send and Recv may run
+// concurrently).
+type schedule struct {
+	plan *Plan
 
 	mu          sync.Mutex
 	rng         *rand.Rand
 	sent, recvd []int // per-rule match counts by direction
+}
 
-	severed atomic.Bool
+// apply decides one message's fault and counts it: the triggered rule,
+// if any, and the payload to deliver.
+func (s *schedule) apply(tag int, d Dir, data []byte) (*Rule, []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.decide(tag, d)
+	if r == nil {
+		return nil, data
+	}
+	s.plan.injected[r.Action].Add(1)
+	if r.Action == Corrupt || r.Action == Truncate {
+		data = s.mangle(r, data)
+	}
+	return r, data
 }
 
 // decide evaluates the rules for one message and returns the triggered
 // rule, if any.
-func (c *conn) decide(tag int, d Dir) *Rule {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	counts := c.sent
+func (s *schedule) decide(tag int, d Dir) *Rule {
+	counts := s.sent
 	if d == RecvOnly {
-		counts = c.recvd
+		counts = s.recvd
 	}
-	for i := range c.plan.Rules {
-		r := &c.plan.Rules[i]
+	for i := range s.plan.Rules {
+		r := &s.plan.Rules[i]
 		if !r.matches(tag, d) {
 			continue
 		}
@@ -203,7 +229,7 @@ func (c *conn) decide(tag int, d Dir) *Rule {
 			}
 			continue
 		}
-		if r.Prob > 0 && c.rng.Float64() < r.Prob {
+		if r.Prob > 0 && s.rng.Float64() < r.Prob {
 			return r
 		}
 	}
@@ -212,47 +238,45 @@ func (c *conn) decide(tag int, d Dir) *Rule {
 
 // mangle applies a payload-altering action to a copy of data (the
 // original may be shared with the peer on the in-process transport).
-func (c *conn) mangle(r *Rule, data []byte) []byte {
+func (s *schedule) mangle(r *Rule, data []byte) []byte {
 	if len(data) == 0 {
 		return data
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	out := append([]byte(nil), data...)
 	switch r.Action {
 	case Corrupt:
 		// Flip 1-4 bytes at seeded offsets.
-		n := 1 + c.rng.Intn(4)
+		n := 1 + s.rng.Intn(4)
 		for i := 0; i < n; i++ {
-			out[c.rng.Intn(len(out))] ^= byte(1 + c.rng.Intn(255))
+			out[s.rng.Intn(len(out))] ^= byte(1 + s.rng.Intn(255))
 		}
 	case Truncate:
-		out = out[:c.rng.Intn(len(out))]
+		out = out[:s.rng.Intn(len(out))]
 	}
 	return out
 }
 
-// apply performs the rule's action; it returns the (possibly altered)
-// message, whether to deliver it, and an error for severed connections.
-func (c *conn) apply(r *Rule, m msg.Message) (msg.Message, bool, error) {
+// conn is one faulty connection: a schedule applied on the wall clock.
+type conn struct {
+	inner   msg.Conn
+	decide  func(tag int, d Dir, data []byte) (*Rule, []byte)
+	severed atomic.Bool
+}
+
+// fault applies m's schedule: it returns the (possibly altered) message,
+// whether to deliver it, and an error once the connection is severed.
+func (c *conn) fault(m msg.Message, d Dir) (msg.Message, bool, error) {
+	r, data := c.decide(m.Tag, d, m.Data)
+	if r == nil {
+		return m, true, nil
+	}
+	m.Data = data
 	switch r.Action {
 	case Drop:
-		c.plan.dropped.Add(1)
 		return m, false, nil
 	case Delay:
-		c.plan.delayed.Add(1)
 		time.Sleep(r.Delay)
-		return m, true, nil
-	case Corrupt:
-		c.plan.corrupted.Add(1)
-		m.Data = c.mangle(r, m.Data)
-		return m, true, nil
-	case Truncate:
-		c.plan.truncated.Add(1)
-		m.Data = c.mangle(r, m.Data)
-		return m, true, nil
 	case Sever:
-		c.plan.severed.Add(1)
 		c.severed.Store(true)
 		c.inner.Close()
 		return m, false, msg.ErrClosed
@@ -265,15 +289,9 @@ func (c *conn) Send(m msg.Message) error {
 	if c.severed.Load() {
 		return msg.ErrClosed
 	}
-	if r := c.decide(m.Tag, SendOnly); r != nil {
-		var deliver bool
-		var err error
-		if m, deliver, err = c.apply(r, m); err != nil {
-			return err
-		}
-		if !deliver {
-			return nil // dropped: pretend it went out
-		}
+	m, deliver, err := c.fault(m, SendOnly)
+	if !deliver {
+		return err // dropped: pretend it went out
 	}
 	return c.inner.Send(m)
 }
@@ -281,26 +299,16 @@ func (c *conn) Send(m msg.Message) error {
 // Recv implements msg.Conn. Dropped incoming messages are skipped, not
 // surfaced.
 func (c *conn) Recv() (msg.Message, error) {
-	for {
-		if c.severed.Load() {
-			return msg.Message{}, msg.ErrClosed
-		}
+	for !c.severed.Load() {
 		m, err := c.inner.Recv()
 		if err != nil {
 			return msg.Message{}, err
 		}
-		r := c.decide(m.Tag, RecvOnly)
-		if r == nil {
-			return m, nil
-		}
-		var deliver bool
-		if m, deliver, err = c.apply(r, m); err != nil {
-			return msg.Message{}, err
-		}
-		if deliver {
-			return m, nil
+		if m, deliver, err := c.fault(m, RecvOnly); deliver || err != nil {
+			return m, err
 		}
 	}
+	return msg.Message{}, msg.ErrClosed
 }
 
 // Close implements msg.Conn.

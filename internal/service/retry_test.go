@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"nowrender/internal/cluster"
 	"nowrender/internal/farm"
 	"nowrender/internal/faulty"
 )
@@ -24,7 +25,7 @@ func TestJobRetryResumesPartialProgress(t *testing.T) {
 		Seed:  1,
 		Rules: []faulty.Rule{{Tag: farm.TagFrameDone, Dir: faulty.SendOnly, After: 2, Action: faulty.Sever}},
 	}
-	s := New(Config{FaultWrap: plan.Wrap})
+	s := New(Config{Faults: plan})
 	defer s.Close()
 
 	st, err := s.Submit(JobSpec{
@@ -100,12 +101,16 @@ func TestJobRetryResumesPartialProgress(t *testing.T) {
 // doomed retries while a healthy virtual-driver job renders the same
 // animation; the retry is then served entirely from the shared
 // content-addressed cache and succeeds without its farm ever working.
+// The plan reaches both drivers, so it protects the virtual machines.
 func TestJobRetryHitsCacheWarmedByPeer(t *testing.T) {
 	plan := &faulty.Plan{
 		Seed:  1,
 		Rules: []faulty.Rule{{Tag: farm.TagFrameDone, Dir: faulty.SendOnly, After: 1, Action: faulty.Sever}},
 	}
-	s := New(Config{FaultWrap: plan.Wrap})
+	for _, m := range cluster.PaperTestbed() {
+		plan.Protect = append(plan.Protect, m.Name)
+	}
+	s := New(Config{Faults: plan})
 	defer s.Close()
 
 	doomed, err := s.Submit(JobSpec{
@@ -179,7 +184,7 @@ func TestJobRetryBudgetExhausted(t *testing.T) {
 		Seed:  1,
 		Rules: []faulty.Rule{{Tag: farm.TagFrameDone, Dir: faulty.SendOnly, After: 1, Action: faulty.Sever}},
 	}
-	s := New(Config{FaultWrap: plan.Wrap})
+	s := New(Config{Faults: plan})
 	defer s.Close()
 	st, err := s.Submit(JobSpec{
 		Scene: "newton:2", W: 32, H: 24, Driver: "local",

@@ -31,10 +31,10 @@ import (
 
 	"nowrender/internal/cluster"
 	"nowrender/internal/farm"
+	"nowrender/internal/faulty"
 	"nowrender/internal/fb"
 	"nowrender/internal/fleetd"
 	"nowrender/internal/framecache"
-	"nowrender/internal/msg"
 	"nowrender/internal/objspace"
 	"nowrender/internal/partition"
 	"nowrender/internal/stats"
@@ -98,19 +98,18 @@ type Config struct {
 	MaxJobRetries int
 
 	// Heartbeat, Liveness, StallTimeout, FrameRetries and Speculate are
-	// passed through to farm.Config for "local"-driver jobs — the
-	// service-level fault-tolerance knobs (see farm.Config for their
-	// semantics). The virtual driver has no messages to lose and ignores
-	// them.
+	// passed through to farm.Config on either driver — the service-level
+	// fault-tolerance knobs (see farm.Config for their semantics).
 	Heartbeat    time.Duration
 	Liveness     time.Duration
 	StallTimeout time.Duration
 	FrameRetries int
 	Speculate    bool
-	// FaultWrap, when non-nil, wraps each local-driver worker connection
-	// (fault injection; see internal/faulty). Exposed by cmd/nowserve's
-	// -chaos flag for soak-testing a live service.
-	FaultWrap func(name string, c msg.Conn) msg.Conn
+	// Faults, when non-nil, injects this plan's faults into every farm
+	// run's worker traffic, on either driver (see farm.Config.Faults).
+	// Exposed by cmd/nowserve's -chaos flag for soak-testing a live
+	// service.
+	Faults *faulty.Plan
 	// WireDelta and WireSpanCodec enable dirty-span delta frames and
 	// span-codec payload compression on the farm data path (see
 	// farm.Config). Pixels are byte-identical in every mode.
@@ -708,7 +707,7 @@ func (s *Service) renderRange(j *job, start, end int) error {
 		StallTimeout:  s.cfg.StallTimeout,
 		FrameRetries:  s.cfg.FrameRetries,
 		Speculate:     s.cfg.Speculate,
-		WrapConn:      s.cfg.FaultWrap,
+		Faults:        s.cfg.Faults,
 		WireDelta:     s.cfg.WireDelta,
 		WireSpanCodec: s.cfg.WireSpanCodec,
 		Timeline:      rec,
@@ -786,14 +785,6 @@ func (s *Service) JobTimeline(id string) (*timeline.Timeline, error) {
 		return nil, fmt.Errorf("service: no job %q", id)
 	}
 	return j.timeline, nil
-}
-
-// FaultStats snapshots the fault-handling counters aggregated over every
-// farm run the service has driven.
-func (s *Service) FaultStats() stats.FaultCounters {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.faults
 }
 
 // WireStats snapshots the frame-result wire counters (deltas,

@@ -12,8 +12,8 @@
 //     animation with the frame-coherence algorithm on one processor.
 //   - RenderFarmVirtual runs the master/worker farm on a deterministic
 //     virtual network of workstations (heterogeneous speeds, shared
-//     Ethernet); RenderFarmLocal runs real goroutine workers over the
-//     PVM-like message protocol.
+//     Ethernet); RunWorker is the worker side of its PVM-like message
+//     protocol, for workers on real machines.
 //   - Partitioning schemes (SequenceDivision, FrameDivision,
 //     HybridDivision) control how animations are decomposed, as in §3 of
 //     the paper.
@@ -239,26 +239,11 @@ type (
 // RenderFarmVirtual runs the farm on the deterministic virtual NOW.
 func RenderFarmVirtual(cfg FarmConfig) (*FarmResult, error) { return farm.RenderVirtual(cfg) }
 
-// RenderFarmLocal runs the farm with goroutine workers over the message
-// protocol, in wall-clock time.
-func RenderFarmLocal(cfg FarmConfig) (*FarmResult, error) { return farm.RenderLocal(cfg) }
-
-// RenderFarmSingle runs the animation on a single virtual machine (the
-// paper's single-processor baselines).
-func RenderFarmSingle(cfg FarmConfig, m Machine) (*FarmResult, error) {
-	return farm.RenderSingle(cfg, m)
-}
-
-// Worker protocol access for custom deployments (TCP workers on a real
-// NOW); see cmd/nowworker and cmd/nowrender.
-var (
-	// RunWorker executes the slave side of the farm protocol until
-	// shutdown; on cancellation the worker finishes its in-flight frame,
-	// tells the master where it stopped, and exits.
-	RunWorker = farm.RunWorkerWithOptions
-	// RunMaster drives the master side over an attached hub.
-	RunMaster = farm.RunMaster
-)
+// RunWorker executes the slave side of the farm protocol over a
+// connection to a master (cmd/nowrender -mode master) until shutdown; on
+// cancellation the worker finishes its in-flight frame, tells the master
+// where it stopped, and exits. See cmd/nowworker.
+var RunWorker = farm.RunWorkerWithOptions
 
 // Render-job service (long-lived server above the farm): a priority job
 // queue with bounded concurrency, a content-addressed frame cache, and
@@ -283,21 +268,11 @@ type (
 // HTTP and Close it on shutdown.
 func NewService(cfg ServiceConfig) *Service { return service.New(cfg) }
 
-// Message-passing substrate (PVM stand-in).
-type (
-	// MsgConn is a bidirectional message pipe.
-	MsgConn = msg.Conn
-	// MsgHub multiplexes a master's worker connections.
-	MsgHub = msg.Hub
-)
+// MsgConn is a bidirectional message pipe, the PVM stand-in.
+type MsgConn = msg.Conn
 
-// Message-passing constructors.
-var (
-	MsgPipe   = msg.Pipe
-	MsgDial   = msg.Dial
-	MsgListen = msg.Listen
-	NewMsgHub = msg.NewHub
-)
+// MsgDial connects to a master over TCP, for RunWorker.
+var MsgDial = msg.Dial
 
 // Image comparison (Figure 2 tooling).
 type (
