@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -68,6 +69,12 @@ func (f faultOpts) apply(cfg *farm.Config) error {
 	return err
 }
 
+// chaosUsage is the -chaos help text. Its example plan runs in the
+// default mode, so it protects one of the paper's testbed machines.
+const chaosUsage = "fault-injection plan, e.g. seed=7,drop=0.01,corrupt=0.005,delay=0.02:5ms,protect=indigo2-200 " +
+	"(local and virtual modes; protect= names local workers worker00, worker01, ... or the virtual machines " +
+	"indigo2-200, indigo2-100, indigo-100; over TCP, give each nowworker its own -chaos)"
+
 func main() {
 	var (
 		sceneSpec = flag.String("scene", "newton", "scene: newton[:frames], bouncing[:frames], quickstart, or a .sdl file")
@@ -96,7 +103,7 @@ func main() {
 	flag.DurationVar(&ft.stall, "stall", 0, "retire a worker holding a task without progress this long (0 = off)")
 	flag.IntVar(&ft.frameRetries, "frame-retries", 0, "per-frame requeue budget before the master renders it locally (0 = 3, negative = unlimited)")
 	flag.BoolVar(&ft.speculate, "speculate", false, "speculatively re-issue the slowest in-flight task to idle workers")
-	flag.StringVar(&ft.chaos, "chaos", "", "fault-injection plan, e.g. seed=7,drop=0.01,corrupt=0.005,delay=0.02:5ms,protect=worker00 (local and virtual modes; over TCP, give each nowworker its own -chaos)")
+	flag.StringVar(&ft.chaos, "chaos", "", chaosUsage)
 	flag.BoolVar(&ft.wireDelta, "wire-delta", false, "ship dirty-span delta frames instead of full regions (pixels are identical either way)")
 	flag.BoolVar(&ft.wireCompress, "wire-compress", false, "compress frame payloads with the span codec (pixels are identical either way)")
 	flag.IntVar(&ft.dfbSinks, "dfb", 0, "route pixels through this many in-process compositor sinks instead of the master (local mode; 0 = off)")
@@ -180,6 +187,9 @@ func run(sceneSpec, mode, schemeName string, blockW, blockH, w, h int,
 		cfg.Timeline = timeline.New(0)
 	}
 
+	if err := checkChaos(cfg.Faults, mode, cfg.Workers); err != nil {
+		return err
+	}
 	var res *farm.Result
 	switch mode {
 	case "single", "coherent":
@@ -205,9 +215,6 @@ func run(sceneSpec, mode, schemeName string, blockW, blockH, w, h int,
 		}
 		report(sc.Name, fmt.Sprintf("local/%s", scheme.Name()), res)
 	case "master":
-		if cfg.Faults != nil {
-			return fmt.Errorf("-chaos does not reach TCP workers: start each nowworker with its own -chaos")
-		}
 		res, err = runTCPMaster(cfg, sceneSpec, listen, workers)
 		if err != nil {
 			return err
@@ -219,6 +226,39 @@ func run(sceneSpec, mode, schemeName string, blockW, blockH, w, h int,
 	if tlOut != "" {
 		if err := writeTimeline(tlOut, res); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// checkChaos refuses a -chaos plan in a mode it cannot reach — one
+// machine is no farm, and TCP workers wrap their own connections — and
+// a protect= name that names none of the mode's workers, whose survivor
+// would be faulted too.
+func checkChaos(plan *faulty.Plan, mode string, workers int) error {
+	var names []string
+	switch {
+	case plan == nil:
+		return nil
+	case mode == "master":
+		return fmt.Errorf("-chaos does not reach TCP workers: start each nowworker with its own -chaos")
+	case mode == "single" || mode == "coherent":
+		return fmt.Errorf("-chaos needs a farm: use -mode virtual or local")
+	case mode == "local":
+		if workers <= 0 {
+			workers = len(cluster.PaperTestbed()) // the farm's default
+		}
+		for i := range workers {
+			names = append(names, fmt.Sprintf("worker%02d", i))
+		}
+	default:
+		for _, m := range cluster.PaperTestbed() {
+			names = append(names, m.Name)
+		}
+	}
+	for _, p := range plan.Protect {
+		if !slices.Contains(names, p) {
+			return fmt.Errorf("-chaos protect=%s names no worker of this mode (%s)", p, strings.Join(names, ", "))
 		}
 	}
 	return nil

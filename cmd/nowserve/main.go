@@ -32,6 +32,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -44,6 +45,12 @@ import (
 	"nowrender/internal/msg"
 	"nowrender/internal/service"
 )
+
+// chaosUsage is the -chaos help text. Its example plan keeps one worker
+// of each driver fault-free under the default flags.
+const chaosUsage = "fault-injection plan for farm runs on either driver, e.g. seed=7,drop=0.01,protect=worker00,protect=indigo2-200 " +
+	"(protect= names local workers worker00, worker01, ... or virtual machines: indigo2-200, indigo2-100, indigo-100, " +
+	"or ws00, ws01, ... with -machines)"
 
 func main() {
 	var (
@@ -63,7 +70,7 @@ func main() {
 		frameRetries = flag.Int("frame-retries", 0, "per-frame requeue budget before the master renders locally (0 = 3)")
 		speculate    = flag.Bool("speculate", false, "speculatively re-issue the slowest in-flight farm task")
 		jobRetries   = flag.Int("max-job-retries", 0, "cap on a job spec's retries field (0 = 5)")
-		chaos        = flag.String("chaos", "", "fault-injection plan for farm runs on either driver, e.g. seed=7,drop=0.01,protect=worker00")
+		chaos        = flag.String("chaos", "", chaosUsage)
 		wireDelta    = flag.Bool("wire-delta", false, "ship dirty-span delta frames instead of full regions")
 		wireCompress = flag.Bool("wire-compress", false, "compress frame payloads with the span codec")
 		dfbSinks     = flag.Int("dfb", 0, "route local-driver pixels through this many in-process compositor sinks instead of the farm master (0 = off)")
@@ -124,7 +131,7 @@ func main() {
 	if *machines > 0 {
 		cfg.Machines = cluster.Uniform(*machines, 1.0, 64)
 	}
-	plan, err := faulty.ParsePlan(*chaos)
+	plan, err := parseChaos(*chaos, cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nowserve:", err)
 		os.Exit(1)
@@ -157,6 +164,37 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nowserve:", err)
 		os.Exit(1)
 	}
+}
+
+// parseChaos parses a -chaos plan and rejects a protect= name that names
+// no worker of either driver: the survivor it was meant to keep would be
+// faulted too.
+func parseChaos(spec string, cfg service.Config) (*faulty.Plan, error) {
+	plan, err := faulty.ParsePlan(spec)
+	if plan == nil || err != nil {
+		return plan, err
+	}
+	machines := cfg.Machines
+	if len(machines) == 0 {
+		machines = cluster.PaperTestbed() // the service's default
+	}
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = len(machines)
+	}
+	var names []string
+	for _, m := range machines {
+		names = append(names, m.Name)
+	}
+	for i := range workers {
+		names = append(names, fmt.Sprintf("worker%02d", i))
+	}
+	for _, p := range plan.Protect {
+		if !slices.Contains(names, p) {
+			return nil, fmt.Errorf("-chaos protect=%s names no worker (%s)", p, strings.Join(names, ", "))
+		}
+	}
+	return plan, nil
 }
 
 // parseTenants reads "alice=3,bob,carol=2" into the service's tenant

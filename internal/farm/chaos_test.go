@@ -1,8 +1,10 @@
 package farm
 
 import (
+	"context"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -200,6 +202,36 @@ func TestChaosStallRetiresSilentTaskHolder(t *testing.T) {
 	}, 2)
 	pin(t, res, plan, faulty.Stats{Dropped: 5}, stats.FaultCounters{
 		WorkersLost: 1, StallTimeouts: 1, FramesRequeued: 3, PingsSent: 15, PongsReceived: 14,
+	})
+}
+
+// TestChaosLostTaskNeedsStallDeadline: a task lost on its way in leaves
+// its holder idle and answering pings, so only the stall deadline can
+// reclaim it. Without one the virtual NOW fails as idle once every
+// deadline a tick could act on has passed, instead of ticking for ever.
+func TestChaosLostTaskNeedsStallDeadline(t *testing.T) {
+	lost := func() *faulty.Plan {
+		return &faulty.Plan{
+			Rules:   []faulty.Rule{{Tag: TagTask, Dir: faulty.RecvOnly, After: 1, Action: faulty.Drop}},
+			Protect: []string{"worker00"},
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, err := RenderVirtual(Config{
+		Scene: farmScene(4), W: fw, H: fh, Scheme: partition.SequenceDivision{}, Ctx: ctx,
+		Workers: 2, Machines: workstations(2), Heartbeat: 100 * time.Millisecond, Faults: lost(),
+	})
+	if err == nil || !strings.Contains(err.Error(), "idle") {
+		t.Fatalf("run without a stall deadline ended with %v; want the idle error", err)
+	}
+	plan := lost()
+	res := virtual.chaos(t, Config{
+		Scene: farmScene(4), W: fw, H: fh, Scheme: partition.SequenceDivision{},
+		Heartbeat: 100 * time.Millisecond, StallTimeout: 600 * time.Millisecond, Faults: plan,
+	}, 2)
+	pin(t, res, plan, faulty.Stats{Dropped: 1}, stats.FaultCounters{
+		WorkersLost: 1, StallTimeouts: 1, FramesRequeued: 2, PingsSent: 14, PongsReceived: 13,
 	})
 }
 

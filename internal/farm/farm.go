@@ -117,7 +117,10 @@ type Config struct {
 	// Faults, when non-nil, injects this plan's faults into every
 	// worker's traffic (see internal/faulty): at each worker's end of its
 	// pipe under RenderLocal, on the virtual clock under RenderVirtual. A
-	// worker dying is then expected, not a run failure. RunMaster cannot
+	// worker the plan can fault dying is then expected, not a run
+	// failure; a protected one's error still fails it. A plan that can
+	// lose a TagTask needs StallTimeout, or the master waits on the task
+	// for ever (the virtual NOW then fails as idle). RunMaster cannot
 	// reach the caller's connections, which each nowworker -chaos wraps.
 	Faults *faulty.Plan
 
@@ -225,6 +228,19 @@ func (c *Config) tickEvery() time.Duration {
 		return 0
 	}
 	return max(every, time.Millisecond)
+}
+
+// liveness is how long a worker may stay silent before the master
+// retires it, 0 for ever: Liveness, else 4x Heartbeat, and never without
+// pings, since a healthy idle worker is legitimately silent.
+func (c *Config) liveness() time.Duration {
+	switch {
+	case c.Heartbeat == 0:
+		return 0
+	case c.Liveness == 0:
+		return 4 * c.Heartbeat
+	}
+	return c.Liveness
 }
 
 // cancelled returns the context error if the run was cancelled.

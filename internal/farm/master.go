@@ -246,7 +246,7 @@ func newMaster(cfg Config, ln link, sinks *sinkControl) (*master, error) {
 	}
 	m := &master{
 		cfg: cfg, ln: ln, sinks: sinks,
-		liveness: cfg.Liveness, retryBudget: cfg.FrameRetries,
+		liveness: cfg.liveness(), retryBudget: cfg.FrameRetries,
 		workers:  make(map[string]*workerRecord, len(names)),
 		reported: make(map[string]string),
 		queue:    queue, nextTaskID: len(queue),
@@ -262,13 +262,6 @@ func newMaster(cfg Config, ln link, sinks *sinkControl) (*master, error) {
 			groups:  make(map[string]string),
 		},
 		res: &Result{},
-	}
-	if cfg.Heartbeat == 0 {
-		// Without pings a healthy idle worker is legitimately silent, so
-		// silence must not be a death sentence.
-		m.liveness = 0
-	} else if m.liveness == 0 {
-		m.liveness = 4 * cfg.Heartbeat
 	}
 	if m.retryBudget == 0 {
 		m.retryBudget = 3
@@ -1359,9 +1352,10 @@ func (t *shippedTimeline) merge(cfg *Config) *timeline.Timeline {
 // RenderLocal runs the farm with in-process goroutine workers connected
 // by channel pipes — the wall-clock counterpart of RenderVirtual, and a
 // live exercise of the full wire protocol. With cfg.Faults set, each
-// worker's end of its pipe is wrapped (fault injection), and worker
-// exit errors are tolerated: under injected faults a worker dying is the
-// scenario, not a failure — the master's result is the verdict.
+// worker's end of its pipe is wrapped (fault injection), and the exit
+// errors of the workers the plan can fault are tolerated: for them dying
+// is the scenario, not a failure. A protected worker's error still
+// fails the run.
 func RenderLocal(cfg Config) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -1422,18 +1416,18 @@ func RenderLocal(cfg Config) (*Result, error) {
 		if err := hub.Attach(name, masterEnd); err != nil {
 			return nil, err
 		}
-		conn := workerEnd
-		if cfg.Faults != nil {
-			conn = cfg.Faults.Wrap(name, workerEnd)
-		}
-		go func(name string, conn msg.Conn) {
+		conn := cfg.Faults.Wrap(name, workerEnd)
+		go func(name string, conn msg.Conn, faulted bool) {
 			err := RunWorkerWithOptions(context.Background(), name, conn, cfg.Scene, opts)
 			// Close the worker's end however it exited, so the hub posts
 			// its TagDown promptly instead of the master waiting out a
 			// stall deadline on a silently-departed worker.
 			conn.Close()
+			if faulted {
+				err = nil // a faulted worker dying is the scenario
+			}
 			errCh <- err
-		}(name, conn)
+		}(name, conn, conn != workerEnd)
 	}
 	res, err := RunMaster(cfg, hub)
 	hub.Close()
@@ -1450,7 +1444,7 @@ func RenderLocal(cfg Config) (*Result, error) {
 		// absorbed before it died.
 		return res, err
 	}
-	if workerErr != nil && cfg.Faults == nil {
+	if workerErr != nil {
 		return nil, fmt.Errorf("farm: worker failed: %w", workerErr)
 	}
 	return res, nil

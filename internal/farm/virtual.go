@@ -58,6 +58,11 @@ type virtualLink struct {
 	clock time.Duration
 	// every is the tick interval (0: no ticks), tick the next tick's time.
 	every, tick time.Duration
+	// quiet is when the last message other than a pong arrived or the
+	// last fault hit; settle is how long after it a tick can still retire
+	// someone. Pongs refresh only liveness, so an idle NOW past quiet+settle
+	// is pinging and ponging for ever and fails as idle.
+	quiet, settle time.Duration
 }
 
 func newVirtualLink(cfg *Config) (*virtualLink, error) {
@@ -67,6 +72,7 @@ func newVirtualLink(cfg *Config) (*virtualLink, error) {
 	}
 	l := &virtualLink{cfg: cfg, now: now, byName: make(map[string]int), every: cfg.tickEvery()}
 	l.tick = l.every
+	l.settle = max(cfg.StallTimeout, cfg.liveness()) + l.every
 	// The loop's own timeline calls now stamp the master's virtual time.
 	cfg.Timeline.SetClock(func() int64 { return int64(l.clock) })
 	for i, m := range cfg.Machines {
@@ -122,16 +128,17 @@ func (l *virtualLink) Recv() (msg.Message, error) {
 				first = i
 			}
 		}
-		tick := l.every > 0 && (first < 0 || l.tick < l.inflight[first].at)
-		handled := max(l.clock, l.tick) // when the master will be done with the event
-		if !tick && first >= 0 {
-			handled = max(l.clock, l.inflight[first].at) + time.Duration(l.now.Cost.SecPerMessage*float64(time.Second))
-		}
 		busy := -1
 		for i, m := range l.machines {
 			if !m.down && m.w.busy() && (busy < 0 || l.now.Time(i) < l.now.Time(busy)) {
 				busy = i
 			}
+		}
+		tick := l.every > 0 && (first < 0 || l.tick < l.inflight[first].at) &&
+			(first >= 0 || busy >= 0 || l.tick <= l.quiet+l.settle)
+		handled := max(l.clock, l.tick) // when the master will be done with the event
+		if !tick && first >= 0 {
+			handled = max(l.clock, l.inflight[first].at) + time.Duration(l.now.Cost.SecPerMessage*float64(time.Second))
 		}
 		if busy >= 0 && ((first < 0 && !tick) || l.now.Time(busy) < handled) {
 			if err := l.machines[busy].fail(l.machines[busy].w.frame()); err != nil {
@@ -149,6 +156,9 @@ func (l *virtualLink) Recv() (msg.Message, error) {
 		}
 		v := l.inflight[first]
 		l.inflight = append(l.inflight[:first], l.inflight[first+1:]...)
+		if v.m.Tag != TagPong {
+			l.quiet = l.clock
+		}
 		return v.m, nil
 	}
 }
@@ -202,6 +212,9 @@ func (vm *vmachine) hit(tag int, d faulty.Dir, data []byte) ([]byte, bool) {
 		return data, !vm.down
 	}
 	r, data := vm.decide(tag, d, data)
+	if r != nil {
+		vm.l.quiet = max(vm.l.quiet, vm.l.now.Time(vm.i))
+	}
 	switch {
 	case r == nil:
 	case r.Action == faulty.Drop:
