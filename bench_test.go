@@ -259,7 +259,7 @@ func BenchmarkFarm_LocalProtocol(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := farm.RenderLocal(farm.Config{
 			Scene: sc, W: 40, H: 52, Coherence: true, Workers: 3,
-			Scheme: partition.FrameDivision{BlockW: 20, BlockH: 26, Adaptive: true},
+			Scheme: partition.Scheme{BlockW: 20, BlockH: 26, Adaptive: true},
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -475,7 +475,7 @@ func BenchmarkFarm_FaultRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := farm.RenderVirtual(farm.Config{
 			Scene: sc, W: 40, H: 52, Coherence: true,
-			Scheme: partition.SequenceDivision{Adaptive: true},
+			Scheme: partition.Scheme{Sequence: true, Adaptive: true},
 		})
 		if err != nil {
 			b.Fatal(err)

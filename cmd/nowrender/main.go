@@ -79,9 +79,9 @@ func main() {
 	var (
 		sceneSpec = flag.String("scene", "newton", "scene: newton[:frames], bouncing[:frames], quickstart, or a .sdl file")
 		mode      = flag.String("mode", "virtual", "single | coherent | virtual | local | master")
-		scheme    = flag.String("scheme", "framediv", "partitioning: seqdiv | seqdiv-static | seqdiv-weighted | framediv | hybrid | pixeldiv")
-		blockW    = flag.Int("blockw", 80, "frame-division block width")
-		blockH    = flag.Int("blockh", 80, "frame-division block height")
+		scheme    = flag.String("scheme", "framediv", "partitioning: seqdiv | seqdiv-static | framediv | hybrid (blocks x one subsequence per worker) | pixeldiv")
+		blockW    = flag.Int("blockw", 80, "framediv and hybrid block width")
+		blockH    = flag.Int("blockh", 80, "framediv and hybrid block height")
 		width     = flag.Int("w", 240, "output width (paper: 240)")
 		height    = flag.Int("h", 320, "output height (paper: 320)")
 		outDir    = flag.String("out", "", "directory to write frame TGAs (empty = don't write)")
@@ -139,26 +139,9 @@ func run(sceneSpec, mode, schemeName string, blockW, blockH, w, h int,
 		return err
 	}
 
-	var scheme partition.Scheme
-	switch schemeName {
-	case "seqdiv":
-		scheme = partition.SequenceDivision{Adaptive: true}
-	case "seqdiv-static":
-		scheme = partition.SequenceDivision{}
-	case "seqdiv-weighted":
-		speeds := make([]float64, 0, 8)
-		for _, m := range cluster.PaperTestbed() {
-			speeds = append(speeds, m.Speed)
-		}
-		scheme = partition.WeightedSequenceDivision{Speeds: speeds, Adaptive: true}
-	case "framediv":
-		scheme = partition.FrameDivision{BlockW: blockW, BlockH: blockH, Adaptive: true}
-	case "hybrid":
-		scheme = partition.HybridDivision{BlockW: blockW, BlockH: blockH, SubseqLen: 15}
-	case "pixeldiv":
-		scheme = partition.PixelDivision{}
-	default:
-		return fmt.Errorf("unknown scheme %q", schemeName)
+	scheme, err := partition.Parse(schemeName, blockW, blockH)
+	if err != nil {
+		return err
 	}
 
 	emit := func(frame int, img *fb.Framebuffer) error {
@@ -196,7 +179,7 @@ func run(sceneSpec, mode, schemeName string, blockW, blockH, w, h int,
 		// The fastest machine alone, whole frames in one task.
 		cfg.Coherence = mode == "coherent"
 		cfg.Machines = cluster.PaperTestbed()[:1]
-		cfg.Scheme = partition.SequenceDivision{}
+		cfg.Scheme = partition.Scheme{Sequence: true}
 		res, err = farm.RenderVirtual(cfg)
 		if err != nil {
 			return err

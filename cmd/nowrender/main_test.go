@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -32,5 +36,35 @@ func TestChaosProtectNamesTheModesWorkers(t *testing.T) {
 		if c.refusal == "" && err != nil || c.refusal != "" && (err == nil || !strings.Contains(err.Error(), c.refusal)) {
 			t.Errorf("-mode %s -chaos %s: %v; want refusal %q", c.mode, c.chaos, err, c.refusal)
 		}
+	}
+}
+
+// TestEverySchemeRenders: every -scheme value runs in virtual mode and
+// writes the same frames, and a name partition.Parse does not know
+// (seqdiv-weighted among them) is refused before rendering.
+func TestEverySchemeRenders(t *testing.T) {
+	var want [][]byte
+	for _, scheme := range []string{"seqdiv", "seqdiv-static", "framediv", "hybrid", "pixeldiv"} {
+		dir := t.TempDir()
+		if err := run("newton:2", "virtual", scheme, 8, 6, 16, 12, dir, 0, "",
+			true, 1, 0, 1, 0, false, "", faultOpts{}); err != nil {
+			t.Fatalf("-scheme %s: %v", scheme, err)
+		}
+		for f := range 2 {
+			got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("frame%04d.tga", f)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(want) <= f {
+				want = append(want, got)
+			} else if !bytes.Equal(got, want[f]) {
+				t.Errorf("-scheme %s: frame %d differs from -scheme seqdiv's", scheme, f)
+			}
+		}
+	}
+	err := run("newton:2", "virtual", "seqdiv-weighted", 8, 6, 16, 12, "", 0, "",
+		true, 1, 0, 1, 0, false, "", faultOpts{})
+	if err == nil || !strings.Contains(err.Error(), "unknown scheme") {
+		t.Errorf("-scheme seqdiv-weighted: %v, want an unknown-scheme error", err)
 	}
 }

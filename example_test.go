@@ -51,7 +51,7 @@ func ExampleRenderFarmVirtual() {
 	sc := nowrender.NewtonScene(4)
 	res, err := nowrender.RenderFarmVirtual(nowrender.FarmConfig{
 		Scene: sc, W: 60, H: 80, Coherence: true,
-		Scheme:   nowrender.FrameDivision{BlockW: 30, BlockH: 40, Adaptive: true},
+		Scheme:   nowrender.PartitionScheme{BlockW: 30, BlockH: 40, Adaptive: true},
 		Machines: nowrender.PaperTestbed(),
 	})
 	if err != nil {

@@ -47,7 +47,7 @@ func run(frames, w, h int, outDir string) error {
 	start := time.Now()
 	res, err := nowrender.RenderFarmVirtual(nowrender.FarmConfig{
 		Scene: sc, W: w, H: h, Coherence: true,
-		Scheme: nowrender.FrameDivision{BlockW: w / 4, BlockH: h / 4, Adaptive: true},
+		Scheme: nowrender.PartitionScheme{BlockW: w / 4, BlockH: h / 4, Adaptive: true},
 		Emit:   emit,
 	})
 	if err != nil {

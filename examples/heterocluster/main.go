@@ -40,9 +40,9 @@ func run() error {
 		}},
 	}
 	schemes := []nowrender.PartitionScheme{
-		nowrender.SequenceDivision{Adaptive: false},
-		nowrender.SequenceDivision{Adaptive: true},
-		nowrender.FrameDivision{BlockW: 40, BlockH: 40, Adaptive: true},
+		{Sequence: true},
+		{Sequence: true, Adaptive: true},
+		{BlockW: 40, BlockH: 40, Adaptive: true},
 	}
 
 	fmt.Printf("workload: %s, %d frames at %dx%d, coherence on\n\n", sc.Name, sc.Frames, w, h)

@@ -87,7 +87,7 @@ func run(frame, frames, w, h int, outDir string, anim bool) error {
 	fmt.Println("\nrendering on the virtual 3-workstation NOW (frame division + FC)...")
 	res, err := nowrender.RenderFarmVirtual(nowrender.FarmConfig{
 		Scene: sc, W: w, H: h, Coherence: true,
-		Scheme: nowrender.FrameDivision{BlockW: 80, BlockH: 80, Adaptive: true},
+		Scheme: nowrender.PartitionScheme{BlockW: 80, BlockH: 80, Adaptive: true},
 	})
 	if err != nil {
 		return err

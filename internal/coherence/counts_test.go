@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nowrender/internal/fb"
+	"nowrender/internal/heappin"
 	"nowrender/internal/scene"
 	"nowrender/internal/scenes"
 	"nowrender/internal/trace"
@@ -94,8 +95,8 @@ func TestCountsPinned(t *testing.T) {
 // Range's one arena) and nothing that scales with the registrations it
 // writes — the arenas and the spare buffers are reused.
 func TestSteadyStateAllocs(t *testing.T) {
-	const warm, runs = 20, 40
-	s := movingScene(warm + runs + 2)
+	const warm, runs = 20, 8
+	s := movingScene(warm + 5*runs + 2)
 	e, err := NewEngine(s, tw, th, fb.NewRect(0, 0, tw, th), 0, s.Frames, Options{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -114,17 +115,18 @@ func TestSteadyStateAllocs(t *testing.T) {
 	// The tracer's count depends on how many voxels each object's box
 	// overlaps, which moves with the movers on a grid laid over the
 	// geometry, so the baseline builds the tracers of the very frames the
-	// engine renders below (AllocsPerRun calls once more to warm up).
+	// engine renders below, in the same windows (heappin.PerCall calls
+	// once more to warm up).
 	g := f
-	perTracer := testing.AllocsPerRun(runs, func() {
+	_, perTracer := heappin.PerCall(t, runs, func() {
 		if _, err := trace.New(s, g, trace.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		g++
 	})
-	perFrame := testing.AllocsPerRun(runs, frame)
-	if extra := perFrame - perTracer; extra > 16 {
-		t.Errorf("%.0f allocations per steady frame, %.0f of them the tracer's: %.0f left, want <= 16", perFrame, perTracer, extra)
+	_, perFrame := heappin.PerCall(t, runs, frame)
+	if extra := int64(perFrame) - int64(perTracer); extra > 16 {
+		t.Errorf("%d allocations per steady frame, %d of them the tracer's: %d left, want <= 16", perFrame, perTracer, extra)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"nowrender/internal/fb"
+	"nowrender/internal/heappin"
 	"nowrender/internal/scene"
 	"nowrender/internal/scenes"
 	"nowrender/internal/stats"
@@ -313,16 +314,10 @@ func TestPrivateRangeKeepsNoTracer(t *testing.T) {
 func TestRangeRetainedBytes(t *testing.T) {
 	const w, h, frames = 120, 160, 60
 	sc := scenes.Newton(frames)
-	heap := func() uint64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
-	before := heap()
+	before := heappin.Live(t)
 	r, engines := sharedEngines(t, sc, w, h, 0, frames, []fb.Rect{fb.NewRect(0, 0, 40, 40)}, Options{Threads: 1})
 	renderBlocks(t, engines, w, h, 0, frames, 1)
-	after := heap()
+	after := heappin.Live(t)
 	if st := r.Stats(); st.FramesHeld != frames {
 		t.Fatalf("the Range holds %d tracers, want %d", st.FramesHeld, frames)
 	}
@@ -344,13 +339,7 @@ func TestRangeRetainedBytes(t *testing.T) {
 func TestWorkingSetTracksHeap(t *testing.T) {
 	const w, h, frames = 120, 160, 12
 	sc := scenes.Newton(frames)
-	heap := func() uint64 {
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return m.HeapAlloc
-	}
-	before := heap()
+	before := heappin.Live(t)
 	r, engines := sharedEngines(t, sc, w, h, 0, frames, []fb.Rect{fb.NewRect(0, 0, w, h)}, Options{Threads: 1})
 	buf := fb.New(w, h)
 	for f := 0; f < frames; f++ {
@@ -358,7 +347,7 @@ func TestWorkingSetTracksHeap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	grew := int64(heap() - before)
+	grew := int64(heappin.Live(t) - before)
 	got := int64(r.Frames().WorkingSet(engines[0]) + len(buf.Pix))
 	t.Logf("working set %d bytes, heap grew %d", got, grew)
 	if got < grew*85/100 || got > grew {

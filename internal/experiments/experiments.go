@@ -73,11 +73,11 @@ func Table1(p Params) (*Table1Result, error) {
 		coh    bool
 		scheme partition.Scheme
 	}{
-		{"(1) single", true, false, partition.SequenceDivision{}},
-		{"(2) single + FC", true, true, partition.SequenceDivision{}},
-		{"(4) distributed", false, false, partition.FrameDivision{BlockW: p.BlockW, BlockH: p.BlockH, Adaptive: true}},
-		{"(6) dist + FC (seq div)", false, true, partition.SequenceDivision{Adaptive: true}},
-		{"(8) dist + FC (frame div)", false, true, partition.FrameDivision{BlockW: p.BlockW, BlockH: p.BlockH, Adaptive: true}},
+		{"(1) single", true, false, partition.Scheme{Sequence: true}},
+		{"(2) single + FC", true, true, partition.Scheme{Sequence: true}},
+		{"(4) distributed", false, false, partition.Scheme{BlockW: p.BlockW, BlockH: p.BlockH, Adaptive: true}},
+		{"(6) dist + FC (seq div)", false, true, partition.Scheme{Sequence: true, Adaptive: true}},
+		{"(8) dist + FC (frame div)", false, true, partition.Scheme{BlockW: p.BlockW, BlockH: p.BlockH, Adaptive: true}},
 	}
 
 	out := &Table1Result{}
@@ -223,8 +223,8 @@ func Figure2(p Params, frame int) (*Figure2Result, error) {
 func Figure4(w, h, frames, workers int) []string {
 	var out []string
 	for _, sch := range []partition.Scheme{
-		partition.SequenceDivision{Adaptive: true},
-		partition.FrameDivision{BlockW: w / 2, BlockH: h / 2},
+		{Sequence: true, Adaptive: true},
+		{BlockW: w / 2, BlockH: h / 2},
 	} {
 		tasks := sch.InitialTasks(w, h, 0, frames, workers)
 		out = append(out, fmt.Sprintf("%s:", sch.Name()))
@@ -253,7 +253,7 @@ func AblationBlockSize(p Params, sizes []int) ([]AblationResult, error) {
 	for _, bs := range sizes {
 		cfg := farm.Config{
 			Scene: p.Scene, W: p.W, H: p.H, Coherence: true,
-			Scheme: partition.FrameDivision{BlockW: bs, BlockH: bs, Adaptive: true},
+			Scheme: partition.Scheme{BlockW: bs, BlockH: bs, Adaptive: true},
 		}
 		res, err := farm.RenderVirtual(cfg)
 		if err != nil {
@@ -333,7 +333,7 @@ func AblationAdaptive(p Params) ([]AblationResult, error) {
 	for _, adaptive := range []bool{false, true} {
 		cfg := farm.Config{
 			Scene: p.Scene, W: p.W, H: p.H, Coherence: true,
-			Scheme: partition.SequenceDivision{Adaptive: adaptive},
+			Scheme: partition.Scheme{Sequence: true, Adaptive: adaptive},
 		}
 		res, err := farm.RenderVirtual(cfg)
 		if err != nil {
@@ -408,10 +408,10 @@ func AblationWeighted(p Params) ([]AblationResult, error) {
 		speeds[i] = m.Speed
 	}
 	schemes := []partition.Scheme{
-		partition.SequenceDivision{},
-		partition.SequenceDivision{Adaptive: true},
-		partition.WeightedSequenceDivision{Speeds: speeds},
-		partition.WeightedSequenceDivision{Speeds: speeds, Adaptive: true},
+		{Sequence: true},
+		{Sequence: true, Adaptive: true},
+		{Sequence: true, Weights: speeds},
+		{Sequence: true, Weights: speeds, Adaptive: true},
 	}
 	var out []AblationResult
 	for _, sch := range schemes {
@@ -458,15 +458,15 @@ func AblationMemory(p Params, memMB int) (*MemoryResult, error) {
 	// The single-processor baselines: the fast machine alone, whole frames.
 	one := base
 	one.Machines = machines[:1]
-	single, err := farm.RenderVirtual(withMem(one, false, partition.SequenceDivision{}))
+	single, err := farm.RenderVirtual(withMem(one, false, partition.Scheme{Sequence: true}))
 	if err != nil {
 		return nil, err
 	}
-	singleFC, err := farm.RenderVirtual(withMem(one, true, partition.SequenceDivision{}))
+	singleFC, err := farm.RenderVirtual(withMem(one, true, partition.Scheme{Sequence: true}))
 	if err != nil {
 		return nil, err
 	}
-	fd := partition.FrameDivision{BlockW: p.BlockW, BlockH: p.BlockH, Adaptive: true}
+	fd := partition.Scheme{BlockW: p.BlockW, BlockH: p.BlockH, Adaptive: true}
 	dist, err := farm.RenderVirtual(withMem(base, false, fd))
 	if err != nil {
 		return nil, err
@@ -515,7 +515,7 @@ func Scaling(p Params, sizes []int) ([]ScalingPoint, error) {
 	for i, n := range sizes {
 		cfg := farm.Config{
 			Scene: p.Scene, W: p.W, H: p.H, Coherence: true,
-			Scheme:   partition.FrameDivision{BlockW: bw, BlockH: bh, Adaptive: true},
+			Scheme:   partition.Scheme{BlockW: bw, BlockH: bh, Adaptive: true},
 			Machines: cluster.Uniform(n, 1.0, 64),
 		}
 		res, err := farm.RenderVirtual(cfg)

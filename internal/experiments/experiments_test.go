@@ -339,12 +339,12 @@ func TestCostModelPredictsLedger(t *testing.T) {
 		return busy.Seconds() + float64(msgs)*cost.SecPerMessage
 	}
 	plainCfg := farm.Config{Scene: scenes.Newton(90), W: 120, H: 160, StartFrame: 1, EndFrame: 61,
-		Machines: cluster.Uniform(1, 1, 0), Scheme: partition.SequenceDivision{}} // one machine, one task
+		Machines: cluster.Uniform(1, 1, 0), Scheme: partition.Scheme{Sequence: true}} // one machine, one task
 	fcCfg := plainCfg
 	fcCfg.Coherence = true
 	farmCfg := fcCfg
 	farmCfg.Machines = cluster.Uniform(2, 1, 0)
-	farmCfg.Scheme = partition.FrameDivision{BlockW: 40, BlockH: 40, Adaptive: true}
+	farmCfg.Scheme = partition.Scheme{BlockW: 40, BlockH: 40, Adaptive: true}
 	farmCfg.WireDelta, farmCfg.WireSpanCodec = true, true
 
 	plain, err := farm.RenderVirtual(plainCfg)

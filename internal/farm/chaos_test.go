@@ -112,7 +112,7 @@ func soak(t *testing.T, seed int64, cfg Config, drivers []driver, inj faulty.Sta
 			}
 			cfg := cfg
 			cfg.Scene, cfg.W, cfg.H, cfg.Coherence = farmScene(8), fw, fh, true
-			cfg.Scheme = partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true}
+			cfg.Scheme = partition.Scheme{BlockW: 20, BlockH: 16, Adaptive: true}
 			cfg.Heartbeat, cfg.Liveness, cfg.StallTimeout = 20*time.Millisecond, 2*time.Second, 1500*time.Millisecond
 			cfg.FrameRetries, cfg.Speculate, cfg.Faults = 2, true, plan
 			if d.virtual {
@@ -162,7 +162,7 @@ func TestChaosSeedLivenessGivesUpOnMuteWorker(t *testing.T) {
 				Protect: []string{"worker00"},
 			}
 			cfg := Config{
-				Scene: farmScene(4), W: fw, H: fh, Scheme: partition.SequenceDivision{Adaptive: true},
+				Scene: farmScene(4), W: fw, H: fh, Scheme: partition.Scheme{Sequence: true, Adaptive: true},
 				Heartbeat: 10 * time.Millisecond, Liveness: 300 * time.Millisecond, Faults: plan,
 			}
 			if d.virtual {
@@ -194,7 +194,7 @@ func TestChaosStallRetiresSilentTaskHolder(t *testing.T) {
 		Protect: []string{"worker00"},
 	}
 	res := virtual.chaos(t, Config{
-		Scene: farmScene(6), W: fw, H: fh, Scheme: partition.SequenceDivision{Adaptive: true},
+		Scene: farmScene(6), W: fw, H: fh, Scheme: partition.Scheme{Sequence: true, Adaptive: true},
 		Heartbeat:    100 * time.Millisecond,
 		Liveness:     10 * time.Second, // pongs flow; isolate the stall path
 		StallTimeout: 600 * time.Millisecond,
@@ -219,7 +219,7 @@ func TestChaosLostTaskNeedsStallDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	_, err := RenderVirtual(Config{
-		Scene: farmScene(4), W: fw, H: fh, Scheme: partition.SequenceDivision{}, Ctx: ctx,
+		Scene: farmScene(4), W: fw, H: fh, Scheme: partition.Scheme{Sequence: true}, Ctx: ctx,
 		Workers: 2, Machines: workstations(2), Heartbeat: 100 * time.Millisecond, Faults: lost(),
 	})
 	if err == nil || !strings.Contains(err.Error(), "idle") {
@@ -227,7 +227,7 @@ func TestChaosLostTaskNeedsStallDeadline(t *testing.T) {
 	}
 	plan := lost()
 	res := virtual.chaos(t, Config{
-		Scene: farmScene(4), W: fw, H: fh, Scheme: partition.SequenceDivision{},
+		Scene: farmScene(4), W: fw, H: fh, Scheme: partition.Scheme{Sequence: true},
 		Heartbeat: 100 * time.Millisecond, StallTimeout: 600 * time.Millisecond, Faults: plan,
 	}, 2)
 	pin(t, res, plan, faulty.Stats{Dropped: 1}, stats.FaultCounters{
@@ -253,7 +253,7 @@ func TestChaosQuarantinePoisonFrame(t *testing.T) {
 				Rules: []faulty.Rule{{Tag: TagFrameDone, Dir: faulty.SendOnly, After: 1, Action: faulty.Sever}},
 			}
 			res := d.chaos(t, Config{
-				Scene: farmScene(1), W: fw, H: fh, Scheme: partition.SequenceDivision{},
+				Scene: farmScene(1), W: fw, H: fh, Scheme: partition.Scheme{Sequence: true},
 				FrameRetries: 1, Faults: plan,
 			}, 2)
 			pin(t, res, plan, faulty.Stats{Severed: 2}, stats.FaultCounters{WorkersLost: 2, FramesRequeued: 1, FramesQuarantined: 1})
@@ -272,7 +272,7 @@ func TestChaosSpeculationCoversStraggler(t *testing.T) {
 		Protect: []string{"worker00"},
 	}
 	res := virtual.chaos(t, Config{
-		Scene: farmScene(4), W: fw, H: fh, Scheme: partition.SequenceDivision{},
+		Scene: farmScene(4), W: fw, H: fh, Scheme: partition.Scheme{Sequence: true},
 		Speculate: true, Faults: plan,
 	}, 2)
 	pin(t, res, plan, faulty.Stats{Delayed: 1}, stats.FaultCounters{SpeculativeTasks: 1})
@@ -291,7 +291,7 @@ func TestChaosCorruptionRetiresSender(t *testing.T) {
 		Protect: []string{"worker00"},
 	}
 	res := virtual.chaos(t, Config{
-		Scene: farmScene(4), W: fw, H: fh, Scheme: partition.SequenceDivision{}, Faults: plan,
+		Scene: farmScene(4), W: fw, H: fh, Scheme: partition.Scheme{Sequence: true}, Faults: plan,
 	}, 2)
 	pin(t, res, plan, faulty.Stats{Corrupted: 1}, stats.FaultCounters{WorkersLost: 1, MalformedMessages: 1, FramesRequeued: 2})
 }

@@ -44,9 +44,9 @@ func TestCameraCutEveryLink(t *testing.T) {
 		{"local", RenderLocal},
 	}
 	schemes := []partition.Scheme{
-		partition.SequenceDivision{Adaptive: true},
-		partition.FrameDivision{BlockW: fw / 2, BlockH: fh / 2, Adaptive: true},
-		partition.HybridDivision{BlockW: fw / 2, BlockH: fh / 2, SubseqLen: 4},
+		{Sequence: true, Adaptive: true},
+		{BlockW: fw / 2, BlockH: fh / 2, Adaptive: true},
+		{BlockW: fw / 2, BlockH: fh / 2, Sequence: true},
 	}
 	for _, ln := range links {
 		for _, sch := range schemes {
@@ -97,7 +97,7 @@ func TestRenderAutoSplitsAtCameraCut(t *testing.T) {
 	want := referenceFrames(t, sc)
 	res, err := RenderVirtual(Config{
 		Scene: sc, W: fw, H: fh, Coherence: true,
-		Scheme: partition.SequenceDivision{Adaptive: true},
+		Scheme: partition.Scheme{Sequence: true, Adaptive: true},
 	})
 	if err != nil {
 		t.Fatal(err)

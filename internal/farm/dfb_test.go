@@ -22,7 +22,7 @@ import (
 func dfbConfig(frames, sinks int) Config {
 	return Config{
 		Scene: farmScene(frames), W: fw, H: fh, Coherence: true, Workers: 3,
-		Scheme:        partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
+		Scheme:        partition.Scheme{BlockW: 16, BlockH: 16, Adaptive: true},
 		WireDelta:     true,
 		WireSpanCodec: true,
 		DFB:           &DFBConfig{Sinks: sinks},
@@ -67,7 +67,7 @@ func TestDFBMasterIngress(t *testing.T) {
 		w, h    int
 		frames  int
 		workers int
-		scheme  partition.FrameDivision
+		scheme  partition.Scheme
 		sinks   []int
 		// minRatio is how far below the master-routed run's the master's
 		// ingress must fall; ackBytes, when set, bounds it per frame.
@@ -81,7 +81,7 @@ func TestDFBMasterIngress(t *testing.T) {
 		{
 			name: "quadrants", scene: func() *scene.Scene { return farmScene(4) },
 			w: 160, h: 120, frames: 4, workers: 3,
-			scheme: partition.FrameDivision{BlockW: 80, BlockH: 60, Adaptive: true},
+			scheme: partition.Scheme{BlockW: 80, BlockH: 60, Adaptive: true},
 			sinks:  []int{2}, minRatio: 4,
 		},
 		// The deployment shape: whole-frame blocks, so the control plane
@@ -93,7 +93,7 @@ func TestDFBMasterIngress(t *testing.T) {
 		{
 			name: "whole-frame gallery", scene: func() *scene.Scene { return scenes.Gallery(0) },
 			w: 120, h: 160, frames: 8, workers: 4,
-			scheme: partition.FrameDivision{BlockW: 120, BlockH: 160, Adaptive: true},
+			scheme: partition.Scheme{BlockW: 120, BlockH: 160, Adaptive: true},
 			sinks:  []int{1, 2, 4}, minRatio: 25, ackBytes: 248,
 		},
 	} {
@@ -186,7 +186,7 @@ func TestDFBWorkerDeathMidFrame(t *testing.T) {
 	}
 	res, err := RenderLocal(Config{
 		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 4,
-		Scheme:        partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
+		Scheme:        partition.Scheme{BlockW: 20, BlockH: 16, Adaptive: true},
 		WireDelta:     true,
 		WireSpanCodec: true,
 		DFB:           &DFBConfig{Sinks: 2},
@@ -317,7 +317,7 @@ func TestDFBSinkRestart(t *testing.T) {
 
 	res, err := RenderLocal(Config{
 		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 3,
-		Scheme:        partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
+		Scheme:        partition.Scheme{BlockW: 20, BlockH: 16, Adaptive: true},
 		WireDelta:     true,
 		WireSpanCodec: true,
 		DFB:           &DFBConfig{Sinks: 2, Dial: reg.Dial, Redials: 4},

@@ -25,6 +25,7 @@ package farm
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"time"
 
 	"nowrender/internal/cluster"
@@ -43,8 +44,8 @@ type Config struct {
 	Scene *scene.Scene
 	// W, H is the output resolution (the paper uses 240x320).
 	W, H int
-	// Scheme decomposes the animation. Nil defaults to adaptive
-	// sequence division.
+	// Scheme decomposes the animation. The zero Scheme defaults to
+	// adaptive sequence division.
 	Scheme partition.Scheme
 	// StartFrame and EndFrame select a sub-range [StartFrame, EndFrame)
 	// of the animation; both zero means the whole animation.
@@ -268,8 +269,8 @@ func (c *Config) defaults() error {
 		return fmt.Errorf("farm: bad frame range [%d,%d) for %d frames",
 			c.StartFrame, c.EndFrame, c.Scene.Frames)
 	}
-	if c.Scheme == nil {
-		c.Scheme = partition.SequenceDivision{Adaptive: true}
+	if reflect.ValueOf(c.Scheme).IsZero() {
+		c.Scheme = partition.Scheme{Sequence: true, Adaptive: true}
 	}
 	if len(c.Machines) == 0 {
 		c.Machines = cluster.PaperTestbed()

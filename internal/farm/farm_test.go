@@ -69,7 +69,7 @@ func steadyVersusMessage(t *testing.T, sc *scene.Scene, w, h, bw, bh int) (stead
 	if err != nil {
 		t.Fatal(err)
 	}
-	tasks := partition.FrameDivision{BlockW: bw, BlockH: bh}.InitialTasks(w, h, 0, sc.Frames, 1)
+	tasks := partition.Scheme{BlockW: bw, BlockH: bh}.InitialTasks(w, h, 0, sc.Frames, 1)
 	for _, task := range tasks {
 		tm := taskMsg{Task: task, W: w, H: h, Coherence: true, Samples: 1, Threads: 1}
 		step, err := newFrameStep(sc, tm, &rangeHolder{}, nil, nil)
@@ -133,10 +133,10 @@ func TestVirtualSchemesProduceIdenticalImages(t *testing.T) {
 	sc := farmScene(6)
 	want := referenceFrames(t, sc)
 	schemes := []partition.Scheme{
-		partition.SequenceDivision{Adaptive: true},
-		partition.SequenceDivision{Adaptive: false},
-		partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
-		partition.HybridDivision{BlockW: 20, BlockH: 16, SubseqLen: 3},
+		{Sequence: true, Adaptive: true},
+		{Sequence: true},
+		{BlockW: 16, BlockH: 16, Adaptive: true},
+		{BlockW: 20, BlockH: 16, Sequence: true},
 	}
 	wantAA := aaReferenceFrames(t, sc, 0.1)
 	for _, coh := range []bool{false, true} {
@@ -184,7 +184,7 @@ func TestVirtualDeterminism(t *testing.T) {
 	run := func() *Result {
 		res, err := RenderVirtual(Config{
 			Scene: sc, W: w, H: h, Machines: cluster.PaperTestbed(),
-			Scheme: partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true}, Coherence: true,
+			Scheme: partition.Scheme{BlockW: 16, BlockH: 16, Adaptive: true}, Coherence: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -229,7 +229,7 @@ func TestStealWeighsColdStart(t *testing.T) {
 	for _, coh := range []bool{false, true} {
 		res, err := RenderVirtual(Config{
 			Scene: sc, W: fw, H: fh, Machines: cluster.PaperTestbed(),
-			Scheme: partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true}, Coherence: coh,
+			Scheme: partition.Scheme{BlockW: 16, BlockH: 16, Adaptive: true}, Coherence: coh,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -251,18 +251,18 @@ func TestVirtualSpeedupShape(t *testing.T) {
 	const w, h = 3 * fw / 2, 3 * fh / 2
 	sc := farmScene(12)
 	fast := cluster.PaperTestbed()[0]
-	frameDiv := partition.FrameDivision{BlockW: w / 2, BlockH: h / 2, Adaptive: true}
+	frameDiv := partition.Scheme{BlockW: w / 2, BlockH: h / 2, Adaptive: true}
 	if steady, message := steadyVersusMessage(t, sc, w, h, w/2, h/2); steady/time.Duration(fast.Speed) <= message {
 		t.Fatalf("a steady block frame costs the fast machine %v, its message %v: size the test up",
 			steady/time.Duration(fast.Speed), message)
 	}
 
 	one := []cluster.Machine{fast} // the single-processor runs: one machine, one task
-	single, err := RenderVirtual(Config{Scene: sc, W: w, H: h, Machines: one, Scheme: partition.SequenceDivision{}})
+	single, err := RenderVirtual(Config{Scene: sc, W: w, H: h, Machines: one, Scheme: partition.Scheme{Sequence: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	singleFC, err := RenderVirtual(Config{Scene: sc, W: w, H: h, Coherence: true, Machines: one, Scheme: partition.SequenceDivision{}})
+	singleFC, err := RenderVirtual(Config{Scene: sc, W: w, H: h, Coherence: true, Machines: one, Scheme: partition.Scheme{Sequence: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +295,7 @@ func TestVirtualAdaptiveSubdivisionHappens(t *testing.T) {
 	sc := farmScene(12)
 	res, err := RenderVirtual(Config{
 		Scene: sc, W: fw, H: fh, Coherence: true,
-		Scheme: partition.SequenceDivision{Adaptive: true},
+		Scheme: partition.Scheme{Sequence: true, Adaptive: true},
 		// Strong heterogeneity forces the fast machine to finish early
 		// and steal.
 		Machines: []cluster.Machine{
@@ -323,6 +323,25 @@ func TestVirtualAdaptiveSubdivisionHappens(t *testing.T) {
 	}
 }
 
+// TestZeroSchemeDefaultsToAdaptiveSequence: a Config that sets no
+// Scheme gets adaptive sequence division; one that sets any field keeps
+// its own, even where the zero Scheme's one whole-frame task would do.
+func TestZeroSchemeDefaultsToAdaptiveSequence(t *testing.T) {
+	for _, c := range []struct{ set, want partition.Scheme }{
+		{partition.Scheme{}, partition.Scheme{Sequence: true, Adaptive: true}},
+		{partition.Scheme{Sequence: true}, partition.Scheme{Sequence: true}},
+		{partition.Scheme{Adaptive: true}, partition.Scheme{Adaptive: true}},
+	} {
+		cfg := Config{Scene: farmScene(4), W: fw, H: fh, Scheme: c.set}
+		if err := cfg.defaults(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(cfg.Scheme, c.want) {
+			t.Errorf("Scheme %+v defaulted to %+v, want %+v", c.set, cfg.Scheme, c.want)
+		}
+	}
+}
+
 // TestVirtualStaticSequenceNoSubdivision: whether a run may split a
 // straggler's frames is the scheme's decision on every driver — static
 // sequence division and hybrid division say no, so neither the virtual
@@ -336,8 +355,8 @@ func TestVirtualStaticSequenceNoSubdivision(t *testing.T) {
 		render func(Config) (*Result, error)
 	}{{"virtual", RenderVirtual}, {"local", RenderLocal}}
 	schemes := []partition.Scheme{
-		partition.SequenceDivision{Adaptive: false},
-		partition.HybridDivision{BlockW: 20, BlockH: 16, SubseqLen: 3},
+		{Sequence: true},
+		{BlockW: 20, BlockH: 16, Sequence: true},
 	}
 	for _, d := range drivers {
 		for _, sch := range schemes {
@@ -371,7 +390,7 @@ func TestVirtualEmitOrder(t *testing.T) {
 	var order []int
 	_, err := RenderVirtual(Config{
 		Scene: sc, W: fw, H: fh,
-		Scheme: partition.FrameDivision{BlockW: 16, BlockH: 16},
+		Scheme: partition.Scheme{BlockW: 16, BlockH: 16},
 		Emit: func(f int, img *fb.Framebuffer) error {
 			order = append(order, f)
 			return nil
@@ -408,7 +427,7 @@ func TestRenderLocalMatchesReference(t *testing.T) {
 	for _, coh := range []bool{false, true} {
 		aa, err := RenderLocal(Config{
 			Scene: sc, W: fw, H: fh, Coherence: coh, Workers: 3,
-			Scheme:      partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
+			Scheme:      partition.Scheme{BlockW: 16, BlockH: 16, Adaptive: true},
 			AAThreshold: 0.1,
 		})
 		if err != nil {
@@ -418,7 +437,7 @@ func TestRenderLocalMatchesReference(t *testing.T) {
 
 		res, err := RenderLocal(Config{
 			Scene: sc, W: fw, H: fh, Coherence: coh, Workers: 3,
-			Scheme: partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
+			Scheme: partition.Scheme{BlockW: 16, BlockH: 16, Adaptive: true},
 		})
 		if err != nil {
 			t.Fatalf("coherence=%v: %v", coh, err)
@@ -441,7 +460,7 @@ func TestRenderLocalSequenceDivisionWithTruncation(t *testing.T) {
 	want := referenceFrames(t, sc)
 	res, err := RenderLocal(Config{
 		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 2,
-		Scheme: partition.SequenceDivision{Adaptive: true},
+		Scheme: partition.Scheme{Sequence: true, Adaptive: true},
 	})
 	if err != nil {
 		t.Fatal(err)

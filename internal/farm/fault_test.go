@@ -26,7 +26,7 @@ func TestMasterSurvivesWorkerCrash(t *testing.T) {
 		t.Run(d.name, func(t *testing.T) {
 			plan := crash(TagFrameDone, 2, "worker00", "worker01")
 			res := d.chaos(t, Config{
-				Scene: farmScene(8), W: fw, H: fh, Scheme: partition.SequenceDivision{Adaptive: true}, Faults: plan,
+				Scene: farmScene(8), W: fw, H: fh, Scheme: partition.Scheme{Sequence: true, Adaptive: true}, Faults: plan,
 			}, 3)
 			if d.virtual { // on the wall clock the others may finish first
 				pin(t, res, plan, faulty.Stats{Severed: 1}, stats.FaultCounters{WorkersLost: 1, FramesRequeued: 2})
@@ -183,7 +183,7 @@ func TestMasterRefusesStrayWorker(t *testing.T) {
 			}
 			res, err := RunMaster(Config{
 				Scene: sc, W: fw, H: fh, Coherence: true,
-				Scheme: partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
+				Scheme: partition.Scheme{BlockW: 16, BlockH: 16, Adaptive: true},
 			}, hub)
 			hub.Close()
 			if err != nil {

@@ -109,9 +109,9 @@ func TestGoldenImages(t *testing.T) {
 	}
 
 	schemes := []partition.Scheme{
-		partition.SequenceDivision{Adaptive: true},
-		partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
-		partition.HybridDivision{BlockW: 20, BlockH: 16, SubseqLen: 3},
+		{Sequence: true, Adaptive: true},
+		{BlockW: 16, BlockH: 16, Adaptive: true},
+		{BlockW: 20, BlockH: 16, Sequence: true},
 	}
 	for _, coh := range []bool{false, true} {
 		for _, sch := range schemes {
@@ -130,7 +130,7 @@ func TestGoldenImages(t *testing.T) {
 	// One local-driver pass over the full wire protocol.
 	res, err := RenderLocal(Config{
 		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 3,
-		Scheme: partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
+		Scheme: partition.Scheme{BlockW: 16, BlockH: 16, Adaptive: true},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -161,7 +161,7 @@ func TestParkedThiefReleasedWhenVictimRetires(t *testing.T) {
 		return partition.Task{ID: id, Region: full, StartFrame: f0, EndFrame: f1}
 	}
 	res, ln := scriptRun(t, Config{
-		Scene: farmScene(12), W: w, H: h, Scheme: partition.SequenceDivision{Adaptive: true},
+		Scene: farmScene(12), W: w, H: h, Scheme: partition.Scheme{Sequence: true, Adaptive: true},
 	}, []string{"w0", "w1", "w2"},
 		one(helloFrom("w0")), one(helloFrom("w1")), one(helloFrom("w2")), // [0,4) [4,8) [8,12)
 		resultsFrom("w2", task(2, 8, 12), 8, 9),
@@ -191,7 +191,7 @@ func TestSpeculativeDuplicateCountsOnce(t *testing.T) {
 	full := fb.NewRect(0, 0, w, h)
 	res, _ := scriptRun(t, Config{
 		Scene: farmScene(4), W: w, H: h, Speculate: true,
-		Scheme: partition.SequenceDivision{Adaptive: false},
+		Scheme: partition.Scheme{Sequence: true},
 	}, []string{"w0", "w1"},
 		one(helloFrom("w0")), one(helloFrom("w1")), // [0,2) [2,4)
 		resultsFrom("w0", partition.Task{ID: 0, Region: full}, 0, 2),
@@ -223,7 +223,7 @@ func TestReconciledStealKeepsItsRegion(t *testing.T) {
 	}
 	_, ln := scriptRun(t, Config{
 		Scene: farmScene(6), W: w, H: h,
-		Scheme: partition.FrameDivision{BlockW: 8, BlockH: 8, Adaptive: true},
+		Scheme: partition.Scheme{BlockW: 8, BlockH: 8, Adaptive: true},
 	}, []string{"w0", "w1", "w2"},
 		one(helloFrom("w0")), one(helloFrom("w1")), one(helloFrom("w2")), // blocks a, b, c
 		resultsFrom("w1", task(1, b, 0, 6), 0, 6),
@@ -257,7 +257,7 @@ func TestLateAckForOldTaskLeavesNewTruncateParked(t *testing.T) {
 		return partition.Task{ID: id, Region: full, StartFrame: f0, EndFrame: f1}
 	}
 	_, ln := scriptRun(t, Config{
-		Scene: farmScene(32), W: w, H: h, Scheme: partition.SequenceDivision{Adaptive: true},
+		Scene: farmScene(32), W: w, H: h, Scheme: partition.Scheme{Sequence: true, Adaptive: true},
 	}, []string{"w0", "w1", "w2", "w3"},
 		one(helloFrom("w0")), one(helloFrom("w1")), one(helloFrom("w2")), one(helloFrom("w3")),
 		resultsFrom("w3", task(3, 24, 32), 24, 31), // w3 has too little left to steal from
@@ -295,7 +295,7 @@ func TestTruncateAckRefreshesStallDeadline(t *testing.T) {
 	task := func(id int) partition.Task { return partition.Task{ID: id, Region: full} }
 	ms, tick := time.Millisecond, msg.Message{Tag: tagTick}
 	res, ln := runScript(t, Config{
-		Scene: farmScene(8), W: 8, H: 8, Scheme: partition.SequenceDivision{Adaptive: true},
+		Scene: farmScene(8), W: 8, H: 8, Scheme: partition.Scheme{Sequence: true, Adaptive: true},
 		StallTimeout: 100 * time.Millisecond,
 	}, []string{"w0", "w1"}, slices.Concat(
 		at(0, helloFrom("w0"), helloFrom("w1")), // [0,4) and [4,8)
@@ -325,7 +325,7 @@ func TestTickRetiresUnjoinedWorker(t *testing.T) {
 	ms := time.Millisecond
 	tick := msg.Message{Tag: tagTick}
 	res, ln := runScript(t, Config{
-		Scene: farmScene(2), W: w, H: h, Scheme: partition.SequenceDivision{Adaptive: false},
+		Scene: farmScene(2), W: w, H: h, Scheme: partition.Scheme{Sequence: true},
 		Heartbeat: 10 * time.Millisecond, Liveness: 300 * time.Millisecond,
 	}, []string{"w0", "mute"},
 		scripted{0, helloFrom("w0")},
@@ -365,7 +365,7 @@ func TestMuteWorkerDoesNotHangHeartbeatlessRun(t *testing.T) {
 			defer cancel()
 			res := d.chaos(t, Config{
 				Scene: farmScene(4), W: fw, H: fh, Ctx: ctx,
-				Scheme: partition.SequenceDivision{Adaptive: true}, Faults: plan,
+				Scheme: partition.Scheme{Sequence: true, Adaptive: true}, Faults: plan,
 			}, 2)
 			if res.Faults != (stats.FaultCounters{}) {
 				t.Errorf("faults %s: nothing should retire a worker with heartbeats off", res.Faults.String())

@@ -14,7 +14,7 @@ import (
 func TestObjSpaceGolden(t *testing.T) {
 	sc := farmScene(goldenFrames)
 	want := readGolden(t)
-	scheme := partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true}
+	scheme := partition.Scheme{BlockW: 16, BlockH: 16, Adaptive: true}
 
 	for _, coh := range []bool{false, true} {
 		for _, shards := range []int{2, 4} {

@@ -19,9 +19,9 @@ func TestThreadsByteIdenticalAcrossSchemes(t *testing.T) {
 	sc := farmScene(6)
 	want := referenceFrames(t, sc)
 	schemes := []partition.Scheme{
-		partition.SequenceDivision{Adaptive: true},
-		partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true},
-		partition.HybridDivision{BlockW: 20, BlockH: 16, SubseqLen: 3},
+		{Sequence: true, Adaptive: true},
+		{BlockW: 16, BlockH: 16, Adaptive: true},
+		{BlockW: 20, BlockH: 16, Sequence: true},
 	}
 	for _, coh := range []bool{false, true} {
 		for _, sch := range schemes {

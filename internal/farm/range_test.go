@@ -38,7 +38,7 @@ func TestWorkerBuildsEachFrameOnce(t *testing.T) {
 	ranges := new(rangeHolder)
 	res := oneWorker(t, Config{
 		Scene: sc, W: w, H: h, Coherence: true, Workers: 1, Threads: 1,
-		Scheme:    partition.FrameDivision{BlockW: 40, BlockH: 40, Adaptive: true},
+		Scheme:    partition.Scheme{BlockW: 40, BlockH: 40, Adaptive: true},
 		WireDelta: true, WireSpanCodec: true,
 	}, ranges)
 	assertFramesEqual(t, "one worker, twelve blocks", res.Frames, want)
@@ -116,7 +116,7 @@ func TestPlainWorkerBuildsEachFrameOnce(t *testing.T) {
 		ranges := new(rangeHolder)
 		res := oneWorker(t, Config{
 			Scene: sc, W: w, H: h, Workers: 1, Threads: 1, ObjSpaceShards: shards,
-			Scheme: partition.FrameDivision{BlockW: 40, BlockH: 30, Adaptive: true},
+			Scheme: partition.Scheme{BlockW: 40, BlockH: 30, Adaptive: true},
 		}, ranges)
 		assertFramesEqual(t, fmt.Sprintf("%d shards", shards), res.Frames, want)
 		if res.TasksExecuted != 4 {

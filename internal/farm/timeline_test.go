@@ -62,7 +62,7 @@ func TestRenderLocalTimeline(t *testing.T) {
 	rec := timeline.New(0)
 	res, err := RenderLocal(Config{
 		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 2,
-		Scheme:    partition.FrameDivision{BlockW: 20, BlockH: 16, Adaptive: true},
+		Scheme:    partition.Scheme{BlockW: 20, BlockH: 16, Adaptive: true},
 		Heartbeat: 10 * time.Millisecond,
 		Timeline:  rec,
 	})
@@ -138,7 +138,7 @@ func TestRenderVirtualTimeline(t *testing.T) {
 	}
 	res, err := RenderVirtual(Config{
 		Scene: sc, W: fw, H: fh, Coherence: true, Machines: machines,
-		Scheme:   partition.SequenceDivision{Adaptive: true},
+		Scheme:   partition.Scheme{Sequence: true, Adaptive: true},
 		Timeline: timeline.New(0),
 	})
 	if err != nil {

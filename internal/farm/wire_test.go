@@ -175,7 +175,7 @@ func TestFrameAckRoundTrip(t *testing.T) {
 func TestWireGolden(t *testing.T) {
 	sc := farmScene(goldenFrames)
 	want := readGolden(t)
-	scheme := partition.FrameDivision{BlockW: 16, BlockH: 16, Adaptive: true}
+	scheme := partition.Scheme{BlockW: 16, BlockH: 16, Adaptive: true}
 
 	for _, delta := range []bool{false, true} {
 		for _, span := range []bool{false, true} {

@@ -5,7 +5,11 @@
 
 package msg
 
-import "testing"
+import (
+	"testing"
+
+	"nowrender/internal/heappin"
+)
 
 // TestGetPutBytesAllocatesNothing: a slice taken and returned goes back
 // to its size class in the holder it came out in, so a steady Get+Put
@@ -13,7 +17,7 @@ import "testing"
 func TestGetPutBytesAllocatesNothing(t *testing.T) {
 	for _, n := range []int{1, 100, 4 << 10, 57600} {
 		PutBytes(GetBytes(n))
-		if got := testing.AllocsPerRun(100, func() { PutBytes(GetBytes(n)) }); got != 0 {
+		if _, got := heappin.PerCall(t, 100, func() { PutBytes(GetBytes(n)) }); got != 0 {
 			t.Errorf("GetBytes(%d)+PutBytes: %v allocs, want 0", n, got)
 		}
 	}

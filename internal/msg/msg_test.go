@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"nowrender/internal/heappin"
 )
 
 func TestBufferRoundTrip(t *testing.T) {
@@ -280,28 +281,21 @@ func TestTCPSendCopiesNothing(t *testing.T) {
 		_, _ = io.Copy(io.Discard, far.(*tcpConn).nc)
 	}()
 
-	const sends = 100
-	payloads := make([][]byte, sends+1)
+	const runs = 20 // a window; heappin.PerCall measures five after one warm-up
+	payloads := make([][]byte, 5*runs+1)
 	for i := range payloads {
 		payloads[i] = make([]byte, 64<<10)
 	}
-	send := func(i int) error {
-		return near.Send(Message{Tag: 3, From: "worker07", Data: payloads[i]})
-	}
-	if err := send(sends); err != nil { // warm the connection's scratch
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := range sends {
-		if err := send(i); err != nil {
+	sent := 0
+	per, _ := heappin.PerCall(t, runs, func() {
+		if err := near.Send(Message{Tag: 3, From: "worker07", Data: payloads[sent]}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	runtime.ReadMemStats(&after)
+		sent++
+	})
 	near.Close()
 	<-drained
-	if per := (after.TotalAlloc - before.TotalAlloc) / sends; per >= 1<<10 {
+	if per >= 1<<10 {
 		t.Errorf("a 64 kB Send allocates %d B, want < 1 kB", per)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"nowrender/internal/heappin"
 )
 
 // Payload generators spanning the shapes frame deltas actually take:
@@ -261,18 +263,18 @@ func TestSpanCompressAllocFree(t *testing.T) {
 	src := bandedPayload(3*4096, rand.New(rand.NewSource(5)))
 	scratch := make([]byte, 0, 2*len(src))
 	scratch = SpanCompress(scratch[:0], src) // warm the pool
-	if n := testing.AllocsPerRun(100, func() {
+	if _, n := heappin.PerCall(t, 100, func() {
 		scratch = SpanCompress(scratch[:0], src)
 	}); n != 0 {
-		t.Fatalf("SpanCompress allocated %.1f times per run, want 0", n)
+		t.Fatalf("SpanCompress allocated %d times per run, want 0", n)
 	}
 	dst := make([]byte, len(src))
-	if n := testing.AllocsPerRun(100, func() {
+	if _, n := heappin.PerCall(t, 100, func() {
 		if err := SpanDecompress(dst, scratch); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Fatalf("SpanDecompress allocated %.1f times per run, want 0", n)
+		t.Fatalf("SpanDecompress allocated %d times per run, want 0", n)
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"testing"
 
 	"nowrender/internal/fb"
+	"nowrender/internal/heappin"
 	"nowrender/internal/msg"
 	"nowrender/internal/scene"
 	"nowrender/internal/scenes"
@@ -315,7 +315,7 @@ func TestRouterIntersectAllocatesNothing(t *testing.T) {
 		},
 	} {
 		before := st.RaysForwarded()
-		allocs := testing.AllocsPerRun(3, func() {
+		_, allocs := heappin.PerCall(t, 3, func() {
 			for i := range log.rays {
 				query(i)
 			}
@@ -353,16 +353,7 @@ func TestShardedFrameAllocs(t *testing.T) {
 		}
 		cl.WorkersFor(nil)(nil).RenderFull(img)
 	}
-	frame() // warm
-	const frames = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range frames {
-		frame()
-	}
-	runtime.ReadMemStats(&after)
-	size := (after.TotalAlloc - before.TotalAlloc) / frames
-	allocs := (after.Mallocs - before.Mallocs) / frames
+	size, allocs := heappin.PerCall(t, 5, frame)
 	t.Logf("%d B in %d allocations a frame", size, allocs)
 	if size > budgetBytes || allocs > budgetAllocs {
 		t.Errorf("a 2-shard frame allocates %d B in %d allocations, budget %d B in %d", size, allocs, budgetBytes, budgetAllocs)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nowrender/internal/geom"
+	"nowrender/internal/heappin"
 	"nowrender/internal/material"
 	vm "nowrender/internal/vecmath"
 )
@@ -117,7 +118,7 @@ func TestStaticObjectQueriesAllocateNothing(t *testing.T) {
 	s := New("t")
 	obj := s.Add("static", geom.NewSphere(vm.V(0, 0, 0), 1), material.Matte(material.Red), nil)
 	var b vm.AABB
-	allocs := testing.AllocsPerRun(100, func() {
+	_, allocs := heappin.PerCall(t, 100, func() {
 		_ = obj.ShapeAt(3)
 		b = obj.BoundsAt(3)
 		_ = obj.MovedBetween(3, 4)
@@ -204,7 +205,7 @@ func TestSceneValidateAllocatesNothing(t *testing.T) {
 	for i := range 50 {
 		s.Add("o", geom.NewSphere(vm.V(float64(i), 0, 0), 1), material.Matte(material.Red), nil)
 	}
-	if got := testing.AllocsPerRun(100, func() {
+	if _, got := heappin.PerCall(t, 100, func() {
 		if err := s.Validate(); err != nil {
 			t.Fatal(err)
 		}

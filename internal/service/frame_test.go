@@ -7,11 +7,11 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strings"
 	"testing"
 
 	"nowrender/internal/fb"
+	"nowrender/internal/heappin"
 	"nowrender/internal/tga"
 )
 
@@ -233,18 +233,14 @@ func warmFetcher(t testing.TB) (fetch func(), frameBytes int) {
 func TestWarmFetchAllocatesNoFrame(t *testing.T) {
 	fetch, frameBytes := warmFetcher(t)
 	const runs = 200
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, fetch)
-	runtime.ReadMemStats(&after)
-	perFetch := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
-	t.Logf("warm TGA fetch: %.0f allocations, %.0f bytes (a frame is %d)", allocs, perFetch, frameBytes)
-	if perFetch > float64(frameBytes)/8 {
-		t.Errorf("a warm TGA fetch allocates %.0f bytes; a frame is %d, so something frame-sized is rebuilt per fetch",
+	perFetch, allocs := heappin.PerCall(t, runs, fetch)
+	t.Logf("warm TGA fetch: %d allocations, %d bytes (a frame is %d)", allocs, perFetch, frameBytes)
+	if perFetch > uint64(frameBytes)/8 {
+		t.Errorf("a warm TGA fetch allocates %d bytes; a frame is %d, so something frame-sized is rebuilt per fetch",
 			perFetch, frameBytes)
 	}
 	if allocs > 30 {
-		t.Errorf("a warm TGA fetch makes %.0f allocations, want a handful", allocs)
+		t.Errorf("a warm TGA fetch makes %d allocations, want a handful", allocs)
 	}
 }
 

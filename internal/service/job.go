@@ -45,8 +45,9 @@ type JobSpec struct {
 	// both zero means the whole animation.
 	StartFrame int `json:"start_frame,omitempty"`
 	EndFrame   int `json:"end_frame,omitempty"`
-	// Scheme picks the partitioning: seqdiv (default), seqdiv-static,
-	// framediv, hybrid, pixeldiv.
+	// Scheme names the partitioning, as partition.Parse reads it:
+	// seqdiv (default), seqdiv-static, framediv, hybrid or pixeldiv.
+	// framediv and hybrid tile 80x80 blocks, the paper's size.
 	Scheme string `json:"scheme,omitempty"`
 	// Plain disables the frame-coherence algorithm inside tasks.
 	Plain bool `json:"plain,omitempty"`

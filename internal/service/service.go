@@ -166,6 +166,10 @@ const (
 	RejectDraining      = "draining"
 )
 
+// blockSize is the block edge of a framediv or hybrid job: the paper's
+// 80x80.
+const blockSize = 80
+
 // Service is a long-lived render-job service: the job queue, dispatch,
 // worker leases and the frame cache behind the HTTP API. Create with
 // New, serve its Handler, and Close on shutdown (or Drain for a
@@ -272,7 +276,7 @@ func (s *Service) normalize(spec *JobSpec, frames int) error {
 	if spec.Scheme == "" {
 		spec.Scheme = "seqdiv"
 	}
-	if _, err := schemeByName(spec.Scheme); err != nil {
+	if _, err := partition.Parse(spec.Scheme, blockSize, blockSize); err != nil {
 		return err
 	}
 	if spec.Driver == "" {
@@ -293,24 +297,6 @@ func (s *Service) normalize(spec *JobSpec, frames int) error {
 		spec.Retries = s.cfg.MaxJobRetries
 	}
 	return nil
-}
-
-// schemeByName maps the CLI scheme names onto partition schemes.
-func schemeByName(name string) (partition.Scheme, error) {
-	switch name {
-	case "seqdiv":
-		return partition.SequenceDivision{Adaptive: true}, nil
-	case "seqdiv-static":
-		return partition.SequenceDivision{}, nil
-	case "framediv":
-		return partition.FrameDivision{BlockW: 80, BlockH: 80, Adaptive: true}, nil
-	case "hybrid":
-		return partition.HybridDivision{BlockW: 80, BlockH: 80, SubseqLen: 15}, nil
-	case "pixeldiv":
-		return partition.PixelDivision{}, nil
-	default:
-		return nil, fmt.Errorf("service: unknown scheme %q", name)
-	}
 }
 
 // rejectLocked counts a rejected submission by reason; callers hold
@@ -653,7 +639,7 @@ func missingRuns(missing []bool, offset int) [][2]int {
 // completed frame into the cache (completing any coalesced flights) and
 // the job.
 func (s *Service) renderRange(j *job, start, end int) error {
-	scheme, err := schemeByName(j.spec.Scheme)
+	scheme, err := partition.Parse(j.spec.Scheme, blockSize, blockSize)
 	if err != nil {
 		return err
 	}

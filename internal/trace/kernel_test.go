@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nowrender/internal/grid"
+	"nowrender/internal/heappin"
 	"nowrender/internal/scene"
 	"nowrender/internal/scenes"
 	vm "nowrender/internal/vecmath"
@@ -43,7 +44,7 @@ func TestTraceAllocsZero(t *testing.T) {
 			}
 		}
 		frame() // warm-up: the arena grows to its working size
-		if n := testing.AllocsPerRun(3, frame); n != 0 {
+		if _, n := heappin.PerCall(t, 3, frame); n != 0 {
 			t.Errorf("%s worker: %v allocations per %dx%d frame, want 0", name, n, w, h)
 		}
 		if wk.Counters.Total() == 0 {

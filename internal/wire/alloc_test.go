@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nowrender/internal/fb"
+	"nowrender/internal/heappin"
 	"nowrender/internal/msg"
 	"nowrender/internal/wire"
 )
@@ -62,7 +63,7 @@ func TestResultRoundTripAllocatesNothing(t *testing.T) {
 			msg.PutBytes(m.Data)
 		}
 		trip()
-		if got := testing.AllocsPerRun(50, trip); got != 0 {
+		if _, got := heappin.PerCall(t, 50, trip); got != 0 {
 			t.Errorf("%s: %v allocs a round trip, want 0", tc.name, got)
 		}
 	}

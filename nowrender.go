@@ -14,9 +14,10 @@
 //     virtual network of workstations (heterogeneous speeds, shared
 //     Ethernet); RunWorker is the worker side of its PVM-like message
 //     protocol, for workers on real machines.
-//   - Partitioning schemes (SequenceDivision, FrameDivision,
-//     HybridDivision) control how animations are decomposed, as in §3 of
-//     the paper.
+//   - A PartitionScheme controls how an animation is decomposed, as in
+//     §3 of the paper: one block of the frame times one subsequence of
+//     the frames per task, which covers sequence division, frame
+//     division and their hybrid.
 //
 // See the examples directory for runnable programs and DESIGN.md for the
 // system inventory.
@@ -193,21 +194,12 @@ func RenderAnimation(sc *Scene, w, h int, emit func(frame int, img *Framebuffer)
 
 // Partitioning schemes (§3).
 type (
-	// PartitionScheme decomposes an animation into tasks.
+	// PartitionScheme decomposes an animation into block x subsequence
+	// tasks: {Sequence: true} is sequence division, {BlockW, BlockH}
+	// frame division, both together the hybrid.
 	PartitionScheme = partition.Scheme
 	// Task is one assignable unit of work.
 	Task = partition.Task
-	// SequenceDivision assigns consecutive whole-frame subsequences.
-	SequenceDivision = partition.SequenceDivision
-	// FrameDivision assigns fixed subareas across the whole sequence.
-	FrameDivision = partition.FrameDivision
-	// HybridDivision assigns subarea x subsequence tasks.
-	HybridDivision = partition.HybridDivision
-	// PixelDivision is the degenerate one-pixel-per-task extreme.
-	PixelDivision = partition.PixelDivision
-	// WeightedSequenceDivision sizes initial subsequences by known
-	// worker speeds (the paper's §5 refinement direction).
-	WeightedSequenceDivision = partition.WeightedSequenceDivision
 )
 
 // Machine describes one workstation of the virtual NOW (relative speed,

@@ -106,7 +106,7 @@ func TestPublicFarmVirtual(t *testing.T) {
 	sc := nowrender.NewtonScene(4)
 	res, err := nowrender.RenderFarmVirtual(nowrender.FarmConfig{
 		Scene: sc, W: 40, H: 52, Coherence: true,
-		Scheme: nowrender.FrameDivision{BlockW: 20, BlockH: 26, Adaptive: true},
+		Scheme: nowrender.PartitionScheme{BlockW: 20, BlockH: 26, Adaptive: true},
 	})
 	if err != nil {
 		t.Fatal(err)
