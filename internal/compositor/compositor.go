@@ -187,8 +187,8 @@ func (c *Compositor) handle(m msg.Message) {
 	defer c.mu.Unlock()
 	switch m.Tag {
 	case TagInit:
-		in, err := DecodeInit(m.Data)
-		if err != nil {
+		var in Init
+		if msg.Decode(m.Data, &in) != nil {
 			return
 		}
 		// A re-init (sink restarted from the master's point of view, or a
@@ -207,8 +207,9 @@ func (c *Compositor) handle(m msg.Message) {
 			c.assemble(pm)
 		}
 	case TagJoin:
-		if name, err := DecodeJoin(m.Data); err == nil {
-			c.workers[m.From] = name
+		var j Join
+		if msg.Decode(m.Data, &j) == nil {
+			c.workers[m.From] = j.Worker
 		}
 	case TagPix, TagRelayPix:
 		if !c.inited {
@@ -239,11 +240,11 @@ func (c *Compositor) assemble(m msg.Message) {
 	worker := c.workers[m.From]
 	relayed := m.Tag == TagRelayPix
 	if relayed {
-		var err error
-		worker, data, err = DecodeRelay(m.Data)
-		if err != nil {
+		var r Relay
+		if msg.Decode(m.Data, &r) != nil {
 			return
 		}
+		worker, data = r.Worker, r.FrameDone
 	}
 	var tlStart int64
 	if c.track != nil {
@@ -251,7 +252,7 @@ func (c *Compositor) assemble(m msg.Message) {
 	}
 	fd, err := wire.DecodeFrameDone(data)
 	if err != nil {
-		c.report(TagMiss, EncodeMiss(Miss{Gen: c.gen, Worker: worker, Reason: MissMalformed}))
+		c.report(TagMiss, msg.Encode(&Miss{Gen: c.gen, Worker: worker, Reason: MissMalformed}))
 		return
 	}
 	defer fd.Release()
@@ -261,7 +262,7 @@ func (c *Compositor) assemble(m msg.Message) {
 		}
 	}()
 	if fd.Frame < c.start || fd.Frame >= c.end {
-		c.report(TagMiss, EncodeMiss(Miss{Gen: c.gen, Frame: fd.Frame, Region: fd.Region, Worker: worker, Reason: MissShard}))
+		c.report(TagMiss, msg.Encode(&Miss{Gen: c.gen, Frame: fd.Frame, Region: fd.Region, Worker: worker, Reason: MissShard}))
 		return
 	}
 	c.wire.SinkIngressBytes += uint64(len(data))
@@ -282,12 +283,12 @@ func (c *Compositor) assemble(m msg.Message) {
 		if c.track != nil {
 			c.track.Instant(timeline.OpNeedKey, fd.Frame, int64(fd.Frame))
 		}
-		c.report(TagMiss, EncodeMiss(Miss{Gen: c.gen, Frame: fd.Frame, Region: fd.Region, Worker: worker, Reason: MissBase}))
+		c.report(TagMiss, msg.Encode(&Miss{Gen: c.gen, Frame: fd.Frame, Region: fd.Region, Worker: worker, Reason: MissBase}))
 		if !relayed {
-			_ = c.hub.Send(m.From, msg.Message{Tag: TagNeedKey, Data: EncodePair(fd.Frame, c.gen)})
+			_ = c.hub.Send(m.From, msg.Message{Tag: TagNeedKey, Data: msg.Encode(&NeedKey{Frame: fd.Frame, Gen: c.gen})})
 		}
 	case err != nil:
-		c.report(TagMiss, EncodeMiss(Miss{Gen: c.gen, Frame: fd.Frame, Region: fd.Region, Worker: worker, Reason: MissMalformed}))
+		c.report(TagMiss, msg.Encode(&Miss{Gen: c.gen, Frame: fd.Frame, Region: fd.Region, Worker: worker, Reason: MissMalformed}))
 	case dup:
 		// Speculation or a post-reset re-send: first result won, and its
 		// confirmation already carries the master's bookkeeping.
@@ -306,7 +307,7 @@ func (c *Compositor) assemble(m msg.Message) {
 				c.onErr = err
 			}
 		}
-		c.report(TagDelivered, EncodeDelivered(Delivered{
+		c.report(TagDelivered, msg.Encode(&Delivered{
 			Gen: c.gen, Frame: fd.Frame, Region: fd.Region, Worker: worker,
 			Kind: fd.Kind, WireBytes: len(data), RawBytes: fd.RawPixBytes(),
 			Complete: complete,

@@ -48,7 +48,7 @@ func newSinkHarness(t *testing.T) *sinkHarness {
 
 func (h *sinkHarness) init(gen, start, end int) {
 	h.t.Helper()
-	err := h.master.Send(msg.Message{Tag: TagInit, Data: EncodeInit(Init{
+	err := h.master.Send(msg.Message{Tag: TagInit, Data: msg.Encode(&Init{
 		Gen: gen, W: tw, H: th, Start: start, End: end,
 	})})
 	if err != nil {
@@ -63,7 +63,7 @@ func (h *sinkHarness) worker(name string) msg.Conn {
 	if err := h.c.AddConn(remote); err != nil {
 		h.t.Fatal(err)
 	}
-	if err := local.Send(msg.Message{Tag: TagJoin, Data: EncodeJoin(name)}); err != nil {
+	if err := local.Send(msg.Message{Tag: TagJoin, Data: msg.Encode(&Join{Worker: name})}); err != nil {
 		h.t.Fatal(err)
 	}
 	return local
@@ -144,8 +144,8 @@ func TestSinkAssembleAndConfirm(t *testing.T) {
 	if m.Tag != TagDelivered {
 		t.Fatalf("master got tag %d, want TagDelivered", m.Tag)
 	}
-	d, err := DecodeDelivered(m.Data)
-	if err != nil {
+	var d Delivered
+	if err := msg.Decode(m.Data, &d); err != nil {
 		t.Fatal(err)
 	}
 	if d.Gen != 1 || d.Frame != 0 || !d.Complete || d.Worker != "worker00" {
@@ -183,8 +183,8 @@ func TestSinkOutOfOrderDelta(t *testing.T) {
 	if m.Tag != TagMiss {
 		t.Fatalf("master got tag %d, want TagMiss", m.Tag)
 	}
-	miss, err := DecodeMiss(m.Data)
-	if err != nil {
+	var miss Miss
+	if err := msg.Decode(m.Data, &miss); err != nil {
 		t.Fatal(err)
 	}
 	if miss.Reason != MissBase || miss.Frame != 2 || miss.Worker != "worker00" {
@@ -194,8 +194,9 @@ func TestSinkOutOfOrderDelta(t *testing.T) {
 	if nk.Tag != TagNeedKey {
 		t.Fatalf("worker got tag %d, want TagNeedKey", nk.Tag)
 	}
-	if f, gen, err := DecodePair(nk.Data); err != nil || f != 2 || gen != 1 {
-		t.Errorf("NeedKey = (%d, %d, %v), want frame 2 gen 1", f, gen, err)
+	var k NeedKey
+	if err := msg.Decode(nk.Data, &k); err != nil || k != (NeedKey{Frame: 2, Gen: 1}) {
+		t.Errorf("NeedKey = %+v, %v, want frame 2 gen 1", k, err)
 	}
 
 	// The worker re-keys: full frames for 1 and 2 complete the shard.
@@ -312,7 +313,8 @@ func TestSinkShardAndMalformedMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := h.recv(h.master)
-	miss, err := DecodeMiss(m.Data)
+	var miss Miss
+	err := msg.Decode(m.Data, &miss)
 	if m.Tag != TagMiss || err != nil || miss.Reason != MissShard || miss.Frame != 7 {
 		t.Fatalf("out-of-shard result: got tag %d (%+v, %v), want MissShard frame 7", m.Tag, miss, err)
 	}
@@ -320,7 +322,8 @@ func TestSinkShardAndMalformedMisses(t *testing.T) {
 		t.Fatal(err)
 	}
 	m = h.recv(h.master)
-	miss, err = DecodeMiss(m.Data)
+	miss = Miss{}
+	err = msg.Decode(m.Data, &miss)
 	if m.Tag != TagMiss || err != nil || miss.Reason != MissMalformed {
 		t.Fatalf("garbage result: got tag %d (%+v, %v), want MissMalformed", m.Tag, miss, err)
 	}
@@ -353,7 +356,8 @@ func TestSinkReinitResetsShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := h.recv(h.master)
-	miss, err := DecodeMiss(m.Data)
+	var miss Miss
+	err := msg.Decode(m.Data, &miss)
 	if m.Tag != TagMiss || err != nil || miss.Reason != MissBase || miss.Gen != 2 {
 		t.Fatalf("post-reinit delta: got tag %d (%+v, %v), want MissBase gen 2", m.Tag, miss, err)
 	}

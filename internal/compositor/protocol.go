@@ -27,10 +27,10 @@ const (
 	// TagRelayPix (master→sink) relays a master-routed result — from a
 	// worker that could not reach the sink, or a quarantined frame the
 	// master rendered itself — so assembly still happens in one place.
-	// Payload: sealed [worker name][frame-done bytes].
+	// Payload: Relay.
 	TagRelayPix
 	// TagNeedKey (sink→worker) asks for a fresh key-frame after a base
-	// miss broke the delta chain. Payload: pair (frame, generation).
+	// miss broke the delta chain. Payload: NeedKey.
 	TagNeedKey
 	// TagDelivered (sink→master) confirms one result merged into the
 	// shard assembly; the master's bookkeeping marks the (frame, region)
@@ -44,7 +44,7 @@ const (
 	TagClose
 )
 
-// Init configures a sink for a run.
+// Init configures a sink for a run (TagInit).
 type Init struct {
 	// Gen is the master's init generation for this sink: bumped on every
 	// re-dial, echoed in confirmations, so the master can discard stale
@@ -55,42 +55,26 @@ type Init struct {
 	Start, End int
 }
 
-func EncodeInit(in Init) []byte {
-	b := msg.GetBuffer()
-	defer b.Release()
-	b.PackInt(int64(in.Gen))
-	b.PackInt(int64(in.W))
-	b.PackInt(int64(in.H))
-	b.PackInt(int64(in.Start))
-	b.PackInt(int64(in.End))
-	return b.Sealed()
+func (in *Init) Fields(b *msg.Buffer) {
+	b.Int(&in.Gen)
+	b.Int(&in.W)
+	b.Int(&in.H)
+	b.Int(&in.Start)
+	b.Int(&in.End)
 }
 
-func DecodeInit(data []byte) (Init, error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return Init{}, fmt.Errorf("compositor: bad init: %w", err)
-	}
-	b := msg.FromBytes(body)
-	var in Init
-	in.Gen = int(b.UnpackInt())
-	in.W = int(b.UnpackInt())
-	in.H = int(b.UnpackInt())
-	in.Start = int(b.UnpackInt())
-	in.End = int(b.UnpackInt())
-	if err := b.Err(); err != nil {
-		return Init{}, fmt.Errorf("compositor: bad init: %w", err)
-	}
+// Validate rejects a resolution or a shard no master would configure.
+func (in *Init) Validate() error {
 	if in.W <= 0 || in.H <= 0 || in.W > wire.MaxDim || in.H > wire.MaxDim {
-		return Init{}, fmt.Errorf("compositor: bad init resolution %dx%d", in.W, in.H)
+		return fmt.Errorf("resolution %dx%d", in.W, in.H)
 	}
 	if in.Start < 0 || in.End <= in.Start || in.End > wire.MaxDim {
-		return Init{}, fmt.Errorf("compositor: bad init shard [%d,%d)", in.Start, in.End)
+		return fmt.Errorf("shard [%d,%d)", in.Start, in.End)
 	}
-	return in, nil
+	return nil
 }
 
-// Delivered confirms one merged result to the master.
+// Delivered confirms one merged result to the master (TagDelivered).
 type Delivered struct {
 	Gen    int
 	Frame  int
@@ -106,42 +90,15 @@ type Delivered struct {
 	Complete bool
 }
 
-func EncodeDelivered(d Delivered) []byte {
-	b := msg.GetBuffer()
-	defer b.Release()
-	b.PackInt(int64(d.Gen))
-	b.PackInt(int64(d.Frame))
-	b.PackInt(int64(d.Region.X0))
-	b.PackInt(int64(d.Region.Y0))
-	b.PackInt(int64(d.Region.X1))
-	b.PackInt(int64(d.Region.Y1))
-	b.PackString(d.Worker)
-	b.PackInt(int64(d.Kind))
-	b.PackInt(int64(d.WireBytes))
-	b.PackInt(int64(d.RawBytes))
-	b.PackBool(d.Complete)
-	return b.Sealed()
-}
-
-func DecodeDelivered(data []byte) (Delivered, error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return Delivered{}, fmt.Errorf("compositor: bad delivered: %w", err)
-	}
-	b := msg.FromBytes(body)
-	var d Delivered
-	d.Gen = int(b.UnpackInt())
-	d.Frame = int(b.UnpackInt())
-	d.Region = fb.NewRect(int(b.UnpackInt()), int(b.UnpackInt()), int(b.UnpackInt()), int(b.UnpackInt()))
-	d.Worker = b.UnpackString()
-	d.Kind = int(b.UnpackInt())
-	d.WireBytes = int(b.UnpackInt())
-	d.RawBytes = int(b.UnpackInt())
-	d.Complete = b.UnpackBool()
-	if err := b.Err(); err != nil {
-		return Delivered{}, fmt.Errorf("compositor: bad delivered: %w", err)
-	}
-	return d, nil
+func (d *Delivered) Fields(b *msg.Buffer) {
+	b.Int(&d.Gen)
+	b.Int(&d.Frame)
+	wire.RectFields(b, &d.Region)
+	b.String(&d.Worker)
+	b.Int(&d.Kind)
+	b.Int(&d.WireBytes)
+	b.Int(&d.RawBytes)
+	b.Bool(&d.Complete)
 }
 
 // Miss reasons (Miss.Reason).
@@ -154,7 +111,7 @@ const (
 	MissShard
 )
 
-// Miss reports an unapplicable result to the master.
+// Miss reports an unapplicable result to the master (TagMiss).
 type Miss struct {
 	Gen    int
 	Frame  int
@@ -163,103 +120,35 @@ type Miss struct {
 	Reason int
 }
 
-func EncodeMiss(mm Miss) []byte {
-	b := msg.GetBuffer()
-	defer b.Release()
-	b.PackInt(int64(mm.Gen))
-	b.PackInt(int64(mm.Frame))
-	b.PackInt(int64(mm.Region.X0))
-	b.PackInt(int64(mm.Region.Y0))
-	b.PackInt(int64(mm.Region.X1))
-	b.PackInt(int64(mm.Region.Y1))
-	b.PackString(mm.Worker)
-	b.PackInt(int64(mm.Reason))
-	return b.Sealed()
+func (mm *Miss) Fields(b *msg.Buffer) {
+	b.Int(&mm.Gen)
+	b.Int(&mm.Frame)
+	wire.RectFields(b, &mm.Region)
+	b.String(&mm.Worker)
+	b.Int(&mm.Reason)
 }
 
-func DecodeMiss(data []byte) (Miss, error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return Miss{}, fmt.Errorf("compositor: bad miss: %w", err)
-	}
-	b := msg.FromBytes(body)
-	var mm Miss
-	mm.Gen = int(b.UnpackInt())
-	mm.Frame = int(b.UnpackInt())
-	mm.Region = fb.NewRect(int(b.UnpackInt()), int(b.UnpackInt()), int(b.UnpackInt()), int(b.UnpackInt()))
-	mm.Worker = b.UnpackString()
-	mm.Reason = int(b.UnpackInt())
-	if err := b.Err(); err != nil {
-		return Miss{}, fmt.Errorf("compositor: bad miss: %w", err)
-	}
-	return mm, nil
+// Join is a worker's data-conn handshake (TagJoin).
+type Join struct{ Worker string }
+
+func (j *Join) Fields(b *msg.Buffer) { b.String(&j.Worker) }
+
+// Relay wraps a worker's master-routed frame-done bytes with its name
+// (TagRelayPix). FrameDone aliases the received message.
+type Relay struct {
+	Worker    string
+	FrameDone []byte
 }
 
-// EncodeJoin packs a worker's data-conn handshake.
-func EncodeJoin(worker string) []byte {
-	b := msg.GetBuffer()
-	defer b.Release()
-	b.PackString(worker)
-	return b.Sealed()
+func (r *Relay) Fields(b *msg.Buffer) {
+	b.String(&r.Worker)
+	b.Bytes(&r.FrameDone)
 }
 
-func DecodeJoin(data []byte) (string, error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return "", fmt.Errorf("compositor: bad join: %w", err)
-	}
-	b := msg.FromBytes(body)
-	w := b.UnpackString()
-	if err := b.Err(); err != nil {
-		return "", fmt.Errorf("compositor: bad join: %w", err)
-	}
-	return w, nil
-}
+// NeedKey asks a worker for a fresh key-frame (TagNeedKey).
+type NeedKey struct{ Frame, Gen int }
 
-// EncodeRelay wraps a worker's master-routed frame-done bytes with its
-// name for master→sink relay.
-func EncodeRelay(worker string, frameDone []byte) []byte {
-	b := msg.GetBuffer()
-	defer b.Release()
-	b.PackString(worker)
-	b.PackBytes(frameDone)
-	return b.Sealed()
-}
-
-func DecodeRelay(data []byte) (worker string, frameDone []byte, err error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return "", nil, fmt.Errorf("compositor: bad relay: %w", err)
-	}
-	b := msg.FromBytes(body)
-	worker = b.UnpackString()
-	frameDone = b.UnpackBytes()
-	if err := b.Err(); err != nil {
-		return "", nil, fmt.Errorf("compositor: bad relay: %w", err)
-	}
-	return worker, frameDone, nil
-}
-
-// EncodePair packs the two-int payload TagNeedKey uses (frame, gen).
-func EncodePair(a, b int) []byte {
-	buf := msg.GetBuffer()
-	defer buf.Release()
-	buf.PackInt(int64(a))
-	buf.PackInt(int64(b))
-	return buf.Sealed()
-}
-
-// DecodePair unpacks a two-int payload.
-func DecodePair(data []byte) (int, int, error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return 0, 0, fmt.Errorf("compositor: bad pair: %w", err)
-	}
-	b := msg.FromBytes(body)
-	x := int(b.UnpackInt())
-	y := int(b.UnpackInt())
-	if err := b.Err(); err != nil {
-		return 0, 0, fmt.Errorf("compositor: bad pair: %w", err)
-	}
-	return x, y, nil
+func (k *NeedKey) Fields(b *msg.Buffer) {
+	b.Int(&k.Frame)
+	b.Int(&k.Gen)
 }

@@ -79,7 +79,7 @@ func (s *sinkControl) dial(i int) error {
 	s.byName[name] = i
 	start, end := s.shard.Shard(i)
 	init := compositor.Init{Gen: s.gens[i], W: s.w, H: s.h, Start: start, End: end}
-	if err := s.hub.Send(name, msg.Message{Tag: compositor.TagInit, Data: compositor.EncodeInit(init)}); err != nil {
+	if err := s.hub.Send(name, msg.Message{Tag: compositor.TagInit, Data: msg.Encode(&init)}); err != nil {
 		return fmt.Errorf("farm: sink %d init: %w", i, err)
 	}
 	return nil
@@ -112,7 +112,7 @@ func (s *sinkControl) relay(worker string, frame int, frameDone []byte) {
 	// Best-effort: a failed send surfaces as the sink's TagDown, whose
 	// recovery resets and requeues the shard.
 	_ = s.hub.Send(s.names[si], msg.Message{
-		Tag: compositor.TagRelayPix, Data: compositor.EncodeRelay(worker, frameDone),
+		Tag: compositor.TagRelayPix, Data: msg.Encode(&compositor.Relay{Worker: worker, FrameDone: frameDone}),
 	})
 }
 

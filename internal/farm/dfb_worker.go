@@ -67,7 +67,7 @@ func (s *sinkLinks) get(addr string) (*sinkLink, error) {
 		return nil, fmt.Errorf("farm: worker %s: sink %s: %w", s.worker, addr, err)
 	}
 	l := &sinkLink{addr: addr, conn: conn, rekey: true}
-	if err := conn.Send(msg.Message{Tag: compositor.TagJoin, From: s.worker, Data: compositor.EncodeJoin(s.worker)}); err != nil {
+	if err := conn.Send(msg.Message{Tag: compositor.TagJoin, From: s.worker, Data: msg.Encode(&compositor.Join{Worker: s.worker})}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("farm: worker %s: sink %s join: %w", s.worker, addr, err)
 	}

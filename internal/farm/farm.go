@@ -284,7 +284,10 @@ func (c *Config) defaults() error {
 	if c.ObjSpaceShards != 0 && (c.ObjSpaceShards < 2 || c.ObjSpaceShards > objspace.MaxShards) {
 		return fmt.Errorf("farm: object-space shard count %d outside [2,%d]", c.ObjSpaceShards, objspace.MaxShards)
 	}
-	return validateAA(c.AAThreshold)
+	if err := validateAA(c.AAThreshold); err != nil {
+		return fmt.Errorf("farm: %w", err)
+	}
+	return nil
 }
 
 // Result summarises a farm run.

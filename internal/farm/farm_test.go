@@ -16,7 +16,6 @@ import (
 	"nowrender/internal/stats"
 	"nowrender/internal/trace"
 	vm "nowrender/internal/vecmath"
-	"nowrender/internal/wire"
 )
 
 const fw, fh = 40, 32
@@ -478,46 +477,4 @@ func TestRenderLocalSingleWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertFramesEqual(t, "local-1", res.Frames, want)
-}
-
-func TestProtocolRoundTrips(t *testing.T) {
-	tm := taskMsg{
-		Task: partition.Task{ID: 3, Region: fb.NewRect(1, 2, 33, 44), StartFrame: 5, EndFrame: 9},
-		W:    240, H: 320, Coherence: true, Samples: 2, AAThreshold: 0.25,
-	}
-	got, err := decodeTask(encodeTask(tm))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, tm) {
-		t.Errorf("task round trip: %+v != %+v", got, tm)
-	}
-
-	fd := frameDoneMsg{
-		TaskID: 3, Frame: 7, Region: fb.NewRect(0, 0, 2, 2),
-		Pix:      []byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12},
-		Rendered: 3, Copied: 1, Regs: 99, ElapsedNs: 123456,
-	}
-	fd.Rays.ByKind[0] = 11
-	fd.Rays.ByKind[3] = 44
-	gotFD, err := wire.DecodeFrameDone(wire.EncodeFrameDone(fd))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotFD.TaskID != fd.TaskID || gotFD.Frame != fd.Frame || gotFD.Region != fd.Region ||
-		string(gotFD.Pix) != string(fd.Pix) || gotFD.Regs != 99 ||
-		gotFD.Rays != fd.Rays || gotFD.ElapsedNs != fd.ElapsedNs {
-		t.Errorf("frame-done round trip mismatch: %+v", gotFD)
-	}
-
-	if _, err := decodeTask([]byte{1, 2}); err == nil {
-		t.Error("short task decoded")
-	}
-	if _, err := wire.DecodeFrameDone([]byte{1}); err == nil {
-		t.Error("short frame-done decoded")
-	}
-	a, b, err := decodePair(encodePair(-7, 42))
-	if err != nil || a != -7 || b != 42 {
-		t.Errorf("pair round trip: %d,%d,%v", a, b, err)
-	}
 }

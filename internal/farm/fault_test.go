@@ -153,18 +153,18 @@ func (c *queuedEnd) Recv() (msg.Message, error) {
 // the other two workers deliver the golden frames.
 func TestMasterRefusesStrayWorker(t *testing.T) {
 	want := readGolden(t)
-	hello := func(data []byte) msg.Message { return msg.Message{Tag: TagHello, Data: data} }
+	sayHello := func(data []byte) msg.Message { return msg.Message{Tag: TagHello, Data: data} }
 	cases := []struct {
 		name     string
 		script   []msg.Message
 		maxTasks int
 	}{
-		{"v1 hello with capability bits", []msg.Message{hello(v1Hello("stray", 0x3f))}, 0},
-		{"raw unsealed name", []msg.Message{hello([]byte("stray"))}, 0},
-		{"version 2", []msg.Message{hello(versionHello("stray", 2))}, 0},
-		{"result before hello", []msg.Message{{Tag: TagTaskDone, Data: encodePair(0, 1)}}, 0},
+		{"v1 hello with capability bits", []msg.Message{sayHello(v1Hello("stray", 0x3f))}, 0},
+		{"raw unsealed name", []msg.Message{sayHello([]byte("stray"))}, 0},
+		{"version 2", []msg.Message{sayHello(versionHello("stray", 2))}, 0},
+		{"result before hello", []msg.Message{{Tag: TagTaskDone, Data: msg.Encode(&taskEnd{0, 1})}}, 0},
 		{"unknown tag before hello", []msg.Message{{Tag: 9999}}, 0},
-		{"second hello", []msg.Message{hello(encodeHello("stray")), hello(encodeHello("stray"))}, 1},
+		{"second hello", []msg.Message{sayHello(msg.Encode(&hello{ProtocolVersion, "stray"})), sayHello(msg.Encode(&hello{ProtocolVersion, "stray"}))}, 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -48,12 +48,13 @@ type WorkerOptions struct {
 // the RTT. A ping garbled in transit gets its bytes back as they came —
 // the answer still proves the render loop is alive, and the master
 // ignores a stamp it cannot parse.
-func pongData(ping []byte, now int64) []byte {
-	seq, masterNs, err := decodePair(ping)
-	if err != nil {
-		return ping
+func pongData(data []byte, now int64) []byte {
+	var p pong
+	if msg.Decode(data, &p.ping) != nil {
+		return data
 	}
-	return encodePong(seq, int64(masterNs), now)
+	p.WorkerNs = now
+	return msg.Encode(&p)
 }
 
 // workerTimeline is the worker-side recorder state: the recorder (from
@@ -169,8 +170,8 @@ func (w *worker) start(data []byte) error {
 	if w.busy() {
 		return fmt.Errorf("farm: worker %s: task %d assigned mid-task", w.name, w.step.tm.Task.ID)
 	}
-	tm, err := decodeTask(data)
-	if err != nil {
+	var tm taskMsg
+	if err := msg.Decode(data, &tm); err != nil {
 		return err
 	}
 	if tm.Threads == 0 {
@@ -191,16 +192,16 @@ func (w *worker) start(data []byte) error {
 // acknowledged as it came: that task stopped at its natural end, and the
 // master ignores an ack for a task it no longer waits on.
 func (w *worker) truncate(data []byte) error {
-	id, stop, err := decodePair(data)
-	if err != nil {
+	var e taskEnd
+	if err := msg.Decode(data, &e); err != nil {
 		return err
 	}
-	running := w.busy() && w.step.tm.Task.ID == id
+	running := w.busy() && w.step.tm.Task.ID == e.Task
 	if running {
-		stop = max(stop, w.next)
-		w.end = stop
+		e.End = max(e.End, w.next)
+		w.end = e.End
 	}
-	if err := w.host.send(TagTruncateAck, encodePair(id, stop)); err != nil {
+	if err := w.host.send(TagTruncateAck, msg.Encode(&e)); err != nil {
 		return err
 	}
 	if running && w.next >= w.end {
@@ -243,7 +244,7 @@ func (w *worker) finish() error {
 	}
 	id := w.step.tm.Task.ID
 	w.step = nil
-	return w.host.send(TagTaskDone, encodePair(id, w.end))
+	return w.host.send(TagTaskDone, msg.Encode(&taskEnd{id, w.end}))
 }
 
 // shipOSStats sends an object-space task's counters, once: ahead of the
@@ -257,16 +258,18 @@ func (w *worker) shipOSStats() error {
 		return nil
 	}
 	s.osShipped = true
-	return w.host.send(TagOSStats, msg.Seal(objspace.EncodeStats(s.osStats.Snapshot())))
+	st := objspace.StatsMsg(s.osStats.Snapshot())
+	return w.host.send(TagOSStats, msg.Encode(&st))
 }
 
 // stopped is a TagBye's payload: the running task and the frame it stops
 // at, so the master requeues the rest; (-1, 0) while idle.
 func (w *worker) stopped() []byte {
-	if !w.busy() {
-		return encodePair(-1, 0)
+	e := taskEnd{-1, 0}
+	if w.busy() {
+		e = taskEnd{w.step.tm.Task.ID, w.next}
 	}
-	return encodePair(w.step.tm.Task.ID, w.next)
+	return msg.Encode(&e)
 }
 
 // RunWorkerWithOptions executes the slave side of the farm protocol on
@@ -300,7 +303,7 @@ func runWorkerLoop(ctx context.Context, name string, conn msg.Conn, sc *scene.Sc
 	h := newConnHost(name, conn, opts)
 	defer h.close()
 	w := &worker{name: name, sc: sc, host: h, threads: opts.Threads, ranges: ranges}
-	err := h.send(TagHello, encodeHello(name))
+	err := h.send(TagHello, msg.Encode(&hello{ProtocolVersion, name}))
 	for err == nil {
 		var m msg.Message
 		var ok bool
@@ -495,7 +498,7 @@ func (h *connHost) ship(s *frameStep, fd frameDoneMsg, first bool) error {
 	if tm.WireFlags&capWireTimeline != 0 {
 		ack.TLNow = h.wt.drainTo(&ack.TLTracks, &ack.TLEvents)
 	}
-	return h.send(TagFrameAck, encodeFrameAck(ack))
+	return h.send(TagFrameAck, msg.Encode(&ack))
 }
 
 // frameStep is the worker-side state of one task and the one place a

@@ -27,11 +27,11 @@ func TestWorkerHostsAgree(t *testing.T) {
 	sc := farmScene(3)
 	task := partition.Task{ID: 7, Region: fb.NewRect(0, 0, fw, fh), StartFrame: 0, EndFrame: 3}
 	script := []msg.Message{
-		{Tag: TagTask, Data: encodeTask(taskMsg{Task: task, W: fw, H: fh, Coherence: true, Samples: 1, Threads: 1})},
-		{Tag: TagTruncate, Data: encodePair(7, 2)},
-		{Tag: TagTruncate, Data: encodePair(6, 4)},
-		{Tag: TagTruncate, Data: encodePair(6, 4)},
-		{Tag: TagPing, Data: encodePair(1, 500)},
+		{Tag: TagTask, Data: msg.Encode(&taskMsg{Task: task, W: fw, H: fh, Coherence: true, Samples: 1, Threads: 1})},
+		{Tag: TagTruncate, Data: msg.Encode(&taskEnd{7, 2})},
+		{Tag: TagTruncate, Data: msg.Encode(&taskEnd{6, 4})},
+		{Tag: TagTruncate, Data: msg.Encode(&taskEnd{6, 4})},
+		{Tag: TagPing, Data: msg.Encode(&ping{1, 500})},
 		{Tag: TagShutdown},
 	}
 
@@ -106,8 +106,8 @@ func TestTruncateOfAnotherTaskLeavesRunningTask(t *testing.T) {
 	}
 	task := partition.Task{ID: 5, Region: fb.NewRect(0, 0, fw, fh), StartFrame: 0, EndFrame: 3}
 	for _, m := range []msg.Message{
-		{Tag: TagTask, Data: encodeTask(taskMsg{Task: task, W: fw, H: fh, Samples: 1, Threads: 1})},
-		{Tag: TagTruncate, Data: encodePair(4, 1)},
+		{Tag: TagTask, Data: msg.Encode(&taskMsg{Task: task, W: fw, H: fh, Samples: 1, Threads: 1})},
+		{Tag: TagTruncate, Data: msg.Encode(&taskEnd{4, 1})},
 	} {
 		if err := l.Send("ws", m); err != nil {
 			t.Fatal(err)
@@ -193,21 +193,22 @@ func outbox(t *testing.T, ms []msg.Message) []sent {
 		var err error
 		switch m.Tag {
 		case TagHello:
-			body, err = decodeHello(m.Data)
+			var h hello
+			err = msg.Decode(m.Data, &h)
+			body = h.Name
 		case TagFrameDone:
 			var fd frameDoneMsg
 			fd, err = wire.DecodeFrameDone(m.Data)
 			fd.ElapsedNs, fd.TLNow, fd.TLTracks, fd.TLEvents = 0, 0, nil, nil
 			body = fd
 		case TagPong:
-			var seq int
-			var masterNs int64
-			seq, masterNs, _, err = decodePong(m.Data)
-			body = [2]int64{int64(seq), masterNs}
+			var p pong
+			err = msg.Decode(m.Data, &p)
+			body = p.ping
 		default:
-			var a, b int
-			a, b, err = decodePair(m.Data)
-			body = [2]int{a, b}
+			var e taskEnd
+			err = msg.Decode(m.Data, &e)
+			body = [2]int{e.Task, e.End}
 		}
 		if err != nil {
 			t.Fatalf("message %d (tag %d): %v", i, m.Tag, err)
@@ -243,7 +244,7 @@ func TestBlockTaskHoldsItsBlock(t *testing.T) {
 		// its step holds after every frame.
 		holds := func(host string, wk *worker) {
 			t.Helper()
-			if _, err := wk.handle(msg.Message{Tag: TagTask, Data: encodeTask(tm)}); err != nil {
+			if _, err := wk.handle(msg.Message{Tag: TagTask, Data: msg.Encode(&tm)}); err != nil {
 				t.Fatal(err)
 			}
 			for wk.busy() {

@@ -121,7 +121,7 @@ func (p *ReplicaPool) ensureConnLocked() (msg.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	hello := EncodeHello(Hello{Role: RoleReplica, Name: p.cfg.Replica})
+	hello := msg.Encode(&Hello{Role: RoleReplica, Name: p.cfg.Replica})
 	if err := c.Send(msg.Message{Tag: TagHello, Data: hello}); err != nil {
 		c.Close()
 		return nil, err
@@ -131,8 +131,8 @@ func (p *ReplicaPool) ensureConnLocked() (msg.Conn, error) {
 		c.Close()
 		return nil, fmt.Errorf("fleetd: no welcome from broker")
 	}
-	w, err := DecodeWelcome(m.Data)
-	if err != nil {
+	var w Welcome
+	if err := msg.Decode(m.Data, &w); err != nil {
 		c.Close()
 		return nil, err
 	}
@@ -174,28 +174,25 @@ func (p *ReplicaPool) reader(c msg.Conn) {
 			p.mu.Unlock()
 			return
 		}
-		var req uint64
-		var ok bool
+		var reply msg.Layout
+		var req *uint64
 		switch m.Tag {
 		case TagGrant:
-			if g, err := DecodeGrant(m.Data); err == nil {
-				req, ok = g.Req, true
-			}
+			g := new(Grant)
+			reply, req = g, &g.Req
 		case TagRenewed:
-			if r, err := DecodeRenewed(m.Data); err == nil {
-				req, ok = r.Req, true
-			}
+			r := new(Renewed)
+			reply, req = r, &r.Req
 		case TagStats:
-			if s, err := DecodeStats(m.Data); err == nil {
-				req, ok = s.Req, true
-			}
+			st := new(StatsMsg)
+			reply, req = st, &st.Req
 		}
-		if !ok {
+		if reply == nil || msg.Decode(m.Data, reply) != nil {
 			continue
 		}
 		p.mu.Lock()
-		ch, waiting := p.pending[req]
-		delete(p.pending, req)
+		ch, waiting := p.pending[*req]
+		delete(p.pending, *req)
 		p.mu.Unlock()
 		if waiting {
 			ch <- m
@@ -244,7 +241,7 @@ func (p *ReplicaPool) Acquire(ctx context.Context, n int) (Lease, error) {
 	backoff := 20 * time.Millisecond
 	for {
 		m, err := p.roundtrip(ctx, TagAcquire, func(req uint64) []byte {
-			return EncodeAcquire(AcquireReq{
+			return msg.Encode(&AcquireReq{
 				Req: req, Want: n, TermMS: p.cfg.Term.Milliseconds(),
 			})
 		})
@@ -270,8 +267,8 @@ func (p *ReplicaPool) Acquire(ctx context.Context, n int) (Lease, error) {
 			}
 			continue
 		}
-		g, err := DecodeGrant(m.Data)
-		if err != nil {
+		var g Grant
+		if err := msg.Decode(m.Data, &g); err != nil {
 			return nil, err
 		}
 		if g.Err != "" {
@@ -305,7 +302,7 @@ func (p *ReplicaPool) renewLoop() {
 		for _, id := range ids {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 			m, err := p.roundtrip(ctx, TagRenew, func(req uint64) []byte {
-				return EncodeRenew(RenewReq{
+				return msg.Encode(&RenewReq{
 					Req: req, Lease: id, TermMS: p.cfg.Term.Milliseconds(),
 				})
 			})
@@ -316,8 +313,8 @@ func (p *ReplicaPool) renewLoop() {
 				// next roundtrip.
 				continue
 			}
-			r, err := DecodeRenewed(m.Data)
-			if err != nil || r.Lease != id {
+			var r Renewed
+			if msg.Decode(m.Data, &r) != nil || r.Lease != id {
 				continue
 			}
 			if !r.OK {
@@ -363,14 +360,14 @@ func (p *ReplicaPool) renewInterval() time.Duration {
 func (p *ReplicaPool) Stats() PoolStats {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	m, err := p.roundtrip(ctx, TagStatsReq, EncodeReq)
+	m, err := p.roundtrip(ctx, TagStatsReq, func(req uint64) []byte { return msg.Encode(&Req{req}) })
 	if err != nil {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		return p.lastStats
 	}
-	s, err := DecodeStats(m.Data)
-	if err != nil {
+	var s StatsMsg
+	if err := msg.Decode(m.Data, &s); err != nil {
 		p.mu.Lock()
 		defer p.mu.Unlock()
 		return p.lastStats
@@ -428,7 +425,7 @@ func (p *ReplicaPool) Close() {
 		g.Return()
 	}
 	if c != nil {
-		_ = c.Send(msg.Message{Tag: TagFleetBye, Data: EncodeReq(0)})
+		_ = c.Send(msg.Message{Tag: TagFleetBye, Data: msg.Encode(&Req{})})
 		c.Close()
 	}
 	p.wg.Wait()
@@ -503,7 +500,7 @@ func (g *RemoteGrant) Return() {
 	c := p.conn
 	p.mu.Unlock()
 	if !orphaned && c != nil {
-		_ = c.Send(msg.Message{Tag: TagRelease, Data: EncodeRelease(g.id)})
+		_ = c.Send(msg.Message{Tag: TagRelease, Data: msg.Encode(&Release{g.id})})
 	}
 }
 
@@ -553,7 +550,7 @@ func (s *MemberSession) connect() error {
 	if err != nil {
 		return err
 	}
-	hello := EncodeHello(Hello{Role: RoleWorker, Name: s.name, Slots: s.slots})
+	hello := msg.Encode(&Hello{Role: RoleWorker, Name: s.name, Slots: s.slots})
 	if err := c.Send(msg.Message{Tag: TagHello, Data: hello}); err != nil {
 		c.Close()
 		return err

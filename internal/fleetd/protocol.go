@@ -2,6 +2,7 @@ package fleetd
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
@@ -63,40 +64,25 @@ type Hello struct {
 	Slots int
 }
 
-// EncodeHello packs a Hello.
-func EncodeHello(h Hello) []byte {
-	b := msg.GetBuffer()
-	defer b.Release()
-	b.PackString(h.Role)
-	b.PackString(h.Name)
-	b.PackInt(int64(h.Slots))
-	return b.Sealed()
+func (h *Hello) Fields(b *msg.Buffer) {
+	b.String(&h.Role)
+	b.String(&h.Name)
+	b.Int(&h.Slots)
 }
 
-// DecodeHello unpacks and validates a Hello.
-func DecodeHello(data []byte) (Hello, error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return Hello{}, fmt.Errorf("fleetd: bad hello: %w", err)
-	}
-	b := msg.FromBytes(body)
-	var h Hello
-	h.Role = b.UnpackString()
-	h.Name = b.UnpackString()
-	h.Slots = int(b.UnpackInt())
-	if err := b.Err(); err != nil {
-		return Hello{}, fmt.Errorf("fleetd: bad hello: %w", err)
-	}
+// Validate rejects an unknown role, a missing name or a slot count out
+// of range.
+func (h *Hello) Validate() error {
 	if h.Role != RoleReplica && h.Role != RoleWorker {
-		return Hello{}, fmt.Errorf("fleetd: bad hello role %q", h.Role)
+		return fmt.Errorf("role %q", h.Role)
 	}
 	if h.Name == "" {
-		return Hello{}, fmt.Errorf("fleetd: hello without a name")
+		return fmt.Errorf("no name")
 	}
 	if h.Slots < 0 || h.Slots > maxUnits {
-		return Hello{}, fmt.Errorf("fleetd: bad hello slots %d", h.Slots)
+		return fmt.Errorf("slots %d", h.Slots)
 	}
-	return h, nil
+	return nil
 }
 
 // Welcome answers a hello.
@@ -106,33 +92,24 @@ type Welcome struct {
 	TermMS int64
 }
 
-// EncodeWelcome packs a Welcome.
-func EncodeWelcome(w Welcome) []byte {
-	b := msg.GetBuffer()
-	defer b.Release()
-	b.PackInt(w.Epoch)
-	b.PackInt(w.TermMS)
-	return b.Sealed()
+func (w *Welcome) Fields(b *msg.Buffer) {
+	b.Int64(&w.Epoch)
+	b.Int64(&w.TermMS)
 }
 
-// DecodeWelcome unpacks and validates a Welcome.
-func DecodeWelcome(data []byte) (Welcome, error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return Welcome{}, fmt.Errorf("fleetd: bad welcome: %w", err)
+func (w *Welcome) Validate() error { return checkTerm(w.TermMS, math.MaxInt64) }
+
+// checkTerm bounds a lease term in milliseconds to [0, max].
+func checkTerm(ms, max int64) error {
+	if ms < 0 || ms > max {
+		return fmt.Errorf("term %dms", ms)
 	}
-	b := msg.FromBytes(body)
-	var w Welcome
-	w.Epoch = b.UnpackInt()
-	w.TermMS = b.UnpackInt()
-	if err := b.Err(); err != nil {
-		return Welcome{}, fmt.Errorf("fleetd: bad welcome: %w", err)
-	}
-	if w.TermMS < 0 {
-		return Welcome{}, fmt.Errorf("fleetd: bad welcome term %dms", w.TermMS)
-	}
-	return w, nil
+	return nil
 }
+
+// maxTermMS is MaxTerm in milliseconds, the longest term a client may ask
+// for.
+const maxTermMS = int64(MaxTerm / time.Millisecond)
 
 // AcquireReq asks for a lease.
 type AcquireReq struct {
@@ -141,37 +118,17 @@ type AcquireReq struct {
 	TermMS int64
 }
 
-// EncodeAcquire packs an AcquireReq.
-func EncodeAcquire(a AcquireReq) []byte {
-	b := msg.GetBuffer()
-	defer b.Release()
-	b.PackInt(int64(a.Req))
-	b.PackInt(int64(a.Want))
-	b.PackInt(a.TermMS)
-	return b.Sealed()
+func (a *AcquireReq) Fields(b *msg.Buffer) {
+	b.Uint64(&a.Req)
+	b.Int(&a.Want)
+	b.Int64(&a.TermMS)
 }
 
-// DecodeAcquire unpacks and validates an AcquireReq.
-func DecodeAcquire(data []byte) (AcquireReq, error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return AcquireReq{}, fmt.Errorf("fleetd: bad acquire: %w", err)
-	}
-	b := msg.FromBytes(body)
-	var a AcquireReq
-	a.Req = uint64(b.UnpackInt())
-	a.Want = int(b.UnpackInt())
-	a.TermMS = b.UnpackInt()
-	if err := b.Err(); err != nil {
-		return AcquireReq{}, fmt.Errorf("fleetd: bad acquire: %w", err)
-	}
+func (a *AcquireReq) Validate() error {
 	if a.Want < -1 || a.Want > maxUnits {
-		return AcquireReq{}, fmt.Errorf("fleetd: bad acquire want %d", a.Want)
+		return fmt.Errorf("want %d", a.Want)
 	}
-	if a.TermMS < 0 || a.TermMS > int64(MaxTerm/time.Millisecond) {
-		return AcquireReq{}, fmt.Errorf("fleetd: bad acquire term %dms", a.TermMS)
-	}
-	return a, nil
+	return checkTerm(a.TermMS, maxTermMS)
 }
 
 // Grant answers an acquire.
@@ -185,55 +142,28 @@ type Grant struct {
 	Err string
 }
 
-// EncodeGrant packs a Grant.
-func EncodeGrant(g Grant) []byte {
-	b := msg.GetBuffer()
-	defer b.Release()
-	b.PackInt(int64(g.Req))
-	b.PackInt(int64(g.Lease))
-	b.PackInt(int64(g.Slots))
-	b.PackInt(int64(len(g.Units)))
-	for _, u := range g.Units {
-		b.PackString(u)
+func (g *Grant) Fields(b *msg.Buffer) {
+	b.Uint64(&g.Req)
+	b.Uint64(&g.Lease)
+	b.Int(&g.Slots)
+	msg.List(b, &g.Units, maxUnits, 8)
+	for i := range g.Units {
+		b.String(&g.Units[i])
 	}
-	b.PackInt(g.TermMS)
-	b.PackString(g.Err)
-	return b.Sealed()
+	b.Int64(&g.TermMS)
+	b.String(&g.Err)
 }
 
-// DecodeGrant unpacks and validates a Grant.
-func DecodeGrant(data []byte) (Grant, error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return Grant{}, fmt.Errorf("fleetd: bad grant: %w", err)
-	}
-	b := msg.FromBytes(body)
-	var g Grant
-	g.Req = uint64(b.UnpackInt())
-	g.Lease = uint64(b.UnpackInt())
-	g.Slots = int(b.UnpackInt())
-	n := b.UnpackInt()
-	if b.Err() == nil && (n < 0 || n > maxUnits) {
-		return Grant{}, fmt.Errorf("fleetd: bad grant unit count %d", n)
-	}
-	if b.Err() == nil {
-		g.Units = make([]string, 0, n)
-		for i := int64(0); i < n && b.Err() == nil; i++ {
-			g.Units = append(g.Units, b.UnpackString())
-		}
-	}
-	g.TermMS = b.UnpackInt()
-	g.Err = b.UnpackString()
-	if err := b.Err(); err != nil {
-		return Grant{}, fmt.Errorf("fleetd: bad grant: %w", err)
-	}
+// Validate rejects a slot count out of range and the accounting lie of a
+// granted slot count that disagrees with the unit list.
+func (g *Grant) Validate() error {
 	if g.Slots < 0 || g.Slots > maxUnits || g.TermMS < 0 {
-		return Grant{}, fmt.Errorf("fleetd: bad grant slots %d term %dms", g.Slots, g.TermMS)
+		return fmt.Errorf("slots %d term %dms", g.Slots, g.TermMS)
 	}
 	if g.Err == "" && g.Slots != len(g.Units) {
-		return Grant{}, fmt.Errorf("fleetd: grant slots %d != units %d", g.Slots, len(g.Units))
+		return fmt.Errorf("slots %d != units %d", g.Slots, len(g.Units))
 	}
-	return g, nil
+	return nil
 }
 
 // RenewReq extends a lease.
@@ -243,35 +173,13 @@ type RenewReq struct {
 	TermMS int64
 }
 
-// EncodeRenew packs a RenewReq.
-func EncodeRenew(r RenewReq) []byte {
-	b := msg.GetBuffer()
-	defer b.Release()
-	b.PackInt(int64(r.Req))
-	b.PackInt(int64(r.Lease))
-	b.PackInt(r.TermMS)
-	return b.Sealed()
+func (r *RenewReq) Fields(b *msg.Buffer) {
+	b.Uint64(&r.Req)
+	b.Uint64(&r.Lease)
+	b.Int64(&r.TermMS)
 }
 
-// DecodeRenew unpacks and validates a RenewReq.
-func DecodeRenew(data []byte) (RenewReq, error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return RenewReq{}, fmt.Errorf("fleetd: bad renew: %w", err)
-	}
-	b := msg.FromBytes(body)
-	var r RenewReq
-	r.Req = uint64(b.UnpackInt())
-	r.Lease = uint64(b.UnpackInt())
-	r.TermMS = b.UnpackInt()
-	if err := b.Err(); err != nil {
-		return RenewReq{}, fmt.Errorf("fleetd: bad renew: %w", err)
-	}
-	if r.TermMS < 0 || r.TermMS > int64(MaxTerm/time.Millisecond) {
-		return RenewReq{}, fmt.Errorf("fleetd: bad renew term %dms", r.TermMS)
-	}
-	return r, nil
-}
+func (r *RenewReq) Validate() error { return checkTerm(r.TermMS, maxTermMS) }
 
 // Renewed answers a renew.
 type Renewed struct {
@@ -281,150 +189,70 @@ type Renewed struct {
 	TermMS int64
 }
 
-// EncodeRenewed packs a Renewed.
-func EncodeRenewed(r Renewed) []byte {
-	b := msg.GetBuffer()
-	defer b.Release()
-	b.PackInt(int64(r.Req))
-	b.PackInt(int64(r.Lease))
-	b.PackBool(r.OK)
-	b.PackInt(r.TermMS)
-	return b.Sealed()
+func (r *Renewed) Fields(b *msg.Buffer) {
+	b.Uint64(&r.Req)
+	b.Uint64(&r.Lease)
+	b.Bool(&r.OK)
+	b.Int64(&r.TermMS)
 }
 
-// DecodeRenewed unpacks and validates a Renewed.
-func DecodeRenewed(data []byte) (Renewed, error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return Renewed{}, fmt.Errorf("fleetd: bad renewed: %w", err)
-	}
-	b := msg.FromBytes(body)
-	var r Renewed
-	r.Req = uint64(b.UnpackInt())
-	r.Lease = uint64(b.UnpackInt())
-	r.OK = b.UnpackBool()
-	r.TermMS = b.UnpackInt()
-	if err := b.Err(); err != nil {
-		return Renewed{}, fmt.Errorf("fleetd: bad renewed: %w", err)
-	}
-	if r.TermMS < 0 {
-		return Renewed{}, fmt.Errorf("fleetd: bad renewed term %dms", r.TermMS)
-	}
-	return r, nil
-}
+func (r *Renewed) Validate() error { return checkTerm(r.TermMS, math.MaxInt64) }
 
-// EncodeRelease packs a lease id for TagRelease.
-func EncodeRelease(lease uint64) []byte {
-	b := msg.GetBuffer()
-	defer b.Release()
-	b.PackInt(int64(lease))
-	return b.Sealed()
-}
+// Release returns a lease early (TagRelease).
+type Release struct{ Lease uint64 }
 
-// DecodeRelease unpacks a TagRelease payload.
-func DecodeRelease(data []byte) (uint64, error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return 0, fmt.Errorf("fleetd: bad release: %w", err)
-	}
-	b := msg.FromBytes(body)
-	lease := uint64(b.UnpackInt())
-	if err := b.Err(); err != nil {
-		return 0, fmt.Errorf("fleetd: bad release: %w", err)
-	}
-	return lease, nil
-}
+func (r *Release) Fields(b *msg.Buffer) { b.Uint64(&r.Lease) }
 
-// StatsMsg is the wire form of BrokerStats (member and replica maps
-// flattened into parallel name/count lists).
+// Req is a bare request id (TagStatsReq, and TagFleetBye with 0).
+type Req struct{ Req uint64 }
+
+func (r *Req) Fields(b *msg.Buffer) { b.Uint64(&r.Req) }
+
+// StatsMsg is the wire form of BrokerStats, its member map flattened
+// into a list sorted by name.
 type StatsMsg struct {
 	Req                                       uint64
 	Capacity, Free, Leased                    int
 	Grants, Renews, Expiries, Releases, Waits uint64
-	Members                                   map[string]int
+	Members                                   []Member
 }
 
-// EncodeStats packs a StatsMsg.
-func EncodeStats(s StatsMsg) []byte {
-	b := msg.GetBuffer()
-	defer b.Release()
-	b.PackInt(int64(s.Req))
-	b.PackInt(int64(s.Capacity))
-	b.PackInt(int64(s.Free))
-	b.PackInt(int64(s.Leased))
-	b.PackInt(int64(s.Grants))
-	b.PackInt(int64(s.Renews))
-	b.PackInt(int64(s.Expiries))
-	b.PackInt(int64(s.Releases))
-	b.PackInt(int64(s.Waits))
-	names := make([]string, 0, len(s.Members))
-	for m := range s.Members {
-		names = append(names, m)
-	}
-	sort.Strings(names)
-	b.PackInt(int64(len(names)))
-	for _, m := range names {
-		b.PackString(m)
-		b.PackInt(int64(s.Members[m]))
-	}
-	return b.Sealed()
+// Member is one broker member and the slots it contributes.
+type Member struct {
+	Name  string
+	Slots int
 }
 
-// DecodeStats unpacks and validates a StatsMsg.
-func DecodeStats(data []byte) (StatsMsg, error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return StatsMsg{}, fmt.Errorf("fleetd: bad stats: %w", err)
+// memberList flattens a member map into the sorted list StatsMsg carries.
+func memberList(members map[string]int) []Member {
+	var out []Member
+	for name, slots := range members {
+		out = append(out, Member{name, slots})
 	}
-	b := msg.FromBytes(body)
-	var s StatsMsg
-	s.Req = uint64(b.UnpackInt())
-	s.Capacity = int(b.UnpackInt())
-	s.Free = int(b.UnpackInt())
-	s.Leased = int(b.UnpackInt())
-	s.Grants = uint64(b.UnpackInt())
-	s.Renews = uint64(b.UnpackInt())
-	s.Expiries = uint64(b.UnpackInt())
-	s.Releases = uint64(b.UnpackInt())
-	s.Waits = uint64(b.UnpackInt())
-	n := b.UnpackInt()
-	if b.Err() == nil && (n < 0 || n > maxUnits) {
-		return StatsMsg{}, fmt.Errorf("fleetd: bad stats member count %d", n)
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+func (s *StatsMsg) Fields(b *msg.Buffer) {
+	b.Uint64(&s.Req)
+	b.Int(&s.Capacity)
+	b.Int(&s.Free)
+	b.Int(&s.Leased)
+	b.Uint64(&s.Grants)
+	b.Uint64(&s.Renews)
+	b.Uint64(&s.Expiries)
+	b.Uint64(&s.Releases)
+	b.Uint64(&s.Waits)
+	msg.List(b, &s.Members, maxUnits, 16)
+	for i := range s.Members {
+		b.String(&s.Members[i].Name)
+		b.Int(&s.Members[i].Slots)
 	}
-	if b.Err() == nil && n > 0 {
-		s.Members = make(map[string]int, n)
-		for i := int64(0); i < n && b.Err() == nil; i++ {
-			name := b.UnpackString()
-			s.Members[name] = int(b.UnpackInt())
-		}
-	}
-	if err := b.Err(); err != nil {
-		return StatsMsg{}, fmt.Errorf("fleetd: bad stats: %w", err)
-	}
+}
+
+func (s *StatsMsg) Validate() error {
 	if s.Capacity < 0 || s.Free < 0 || s.Leased < 0 {
-		return StatsMsg{}, fmt.Errorf("fleetd: bad stats counts %d/%d/%d", s.Capacity, s.Free, s.Leased)
+		return fmt.Errorf("counts %d/%d/%d", s.Capacity, s.Free, s.Leased)
 	}
-	return s, nil
-}
-
-// EncodeReq packs a bare request id (TagStatsReq).
-func EncodeReq(req uint64) []byte {
-	b := msg.GetBuffer()
-	defer b.Release()
-	b.PackInt(int64(req))
-	return b.Sealed()
-}
-
-// DecodeReq unpacks a bare request id.
-func DecodeReq(data []byte) (uint64, error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return 0, fmt.Errorf("fleetd: bad req: %w", err)
-	}
-	b := msg.FromBytes(body)
-	req := uint64(b.UnpackInt())
-	if err := b.Err(); err != nil {
-		return 0, fmt.Errorf("fleetd: bad req: %w", err)
-	}
-	return req, nil
+	return nil
 }

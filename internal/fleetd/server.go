@@ -104,11 +104,11 @@ func (s *Server) handle(ctx context.Context, c msg.Conn) {
 	if err != nil || m.Tag != TagHello {
 		return
 	}
-	hello, err := DecodeHello(m.Data)
-	if err != nil {
+	var hello Hello
+	if msg.Decode(m.Data, &hello) != nil {
 		return
 	}
-	welcome := EncodeWelcome(Welcome{
+	welcome := msg.Encode(&Welcome{
 		Epoch:  s.b.Epoch(),
 		TermMS: s.b.DefaultTerm().Milliseconds(),
 	})
@@ -134,8 +134,8 @@ func (s *Server) handle(ctx context.Context, c msg.Conn) {
 		}
 		switch m.Tag {
 		case TagAcquire:
-			req, err := DecodeAcquire(m.Data)
-			if err != nil {
+			var req AcquireReq
+			if msg.Decode(m.Data, &req) != nil {
 				return // malformed peer: drop the conn, leases expire
 			}
 			pending.Add(1)
@@ -144,33 +144,33 @@ func (s *Server) handle(ctx context.Context, c msg.Conn) {
 				s.acquire(ctx, c, hello.Name, req)
 			}()
 		case TagRenew:
-			req, err := DecodeRenew(m.Data)
-			if err != nil {
+			var req RenewReq
+			if msg.Decode(m.Data, &req) != nil {
 				return
 			}
 			term, ok := s.b.Renew(hello.Name, req.Lease, time.Duration(req.TermMS)*time.Millisecond)
-			reply := EncodeRenewed(Renewed{
+			reply := msg.Encode(&Renewed{
 				Req: req.Req, Lease: req.Lease, OK: ok, TermMS: term.Milliseconds(),
 			})
 			if c.Send(msg.Message{Tag: TagRenewed, Data: reply}) != nil {
 				return
 			}
 		case TagRelease:
-			lease, err := DecodeRelease(m.Data)
-			if err != nil {
+			var r Release
+			if msg.Decode(m.Data, &r) != nil {
 				return
 			}
-			s.b.Release(hello.Name, lease)
+			s.b.Release(hello.Name, r.Lease)
 		case TagStatsReq:
-			req, err := DecodeReq(m.Data)
-			if err != nil {
+			var req Req
+			if msg.Decode(m.Data, &req) != nil {
 				return
 			}
 			st := s.b.Stats()
-			reply := EncodeStats(StatsMsg{
-				Req: req, Capacity: st.Capacity, Free: st.Free, Leased: st.Leased,
+			reply := msg.Encode(&StatsMsg{
+				Req: req.Req, Capacity: st.Capacity, Free: st.Free, Leased: st.Leased,
 				Grants: st.Grants, Renews: st.Renews, Expiries: st.Expiries,
-				Releases: st.Releases, Waits: st.Waits, Members: st.Members,
+				Releases: st.Releases, Waits: st.Waits, Members: memberList(st.Members),
 			})
 			if c.Send(msg.Message{Tag: TagStats, Data: reply}) != nil {
 				return
@@ -198,7 +198,7 @@ func (s *Server) acquire(ctx context.Context, c msg.Conn, replica string, req Ac
 			reply.Units[i] = string(u)
 		}
 	}
-	if c.Send(msg.Message{Tag: TagGrant, Data: EncodeGrant(reply)}) != nil && err == nil {
+	if c.Send(msg.Message{Tag: TagGrant, Data: msg.Encode(&reply)}) != nil && err == nil {
 		// The replica is gone before it ever learned of the lease; give
 		// the units back rather than parking them for a full term.
 		s.b.Release(replica, g.ID)

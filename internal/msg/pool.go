@@ -23,7 +23,7 @@ import (
 //   - Recv transfers ownership of Message.Data to the receiver. Both
 //     transports deliver a slice nobody else retains — TCP reads it into
 //     storage from the byte pool — so decoders may alias it (Open,
-//     UnpackBytes) instead of copying; the decoded view is valid until
+//     Buffer.Bytes) instead of copying; the decoded view is valid until
 //     the receiver drops the message or returns it to the pool.
 //
 // Frame results are the one message whose storage goes round: the
@@ -50,22 +50,27 @@ func GetBuffer() *Buffer {
 }
 
 // Release resets the buffer and returns it to the pool. The caller must
-// not use the buffer — or any slice returned by Bytes — afterwards.
-// Slices produced by Sealed are safe: they never alias pooled storage.
+// not use the buffer afterwards. Slices produced by Sealed and
+// SealedPooled are safe: they never alias the buffer's storage.
 func (b *Buffer) Release() {
-	b.data = b.data[:0]
-	b.pos = 0
-	b.err = nil
+	*b = Buffer{data: b.data[:0]}
 	bufferPool.Put(b)
 }
 
 // Sealed returns the packed contents with a CRC-32 footer appended, in a
-// freshly allocated exact-size slice. Unlike Seal(b.Bytes()) — whose
-// append may extend the buffer's storage in place — the result never
-// aliases the buffer, so it is safe to hand to Send while the buffer
-// itself is Released back to the pool.
+// freshly allocated exact-size slice. The result never aliases the
+// buffer, so it is safe to hand to Send while the buffer itself is
+// Released back to the pool.
 func (b *Buffer) Sealed() []byte {
 	return Seal(append(make([]byte, 0, len(b.data)+4), b.data...))
+}
+
+// SealedPooled is Sealed into storage from GetBytes, for the one message
+// whose storage goes round: a frame result (see the contract above).
+func (b *Buffer) SealedPooled() []byte {
+	out := GetBytes(len(b.data) + 4)
+	copy(out, b.data)
+	return Seal(out[:len(b.data)])
 }
 
 // Byte storage is pooled by size class: class c holds slices of

@@ -7,7 +7,7 @@ import "testing"
 // must not corrupt a previously sealed message.
 func TestSealedDoesNotAliasPool(t *testing.T) {
 	b := GetBuffer()
-	b.PackString("first message")
+	(&sample{S: "first message"}).Fields(b)
 	sealed := b.Sealed()
 	b.Release()
 
@@ -22,12 +22,12 @@ func TestSealedDoesNotAliasPool(t *testing.T) {
 		c.Release()
 	}
 
-	body, err := Open(sealed)
-	if err != nil {
+	var got sample
+	if err := Decode(sealed, &got); err != nil {
 		t.Fatalf("sealed message corrupted after pool reuse: %v", err)
 	}
-	if got := FromBytes(body).UnpackString(); got != "first message" {
-		t.Fatalf("payload %q after pool reuse", got)
+	if got.S != "first message" {
+		t.Fatalf("payload %q after pool reuse", got.S)
 	}
 }
 

@@ -41,7 +41,7 @@ func tcpPair(t *testing.T) (client Conn, server Conn, rawServer net.Conn) {
 		t.Fatal("accept failed")
 	}
 	t.Cleanup(func() { cc.Close(); sc.Close() })
-	return NewTCPConn(cc), NewTCPConn(sc), sc
+	return newTCPConn(cc), newTCPConn(sc), sc
 }
 
 // recvResult runs Recv in a goroutine so tests can bound how long it

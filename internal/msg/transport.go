@@ -138,8 +138,8 @@ type tcpConn struct {
 // 24-bit frame plus headers.
 const MaxMessageSize = 64 << 20
 
-// NewTCPConn wraps an established net.Conn in the message framing.
-func NewTCPConn(nc net.Conn) Conn {
+// newTCPConn wraps an established net.Conn in the message framing.
+func newTCPConn(nc net.Conn) Conn {
 	return &tcpConn{nc: nc, maxSize: MaxMessageSize}
 }
 
@@ -149,7 +149,7 @@ func Dial(addr string) (Conn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("msg: dial %s: %w", addr, err)
 	}
-	return NewTCPConn(nc), nil
+	return newTCPConn(nc), nil
 }
 
 // Listener accepts framed-message connections.
@@ -176,7 +176,7 @@ func (l *Listener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewTCPConn(nc), nil
+	return newTCPConn(nc), nil
 }
 
 // Close stops the listener.

@@ -82,22 +82,18 @@ func appendVec(dst []byte, v vm.Vec3) []byte {
 // an error instead, and whatever it accepts re-encodes to the same bytes.
 func DecodeForward(data []byte) (ForwardState, error) {
 	var fs ForwardState
-	b := msg.FromBytes(data)
-	fs.Ray.Origin = unpackVec(b)
-	fs.Ray.Dir = unpackVec(b)
-	kind := b.UnpackInt()
-	depth := b.UnpackInt()
-	fs.TMin = b.UnpackFloat()
-	fs.TMax = b.UnpackFloat()
-	obj := b.UnpackInt()
-	fs.T = b.UnpackFloat()
-	part := b.UnpackInt()
-	if err := b.Err(); err != nil {
-		return fs, err
+	if len(data) != forwardSize {
+		return fs, fmt.Errorf("objspace: forward state is %d bytes, want %d", len(data), forwardSize)
 	}
-	if b.Len() != 0 {
-		return fs, fmt.Errorf("objspace: %d trailing bytes after forward state", b.Len())
-	}
+	word := func(i int) uint64 { return binary.BigEndian.Uint64(data[8*i:]) }
+	float := func(i int) float64 { return math.Float64frombits(word(i)) }
+	fs.Ray.Origin = vm.V(float(0), float(1), float(2))
+	fs.Ray.Dir = vm.V(float(3), float(4), float(5))
+	kind, depth := int64(word(6)), int64(word(7))
+	fs.TMin, fs.TMax = float(8), float(9)
+	obj := int64(word(10))
+	fs.T = float(11)
+	part := int64(word(12))
 	fs.AnyHit = kind&anyHitBit != 0
 	kind &^= anyHitBit
 	if kind < 0 || kind >= int64(vm.NumRayKinds) {
@@ -139,69 +135,48 @@ func DecodeForward(data []byte) (ForwardState, error) {
 	return fs, nil
 }
 
-func unpackVec(b *msg.Buffer) vm.Vec3 {
-	return vm.Vec3{X: b.UnpackFloat(), Y: b.UnpackFloat(), Z: b.UnpackFloat()}
-}
-
 func finiteVec(v vm.Vec3) bool {
 	return !math.IsNaN(v.X) && !math.IsInf(v.X, 0) &&
 		!math.IsNaN(v.Y) && !math.IsInf(v.Y, 0) &&
 		!math.IsNaN(v.Z) && !math.IsInf(v.Z, 0)
 }
 
-// EncodeStats serializes an ObjSpaceStats report (the farm ships one per
-// task just before TagTaskDone).
-func EncodeStats(s stats.ObjSpaceStats) []byte {
-	b := msg.NewBuffer()
-	b.PackInt(int64(s.Shards))
-	b.PackInt(int64(len(s.PerShard)))
-	for _, sh := range s.PerShard {
-		b.PackInt(int64(sh.RaysForwarded))
-		b.PackInt(int64(sh.ForwardBytes))
-		b.PackInt(int64(sh.Objects))
-		b.PackInt(int64(sh.Tris))
-		b.PackInt(int64(sh.ResidentBytes))
+// StatsMsg is the TagOSStats payload the farm ships once per task: a
+// stats.ObjSpaceStats as its shard count and per-shard rows. The totals
+// are not on the wire; Validate recomputes them from the rows rather
+// than trust the sender.
+type StatsMsg stats.ObjSpaceStats
+
+// statsRowBytes is the wire size of one per-shard row.
+const statsRowBytes = 5 * 8
+
+func (s *StatsMsg) Fields(b *msg.Buffer) {
+	b.Int(&s.Shards)
+	msg.List(b, &s.PerShard, MaxShards, statsRowBytes)
+	for i := range s.PerShard {
+		sh := &s.PerShard[i]
+		b.Uint64(&sh.RaysForwarded)
+		b.Uint64(&sh.ForwardBytes)
+		b.Int(&sh.Objects)
+		b.Int(&sh.Tris)
+		b.Uint64(&sh.ResidentBytes)
 	}
-	return b.Bytes()
 }
 
-// DecodeStats parses an ObjSpaceStats report, rejecting malformed input.
-// Totals are recomputed from the per-shard rows rather than trusted.
-func DecodeStats(data []byte) (stats.ObjSpaceStats, error) {
-	var out stats.ObjSpaceStats
-	b := msg.FromBytes(data)
-	shards := b.UnpackInt()
-	n := b.UnpackInt()
-	if b.Err() != nil {
-		return out, b.Err()
+// Validate rejects a shard count out of range or a row with negative
+// counts, and sets the totals from the rows.
+func (s *StatsMsg) Validate() error {
+	if s.Shards < 0 || s.Shards > MaxShards {
+		return fmt.Errorf("shard count %d out of range", s.Shards)
 	}
-	if shards < 0 || shards > MaxShards || n < 0 || n > MaxShards {
-		return out, fmt.Errorf("objspace: stats shard count %d/%d out of range", shards, n)
-	}
-	out.Shards = int(shards)
-	for i := int64(0); i < n; i++ {
-		sh := stats.ObjSpaceShard{
-			RaysForwarded: uint64(b.UnpackInt()),
-			ForwardBytes:  uint64(b.UnpackInt()),
-			Objects:       int(b.UnpackInt()),
-			Tris:          int(b.UnpackInt()),
-			ResidentBytes: uint64(b.UnpackInt()),
-		}
+	s.RaysForwarded, s.ForwardBytes, s.PeakResidentBytes = 0, 0, 0
+	for i, sh := range s.PerShard {
 		if sh.Objects < 0 || sh.Tris < 0 {
-			return out, fmt.Errorf("objspace: negative counts in stats shard %d", i)
+			return fmt.Errorf("negative counts in shard %d", i)
 		}
-		out.PerShard = append(out.PerShard, sh)
-		out.RaysForwarded += sh.RaysForwarded
-		out.ForwardBytes += sh.ForwardBytes
-		if sh.ResidentBytes > out.PeakResidentBytes {
-			out.PeakResidentBytes = sh.ResidentBytes
-		}
+		s.RaysForwarded += sh.RaysForwarded
+		s.ForwardBytes += sh.ForwardBytes
+		s.PeakResidentBytes = max(s.PeakResidentBytes, sh.ResidentBytes)
 	}
-	if err := b.Err(); err != nil {
-		return out, err
-	}
-	if b.Len() != 0 {
-		return out, fmt.Errorf("objspace: %d trailing bytes after stats", b.Len())
-	}
-	return out, nil
+	return nil
 }

@@ -25,7 +25,7 @@ func TestResultRoundTripAllocatesNothing(t *testing.T) {
 	spans := []fb.Span{{Y: 2, X0: 3, X1: 30}, {Y: 9, X0: 0, X1: 40}}
 	a, b := msg.Pipe(1)
 	defer a.Close()
-	asm := wire.NewAssembly(40, 30, 2)
+	asm := wire.NewAssemblyRange(40, 30, 0, 2)
 	if _, _, err := asm.Deliver(0, region, buf.Pix, 0); err != nil { // the deltas' base
 		t.Fatal(err)
 	}

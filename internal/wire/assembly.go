@@ -31,9 +31,6 @@ type regionKey struct {
 	rect  fb.Rect
 }
 
-// NewAssembly tracks frames [0, frames).
-func NewAssembly(w, h, frames int) *Assembly { return NewAssemblyRange(w, h, 0, frames) }
-
 // NewAssemblyRange tracks absolute frames [start, end).
 func NewAssemblyRange(w, h, start, end int) *Assembly {
 	n := end - start

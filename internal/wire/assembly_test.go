@@ -7,7 +7,7 @@ import (
 )
 
 func TestAssemblyValidation(t *testing.T) {
-	a := NewAssembly(4, 4, 2)
+	a := NewAssemblyRange(4, 4, 0, 2)
 	full := fb.NewRect(0, 0, 4, 4)
 	pix := make([]byte, full.Area()*3)
 	if _, _, err := a.Deliver(5, full, pix, 0); err == nil {

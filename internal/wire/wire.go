@@ -10,12 +10,12 @@ package wire
 
 import (
 	"fmt"
+	"math"
 
 	"nowrender/internal/fb"
 	"nowrender/internal/msg"
 	"nowrender/internal/stats"
 	"nowrender/internal/timeline"
-	vm "nowrender/internal/vecmath"
 )
 
 // Task wire flags: how a task's frame results are encoded. The master
@@ -137,56 +137,78 @@ func (m *FrameDone) RawPixBytes() int {
 	return m.Region.Area() * 3
 }
 
-// PackTL appends a timeline section (clock stamp, track name table,
-// events) to a payload under construction. Shared by the frame-done
-// codec and the DFB control acks.
-func PackTL(b *msg.Buffer, now int64, tracks []string, events []TLEvent) {
-	b.PackInt(now)
-	b.PackInt(int64(len(tracks)))
-	for _, name := range tracks {
-		b.PackString(name)
+// Fields is the frame result's wire layout (msg.Layout). Pix is the
+// payload as it crosses the wire (span-coded under EncSpan);
+// DecodeFrameDone turns it into raw pixels. The kind/encoding/span
+// section is omitted for raw key-frames — the plain path's every result
+// — saving 24 bytes each; the layout is frozen (TestGalleryBytesPinned
+// pins its byte totals). The timeline section trails the span section
+// and forces it present.
+func (m *FrameDone) Fields(b *msg.Buffer) {
+	b.Int(&m.TaskID)
+	b.Int(&m.Frame)
+	RectFields(b, &m.Region)
+	b.Bytes(&m.Pix)
+	b.Int(&m.Rendered)
+	b.Int(&m.Copied)
+	b.Uint64(&m.Regs)
+	for k := range m.Rays.ByKind {
+		b.Uint64(&m.Rays.ByKind[k])
 	}
-	b.PackInt(int64(len(events)))
-	for _, we := range events {
-		b.PackInt(int64(we.Track))
-		b.PackInt(int64(we.Ev.Op))
-		b.PackInt(int64(we.Ev.Frame))
-		b.PackInt(we.Ev.Start)
-		b.PackInt(we.Ev.Dur)
-		b.PackInt(we.Ev.Arg)
+	b.Int64(&m.ElapsedNs)
+	if b.More(m.Kind != KindFull || m.Encoding != EncRaw || m.HasTimeline()) {
+		b.Int(&m.Kind)
+		b.Int(&m.Encoding)
+		msg.List(b, &m.Spans, math.MaxInt, SpanOverhead)
+		for i := range m.Spans {
+			s := &m.Spans[i]
+			b.Int(&s.Y)
+			b.Int(&s.X0)
+			b.Int(&s.X1)
+		}
+		if b.More(m.HasTimeline()) {
+			TimelineFields(b, &m.TLNow, &m.TLTracks, &m.TLEvents)
+		}
 	}
 }
 
-// UnpackTL reads a timeline section written by PackTL, bounding the
-// track and event counts against the remaining payload.
-func UnpackTL(b *msg.Buffer) (now int64, tracks []string, events []TLEvent, err error) {
-	now = b.UnpackInt()
-	nt := int(b.UnpackInt())
-	if nt < 0 || nt > MaxTLTracks || nt > b.Len()/8 {
-		return 0, nil, nil, fmt.Errorf("wire: bad timeline track count %d", nt)
+// RectFields visits a rectangle's four corners, X0, Y0, X1, Y1.
+func RectFields(b *msg.Buffer, r *fb.Rect) {
+	b.Int(&r.X0)
+	b.Int(&r.Y0)
+	b.Int(&r.X1)
+	b.Int(&r.Y1)
+}
+
+// TimelineFields visits a timeline section: the clock stamp, the track
+// name table and the events. Shared by the frame result and the DFB
+// control ack; ValidateTimeline checks what it unpacked.
+func TimelineFields(b *msg.Buffer, now *int64, tracks *[]string, events *[]TLEvent) {
+	b.Int64(now)
+	msg.List(b, tracks, MaxTLTracks, 8)
+	for i := range *tracks {
+		b.String(&(*tracks)[i])
 	}
-	tracks = make([]string, nt)
-	for i := range tracks {
-		tracks[i] = b.UnpackString()
+	msg.List(b, events, math.MaxInt, TLEventBytes)
+	for i := range *events {
+		we := &(*events)[i]
+		b.Int(&we.Track)
+		msg.Num(b, &we.Ev.Op)
+		msg.Num(b, &we.Ev.Frame)
+		b.Int64(&we.Ev.Start)
+		b.Int64(&we.Ev.Dur)
+		b.Int64(&we.Ev.Arg)
 	}
-	ne := int(b.UnpackInt())
-	if ne < 0 || ne > b.Len()/TLEventBytes {
-		return 0, nil, nil, fmt.Errorf("wire: bad timeline event count %d", ne)
-	}
-	events = make([]TLEvent, ne)
-	for i := range events {
-		we := TLEvent{Track: int(b.UnpackInt())}
-		we.Ev.Op = timeline.Op(b.UnpackInt())
-		we.Ev.Frame = int32(b.UnpackInt())
-		we.Ev.Start = b.UnpackInt()
-		we.Ev.Dur = b.UnpackInt()
-		we.Ev.Arg = b.UnpackInt()
-		if we.Track < 0 || we.Track >= nt {
-			return 0, nil, nil, fmt.Errorf("wire: timeline event track %d of %d", we.Track, nt)
+}
+
+// ValidateTimeline rejects an event that names a track the table lacks.
+func ValidateTimeline(tracks []string, events []TLEvent) error {
+	for _, we := range events {
+		if we.Track < 0 || we.Track >= len(tracks) {
+			return fmt.Errorf("timeline event track %d of %d", we.Track, len(tracks))
 		}
-		events[i] = we
 	}
-	return now, tracks, events, nil
+	return nil
 }
 
 // EncodeFrameDone seals a frame result into its wire bytes, in storage
@@ -196,42 +218,8 @@ func UnpackTL(b *msg.Buffer) (now int64, tracks []string, events []TLEvent, err 
 func EncodeFrameDone(m FrameDone) []byte {
 	b := msg.GetBuffer()
 	defer b.Release()
-	b.PackInt(int64(m.TaskID))
-	b.PackInt(int64(m.Frame))
-	b.PackInt(int64(m.Region.X0))
-	b.PackInt(int64(m.Region.Y0))
-	b.PackInt(int64(m.Region.X1))
-	b.PackInt(int64(m.Region.Y1))
-	b.PackBytes(m.Pix)
-	b.PackInt(int64(m.Rendered))
-	b.PackInt(int64(m.Copied))
-	b.PackInt(int64(m.Regs))
-	for k := 0; k < vm.NumRayKinds; k++ {
-		b.PackInt(int64(m.Rays.ByKind[k]))
-	}
-	b.PackInt(m.ElapsedNs)
-	// The kind/encoding/span section is omitted for raw key-frames —
-	// the plain path's every result — saving 24 bytes each; the layout is
-	// frozen (TestGalleryBytesPinned pins its byte totals). The timeline
-	// section trails the span section and forces it present, since the
-	// decoder reads them in order.
-	if m.Kind != KindFull || m.Encoding != EncRaw || m.HasTimeline() {
-		b.PackInt(int64(m.Kind))
-		b.PackInt(int64(m.Encoding))
-		b.PackInt(int64(len(m.Spans)))
-		for _, s := range m.Spans {
-			b.PackInt(int64(s.Y))
-			b.PackInt(int64(s.X0))
-			b.PackInt(int64(s.X1))
-		}
-		if m.HasTimeline() {
-			PackTL(b, m.TLNow, m.TLTracks, m.TLEvents)
-		}
-	}
-	body := b.Bytes()
-	out := msg.GetBytes(len(body) + 4)
-	copy(out, body)
-	return msg.Seal(out[:len(body)])
+	m.Fields(b)
+	return b.SealedPooled()
 }
 
 // ValidateSpans rejects a span set that is not strictly ordered (rows
@@ -252,106 +240,86 @@ func ValidateSpans(spans []fb.Span, region fb.Rect) error {
 	return nil
 }
 
-// DecodeFrameDone parses and validates a frame result. The returned
-// Pix either aliases data (raw payloads) or is pool-owned scratch
-// (span-coded payloads) that Release returns.
-func DecodeFrameDone(data []byte) (FrameDone, error) {
-	body, err := msg.Open(data)
-	if err != nil {
-		return FrameDone{}, fmt.Errorf("wire: bad frame-done message: %w", err)
-	}
-	b := msg.FromBytes(body)
-	var m FrameDone
-	m.TaskID = int(b.UnpackInt())
-	m.Frame = int(b.UnpackInt())
-	x0 := int(b.UnpackInt())
-	y0 := int(b.UnpackInt())
-	x1 := int(b.UnpackInt())
-	y1 := int(b.UnpackInt())
-	m.Region = fb.NewRect(x0, y0, x1, y1)
-	// The payload aliases data rather than being copied: Recv hands the
-	// receiver sole ownership of the message bytes (see the msg package's
-	// buffer ownership contract), so the decoded view stays valid until
-	// the receiver drops the message.
-	pix := b.UnpackBytes()
-	m.Rendered = int(b.UnpackInt())
-	m.Copied = int(b.UnpackInt())
-	m.Regs = uint64(b.UnpackInt())
-	for k := 0; k < vm.NumRayKinds; k++ {
-		m.Rays.ByKind[k] = uint64(b.UnpackInt())
-	}
-	m.ElapsedNs = b.UnpackInt()
-	if b.Len() > 0 {
-		m.Kind = int(b.UnpackInt())
-		m.Encoding = int(b.UnpackInt())
-		n := int(b.UnpackInt())
-		if n < 0 || n > b.Len()/SpanOverhead {
-			return FrameDone{}, fmt.Errorf("wire: bad span count %d", n)
-		}
-		m.Spans = make([]fb.Span, n)
-		for i := range m.Spans {
-			m.Spans[i] = fb.Span{Y: int(b.UnpackInt()), X0: int(b.UnpackInt()), X1: int(b.UnpackInt())}
-		}
-		if b.Len() > 0 {
-			// Timeline piggyback (CapTimeline tasks only).
-			m.TLNow, m.TLTracks, m.TLEvents, err = UnpackTL(b)
-			if err != nil {
-				return FrameDone{}, err
-			}
-		}
-	}
-	if err := b.Err(); err != nil {
-		return FrameDone{}, fmt.Errorf("wire: bad frame-done message: %w", err)
-	}
-	if b.Len() != 0 {
-		return FrameDone{}, fmt.Errorf("wire: %d trailing bytes in frame-done message", b.Len())
-	}
+// Validate rejects a frame result no sane worker sends: a region
+// outside MaxDim, an unknown kind or encoding, spans on a full frame or
+// out of order, a raw payload of the wrong size, or one that would
+// decompress past the message size limit.
+func (m *FrameDone) Validate() error {
 	r := m.Region
 	if r.X0 < 0 || r.Y0 < 0 || r.X1 <= r.X0 || r.Y1 <= r.Y0 || r.X1 > MaxDim || r.Y1 > MaxDim {
-		return FrameDone{}, fmt.Errorf("wire: bad frame region %v", r)
+		return fmt.Errorf("wire: bad frame region %v", r)
 	}
 	if m.Kind != KindFull && m.Kind != KindDelta {
-		return FrameDone{}, fmt.Errorf("wire: unknown frame kind %d", m.Kind)
+		return fmt.Errorf("wire: unknown frame kind %d", m.Kind)
 	}
 	if m.Encoding != EncRaw && m.Encoding != EncSpan {
-		return FrameDone{}, fmt.Errorf("wire: unknown frame encoding %d", m.Encoding)
+		return fmt.Errorf("wire: unknown frame encoding %d", m.Encoding)
 	}
 	if m.Kind == KindFull && len(m.Spans) != 0 {
-		return FrameDone{}, fmt.Errorf("wire: full frame with %d spans", len(m.Spans))
+		return fmt.Errorf("wire: full frame with %d spans", len(m.Spans))
 	}
 	if err := ValidateSpans(m.Spans, m.Region); err != nil {
-		return FrameDone{}, err
+		return err
+	}
+	if err := ValidateTimeline(m.TLTracks, m.TLEvents); err != nil {
+		return err
 	}
 	want := m.RawPixBytes()
 	if want > msg.MaxMessageSize {
 		// A corrupt-but-checksummed header must not drive a huge
 		// decompression allocation.
-		return FrameDone{}, fmt.Errorf("wire: frame payload of %d bytes exceeds limit", want)
+		return fmt.Errorf("wire: frame payload of %d bytes exceeds limit", want)
 	}
-	switch m.Encoding {
-	case EncRaw:
-		if len(pix) != want {
-			return FrameDone{}, fmt.Errorf("wire: frame payload is %d bytes, want %d", len(pix), want)
-		}
-		m.Pix = pix
-	case EncSpan:
-		dst := msg.GetBytes(want)
-		if err := msg.SpanDecompress(dst, pix); err != nil {
-			msg.PutBytes(dst)
-			return FrameDone{}, fmt.Errorf("wire: bad frame-done message: %w", err)
-		}
-		// Full-region span payloads carry the vertically filtered
-		// residual; the stride comes from the region header, exactly as
-		// the encoder derived it.
-		if m.Kind == KindFull {
-			if stride := FilterStride(m.Region); stride > 0 {
-				msg.SpanUnfilterUp(dst, stride)
-			}
-		}
-		m.Pix = dst
-		m.pooled = true
+	if m.Encoding == EncRaw && len(m.Pix) != want {
+		return fmt.Errorf("wire: frame payload is %d bytes, want %d", len(m.Pix), want)
+	}
+	return nil
+}
+
+// DecodeFrameDone parses and validates a frame result by msg.Decode's
+// rules, on a buffer that stays on the stack: the frame-result path
+// allocates nothing. The returned Pix either aliases data (raw payloads;
+// Recv hands the receiver sole ownership of the message bytes) or is
+// pool-owned scratch (span-coded payloads) that Release returns.
+func DecodeFrameDone(data []byte) (FrameDone, error) {
+	var m FrameDone
+	body, err := msg.Open(data)
+	if err == nil {
+		b := msg.Unpacker(body)
+		m.Fields(&b)
+		err = b.End()
+	}
+	if err == nil {
+		err = m.Validate()
+	}
+	if err == nil && m.Encoding == EncSpan {
+		err = m.decompress()
+	}
+	if err != nil {
+		return FrameDone{}, fmt.Errorf("wire: bad frame-done message: %w", err)
 	}
 	return m, nil
+}
+
+// decompress replaces a span-coded payload with its raw pixels in pool
+// storage.
+func (m *FrameDone) decompress() error {
+	dst := msg.GetBytes(m.RawPixBytes())
+	if err := msg.SpanDecompress(dst, m.Pix); err != nil {
+		msg.PutBytes(dst)
+		return err
+	}
+	// Full-region span payloads carry the vertically filtered residual;
+	// the stride comes from the region header, exactly as the encoder
+	// derived it.
+	if m.Kind == KindFull {
+		if stride := FilterStride(m.Region); stride > 0 {
+			msg.SpanUnfilterUp(dst, stride)
+		}
+	}
+	m.Pix = dst
+	m.pooled = true
+	return nil
 }
 
 // Encoder builds frame-result payloads, choosing between key-frame and
