@@ -50,33 +50,35 @@ func (g *Grid) StartWalk(w *Walker, r vm.Ray, tMin, tMax float64) bool {
 		}
 	}
 	w.idx, w.tEnter, w.tMax = g.Index(ix, iy, iz), iv.Min, iv.Max
-	w.startAxis(0, r.Dir.X, r.Origin.X, g.bounds.Min.X, g.cellSize.X, ix, g.nx, 1)
-	w.startAxis(1, r.Dir.Y, r.Origin.Y, g.bounds.Min.Y, g.cellSize.Y, iy, g.ny, g.nx)
-	w.startAxis(2, r.Dir.Z, r.Origin.Z, g.bounds.Min.Z, g.cellSize.Z, iz, g.nz, g.nx*g.ny)
+	w.left[0], w.stride[0], w.tNext[0], w.tDelta[0] = startAxis(r.Dir.X, r.Origin.X, g.bounds.Min.X, g.cellSize.X, ix, g.nx, 1)
+	w.left[1], w.stride[1], w.tNext[1], w.tDelta[1] = startAxis(r.Dir.Y, r.Origin.Y, g.bounds.Min.Y, g.cellSize.Y, iy, g.ny, g.nx)
+	w.left[2], w.stride[2], w.tNext[2], w.tDelta[2] = startAxis(r.Dir.Z, r.Origin.Z, g.bounds.Min.Z, g.cellSize.Z, iz, g.nz, g.nx*g.ny)
 	return true
 }
 
-// startAxis sets up axis a: the ray moves along it with direction
-// component dir from origin, the grid starts at lo with n cells of size
-// cell and flat-index stride, and the walk starts in cell coord.
-func (w *Walker) startAxis(a int, dir, origin, lo, cell float64, coord, n, stride int) {
-	switch {
-	case dir > 0:
-		w.left[a], w.stride[a] = n-1-coord, stride
-		w.tDelta[a] = cell / dir
-		boundary := lo + float64(coord+1)*cell
-		w.tNext[a] = (boundary - origin) / dir
-	case dir < 0:
-		w.left[a], w.stride[a] = coord, -stride
-		w.tDelta[a] = -cell / dir
-		boundary := lo + float64(coord)*cell
-		w.tNext[a] = (boundary - origin) / dir
-	default:
-		// Never the nearest boundary (left is 0 so that even a
-		// zero-direction ray ends).
-		w.left[a], w.tDelta[a], w.tNext[a] = 0, math.Inf(1), math.Inf(1)
+// startAxis returns one axis's walk state: the ray moves along it with
+// direction component dir from origin, the grid starts at lo with n
+// cells of size cell and flat-index stride, and the walk starts in cell
+// coord. It is small enough to inline, so StartWalk makes no call per
+// axis. tNext and tDelta are divisions by dir, not products with 1/dir:
+// the product rounds twice and differs from the quotient on some rays,
+// and Walk's tLeave values are pinned against a reference walker that
+// divides.
+func startAxis(dir, origin, lo, cell float64, coord, n, stride int) (left, step int, tNext, tDelta float64) {
+	if dir > 0 {
+		return n - 1 - coord, stride, (lo + float64(coord+1)*cell - origin) / dir, cell / dir
 	}
+	if dir < 0 {
+		return coord, -stride, (lo + float64(coord)*cell - origin) / dir, -cell / dir
+	}
+	// Never the nearest boundary (left is 0 so that even a zero-direction
+	// ray ends).
+	return 0, 0, inf, inf
 }
+
+// inf is +Inf as a value: two math.Inf calls would cost startAxis its
+// place under the inliner's budget.
+var inf = math.Inf(1)
 
 // Voxel returns the flat index of the voxel the walk is in, the
 // parameter at which the ray leaves it (clamped to the walk's end) and

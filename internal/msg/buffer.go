@@ -11,6 +11,7 @@ package msg
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -43,11 +44,21 @@ func (b *Buffer) left() int { return len(b.data) - b.pos }
 // End finishes an unpack: the first error, or one for bytes left over.
 // A message is exactly its fields.
 func (b *Buffer) End() error {
-	if b.err == nil && b.left() != 0 {
+	switch {
+	case b.err == errPastEnd:
+		// No field moves pos after the first error, so it is still
+		// where the short field began.
+		return fmt.Errorf("msg: field past end of buffer (pos %d, len %d)", b.pos, len(b.data))
+	case b.err == nil && b.left() != 0:
 		return fmt.Errorf("msg: %d trailing bytes", b.left())
 	}
 	return b.err
 }
+
+// errPastEnd marks a field unpacked past the end of the buffer. End
+// formats the error, so that unpackInt stays cheap enough for Int,
+// Int64, Uint64 and Float to inline into every Fields method.
+var errPastEnd = errors.New("msg: field past end of buffer")
 
 func (b *Buffer) fail(format string, args ...any) {
 	if b.err == nil {
@@ -70,8 +81,11 @@ func (b *Buffer) PackBytes(p []byte) {
 // every other field is built from. Past the end, or after an error, it
 // fails and returns 0.
 func (b *Buffer) unpackInt() int64 {
-	if b.err != nil || b.left() < 8 {
-		b.fail("field past end of buffer (pos %d, len %d)", b.pos, len(b.data))
+	if b.err != nil {
+		return 0
+	}
+	if b.left() < 8 {
+		b.err = errPastEnd
 		return 0
 	}
 	v := int64(binary.BigEndian.Uint64(b.data[b.pos:]))

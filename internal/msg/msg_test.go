@@ -82,6 +82,25 @@ func TestBufferStickyError(t *testing.T) {
 	if u.End() == nil {
 		t.Error("End reported no error")
 	}
+
+	// The error gives where the short field began, however many fields
+	// are tried after it, and an earlier error is kept.
+	u = Unpacker(make([]byte, 10))
+	u.Int64(&v)
+	u.Int64(&v)
+	u.String(&s)
+	u.Float(&f)
+	const want = "msg: field past end of buffer (pos 8, len 10)"
+	if err := u.End(); err == nil || err.Error() != want {
+		t.Errorf("End = %v, want %q", err, want)
+	}
+	u = Unpacker([]byte{0, 0, 0, 0, 0, 0, 0, 5, 0, 0})
+	n := 0
+	u.Count(&n, 0, 1)
+	u.Int64(&v)
+	if err := u.End(); err == nil || !strings.Contains(err.Error(), "count") {
+		t.Errorf("End = %v, want the count error", err)
+	}
 }
 
 func TestBufferCorruptLengths(t *testing.T) {

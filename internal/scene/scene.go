@@ -185,10 +185,14 @@ type Spotlight struct {
 	Falloff float64
 }
 
-// Attenuation returns the light's intensity factor for a surface point
-// at distance dist in direction dir (unit vector from the light to the
-// point), combining the spot cone and distance fade.
+// Attenuation returns the light's intensity factor in [0, 1] at point,
+// for the light at lightPos (its position in the frame being rendered):
+// the spot cone's times the distance fade's. A light with neither
+// returns 1 without measuring the distance.
 func (l *Light) Attenuation(lightPos, point vm.Vec3) float64 {
+	if l.Spot == nil && l.FadeDistance <= 0 {
+		return 1
+	}
 	d := point.Sub(lightPos)
 	dist := d.Len()
 	f := 1.0

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"nowrender/internal/fb"
 	"nowrender/internal/grid"
 	"nowrender/internal/heappin"
 	"nowrender/internal/scene"
@@ -107,4 +108,25 @@ func TestOccludedMatchesMarch(t *testing.T) {
 				name, seen[OccClear], seen[OccTransmissive], seen[OccBlocked])
 		}
 	}
+}
+
+// BenchmarkTraceNewtonFrame renders one frame of the benchmark's Newton
+// animation (newton:90, frame 1) at 120x160 on the calling goroutine —
+// one frame of Table 1's column (1) — and reports the tracer's cost per
+// ray of every kind: the kernel number beneath the ledger's
+// newton-plain makespan.
+func BenchmarkTraceNewtonFrame(b *testing.B) {
+	ft, err := New(scenes.Newton(90), 1, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	img := fb.New(120, 160)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ft.RenderRegion(img, img.Bounds())
+	}
+	b.StopTimer()
+	rays := float64(ft.Counters.Total())
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rays, "ns/ray")
+	b.ReportMetric(rays/float64(b.N), "rays/op")
 }

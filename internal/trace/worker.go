@@ -286,7 +286,7 @@ func (w *Worker) shade(r vm.Ray, h geom.Hit, obj *scene.ResolvedObject) vm.Vec3 
 		}
 		if fin.Specular > 0 {
 			half := ldir.Add(viewDir).Norm()
-			spec := math.Pow(math.Max(0, h.Normal.Dot(half)), fin.Shininess)
+			spec := vm.SpecPow(math.Max(0, h.Normal.Dot(half)), fin.Shininess)
 			contrib = contrib.Add(vm.Splat(fin.Specular * spec))
 		}
 		out = out.Add(contrib.Mul(light.Color).Mul(atten))

@@ -63,38 +63,47 @@ func (b AABB) Overlaps(c AABB) bool {
 
 // IntersectRay clips ray r against the box using the slab method and
 // returns the parameter interval of overlap with [tMin, tMax]. The second
-// return value is false when the ray misses the box entirely.
+// return value is false when the ray misses the box entirely. It is the
+// first step of every grid walk, so it clips the X, Y and Z slabs in
+// that order with the inlined clipSlab and makes no call per axis.
 func (b AABB) IntersectRay(r Ray, tMin, tMax float64) (Interval, bool) {
-	t0, t1 := tMin, tMax
-	for axis := 0; axis < 3; axis++ {
-		o := r.Origin.Axis(axis)
-		d := r.Dir.Axis(axis)
-		lo := b.Min.Axis(axis)
-		hi := b.Max.Axis(axis)
-		if math.Abs(d) < Eps {
-			// Ray parallel to slab: miss unless origin is inside it.
-			if o < lo || o > hi {
-				return Interval{}, false
-			}
-			continue
-		}
-		inv := 1 / d
-		tNear := (lo - o) * inv
-		tFar := (hi - o) * inv
-		if tNear > tFar {
-			tNear, tFar = tFar, tNear
-		}
-		if tNear > t0 {
-			t0 = tNear
-		}
-		if tFar < t1 {
-			t1 = tFar
-		}
-		if t0 > t1 {
-			return Interval{}, false
-		}
+	t0, t1, ok := clipSlab(r.Origin.X, r.Dir.X, b.Min.X, b.Max.X, tMin, tMax)
+	if !ok {
+		return Interval{}, false
+	}
+	if t0, t1, ok = clipSlab(r.Origin.Y, r.Dir.Y, b.Min.Y, b.Max.Y, t0, t1); !ok {
+		return Interval{}, false
+	}
+	if t0, t1, ok = clipSlab(r.Origin.Z, r.Dir.Z, b.Min.Z, b.Max.Z, t0, t1); !ok {
+		return Interval{}, false
 	}
 	return Interval{Min: t0, Max: t1}, true
+}
+
+// clipSlab narrows [t0, t1] to where a ray with origin component o and
+// direction component d lies in the slab [lo, hi] of one axis; false
+// when the interval empties. A ray parallel to the slab (|d| < Eps)
+// keeps [t0, t1] unchanged, even an empty one, when its origin lies
+// inside the slab and misses otherwise. The parallel test is |d| < Eps
+// spelled as two comparisons, which keeps the helper within the
+// inliner's budget.
+func clipSlab(o, d, lo, hi, t0, t1 float64) (float64, float64, bool) {
+	if -Eps < d && d < Eps {
+		return t0, t1, !(o < lo || o > hi)
+	}
+	inv := 1 / d
+	tNear := (lo - o) * inv
+	tFar := (hi - o) * inv
+	if tNear > tFar {
+		tNear, tFar = tFar, tNear
+	}
+	if tNear > t0 {
+		t0 = tNear
+	}
+	if tFar < t1 {
+		t1 = tFar
+	}
+	return t0, t1, !(t0 > t1)
 }
 
 // TransformAABB returns the axis-aligned box enclosing box b mapped

@@ -45,6 +45,38 @@ func Clamp(x, lo, hi float64) float64 {
 	return x
 }
 
+// SpecPow returns math.Pow(x, y) bit for bit, faster for the Phong
+// highlight's case: every built-in material's shininess is a whole
+// number. For a whole y = n in [2, 256] and an x = m·2^e (m in [0.5, 1))
+// with n·(1−e) < 1000 and n·e < 1000, it runs the square-and-multiply
+// that Pow runs on Frexp's mantissa directly on x, in the same order.
+// Pow's exponent bookkeeping only scales those same products by powers
+// of two, and such scalings are exact while every value stays normal,
+// which the bounds on n and e guarantee (x^n lies within 2^±1000). Every
+// other input, negative, zero, subnormal, infinite and NaN ones
+// included, goes to math.Pow.
+func SpecPow(x, y float64) float64 {
+	if y >= 2 && y <= 256 {
+		n := int(y)
+		// The sign bit lands above the exponent, so a negative x has
+		// e > 1000, as have Inf and NaN; zero and subnormals have e = −1022.
+		e := int(math.Float64bits(x)>>52) - 1022
+		if float64(n) == y && n*(1-e) < 1000 && n*e < 1000 {
+			p := 1.0
+			for {
+				if n&1 == 1 {
+					p *= x
+				}
+				if n >>= 1; n == 0 {
+					return p
+				}
+				x *= x
+			}
+		}
+	}
+	return math.Pow(x, y)
+}
+
 // Degrees converts radians to degrees.
 func Degrees(rad float64) float64 { return rad * 180 / math.Pi }
 
