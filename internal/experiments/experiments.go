@@ -262,6 +262,7 @@ func AblationBlockSize(p Params, sizes []int) ([]AblationResult, error) {
 		out = append(out, AblationResult{
 			Label:    fmt.Sprintf("block %dx%d", bs, bs),
 			Makespan: res.Makespan,
+			Rendered: res.Run.TotalRendered(),
 			Detail:   fmt.Sprintf("tasks=%d traffic=%dB", res.TasksExecuted, res.BytesTransferred),
 		})
 	}
@@ -346,6 +347,7 @@ func AblationAdaptive(p Params) ([]AblationResult, error) {
 		out = append(out, AblationResult{
 			Label:    label,
 			Makespan: res.Makespan,
+			Rendered: res.Run.TotalRendered(),
 			Detail:   fmt.Sprintf("subdivisions=%d", res.Subdivisions),
 		})
 	}
@@ -426,6 +428,7 @@ func AblationWeighted(p Params) ([]AblationResult, error) {
 		out = append(out, AblationResult{
 			Label:    sch.Name(),
 			Makespan: res.Makespan,
+			Rendered: res.Run.TotalRendered(),
 			Detail:   fmt.Sprintf("subdivisions=%d", res.Subdivisions),
 		})
 	}

@@ -120,6 +120,62 @@ func TestAblationBlockSize(t *testing.T) {
 	}
 }
 
+// tracedPixels renders cfg on the virtual cluster and sums the pixels
+// each frame's results report as traced.
+func tracedPixels(t *testing.T, cfg farm.Config) int {
+	t.Helper()
+	res, err := farm.RenderVirtual(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, f := range res.Run.Frames {
+		n += f.Rendered
+	}
+	return n
+}
+
+// TestCoherentAblationsCountPixels: every coherent farm ablation row
+// reports the pixels its run traced: more than none, and the sum over
+// the run's frames (the virtual cluster is deterministic, so a second
+// run of the row's configuration traces the same pixels).
+func TestCoherentAblationsCountPixels(t *testing.T) {
+	p := small(t)
+	blocks, err := AblationBlockSize(p, []int{20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	adaptive, err := AblationAdaptive(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []struct {
+		row AblationResult
+		cfg farm.Config
+	}{
+		{blocks[0], farm.Config{Scene: p.Scene, W: p.W, H: p.H, Coherence: true,
+			Scheme: partition.Scheme{BlockW: 20, BlockH: 20, Adaptive: true}}},
+		{adaptive[0], farm.Config{Scene: p.Scene, W: p.W, H: p.H, Coherence: true,
+			Scheme: partition.Scheme{Sequence: true}}},
+		{adaptive[1], farm.Config{Scene: p.Scene, W: p.W, H: p.H, Coherence: true,
+			Scheme: partition.Scheme{Sequence: true, Adaptive: true}}},
+	}
+	for _, r := range rows {
+		if want := tracedPixels(t, r.cfg); r.row.Rendered <= 0 || r.row.Rendered != want {
+			t.Errorf("%s: %d pixels traced, want %d (> 0)", r.row.Label, r.row.Rendered, want)
+		}
+	}
+	weighted, err := AblationWeighted(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range weighted {
+		if r.Rendered <= 0 {
+			t.Errorf("%s: %d pixels traced", r.Label, r.Rendered)
+		}
+	}
+}
+
 func TestAblationGridResolution(t *testing.T) {
 	res, err := AblationGridResolution(small(t), []int{2, 8})
 	if err != nil {

@@ -191,7 +191,7 @@ func (c *Cache) Get(k Key) (*fb.Framebuffer, bool) {
 	return c.lookupLocked(k)
 }
 
-// TGA returns img, the frame k addresses, as an uncompressed 24-bit TGA
+// TGA returns img, the frame k addresses, as a run-length 24-bit TGA
 // file. While k is cached the bytes are built once, by the first call,
 // and kept on the entry — charged to the byte budget like the pixels
 // (evicting from the LRU tail to make room) and released with them; a

@@ -411,14 +411,21 @@ func TestTGAUncachedChargesNothing(t *testing.T) {
 func TestTGAEvictsFromTail(t *testing.T) {
 	const side = 16
 	pix := int64(side * side * 3)
-	enc := pix + 18
-	seq := NewSeqKey("s", side, side, 1)
-	c := New(2*pix + 2*enc) // three frames and a file, or two and two
 	var imgs [4]*fb.Framebuffer
 	var files [4][]byte
 	for f := range imgs {
 		imgs[f], files[f] = noiseFrame(t, side, side, int64(f))
 	}
+	// A file is charged its encoded length; noise frames of one size
+	// encode to one length.
+	enc := int64(len(files[0]))
+	for f := range files {
+		if int64(len(files[f])) != enc {
+			t.Fatalf("file %d is %d bytes, file 0 %d", f, len(files[f]), enc)
+		}
+	}
+	seq := NewSeqKey("s", side, side, 1)
+	c := New(2*pix + 2*enc) // three frames and a file, or two and two
 	check := func(when string, bytes, encoded int64, entries int, evictions uint64) {
 		t.Helper()
 		cs := c.Stats()

@@ -230,7 +230,8 @@ func (l *Light) PosAt(frame int) vm.Vec3 {
 	if l.Track == nil {
 		return l.Pos
 	}
-	return l.Track.At(frame).Fwd.MulPoint(l.Pos)
+	xf := l.Track.At(frame)
+	return xf.Fwd.MulPoint(l.Pos)
 }
 
 // MovedBetween reports whether the light position differs between frames.

@@ -27,7 +27,8 @@ func TestFuncTrack(t *testing.T) {
 	if tr.IsStatic() {
 		t.Error("func track reported static")
 	}
-	if got := tr.At(3).Fwd.MulPoint(vm.V(0, 0, 0)); got != vm.V(3, 0, 0) {
+	xf := tr.At(3)
+	if got := xf.Fwd.MulPoint(vm.V(0, 0, 0)); got != vm.V(3, 0, 0) {
 		t.Errorf("At(3) = %v", got)
 	}
 }
@@ -50,7 +51,8 @@ func TestKeyframeTrackInterpolation(t *testing.T) {
 		{25, vm.V(10, 10, 0)},
 	}
 	for _, c := range cases {
-		got := tr.At(c.frame).Fwd.MulPoint(vm.V(0, 0, 0))
+		xf := tr.At(c.frame)
+		got := xf.Fwd.MulPoint(vm.V(0, 0, 0))
 		if !got.ApproxEq(c.want, 1e-12) {
 			t.Errorf("frame %d: %v, want %v", c.frame, got, c.want)
 		}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,7 +47,8 @@ func fetchFrame(h http.Handler, id string, frame int, query string) *httptest.Re
 }
 
 // TestFrameFetchIsSizedBytes: a TGA GET carries Content-Length and is
-// not chunked; the first fetch (which builds the file), the second
+// not chunked; the file is run-length, smaller than the uncompressed
+// one; the first fetch (which builds the file), the second
 // (which finds it on the cache entry) and a fetch through a second job
 // served from cache all return exactly tga.Encode of the frame; the file
 // is charged to the cache once; PPM and PNG bodies are what their
@@ -64,8 +66,9 @@ func TestFrameFetchIsSizedBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := encoded(t, tga.Encode, img)
-	if len(want) != 18+3*60*80 {
-		t.Fatalf("reference TGA is %d bytes", len(want))
+	if len(want) >= 18+3*60*80 || want[2] != 10 {
+		t.Fatalf("reference TGA is %d bytes of image type %d, want run-length (10) and under the uncompressed %d",
+			len(want), want[2], 18+3*60*80)
 	}
 	get := func(id, query string) []byte {
 		t.Helper()
@@ -199,31 +202,38 @@ func TestFrameErrorsAreTyped(t *testing.T) {
 
 // warmFetcher renders one cold job and returns a function that GETs its
 // frames in turn through the real handler into a reused recorder, so
-// what a call allocates is the server's doing.
+// what a call allocates is the server's doing, and the frames' mean
+// file size.
 func warmFetcher(t testing.TB) (fetch func(), frameBytes int) {
 	s := New(Config{})
 	t.Cleanup(s.Close)
 	const frames = 4
 	st := renderJob(t, s, JobSpec{Scene: fmt.Sprintf("newton:%d", frames), W: 120, H: 160})
 	h := s.Handler()
-	frameBytes = 18 + 3*120*160
 	reqs := make([]*http.Request, frames)
+	sizes := make([]int, frames)
 	for i := range reqs {
+		img, err := s.Frame(st.ID, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes[i] = len(encoded(t, tga.Encode, img))
+		frameBytes += sizes[i] / frames
 		reqs[i] = httptest.NewRequest("GET", fmt.Sprintf("/jobs/%s/frames/%d", st.ID, i), nil)
-		if rec := fetchFrame(h, st.ID, i, ""); rec.Code != http.StatusOK || rec.Body.Len() != frameBytes {
-			t.Fatalf("first fetch of frame %d: status %d, %d bytes", i, rec.Code, rec.Body.Len())
+		if rec := fetchFrame(h, st.ID, i, ""); rec.Code != http.StatusOK || rec.Body.Len() != sizes[i] {
+			t.Fatalf("first fetch of frame %d: status %d, %d bytes, want %d", i, rec.Code, rec.Body.Len(), sizes[i])
 		}
 	}
 	rec := httptest.NewRecorder()
-	rec.Body = bytes.NewBuffer(make([]byte, 0, 2*frameBytes))
+	rec.Body = bytes.NewBuffer(make([]byte, 0, 2*slices.Max(sizes)))
 	next := 0
 	return func() {
 		rec.Body.Reset()
 		h.ServeHTTP(rec, reqs[next%frames])
-		next++
-		if rec.Body.Len() != frameBytes {
-			t.Fatalf("warm fetch returned %d bytes, want %d", rec.Body.Len(), frameBytes)
+		if want := sizes[next%frames]; rec.Body.Len() != want {
+			t.Fatalf("warm fetch returned %d bytes, want %d", rec.Body.Len(), want)
 		}
+		next++
 	}, frameBytes
 }
 

@@ -5,6 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"image"
+	"image/png"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -499,14 +502,23 @@ func TestHTTPEndToEnd(t *testing.T) {
 		if fResp.StatusCode != http.StatusOK {
 			t.Fatalf("frame fetch %q status = %d", format, fResp.StatusCode)
 		}
+		if format == "?format=ppm" {
+			// A P6 file is its header, then the frame's RGB bytes.
+			body, err := io.ReadAll(fResp.Body)
+			fResp.Body.Close()
+			if err != nil || !bytes.Equal(body, encoded(t, tga.EncodePPM, want)) {
+				t.Fatalf("downloaded PPM differs from EncodePPM of the rendered frame (%v)", err)
+			}
+			continue
+		}
 		var got *fb.Framebuffer
-		switch format {
-		case "":
+		if format == "" {
 			got, err = tga.Decode(fResp.Body)
-		case "?format=ppm":
-			got, err = tga.DecodePPM(fResp.Body)
-		case "?format=png":
-			got, err = tga.DecodePNG(fResp.Body)
+		} else {
+			var decoded image.Image
+			if decoded, err = png.Decode(fResp.Body); err == nil {
+				got = tga.FromImage(decoded)
+			}
 		}
 		fResp.Body.Close()
 		if err != nil {

@@ -96,6 +96,15 @@ func (r *RunStats) TotalRays() RayCounters {
 	return c
 }
 
+// TotalRendered sums the pixels traced over all frames.
+func (r *RunStats) TotalRendered() int {
+	n := 0
+	for _, f := range r.Frames {
+		n += f.Rendered
+	}
+	return n
+}
+
 // FirstFrame returns the stats of the lowest-numbered frame and false if
 // there are none.
 func (r *RunStats) FirstFrame() (FrameStats, bool) {

@@ -105,7 +105,7 @@ func (a Mat4) MulM(b Mat4) Mat4 {
 }
 
 // MulPoint applies the affine transform to a point (w = 1).
-func (a Mat4) MulPoint(p Vec3) Vec3 {
+func (a *Mat4) MulPoint(p Vec3) Vec3 {
 	return Vec3{
 		a.M[0][0]*p.X + a.M[0][1]*p.Y + a.M[0][2]*p.Z + a.M[0][3],
 		a.M[1][0]*p.X + a.M[1][1]*p.Y + a.M[1][2]*p.Z + a.M[1][3],
@@ -114,7 +114,7 @@ func (a Mat4) MulPoint(p Vec3) Vec3 {
 }
 
 // MulDir applies the transform to a direction (w = 0, no translation).
-func (a Mat4) MulDir(d Vec3) Vec3 {
+func (a *Mat4) MulDir(d Vec3) Vec3 {
 	return Vec3{
 		a.M[0][0]*d.X + a.M[0][1]*d.Y + a.M[0][2]*d.Z,
 		a.M[1][0]*d.X + a.M[1][1]*d.Y + a.M[1][2]*d.Z,
@@ -124,7 +124,7 @@ func (a Mat4) MulDir(d Vec3) Vec3 {
 
 // MulNormal transforms a surface normal by the inverse-transpose of the
 // matrix. The caller supplies the inverse; this applies its transpose.
-func (inv Mat4) MulNormal(n Vec3) Vec3 {
+func (inv *Mat4) MulNormal(n Vec3) Vec3 {
 	return Vec3{
 		inv.M[0][0]*n.X + inv.M[1][0]*n.Y + inv.M[2][0]*n.Z,
 		inv.M[0][1]*n.X + inv.M[1][1]*n.Y + inv.M[2][1]*n.Z,

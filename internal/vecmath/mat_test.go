@@ -8,10 +8,11 @@ import (
 
 func TestIdentityIsNeutral(t *testing.T) {
 	p := V(3, -2, 7)
-	if got := Identity().MulPoint(p); got != p {
+	id := Identity()
+	if got := id.MulPoint(p); got != p {
 		t.Errorf("I*p = %v", got)
 	}
-	if got := Identity().MulDir(p); got != p {
+	if got := id.MulDir(p); got != p {
 		t.Errorf("I*d = %v", got)
 	}
 }
