@@ -4,7 +4,9 @@
 // While a frame is rendered, every ray spawned for a pixel — camera,
 // reflected, refracted and shadow rays — is walked through a voxel grid
 // over object space (3D-DDA) and the pixel is registered on every voxel
-// the ray traverses. Between frame f and f+1 the engine finds the voxels
+// the ray traverses. The one exception is a shadow segment that a static
+// opaque object blocks: it stays dark whatever moves, so the tracer does
+// not report it (trace.OccStaticBlocked). Between frame f and f+1 the engine finds the voxels
 // in which change occurs (objects moving in or out) and marks every
 // pixel registered on those voxels for recomputation; all other pixels
 // keep the previous frame's colour. The engine renders each frame over

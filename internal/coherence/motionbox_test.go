@@ -1,6 +1,7 @@
 package coherence
 
 import (
+	"math"
 	"testing"
 
 	"nowrender/internal/fb"
@@ -9,6 +10,7 @@ import (
 	"nowrender/internal/scene"
 	"nowrender/internal/scenes"
 	"nowrender/internal/stats"
+	"nowrender/internal/trace"
 	vm "nowrender/internal/vecmath"
 )
 
@@ -16,7 +18,9 @@ import (
 // scenes put what a mover changes — its shadow, its reflection, its
 // refracted image — on static geometry far outside that box, or make the
 // box degenerate (unbounded mover, no mover, one frame), and hold the
-// engine to the plain tracer's bytes on every frame.
+// engine to the plain tracer's bytes on every frame. One more moves a
+// ball through the shadow of a static slab, whose segments go
+// unregistered.
 
 // slide moves an object by from at the first frame to by to at the last.
 func slide(frames int, from, to vm.Vec3) scene.Track {
@@ -121,6 +125,9 @@ func boxCases() []boxCase {
 		return vm.NewTransform(vm.Translate(float64(f), 0, 0))
 	}}
 
+	slab := umbraScene()
+	var umbra []bool // umbraPixels, worked out at the first check
+
 	// plain fails unless the engine did exactly a plain render's work.
 	plain := func(t *testing.T, e *Engine, rep FrameReport) {
 		if e.Grid() != nil || rep.Registrations != 0 || e.RegistrationCount() != 0 || rep.ChangeVoxels != 0 {
@@ -179,6 +186,29 @@ func boxCases() []boxCase {
 		}},
 		{name: "one-frame", sc: movingScene(5), start: 2, end: 3, check: plain},
 		{name: "newton", sc: scenes.Newton(boxFrames), end: boxFrames},
+		{name: "static-umbra", sc: slab, end: umbraFrames, check: func(t *testing.T, e *Engine, rep FrameReport) {
+			// A segment a static opaque object blocks is not registered:
+			// while the ball moves over the slab, no pixel of the slab's
+			// umbra is traced again, though the ball crosses the segments
+			// of some of them. A segment only the ball blocks is: its
+			// shadow in the open (phase c) must follow it.
+			if umbra == nil {
+				umbra = umbraPixels(t, slab, 0, 4)
+			}
+			if rep.Frame > 0 && rep.Rendered == 0 {
+				t.Errorf("frame %d: nothing traced while the ball moves in view", rep.Frame)
+			}
+			if rep.Frame == 0 || rep.Frame >= 4 {
+				return
+			}
+			for _, s := range e.LastSpans() {
+				for x := s.X0; x < s.X1; x++ {
+					if umbra[s.Y*tw+x] {
+						t.Fatalf("frame %d: umbra pixel (%d,%d) traced again while the ball moves over the slab", rep.Frame, x, s.Y)
+					}
+				}
+			}
+		}},
 	}
 }
 
@@ -262,4 +292,77 @@ func checkMoversInsideGrid(t *testing.T, name string, e *Engine) {
 			}
 		}
 	}
+}
+
+// umbraFrames is the length of umbraScene's animation: four frames of
+// each phase.
+const umbraFrames = 12
+
+// umbraScene hangs a static opaque slab between the floor and a light
+// straight above it, and moves a ball (a) over the slab, between it and
+// the light, then (b) under the slab, in its umbra, then (c) out into the
+// open, floating, where the ball's own shadow moves across the floor. The
+// camera sits below the slab and sees the floor beneath it.
+func umbraScene() *scene.Scene {
+	s := stage("static-umbra", umbraFrames, vm.V(0, 0.7, 7), vm.V(0, 0.6, 0), vm.V(0, 12, 0))
+	s.Add("slab", geom.NewBox(vm.V(-2, 1.4, -2), vm.V(2, 1.6, 2)), material.Matte(material.Blue), nil)
+	s.Add("ball", geom.NewSphere(vm.V(0, 0, 0), 0.6), material.Matte(material.Red),
+		scene.FuncTrack{F: func(f int) vm.Transform {
+			step := float64(f % 4)
+			switch f / 4 {
+			case 0:
+				return vm.NewTransform(vm.Translate(-1+step*2/3, 2.6, 0))
+			case 1:
+				return vm.NewTransform(vm.Translate(-1+step*2/3, 0.6, 0))
+			}
+			return vm.NewTransform(vm.Translate(2.9+step/4, 1.2, 0))
+		}})
+	return s
+}
+
+// umbraPixels marks the pixels that see the floor in every frame of
+// [start, end) at a point whose segment to the light crosses the slab,
+// and fails unless there are at least 100.
+func umbraPixels(t *testing.T, sc *scene.Scene, start, end int) []bool {
+	t.Helper()
+	var slab *scene.Object
+	for _, o := range sc.Objects {
+		if o.Name == "slab" {
+			slab = o
+		}
+	}
+	umbra := make([]bool, tw*th)
+	for i := range umbra {
+		umbra[i] = true
+	}
+	for f := start; f < end; f++ {
+		ft, err := trace.New(sc, f, trace.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lp := sc.Lights[0].PosAt(f)
+		for i := range umbra {
+			h, ro, ok := ft.Intersect(ft.CameraRay(i%tw, i/tw, tw, th, 0.5, 0.5), vm.ShadowEps, math.Inf(1))
+			if !ok || ro.Obj.Name != "floor" {
+				umbra[i] = false
+				continue
+			}
+			p := h.Point.Add(h.Normal.Scale(vm.ShadowEps))
+			d := lp.Sub(p)
+			seg := vm.Ray{Origin: p, Dir: d.Norm()}
+			if _, _, blocked := slab.Shape.IntersectT(seg, vm.ShadowEps, d.Len()-vm.ShadowEps); !blocked {
+				umbra[i] = false
+			}
+		}
+	}
+	n := 0
+	for _, u := range umbra {
+		if u {
+			n++
+		}
+	}
+	if n < 100 {
+		t.Fatalf("the slab's umbra covers %d pixels, want at least 100", n)
+	}
+	return umbra
 }

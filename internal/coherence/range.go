@@ -31,7 +31,7 @@ import (
 //
 // A Range made by NewRange keeps what it has built until it is dropped:
 // one tracer, one voxel list per mover and one changed set per frame —
-// 10.9 kB a frame on Newton, about 9 of them the tracer's resolved
+// 6.9 kB a frame on Newton, about 5 of them the tracer's resolved
 // objects and scene grid (TestRangeRetainedBytes). The private Range
 // behind NewEngine serves one engine and keeps no tracer, so a
 // single-engine render's heap does not grow by a scene grid per frame;

@@ -306,10 +306,10 @@ func TestPrivateRangeKeepsNoTracer(t *testing.T) {
 
 // TestRangeRetainedBytes pins what a shared Range keeps per Newton frame
 // once every frame is built: the tracer (resolved objects and the scene
-// grid, which is nearly all of it), the movers' voxel lists and the
-// pair's changed set. Measured 16.5 kB a frame at 60 frames; the pin
-// leaves a quarter of headroom. A worker holds one Range, so this times
-// the frames of a task — 1 MB for Newton's 60 — is the most sharing costs
+// grid, about 5 kB of it), the movers' voxel lists and the pair's changed
+// set. Measured 6,926 B a frame at 60 frames; the pin leaves a quarter of
+// headroom. A worker holds one Range, so this times the frames of a task
+// — 0.4 MB for Newton's 60 — is the most sharing costs
 // it between tasks.
 func TestRangeRetainedBytes(t *testing.T) {
 	const w, h, frames = 120, 160, 60
@@ -323,8 +323,8 @@ func TestRangeRetainedBytes(t *testing.T) {
 	}
 	perFrame := (int64(after) - int64(before)) / frames
 	t.Logf("a Newton Range retains %d bytes a frame", perFrame)
-	if perFrame > 20600 {
-		t.Errorf("a Newton Range retains %d bytes a frame, want <= 20600", perFrame)
+	if perFrame > 8660 {
+		t.Errorf("a Newton Range retains %d bytes a frame, want <= 8660", perFrame)
 	}
 	runtime.KeepAlive(r)
 }

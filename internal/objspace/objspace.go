@@ -38,7 +38,8 @@
 // overlaps an earlier slab and was already tested there. The frame owner
 // then completes the one winning hit (Shape.HitAt), shades and recurses
 // locally. A shadow segment takes the tracer's any-hit query first: it
-// crosses every slab it spans until an opaque surface blocks it, and only
+// crosses every slab it spans until a static opaque surface blocks it
+// (one that moves may hide a static one further on), and only
 // a segment meeting nothing but transmissive surfaces marches nearest
 // hits through the same routing.
 //

@@ -360,12 +360,14 @@ func TestShardedFrameAllocs(t *testing.T) {
 // TestRouterOccludedMatchesReplicated: on every shadow segment a render
 // casts, and on segments between random points of the scene, the
 // router's any-hit class is the replicated worker's at 2 and 4 shards —
-// on meshgallery's meshes and glass and on bouncing, whose glass ball
-// gives segments that cross nothing but glass.
+// on meshgallery's meshes and glass, on bouncing, whose glass ball gives
+// segments that cross nothing but glass, and on newton, whose swinging
+// marbles block segments that static geometry does not.
 func TestRouterOccludedMatchesReplicated(t *testing.T) {
 	for name, sc := range map[string]*scene.Scene{
 		"meshgallery": scenes.MeshGallery(scenes.MeshGalleryFrames),
 		"bouncing":    scenes.Bouncing(30),
+		"newton":      scenes.Newton(12),
 	} {
 		frame := sc.Frames / 2
 		ft, err := trace.New(sc, frame, trace.Options{})
@@ -399,7 +401,7 @@ func TestRouterOccludedMatchesReplicated(t *testing.T) {
 				t.Fatal(err)
 			}
 			rt := cl.newRouter(nil)
-			var seen [3]int
+			var seen [4]int
 			for i, r := range segs {
 				want := replicated.Occluded(r, vm.ShadowEps, ends[i])
 				if got := rt.Occluded(r, vm.ShadowEps, ends[i]); got != want {
@@ -408,12 +410,112 @@ func TestRouterOccludedMatchesReplicated(t *testing.T) {
 				}
 				seen[want]++
 			}
-			if seen[trace.OccClear] == 0 || seen[trace.OccTransmissive] == 0 || seen[trace.OccBlocked] == 0 {
-				t.Errorf("%s: segments miss a class: clear %d, glass only %d, blocked %d",
-					name, seen[trace.OccClear], seen[trace.OccTransmissive], seen[trace.OccBlocked])
+			// Only newton's movers are opaque, and only the other two
+			// scenes hold glass.
+			if seen[trace.OccClear] == 0 || seen[trace.OccStaticBlocked] == 0 ||
+				(name != "newton" && seen[trace.OccTransmissive] == 0) || (name == "newton" && seen[trace.OccBlocked] == 0) {
+				t.Errorf("%s: segments miss a class: clear %d, glass only %d, blocked by movers %d, by a static object %d",
+					name, seen[trace.OccClear], seen[trace.OccTransmissive], seen[trace.OccBlocked], seen[trace.OccStaticBlocked])
 			}
 		}
 	}
+}
+
+// occTarget is one frame replicated and split into shards.
+type occTarget struct {
+	ft *trace.FrameTracer
+	rt *router
+}
+
+// segment draws a shadow segment in the frame of ft the way
+// trace.FuzzIntersectMatchesExhaustive draws its kinds 2 and 4: an even
+// kind runs from a point in the grid's box to the light kind/2 names, an
+// odd one between two points anywhere within a box size of the box. The
+// u and v fractions wrap into [0, 1).
+func segment(ft *trace.FrameTracer, kind uint8, u, v vm.Vec3) (vm.Ray, float64, bool) {
+	unit := func(x float64) float64 { return math.Abs(x - math.Trunc(x)) }
+	box := ft.Grid().Bounds()
+	size := box.Size()
+	in := func(p vm.Vec3, grow float64) vm.Vec3 {
+		return box.Min.Sub(size.Scale(grow)).Add(vm.V(unit(p.X), unit(p.Y), unit(p.Z)).Mul(size.Scale(1 + 2*grow)))
+	}
+	var o, q vm.Vec3
+	if kind%2 == 0 {
+		lights := ft.Scene.Lights
+		o, q = in(v, 0), lights[int(kind/2)%len(lights)].PosAt(ft.Frame)
+	} else {
+		o, q = in(u, 1), in(v, 1)
+	}
+	d := q.Sub(o)
+	n := d.Len()
+	if n < 1e-6 || math.IsInf(n, 0) {
+		return vm.Ray{}, 0, false
+	}
+	return vm.Ray{Origin: o, Dir: d.Scale(1 / n), Kind: vm.ShadowRay}, n - vm.ShadowEps, true
+}
+
+// FuzzRouterOccludedMatchesReplicated: on any shadow segment of two
+// Newton frames and a gallery frame, split into 2 and 4 shards, the
+// router's any-hit class is the replicated worker's — clear, through
+// gallery's glass only, blocked by movers only (Newton's swinging
+// marbles, gallery's golden bouncer) or blocked by static geometry. The
+// seed corpus alone reaches all four classes.
+func FuzzRouterOccludedMatchesReplicated(f *testing.F) {
+	newton := scenes.Newton(45)
+	var targets []occTarget
+	for _, at := range []struct {
+		sc    *scene.Scene
+		frame int
+	}{{newton, 7}, {newton, 22}, {scenes.Gallery(30), 15}} {
+		ft, err := trace.New(at.sc, at.frame, trace.Options{})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, shards := range []int{2, 4} {
+			cl, err := Build(at.sc, at.frame, trace.Options{}, Options{Shards: shards})
+			if err != nil {
+				f.Fatal(err)
+			}
+			targets = append(targets, occTarget{ft, cl.newRouter(nil)})
+		}
+	}
+	var seen [4]int
+	rng := vm.NewRNG(3)
+	for sel := range targets {
+		for kind := 0; kind < 4; kind++ {
+			for i := 0; i < 32; i++ {
+				u := vm.V(rng.Float64(), rng.Float64(), rng.Float64())
+				v := vm.V(rng.Float64(), rng.Float64(), rng.Float64())
+				f.Add(uint8(sel), uint8(kind), u.X, u.Y, u.Z, v.X, v.Y, v.Z)
+				if r, tMax, ok := segment(targets[sel].ft, uint8(kind), u, v); ok {
+					seen[targets[sel].ft.Occluded(r, vm.ShadowEps, tMax)]++
+				}
+			}
+		}
+	}
+	for class, n := range seen {
+		if n == 0 {
+			f.Fatalf("no seed reaches class %d: clear %d, glass only %d, blocked by movers %d, by a static object %d",
+				class, seen[trace.OccClear], seen[trace.OccTransmissive], seen[trace.OccBlocked], seen[trace.OccStaticBlocked])
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, sel, kind uint8, u0, u1, u2, v0, v1, v2 float64) {
+		u, v := vm.V(u0, u1, u2), vm.V(v0, v1, v2)
+		if !u.IsFinite() || !v.IsFinite() {
+			t.Skip()
+		}
+		tg := targets[int(sel)%len(targets)]
+		r, tMax, ok := segment(tg.ft, kind, u, v)
+		if !ok {
+			t.Skip()
+		}
+		want := tg.ft.NewWorker(nil).Occluded(r, vm.ShadowEps, tMax)
+		if got := tg.rt.Occluded(r, vm.ShadowEps, tMax); got != want {
+			t.Fatalf("%s frame %d, segment %+v to %g: router class %d, replicated %d",
+				tg.ft.Scene.Name, tg.ft.Frame, r, tMax, got, want)
+		}
+	})
 }
 
 // TestMeshGalleryPins holds the object-space numbers (meshgallery,

@@ -22,8 +22,9 @@ const maxForwardDepth = 64
 type ForwardState struct {
 	Ray vm.Ray
 	// AnyHit marks the any-hit query of a shadow segment: the sweep stops
-	// at the first opaque surface, and the running best is the nearest
-	// transmissive surface met so far rather than the nearest hit.
+	// at the first static opaque surface, and the running best is the
+	// nearest opaque surface met so far or, while none has been, the
+	// nearest transmissive one, rather than the nearest hit.
 	AnyHit     bool
 	TMin, TMax float64
 	// Obj, T and Part are the running best: a global object id, the ray

@@ -68,35 +68,42 @@ func (rt *router) Intersect(r vm.Ray, tMin, tMax float64) (geom.Hit, *scene.Reso
 
 // Occluded is the any-hit query of a shadow segment, routed like a
 // nearest-hit query but never cut short by a hit: it sweeps every slab
-// the segment crosses until an opaque surface blocks it. The class is
-// the replicated worker's, because it depends only on which objects the
-// segment meets, and every object it meets overlaps a slab it crosses.
+// the segment crosses until a static opaque surface blocks it. The class
+// is the replicated worker's, the strongest the segment meets, because
+// it depends only on which objects the segment meets, and every object it
+// meets overlaps a slab it crosses.
 func (rt *router) Occluded(r vm.Ray, tMin, tMax float64) trace.Occlusion {
 	c := rt.c
 	fs := ForwardState{Ray: r, AnyHit: true, TMin: tMin, TMax: tMax, Obj: -1, T: tMax}
 	for _, id := range c.unbounded {
 		if t, part, ok := c.objs[id].Shape.IntersectT(r, tMin, tMax); ok {
-			if trace.Opaque(&c.objs[id]) {
-				return trace.OccBlocked
+			if trace.Occludes(&c.objs[id]) == trace.OccStaticBlocked {
+				return trace.OccStaticBlocked
 			}
-			fs.meet(id, t, part)
+			rt.meet(&fs, id, t, part)
 		}
 	}
-	switch {
-	case rt.sweep(&fs):
-		return trace.OccBlocked
-	case fs.Obj >= 0:
-		return trace.OccTransmissive
+	if rt.sweep(&fs) {
+		return trace.OccStaticBlocked
 	}
-	return trace.OccClear
+	if fs.Obj < 0 {
+		return trace.OccClear
+	}
+	return trace.Occludes(&c.objs[fs.Obj])
 }
 
-// meet records a transmissive surface on an any-hit query's segment: the
-// running best is the nearest one so far.
-func (fs *ForwardState) meet(obj int32, t float64, part int32) {
-	if t < fs.T {
-		fs.Obj, fs.T, fs.Part = obj, t, part
+// meet records a surface an any-hit query's segment meets, short of a
+// static opaque one: the running best is the nearest opaque surface met
+// so far or, while none has been, the nearest transmissive one, so its
+// class is the segment's.
+func (rt *router) meet(fs *ForwardState, obj int32, t float64, part int32) {
+	if fs.Obj >= 0 {
+		opaque, best := trace.Opaque(&rt.c.objs[obj]), trace.Opaque(&rt.c.objs[fs.Obj])
+		if (best && !opaque) || (best == opaque && t >= fs.T) {
+			return
+		}
 	}
+	fs.Obj, fs.T, fs.Part = obj, t, part
 }
 
 // sweep carries fs through the slabs its ray crosses, front to back —
@@ -104,7 +111,7 @@ func (fs *ForwardState) meet(obj int32, t float64, part int32) {
 // descending otherwise — walking each one's sub-grid and forwarding the
 // state at every transition. A nearest-hit query ends at the first slab
 // whose exit the running best does not pass; an any-hit query ends when
-// it meets an opaque surface, and sweep then reports blocked.
+// it meets a static opaque surface, and sweep then reports blocked.
 func (rt *router) sweep(fs *ForwardState) (blocked bool) {
 	c := rt.c
 	rt.stamp++
@@ -188,8 +195,8 @@ func (rt *router) walkNearest(s *Shard, mail []uint64, fs *ForwardState) {
 }
 
 // walkAny steps the segment through shard s's sub-grid; it returns true
-// at the first opaque candidate and otherwise records the transmissive
-// ones in fs.
+// at the first static opaque candidate and otherwise records the others
+// in fs.
 func (rt *router) walkAny(s *Shard, mail []uint64, fs *ForwardState) bool {
 	var wk grid.Walker
 	if !s.Grid.StartWalk(&wk, fs.Ray, fs.TMin, fs.TMax) {
@@ -204,10 +211,10 @@ func (rt *router) walkAny(s *Shard, mail []uint64, fs *ForwardState) bool {
 			mail[lid] = rt.stamp
 			so := &s.Objs[lid]
 			if t, part, ok := so.Shape.IntersectT(fs.Ray, fs.TMin, fs.TMax); ok {
-				if trace.Opaque(&rt.c.objs[so.Global]) {
+				if trace.Occludes(&rt.c.objs[so.Global]) == trace.OccStaticBlocked {
 					return true
 				}
-				fs.meet(so.Global, t, part)
+				rt.meet(fs, so.Global, t, part)
 			}
 		}
 		if !wk.Advance(axis) {

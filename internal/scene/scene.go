@@ -144,6 +144,11 @@ func (o *Object) MovedBetween(f0, f1 int) bool {
 	return !tr.At(f0).Fwd.ApproxEq(tr.At(f1).Fwd, 0)
 }
 
+// Static reports whether the object never moves: its track is absent or
+// static. An object whose track can move counts as moving even over
+// frames where it happens to rest.
+func (o *Object) Static() bool { return o.Track == nil || o.Track.IsStatic() }
+
 // identityTrack is the track of an object without one, boxed into the
 // interface once: boxing a fresh 256-byte StaticTrack allocated on every
 // frame query of every static object.

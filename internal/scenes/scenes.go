@@ -99,10 +99,11 @@ func marbleName(i int) string { return "marble" + string(rune('A'+i)) }
 func stringName(i int) string { return "string" + string(rune('A'+i)) }
 
 // CradleAngle returns the pendulum angles (radians from vertical) of
-// the leftmost and rightmost marbles at a frame. Positive angles swing
-// outward. The model is the canonical cradle visualisation: the energy
-// alternates between the end marbles each half period while the middle
-// three stay still.
+// the leftmost and rightmost marbles at a frame. cradleTrack turns a
+// positive angle into a swing *inward*, through the middle marbles (the
+// leftmost one's centre reaches x = +0.12 from its rest at -1.6), not the
+// outward swing of a real cradle. The energy alternates between the end
+// marbles each half period while the middle three stay still.
 func CradleAngle(frame, frames int) (left, right float64) {
 	halfPeriod := 15.0
 	if frames < 30 {
@@ -125,9 +126,9 @@ func cradleTrack(i, frames int, anchor vm.Vec3) scene.Track {
 		left, right := CradleAngle(frame, frames)
 		var angle float64
 		if i == 0 {
-			angle = left // swing out to -x: positive rotation about +z
+			angle = left // positive rotation about +z: the marble swings to +x, inward
 		} else {
-			angle = -right
+			angle = -right // swings to -x, inward too
 		}
 		if angle == 0 {
 			return vm.IdentityTransform()

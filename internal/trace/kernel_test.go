@@ -55,10 +55,12 @@ func TestTraceAllocsZero(t *testing.T) {
 }
 
 // TestOccludedMatchesMarch: the any-hit walk plus its fallback give
-// exactly the attenuation of the ordered march alone, on segments
+// exactly the attenuation of the ordered march alone, and the walk the
+// exhaustive loop's class, on segments
 // between random points and from visible surface points to the lights —
 // through opaque scenes and past the transmissive balls of bouncing and
-// gallery. (The one intended difference, an opaque blocker behind more
+// gallery, behind static blockers and behind newton's and gallery's
+// moving ones. (The one intended difference, an opaque blocker behind more
 // than 16 transmissive surfaces, occurs in no scene: DESIGN.md §3.)
 func TestOccludedMatchesMarch(t *testing.T) {
 	for name, sc := range map[string]*scene.Scene{
@@ -81,7 +83,7 @@ func TestOccludedMatchesMarch(t *testing.T) {
 		inBounds := func() vm.Vec3 {
 			return vm.V(rng.InRange(b.Min.X, b.Max.X), rng.InRange(b.Min.Y, b.Max.Y), rng.InRange(b.Min.Z, b.Max.Z))
 		}
-		var seen [3]int
+		var seen [4]int
 		for i := 0; i < 4000; i++ {
 			p, lp := inBounds(), inBounds()
 			if i%2 == 0 {
@@ -101,11 +103,17 @@ func TestOccludedMatchesMarch(t *testing.T) {
 			if got := ft.shadowAttenuation(p, lp, 0); got != want {
 				t.Fatalf("%s: segment %v -> %v: attenuation %v, the march alone gives %v", name, p, lp, got, want)
 			}
-			seen[ft.Occluded(ray, vm.ShadowEps, dist-vm.ShadowEps)]++
+			occ := ft.Occluded(ray, vm.ShadowEps, dist-vm.ShadowEps)
+			if _, _, want := exhaustive(ft, ray, vm.ShadowEps, dist-vm.ShadowEps); occ != want {
+				t.Fatalf("%s: segment %v -> %v: occluded %d, exhaustive %d", name, p, lp, occ, want)
+			}
+			seen[occ]++
 		}
-		if seen[OccClear] == 0 || seen[OccBlocked] == 0 || (name != "newton" && seen[OccTransmissive] == 0) {
-			t.Errorf("%s: segments miss a class: clear %d, transmissive only %d, blocked %d",
-				name, seen[OccClear], seen[OccTransmissive], seen[OccBlocked])
+		// Bouncing's one mover is glass: only its walls block.
+		if seen[OccClear] == 0 || seen[OccStaticBlocked] == 0 ||
+			(name != "newton" && seen[OccTransmissive] == 0) || (name != "bouncing" && seen[OccBlocked] == 0) {
+			t.Errorf("%s: segments miss a class: clear %d, transmissive only %d, blocked by movers %d, by a static object %d",
+				name, seen[OccClear], seen[OccTransmissive], seen[OccBlocked], seen[OccStaticBlocked])
 		}
 	}
 }

@@ -31,7 +31,8 @@ import (
 )
 
 // RayObserver receives every ray a worker casts, with the parameter of
-// its nearest hit (math.Inf(1) for rays that escape). The coherence
+// its nearest hit (math.Inf(1) for rays that escape), except a shadow
+// segment that a static opaque object blocks (OccStaticBlocked). The coherence
 // engine implements this to register pixels on the voxels each ray
 // traverses; a nil observer costs nothing. Observers are per-Worker:
 // each rendering goroutine notifies only its own observer, so observer
@@ -93,7 +94,6 @@ type FrameTracer struct {
 
 	grid      *grid.Grid
 	objs      []scene.ResolvedObject
-	gridIDs   []int32 // object indices placed in the grid
 	unbounded []int32 // object indices tested on every ray (planes)
 	maxDepth  int
 	samples   int
@@ -121,15 +121,12 @@ func New(sc *scene.Scene, frame int, opts Options) (*FrameTracer, error) {
 	}
 	ft.grid = g
 	for i, ro := range ft.objs {
-		id := int32(i)
 		// Primitives whose bounds blow past the grid (planes) are kept
 		// on the per-ray list so hits outside the grid region are not
 		// lost.
 		if Unbounded(ro) {
-			ft.unbounded = append(ft.unbounded, id)
-			continue
+			ft.unbounded = append(ft.unbounded, int32(i))
 		}
-		ft.gridIDs = append(ft.gridIDs, id)
 	}
 	g.Fill(len(ft.objs), func(i int) (vm.AABB, bool) {
 		return ft.objs[i].Bounds, !Unbounded(ft.objs[i])

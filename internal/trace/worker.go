@@ -185,24 +185,38 @@ func (w *Worker) Intersect(r vm.Ray, tMin, tMax float64) (geom.Hit, *scene.Resol
 	return ft.objs[bestID].Shape.HitAt(r, bestT, bestPart), &ft.objs[bestID], true
 }
 
-// Occlusion is what lies on a shadow segment.
+// Occlusion is what lies on a shadow segment. The classes are ordered by
+// strength: a segment takes the strongest class of the surfaces it meets.
 type Occlusion uint8
 
 const (
-	OccClear        Occlusion = iota // nothing between the point and the light
-	OccTransmissive                  // only transmissive surfaces: the ordered march tints the light
-	OccBlocked                       // an opaque surface: no light arrives
+	OccClear         Occlusion = iota // nothing between the point and the light
+	OccTransmissive                   // only transmissive surfaces: the ordered march tints the light
+	OccBlocked                        // opaque surfaces, all of objects that move: no light arrives
+	OccStaticBlocked                  // an opaque object that never moves: no light arrives, in any frame
 )
 
-// Opaque reports whether an object stops light outright — what makes an
-// any-hit query's candidate settle the segment as OccBlocked.
+// Opaque reports whether an object stops light outright.
 func Opaque(ro *scene.ResolvedObject) bool { return ro.Obj.Mat.Finish.Transmit <= 0 }
 
-// Occluded is the any-hit query for shadow rays: it returns OccBlocked at
-// the first opaque candidate with a parameter in (tMin, tMax) — in
-// whatever order the walk meets them, without a Hit — and otherwise
-// whether any transmissive surface was met. The builtin grid answers it,
-// or the worker's replacement intersector when one was installed with
+// Occludes returns the class of a segment that meets ro and nothing else.
+// Only an opaque object's track is read.
+func Occludes(ro *scene.ResolvedObject) Occlusion {
+	switch {
+	case !Opaque(ro):
+		return OccTransmissive
+	case ro.Obj.Static():
+		return OccStaticBlocked
+	}
+	return OccBlocked
+}
+
+// Occluded is the any-hit query for shadow rays: the strongest class of
+// the candidates with a parameter in (tMin, tMax), found without a Hit.
+// It returns at the first static opaque candidate, the strongest class,
+// but walks on past a moving one, so the answer does not depend on the
+// order the walk meets them in. The builtin grid answers it, or the
+// worker's replacement intersector when one was installed with
 // NewWorkerWith.
 func (w *Worker) Occluded(r vm.Ray, tMin, tMax float64) Occlusion {
 	if w.ix != nil {
@@ -214,10 +228,9 @@ func (w *Worker) Occluded(r vm.Ray, tMin, tMax float64) Occlusion {
 	occ := OccClear
 	for _, id := range ft.unbounded {
 		if _, _, ok := ft.objs[id].Shape.IntersectT(r, tMin, tMax); ok {
-			if Opaque(&ft.objs[id]) {
-				return OccBlocked
+			if occ = max(occ, Occludes(&ft.objs[id])); occ == OccStaticBlocked {
+				return occ
 			}
-			occ = OccTransmissive
 		}
 	}
 	var wk grid.Walker
@@ -232,10 +245,9 @@ func (w *Worker) Occluded(r vm.Ray, tMin, tMax float64) Occlusion {
 			}
 			w.mailboxes[id] = stamp
 			if _, _, ok := ft.objs[id].Shape.IntersectT(r, tMin, tMax); ok {
-				if Opaque(&ft.objs[id]) {
-					return OccBlocked
+				if occ = max(occ, Occludes(&ft.objs[id])); occ == OccStaticBlocked {
+					return occ
 				}
-				occ = OccTransmissive
 			}
 		}
 		if !wk.Advance(axis) {
@@ -349,15 +361,19 @@ func (w *Worker) shadowAttenuation(p, lp vm.Vec3, depth int) vm.Vec3 {
 	// The any-hit query settles clear and opaquely blocked segments; only
 	// one crossing nothing but transmissive surfaces needs them in order.
 	atten := vm.Splat(1)
-	switch w.Occluded(ray, vm.ShadowEps, dist-vm.ShadowEps) {
-	case OccBlocked:
+	occ := w.Occluded(ray, vm.ShadowEps, dist-vm.ShadowEps)
+	switch occ {
+	case OccBlocked, OccStaticBlocked:
 		atten = vm.Vec3{}
 	case OccTransmissive:
 		atten = w.shadowMarch(ray, dist)
 	}
-	if w.observer != nil {
+	if w.observer != nil && occ != OccStaticBlocked {
 		// Register the full segment to the light (conservative: a
 		// blocker moving anywhere on the segment can change this pixel).
+		// A segment a static opaque object blocks stays dark while the
+		// point and the light stay put, whatever moves, and either
+		// moving re-traces the pixel anyway: it is not registered.
 		w.observer.ObserveRay(ray, dist)
 	}
 	return atten

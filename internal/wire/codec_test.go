@@ -496,8 +496,12 @@ func TestGalleryBytesPinned(t *testing.T) {
 		deltas, span int
 	}{
 		{"full", 0, 3688384, 0, 0},
-		{"delta", wire.CapDelta, 370948, 15, 0},
-		{"delta+span", wire.CapDelta | wire.CapSpanCodec, 190612, 15, 16},
+		// Re-pinned from 370948 and 190612 when shadow segments that a
+		// static opaque object blocks stopped registering: the gallery's
+		// bouncer no longer dirties pixels in the pedestals' shadows, so
+		// fewer spans travel. The pixels are the same.
+		{"delta", wire.CapDelta, 370219, 15, 0},
+		{"delta+span", wire.CapDelta | wire.CapSpanCodec, 190184, 15, 16},
 	} {
 		var enc wire.Encoder
 		cur := fb.New(w, h)
