@@ -5,7 +5,7 @@
 // They are not the repo's benchmark and not the paper's tables. Wall-clock
 // numbers per layer and end to end are bench/ (`bash bench/run.sh`,
 // BENCHMARK.json); Table 1, the figures, the ablations and the scaling
-// sweep on the virtual NOW are cmd/benchtab; bytes and orderings that do
+// sweep on the virtual NOW are `now tables` and `now diff`; bytes and orderings that do
 // not depend on the clock are assertions in ordinary tests. DESIGN.md §4
 // has the table of which question each instrument answers.
 package nowrender_test

@@ -1,0 +1,351 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"flag"
+	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
+	"regexp"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"nowrender/internal/fleetd"
+	"nowrender/internal/msg"
+)
+
+// runNow runs one command line to completion and returns its exit status
+// and what it printed on stdout and stderr. A daemon that starts where
+// the command line should have been refused is stopped after a minute.
+func runNow(args ...string) (code int, stdout, stderr string) {
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	var out, errb bytes.Buffer
+	code = run(ctx, args, &out, &errb)
+	return code, out.String(), errb.String()
+}
+
+var listenRE = regexp.MustCompile(`listening on ([^\s,]+)`)
+
+// output collects a background verb's stdout and stderr and hands over
+// the first address it says it listens on.
+type output struct {
+	mu   sync.Mutex
+	buf  bytes.Buffer
+	addr chan string // buffered 1: the one address sent
+}
+
+func (o *output) Write(p []byte) (int, error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	had := listenRE.Match(o.buf.Bytes())
+	o.buf.Write(p)
+	if m := listenRE.FindSubmatch(o.buf.Bytes()); m != nil && !had {
+		o.addr <- string(m[1])
+	}
+	return len(p), nil
+}
+
+func (o *output) String() string {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.buf.String()
+}
+
+// background is a verb running on its own goroutine.
+type background struct {
+	cancel context.CancelFunc
+	done   chan int
+	out    *output
+}
+
+// start runs a command line in the background and returns once it has
+// printed the address it listens on.
+func start(t *testing.T, args ...string) (*background, string) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	b := &background{cancel: cancel, done: make(chan int, 1), out: &output{addr: make(chan string, 1)}}
+	t.Cleanup(func() { b.stop() })
+	go func() { b.done <- run(ctx, args, b.out, b.out) }()
+	select {
+	case addr := <-b.out.addr:
+		return b, addr
+	case code := <-b.done:
+		b.done <- code
+		t.Fatalf("now %s exited %d before listening:\n%s", strings.Join(args, " "), code, b.out)
+	case <-time.After(10 * time.Second):
+		t.Fatalf("now %s did not listen:\n%s", strings.Join(args, " "), b.out)
+	}
+	return nil, ""
+}
+
+// wait returns the verb's exit status once it ends by itself.
+func (b *background) wait() int {
+	code := <-b.done
+	b.done <- code
+	return code
+}
+
+// stop cancels the verb, as a signal would, and returns its exit status.
+func (b *background) stop() int {
+	b.cancel()
+	return b.wait()
+}
+
+// TestEveryVerb runs each verb's -h, which must exit 0, and one real
+// invocation. The daemons listen on a free port, print the address they
+// bound, answer one request there, and stop when their ctx is cancelled.
+func TestEveryVerb(t *testing.T) {
+	dir := t.TempDir()
+	trace := writeRealTrace(t)
+	for _, tc := range []struct {
+		args []string
+		// poke sends a daemon one request at the address it printed.
+		poke func(t *testing.T, addr string)
+		want string // in the real invocation's output
+	}{
+		{args: []string{"render", "-scene", "newton:2", "-size", "16x12", "-out", filepath.Join(dir, "render"), "-png", "-timeline", filepath.Join(dir, "render.json")},
+			want: "timeline: " + filepath.Join(dir, "render.json")},
+		{args: []string{"worker", "-name", "ws01", "-threads", "1", "-timeline", filepath.Join(dir, "worker.json"), "-master"},
+			want: "timeline: " + filepath.Join(dir, "worker.json")},
+		{args: []string{"serve", "-listen", "127.0.0.1:0", "-max-jobs", "1", "-pprof"},
+			poke: func(t *testing.T, addr string) {
+				for _, path := range []string{"/metrics", "/debug/pprof/"} {
+					resp, err := http.Get("http://" + addr + path)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Errorf("GET %s: %s", path, resp.Status)
+					}
+				}
+			},
+			want: "now serve: shutting down"},
+		{args: []string{"fleetd", "-listen", "127.0.0.1:0", "-members", "ws01=2", "-timeline", filepath.Join(dir, "fleetd.json")},
+			poke: func(t *testing.T, addr string) {
+				rp, err := fleetd.NewReplicaPool(fleetd.ClientConfig{
+					Replica: "test", Dial: func() (msg.Conn, error) { return msg.Dial(addr) },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rp.Close()
+				lease, err := rp.Acquire(context.Background(), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				lease.Return()
+			},
+			want: "1 grants"},
+		{args: []string{"compose", "-listen", "127.0.0.1:0", "-name", "sink0", "-out", filepath.Join(dir, "sink"), "-timeline", filepath.Join(dir, "sink.json")},
+			poke: func(t *testing.T, addr string) {
+				master, masterAddr := start(t, "render", "-mode", "master", "-listen", "127.0.0.1:0", "-workers", "1",
+					"-scene", "newton:2", "-size", "16x12", "-dfb-sinks", addr)
+				if code, _, stderr := runNow("worker", "-master", masterAddr, "-name", "ws01"); code != 0 {
+					t.Errorf("worker exited %d: %s", code, stderr)
+				}
+				if code := master.wait(); code != 0 {
+					t.Errorf("master exited %d:\n%s", code, master.out)
+				}
+			},
+			want: "(2 frames delivered)"},
+		{args: []string{"trace", trace}, want: "w0"},
+		{args: []string{"diff", "-scene", "newton:3", "-size", "16x12", "-frame", "1", "-out", filepath.Join(dir, "diff")},
+			want: "wrote 4 images"},
+		{args: []string{"tables", "-scene", "newton:2", "-csv"}, want: "=== Scaling"},
+	} {
+		t.Run(tc.args[0], func(t *testing.T) {
+			if code, _, stderr := runNow(tc.args[0], "-h"); code != 0 || !strings.Contains(stderr, "now "+tc.args[0]) {
+				t.Errorf("now %s -h: exit %d\n%s", tc.args[0], code, stderr)
+			}
+			var code int
+			var out string
+			switch {
+			case tc.poke != nil:
+				b, addr := start(t, tc.args...)
+				tc.poke(t, addr)
+				code, out = b.stop(), b.out.String()
+			case tc.args[0] == "worker":
+				master, addr := start(t, "render", "-mode", "master", "-listen", "127.0.0.1:0", "-workers", "1",
+					"-scene", "newton:2", "-size", "16x12")
+				code, out, _ = runNow(append(tc.args, addr)...)
+				if mc := master.wait(); mc != 0 {
+					t.Errorf("master exited %d:\n%s", mc, master.out)
+				}
+			default:
+				code, out, _ = runNow(tc.args...)
+			}
+			if code != 0 || !strings.Contains(out, tc.want) {
+				t.Errorf("now %s: exit %d, want 0 and output naming %q:\n%s", strings.Join(tc.args, " "), code, tc.want, out)
+			}
+		})
+	}
+	for _, f := range []string{"render/frame0001.png", "sink/frame0001.tga", "diff/fig2b-predicted.tga", "fleetd.json", "sink.json", "worker.json"} {
+		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+			t.Error(err)
+		}
+	}
+	if code, out, _ := runNow("trace", filepath.Join(dir, "render.json")); code != 0 || !strings.Contains(out, "critical") {
+		t.Errorf("now trace on render's timeline: exit %d\n%s", code, out)
+	}
+}
+
+// TestUsage pins the exit status of the command line's mistakes and of
+// the top level's own flags.
+func TestUsage(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		code int
+		want string // on stdout or stderr
+	}{
+		{[]string{"-version"}, 0, "now "},
+		{[]string{"-h"}, 0, "tables"},
+		{nil, 2, "verbs:"},
+		{[]string{"frobnicate"}, 2, `unknown verb "frobnicate"`},
+		{[]string{"render", "-nope"}, 2, "flag provided but not defined"},
+		{[]string{"render", "-size", "240"}, 2, "want WxH"},
+		{[]string{"diff", "-size", "0x320"}, 2, "want WxH"},
+		{[]string{"render", "-scene", "newton:2", "stray", "-size", "16x12"}, 2, `unexpected argument "stray"`},
+		{[]string{"render", "-shards", "1"}, 2, "want 0 (replicated) or 2..64"},
+		{[]string{"render", "-scene", "newton:2", "-size", "16x12", "-mode", "nope"}, 2, `unknown -mode "nope"`},
+		{[]string{"render", "-scene", "nosuch.sdl"}, 1, "nosuch.sdl"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-lease-term", "1s"}, 2, "-lease-term needs -fleet-broker"},
+		{[]string{"serve", "-listen", "127.0.0.1:0", "-tenants", "alice,alice"}, 2, `"alice" repeated in -tenants`},
+		{[]string{"fleetd", "-listen", "127.0.0.1:0", "-members", "ws01=4,ws01=2"}, 2, `"ws01" repeated in -members`},
+		{[]string{"fleetd", "-listen", "127.0.0.1:0"}, 2, "no capacity"},
+		{[]string{"worker", "-chaos", "drop=2"}, 2, "drop"},
+		{[]string{"trace", "a.json", "b.json"}, 2, "at most one trace file"},
+		{[]string{"diff", "-scene", "newton:2", "-frame", "1"}, 2, "want a frame with a successor"},
+	} {
+		code, stdout, stderr := runNow(c.args...)
+		if code != c.code || !strings.Contains(stdout+stderr, c.want) {
+			t.Errorf("now %s: exit %d, want %d and %q:\n%s%s", strings.Join(c.args, " "), code, c.code, c.want, stdout, stderr)
+		}
+	}
+}
+
+// TestFlagNamesHaveOneMeaning builds every verb's FlagSet without
+// running it: a flag name that two verbs take must carry one usage text
+// and one value type on both.
+func TestFlagNamesHaveOneMeaning(t *testing.T) {
+	first := map[string]string{} // flag name -> the verb that declared it first
+	seen := map[string]*flag.Flag{}
+	total := 0
+	for _, v := range verbs {
+		fs := flag.NewFlagSet(v.name, flag.ContinueOnError)
+		v.declare(fs)
+		fs.VisitAll(func(f *flag.Flag) {
+			total++
+			prev, ok := seen[f.Name]
+			if !ok {
+				first[f.Name], seen[f.Name] = v.name, f
+				return
+			}
+			if prev.Usage != f.Usage || reflect.TypeOf(prev.Value) != reflect.TypeOf(f.Value) {
+				t.Errorf("-%s means one thing on %s (%q) and another on %s (%q)", f.Name, first[f.Name], prev.Usage, v.name, f.Usage)
+			}
+		})
+	}
+	t.Logf("%d verbs declare %d flags under %d names", len(verbs), total, len(seen))
+}
+
+// docCommand is one `now <verb> ...` command line a document shows.
+type docCommand struct {
+	verb string
+	args []string
+}
+
+var nowRE = regexp.MustCompile(`(?:^|[\s/])now\s+(` + strings.Join(verbNames(), "|") + `)\b(.*)`)
+
+func verbNames() []string {
+	var names []string
+	for _, v := range verbs {
+		names = append(names, v.name)
+	}
+	return names
+}
+
+// docCommands extracts the `now <verb>` command lines of a markdown
+// document: from each line of its fenced code blocks, and from its inline
+// code spans. A backslash-continued line counts as one; shell syntax (a
+// comment, pipe, redirection or &) ends the command.
+func docCommands(src string) []docCommand {
+	var spans, prose []string
+	fenced := false
+	for _, line := range strings.Split(strings.ReplaceAll(src, "\\\n", " "), "\n") {
+		switch {
+		case strings.HasPrefix(strings.TrimSpace(line), "```"):
+			fenced = !fenced
+		case fenced:
+			spans = append(spans, line)
+		default:
+			prose = append(prose, line)
+		}
+	}
+	inline := strings.Split(strings.Join(prose, "\n"), "`")
+	for i := 1; i < len(inline); i += 2 {
+		spans = append(spans, strings.ReplaceAll(inline[i], "\n", " "))
+	}
+	var out []docCommand
+	for _, s := range spans {
+		m := nowRE.FindStringSubmatch(s)
+		if m == nil {
+			continue
+		}
+		c := docCommand{verb: m[1]}
+		for _, tok := range strings.Fields(m[2]) {
+			if strings.ContainsAny(tok[:1], "#|&;<>") || strings.HasPrefix(tok, "2>") {
+				break
+			}
+			c.args = append(c.args, tok)
+		}
+		out = append(out, c)
+	}
+	return out
+}
+
+// TestDocsNameRealFlags parses every `now <verb>` command line in
+// README.md and the verify skill with that verb's FlagSet, without
+// running it, so the documents cannot name a flag that does not exist.
+func TestDocsNameRealFlags(t *testing.T) {
+	for _, doc := range []string{"../../README.md", "../../.claude/skills/verify/SKILL.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmds := docCommands(string(src))
+		if len(cmds) == 0 {
+			t.Errorf("%s shows no now command", doc)
+		}
+		for _, c := range cmds {
+			v := verbs[slices.IndexFunc(verbs, func(v verb) bool { return v.name == c.verb })]
+			var stderr bytes.Buffer
+			if _, _, err := v.parse(c.args, &stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+				t.Errorf("%s: now %s %s: %v", doc, c.verb, strings.Join(c.args, " "), err)
+			}
+		}
+		t.Logf("%s: %d now command lines parse", doc, len(cmds))
+	}
+}
+
+func TestDocCommands(t *testing.T) {
+	src := "Run `now render -mode local` or `nowhere now`, or `now diff\n-size 8x8`.\n\n```sh\n" +
+		"go run ./cmd/now serve -listen :8080 \\\n  -max-jobs 2 # comment\n" +
+		"/tmp/vf/now trace run.json > report.txt\n```\n"
+	want := []docCommand{
+		{"serve", []string{"-listen", ":8080", "-max-jobs", "2"}},
+		{"trace", []string{"run.json"}},
+		{"render", []string{"-mode", "local"}},
+		{"diff", []string{"-size", "8x8"}},
+	}
+	if got := docCommands(src); !reflect.DeepEqual(got, want) {
+		t.Errorf("docCommands = %v, want %v", got, want)
+	}
+}

@@ -12,10 +12,10 @@ import (
 // TestMasterModeRefusesChaos: a -chaos plan cannot reach TCP workers, so
 // master mode refuses it before it listens for any.
 func TestMasterModeRefusesChaos(t *testing.T) {
-	err := run("newton:2", "master", "framediv", 16, 16, 32, 24, "", 0, "127.0.0.1:0",
-		true, 1, 0, 1, 0, false, "", faultOpts{chaos: "seed=1,drop=0.1"})
-	if err == nil || !strings.Contains(err.Error(), "nowworker") {
-		t.Fatalf("master mode took -chaos: %v", err)
+	code, stdout, stderr := runNow("render", "-scene", "newton:2", "-mode", "master", "-blockw", "16", "-blockh", "16",
+		"-size", "32x24", "-workers", "0", "-listen", "127.0.0.1:0", "-threads", "1", "-chaos", "seed=1,drop=0.1")
+	if code != 2 || !strings.Contains(stderr, "now worker") || strings.Contains(stdout, "listening") {
+		t.Fatalf("master mode took -chaos: exit %d\n%s%s", code, stdout, stderr)
 	}
 }
 
@@ -23,7 +23,7 @@ func TestMasterModeRefusesChaos(t *testing.T) {
 // in virtual mode, where it protects a testbed machine; a protect= name
 // of the other driver, or a plan in a one-machine mode, is refused.
 func TestChaosProtectNamesTheModesWorkers(t *testing.T) {
-	_, example, _ := strings.Cut(chaosUsage, "e.g. ")
+	_, example, _ := strings.Cut(usage["chaos"], "e.g. ")
 	plan, _, _ := strings.Cut(example, " ")
 	for _, c := range []struct{ mode, chaos, refusal string }{
 		{"virtual", plan, ""},
@@ -31,10 +31,10 @@ func TestChaosProtectNamesTheModesWorkers(t *testing.T) {
 		{"local", "seed=1,drop=0.1,protect=indigo2-200", "protect=indigo2-200"},
 		{"single", "seed=1,drop=0.1", "-chaos needs a farm"},
 	} {
-		err := run("newton:2", c.mode, "seqdiv", 16, 16, 32, 24, "", 2, "",
-			true, 1, 0, 1, 0, false, "", faultOpts{chaos: c.chaos})
-		if c.refusal == "" && err != nil || c.refusal != "" && (err == nil || !strings.Contains(err.Error(), c.refusal)) {
-			t.Errorf("-mode %s -chaos %s: %v; want refusal %q", c.mode, c.chaos, err, c.refusal)
+		code, _, stderr := runNow("render", "-scene", "newton:2", "-mode", c.mode, "-scheme", "seqdiv", "-blockw", "16", "-blockh", "16",
+			"-size", "32x24", "-workers", "2", "-threads", "1", "-chaos", c.chaos)
+		if c.refusal == "" && code != 0 || c.refusal != "" && (code != 2 || !strings.Contains(stderr, c.refusal)) {
+			t.Errorf("-mode %s -chaos %s: exit %d %s; want refusal %q", c.mode, c.chaos, code, stderr, c.refusal)
 		}
 	}
 }
@@ -46,9 +46,9 @@ func TestEverySchemeRenders(t *testing.T) {
 	var want [][]byte
 	for _, scheme := range []string{"seqdiv", "seqdiv-static", "framediv", "hybrid", "pixeldiv"} {
 		dir := t.TempDir()
-		if err := run("newton:2", "virtual", scheme, 8, 6, 16, 12, dir, 0, "",
-			true, 1, 0, 1, 0, false, "", faultOpts{}); err != nil {
-			t.Fatalf("-scheme %s: %v", scheme, err)
+		if code, _, stderr := runNow("render", "-scene", "newton:2", "-scheme", scheme, "-blockw", "8", "-blockh", "6",
+			"-size", "16x12", "-out", dir, "-workers", "0", "-threads", "1"); code != 0 {
+			t.Fatalf("-scheme %s: exit %d\n%s", scheme, code, stderr)
 		}
 		for f := range 2 {
 			got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("frame%04d.tga", f)))
@@ -62,9 +62,8 @@ func TestEverySchemeRenders(t *testing.T) {
 			}
 		}
 	}
-	err := run("newton:2", "virtual", "seqdiv-weighted", 8, 6, 16, 12, "", 0, "",
-		true, 1, 0, 1, 0, false, "", faultOpts{})
-	if err == nil || !strings.Contains(err.Error(), "unknown scheme") {
-		t.Errorf("-scheme seqdiv-weighted: %v, want an unknown-scheme error", err)
+	code, stdout, stderr := runNow("render", "-scene", "newton:2", "-scheme", "seqdiv-weighted", "-size", "16x12")
+	if code == 0 || !strings.Contains(stderr, "unknown scheme") || strings.Contains(stdout, "rays:") {
+		t.Errorf("-scheme seqdiv-weighted: exit %d %s, want an unknown-scheme error", code, stderr)
 	}
 }

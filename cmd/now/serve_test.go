@@ -2,6 +2,7 @@ package main
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ func TestParseTenants(t *testing.T) {
 	for _, tc := range []struct {
 		in   string
 		want map[string]float64 // nil: no allow list, any tenant admitted
-		bad  bool               // parseTenants must refuse in
+		bad  bool               // parseNamed must refuse in
 	}{
 		{in: "", want: nil},
 		{in: "alice", want: map[string]float64{"alice": 1}},
@@ -27,15 +28,49 @@ func TestParseTenants(t *testing.T) {
 		{in: "alice=x", bad: true},
 		{in: ",", bad: true},
 	} {
-		got, err := parseTenants(tc.in)
+		got, err := parseNamed("tenants", tc.in, 1, parseFloat)
 		if tc.bad {
 			if err == nil {
-				t.Errorf("parseTenants(%q) = %v, want an error", tc.in, got)
+				t.Errorf("-tenants %q = %v, want an error", tc.in, got)
 			}
 			continue
 		}
 		if err != nil || !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("parseTenants(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+			t.Errorf("-tenants %q = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}
+
+// TestParseMembers: -members takes the same list as -tenants, but every
+// name needs a whole slot count; a repeated name is refused, not
+// silently overwritten by its last value.
+func TestParseMembers(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want map[string]int
+		bad  bool
+	}{
+		{in: "", want: nil},
+		{in: "ws01=4, ws02 = 2,", want: map[string]int{"ws01": 4, "ws02": 2}},
+		{in: "ws01=4,ws01=2", bad: true},
+		{in: "ws01=4,ws01=4", bad: true},
+		{in: "ws01", bad: true},
+		{in: "ws01=0", bad: true},
+		{in: "ws01=-2", bad: true},
+		{in: "ws01=2.5", bad: true},
+		{in: "ws01=x", bad: true},
+		{in: "=2", bad: true},
+		{in: ",,", bad: true},
+	} {
+		got, err := parseNamed("members", tc.in, 0, strconv.Atoi)
+		if tc.bad {
+			if err == nil {
+				t.Errorf("-members %q = %v, want an error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("-members %q = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
 }
@@ -44,7 +79,7 @@ func TestParseTenants(t *testing.T) {
 // worker of each driver under the default flags; a protect= name of no
 // driver is refused.
 func TestParseChaosProtectsWorkers(t *testing.T) {
-	_, example, _ := strings.Cut(chaosUsage, "e.g. ")
+	_, example, _ := strings.Cut(usage["chaos"], "e.g. ")
 	example, _, _ = strings.Cut(example, " ")
 	uniform := service.Config{Machines: cluster.Uniform(2, 1, 64)}
 	for _, tc := range []struct {
@@ -54,6 +89,7 @@ func TestParseChaosProtectsWorkers(t *testing.T) {
 	}{
 		{spec: ""},
 		{spec: example},
+		{spec: "drop=0.1,protect=worker00"},
 		{spec: "drop=0.1,protect=ws01", cfg: uniform},
 		{spec: "drop=0.1,protect=worker01", cfg: uniform},
 		{spec: "drop=0.1,protect=ws01", bad: true},

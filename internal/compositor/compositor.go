@@ -11,7 +11,7 @@
 // requeue bookkeeping keeps working without ever touching pixels.
 //
 // A sink is a single event loop over an msg.Hub, so its assembly needs
-// no locks; cmd/nowcompose runs one per process, and Registry runs N of
+// no locks; `now compose` runs one per process, and Registry runs N of
 // them in-process for RenderLocal and tests.
 package compositor
 

@@ -1,7 +1,7 @@
 // Package experiments regenerates the paper's evaluation artefacts:
 // Table 1 (the Newton performance table), the Figure 2 difference masks,
 // the Figure 4 partition maps, and the ablation studies DESIGN.md calls
-// out. cmd/benchtab prints them.
+// out. `now tables` prints them.
 package experiments
 
 import (
@@ -269,33 +269,47 @@ func AblationBlockSize(p Params, sizes []int) ([]AblationResult, error) {
 	return out, nil
 }
 
+// coherentRun renders the whole animation through one full-frame
+// coherence engine with opts, calling each (when non-nil) on every
+// frame. Its Makespan prices each frame with the work farm's frame step
+// charges, on the paper's fastest machine under the default cost model,
+// so that the single-engine ablations read virtual time like the farm
+// rows do, not wall time.
+func coherentRun(p Params, opts coherence.Options, each func(f int, img *fb.Framebuffer)) (r AblationResult, regs uint64, err error) {
+	full := fb.NewRect(0, 0, p.W, p.H)
+	eng, err := coherence.NewEngine(p.Scene, p.W, p.H, full, 0, p.Scene.Frames, opts)
+	if err != nil {
+		return r, 0, err
+	}
+	cost, fastest := cluster.DefaultCostModel(), cluster.PaperTestbed()[0]
+	_, err = eng.RenderSequence(func(f int, img *fb.Framebuffer, rep coherence.FrameReport) error {
+		w := cluster.Work{Rays: rep.Rays.Total(), Registrations: rep.Registrations, CopiedPixels: uint64(rep.Copied)}
+		if rep.ChangeVoxels > 0 { // change detection scanned every pixel's run
+			w.ScannedPixels = uint64(full.Area())
+		}
+		r.Makespan += cost.On(fastest, w)
+		r.Rendered += rep.Rendered
+		regs += rep.Registrations
+		if each != nil {
+			each(f, img)
+		}
+		return nil
+	})
+	return r, regs, err
+}
+
 // AblationGridResolution sweeps the coherence voxel-grid resolution on a
 // single-processor coherent run, reporting pixels re-rendered (finer
 // grids predict tighter dirty sets at higher bookkeeping cost).
 func AblationGridResolution(p Params, resolutions []int) ([]AblationResult, error) {
 	var out []AblationResult
 	for _, res := range resolutions {
-		eng, err := coherence.NewEngine(p.Scene, p.W, p.H, fb.NewRect(0, 0, p.W, p.H),
-			0, p.Scene.Frames, coherence.Options{GridRes: res})
+		r, regs, err := coherentRun(p, coherence.Options{GridRes: res}, nil)
 		if err != nil {
 			return nil, err
 		}
-		rendered := 0
-		regs := 0
-		run, err := eng.RenderSequence(func(_ int, _ *fb.Framebuffer, rep coherence.FrameReport) error {
-			rendered += rep.Rendered
-			regs += int(rep.Registrations)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, AblationResult{
-			Label:    fmt.Sprintf("grid %d^3", res),
-			Makespan: run.Total,
-			Rendered: rendered,
-			Detail:   fmt.Sprintf("registrations=%d", regs),
-		})
+		r.Label, r.Detail = fmt.Sprintf("grid %d^3", res), fmt.Sprintf("registrations=%d", regs)
+		out = append(out, r)
 	}
 	return out, nil
 }
@@ -305,24 +319,15 @@ func AblationGridResolution(p Params, resolutions []int) ([]AblationResult, erro
 func AblationJevansBlocks(p Params, granularities []int) ([]AblationResult, error) {
 	var out []AblationResult
 	for _, g := range granularities {
-		eng, err := coherence.NewEngine(p.Scene, p.W, p.H, fb.NewRect(0, 0, p.W, p.H),
-			0, p.Scene.Frames, coherence.Options{BlockGranularity: g})
+		r, _, err := coherentRun(p, coherence.Options{BlockGranularity: g}, nil)
 		if err != nil {
 			return nil, err
 		}
-		rendered := 0
-		run, err := eng.RenderSequence(func(_ int, _ *fb.Framebuffer, rep coherence.FrameReport) error {
-			rendered += rep.Rendered
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		label := "per-pixel (ours)"
+		r.Label = "per-pixel (ours)"
 		if g > 1 {
-			label = fmt.Sprintf("Jevans %dx%d blocks", g, g)
+			r.Label = fmt.Sprintf("Jevans %dx%d blocks", g, g)
 		}
-		out = append(out, AblationResult{Label: label, Makespan: run.Total, Rendered: rendered})
+		out = append(out, r)
 	}
 	return out, nil
 }
@@ -371,31 +376,18 @@ func AblationShadowCoherence(p Params) ([]AblationResult, error) {
 	}
 	var out []AblationResult
 	for _, disable := range []bool{false, true} {
-		eng, err := coherence.NewEngine(p.Scene, p.W, p.H, full, 0, p.Scene.Frames,
-			coherence.Options{DisableShadowRegistration: disable})
+		wrongPixels := 0
+		r, _, err := coherentRun(p, coherence.Options{DisableShadowRegistration: disable},
+			func(f int, img *fb.Framebuffer) { wrongPixels += img.DiffCount(truth[f]) })
 		if err != nil {
 			return nil, err
 		}
-		rendered, wrongPixels, fIdx := 0, 0, 0
-		run, err := eng.RenderSequence(func(_ int, img *fb.Framebuffer, rep coherence.FrameReport) error {
-			rendered += rep.Rendered
-			wrongPixels += img.DiffCount(truth[fIdx])
-			fIdx++
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		label := "shadow registration on"
+		r.Label = "shadow registration on"
 		if disable {
-			label = "shadow registration off"
+			r.Label = "shadow registration off"
 		}
-		out = append(out, AblationResult{
-			Label:    label,
-			Makespan: run.Total,
-			Rendered: rendered,
-			Detail:   fmt.Sprintf("wrong pixels vs full render: %d", wrongPixels),
-		})
+		r.Detail = fmt.Sprintf("wrong pixels vs full render: %d", wrongPixels)
+		out = append(out, r)
 	}
 	return out, nil
 }

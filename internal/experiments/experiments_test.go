@@ -232,6 +232,34 @@ func TestAblationShadowCoherence(t *testing.T) {
 	}
 }
 
+// TestCoherentAblationsAreDeterministic: the grid-resolution, Jevans and
+// shadow-registration ablations price each frame on the virtual clock,
+// so two runs report the same times, not two wall-clock readings.
+func TestCoherentAblationsAreDeterministic(t *testing.T) {
+	p := small(t)
+	run := func() []AblationResult {
+		grid, err := AblationGridResolution(p, []int{4, 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		jevans, err := AblationJevansBlocks(p, []int{1, 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		shadow, err := AblationShadowCoherence(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(append(grid, jevans...), shadow...)
+	}
+	first, second := run(), run()
+	for i, r := range first {
+		if r.Makespan <= 0 || r.Makespan != second[i].Makespan {
+			t.Errorf("%s: makespan %v then %v, want one positive virtual time", r.Label, r.Makespan, second[i].Makespan)
+		}
+	}
+}
+
 func TestScaling(t *testing.T) {
 	p := small(t)
 	pts, err := Scaling(p, []int{1, 2, 4})

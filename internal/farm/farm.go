@@ -122,7 +122,7 @@ type Config struct {
 	// failure; a protected one's error still fails it. A plan that can
 	// lose a TagTask needs StallTimeout, or the master waits on the task
 	// for ever (the virtual NOW then fails as idle). RunMaster cannot
-	// reach the caller's connections, which each nowworker -chaos wraps.
+	// reach the caller's connections, which each `now worker -chaos` wraps.
 	Faults *faulty.Plan
 
 	// WireDelta makes workers ship dirty-span delta frames after each
@@ -166,7 +166,7 @@ type Config struct {
 // DFBConfig configures the distributed framebuffer (compositor sinks).
 type DFBConfig struct {
 	// Addrs are the sink addresses, one frame shard per sink in
-	// partition.ShardMap order. cmd/nowrender passes nowcompose
+	// partition.ShardMap order. `now render -dfb-sinks` passes `now compose`
 	// listen addresses here. Leave empty and set Sinks for in-process
 	// sinks (RenderLocal).
 	Addrs []string

@@ -100,7 +100,7 @@ func (l hubLink) Now() time.Duration { return time.Since(l.start) }
 // RunMaster drives the master side of the farm protocol over an
 // attached hub until every frame is assembled, then shuts the workers
 // down. The caller attaches one connection per worker before calling.
-// Used by RenderLocal (goroutine workers) and cmd/nowrender's TCP mode.
+// Used by RenderLocal (goroutine workers) and `now render -mode master`.
 //
 // Failure handling (see DESIGN.md §8): a worker is retired — its
 // undelivered frames requeued on the survivors — when its connection
@@ -1231,7 +1231,7 @@ func (m *master) finish() (*Result, error) {
 	}
 	if m.sinks != nil {
 		// The pixels live at the sinks. In-process runs collect them via
-		// the DFB config's collector; daemon sinks (cmd/nowcompose) wrote
+		// the DFB config's collector; daemon sinks (`now compose`) wrote
 		// the frames out themselves and the master returns none.
 		m.sinks.close()
 		if cfg.DFB.collect != nil {

@@ -28,7 +28,7 @@ const (
 	TagTaskDone
 	// TagShutdown tells a worker to exit.
 	TagShutdown
-	// TagSceneSDL ships scene source to a remote worker (cmd/nowworker)
+	// TagSceneSDL ships scene source to a remote worker (`now worker`)
 	// ahead of the protocol (payload: SceneMsg); in-process workers share
 	// the scene directly.
 	TagSceneSDL

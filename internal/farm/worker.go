@@ -37,7 +37,7 @@ type WorkerOptions struct {
 	SinkDial func(addr string) (msg.Conn, error)
 	// Timeline, when non-nil, is the worker's local event recorder:
 	// phase and tile spans land in it whether or not the master asks for
-	// them with capWireTimeline (cmd/nowworker dumps it via -timeline).
+	// them with capWireTimeline (`now worker -timeline` dumps it).
 	// When nil and a task sets the flag, the worker creates a private
 	// recorder on first use just for shipping.
 	Timeline *timeline.Recorder
@@ -275,7 +275,7 @@ func (w *worker) stopped() []byte {
 // RunWorkerWithOptions executes the slave side of the farm protocol on
 // conn: say hello, then loop rendering assigned tasks until shutdown. The
 // scene is provided by the caller (in-process workers share it;
-// cmd/nowworker parses the SDL source the master ships first); opts tune
+// `now worker` parses the SDL source the master ships first); opts tune
 // the local side.
 //
 // The worker honours TagTruncate between frames: it stops its current
@@ -284,7 +284,7 @@ func (w *worker) stopped() []byte {
 // remainder without duplication. When ctx is cancelled the worker
 // finishes the frame it is rendering, sends a TagBye status message
 // telling the master where it stopped (so the remainder of its task is
-// requeued, not lost), and returns ctx's error. cmd/nowworker wires
+// requeued, not lost), and returns ctx's error. `now worker` wires
 // SIGINT/SIGTERM to this.
 func RunWorkerWithOptions(ctx context.Context, name string, conn msg.Conn, sc *scene.Scene, opts WorkerOptions) error {
 	// The loop's Range holder is made here and goes with the loop.

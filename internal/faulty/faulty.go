@@ -15,7 +15,7 @@
 //
 // A schedule reaches a worker two ways. Wrap applies it to a msg.Conn on
 // the wall clock: the in-process pipes of farm.RenderLocal's goroutine
-// workers and real TCP (cmd/nowworker's -chaos flag wraps its dialed
+// workers and real TCP (`now worker -chaos` wraps its dialed
 // connection). Decide hands it to a host with no connections — the
 // virtual NOW of farm.RenderVirtual, which applies each fault to a
 // machine's messages on the virtual clock.

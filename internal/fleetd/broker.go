@@ -1,5 +1,5 @@
 // Package fleetd is the fleet broker of the multi-master control
-// plane: the one place worker capacity is owned when several nowserve
+// plane: the one place worker capacity is owned when several `now serve`
 // replicas share an elastic pool (ROADMAP item 1). Workers register
 // once with the broker; replicas acquire time-bounded, renewable leases
 // on worker slots. A replica that crashes simply stops renewing, its

@@ -45,7 +45,7 @@ type PoolStats struct {
 
 // ClientConfig tunes a ReplicaPool.
 type ClientConfig struct {
-	// Replica names this nowserve instance to the broker; lease
+	// Replica names this `now serve` instance to the broker; lease
 	// ownership is checked against it.
 	Replica string
 	// Dial opens a connection to the broker. The client redials through
@@ -434,7 +434,7 @@ func (p *ReplicaPool) Close() {
 // Abandon simulates a replica crash for the failover suite: the
 // connection drops and renewals stop with every lease still held, so
 // the broker frees the slots only when their terms expire — exactly
-// what a kill -9'd nowserve looks like from the broker's side.
+// what a kill -9'd `now serve` looks like from the broker's side.
 func (p *ReplicaPool) Abandon() {
 	p.mu.Lock()
 	if p.closed {

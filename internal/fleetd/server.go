@@ -10,7 +10,7 @@ import (
 )
 
 // Server speaks the broker protocol over msg.Conns: TCP conns accepted
-// from a msg.Listener in cmd/nowfleetd, or in-process pipe ends handed
+// from a msg.Listener in `now fleetd`, or in-process pipe ends handed
 // to ServeConn by the multi-replica test harness. One handler goroutine
 // runs per connection; acquires, which block for capacity, each get
 // their own goroutine so one starved replica cannot stall another's

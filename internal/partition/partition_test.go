@@ -179,7 +179,7 @@ func TestTaskAccessors(t *testing.T) {
 	}
 }
 
-// TestSchemeNames: the report strings benchtab prints and EXPERIMENTS.md
+// TestSchemeNames: the report strings `now tables` prints and EXPERIMENTS.md
 // quotes.
 func TestSchemeNames(t *testing.T) {
 	for _, c := range []struct {

@@ -193,7 +193,7 @@ func (s *Service) handleFrame(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTimeline serves the job's merged cluster timeline as Chrome
-// trace-event JSON (loadable in Perfetto, readable by cmd/nowtrace).
+// trace-event JSON (loadable in Perfetto, readable by `now trace`).
 // 404 when the service runs without -timeline or no farm run has
 // completed yet.
 func (s *Service) handleTimeline(w http.ResponseWriter, r *http.Request) {

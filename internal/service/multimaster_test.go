@@ -52,7 +52,7 @@ func frames(t *testing.T, s *Service, id string, n int) [][]byte {
 	return out
 }
 
-// TestMultiMasterFailover is the acceptance scenario: two nowserve
+// TestMultiMasterFailover is the acceptance scenario: two `now serve`
 // replicas share one worker fleet through a broker; replica A crashes
 // mid-job while holding every worker; within about one lease term the
 // workers rejoin the pool, the job resubmitted on replica B completes,

@@ -107,7 +107,7 @@ type Config struct {
 	Speculate    bool
 	// Faults, when non-nil, injects this plan's faults into every farm
 	// run's worker traffic, on either driver (see farm.Config.Faults).
-	// Exposed by cmd/nowserve's -chaos flag for soak-testing a live
+	// Exposed by `now serve -chaos` for soak-testing a live
 	// service.
 	Faults *faulty.Plan
 	// WireDelta and WireSpanCodec enable dirty-span delta frames and

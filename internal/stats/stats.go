@@ -458,7 +458,7 @@ func (c CacheStats) HitRate() float64 {
 }
 
 // Table renders rows of labelled values as a fixed-width text table, the
-// output format of cmd/benchtab. Columns are derived from the union of
+// output format of `now tables`. Columns are derived from the union of
 // row keys, ordered by first appearance.
 type Table struct {
 	cols []string

@@ -37,7 +37,7 @@ type FrameStat struct {
 	Groups []string
 }
 
-// Report is the nowtrace analysis of a merged timeline.
+// Report is the `now trace` analysis of a merged timeline.
 type Report struct {
 	// Scheme is the partition scheme from the timeline's metadata
 	// ("" when absent).
@@ -95,7 +95,7 @@ func union(iv []interval) int64 {
 	return total + (ce - cs)
 }
 
-// Analyze computes the nowtrace report: per-group utilisation from the
+// Analyze computes the `now trace` report: per-group utilisation from the
 // union of render spans, idle-gap attribution (idle time between busy
 // spans charged to the op that ended the gap), the critical-path
 // frames, and the load-imbalance score across worker groups.
@@ -243,7 +243,7 @@ func contains(ss []string, s string) bool {
 	return false
 }
 
-// Format writes the report as the nowtrace text output.
+// Format writes the report as the `now trace` text output.
 func (r *Report) Format(w io.Writer) {
 	if r.Scheme != "" {
 		fmt.Fprintf(w, "partition scheme: %s\n", r.Scheme)

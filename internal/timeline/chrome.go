@@ -96,7 +96,7 @@ func (tl *Timeline) WriteChromeTrace(w io.Writer) error {
 
 // ReadChromeTrace parses Chrome trace-event JSON produced by
 // WriteChromeTrace back into a Timeline: the inverse half of the schema
-// round trip (and what cmd/nowtrace feeds on). It accepts both the
+// round trip (and what `now trace` feeds on). It accepts both the
 // object form and a bare traceEvents array.
 func ReadChromeTrace(r io.Reader) (*Timeline, error) {
 	data, err := io.ReadAll(r)

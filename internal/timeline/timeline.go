@@ -24,7 +24,7 @@
 // farm package's capWireTimeline) and merged into one cluster timeline
 // with per-worker clock-offset correction (OffsetEstimator). The merged
 // Timeline exports Chrome trace-event JSON loadable in Perfetto and
-// feeds the cmd/nowtrace analyzer.
+// feeds the `now trace` analyzer.
 package timeline
 
 import (
@@ -100,7 +100,7 @@ const (
 	// concurrency slot (arg = job sequence number).
 	OpAdmit
 	// OpQueueWait spans a job's time on the queue, enqueue to admit —
-	// what nowtrace charges to queueing rather than rendering.
+	// what `now trace` charges to queueing rather than rendering.
 	OpQueueWait
 	// OpLease marks the scheduler leasing worker slots from the fleet
 	// pool for a farm run (arg = slots granted).

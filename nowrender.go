@@ -232,14 +232,14 @@ type (
 func RenderFarmVirtual(cfg FarmConfig) (*FarmResult, error) { return farm.RenderVirtual(cfg) }
 
 // RunWorker executes the slave side of the farm protocol over a
-// connection to a master (cmd/nowrender -mode master) until shutdown; on
+// connection to a master (`now render -mode master`) until shutdown; on
 // cancellation the worker finishes its in-flight frame, tells the master
-// where it stopped, and exits. See cmd/nowworker.
+// where it stopped, and exits. See `now worker`.
 var RunWorker = farm.RunWorkerWithOptions
 
 // Render-job service (long-lived server above the farm): a priority job
 // queue with bounded concurrency, a content-addressed frame cache, and
-// an HTTP API with per-frame progress streaming; see cmd/nowserve and
+// an HTTP API with per-frame progress streaming; see `now serve` and
 // examples/renderservice.
 type (
 	// Service is the long-lived render-job service.
