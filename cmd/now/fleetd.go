@@ -27,7 +27,6 @@ func fleetdFlags(fs *flag.FlagSet) runFunc {
 	fs.IntVar(&cfg.Capacity, "capacity", 0, "base worker-slot capacity owned by the broker itself (0 = members only)")
 	members := fs.String("members", "", "static members with slot counts, e.g. ws01=4,ws02=2, each named once")
 	fs.DurationVar(&cfg.Term, "term", 0, "default lease term (0 = 15s); a replica silent this long loses its workers")
-	sweep := fs.Duration("sweep", 0, "expiry sweep interval (0 = auto)")
 	tlOut := fs.String("timeline", "", usage["timeline"])
 
 	return func(ctx context.Context, _ []string, stdout, _ io.Writer) error {
@@ -48,7 +47,7 @@ func fleetdFlags(fs *flag.FlagSet) runFunc {
 		for name, slots := range static {
 			b.Join(name, slots)
 		}
-		srv := fleetd.NewServer(b, *sweep)
+		srv := fleetd.NewServer(b)
 		defer srv.Close()
 		fmt.Fprintf(stdout, "now fleetd %s listening on %s (capacity=%d, term=%s, epoch=%d)\n",
 			buildinfo.Version(), l.Addr(), b.Stats().Capacity, b.DefaultTerm(), b.Epoch())

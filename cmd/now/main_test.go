@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -16,8 +17,10 @@ import (
 	"testing"
 	"time"
 
+	"nowrender/internal/farm"
 	"nowrender/internal/fleetd"
 	"nowrender/internal/msg"
+	"nowrender/internal/service"
 )
 
 // runNow runs one command line to completion and returns its exit status
@@ -233,16 +236,20 @@ func TestUsage(t *testing.T) {
 
 // TestFlagNamesHaveOneMeaning builds every verb's FlagSet without
 // running it: a flag name that two verbs take must carry one usage text
-// and one value type on both.
+// and one value type on both. It also pins each verb's flag count and the
+// field counts of the configurations behind them, so that a new knob
+// changes a number a reviewer sees: ROADMAP item 13 keeps only knobs a
+// test drives or a measurement justifies.
 func TestFlagNamesHaveOneMeaning(t *testing.T) {
 	first := map[string]string{} // flag name -> the verb that declared it first
 	seen := map[string]*flag.Flag{}
-	total := 0
+	knobs := map[string]int{}
 	for _, v := range verbs {
 		fs := flag.NewFlagSet(v.name, flag.ContinueOnError)
 		v.declare(fs)
+		knobs["now "+v.name] = 0
 		fs.VisitAll(func(f *flag.Flag) {
-			total++
+			knobs["now "+v.name]++
 			prev, ok := seen[f.Name]
 			if !ok {
 				first[f.Name], seen[f.Name] = v.name, f
@@ -253,7 +260,15 @@ func TestFlagNamesHaveOneMeaning(t *testing.T) {
 			}
 		})
 	}
-	t.Logf("%d verbs declare %d flags under %d names", len(verbs), total, len(seen))
+	for _, c := range []any{farm.Config{}, farm.WorkerOptions{}, service.Config{}, fleetd.BrokerConfig{}} {
+		knobs[reflect.TypeOf(c).String()] = reflect.TypeOf(c).NumField()
+	}
+	want := map[string]int{"now render": 23, "now serve": 24, "now worker": 7, "now tables": 7, "now fleetd": 5, "now diff": 6,
+		"now compose": 5, "now trace": 0, "farm.Config": 22, "farm.WorkerOptions": 4, "service.Config": 20, "fleetd.BrokerConfig": 5}
+	if !maps.Equal(knobs, want) {
+		t.Errorf("knobs %v, want %v; a knob added or removed updates these counts and ROADMAP item 13's", knobs, want)
+	}
+	t.Logf("%d verbs declare flags under %d names", len(verbs), len(seen))
 }
 
 // docCommand is one `now <verb> ...` command line a document shows.

@@ -42,8 +42,7 @@ func renderFlags(fs *flag.FlagSet) runFunc {
 	fs.IntVar(&cfg.ObjSpaceShards, "shards", 0, "partition the scene into this many spatial shards (2..64) with ray forwarding between owners instead of replicating it (0 = replicated; pixels are identical either way)")
 	tlOut := fs.String("timeline", "", usage["timeline"])
 	chaos := fs.String("chaos", "", usage["chaos"])
-	farmFlags(fs, &cfg.Heartbeat, &cfg.Liveness, &cfg.StallTimeout, &cfg.FrameRetries, &dfb,
-		&cfg.Speculate, &cfg.WireDelta, &cfg.WireSpanCodec)
+	farmFlags(fs, &cfg.Liveness, &dfb, &cfg.Speculate, &cfg.WireDelta, &cfg.WireSpanCodec)
 	dfbAddrs := fs.String("dfb-sinks", "", "comma-separated sink addresses of now compose daemons; workers ship pixels straight to them and the sinks write the frames (master mode)")
 
 	return func(ctx context.Context, _ []string, stdout, _ io.Writer) error {
@@ -64,7 +63,6 @@ func renderFlags(fs *flag.FlagSet) runFunc {
 			return err
 		}
 		cfg.Ctx, cfg.Scene, cfg.W, cfg.H = ctx, sc, sz.w, sz.h
-		cfg.Emit = frameWriter(*outDir, *usePNG)
 		switch {
 		case *dfbAddrs != "":
 			cfg.DFB = &farm.DFBConfig{Addrs: strings.Split(*dfbAddrs, ",")}
@@ -94,6 +92,17 @@ func renderFlags(fs *flag.FlagSet) runFunc {
 		}
 		if err != nil {
 			return err
+		}
+		emit := frameWriter(*outDir, *usePNG)
+		for f, img := range res.Frames {
+			// A remote-sink DFB run holds no frames here: the now compose
+			// daemons write them.
+			if img == nil {
+				continue
+			}
+			if err := emit(f, img); err != nil {
+				return err
+			}
 		}
 		report(stdout, sc.Name, label, res)
 		return writeTimeline(stdout, *tlOut, res.Timeline)

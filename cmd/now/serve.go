@@ -32,14 +32,11 @@ func serveFlags(fs *flag.FlagSet) runFunc {
 	fs.IntVar(&cfg.MaxConcurrent, "max-jobs", 2, "max concurrently running jobs")
 	fs.IntVar(&cfg.QueueCap, "queue-cap", 256, "max queued jobs")
 	cacheMB := fs.Int64("cache-mb", 64, "frame cache budget in MiB (0 = default, negative = disabled)")
-	fs.DurationVar(&cfg.CacheTTL, "cache-ttl", 0, "expire cached frames this long after rendering (0 = never)")
 	fs.StringVar(&cfg.DefaultDriver, "driver", "virtual", "default farm driver: virtual | local")
 	fs.IntVar(&cfg.Workers, "workers", 0, usage["workers"])
 	machines := fs.Int("machines", 0, "virtual NOW size (0 = the paper's 3-machine testbed)")
 	fs.IntVar(&cfg.Threads, "threads", 0, usage["threads"])
-	farmFlags(fs, &cfg.Heartbeat, &cfg.Liveness, &cfg.StallTimeout, &cfg.FrameRetries, &cfg.DFBSinks,
-		&cfg.Speculate, &cfg.WireDelta, &cfg.WireSpanCodec)
-	fs.IntVar(&cfg.MaxJobRetries, "max-job-retries", 0, "cap on a job spec's retries field (0 = 5)")
+	farmFlags(fs, &cfg.Liveness, &cfg.DFBSinks, &cfg.Speculate, &cfg.WireDelta, &cfg.WireSpanCodec)
 	chaos := fs.String("chaos", "", usage["chaos"])
 	fs.BoolVar(&cfg.Timeline, "job-timelines", false, "record a per-job cluster timeline, served on GET /jobs/{id}/timeline")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")

@@ -40,11 +40,8 @@ var usage = map[string]string{
 
 // farmFlags declares the farm's fault-tolerance and wire flags, which
 // render and serve share, onto the config fields they set.
-func farmFlags(fs *flag.FlagSet, heartbeat, liveness, stall *time.Duration, frameRetries, dfb *int, speculate, wireDelta, wireCompress *bool) {
-	fs.DurationVar(heartbeat, "heartbeat", 0, "master->worker ping interval (0 = off)")
-	fs.DurationVar(liveness, "liveness", 0, "retire a worker silent this long (0 = 4x heartbeat)")
-	fs.DurationVar(stall, "stall", 0, "retire a worker holding a task without progress this long (0 = off)")
-	fs.IntVar(frameRetries, "frame-retries", 0, "per-frame requeue budget before the master renders the frame itself (0 = 3, negative = unlimited)")
+func farmFlags(fs *flag.FlagSet, liveness *time.Duration, dfb *int, speculate, wireDelta, wireCompress *bool) {
+	fs.DurationVar(liveness, "liveness", 0, "retire a worker silent, or holding a task without progress, this long; the master pings every quarter of it (0 = off; set well above the slowest frame)")
 	fs.BoolVar(speculate, "speculate", false, "speculatively re-issue the slowest in-flight task to idle workers")
 	fs.BoolVar(wireDelta, "wire-delta", false, "ship dirty-span delta frames instead of full regions (pixels are identical either way)")
 	fs.BoolVar(wireCompress, "wire-compress", false, "compress frame payloads with the span codec (pixels are identical either way)")

@@ -31,7 +31,7 @@ func workerFlags(fs *flag.FlagSet) runFunc {
 	name := fs.String("name", "", usage["name"])
 	maxWait := fs.Duration("max-wait", 2*time.Minute, "give up dialing the master after this long (0 = retry forever)")
 	fs.IntVar(&opts.Threads, "threads", 0, usage["threads"])
-	fs.DurationVar(&opts.MasterDeadline, "master-deadline", 0, "exit if the master stays silent this long while idle (0 = wait forever; set well above the master's -heartbeat)")
+	fs.DurationVar(&opts.MasterDeadline, "master-deadline", 0, "exit if the master stays silent this long while idle (0 = wait forever; set well above the master's -liveness/4)")
 	chaos := fs.String("chaos", "", usage["chaos"])
 	tlOut := fs.String("timeline", "", usage["timeline"])
 

@@ -33,22 +33,11 @@ func main() {
 
 func run(frames, w, h int, outDir string) error {
 	sc := nowrender.GalleryScene(frames)
-	emit := func(f int, img *nowrender.Framebuffer) error { return nil }
-	if outDir != "" {
-		if err := os.MkdirAll(outDir, 0o755); err != nil {
-			return err
-		}
-		emit = func(f int, img *nowrender.Framebuffer) error {
-			return nowrender.WriteTGA(filepath.Join(outDir, fmt.Sprintf("frame%04d.tga", f)), img)
-		}
-	}
-
 	fmt.Printf("gallery: %d frames at %dx%d, camera cut at frame %d\n", frames, w, h, frames/2)
 	start := time.Now()
 	res, err := nowrender.RenderFarmVirtual(nowrender.FarmConfig{
 		Scene: sc, W: w, H: h, Coherence: true,
 		Scheme: nowrender.PartitionScheme{BlockW: w / 4, BlockH: h / 4, Adaptive: true},
-		Emit:   emit,
 	})
 	if err != nil {
 		return err
@@ -70,8 +59,17 @@ func run(frames, w, h int, outDir string) error {
 			fs.Frame, fs.Rendered, fullPixels,
 			100*float64(fs.Copied)/float64(fullPixels))
 	}
-	if outDir != "" {
-		fmt.Printf("frames written to %s\n", outDir)
+	if outDir == "" {
+		return nil
 	}
+	if err := os.MkdirAll(outDir, 0o755); err != nil {
+		return err
+	}
+	for f, img := range res.Frames {
+		if err := nowrender.WriteTGA(filepath.Join(outDir, fmt.Sprintf("frame%04d.tga", f)), img); err != nil {
+			return err
+		}
+	}
+	fmt.Printf("frames written to %s\n", outDir)
 	return nil
 }

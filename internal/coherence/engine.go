@@ -199,21 +199,12 @@ func (e *Engine) pixelIndex(x, y int) int32 {
 	return int32((y-e.Region.Y0)*e.Region.W() + (x - e.Region.X0))
 }
 
-// pixelCoords inverts pixelIndex.
-func (e *Engine) pixelCoords(p int32) (x, y int) {
-	w := e.Region.W()
-	return e.Region.X0 + int(p)%w, e.Region.Y0 + int(p)/w
-}
-
 // DirtyMask returns a copy of the dirty mask that will drive the next
 // RenderFrame call: exactly the pixels the algorithm predicts may change
 // (Figure 2(b) is rendered from this).
 func (e *Engine) DirtyMask() []bool {
 	return e.dirty.Bools()
 }
-
-// NextFrame returns the frame the next RenderFrame call must render.
-func (e *Engine) NextFrame() int { return e.nextFrame }
 
 // LastSpans returns the pixels traced by the most recent RenderFrame as
 // maximal horizontal runs in frame coordinates — every pixel outside

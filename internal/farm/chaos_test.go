@@ -1,7 +1,6 @@
 package farm
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -10,6 +9,7 @@ import (
 
 	"nowrender/internal/cluster"
 	"nowrender/internal/faulty"
+	"nowrender/internal/msg"
 	"nowrender/internal/partition"
 	"nowrender/internal/stats"
 )
@@ -95,9 +95,9 @@ func pin(t *testing.T, res *Result, plan *faulty.Plan, inj faulty.Stats, faults 
 
 // soak renders eight coherent frames in 20x16 blocks on four workers of
 // each driver through a seeded schedule of drops, corruption,
-// truncation, delays and severed connections, with stall deadlines,
-// retries and speculation on, and the wire modes and DFB as cfg sets
-// them. A virtual row pins what it injected and absorbed; the
+// truncation, delays and severed connections, with a 400 ms liveness
+// deadline (a ping every 100 ms) and speculation on, and the wire modes
+// and DFB as cfg sets them. A virtual row pins what it injected and absorbed; the
 // wall-clock row is skipped under -short, and CI runs it with -race.
 func soak(t *testing.T, seed int64, cfg Config, drivers []driver, inj faulty.Stats, faults stats.FaultCounters) {
 	for _, d := range drivers {
@@ -113,11 +113,7 @@ func soak(t *testing.T, seed int64, cfg Config, drivers []driver, inj faulty.Sta
 			cfg := cfg
 			cfg.Scene, cfg.W, cfg.H, cfg.Coherence = farmScene(8), fw, fh, true
 			cfg.Scheme = partition.Scheme{BlockW: 20, BlockH: 16, Adaptive: true}
-			cfg.Heartbeat, cfg.Liveness, cfg.StallTimeout = 20*time.Millisecond, 2*time.Second, 1500*time.Millisecond
-			cfg.FrameRetries, cfg.Speculate, cfg.Faults = 2, true, plan
-			if d.virtual {
-				cfg.Heartbeat = 100 * time.Millisecond
-			}
+			cfg.Liveness, cfg.Speculate, cfg.Faults = 400*time.Millisecond, true, plan
 			res := d.chaos(t, cfg, 4)
 			// On the wall clock worker00 may render all before the others
 			// speak; only master-routed soaks (not DFB's acks) insist.
@@ -163,15 +159,12 @@ func TestChaosSeedLivenessGivesUpOnMuteWorker(t *testing.T) {
 			}
 			cfg := Config{
 				Scene: farmScene(4), W: fw, H: fh, Scheme: partition.Scheme{Sequence: true, Adaptive: true},
-				Heartbeat: 10 * time.Millisecond, Liveness: 300 * time.Millisecond, Faults: plan,
-			}
-			if d.virtual {
-				cfg.Heartbeat = 100 * time.Millisecond
+				Liveness: 300 * time.Millisecond, Faults: plan,
 			}
 			res := d.chaos(t, cfg, 2)
 			if d.virtual {
 				pin(t, res, plan, faulty.Stats{Dropped: 1}, stats.FaultCounters{
-					WorkersLost: 1, HeartbeatTimeouts: 1, PingsSent: 3, PongsReceived: 2,
+					WorkersLost: 1, HeartbeatTimeouts: 1, PingsSent: 4, PongsReceived: 3,
 				})
 			}
 		})
@@ -180,9 +173,9 @@ func TestChaosSeedLivenessGivesUpOnMuteWorker(t *testing.T) {
 
 // TestChaosStallRetiresSilentTaskHolder: a worker that stays reachable
 // (answers pings) but whose results all vanish holds its task forever;
-// only the stall deadline can see that, and must requeue its frames. On
-// the virtual NOW every hello is in at t=0, so the silent worker holds
-// one of the scheme's initial tasks.
+// only the progress half of the liveness deadline can see that, and must
+// requeue its frames. On the virtual NOW every hello is in at t=0, so
+// the silent worker holds one of the scheme's initial tasks.
 func TestChaosStallRetiresSilentTaskHolder(t *testing.T) {
 	plan := &faulty.Plan{
 		Seed: 1,
@@ -195,20 +188,17 @@ func TestChaosStallRetiresSilentTaskHolder(t *testing.T) {
 	}
 	res := virtual.chaos(t, Config{
 		Scene: farmScene(6), W: fw, H: fh, Scheme: partition.Scheme{Sequence: true, Adaptive: true},
-		Heartbeat:    100 * time.Millisecond,
-		Liveness:     10 * time.Second, // pongs flow; isolate the stall path
-		StallTimeout: 600 * time.Millisecond,
-		Faults:       plan,
+		Liveness: 600 * time.Millisecond, Faults: plan,
 	}, 2)
 	pin(t, res, plan, faulty.Stats{Dropped: 5}, stats.FaultCounters{
-		WorkersLost: 1, StallTimeouts: 1, FramesRequeued: 3, PingsSent: 15, PongsReceived: 14,
+		WorkersLost: 1, StallTimeouts: 1, FramesRequeued: 3, PingsSent: 10, PongsReceived: 10,
 	})
 }
 
 // TestChaosLostTaskNeedsStallDeadline: a task lost on its way in leaves
-// its holder idle and answering pings, so only the stall deadline can
-// reclaim it. Without one the virtual NOW fails as idle once every
-// deadline a tick could act on has passed, instead of ticking for ever.
+// its holder idle and answering pings, so only the progress half of the
+// liveness deadline can reclaim it. With the deadline off the virtual
+// NOW has nothing left to wait for and fails as idle.
 func TestChaosLostTaskNeedsStallDeadline(t *testing.T) {
 	lost := func() *faulty.Plan {
 		return &faulty.Plan{
@@ -216,34 +206,99 @@ func TestChaosLostTaskNeedsStallDeadline(t *testing.T) {
 			Protect: []string{"worker00"},
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
 	_, err := RenderVirtual(Config{
-		Scene: farmScene(4), W: fw, H: fh, Scheme: partition.Scheme{Sequence: true}, Ctx: ctx,
-		Workers: 2, Machines: workstations(2), Heartbeat: 100 * time.Millisecond, Faults: lost(),
+		Scene: farmScene(4), W: fw, H: fh, Scheme: partition.Scheme{Sequence: true},
+		Workers: 2, Machines: workstations(2), Faults: lost(),
 	})
 	if err == nil || !strings.Contains(err.Error(), "idle") {
-		t.Fatalf("run without a stall deadline ended with %v; want the idle error", err)
+		t.Fatalf("run without a liveness deadline ended with %v; want the idle error", err)
 	}
 	plan := lost()
 	res := virtual.chaos(t, Config{
 		Scene: farmScene(4), W: fw, H: fh, Scheme: partition.Scheme{Sequence: true},
-		Heartbeat: 100 * time.Millisecond, StallTimeout: 600 * time.Millisecond, Faults: plan,
+		Liveness: 600 * time.Millisecond, Faults: plan,
 	}, 2)
 	pin(t, res, plan, faulty.Stats{Dropped: 1}, stats.FaultCounters{
-		WorkersLost: 1, StallTimeouts: 1, FramesRequeued: 2, PingsSent: 14, PongsReceived: 13,
+		WorkersLost: 1, StallTimeouts: 1, FramesRequeued: 2, PingsSent: 10, PongsReceived: 9,
 	})
+}
+
+// watchedLink is the virtual NOW noting when the master last sent each
+// worker a task and when it detached each.
+type watchedLink struct {
+	*virtualLink
+	tasked, detached map[string]time.Duration
+}
+
+func (l *watchedLink) Send(to string, m msg.Message) error {
+	if m.Tag == TagTask {
+		l.tasked[to] = l.Now()
+	}
+	return l.virtualLink.Send(to, m)
+}
+
+func (l *watchedLink) Detach(name string) {
+	l.detached[name] = l.Now()
+	l.virtualLink.Detach(name)
+}
+
+// TestChaosOneDeadlineRetiresMuteAndStalledWorkers: the one Liveness
+// deadline D catches, in one run, both failures it took two timers to
+// catch before. worker02's hello is lost, so it is mute from t=0;
+// worker01's first task is lost on its way in, so it idles answering
+// pings. Ticks fall every D/4, so each is retired within D + D/4 of
+// going quiet: worker02 as silent, worker01 as stalled, counted from
+// the task it never got. With D = 0 the link has no tick to hand out
+// (and TestMuteWorkerDoesNotHangHeartbeatlessRun sees no ping).
+func TestChaosOneDeadlineRetiresMuteAndStalledWorkers(t *testing.T) {
+	const d = 600 * time.Millisecond
+	plan := &faulty.Plan{
+		Seed: 1, // worker02's hello draws below 0.5, worker01's does not
+		Rules: []faulty.Rule{
+			{Tag: TagHello, Dir: faulty.SendOnly, Prob: 0.5, Action: faulty.Drop},
+			{Tag: TagTask, Dir: faulty.RecvOnly, After: 1, Action: faulty.Drop},
+		},
+		Protect: []string{"worker00"},
+	}
+	cfg := Config{
+		Scene: farmScene(4), W: fw, H: fh, Scheme: partition.Scheme{Sequence: true},
+		Machines: workstations(3), Liveness: d, Faults: plan,
+	}
+	if err := cfg.defaults(); err != nil {
+		t.Fatal(err)
+	}
+	vl, err := newVirtualLink(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln := &watchedLink{virtualLink: vl, tasked: map[string]time.Duration{}, detached: map[string]time.Duration{}}
+	res, err := runMaster(cfg, ln, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertFramesEqual(t, "one-deadline", res.Frames, referenceFrames(t, cfg.Scene))
+	pin(t, res, plan, faulty.Stats{Dropped: 2}, stats.FaultCounters{
+		WorkersLost: 2, HeartbeatTimeouts: 1, StallTimeouts: 1, FramesRequeued: 1, PingsSent: 9, PongsReceived: 9,
+	})
+	for name, quiet := range map[string]time.Duration{"worker02": 0, "worker01": ln.tasked["worker01"]} {
+		if at, ok := ln.detached[name]; !ok || at <= quiet+d || at > quiet+d+d/4 {
+			t.Errorf("%s went quiet at %v and was retired at %v (ok %v); want within (D, D+D/4] of it", name, quiet, at, ok)
+		}
+	}
+	if off, _ := newVirtualLink(&Config{Machines: workstations(1)}); off.every != 0 {
+		t.Errorf("with D = 0 the virtual NOW ticks every %v", off.every)
+	}
 }
 
 // TestChaosQuarantinePoisonFrame: every worker's connection severs
 // while delivering its first frame result, so the single frame of this
-// animation kills whoever touches it. With a retry budget of 1 the
-// second death exhausts the budget and the master must render the
-// frame locally — with pixels identical to what the farm would have
-// produced — even though no worker survives. The scenario is symmetric
-// (no protected worker), so it is deterministic under any hello order:
-// the frame goes to one worker, kills it, is requeued to the other,
-// kills it too, and the quarantine render completes the run before the
+// animation kills whoever touches it. With the retry budget of 3 the
+// fourth death exhausts it and the master must render the frame locally
+// — with pixels identical to what the farm would have produced — even
+// though no worker survives. The scenario is symmetric (no protected
+// worker), so it is deterministic under any hello order: the frame goes
+// to one worker, kills it, is requeued to the next, and so on to the
+// fourth, and the quarantine render completes the run before the
 // all-workers-lost check can fail it.
 func TestChaosQuarantinePoisonFrame(t *testing.T) {
 	for _, d := range bothWays {
@@ -254,9 +309,9 @@ func TestChaosQuarantinePoisonFrame(t *testing.T) {
 			}
 			res := d.chaos(t, Config{
 				Scene: farmScene(1), W: fw, H: fh, Scheme: partition.Scheme{Sequence: true},
-				FrameRetries: 1, Faults: plan,
-			}, 2)
-			pin(t, res, plan, faulty.Stats{Severed: 2}, stats.FaultCounters{WorkersLost: 2, FramesRequeued: 1, FramesQuarantined: 1})
+				Faults: plan,
+			}, frameRetries+1)
+			pin(t, res, plan, faulty.Stats{Severed: 4}, stats.FaultCounters{WorkersLost: 4, FramesRequeued: 3, FramesQuarantined: 1})
 		})
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"nowrender/internal/fb"
 	"nowrender/internal/partition"
 	"nowrender/internal/scene"
 	vm "nowrender/internal/vecmath"
@@ -51,26 +50,13 @@ func TestCameraCutEveryLink(t *testing.T) {
 	for _, ln := range links {
 		for _, sch := range schemes {
 			t.Run(ln.name+"/"+sch.Name(), func(t *testing.T) {
-				var order []int
 				res, err := ln.render(Config{
 					Scene: sc, W: fw, H: fh, Coherence: true, Scheme: sch, Workers: 2,
-					Emit: func(f int, _ *fb.Framebuffer) error {
-						order = append(order, f)
-						return nil
-					},
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				assertFramesEqual(t, ln.name, res.Frames, want)
-				for i, f := range order {
-					if f != i {
-						t.Fatalf("emit order %v", order)
-					}
-				}
-				if len(order) != frames {
-					t.Errorf("emitted %d frames", len(order))
-				}
 				copied := make([]int, frames)
 				for _, fs := range res.Run.Frames {
 					copied[fs.Frame] += fs.Copied
@@ -114,29 +100,15 @@ func TestRenderAutoSplitsAtCameraCut(t *testing.T) {
 	}
 }
 
-// TestRenderAutoEmitOrder checks that frames over a camera cut are emitted
-// in order without coherence too.
+// TestRenderAutoEmitOrder checks that the frames a run hands back over a
+// camera cut are in frame order without coherence too.
 func TestRenderAutoEmitOrder(t *testing.T) {
 	sc := cutScene(6)
-	var order []int
-	_, err := RenderVirtual(Config{
-		Scene: sc, W: fw, H: fh,
-		Emit: func(f int, _ *fb.Framebuffer) error {
-			order = append(order, f)
-			return nil
-		},
-	})
+	res, err := RenderVirtual(Config{Scene: sc, W: fw, H: fh})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, f := range order {
-		if f != i {
-			t.Fatalf("emit order %v", order)
-		}
-	}
-	if len(order) != 6 {
-		t.Errorf("emitted %d frames", len(order))
-	}
+	assertFramesEqual(t, "plain", res.Frames, referenceFrames(t, sc))
 }
 
 func TestFrameRangeConfig(t *testing.T) {

@@ -190,10 +190,7 @@ func TestDFBWorkerDeathMidFrame(t *testing.T) {
 		WireDelta:     true,
 		WireSpanCodec: true,
 		DFB:           &DFBConfig{Sinks: 2},
-		Heartbeat:     20 * time.Millisecond,
-		Liveness:      2 * time.Second,
-		StallTimeout:  1500 * time.Millisecond,
-		FrameRetries:  2,
+		Liveness:      1500 * time.Millisecond,
 		Speculate:     true,
 		Faults:        plan,
 	})
@@ -321,10 +318,7 @@ func TestDFBSinkRestart(t *testing.T) {
 		WireDelta:     true,
 		WireSpanCodec: true,
 		DFB:           &DFBConfig{Sinks: 2, Dial: reg.Dial, Redials: 4},
-		Heartbeat:     20 * time.Millisecond,
-		Liveness:      2 * time.Second,
-		StallTimeout:  1500 * time.Millisecond,
-		FrameRetries:  2,
+		Liveness:      1500 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("run with sink restart failed: %v", err)

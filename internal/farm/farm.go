@@ -73,10 +73,6 @@ type Config struct {
 	// machine count, or 3.
 	Workers int
 
-	// Emit, when non-nil, receives each assembled frame in frame order
-	// after the run completes.
-	Emit func(frame int, img *fb.Framebuffer) error
-
 	// Ctx, when non-nil, cancels the run: the drivers check it between
 	// events (virtual) or messages (local/TCP) and return Ctx.Err()
 	// promptly once it is done. A nil Ctx never cancels.
@@ -90,27 +86,17 @@ type Config struct {
 	// aborts the run.
 	OnFrame func(frame int, img *fb.Framebuffer) error
 
-	// Heartbeat, when > 0, makes the master ping each worker at this
-	// interval. Workers answer between frames, so pongs prove the render
-	// loop is alive. On the virtual NOW the heartbeat ticks fall on the
-	// virtual clock (see tickEvery).
-	Heartbeat time.Duration
-	// Liveness is how long a worker may stay completely silent before
-	// the master retires it like a TagDown. 0 defaults to 4x Heartbeat;
-	// it must comfortably exceed the slowest frame's render time, since
-	// workers only answer pings between frames.
+	// Liveness, when > 0, is the one deadline of failure detection, D:
+	// the master pings each worker every D/4 (at least 1 ms), retires a
+	// worker silent for D (an unjoined one counts as silent since t=0),
+	// and retires one holding a task for D without progress (frame
+	// results, task completion, acks) — the hung worker and the lost
+	// TagTask, which leave the holder answering pings for ever. Workers
+	// answer pings and report progress only between frames, so D must
+	// comfortably exceed the slowest frame's render time. 0 turns all of
+	// it off: no pings, no ticks, no worker retired for silence. On the
+	// virtual NOW the ticks fall on the virtual clock.
 	Liveness time.Duration
-	// StallTimeout, when > 0, retires a worker that holds a task without
-	// delivering any progress (frame results, task completion, acks) for
-	// this long — the hung-worker and lost-task-message case heartbeats
-	// alone cannot see, because a dropped assignment leaves both sides
-	// waiting politely forever.
-	StallTimeout time.Duration
-	// FrameRetries is the per-frame retry budget: a frame rendering that
-	// has been requeued this many times is quarantined — the master
-	// renders the region locally instead of feeding it to a fourth
-	// doomed worker. 0 defaults to 3; negative disables quarantine.
-	FrameRetries int
 	// Speculate re-issues the slowest in-flight task's remaining frames
 	// to idle workers near the end of the run; whichever copy delivers a
 	// (frame, region) first wins and the duplicate is dropped.
@@ -120,8 +106,8 @@ type Config struct {
 	// pipe under RenderLocal, on the virtual clock under RenderVirtual. A
 	// worker the plan can fault dying is then expected, not a run
 	// failure; a protected one's error still fails it. A plan that can
-	// lose a TagTask needs StallTimeout, or the master waits on the task
-	// for ever (the virtual NOW then fails as idle). RunMaster cannot
+	// lose a TagTask needs Liveness, or the master waits on the task for
+	// ever (the virtual NOW then fails as idle). RunMaster cannot
 	// reach the caller's connections, which each `now worker -chaos` wraps.
 	Faults *faulty.Plan
 
@@ -218,30 +204,13 @@ func (c *Config) wireFlags() int {
 	return flags
 }
 
-// tickEvery is both links' heartbeat tick interval, 0 for none:
-// Heartbeat, else a quarter of StallTimeout, at least 1 ms.
+// tickEvery is both links' heartbeat tick interval, 0 for none: a
+// quarter of Liveness, at least 1 ms.
 func (c *Config) tickEvery() time.Duration {
-	every := c.Heartbeat
-	if every <= 0 {
-		every = c.StallTimeout / 4
-	}
-	if every <= 0 {
+	if c.Liveness <= 0 {
 		return 0
 	}
-	return max(every, time.Millisecond)
-}
-
-// liveness is how long a worker may stay silent before the master
-// retires it, 0 for ever: Liveness, else 4x Heartbeat, and never without
-// pings, since a healthy idle worker is legitimately silent.
-func (c *Config) liveness() time.Duration {
-	switch {
-	case c.Heartbeat == 0:
-		return 0
-	case c.Liveness == 0:
-		return 4 * c.Heartbeat
-	}
-	return c.Liveness
+	return max(c.Liveness/4, time.Millisecond)
 }
 
 // cancelled returns the context error if the run was cancelled.
@@ -310,7 +279,7 @@ type Result struct {
 	BytesTransferred int64
 	// Faults tallies failure-handling events: workers retired, frames
 	// requeued/quarantined, duplicates and malformed messages absorbed.
-	// All-zero on a healthy run with heartbeats off.
+	// All-zero on a healthy run with Liveness off.
 	Faults stats.FaultCounters
 	// Wire tallies the frame-result data path: key-frames vs dirty-span
 	// deltas, span-coded payloads, and raw-vs-wire byte totals.

@@ -384,29 +384,18 @@ func TestVirtualStaticSequenceNoSubdivision(t *testing.T) {
 	}
 }
 
+// TestVirtualEmitOrder checks that Result.Frames is in frame order
+// under frame division, where frames complete out of order.
 func TestVirtualEmitOrder(t *testing.T) {
 	sc := farmScene(5)
-	var order []int
-	_, err := RenderVirtual(Config{
+	res, err := RenderVirtual(Config{
 		Scene: sc, W: fw, H: fh,
 		Scheme: partition.Scheme{BlockW: 16, BlockH: 16},
-		Emit: func(f int, img *fb.Framebuffer) error {
-			order = append(order, f)
-			return nil
-		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(order) != 5 {
-		t.Fatalf("emitted %d frames", len(order))
-	}
-	for i, f := range order {
-		if f != i {
-			t.Errorf("emit order %v", order)
-			break
-		}
-	}
+	assertFramesEqual(t, "framediv", res.Frames, referenceFrames(t, sc))
 }
 
 func TestConfigValidation(t *testing.T) {

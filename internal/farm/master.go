@@ -26,6 +26,10 @@ import (
 // interleaves it on its clock. It never crosses a connection.
 const tagTick = -0x7FFFFFFE
 
+// frameRetries is the per-frame retry budget: a frame rendering that has
+// been requeued this many times and is lost again is quarantined.
+const frameRetries = 3
+
 // workerRecord is the master's view of one worker.
 type workerRecord struct {
 	name    string
@@ -104,13 +108,13 @@ func (l hubLink) Now() time.Duration { return time.Since(l.start) }
 //
 // Failure handling (see DESIGN.md §8): a worker is retired — its
 // undelivered frames requeued on the survivors — when its connection
-// drops (TagDown), it departs gracefully (TagBye), it stays silent past
-// the liveness deadline, it holds a task without progress past the
-// stall deadline, or it sends a malformed message — including a hello
-// that is not ProtocolVersion. A frame rendering requeued more than
-// FrameRetries times is quarantined: the master renders the region
-// locally instead of feeding it to another doomed worker. The run fails
-// only when every worker is lost with frames outstanding.
+// drops (TagDown), it departs gracefully (TagBye), it stays silent or
+// holds a task without progress past the Liveness deadline, or it sends
+// a malformed message — including a hello that is not ProtocolVersion.
+// A frame rendering requeued more than frameRetries times is
+// quarantined: the master renders the region locally instead of
+// feeding it to another doomed worker. The run fails only when every
+// worker is lost with frames outstanding.
 func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
@@ -124,7 +128,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 		defer stop()
 	}
 
-	// The ticker interleaves liveness/stall checks with slave traffic so
+	// The ticker interleaves the liveness checks with slave traffic so
 	// the event loop stays single-threaded. Posts are best-effort; a
 	// dropped tick is followed by another.
 	if every := cfg.tickEvery(); every > 0 {
@@ -184,11 +188,6 @@ type master struct {
 	ln    link
 	sinks *sinkControl // nil unless the distributed framebuffer is on
 
-	// liveness is how long a worker may stay silent (0: for ever);
-	// retryBudget how often a frame may be requeued (negative: always).
-	liveness    time.Duration
-	retryBudget int
-
 	// roster holds the workers in name order. Every walk over them goes
 	// through it, never the map, so equal candidates resolve to the first
 	// name on every run.
@@ -246,7 +245,6 @@ func newMaster(cfg Config, ln link, sinks *sinkControl) (*master, error) {
 	}
 	m := &master{
 		cfg: cfg, ln: ln, sinks: sinks,
-		liveness: cfg.liveness(), retryBudget: cfg.FrameRetries,
 		workers:  make(map[string]*workerRecord, len(names)),
 		reported: make(map[string]string),
 		queue:    queue, nextTaskID: len(queue),
@@ -262,9 +260,6 @@ func newMaster(cfg Config, ln link, sinks *sinkControl) (*master, error) {
 			groups:  make(map[string]string),
 		},
 		res: &Result{},
-	}
-	if m.retryBudget == 0 {
-		m.retryBudget = 3
 	}
 	for _, n := range names {
 		w := &workerRecord{name: n, st: stats.WorkerStats{Worker: n}}
@@ -358,26 +353,27 @@ func (m *master) step(e msg.Message, err error) error {
 	return m.malformed(w) // unknown tag
 }
 
-// onTick is the heartbeat. It retires a worker silent past the liveness
+// onTick is the heartbeat. It retires a worker silent past the Liveness
 // deadline — an unjoined one counts as silent since t=0, so a worker
 // whose hello never arrives is given up on rather than awaited — or one
-// holding a task without progress past the stall deadline, and pings
-// every other joined worker that owes no pong.
+// holding a task without progress past the same deadline, and pings
+// every other joined worker that owes no pong. Links tick only with
+// Liveness set (Config.tickEvery).
 func (m *master) onTick() error {
-	now := m.ln.Now()
+	now, d := m.ln.Now(), m.cfg.Liveness
 	for _, w := range m.roster {
 		if w.dead {
 			continue
 		}
 		var err error
 		switch {
-		case m.liveness > 0 && now-w.lastHeard > m.liveness:
+		case now-w.lastHeard > d:
 			m.res.Faults.HeartbeatTimeouts++
 			err = m.retire(w)
-		case m.cfg.StallTimeout > 0 && w.hasTask && now-w.lastProgress > m.cfg.StallTimeout:
+		case w.hasTask && now-w.lastProgress > d:
 			m.res.Faults.StallTimeouts++
 			err = m.retire(w)
-		case m.cfg.Heartbeat > 0 && w.joined && !w.pingPending:
+		case w.joined && !w.pingPending:
 			m.pingSeq++
 			w.pingPending = true
 			m.res.Faults.PingsSent++
@@ -768,7 +764,7 @@ func (m *master) chargeRetry(t partition.Task) error {
 			continue
 		}
 		m.frameFails[f]++
-		if m.retryBudget >= 0 && m.frameFails[f] > m.retryBudget {
+		if m.frameFails[f] > frameRetries {
 			return m.renderQuarantined(f, t.Region)
 		}
 		return nil
@@ -1255,18 +1251,6 @@ func (m *master) finish() (*Result, error) {
 	if m.tl.rec != nil {
 		res.Timeline = m.tl.merge(cfg)
 	}
-	if cfg.Emit != nil {
-		for i, img := range res.Frames {
-			// Remote-sink DFB runs hold no frames at the master — the
-			// nowcompose daemons emit them at their end instead.
-			if img == nil {
-				continue
-			}
-			if err := cfg.Emit(cfg.StartFrame+i, img); err != nil {
-				return res, err
-			}
-		}
-	}
 	return res, nil
 }
 
@@ -1423,8 +1407,8 @@ func RenderLocal(cfg Config) (*Result, error) {
 		go func(name string, conn msg.Conn, faulted bool) {
 			err := RunWorkerWithOptions(context.Background(), name, conn, cfg.Scene, opts)
 			// Close the worker's end however it exited, so the hub posts
-			// its TagDown promptly instead of the master waiting out a
-			// stall deadline on a silently-departed worker.
+			// its TagDown promptly instead of the master waiting out the
+			// liveness deadline on a silently-departed worker.
 			conn.Close()
 			if faulted {
 				err = nil // a faulted worker dying is the scenario

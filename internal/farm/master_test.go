@@ -103,6 +103,10 @@ func pairFrom(from string, tag, a, b int) msg.Message {
 	return msg.Message{Tag: tag, From: from, Data: msg.Encode(&taskEnd{a, b})}
 }
 
+func pongFrom(from string) msg.Message {
+	return msg.Message{Tag: TagPong, From: from, Data: msg.Encode(&pong{})}
+}
+
 // resultsFrom is worker from's key-frame results for frames [f0, f1) of
 // task (pixels all black: nothing here looks at them).
 func resultsFrom(from string, task partition.Task, f0, f1 int) []msg.Message {
@@ -290,15 +294,16 @@ func TestLateAckForOldTaskLeavesNewTruncateParked(t *testing.T) {
 
 // TestTruncateAckRefreshesStallDeadline: a truncate ack is progress. A
 // victim handed its task at 0 ms acks a truncate at 90 ms, so under a
-// 100 ms stall deadline the tick at 150 ms must not retire it, and the
-// tick at 200 ms must — handing its unfinished frames to the idle thief.
+// 100 ms deadline the tick at 150 ms must not retire it, and the tick at
+// 200 ms must — for want of progress, though it answered the ping at
+// 160 ms — handing its unfinished frames to the idle thief.
 func TestTruncateAckRefreshesStallDeadline(t *testing.T) {
 	full := fb.NewRect(0, 0, 8, 8)
 	task := func(id int) partition.Task { return partition.Task{ID: id, Region: full} }
 	ms, tick := time.Millisecond, msg.Message{Tag: tagTick}
 	res, ln := runScript(t, Config{
 		Scene: farmScene(8), W: 8, H: 8, Scheme: partition.Scheme{Sequence: true, Adaptive: true},
-		StallTimeout: 100 * time.Millisecond,
+		Liveness: 100 * time.Millisecond,
 	}, []string{"w0", "w1"}, slices.Concat(
 		at(0, helloFrom("w0"), helloFrom("w1")), // [0,4) and [4,8)
 		at(10*ms, resultsFrom("w0", task(0), 0, 4)...),
@@ -306,11 +311,12 @@ func TestTruncateAckRefreshesStallDeadline(t *testing.T) {
 		at(90*ms, pairFrom("w1", TagTruncateAck, 1, 6)), // and takes it
 		at(100*ms, resultsFrom("w0", task(2), 6, 8)...),
 		at(110*ms, pairFrom("w0", TagTaskDone, 2, 8)), // w1's [5,6) is too short to steal
-		at(150*ms, tick), // w1 last progressed at 90 ms
+		at(150*ms, tick), // w1 last progressed at 90 ms; both pinged
+		at(160*ms, pongFrom("w1")),
 		at(200*ms, tick), // now past the deadline: w0 takes [4,6)
 		at(210*ms, resultsFrom("w0", task(3), 4, 6)...),
 	)...)
-	if want := (stats.FaultCounters{WorkersLost: 1, StallTimeouts: 1, FramesRequeued: 2}); res.Faults != want {
+	if want := (stats.FaultCounters{WorkersLost: 1, StallTimeouts: 1, FramesRequeued: 2, PingsSent: 2, PongsReceived: 1}); res.Faults != want {
 		t.Errorf("faults %s, want %s", res.Faults.String(), want.String())
 	}
 	if last := ln.sent[len(ln.sent)-3]; last.at != 200*ms || last.m.From != "w0" || last.m.Tag != TagTask {
@@ -318,21 +324,24 @@ func TestTruncateAckRefreshesStallDeadline(t *testing.T) {
 	}
 }
 
-// TestStallDeadlineSparesIdleWorker: the stall deadline measures a task
+// TestStallDeadlineSparesIdleWorker: the deadline measures a task
 // holder's progress, so a worker that finished its task and sits idle
-// past the deadline — heartbeats off, nothing to steal — is not retired.
+// past the deadline — answering pings, nothing to steal — is not
+// retired.
 func TestStallDeadlineSparesIdleWorker(t *testing.T) {
 	full := fb.NewRect(0, 0, 8, 8)
 	task := func(id int) partition.Task { return partition.Task{ID: id, Region: full} }
 	ms, tick := time.Millisecond, msg.Message{Tag: tagTick}
 	res, ln := runScript(t, Config{
 		Scene: farmScene(4), W: 8, H: 8, Scheme: partition.Scheme{Sequence: true},
-		StallTimeout: 100 * time.Millisecond,
+		Liveness: 100 * time.Millisecond,
 	}, []string{"w0", "w1"}, slices.Concat(
 		at(0, helloFrom("w0"), helloFrom("w1")), // [0,2) and [2,4)
 		at(10*ms, resultsFrom("w0", task(0), 0, 2)...),
 		at(20*ms, pairFrom("w0", TagTaskDone, 0, 2)), // w0 idle from here on
 		at(90*ms, resultsFrom("w1", task(1), 2, 3)...),
+		at(100*ms, tick), // pings both
+		at(110*ms, pongFrom("w0"), pongFrom("w1")),
 		at(150*ms, tick), // w0 idle for 130 ms, w1 progressed 60 ms ago
 		at(180*ms, resultsFrom("w1", task(1), 3, 4)...),
 	)...)
@@ -354,13 +363,13 @@ func TestTickRetiresUnjoinedWorker(t *testing.T) {
 	tick := msg.Message{Tag: tagTick}
 	res, ln := runScript(t, Config{
 		Scene: farmScene(2), W: w, H: h, Scheme: partition.Scheme{Sequence: true},
-		Heartbeat: 10 * time.Millisecond, Liveness: 300 * time.Millisecond,
+		Liveness: 300 * time.Millisecond,
 	}, []string{"w0", "mute"},
 		scripted{0, helloFrom("w0")},
 		scripted{100 * ms, tick}, // pings w0; mute has been silent 100 ms
-		scripted{150 * ms, msg.Message{Tag: TagPong, From: "w0", Data: msg.Encode(&pong{ping{1, 0}, 0})}},
+		scripted{150 * ms, pongFrom("w0")},
+		scripted{200 * ms, resultsFrom("w0", partition.Task{ID: 0, Region: full}, 0, 1)[0]},
 		scripted{350 * ms, tick}, // mute silent past liveness: retired
-		scripted{360 * ms, resultsFrom("w0", partition.Task{ID: 0, Region: full}, 0, 1)[0]},
 		scripted{370 * ms, pairFrom("w0", TagTaskDone, 0, 1)},
 		scripted{380 * ms, resultsFrom("w0", partition.Task{ID: 1, Region: full}, 1, 2)[0]},
 	)

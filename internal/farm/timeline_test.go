@@ -62,9 +62,9 @@ func TestRenderLocalTimeline(t *testing.T) {
 	rec := timeline.New(0)
 	res, err := RenderLocal(Config{
 		Scene: sc, W: fw, H: fh, Coherence: true, Workers: 2,
-		Scheme:    partition.Scheme{BlockW: 20, BlockH: 16, Adaptive: true},
-		Heartbeat: 10 * time.Millisecond,
-		Timeline:  rec,
+		Scheme:   partition.Scheme{BlockW: 20, BlockH: 16, Adaptive: true},
+		Liveness: 40 * time.Millisecond, // a ping every 10 ms
+		Timeline: rec,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func newVirtualLink(cfg *Config) (*virtualLink, error) {
 	}
 	l := &virtualLink{cfg: cfg, now: now, byName: make(map[string]int), every: cfg.tickEvery()}
 	l.tick = l.every
-	l.settle = max(cfg.StallTimeout, cfg.liveness()) + l.every
+	l.settle = cfg.Liveness + l.every
 	// The loop's own timeline calls now stamp the master's virtual time.
 	cfg.Timeline.SetClock(func() int64 { return int64(l.clock) })
 	for i, m := range cfg.Machines {

@@ -27,8 +27,8 @@ type WorkerOptions struct {
 	Threads int
 	// MasterDeadline, when > 0, makes an idle worker give up if the
 	// master stays completely silent this long — the half-open-connection
-	// case a dead TCP peer cannot signal. It must comfortably exceed the
-	// master's heartbeat interval (pings count as traffic); a worker
+	// case a dead TCP peer cannot signal. Set it well above the master's
+	// Liveness/4, its ping interval (pings count as traffic); a worker
 	// mid-task is not subject to it.
 	MasterDeadline time.Duration
 	// SinkDial connects to a compositor sink address when a task names

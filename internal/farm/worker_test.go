@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -298,4 +299,82 @@ func TestBlockTaskHoldsItsBlock(t *testing.T) {
 			t.Errorf("coherent %v: the conn host sent %v, the virtual host %v", coherent, outboxTags(got), outboxTags(want))
 		}
 	}
+}
+
+// TestMasterDeadline: an idle worker gives up once the master at the
+// other end of its pipe has been silent for MasterDeadline. A ping is
+// traffic and restarts the wait; a worker mid-task, here shipping
+// results the master reads slowly, is not subject to it.
+func TestMasterDeadline(t *testing.T) {
+	const dl = 200 * time.Millisecond
+	// start runs a worker over a pipe with room for capacity messages
+	// each way. Its check fails unless the worker is still running, for a
+	// zero quiet, or else gives up on the master, no sooner than dl after
+	// quiet.
+	start := func(t *testing.T, capacity int) (msg.Conn, func(quiet time.Time)) {
+		masterEnd, workerEnd := msg.Pipe(capacity)
+		t.Cleanup(func() { masterEnd.Close() })
+		done := make(chan error, 1)
+		go func() {
+			err := RunWorkerWithOptions(context.Background(), "ws", workerEnd, farmScene(4), WorkerOptions{Threads: 1, MasterDeadline: dl})
+			workerEnd.Close() // a master end waiting on the worker sees it gone
+			done <- err
+		}()
+		return masterEnd, func(quiet time.Time) {
+			t.Helper()
+			var err error
+			if quiet.IsZero() {
+				select {
+				case err = <-done:
+					t.Fatalf("worker gave up early: %v", err)
+				default:
+					return
+				}
+			}
+			select {
+			case err = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("worker still waiting 10 s after the master went silent")
+			}
+			if err == nil || !strings.Contains(err.Error(), "master silent") || time.Since(quiet) < dl {
+				t.Fatalf("worker returned %v %v after the master's last word; want the master-silent error no sooner than %v",
+					err, time.Since(quiet), dl)
+			}
+		}
+	}
+
+	t.Run("idle", func(t *testing.T) {
+		master, check := start(t, 0)
+		for range 8 { // 2 dl of pings, dl/4 apart: each is traffic
+			time.Sleep(dl / 4)
+			check(time.Time{})
+			if err := master.Send(msg.Message{Tag: TagPing, Data: msg.Encode(&ping{1, 0})}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(time.Now())
+	})
+	t.Run("mid-task", func(t *testing.T) {
+		// One message of room each way: the worker waits on every result
+		// until the master, reading one each dl/2, takes the one before.
+		master, check := start(t, 1)
+		task := partition.Task{ID: 0, Region: fb.NewRect(0, 0, fw, fh), StartFrame: 0, EndFrame: 4}
+		if err := master.Send(msg.Message{Tag: TagTask, Data: msg.Encode(&taskMsg{Task: task, W: fw, H: fh, Samples: 1, Threads: 1})}); err != nil {
+			t.Fatal(err)
+		}
+		var before, last time.Time
+		for tag := 0; tag != TagTaskDone; { // the hello, four results, the task's end
+			time.Sleep(dl / 2)
+			check(time.Time{})
+			before, last = last, time.Now()
+			m, err := master.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tag = m.Tag
+		}
+		// The read before the task's end made room for it: the worker
+		// has been idle since.
+		check(before)
+	})
 }

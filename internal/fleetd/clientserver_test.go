@@ -42,7 +42,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // background, and released on Return.
 func TestReplicaPoolAcquireRenewRelease(t *testing.T) {
 	b := NewBroker(BrokerConfig{Capacity: 4, Term: 60 * time.Millisecond})
-	srv := NewServer(b, 10*time.Millisecond)
+	srv := NewServer(b)
 	defer srv.Close()
 
 	mk := func(name string) *ReplicaPool {
@@ -105,7 +105,7 @@ func TestReplicaPoolAcquireRenewRelease(t *testing.T) {
 func TestReplicaCrashFailsOverWithinOneTerm(t *testing.T) {
 	term := 60 * time.Millisecond
 	b := NewBroker(BrokerConfig{Capacity: 2, Term: term})
-	srv := NewServer(b, 10*time.Millisecond)
+	srv := NewServer(b)
 	defer srv.Close()
 
 	pa, err := NewReplicaPool(ClientConfig{
@@ -173,7 +173,7 @@ func TestReplicaCrashFailsOverWithinOneTerm(t *testing.T) {
 func TestBrokerRestartOrphansAndReacquires(t *testing.T) {
 	term := 60 * time.Millisecond
 	b1 := NewBroker(BrokerConfig{Capacity: 2, Term: term, Epoch: 101})
-	srv1 := NewServer(b1, 10*time.Millisecond)
+	srv1 := NewServer(b1)
 
 	var target atomic.Pointer[Server]
 	target.Store(srv1)
@@ -205,7 +205,7 @@ func TestBrokerRestartOrphansAndReacquires(t *testing.T) {
 	// Broker restarts: all conns die, the ledger is gone, new epoch.
 	srv1.Close()
 	b2 := NewBroker(BrokerConfig{Capacity: 2, Term: term, Epoch: 202})
-	srv2 := NewServer(b2, 10*time.Millisecond)
+	srv2 := NewServer(b2)
 	defer srv2.Close()
 	target.Store(srv2)
 
@@ -235,7 +235,7 @@ func TestBrokerRestartOrphansAndReacquires(t *testing.T) {
 // registration survives a broker restart via the redial loop.
 func TestMemberSessionReregistersAfterRestart(t *testing.T) {
 	b1 := NewBroker(BrokerConfig{Capacity: 0, Term: time.Second, Epoch: 1})
-	srv1 := NewServer(b1, 0)
+	srv1 := NewServer(b1)
 
 	var target atomic.Pointer[Server]
 	target.Store(srv1)
@@ -259,7 +259,7 @@ func TestMemberSessionReregistersAfterRestart(t *testing.T) {
 
 	srv1.Close()
 	b2 := NewBroker(BrokerConfig{Capacity: 0, Term: time.Second, Epoch: 2})
-	srv2 := NewServer(b2, 0)
+	srv2 := NewServer(b2)
 	defer srv2.Close()
 	target.Store(srv2)
 
@@ -283,7 +283,7 @@ func TestLeaseChurnSoakRace(t *testing.T) {
 	)
 	term := 40 * time.Millisecond
 	b := NewBroker(BrokerConfig{Capacity: capacity, Term: term})
-	srv := NewServer(b, 5*time.Millisecond)
+	srv := NewServer(b)
 	defer srv.Close()
 
 	stop := make(chan struct{})

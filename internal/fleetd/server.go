@@ -26,13 +26,10 @@ type Server struct {
 	sweepStop chan struct{}
 }
 
-// NewServer wraps a broker. The server sweeps expired leases every
-// sweep interval (0 = half the broker's minimum term floor) so a
-// crashed replica's units return even when nobody is acquiring.
-func NewServer(b *Broker, sweep time.Duration) *Server {
-	if sweep <= 0 {
-		sweep = MinTerm / 2
-	}
+// NewServer wraps a broker. The server sweeps expired leases every half
+// of the broker's minimum term floor, so a crashed replica's units return
+// even when nobody is acquiring.
+func NewServer(b *Broker) *Server {
 	s := &Server{
 		b:         b,
 		conns:     make(map[msg.Conn]context.CancelFunc),
@@ -41,7 +38,7 @@ func NewServer(b *Broker, sweep time.Duration) *Server {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		t := time.NewTicker(sweep)
+		t := time.NewTicker(MinTerm / 2)
 		defer t.Stop()
 		for {
 			select {

@@ -5,10 +5,10 @@
 //   - Across time: where the coherence engine reuses pixels between
 //     consecutive frames of one run, the cache reuses whole frames
 //     between *jobs* — a resubmitted or overlapping animation is served
-//     from memory with zero new rays traced (LRU under a byte budget,
-//     optional TTL). An entry is the frame's pixels plus, from the
-//     first time someone fetches it as a file, its encoded TGA: a
-//     repeat fetch is then a copy of bytes, not a re-encode.
+//     from memory with zero new rays traced (LRU under a byte budget).
+//     An entry is the frame's pixels plus, from the first time someone
+//     fetches it as a file, its encoded TGA: a repeat fetch is then a
+//     copy of bytes, not a re-encode.
 //
 //   - Across concurrent requests: in-flight coalescing. The first
 //     caller to Acquire a missing frame becomes its producer; everyone
@@ -31,7 +31,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"sync"
-	"time"
 
 	"nowrender/internal/fb"
 	"nowrender/internal/stats"
@@ -74,8 +73,6 @@ type centry struct {
 	// size is what the entry is charged against the budget: len(img.Pix)
 	// plus len(encoded).
 	size int64
-	// expires is when the entry stops being servable (zero = never).
-	expires time.Time
 }
 
 // flight is one in-production frame: followers wait on their channels
@@ -86,13 +83,12 @@ type flight struct {
 }
 
 // Cache is a content-addressed frame store with LRU eviction under a
-// byte budget, optional per-entry TTL expiry, and in-flight request
-// coalescing. Cached framebuffers are shared, immutable-by-contract
-// values: callers must not modify what Get returns or Put receives.
+// byte budget and in-flight request coalescing. Cached framebuffers are
+// shared, immutable-by-contract values: callers must not modify what Get
+// returns or Put receives.
 type Cache struct {
 	mu     sync.Mutex
 	budget int64
-	ttl    time.Duration
 	bytes  int64 // pixels plus encoded forms
 	// encodedBytes is the share of bytes that is encoded forms.
 	encodedBytes int64
@@ -100,33 +96,21 @@ type Cache struct {
 	items        map[Key]*list.Element
 	// flights tracks frames some producer is currently rendering.
 	flights map[Key]*flight
-	// now is the clock, swappable by tests.
-	now func() time.Time
 
-	hits, misses, evictions, expired uint64
-	coalesced, flightsLed            uint64
+	hits, misses, evictions uint64
+	coalesced, flightsLed   uint64
 }
 
 // New returns a cache bounded to budget bytes of frame data: the cached
 // pixels plus the encoded forms TGA builds beside them.
-// budget <= 0 means unlimited.
+// budget <= 0 means unlimited. Pixels never go wrong with age — the
+// cache is content-addressed — so entries leave only by eviction.
 func New(budget int64) *Cache {
-	return NewTTL(budget, 0)
-}
-
-// NewTTL is New with per-entry expiry: entries older than ttl are
-// dropped lazily, on the lookup that finds them stale (ttl <= 0 =
-// never expire). Pixels never go wrong with age — the cache is
-// content-addressed — so the TTL's job is reclaiming memory from
-// animations nobody re-requests, not invalidation.
-func NewTTL(budget int64, ttl time.Duration) *Cache {
 	return &Cache{
 		budget:  budget,
-		ttl:     ttl,
 		ll:      list.New(),
 		items:   make(map[Key]*list.Element),
 		flights: make(map[Key]*flight),
-		now:     time.Now,
 	}
 }
 
@@ -154,25 +138,17 @@ func (c *Cache) evictLocked() {
 }
 
 // liveLocked returns k's entry, marked most recently used, or nil when
-// k is not cached; a stale entry is dropped and counted expired. It
-// counts no hit or miss. Callers hold c.mu.
+// k is not cached. It counts no hit or miss. Callers hold c.mu.
 func (c *Cache) liveLocked(k Key) *centry {
 	el, ok := c.items[k]
 	if !ok {
 		return nil
 	}
-	e := el.Value.(*centry)
-	if !e.expires.IsZero() && c.now().After(e.expires) {
-		c.removeLocked(el)
-		c.expired++
-		return nil
-	}
 	c.ll.MoveToFront(el)
-	return e
+	return el.Value.(*centry)
 }
 
-// lookupLocked returns the live cached frame for k, expiring stale
-// entries; callers hold c.mu.
+// lookupLocked returns the cached frame for k; callers hold c.mu.
 func (c *Cache) lookupLocked(k Key) (*fb.Framebuffer, bool) {
 	e := c.liveLocked(k)
 	if e == nil {
@@ -183,8 +159,7 @@ func (c *Cache) lookupLocked(k Key) (*fb.Framebuffer, bool) {
 	return e.img, true
 }
 
-// Get returns the cached frame and marks it most recently used; a stale
-// entry is dropped and reported as a miss.
+// Get returns the cached frame and marks it most recently used.
 func (c *Cache) Get(k Key) (*fb.Framebuffer, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -223,7 +198,7 @@ func (c *Cache) TGA(k Key, img *fb.Framebuffer) ([]byte, error) {
 	e = c.liveLocked(k)
 	switch n := int64(len(data)); {
 	case e == nil:
-		// Evicted or expired meanwhile.
+		// Evicted meanwhile.
 	case e.encoded != nil:
 		data = e.encoded
 	case c.budget <= 0 || e.size+n <= c.budget:
@@ -282,13 +257,11 @@ func (c *Cache) Put(k Key, img *fb.Framebuffer) {
 		return
 	}
 	if el, ok := c.items[k]; ok {
-		// Content-addressed: same key, same pixels. Refresh recency and
-		// push the expiry out — the entry was just re-produced.
-		el.Value.(*centry).expires = c.expiry()
+		// Content-addressed: same key, same pixels. Refresh recency.
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[k] = c.ll.PushFront(&centry{key: k, img: img, size: size, expires: c.expiry()})
+	c.items[k] = c.ll.PushFront(&centry{key: k, img: img, size: size})
 	c.bytes += size
 	c.evictLocked()
 }
@@ -318,21 +291,12 @@ func (c *Cache) InFlight(k Key) bool {
 	return ok
 }
 
-// expiry computes a fresh entry's deadline (zero when no TTL is set);
-// callers hold c.mu.
-func (c *Cache) expiry() time.Time {
-	if c.ttl <= 0 {
-		return time.Time{}
-	}
-	return c.now().Add(c.ttl)
-}
-
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() stats.CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return stats.CacheStats{
-		Hits: c.hits, Misses: c.misses, Evictions: c.evictions, Expired: c.expired,
+		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
 		Coalesced: c.coalesced, FlightsLed: c.flightsLed, InFlight: len(c.flights),
 		Entries: c.ll.Len(), Bytes: c.bytes, EncodedBytes: c.encodedBytes, Budget: c.budget,
 	}

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"nowrender/internal/fb"
 	"nowrender/internal/tga"
@@ -119,72 +118,6 @@ func TestCacheEvictionTable(t *testing.T) {
 				t.Errorf("cache holds %d bytes over budget %d", cs.Bytes, tc.budget)
 			}
 		})
-	}
-}
-
-// TestCacheTTLTable pins the lazy-expiry clockwork with an injected
-// clock: entries serve until their deadline passes strictly, a stale hit
-// counts as an expiry plus a miss, and re-putting a key pushes its
-// deadline out.
-func TestCacheTTLTable(t *testing.T) {
-	base := time.Unix(1_700_000_000, 0)
-	cases := []struct {
-		name    string
-		ttl     time.Duration
-		advance time.Duration
-		wantHit bool
-	}{
-		{"no-ttl-never-expires", 0, 1000 * time.Hour, true},
-		{"fresh-within-ttl", time.Minute, 59 * time.Second, true},
-		{"exactly-at-deadline-still-served", time.Minute, time.Minute, true},
-		{"stale-past-deadline", time.Minute, time.Minute + time.Second, false},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c := NewTTL(0, tc.ttl)
-			now := base
-			c.now = func() time.Time { return now }
-			k := Key{Seq: NewSeqKey("s", 8, 8, 1), Frame: 0}
-			c.Put(k, fb.New(8, 8))
-			now = base.Add(tc.advance)
-			_, ok := c.Get(k)
-			if ok != tc.wantHit {
-				t.Fatalf("hit = %v, want %v", ok, tc.wantHit)
-			}
-			cs := c.Stats()
-			if tc.wantHit {
-				if cs.Expired != 0 || cs.Entries != 1 {
-					t.Errorf("expired=%d entries=%d, want 0/1", cs.Expired, cs.Entries)
-				}
-			} else {
-				// A stale entry is dropped, counted, and its bytes freed.
-				if cs.Expired != 1 || cs.Misses != 1 || cs.Entries != 0 || cs.Bytes != 0 {
-					t.Errorf("expired=%d misses=%d entries=%d bytes=%d, want 1/1/0/0",
-						cs.Expired, cs.Misses, cs.Entries, cs.Bytes)
-				}
-			}
-		})
-	}
-}
-
-// TestCacheTTLRefreshOnReput: re-producing a cached frame pushes its
-// expiry out from the new production time.
-func TestCacheTTLRefreshOnReput(t *testing.T) {
-	base := time.Unix(1_700_000_000, 0)
-	c := NewTTL(0, time.Minute)
-	now := base
-	c.now = func() time.Time { return now }
-	k := Key{Seq: NewSeqKey("s", 8, 8, 1), Frame: 0}
-	c.Put(k, fb.New(8, 8))
-	now = base.Add(40 * time.Second)
-	c.Put(k, fb.New(8, 8)) // refresh: new deadline is t+40s+60s
-	now = base.Add(90 * time.Second)
-	if _, ok := c.Get(k); !ok {
-		t.Fatal("refreshed entry expired on the original deadline")
-	}
-	now = base.Add(101 * time.Second)
-	if _, ok := c.Get(k); ok {
-		t.Fatal("entry survived past its refreshed deadline")
 	}
 }
 
@@ -454,40 +387,6 @@ func TestTGAEvictsFromTail(t *testing.T) {
 	check("put evicts pixels and file together", 2*pix+enc, enc, 2, 2)
 	if _, ok := c.Get(Key{Seq: seq, Frame: 0}); ok {
 		t.Fatal("frame 0 survived")
-	}
-}
-
-// TestTGAExpiresWithEntry: TTL expiry releases pixels and file together,
-// whether a Get or an encoded lookup finds the entry stale, and a stale
-// entry still yields correct bytes.
-func TestTGAExpiresWithEntry(t *testing.T) {
-	base := time.Unix(1_700_000_000, 0)
-	img, file := noiseFrame(t, 8, 8, 5)
-	k := Key{Seq: NewSeqKey("s", 8, 8, 1), Frame: 0}
-	for _, finder := range []string{"get", "tga"} {
-		c := NewTTL(0, time.Minute)
-		now := base
-		c.now = func() time.Time { return now }
-		c.Put(k, img)
-		mustTGA(t, c, k, img, file)
-		if cs := c.Stats(); cs.EncodedBytes != int64(len(file)) {
-			t.Fatalf("%s: encoded=%d before expiry, want %d", finder, cs.EncodedBytes, len(file))
-		}
-		now = base.Add(2 * time.Minute)
-		wantMisses := uint64(0)
-		if finder == "get" {
-			if _, ok := c.Get(k); ok {
-				t.Fatal("stale entry served")
-			}
-			wantMisses = 1
-		} else {
-			mustTGA(t, c, k, img, file)
-		}
-		cs := c.Stats()
-		if cs.Bytes != 0 || cs.EncodedBytes != 0 || cs.Entries != 0 || cs.Expired != 1 || cs.Misses != wantMisses {
-			t.Errorf("%s: bytes=%d encoded=%d entries=%d expired=%d misses=%d, want 0/0/0/1/%d",
-				finder, cs.Bytes, cs.EncodedBytes, cs.Entries, cs.Expired, cs.Misses, wantMisses)
-		}
 	}
 }
 

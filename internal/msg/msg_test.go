@@ -292,6 +292,9 @@ func TestConnCloseUnblocksRecv(t *testing.T) {
 			case <-time.After(2 * time.Second):
 				t.Fatal("Recv did not unblock on close")
 			}
+			if err := a.Send(Message{Tag: 1}); !errors.Is(err, ErrClosed) {
+				t.Errorf("Send after close = %v, want ErrClosed", err)
+			}
 		})
 	}
 }

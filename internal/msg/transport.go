@@ -185,6 +185,8 @@ func (l *Listener) Close() error { return l.nl.Close() }
 // Send implements Conn. The header and the sender's name go out with
 // the payload in one writev (net.Buffers), so the payload is never
 // copied, and once it is written the payload returns to the byte pool.
+// A failed write is ErrClosed, as a failed read is in Recv: the peer is
+// gone (a broken pipe, a reset) or the connection was closed here.
 func (c *tcpConn) Send(m Message) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
@@ -202,7 +204,7 @@ func (c *tcpConn) Send(m Message) error {
 	// Hold no reference to the payload past the send.
 	c.iov, c.vec = [2][]byte{}, nil
 	if err != nil {
-		return fmt.Errorf("msg: send: %w", err)
+		return fmt.Errorf("%w: send: %v", ErrClosed, err)
 	}
 	PutBytes(m.Data)
 	return nil

@@ -302,9 +302,6 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p("# HELP nowrender_cache_evictions_total Frames evicted to fit the byte budget.")
 	p("# TYPE nowrender_cache_evictions_total counter")
 	p("nowrender_cache_evictions_total %d", cs.Evictions)
-	p("# HELP nowrender_cache_expired_total Frames dropped past their TTL.")
-	p("# TYPE nowrender_cache_expired_total counter")
-	p("nowrender_cache_expired_total %d", cs.Expired)
 	p("# HELP nowrender_cache_hit_rate Hits over lookups since start.")
 	p("# TYPE nowrender_cache_hit_rate gauge")
 	p("nowrender_cache_hit_rate %g", cs.HitRate())

@@ -66,7 +66,7 @@ type JobSpec struct {
 	// NOW, the default) or "local" (goroutine workers, wall clock).
 	Driver string `json:"driver,omitempty"`
 	// Retries is how many times a failed render attempt is retried
-	// (capped by the service's MaxJobRetries). Attempts resume from
+	// (capped at 5). Attempts resume from
 	// whatever frames already reached the job or the cache, so progress
 	// is monotonic across retries.
 	Retries int `json:"retries,omitempty"`

@@ -77,7 +77,7 @@ func TestMultiMasterFailover(t *testing.T) {
 	// NOW's machine count, so a replica's farm run wants all of them).
 	term := 90 * time.Millisecond
 	broker := fleetd.NewBroker(fleetd.BrokerConfig{Capacity: 3, Term: term})
-	srv := fleetd.NewServer(broker, 15*time.Millisecond)
+	srv := fleetd.NewServer(broker)
 	defer srv.Close()
 
 	sA, rpA := newReplica(t, "replica-a", brokerDial(srv), term, Config{})
@@ -163,7 +163,7 @@ func TestMultiMasterFailover(t *testing.T) {
 func TestMultiMasterBrokerRestart(t *testing.T) {
 	term := 90 * time.Millisecond
 	b1 := fleetd.NewBroker(fleetd.BrokerConfig{Capacity: 3, Term: term, Epoch: 1})
-	srv1 := fleetd.NewServer(b1, 15*time.Millisecond)
+	srv1 := fleetd.NewServer(b1)
 
 	var target atomic.Pointer[fleetd.Server]
 	target.Store(srv1)
@@ -195,7 +195,7 @@ func TestMultiMasterBrokerRestart(t *testing.T) {
 	// Broker restarts: every conn dies, the ledger and epoch are new.
 	srv1.Close()
 	b2 := fleetd.NewBroker(fleetd.BrokerConfig{Capacity: 3, Term: term, Epoch: 2})
-	srv2 := fleetd.NewServer(b2, 15*time.Millisecond)
+	srv2 := fleetd.NewServer(b2)
 	defer srv2.Close()
 	target.Store(srv2)
 

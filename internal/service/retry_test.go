@@ -84,7 +84,6 @@ func TestJobRetryResumesPartialProgress(t *testing.T) {
 		"nowrender_job_retries_total",
 		`nowrender_fault_events_total{kind="workers_lost"}`,
 		`nowrender_fault_events_total{kind="frames_requeued"}`,
-		"nowrender_cache_expired_total",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("/metrics missing %q", want)

@@ -91,20 +91,12 @@ type Config struct {
 	// DefaultDriver is used when a JobSpec leaves Driver empty:
 	// "virtual" (default) or "local".
 	DefaultDriver string
-	// CacheTTL expires cached frames this long after they were rendered
-	// (lazily, on lookup). 0 = never expire.
-	CacheTTL time.Duration
-	// MaxJobRetries caps JobSpec.Retries. Default 5.
-	MaxJobRetries int
 
-	// Heartbeat, Liveness, StallTimeout, FrameRetries and Speculate are
-	// passed through to farm.Config on either driver — the service-level
-	// fault-tolerance knobs (see farm.Config for their semantics).
-	Heartbeat    time.Duration
-	Liveness     time.Duration
-	StallTimeout time.Duration
-	FrameRetries int
-	Speculate    bool
+	// Liveness and Speculate are passed through to farm.Config on either
+	// driver — the service-level fault-tolerance knobs (see farm.Config
+	// for their semantics).
+	Liveness  time.Duration
+	Speculate bool
 	// Faults, when non-nil, injects this plan's faults into every farm
 	// run's worker traffic, on either driver (see farm.Config.Faults).
 	// Exposed by `now serve -chaos` for soak-testing a live
@@ -153,9 +145,6 @@ func (c *Config) defaults() {
 	if c.DefaultDriver == "" {
 		c.DefaultDriver = "virtual"
 	}
-	if c.MaxJobRetries <= 0 {
-		c.MaxJobRetries = 5
-	}
 }
 
 // Rejection reasons counted for nowrender_jobs_rejected_total.
@@ -169,6 +158,9 @@ const (
 // blockSize is the block edge of a framediv or hybrid job: the paper's
 // 80x80.
 const blockSize = 80
+
+// maxJobRetries caps JobSpec.Retries.
+const maxJobRetries = 5
 
 // Service is a long-lived render-job service: the job queue, dispatch,
 // worker leases and the frame cache behind the HTTP API. Create with
@@ -219,7 +211,7 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		cfg:        cfg,
-		cache:      framecache.NewTTL(cfg.CacheBytes, cfg.CacheTTL),
+		cache:      framecache.New(cfg.CacheBytes),
 		leaser:     cfg.Leaser,
 		jobs:       make(map[string]*job),
 		rejected:   make(map[string]uint64),
@@ -293,9 +285,7 @@ func (s *Service) normalize(spec *JobSpec, frames int) error {
 		return fmt.Errorf("service: bad retry policy (retries %d, backoff %dms)",
 			spec.Retries, spec.RetryBackoffMS)
 	}
-	if spec.Retries > s.cfg.MaxJobRetries {
-		spec.Retries = s.cfg.MaxJobRetries
-	}
+	spec.Retries = min(spec.Retries, maxJobRetries)
 	return nil
 }
 
@@ -689,14 +679,12 @@ func (s *Service) renderRange(j *job, start, end int) error {
 		Machines:       machines,
 		Workers:        workers,
 		Ctx:            j.ctx,
-		Heartbeat:      s.cfg.Heartbeat, Liveness: s.cfg.Liveness,
-		StallTimeout:  s.cfg.StallTimeout,
-		FrameRetries:  s.cfg.FrameRetries,
-		Speculate:     s.cfg.Speculate,
-		Faults:        s.cfg.Faults,
-		WireDelta:     s.cfg.WireDelta,
-		WireSpanCodec: s.cfg.WireSpanCodec,
-		Timeline:      rec,
+		Liveness:       s.cfg.Liveness,
+		Speculate:      s.cfg.Speculate,
+		Faults:         s.cfg.Faults,
+		WireDelta:      s.cfg.WireDelta,
+		WireSpanCodec:  s.cfg.WireSpanCodec,
+		Timeline:       rec,
 	}
 	if s.cfg.DFBSinks > 0 {
 		cfg.DFB = &farm.DFBConfig{Sinks: s.cfg.DFBSinks}

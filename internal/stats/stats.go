@@ -428,10 +428,8 @@ func (c ObjSpaceStats) String() string {
 // service-level frame cache reports these through /metrics).
 type CacheStats struct {
 	// Hits and Misses count lookups; Evictions counts entries dropped to
-	// stay under the byte budget; Expired counts entries dropped because
-	// they outlived the cache's TTL (also included in Misses when the
-	// expiry was discovered by a lookup).
-	Hits, Misses, Evictions, Expired uint64
+	// stay under the byte budget.
+	Hits, Misses, Evictions uint64
 	// Coalesced counts lookups that joined an in-flight production of
 	// the same frame instead of rendering it again; FlightsLed counts
 	// the productions so coalesced-onto.

@@ -58,15 +58,6 @@ func EncodePNG(w io.Writer, img *fb.Framebuffer) error {
 	return png.Encode(w, ToImage(img))
 }
 
-// DecodePNG reads a PNG into a framebuffer.
-func DecodePNG(r io.Reader) (*fb.Framebuffer, error) {
-	img, err := png.Decode(r)
-	if err != nil {
-		return nil, err
-	}
-	return FromImage(img), nil
-}
-
 // WriteFilePNG encodes img to path as PNG.
 func WriteFilePNG(path string, img *fb.Framebuffer) error {
 	f, err := os.Create(path)
