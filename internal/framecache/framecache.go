@@ -297,7 +297,8 @@ func (c *Cache) Stats() stats.CacheStats {
 	defer c.mu.Unlock()
 	return stats.CacheStats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Coalesced: c.coalesced, FlightsLed: c.flightsLed, InFlight: len(c.flights),
-		Entries: c.ll.Len(), Bytes: c.bytes, EncodedBytes: c.encodedBytes, Budget: c.budget,
+		Coalesced: c.coalesced, FlightsLed: c.flightsLed, InFlight: uint64(len(c.flights)),
+		Entries: uint64(c.ll.Len()), Bytes: uint64(c.bytes), EncodedBytes: uint64(c.encodedBytes),
+		Budget: uint64(max(c.budget, 0)),
 	}
 }

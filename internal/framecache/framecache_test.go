@@ -19,7 +19,7 @@ func TestCacheEviction(t *testing.T) {
 		c.Put(Key{Seq: k, Frame: f}, fb.New(32, 32))
 	}
 	cs := c.Stats()
-	if cs.Entries != 3 || cs.Bytes != 3*frameBytes {
+	if cs.Entries != 3 || cs.Bytes != uint64(3*frameBytes) {
 		t.Fatalf("entries=%d bytes=%d, want 3 entries / %d bytes", cs.Entries, cs.Bytes, 3*frameBytes)
 	}
 	if cs.Evictions != 2 {
@@ -114,7 +114,7 @@ func TestCacheEvictionTable(t *testing.T) {
 			if cs.Evictions != tc.wantEvictions {
 				t.Errorf("evictions = %d, want %d", cs.Evictions, tc.wantEvictions)
 			}
-			if tc.budget > 0 && cs.Bytes > tc.budget {
+			if tc.budget > 0 && cs.Bytes > uint64(tc.budget) {
 				t.Errorf("cache holds %d bytes over budget %d", cs.Bytes, tc.budget)
 			}
 		})
@@ -289,7 +289,7 @@ func TestTGAChargedOnce(t *testing.T) {
 	k := Key{Seq: NewSeqKey("s", 12, 10, 1), Frame: 3}
 	img, file := noiseFrame(t, 12, 10, 1)
 	c.Put(k, img)
-	pix, enc := int64(len(img.Pix)), int64(len(file))
+	pix, enc := uint64(len(img.Pix)), uint64(len(file))
 	if cs := c.Stats(); cs.Bytes != pix || cs.EncodedBytes != 0 {
 		t.Fatalf("before: bytes=%d encoded=%d, want %d/0", cs.Bytes, cs.EncodedBytes, pix)
 	}
@@ -322,14 +322,14 @@ func TestTGAUncachedChargesNothing(t *testing.T) {
 	}
 	c.Put(Key{Seq: seq, Frame: 0}, img)
 	mustTGA(t, c, Key{Seq: seq, Frame: 0}, img, file)
-	if cs := c.Stats(); cs.Bytes != pix || cs.EncodedBytes != 0 || cs.Entries != 1 || cs.Evictions != 0 {
+	if cs := c.Stats(); cs.Bytes != uint64(pix) || cs.EncodedBytes != 0 || cs.Entries != 1 || cs.Evictions != 0 {
 		t.Fatalf("file does not fit: bytes=%d encoded=%d entries=%d evictions=%d, want %d/0/1/0",
 			cs.Bytes, cs.EncodedBytes, cs.Entries, cs.Evictions, pix)
 	}
 	c.Put(Key{Seq: seq, Frame: 1}, img) // evicts frame 0
 	mustTGA(t, c, Key{Seq: seq, Frame: 0}, img, file)
 	cs := c.Stats()
-	if cs.Bytes != pix || cs.EncodedBytes != 0 || cs.Entries != 1 {
+	if cs.Bytes != uint64(pix) || cs.EncodedBytes != 0 || cs.Entries != 1 {
 		t.Fatalf("evicted: bytes=%d encoded=%d entries=%d, want %d/0/1", cs.Bytes, cs.EncodedBytes, cs.Entries, pix)
 	}
 	if cs.Hits != 0 || cs.Misses != 0 {
@@ -359,10 +359,10 @@ func TestTGAEvictsFromTail(t *testing.T) {
 	}
 	seq := NewSeqKey("s", side, side, 1)
 	c := New(2*pix + 2*enc) // three frames and a file, or two and two
-	check := func(when string, bytes, encoded int64, entries int, evictions uint64) {
+	check := func(when string, bytes, encoded int64, entries, evictions uint64) {
 		t.Helper()
 		cs := c.Stats()
-		if cs.Bytes != bytes || cs.EncodedBytes != encoded || cs.Entries != entries || cs.Evictions != evictions {
+		if cs.Bytes != uint64(bytes) || cs.EncodedBytes != uint64(encoded) || cs.Entries != entries || cs.Evictions != evictions {
 			t.Fatalf("%s: bytes=%d encoded=%d entries=%d evictions=%d, want %d/%d/%d/%d",
 				when, cs.Bytes, cs.EncodedBytes, cs.Entries, cs.Evictions, bytes, encoded, entries, evictions)
 		}
@@ -437,8 +437,8 @@ func TestTGAFirstFetchRace(t *testing.T) {
 			t.Fatalf("racer %d: err=%v, bytes equal=%v", i, errs[i], bytes.Equal(got[i], file))
 		}
 	}
-	want := int64(len(img.Pix) + len(file))
-	if cs := c.Stats(); cs.Bytes != want || cs.EncodedBytes != int64(len(file)) {
+	want := uint64(len(img.Pix) + len(file))
+	if cs := c.Stats(); cs.Bytes != want || cs.EncodedBytes != uint64(len(file)) {
 		t.Fatalf("bytes=%d encoded=%d after the race, want %d/%d (one charge)", cs.Bytes, cs.EncodedBytes, want, len(file))
 	}
 }
@@ -453,7 +453,7 @@ func TestTGARefusesOversize(t *testing.T) {
 	if data, err := c.TGA(k, img); err == nil || data != nil {
 		t.Fatalf("TGA of a 65536-wide frame: %d bytes, err=%v; want a refusal", len(data), err)
 	}
-	if cs := c.Stats(); cs.EncodedBytes != 0 || cs.Bytes != int64(len(img.Pix)) {
+	if cs := c.Stats(); cs.EncodedBytes != 0 || cs.Bytes != uint64(len(img.Pix)) {
 		t.Errorf("bytes=%d encoded=%d after a refused encode", cs.Bytes, cs.EncodedBytes)
 	}
 }

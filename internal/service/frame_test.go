@@ -61,7 +61,7 @@ func TestFrameFetchIsSizedBytes(t *testing.T) {
 
 	spec := JobSpec{Scene: "newton:3", W: 60, H: 80}
 	first := renderJob(t, s, spec)
-	img, err := s.Frame(first.ID, 1)
+	img, _, err := s.frame(first.ID, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestFrameFetchIsSizedBytes(t *testing.T) {
 		}
 	}
 	cs := s.CacheStats()
-	if cs.EncodedBytes != int64(len(want)) || cs.Bytes != 3*int64(len(img.Pix))+cs.EncodedBytes {
+	if cs.EncodedBytes != uint64(len(want)) || cs.Bytes != 3*uint64(len(img.Pix))+cs.EncodedBytes {
 		t.Errorf("cache bytes=%d encoded=%d after two fetches of one frame, want %d and %d",
 			cs.Bytes, cs.EncodedBytes, 3*len(img.Pix)+len(want), len(want))
 	}
@@ -177,7 +177,7 @@ func TestFrameErrorsAreTyped(t *testing.T) {
 		{st.ID, 44, ErrFrameNotReady, http.StatusConflict, "service: frame 44 not rendered yet"},
 	}
 	for _, tc := range cases {
-		_, err := s.Frame(tc.id, tc.frame)
+		_, _, err := s.frame(tc.id, tc.frame)
 		if !errors.Is(err, tc.kind) || err.Error() != tc.msg {
 			t.Errorf("Frame(%s, %d) = %v; want %q matching %v", tc.id, tc.frame, err, tc.msg, tc.kind)
 		}
@@ -213,7 +213,7 @@ func warmFetcher(t testing.TB) (fetch func(), frameBytes int) {
 	reqs := make([]*http.Request, frames)
 	sizes := make([]int, frames)
 	for i := range reqs {
-		img, err := s.Frame(st.ID, i)
+		img, _, err := s.frame(st.ID, i)
 		if err != nil {
 			t.Fatal(err)
 		}

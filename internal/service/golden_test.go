@@ -61,7 +61,7 @@ func TestMetricsAndStatusGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "the first job to wait for its lease", func() bool { return s.FleetStats().Waits == 1 })
+	waitFor(t, "the first job to wait for its lease", func() bool { return s.leaser.Stats().Waits == 1 })
 	repeat, err := s.Submit(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"time"
 
+	"nowrender/internal/fleetd"
 	"nowrender/internal/stats"
 	"nowrender/internal/tga"
 )
@@ -210,251 +212,145 @@ func (s *Service) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	_ = tl.WriteChromeTrace(w)
 }
 
-// handleMetrics exposes the service counters in Prometheus text format:
-// queue depth, running jobs, job states, cache hit/miss/eviction and
-// occupancy, frames rendered vs served from cache, total rays, per-job
-// timings, and per-worker busy time (utilisation numerator).
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	cs := s.cache.Stats()
+// scrape is one consistent read of everything /metrics prints.
+type scrape struct {
+	totals
+	queueDepth, running uint64
+	uptime              time.Duration
+	cache               stats.CacheStats
+	fleet               fleetd.PoolStats
+	tenantDepths        map[string]int
+	rejected            map[string]uint64
+	states              map[State]int
+	workers             map[string]time.Duration
+	timings             []jobTiming
+}
 
+// jobTiming is one started job's row of the per-job timing families.
+type jobTiming struct {
+	id           string
+	queueS, runS float64
+	state        State
+}
+
+// metricTable is every /metrics sample whose labels are fixed, in the
+// order printed: the service's own counters, and the frame cache's, the
+// farm fault handling's and the wire's tables lifted from stats.
+var metricTable = slices.Concat(
+	[]stats.Counter[scrape]{
+		{Family: "nowrender_queue_depth", Help: "Jobs queued and not yet running.", Gauge: true, Field: func(m *scrape) *uint64 { return &m.queueDepth }},
+		{Family: "nowrender_jobs_running", Help: "Jobs currently running.", Gauge: true, Field: func(m *scrape) *uint64 { return &m.running }},
+	},
+	stats.Lift(stats.CacheTable, func(m *scrape) *stats.CacheStats { return &m.cache }),
+	[]stats.Counter[scrape]{
+		{Family: "nowrender_coalesced_frames_total", Help: "Frame requests that joined another job's in-flight render instead of rendering.", Field: func(m *scrape) *uint64 { return &m.coalescedFrames }},
+		{Family: "nowrender_coalesced_jobs_total", Help: "Jobs that received at least one frame from another job's in-flight render.", Field: func(m *scrape) *uint64 { return &m.coalescedJobs }},
+		{Family: "nowrender_fleet_capacity", Help: "Worker slots farm runs lease from (-1 = unlimited).", Gauge: true, Value: func(m *scrape) float64 { return float64(m.fleet.Capacity) }},
+		{Family: "nowrender_fleet_leased", Help: "Worker slots currently leased to farm runs.", Gauge: true, Value: func(m *scrape) float64 { return float64(m.fleet.Leased) }},
+		{Family: "nowrender_fleet_leases_total", Help: "Leases granted since start.", Field: func(m *scrape) *uint64 { return &m.fleet.Leases }},
+		{Family: "nowrender_fleet_lease_waits_total", Help: "Lease requests that had to wait for capacity.", Field: func(m *scrape) *uint64 { return &m.fleet.Waits }},
+		{Family: "nowrender_fleet_lease_wait_seconds_total", Help: "Time farm runs spent waiting for a worker lease.", Value: func(m *scrape) float64 { return m.leaseWait.Seconds() }},
+		{Family: "nowrender_fleet_lease_renews_total", Help: "Broker lease renewals (0 in single-replica mode).", Field: func(m *scrape) *uint64 { return &m.fleet.Renews }},
+		{Family: "nowrender_fleet_lease_expiries_total", Help: "Broker leases expired unrenewed (0 in single-replica mode).", Field: func(m *scrape) *uint64 { return &m.fleet.Expired }},
+		{Family: "nowrender_frames_rendered_total", Help: "Frames rendered by the farm.", Field: func(m *scrape) *uint64 { return &m.framesRendered }},
+		{Family: "nowrender_frames_cached_total", Help: "Frames served from the cache.", Field: func(m *scrape) *uint64 { return &m.framesCached }},
+		{Family: "nowrender_rays_traced_total", Help: "Rays traced across all jobs.", Field: func(m *scrape) *uint64 { return &m.rays }},
+	},
+	stats.Lift(stats.FaultTable, func(m *scrape) *stats.FaultCounters { return &m.faults }),
+	stats.Lift(stats.WireTable, func(m *scrape) *stats.WireStats { return &m.wire }),
+	[]stats.Counter[scrape]{
+		{Family: "nowrender_job_retries_total", Help: "Failed render attempts that were retried.", Field: func(m *scrape) *uint64 { return &m.jobRetries }},
+		{Family: "nowrender_uptime_seconds", Help: "Service uptime.", Value: func(m *scrape) float64 { return m.uptime.Seconds() }},
+	},
+)
+
+// scrape reads the counters under the lock, copying what later jobs go
+// on changing in place.
+func (s *Service) scrape() scrape {
+	m := scrape{cache: s.cache.Stats(), fleet: s.leaser.Stats(), states: map[State]int{}}
 	s.mu.Lock()
-	type jobTiming struct {
-		id           string
-		queueS, runS float64
-		state        State
-	}
-	states := map[State]int{}
-	var timings []jobTiming
+	defer s.mu.Unlock()
+	m.totals = s.totals
+	m.wire, m.objspace = stats.WireStats{}, stats.ObjSpaceStats{}
+	m.wire.Merge(s.wire)
+	m.objspace.Merge(s.objspace)
+	m.queueDepth, m.running = uint64(s.queue.n), uint64(s.running)
+	m.uptime = time.Since(s.started)
+	m.tenantDepths = s.queue.depths()
+	m.rejected = maps.Clone(s.rejected)
+	m.workers = maps.Clone(s.workerBusy)
 	for _, id := range s.order {
 		j := s.jobs[id]
-		states[j.state]++
-		t := jobTiming{id: j.id, state: j.state}
+		m.states[j.state]++
 		if !j.started.IsZero() {
-			t.queueS = j.started.Sub(j.submitted).Seconds()
 			end := j.finished
 			if end.IsZero() {
 				end = time.Now()
 			}
-			t.runS = end.Sub(j.started).Seconds()
-			timings = append(timings, t)
+			m.timings = append(m.timings, jobTiming{id: j.id, state: j.state,
+				queueS: j.started.Sub(j.submitted).Seconds(), runS: end.Sub(j.started).Seconds()})
 		}
 	}
-	queueDepth := s.queue.n
-	tenantDepths := s.queue.depths()
-	running := s.running
-	leaseWait := s.leaseWait
-	framesRendered := s.framesRendered
-	framesCached := s.framesCached
-	coalescedFrames := s.coalescedFrames
-	coalescedJobs := s.coalescedJobs
-	rejected := make(map[string]uint64, len(s.rejected))
-	for r, n := range s.rejected {
-		rejected[r] = n
-	}
-	totalRays := s.rays.Total()
-	faults := s.faults
-	wire := s.wire
-	objspace := s.objspace
-	objspace.PerShard = append([]stats.ObjSpaceShard(nil), s.objspace.PerShard...)
-	jobRetries := s.jobRetries
-	workers := make(map[string]time.Duration, len(s.workerBusy))
-	for k, v := range s.workerBusy {
-		workers[k] = v
-	}
-	uptime := time.Since(s.started).Seconds()
-	s.mu.Unlock()
-	fs := s.FleetStats()
+	return m
+}
 
+// handleMetrics exposes the service counters in Prometheus text format:
+// one loop over metricTable, with the families whose labels come from
+// data — tenants, rejection reasons, job states, shards, workers and
+// jobs — written after the row they follow.
+func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	m := s.scrape()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	p := func(format string, args ...any) { fmt.Fprintf(w, format+"\n", args...) }
-
-	p("# HELP nowrender_queue_depth Jobs queued and not yet running.")
-	p("# TYPE nowrender_queue_depth gauge")
-	p("nowrender_queue_depth %d", queueDepth)
-	tenants := make([]string, 0, len(tenantDepths))
-	for t := range tenantDepths {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
-	for _, t := range tenants {
-		p("nowrender_queue_depth{tenant=%q} %d", t, tenantDepths[t])
-	}
-	p("# HELP nowrender_jobs_rejected_total Submissions refused by admission control, by reason.")
-	p("# TYPE nowrender_jobs_rejected_total counter")
-	for _, reason := range []string{RejectQueueFull, RejectTenantQuota, RejectUnknownTenant, RejectDraining} {
-		p("nowrender_jobs_rejected_total{reason=%q} %d", reason, rejected[reason])
-	}
-	p("# HELP nowrender_jobs_running Jobs currently running.")
-	p("# TYPE nowrender_jobs_running gauge")
-	p("nowrender_jobs_running %d", running)
-	p("# HELP nowrender_jobs_total Jobs by lifecycle state.")
-	p("# TYPE nowrender_jobs_total gauge")
-	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
-		p("nowrender_jobs_total{state=%q} %d", string(st), states[st])
-	}
-
-	p("# HELP nowrender_cache_hits_total Frame cache hits.")
-	p("# TYPE nowrender_cache_hits_total counter")
-	p("nowrender_cache_hits_total %d", cs.Hits)
-	p("# HELP nowrender_cache_misses_total Frame cache misses.")
-	p("# TYPE nowrender_cache_misses_total counter")
-	p("nowrender_cache_misses_total %d", cs.Misses)
-	p("# HELP nowrender_cache_evictions_total Frames evicted to fit the byte budget.")
-	p("# TYPE nowrender_cache_evictions_total counter")
-	p("nowrender_cache_evictions_total %d", cs.Evictions)
-	p("# HELP nowrender_cache_hit_rate Hits over lookups since start.")
-	p("# TYPE nowrender_cache_hit_rate gauge")
-	p("nowrender_cache_hit_rate %g", cs.HitRate())
-	p("# HELP nowrender_cache_bytes Bytes currently cached: frame pixels plus the encoded TGA files kept beside them.")
-	p("# TYPE nowrender_cache_bytes gauge")
-	p("nowrender_cache_bytes %d", cs.Bytes)
-	p("# HELP nowrender_cache_encoded_bytes Share of nowrender_cache_bytes that is encoded TGA files.")
-	p("# TYPE nowrender_cache_encoded_bytes gauge")
-	p("nowrender_cache_encoded_bytes %d", cs.EncodedBytes)
-	p("# HELP nowrender_cache_entries Frames currently cached.")
-	p("# TYPE nowrender_cache_entries gauge")
-	p("nowrender_cache_entries %d", cs.Entries)
-	p("# HELP nowrender_cache_inflight Frame renders currently in flight (coalescing targets).")
-	p("# TYPE nowrender_cache_inflight gauge")
-	p("nowrender_cache_inflight %d", cs.InFlight)
-
-	p("# HELP nowrender_coalesced_frames_total Frame requests that joined another job's in-flight render instead of rendering.")
-	p("# TYPE nowrender_coalesced_frames_total counter")
-	p("nowrender_coalesced_frames_total %d", coalescedFrames)
-	p("# HELP nowrender_coalesced_jobs_total Jobs that received at least one frame from another job's in-flight render.")
-	p("# TYPE nowrender_coalesced_jobs_total counter")
-	p("nowrender_coalesced_jobs_total %d", coalescedJobs)
-
-	p("# HELP nowrender_fleet_capacity Worker slots farm runs lease from (-1 = unlimited).")
-	p("# TYPE nowrender_fleet_capacity gauge")
-	p("nowrender_fleet_capacity %d", fs.Capacity)
-	p("# HELP nowrender_fleet_leased Worker slots currently leased to farm runs.")
-	p("# TYPE nowrender_fleet_leased gauge")
-	p("nowrender_fleet_leased %d", fs.Leased)
-	p("# HELP nowrender_fleet_leases_total Leases granted since start.")
-	p("# TYPE nowrender_fleet_leases_total counter")
-	p("nowrender_fleet_leases_total %d", fs.Leases)
-	p("# HELP nowrender_fleet_lease_waits_total Lease requests that had to wait for capacity.")
-	p("# TYPE nowrender_fleet_lease_waits_total counter")
-	p("nowrender_fleet_lease_waits_total %d", fs.Waits)
-	p("# HELP nowrender_fleet_lease_wait_seconds_total Time farm runs spent waiting for a worker lease.")
-	p("# TYPE nowrender_fleet_lease_wait_seconds_total counter")
-	p("nowrender_fleet_lease_wait_seconds_total %g", leaseWait.Seconds())
-	p("# HELP nowrender_fleet_lease_renews_total Broker lease renewals (0 in single-replica mode).")
-	p("# TYPE nowrender_fleet_lease_renews_total counter")
-	p("nowrender_fleet_lease_renews_total %d", fs.Renews)
-	p("# HELP nowrender_fleet_lease_expiries_total Broker leases expired unrenewed (0 in single-replica mode).")
-	p("# TYPE nowrender_fleet_lease_expiries_total counter")
-	p("nowrender_fleet_lease_expiries_total %d", fs.Expired)
-
-	p("# HELP nowrender_frames_rendered_total Frames rendered by the farm.")
-	p("# TYPE nowrender_frames_rendered_total counter")
-	p("nowrender_frames_rendered_total %d", framesRendered)
-	p("# HELP nowrender_frames_cached_total Frames served from the cache.")
-	p("# TYPE nowrender_frames_cached_total counter")
-	p("nowrender_frames_cached_total %d", framesCached)
-	p("# HELP nowrender_rays_traced_total Rays traced across all jobs.")
-	p("# TYPE nowrender_rays_traced_total counter")
-	p("nowrender_rays_traced_total %d", totalRays)
-
-	p("# HELP nowrender_fault_events_total Farm fault-handling events by kind (workers retired, deadline expiries, malformed messages absorbed, frames requeued or quarantined, duplicates dropped, speculative re-issues).")
-	p("# TYPE nowrender_fault_events_total counter")
-	p("nowrender_fault_events_total{kind=\"workers_lost\"} %d", faults.WorkersLost)
-	p("nowrender_fault_events_total{kind=\"heartbeat_timeouts\"} %d", faults.HeartbeatTimeouts)
-	p("nowrender_fault_events_total{kind=\"stall_timeouts\"} %d", faults.StallTimeouts)
-	p("nowrender_fault_events_total{kind=\"malformed_messages\"} %d", faults.MalformedMessages)
-	p("nowrender_fault_events_total{kind=\"duplicates_dropped\"} %d", faults.DuplicatesDropped)
-	p("nowrender_fault_events_total{kind=\"frames_requeued\"} %d", faults.FramesRequeued)
-	p("nowrender_fault_events_total{kind=\"frames_quarantined\"} %d", faults.FramesQuarantined)
-	p("nowrender_fault_events_total{kind=\"speculative_tasks\"} %d", faults.SpeculativeTasks)
-	p("# HELP nowrender_heartbeat_pings_total Heartbeat pings sent to workers.")
-	p("# TYPE nowrender_heartbeat_pings_total counter")
-	p("nowrender_heartbeat_pings_total %d", faults.PingsSent)
-	p("# HELP nowrender_heartbeat_pongs_total Heartbeat pongs received from workers.")
-	p("# TYPE nowrender_heartbeat_pongs_total counter")
-	p("nowrender_heartbeat_pongs_total %d", faults.PongsReceived)
-	p("# HELP nowrender_wire_frames_total Frame results received over the farm data path by kind (full key-frames, dirty-span deltas, span-codec payloads, deltas dropped for a missing base).")
-	p("# TYPE nowrender_wire_frames_total counter")
-	p("nowrender_wire_frames_total{kind=\"full\"} %d", wire.FramesFull)
-	p("nowrender_wire_frames_total{kind=\"delta\"} %d", wire.FramesDelta)
-	p("nowrender_wire_frames_total{kind=\"span\"} %d", wire.FramesSpan)
-	p("nowrender_wire_frames_total{kind=\"delta_base_miss\"} %d", wire.DeltaBaseMisses)
-	p("# HELP nowrender_wire_bytes_total Frame payload bytes by accounting (wire = bytes actually shipped, raw = uncompressed full-region pixels they represent).")
-	p("# TYPE nowrender_wire_bytes_total counter")
-	p("nowrender_wire_bytes_total{kind=\"wire\"} %d", wire.WireBytes)
-	p("nowrender_wire_bytes_total{kind=\"raw\"} %d", wire.RawBytes)
-	p("# HELP nowrender_wire_codec_bytes_total Frame payload bytes shipped on the wire by payload encoding (raw where the span codec was off or failed to shrink the payload).")
-	p("# TYPE nowrender_wire_codec_bytes_total counter")
-	p("nowrender_wire_codec_bytes_total{codec=\"raw\"} %d", wire.WireBytesByEnc[0])
-	p("nowrender_wire_codec_bytes_total{codec=\"span\"} %d", wire.WireBytesByEnc[1])
-	p("# HELP nowrender_wire_ingress_bytes_total Result-path bytes by landing point: the master's own ingress versus distributed-framebuffer compositor sinks.")
-	p("# TYPE nowrender_wire_ingress_bytes_total counter")
-	p("nowrender_wire_ingress_bytes_total{at=\"master\"} %d", wire.MasterIngressBytes)
-	p("nowrender_wire_ingress_bytes_total{at=\"sink\"} %d", wire.SinkIngressBytes)
-	p("# HELP nowrender_wire_frame_acks_total DFB control acks received by the master in place of pixel payloads.")
-	p("# TYPE nowrender_wire_frame_acks_total counter")
-	p("nowrender_wire_frame_acks_total %d", wire.FramesAcked)
-	if objspace.Enabled() {
-		p("# HELP nowrender_rays_forwarded_total Object-space rays forwarded between shard owners, by sending shard.")
-		p("# TYPE nowrender_rays_forwarded_total counter")
-		for i, sh := range objspace.PerShard {
-			p("nowrender_rays_forwarded_total{shard=\"%d\"} %d", i, sh.RaysForwarded)
-		}
-		p("# HELP nowrender_forward_bytes_total Bytes the forwarded ray states serialized to, by sending shard.")
-		p("# TYPE nowrender_forward_bytes_total counter")
-		for i, sh := range objspace.PerShard {
-			p("nowrender_forward_bytes_total{shard=\"%d\"} %d", i, sh.ForwardBytes)
-		}
-		p("# HELP nowrender_objspace_peak_resident_bytes Largest per-shard resident scene size any sharded task built, by shard.")
-		p("# TYPE nowrender_objspace_peak_resident_bytes gauge")
-		for i, sh := range objspace.PerShard {
-			p("nowrender_objspace_peak_resident_bytes{shard=\"%d\"} %d", i, sh.ResidentBytes)
+	p := &stats.Prom{W: w}
+	for i := range metricTable {
+		row := &metricTable[i]
+		stats.WriteRow(p, row, &m)
+		switch row.Family {
+		case "nowrender_queue_depth":
+			for _, t := range stats.SortedKeys(m.tenantDepths) {
+				p.Sample(fmt.Sprintf("tenant=%q", t), m.tenantDepths[t])
+			}
+			p.Family("nowrender_jobs_rejected_total", "Submissions refused by admission control, by reason.", false)
+			for _, reason := range []string{RejectQueueFull, RejectTenantQuota, RejectUnknownTenant, RejectDraining} {
+				p.Sample(fmt.Sprintf("reason=%q", reason), m.rejected[reason])
+			}
+		case "nowrender_jobs_running":
+			p.Family("nowrender_jobs_total", "Jobs by lifecycle state.", true)
+			for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
+				p.Sample(fmt.Sprintf("state=%q", st), m.states[st])
+			}
+		case "nowrender_wire_frame_acks_total":
+			if m.objspace.Enabled() {
+				for _, row := range stats.ShardTable {
+					p.Family(row.Family, row.Help, row.Gauge)
+					for i := range m.objspace.PerShard {
+						p.Sample(fmt.Sprintf("shard=\"%d\"", i), *row.Field(&m.objspace.PerShard[i]))
+					}
+				}
+			}
+			if len(m.wire.BaseMissByWorker) > 0 {
+				p.Family("nowrender_wire_base_misses_total", "Deltas dropped for a missing base frame, by shipping worker.", false)
+				for _, n := range stats.SortedKeys(m.wire.BaseMissByWorker) {
+					p.Sample(fmt.Sprintf("worker=%q", n), m.wire.BaseMissByWorker[n])
+				}
+			}
+		case "nowrender_job_retries_total":
+			p.Family("nowrender_worker_busy_seconds_total", "Per-worker busy time (utilisation numerator).", false)
+			for _, n := range stats.SortedKeys(m.workers) {
+				p.Sample(fmt.Sprintf("worker=%q", n), m.workers[n].Seconds())
+			}
+			p.Family("nowrender_job_queue_seconds", "Time each job spent queued.", true)
+			for _, t := range m.timings {
+				p.Sample(fmt.Sprintf("job=%q", t.id), t.queueS)
+			}
+			p.Family("nowrender_job_run_seconds", "Time each job spent running (so far, if unfinished).", true)
+			for _, t := range m.timings {
+				p.Sample(fmt.Sprintf("job=%q,state=%q", t.id, t.state), t.runS)
+			}
+			if id := s.cfg.ReplicaID; id != "" {
+				p.Family("nowrender_replica_info", "Identity of this control-plane replica (always 1).", true)
+				p.Sample(fmt.Sprintf("replica=%q", id), 1)
+			}
 		}
 	}
-	if len(wire.BaseMissByWorker) > 0 {
-		p("# HELP nowrender_wire_base_misses_total Deltas dropped for a missing base frame, by shipping worker.")
-		p("# TYPE nowrender_wire_base_misses_total counter")
-		missers := make([]string, 0, len(wire.BaseMissByWorker))
-		for n := range wire.BaseMissByWorker {
-			missers = append(missers, n)
-		}
-		sort.Strings(missers)
-		for _, n := range missers {
-			p("nowrender_wire_base_misses_total{worker=%q} %d", n, wire.BaseMissByWorker[n])
-		}
-	}
-	p("# HELP nowrender_job_retries_total Failed render attempts that were retried.")
-	p("# TYPE nowrender_job_retries_total counter")
-	p("nowrender_job_retries_total %d", jobRetries)
-
-	p("# HELP nowrender_worker_busy_seconds_total Per-worker busy time (utilisation numerator).")
-	p("# TYPE nowrender_worker_busy_seconds_total counter")
-	names := make([]string, 0, len(workers))
-	for n := range workers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		p("nowrender_worker_busy_seconds_total{worker=%q} %g", n, workers[n].Seconds())
-	}
-
-	p("# HELP nowrender_job_queue_seconds Time each job spent queued.")
-	p("# TYPE nowrender_job_queue_seconds gauge")
-	for _, t := range timings {
-		p("nowrender_job_queue_seconds{job=%q} %g", t.id, t.queueS)
-	}
-	p("# HELP nowrender_job_run_seconds Time each job spent running (so far, if unfinished).")
-	p("# TYPE nowrender_job_run_seconds gauge")
-	for _, t := range timings {
-		p("nowrender_job_run_seconds{job=%q,state=%q} %g", t.id, string(t.state), t.runS)
-	}
-
-	if id := s.cfg.ReplicaID; id != "" {
-		p("# HELP nowrender_replica_info Identity of this control-plane replica (always 1).")
-		p("# TYPE nowrender_replica_info gauge")
-		p("nowrender_replica_info{replica=%q} 1", id)
-	}
-	p("# HELP nowrender_uptime_seconds Service uptime.")
-	p("# TYPE nowrender_uptime_seconds counter")
-	p("nowrender_uptime_seconds %g", uptime)
 }

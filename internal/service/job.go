@@ -108,42 +108,13 @@ type Status struct {
 	// Attempts counts render attempts so far (1 on the happy path;
 	// 1 + retries used otherwise).
 	Attempts int `json:"attempts,omitempty"`
-	// WorkersLost and FramesRequeued surface the job's fault-handling
-	// footprint: how many workers its farm runs retired and how many
-	// frame renderings were requeued onto survivors.
-	WorkersLost    uint64 `json:"workers_lost,omitempty"`
-	FramesRequeued uint64 `json:"frames_requeued,omitempty"`
-	// WireFramesFull/Delta and Wire/Raw bytes surface the job's frame
-	// data-path footprint: how many results were full key-frames vs
-	// dirty-span deltas, and the bytes shipped vs the raw pixels they
-	// represent (zero for fully cache-served jobs).
-	WireFramesFull  uint64 `json:"wire_frames_full,omitempty"`
-	WireFramesDelta uint64 `json:"wire_frames_delta,omitempty"`
-	// WireFramesSpan counts the results whose payload the span codec
-	// shrank.
-	WireFramesSpan uint64 `json:"wire_frames_span,omitempty"`
-	WireBytes      uint64 `json:"wire_bytes,omitempty"`
-	WireRawBytes   uint64 `json:"wire_raw_bytes,omitempty"`
-	// WireMasterIngressBytes / WireSinkIngressBytes split WireBytes by
-	// where it landed: the master's own result path versus distributed-
-	// framebuffer compositor sinks; WireFramesAcked counts the DFB
-	// control acks the master saw in place of pixel payloads.
-	WireMasterIngressBytes uint64 `json:"wire_master_ingress_bytes,omitempty"`
-	WireSinkIngressBytes   uint64 `json:"wire_sink_ingress_bytes,omitempty"`
-	WireFramesAcked        uint64 `json:"wire_frames_acked,omitempty"`
-	// WireBaseMisses totals deltas dropped for a missing base frame;
-	// WireBaseMissByWorker attributes them, so a worker that keeps
-	// losing its delta chain is visible per job.
-	WireBaseMisses       uint64            `json:"wire_base_misses,omitempty"`
-	WireBaseMissByWorker map[string]uint64 `json:"wire_base_miss_by_worker,omitempty"`
-	// RaysForwarded, ForwardBytes and ObjSpacePeakResidentBytes surface
-	// the job's object-space footprint when the spec sharded the scene:
-	// shard-to-shard ray forwards, the bytes they serialized to, and the
-	// largest per-shard resident scene size any task built.
-	RaysForwarded             uint64 `json:"rays_forwarded,omitempty"`
-	ForwardBytes              uint64 `json:"forward_bytes,omitempty"`
-	ObjSpacePeakResidentBytes uint64 `json:"objspace_peak_resident_bytes,omitempty"`
-	Error                     string `json:"error,omitempty"`
+	// The job's fault-handling, frame data-path and object-space
+	// footprints: its farm runs' counters, merged (zero for a fully
+	// cache-served job). The stats fields' tags are their JSON keys.
+	stats.FaultCounters
+	stats.WireStats
+	stats.ObjSpaceStats
+	Error string `json:"error,omitempty"`
 
 	Submitted time.Time `json:"submitted"`
 	Started   time.Time `json:"started"`
@@ -234,28 +205,16 @@ func (j *job) status() Status {
 		ID: j.id, State: j.state, Spec: j.spec,
 		FramesTotal: len(j.frames), FramesDone: j.done,
 		CacheHits: j.cacheHits, CoalescedFrames: j.coalesced,
-		RaysTraced:  j.rays.Total(),
-		Attempts:    j.attempts,
-		LeaseWaitMS: j.leaseWait.Milliseconds(),
-		WorkersLost: j.faults.WorkersLost, FramesRequeued: j.faults.FramesRequeued,
-		WireFramesFull: j.wire.FramesFull, WireFramesDelta: j.wire.FramesDelta,
-		WireFramesSpan: j.wire.FramesSpan,
-		WireBytes:      j.wire.WireBytes, WireRawBytes: j.wire.RawBytes,
-		WireMasterIngressBytes:    j.wire.MasterIngressBytes,
-		WireSinkIngressBytes:      j.wire.SinkIngressBytes,
-		WireFramesAcked:           j.wire.FramesAcked,
-		WireBaseMisses:            j.wire.DeltaBaseMisses,
-		RaysForwarded:             j.objspace.RaysForwarded,
-		ForwardBytes:              j.objspace.ForwardBytes,
-		ObjSpacePeakResidentBytes: j.objspace.PeakResidentBytes,
-		Submitted:                 j.submitted, Started: j.started, Finished: j.finished,
+		RaysTraced:    j.rays.Total(),
+		Attempts:      j.attempts,
+		FaultCounters: j.faults,
+		LeaseWaitMS:   j.leaseWait.Milliseconds(),
+		Submitted:     j.submitted, Started: j.started, Finished: j.finished,
 	}
-	if len(j.wire.BaseMissByWorker) > 0 {
-		st.WireBaseMissByWorker = make(map[string]uint64, len(j.wire.BaseMissByWorker))
-		for w, n := range j.wire.BaseMissByWorker {
-			st.WireBaseMissByWorker[w] = n
-		}
-	}
+	// Merging into zero values copies the map and the slice that the
+	// job's later runs go on adding to under the lock.
+	st.WireStats.Merge(j.wire)
+	st.ObjSpaceStats.Merge(j.objspace)
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}

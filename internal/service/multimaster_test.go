@@ -43,7 +43,7 @@ func frames(t *testing.T, s *Service, id string, n int) [][]byte {
 	t.Helper()
 	out := make([][]byte, n)
 	for f := 0; f < n; f++ {
-		img, err := s.Frame(id, f)
+		img, _, err := s.frame(id, f)
 		if err != nil {
 			t.Fatalf("frame %d: %v", f, err)
 		}

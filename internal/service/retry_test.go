@@ -60,8 +60,8 @@ func TestJobRetryResumesPartialProgress(t *testing.T) {
 		t.Fatalf("reference job: %s (%s)", ref.State, ref.Error)
 	}
 	for f := 0; f < 6; f++ {
-		got, err1 := s.Frame(st.ID, f)
-		want, err2 := clean.Frame(ref.ID, f)
+		got, _, err1 := s.frame(st.ID, f)
+		want, _, err2 := clean.frame(ref.ID, f)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("frame %d: %v / %v", f, err1, err2)
 		}
@@ -165,8 +165,8 @@ waitRetry:
 		t.Errorf("retried job traced %d rays, want 0", st.RaysTraced)
 	}
 	for f := 0; f < 3; f++ {
-		got, err1 := s.Frame(st.ID, f)
-		want, err2 := s.Frame(peer.ID, f)
+		got, _, err1 := s.frame(st.ID, f)
+		want, _, err2 := s.frame(peer.ID, f)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("frame %d: %v / %v", f, err1, err2)
 		}

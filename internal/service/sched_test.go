@@ -170,14 +170,14 @@ func TestSchedulerBoundsConcurrency(t *testing.T) {
 		}
 		return n
 	}
-	if n, d := running(), s.QueueDepth(); n != 2 || d != 3 {
+	if n, d := running(), s.scrape().queueDepth; n != 2 || d != 3 {
 		t.Fatalf("running %d, queued %d; want 2 and 3", n, d)
 	}
 	if _, err := s.Cancel(ids[0]); err != nil {
 		t.Fatal(err)
 	}
 	waitDone(t, s, ids[0])
-	if n, d := running(), s.QueueDepth(); n != 2 || d > 2 {
+	if n, d := running(), s.scrape().queueDepth; n != 2 || d > 2 {
 		t.Fatalf("after one finished: running %d, queued %d; want 2 and at most 2", n, d)
 	}
 }

@@ -183,19 +183,22 @@ type Service struct {
 	wg       sync.WaitGroup
 
 	// Aggregate counters for /metrics.
-	leaseWait       time.Duration
-	framesRendered  uint64
-	framesCached    uint64
-	coalescedFrames uint64
-	coalescedJobs   uint64
-	rejected        map[string]uint64
-	rays            stats.RayCounters
-	workerBusy      map[string]time.Duration
-	faults          stats.FaultCounters
-	wire            stats.WireStats
-	objspace        stats.ObjSpaceStats
-	jobRetries      uint64
-	started         time.Time
+	totals
+	rejected   map[string]uint64
+	workerBusy map[string]time.Duration
+	started    time.Time
+}
+
+// totals is the service's aggregate counters: what every job and farm
+// run adds up to, the rows of /metrics' table (metricTable).
+type totals struct {
+	framesRendered, framesCached   uint64
+	coalescedFrames, coalescedJobs uint64
+	jobRetries, rays               uint64
+	leaseWait                      time.Duration
+	faults                         stats.FaultCounters
+	wire                           stats.WireStats
+	objspace                       stats.ObjSpaceStats
 }
 
 // New returns a ready service. No background goroutines run until jobs
@@ -226,9 +229,6 @@ func New(cfg Config) *Service {
 	}
 	return s
 }
-
-// ReplicaID names this service instance ("" in single-replica mode).
-func (s *Service) ReplicaID() string { return s.cfg.ReplicaID }
 
 // tenantName canonicalises a tenant: jobs submitted without one belong
 // to "default".
@@ -708,8 +708,9 @@ func (s *Service) renderRange(j *job, start, end int) error {
 	// job's status and /metrics or failed attempts would be invisible.
 	if res != nil {
 		s.mu.Lock()
-		j.rays.Merge(res.Run.TotalRays())
-		s.rays.Merge(res.Run.TotalRays())
+		rays := res.Run.TotalRays()
+		j.rays.Merge(rays)
+		s.rays += rays.Total()
 		j.faults.Merge(res.Faults)
 		s.faults.Merge(res.Faults)
 		j.wire.Merge(res.Wire)
@@ -764,20 +765,10 @@ func (s *Service) JobTimeline(id string) (*timeline.Timeline, error) {
 // WireStats snapshots the frame-result wire counters (deltas,
 // compression, bytes) aggregated over every farm run the service has
 // driven.
-func (s *Service) WireStats() stats.WireStats {
+func (s *Service) WireStats() (out stats.WireStats) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.wire
-}
-
-// ObjSpaceStats snapshots the object-space sharding counters (rays
-// forwarded, forwarding bytes, per-shard residents) aggregated over
-// every farm run the service has driven.
-func (s *Service) ObjSpaceStats() stats.ObjSpaceStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := s.objspace
-	out.PerShard = append([]stats.ObjSpaceShard(nil), s.objspace.PerShard...)
+	out.Merge(s.wire) // a deep copy
 	return out
 }
 
@@ -840,24 +831,7 @@ func (s *Service) Jobs() []Status {
 	return out
 }
 
-// Wait blocks until the job reaches a terminal state or ctx is done,
-// returning the final status.
-func (s *Service) Wait(ctx context.Context, id string) (Status, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return Status{}, fmt.Errorf("service: no job %q", id)
-	}
-	select {
-	case <-j.finishedCh:
-		return s.JobStatus(id)
-	case <-ctx.Done():
-		return Status{}, ctx.Err()
-	}
-}
-
-// What a failed Frame lookup matches under errors.Is: ErrNoFrame when
+// What a failed frame lookup matches under errors.Is: ErrNoFrame when
 // the job is unknown or the frame lies outside its range,
 // ErrFrameNotReady when the frame exists but is still being rendered.
 var (
@@ -875,15 +849,10 @@ type frameError struct {
 func (e *frameError) Error() string { return e.msg }
 func (e *frameError) Unwrap() error { return e.kind }
 
-// Frame returns the framebuffer of one absolute frame of a job, which
-// is available as soon as its "frame" progress event fires — before the
-// job completes. The framebuffer is shared and must not be modified.
-func (s *Service) Frame(id string, frame int) (*fb.Framebuffer, error) {
-	img, _, err := s.frame(id, frame)
-	return img, err
-}
-
-// frame is Frame plus the frame's cache address.
+// frame returns the framebuffer of one absolute frame of a job and its
+// cache key. A frame is available as soon as its "frame" progress event
+// fires, before the job completes; the framebuffer is shared and must
+// not be modified.
 func (s *Service) frame(id string, frame int) (*fb.Framebuffer, framecache.Key, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -907,43 +876,6 @@ func (s *Service) frame(id string, frame int) (*fb.Framebuffer, framecache.Key, 
 
 // CacheStats snapshots the frame cache counters.
 func (s *Service) CacheStats() stats.CacheStats { return s.cache.Stats() }
-
-// FleetStats snapshots the capacity source farm runs lease from: the
-// private pool in single-replica mode, the shared broker's view when a
-// Leaser was configured.
-func (s *Service) FleetStats() fleetd.PoolStats { return s.leaser.Stats() }
-
-// QueueDepth returns the number of queued (not yet running) jobs.
-func (s *Service) QueueDepth() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queue.n
-}
-
-// QueueDepths returns the queued-job count per tenant.
-func (s *Service) QueueDepths() map[string]int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queue.depths()
-}
-
-// Rejected snapshots the rejected-submission counters by reason.
-func (s *Service) Rejected() map[string]uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]uint64, len(s.rejected))
-	for r, n := range s.rejected {
-		out[r] = n
-	}
-	return out
-}
-
-// Draining reports whether the service has stopped admission.
-func (s *Service) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
 
 // subscribe registers a progress listener on a job. The returned channel
 // first replays one Event per frame already completed, then carries live

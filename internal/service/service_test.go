@@ -3,7 +3,6 @@ package service
 import (
 	"bufio"
 	"bytes"
-	"context"
 	"encoding/json"
 	"image"
 	"image/png"
@@ -23,11 +22,20 @@ import (
 // waitDone blocks until the job terminates, with a test-failing timeout.
 func waitDone(t testing.TB, s *Service, id string) Status {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
-	defer cancel()
-	st, err := s.Wait(ctx, id)
+	s.mu.Lock()
+	j, ok := s.jobs[id]
+	s.mu.Unlock()
+	if !ok {
+		t.Fatalf("wait %s: no such job", id)
+	}
+	select {
+	case <-j.finishedCh:
+	case <-time.After(120 * time.Second):
+		t.Fatalf("wait %s: timed out", id)
+	}
+	st, err := s.JobStatus(id)
 	if err != nil {
-		t.Fatalf("wait %s: %v", id, err)
+		t.Fatal(err)
 	}
 	return st
 }
@@ -75,8 +83,8 @@ func TestSecondJobServedEntirelyFromCache(t *testing.T) {
 
 	// The cached frames are byte-identical to the first render.
 	for f := 0; f < 4; f++ {
-		img1, err1 := s.Frame(st1.ID, f)
-		img2, err2 := s.Frame(st2.ID, f)
+		img1, _, err1 := s.frame(st1.ID, f)
+		img2, _, err2 := s.frame(st2.ID, f)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("frame %d: %v / %v", f, err1, err2)
 		}
@@ -192,7 +200,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := s.QueueDepth(); d != 1 {
+	if d := s.scrape().queueDepth; d != 1 {
 		t.Fatalf("queue depth = %d, want 1", d)
 	}
 	st, err := s.Cancel(queued.ID)
@@ -202,7 +210,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	if st.State != StateCancelled {
 		t.Fatalf("state = %s, want cancelled", st.State)
 	}
-	if d := s.QueueDepth(); d != 0 {
+	if d := s.scrape().queueDepth; d != 0 {
 		t.Fatalf("queue depth after cancel = %d, want 0", d)
 	}
 	if st.RaysTraced != 0 {
@@ -284,8 +292,8 @@ func TestSubmitValidation(t *testing.T) {
 // TestObjSpaceJob renders a job with the scene sharded across object-
 // space owners: the pixels must match the replicated render of the same
 // spec (the cache key deliberately ignores the shard count), the job
-// status must surface the forwarding counters, and /metrics must export
-// them per shard.
+// status must surface the forwarding counters, and the service's
+// aggregate must keep every shard's.
 func TestObjSpaceJob(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()
@@ -315,35 +323,14 @@ func TestObjSpaceJob(t *testing.T) {
 	if st.RaysForwarded == 0 || st.ForwardBytes == 0 {
 		t.Fatalf("sharded job recorded no forwarding: %+v", st)
 	}
-	if st.ObjSpacePeakResidentBytes == 0 {
+	if st.PeakResidentBytes == 0 {
 		t.Error("sharded job recorded no per-shard resident size")
 	}
 
-	agg := s.ObjSpaceStats()
-	if !agg.Enabled() || agg.RaysForwarded != st.RaysForwarded {
-		t.Errorf("service aggregate %+v does not match job %d", agg, st.RaysForwarded)
-	}
-
-	srv := httptest.NewServer(s.Handler())
-	defer srv.Close()
-	mResp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer mResp.Body.Close()
-	var metrics bytes.Buffer
-	if _, err := metrics.ReadFrom(mResp.Body); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`nowrender_rays_forwarded_total{shard="0"}`,
-		`nowrender_rays_forwarded_total{shard="2"}`,
-		`nowrender_forward_bytes_total{shard="0"}`,
-		`nowrender_objspace_peak_resident_bytes{shard="1"}`,
-	} {
-		if !strings.Contains(metrics.String(), want) {
-			t.Errorf("metrics missing %s", want)
-		}
+	// /metrics prints the aggregate by shard (TestMetricsAndStatusGolden).
+	agg := s.scrape().objspace
+	if !agg.Enabled() || agg.RaysForwarded != st.RaysForwarded || len(agg.PerShard) != 3 {
+		t.Errorf("service aggregate %+v does not match job %d over 3 shards", agg, st.RaysForwarded)
 	}
 }
 
@@ -375,13 +362,13 @@ func TestCoherentJobOverCameraCut(t *testing.T) {
 				}
 				var out []*fb.Framebuffer
 				for f := 0; f < frames; f++ {
-					img, err := s.Frame(st.ID, f)
+					img, _, err := s.frame(st.ID, f)
 					if err != nil {
 						t.Fatal(err)
 					}
 					out = append(out, img)
 				}
-				return out, s.FleetStats().Leases
+				return out, s.leaser.Stats().Leases
 			}
 			want, _ := render(true)
 			got, leases := render(false)
@@ -490,7 +477,7 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 
 	// Fetch frame 0 as TGA and compare with the in-process framebuffer.
-	want, err := s.Frame(st.ID, 0)
+	want, _, err := s.frame(st.ID, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,12 +516,17 @@ func TestHTTPEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Unknown job and out-of-range frame 404.
-	if r, _ := http.Get(srv.URL + "/jobs/nope"); r.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job status = %d", r.StatusCode)
-	}
-	if r, _ := http.Get(srv.URL + "/jobs/" + st.ID + "/frames/99"); r.StatusCode != http.StatusNotFound {
-		t.Fatalf("out-of-range frame status = %d", r.StatusCode)
+	// Unknown job and out-of-range frame 404. An unclosed body would
+	// keep its keep-alive connection's goroutines alive past the test.
+	for _, path := range []string{"/jobs/nope", "/jobs/" + st.ID + "/frames/99"} {
+		r, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s status = %d, want 404", path, r.StatusCode)
+		}
 	}
 
 	// Resubmit: served from cache; metrics report the hits and depth.
@@ -711,7 +703,7 @@ func TestNegativeCacheBytesDisablesCaching(t *testing.T) {
 			t.Fatalf("job %d hits=%d rays=%d: caching not disabled", i, st.CacheHits, st.RaysTraced)
 		}
 		for frame := 0; frame < 2; frame++ {
-			img, err := s.Frame(st.ID, frame)
+			img, _, err := s.frame(st.ID, frame)
 			if err != nil {
 				t.Fatal(err)
 			}

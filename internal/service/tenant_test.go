@@ -60,7 +60,7 @@ func TestCoalescingAcrossTenants(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "blocker to lease the pool", func() bool {
-		return s.FleetStats().Leased == 3
+		return s.leaser.Stats().Leased == 3
 	})
 
 	const scene = "newton:4"
@@ -87,7 +87,7 @@ func TestCoalescingAcrossTenants(t *testing.T) {
 		return true
 	})
 	waitFor(t, "lead job to wait on the pool", func() bool {
-		return s.FleetStats().Waits >= 1
+		return s.leaser.Stats().Waits >= 1
 	})
 
 	specB := spec
@@ -161,9 +161,9 @@ func TestCoalescingAcrossTenants(t *testing.T) {
 		t.Fatalf("reference: %s (%s)", ref.State, ref.Error)
 	}
 	for f := 0; f < 4; f++ {
-		want, _ := clean.Frame(ref.ID, f)
+		want, _, _ := clean.frame(ref.ID, f)
 		for _, id := range []string{stA.ID, stB.ID} {
-			got, err := s.Frame(id, f)
+			got, _, err := s.frame(id, f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -255,10 +255,10 @@ func TestAdmissionControl(t *testing.T) {
 		t.Error("submission accepted past QueueCap")
 	}
 
-	if got := s.QueueDepth(); got != 2 {
+	if got := s.scrape().queueDepth; got != 2 {
 		t.Errorf("queue depth = %d, want 2", got)
 	}
-	depths := s.QueueDepths()
+	depths := s.scrape().tenantDepths
 	if depths["alice"] != 1 || depths["bob"] != 1 {
 		t.Errorf("tenant depths = %v, want alice:1 bob:1", depths)
 	}
@@ -422,12 +422,12 @@ func TestDrainFinishesInFlightJobs(t *testing.T) {
 
 	drainErr := make(chan error, 1)
 	go func() { drainErr <- s.Drain(context.Background()) }()
-	waitFor(t, "drain to start", func() bool { return s.Draining() })
+	waitFor(t, "drain to start", func() bool { s.mu.Lock(); defer s.mu.Unlock(); return s.draining })
 
 	if _, err := s.Submit(JobSpec{Scene: "quickstart", W: 32, H: 32}); err == nil {
 		t.Error("submission accepted while draining")
 	}
-	if got := s.Rejected()[RejectDraining]; got != 1 {
+	if got := s.scrape().rejected[RejectDraining]; got != 1 {
 		t.Errorf("draining rejections = %d, want 1", got)
 	}
 

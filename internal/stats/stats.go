@@ -10,6 +10,7 @@ package stats
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -114,18 +115,6 @@ func (r *RunStats) FirstFrame() (FrameStats, bool) {
 	return r.Frames[0], true
 }
 
-// AverageFrameTime returns the mean per-frame elapsed time.
-func (r *RunStats) AverageFrameTime() time.Duration {
-	if len(r.Frames) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, f := range r.Frames {
-		sum += f.Elapsed
-	}
-	return sum / time.Duration(len(r.Frames))
-}
-
 // SumFrameTime returns the sum of per-frame times (single-processor
 // "total frame time" in Table 1; for parallel runs use Total).
 func (r *RunStats) SumFrameTime() time.Duration {
@@ -157,79 +146,69 @@ func (w WorkerStats) Utilisation(total time.Duration) float64 {
 // farm run: workers retired, frames requeued or quarantined, duplicate
 // and malformed messages absorbed. Like RayCounters they are plain
 // values owned by one goroutine (the master loop) and combined with
-// Merge when runs are aggregated (the service).
+// Merge when runs are aggregated (the service). FaultTable lists them.
 type FaultCounters struct {
 	// WorkersLost counts workers retired for any reason: connection
 	// failure (TagDown), graceful departure (TagBye), heartbeat or
 	// stall timeout, or a malformed message.
-	WorkersLost uint64
+	WorkersLost uint64 `json:"workers_lost,omitempty"`
 	// HeartbeatTimeouts counts workers retired because they stayed
 	// silent past the liveness deadline.
-	HeartbeatTimeouts uint64
+	HeartbeatTimeouts uint64 `json:"-"`
 	// StallTimeouts counts workers retired because they held a task
 	// without delivering progress past the stall deadline.
-	StallTimeouts uint64
+	StallTimeouts uint64 `json:"-"`
 	// MalformedMessages counts undecodable or protocol-violating
 	// messages absorbed by retiring their sender.
-	MalformedMessages uint64
+	MalformedMessages uint64 `json:"-"`
 	// DuplicatesDropped counts frame results discarded because the same
 	// (frame, region) was already delivered (speculation, retries).
-	DuplicatesDropped uint64
+	DuplicatesDropped uint64 `json:"-"`
 	// FramesRequeued counts frame renderings put back on the queue after
 	// their worker was lost or their result went missing.
-	FramesRequeued uint64
+	FramesRequeued uint64 `json:"frames_requeued,omitempty"`
 	// FramesQuarantined counts frame regions the master rendered locally
 	// after the frame exhausted its retry budget.
-	FramesQuarantined uint64
+	FramesQuarantined uint64 `json:"-"`
 	// SpeculativeTasks counts straggler ranges re-issued to idle workers
 	// near the end of the run.
-	SpeculativeTasks uint64
+	SpeculativeTasks uint64 `json:"-"`
 	// PingsSent and PongsReceived count heartbeat traffic.
-	PingsSent, PongsReceived uint64
+	PingsSent, PongsReceived uint64 `json:"-"`
+}
+
+const faultFamily = "nowrender_fault_events_total"
+
+// FaultTable is the one list of FaultCounters' counters. The report
+// names every fault-handling event; heartbeat traffic, which flows on
+// healthy runs too, is only exported.
+var FaultTable = []Counter[FaultCounters]{
+	{Family: faultFamily, Label: `kind="workers_lost"`, Short: "lost", Field: func(c *FaultCounters) *uint64 { return &c.WorkersLost },
+		Help: "Farm fault-handling events by kind (workers retired, deadline expiries, malformed messages absorbed, frames requeued or quarantined, duplicates dropped, speculative re-issues)."},
+	{Family: faultFamily, Label: `kind="heartbeat_timeouts"`, Short: "heartbeat", Field: func(c *FaultCounters) *uint64 { return &c.HeartbeatTimeouts }},
+	{Family: faultFamily, Label: `kind="stall_timeouts"`, Short: "stalled", Field: func(c *FaultCounters) *uint64 { return &c.StallTimeouts }},
+	{Family: faultFamily, Label: `kind="malformed_messages"`, Short: "malformed", Field: func(c *FaultCounters) *uint64 { return &c.MalformedMessages }},
+	{Family: faultFamily, Label: `kind="duplicates_dropped"`, Short: "dup", Field: func(c *FaultCounters) *uint64 { return &c.DuplicatesDropped }},
+	{Family: faultFamily, Label: `kind="frames_requeued"`, Short: "requeued", Field: func(c *FaultCounters) *uint64 { return &c.FramesRequeued }},
+	{Family: faultFamily, Label: `kind="frames_quarantined"`, Short: "quarantined", Field: func(c *FaultCounters) *uint64 { return &c.FramesQuarantined }},
+	{Family: faultFamily, Label: `kind="speculative_tasks"`, Short: "speculative", Field: func(c *FaultCounters) *uint64 { return &c.SpeculativeTasks }},
+	{Family: "nowrender_heartbeat_pings_total", Help: "Heartbeat pings sent to workers.", Field: func(c *FaultCounters) *uint64 { return &c.PingsSent }},
+	{Family: "nowrender_heartbeat_pongs_total", Help: "Heartbeat pongs received from workers.", Field: func(c *FaultCounters) *uint64 { return &c.PongsReceived }},
 }
 
 // Merge adds another counter set into c.
-func (c *FaultCounters) Merge(o FaultCounters) {
-	c.WorkersLost += o.WorkersLost
-	c.HeartbeatTimeouts += o.HeartbeatTimeouts
-	c.StallTimeouts += o.StallTimeouts
-	c.MalformedMessages += o.MalformedMessages
-	c.DuplicatesDropped += o.DuplicatesDropped
-	c.FramesRequeued += o.FramesRequeued
-	c.FramesQuarantined += o.FramesQuarantined
-	c.SpeculativeTasks += o.SpeculativeTasks
-	c.PingsSent += o.PingsSent
-	c.PongsReceived += o.PongsReceived
-}
+func (c *FaultCounters) Merge(o FaultCounters) { mergeRows(FaultTable, c, &o) }
 
 // Any reports whether any fault-handling event was recorded (heartbeat
 // traffic alone does not count: pings flow on healthy runs too).
-func (c FaultCounters) Any() bool {
-	return c.WorkersLost+c.HeartbeatTimeouts+c.StallTimeouts+
-		c.MalformedMessages+c.DuplicatesDropped+
-		c.FramesRequeued+c.FramesQuarantined+c.SpeculativeTasks > 0
-}
+func (c FaultCounters) Any() bool { return len(report(FaultTable, &c, true)) > 0 }
 
 // String implements fmt.Stringer, listing only nonzero counters.
 func (c FaultCounters) String() string {
-	parts := []string{}
-	add := func(name string, v uint64) {
-		if v > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", name, v))
-		}
+	if parts := report(FaultTable, &c, true); len(parts) > 0 {
+		return strings.Join(parts, " ")
 	}
-	add("lost", c.WorkersLost)
-	add("heartbeat", c.HeartbeatTimeouts)
-	add("stalled", c.StallTimeouts)
-	add("malformed", c.MalformedMessages)
-	add("dup", c.DuplicatesDropped)
-	add("requeued", c.FramesRequeued)
-	add("quarantined", c.FramesQuarantined)
-	add("speculative", c.SpeculativeTasks)
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, " ")
+	return "none"
 }
 
 // WireStats tallies the farm data path's frame-result traffic: how many
@@ -237,44 +216,73 @@ func (c FaultCounters) String() string {
 // payloads were span-coded, and how the bytes actually shipped compare
 // to the raw pixel bytes they represent. Like FaultCounters
 // they are owned by one goroutine (the master loop) and combined with
-// Merge when runs are aggregated.
+// Merge when runs are aggregated. WireTable lists them.
 type WireStats struct {
 	// FramesFull counts frame results carrying the region's full pixels
 	// (key-frames, plain-path results, and size-guard fallbacks).
-	FramesFull uint64
+	FramesFull uint64 `json:"wire_frames_full,omitempty"`
 	// FramesDelta counts frame results encoded as dirty-span deltas over
 	// the previous frame.
-	FramesDelta uint64
+	FramesDelta uint64 `json:"wire_frames_delta,omitempty"`
 	// FramesSpan counts results (full or delta) whose payload used the
 	// span codec.
-	FramesSpan uint64
+	FramesSpan uint64 `json:"wire_frames_span,omitempty"`
 	// WireBytesByEnc breaks WireBytes down by payload encoding: raw
 	// payloads at 0, span-coded ones at 1.
-	WireBytesByEnc [2]uint64
-	// DeltaBaseMisses counts deltas discarded because their base frame
-	// never arrived (its result was lost in transit); the frame is
-	// re-rendered by the usual requeue path.
-	DeltaBaseMisses uint64
-	// RawBytes is the full-region RGB byte count the delivered results
-	// represent; WireBytes is what actually crossed the wire (sealed
-	// payload, spans and counters included).
-	RawBytes, WireBytes uint64
-	// BaseMissByWorker breaks DeltaBaseMisses down by worker name, so a
-	// flaky link or a worker that keeps losing its delta chain is
-	// attributable. Nil until the first miss.
-	BaseMissByWorker map[string]uint64
+	WireBytesByEnc [2]uint64 `json:"-"`
+	// WireBytes is what actually crossed the wire (sealed payload, spans
+	// and counters included); RawBytes is the full-region RGB byte count
+	// the delivered results represent.
+	WireBytes uint64 `json:"wire_bytes,omitempty"`
+	RawBytes  uint64 `json:"wire_raw_bytes,omitempty"`
 	// MasterIngressBytes is the slice of WireBytes that entered the
 	// master itself. On the master-routed path it equals
 	// WireBytes; with the distributed framebuffer it counts only the
 	// small control acks and sink confirmations, while the pixel
 	// payloads (SinkIngressBytes) land at the compositor sinks.
-	MasterIngressBytes uint64
+	MasterIngressBytes uint64 `json:"wire_master_ingress_bytes,omitempty"`
 	// SinkIngressBytes counts frame-result payload bytes received by
 	// compositor sinks (zero on the master-routed path).
-	SinkIngressBytes uint64
+	SinkIngressBytes uint64 `json:"wire_sink_ingress_bytes,omitempty"`
 	// FramesAcked counts DFB control acks: frame results a worker
 	// shipped to a sink and acknowledged to the master.
-	FramesAcked uint64
+	FramesAcked uint64 `json:"wire_frames_acked,omitempty"`
+	// DeltaBaseMisses counts deltas discarded because their base frame
+	// never arrived (its result was lost in transit); the frame is
+	// re-rendered by the usual requeue path.
+	DeltaBaseMisses uint64 `json:"wire_base_misses,omitempty"`
+	// BaseMissByWorker breaks DeltaBaseMisses down by worker name, so a
+	// flaky link or a worker that keeps losing its delta chain is
+	// attributable. Nil until the first miss.
+	BaseMissByWorker map[string]uint64 `json:"wire_base_miss_by_worker,omitempty"`
+}
+
+const (
+	wireFrames  = "nowrender_wire_frames_total"
+	wireBytes   = "nowrender_wire_bytes_total"
+	wireCodec   = "nowrender_wire_codec_bytes_total"
+	wireIngress = "nowrender_wire_ingress_bytes_total"
+)
+
+// WireTable is the one list of WireStats' counters. String appends the
+// derived ratio and, on distributed-framebuffer runs, the ingress split
+// by hand; Merge adds BaseMissByWorker by hand.
+var WireTable = []Counter[WireStats]{
+	{Family: wireFrames, Label: `kind="full"`, Short: "full", Field: func(c *WireStats) *uint64 { return &c.FramesFull },
+		Help: "Frame results received over the farm data path by kind (full key-frames, dirty-span deltas, span-codec payloads, deltas dropped for a missing base)."},
+	{Family: wireFrames, Label: `kind="delta"`, Short: "delta", Field: func(c *WireStats) *uint64 { return &c.FramesDelta }},
+	{Family: wireFrames, Label: `kind="span"`, Short: "span", Field: func(c *WireStats) *uint64 { return &c.FramesSpan }},
+	{Family: wireFrames, Label: `kind="delta_base_miss"`, Short: "base-miss", Field: func(c *WireStats) *uint64 { return &c.DeltaBaseMisses }},
+	{Family: wireBytes, Label: `kind="wire"`, Short: "wire", Field: func(c *WireStats) *uint64 { return &c.WireBytes },
+		Help: "Frame payload bytes by accounting (wire = bytes actually shipped, raw = uncompressed full-region pixels they represent)."},
+	{Family: wireBytes, Label: `kind="raw"`, Short: "raw", Field: func(c *WireStats) *uint64 { return &c.RawBytes }},
+	{Family: wireCodec, Label: `codec="raw"`, Field: func(c *WireStats) *uint64 { return &c.WireBytesByEnc[0] },
+		Help: "Frame payload bytes shipped on the wire by payload encoding (raw where the span codec was off or failed to shrink the payload)."},
+	{Family: wireCodec, Label: `codec="span"`, Field: func(c *WireStats) *uint64 { return &c.WireBytesByEnc[1] }},
+	{Family: wireIngress, Label: `at="master"`, Field: func(c *WireStats) *uint64 { return &c.MasterIngressBytes },
+		Help: "Result-path bytes by landing point: the master's own ingress versus distributed-framebuffer compositor sinks."},
+	{Family: wireIngress, Label: `at="sink"`, Field: func(c *WireStats) *uint64 { return &c.SinkIngressBytes }},
+	{Family: "nowrender_wire_frame_acks_total", Help: "DFB control acks received by the master in place of pixel payloads.", Field: func(c *WireStats) *uint64 { return &c.FramesAcked }},
 }
 
 // CountEncoding tallies one frame result's wire bytes by payload
@@ -297,27 +305,15 @@ func (c *WireStats) AddBaseMiss(worker string) {
 	c.BaseMissByWorker[worker]++
 }
 
-// Merge adds another counter set into c.
+// Merge adds another counter set into c. Merging into a zero WireStats
+// makes a deep copy.
 func (c *WireStats) Merge(o WireStats) {
-	c.FramesFull += o.FramesFull
-	c.FramesDelta += o.FramesDelta
-	c.FramesSpan += o.FramesSpan
-	for i := range c.WireBytesByEnc {
-		c.WireBytesByEnc[i] += o.WireBytesByEnc[i]
+	mergeRows(WireTable, c, &o)
+	if len(o.BaseMissByWorker) > 0 && c.BaseMissByWorker == nil {
+		c.BaseMissByWorker = make(map[string]uint64, len(o.BaseMissByWorker))
 	}
-	c.DeltaBaseMisses += o.DeltaBaseMisses
-	c.RawBytes += o.RawBytes
-	c.WireBytes += o.WireBytes
-	c.MasterIngressBytes += o.MasterIngressBytes
-	c.SinkIngressBytes += o.SinkIngressBytes
-	c.FramesAcked += o.FramesAcked
-	if len(o.BaseMissByWorker) > 0 {
-		if c.BaseMissByWorker == nil {
-			c.BaseMissByWorker = make(map[string]uint64, len(o.BaseMissByWorker))
-		}
-		for w, n := range o.BaseMissByWorker {
-			c.BaseMissByWorker[w] += n
-		}
+	for w, n := range o.BaseMissByWorker {
+		c.BaseMissByWorker[w] += n
 	}
 }
 
@@ -336,9 +332,7 @@ func (c WireStats) String() string {
 	if c.FramesFull+c.FramesDelta == 0 {
 		return "none"
 	}
-	s := fmt.Sprintf("full=%d delta=%d span=%d base-miss=%d wire=%d raw=%d ratio=%.2f",
-		c.FramesFull, c.FramesDelta, c.FramesSpan, c.DeltaBaseMisses,
-		c.WireBytes, c.RawBytes, c.Ratio())
+	s := strings.Join(report(WireTable, &c, false), " ") + fmt.Sprintf(" ratio=%.2f", c.Ratio())
 	if c.FramesAcked > 0 || c.SinkIngressBytes > 0 {
 		s += fmt.Sprintf(" acked=%d master-in=%d sink-in=%d",
 			c.FramesAcked, c.MasterIngressBytes, c.SinkIngressBytes)
@@ -362,23 +356,40 @@ type ObjSpaceShard struct {
 	ResidentBytes uint64
 }
 
+// ShardTable is the one list of ObjSpaceShard's counters; /metrics
+// labels each family's samples by shard index.
+var ShardTable = []Counter[ObjSpaceShard]{
+	{Family: "nowrender_rays_forwarded_total", Help: "Object-space rays forwarded between shard owners, by sending shard.", Field: func(c *ObjSpaceShard) *uint64 { return &c.RaysForwarded }},
+	{Family: "nowrender_forward_bytes_total", Help: "Bytes the forwarded ray states serialized to, by sending shard.", Field: func(c *ObjSpaceShard) *uint64 { return &c.ForwardBytes }},
+	{Family: "nowrender_objspace_peak_resident_bytes", Help: "Largest per-shard resident scene size any sharded task built, by shard.", Gauge: true, Field: func(c *ObjSpaceShard) *uint64 { return &c.ResidentBytes }},
+}
+
 // ObjSpaceStats tallies an object-space (sharded scene) run: how many
 // rays crossed shard boundaries, what the forwarding protocol cost in
 // bytes, and how big each shard's resident slice of the scene was. Like
 // the other counter types it is a plain value owned by one goroutine
-// and combined with Merge when runs are aggregated.
+// and combined with Merge when runs are aggregated. objSpaceTable lists
+// its totals.
 type ObjSpaceStats struct {
 	// Shards is the shard count of the partition (0 = objspace off).
-	Shards int
+	Shards int `json:"-"`
 	// RaysForwarded and ForwardBytes total the per-shard counters.
-	RaysForwarded uint64
-	ForwardBytes  uint64
+	RaysForwarded uint64 `json:"rays_forwarded,omitempty"`
+	ForwardBytes  uint64 `json:"forward_bytes,omitempty"`
 	// PerShard breaks the counters down by shard index.
-	PerShard []ObjSpaceShard
+	PerShard []ObjSpaceShard `json:"-"`
 	// PeakResidentBytes is the largest per-shard resident scene size —
 	// the number that must shrink as Shards grows for the decomposition
 	// to deliver its memory promise.
-	PeakResidentBytes uint64
+	PeakResidentBytes uint64 `json:"objspace_peak_resident_bytes,omitempty"`
+}
+
+// objSpaceTable is the one list of ObjSpaceStats' totals. /metrics
+// exports them by shard, from PerShard.
+var objSpaceTable = []Counter[ObjSpaceStats]{
+	{Short: "forwarded", Field: func(c *ObjSpaceStats) *uint64 { return &c.RaysForwarded }},
+	{Short: "fwd-bytes", Field: func(c *ObjSpaceStats) *uint64 { return &c.ForwardBytes }},
+	{Short: "peak-resident", Gauge: true, Field: func(c *ObjSpaceStats) *uint64 { return &c.PeakResidentBytes }},
 }
 
 // Enabled reports whether the run used object-space sharding.
@@ -386,32 +397,18 @@ func (c ObjSpaceStats) Enabled() bool { return c.Shards > 1 }
 
 // Merge adds another counter set into c. Shard counts are expected to
 // match across merged runs of one job; the larger partition wins when
-// they differ.
+// they differ. Merging into a zero ObjSpaceStats makes a deep copy.
 func (c *ObjSpaceStats) Merge(o ObjSpaceStats) {
-	if o.Shards > c.Shards {
-		c.Shards = o.Shards
-	}
-	c.RaysForwarded += o.RaysForwarded
-	c.ForwardBytes += o.ForwardBytes
+	c.Shards = max(c.Shards, o.Shards)
+	mergeRows(objSpaceTable, c, &o)
 	for len(c.PerShard) < len(o.PerShard) {
 		c.PerShard = append(c.PerShard, ObjSpaceShard{})
 	}
 	for i, s := range o.PerShard {
 		d := &c.PerShard[i]
-		d.RaysForwarded += s.RaysForwarded
-		d.ForwardBytes += s.ForwardBytes
-		if s.Objects > d.Objects {
-			d.Objects = s.Objects
-		}
-		if s.Tris > d.Tris {
-			d.Tris = s.Tris
-		}
-		if s.ResidentBytes > d.ResidentBytes {
-			d.ResidentBytes = s.ResidentBytes
-		}
-	}
-	if o.PeakResidentBytes > c.PeakResidentBytes {
-		c.PeakResidentBytes = o.PeakResidentBytes
+		mergeRows(ShardTable, d, &s)
+		d.Objects = max(d.Objects, s.Objects)
+		d.Tris = max(d.Tris, s.Tris)
 	}
 }
 
@@ -420,12 +417,12 @@ func (c ObjSpaceStats) String() string {
 	if !c.Enabled() {
 		return "off"
 	}
-	return fmt.Sprintf("shards=%d forwarded=%d fwd-bytes=%d peak-resident=%d",
-		c.Shards, c.RaysForwarded, c.ForwardBytes, c.PeakResidentBytes)
+	return fmt.Sprintf("shards=%d ", c.Shards) + strings.Join(report(objSpaceTable, &c, false), " ")
 }
 
 // CacheStats is a snapshot of a content-addressed cache's counters (the
-// service-level frame cache reports these through /metrics).
+// service-level frame cache reports these through /metrics). CacheTable
+// lists them.
 type CacheStats struct {
 	// Hits and Misses count lookups; Evictions counts entries dropped to
 	// stay under the byte budget.
@@ -435,15 +432,32 @@ type CacheStats struct {
 	// the productions so coalesced-onto.
 	Coalesced, FlightsLed uint64
 	// InFlight is the number of frames currently being produced.
-	InFlight int
+	InFlight uint64
 	// Entries and Bytes describe current occupancy — Bytes is cached
 	// pixels plus the encoded forms kept beside them, EncodedBytes the
 	// encoded share of it; Budget is the configured limit on Bytes
 	// (0 = unlimited).
-	Entries      int
-	Bytes        int64
-	EncodedBytes int64
-	Budget       int64
+	Entries      uint64
+	Bytes        uint64
+	EncodedBytes uint64
+	Budget       uint64
+}
+
+// CacheTable is the one list of CacheStats' counters. The service counts
+// coalescing per job and frame itself, so Coalesced, FlightsLed and
+// Budget are not exported.
+var CacheTable = []Counter[CacheStats]{
+	{Family: "nowrender_cache_hits_total", Help: "Frame cache hits.", Field: func(c *CacheStats) *uint64 { return &c.Hits }},
+	{Family: "nowrender_cache_misses_total", Help: "Frame cache misses.", Field: func(c *CacheStats) *uint64 { return &c.Misses }},
+	{Family: "nowrender_cache_evictions_total", Help: "Frames evicted to fit the byte budget.", Field: func(c *CacheStats) *uint64 { return &c.Evictions }},
+	{Family: "nowrender_cache_hit_rate", Help: "Hits over lookups since start.", Gauge: true, Value: (*CacheStats).HitRate},
+	{Family: "nowrender_cache_bytes", Help: "Bytes currently cached: frame pixels plus the encoded TGA files kept beside them.", Gauge: true, Field: func(c *CacheStats) *uint64 { return &c.Bytes }},
+	{Family: "nowrender_cache_encoded_bytes", Help: "Share of nowrender_cache_bytes that is encoded TGA files.", Gauge: true, Field: func(c *CacheStats) *uint64 { return &c.EncodedBytes }},
+	{Family: "nowrender_cache_entries", Help: "Frames currently cached.", Gauge: true, Field: func(c *CacheStats) *uint64 { return &c.Entries }},
+	{Family: "nowrender_cache_inflight", Help: "Frame renders currently in flight (coalescing targets).", Gauge: true, Field: func(c *CacheStats) *uint64 { return &c.InFlight }},
+	{Field: func(c *CacheStats) *uint64 { return &c.Coalesced }},
+	{Field: func(c *CacheStats) *uint64 { return &c.FlightsLed }},
+	{Gauge: true, Field: func(c *CacheStats) *uint64 { return &c.Budget }},
 }
 
 // HitRate returns hits / lookups, or 0 before any lookup.
@@ -471,7 +485,7 @@ func (t *Table) AddRow(kv ...string) {
 	row := make(map[string]string, len(kv)/2)
 	for i := 0; i < len(kv); i += 2 {
 		k, v := kv[i], kv[i+1]
-		if !contains(t.cols, k) {
+		if !slices.Contains(t.cols, k) {
 			t.cols = append(t.cols, k)
 		}
 		row[k] = v
@@ -551,13 +565,4 @@ func SortedKeys[M ~map[string]V, V any](m M) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-func contains(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
 }

@@ -40,9 +40,6 @@ func TestRunStatsOrderingAndAggregates(t *testing.T) {
 	if !ok || ff.Frame != 0 || ff.Elapsed != 4*time.Second {
 		t.Errorf("FirstFrame = %+v ok=%v", ff, ok)
 	}
-	if got := r.AverageFrameTime(); got != 3*time.Second {
-		t.Errorf("avg = %v", got)
-	}
 	if got := r.SumFrameTime(); got != 9*time.Second {
 		t.Errorf("sum = %v", got)
 	}
@@ -52,9 +49,6 @@ func TestRunStatsEmpty(t *testing.T) {
 	var r RunStats
 	if _, ok := r.FirstFrame(); ok {
 		t.Error("FirstFrame on empty run")
-	}
-	if r.AverageFrameTime() != 0 {
-		t.Error("avg on empty run")
 	}
 }
 
