@@ -301,14 +301,14 @@ func (s *Service) scrape() scrape {
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	m := s.scrape()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	p := &stats.Prom{W: w}
+	var p stats.Prom
 	for i := range metricTable {
 		row := &metricTable[i]
-		stats.WriteRow(p, row, &m)
+		stats.WriteRow(&p, row, &m)
 		switch row.Family {
 		case "nowrender_queue_depth":
 			for _, t := range stats.SortedKeys(m.tenantDepths) {
-				p.Sample(fmt.Sprintf("tenant=%q", t), m.tenantDepths[t])
+				p.Sample(fmt.Sprintf("tenant=%q", t), uint64(m.tenantDepths[t]))
 			}
 			p.Family("nowrender_jobs_rejected_total", "Submissions refused by admission control, by reason.", false)
 			for _, reason := range []string{RejectQueueFull, RejectTenantQuota, RejectUnknownTenant, RejectDraining} {
@@ -317,7 +317,7 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		case "nowrender_jobs_running":
 			p.Family("nowrender_jobs_total", "Jobs by lifecycle state.", true)
 			for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled} {
-				p.Sample(fmt.Sprintf("state=%q", st), m.states[st])
+				p.Sample(fmt.Sprintf("state=%q", st), uint64(m.states[st]))
 			}
 		case "nowrender_wire_frame_acks_total":
 			if m.objspace.Enabled() {
@@ -337,15 +337,15 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		case "nowrender_job_retries_total":
 			p.Family("nowrender_worker_busy_seconds_total", "Per-worker busy time (utilisation numerator).", false)
 			for _, n := range stats.SortedKeys(m.workers) {
-				p.Sample(fmt.Sprintf("worker=%q", n), m.workers[n].Seconds())
+				p.SampleFloat(fmt.Sprintf("worker=%q", n), m.workers[n].Seconds())
 			}
 			p.Family("nowrender_job_queue_seconds", "Time each job spent queued.", true)
 			for _, t := range m.timings {
-				p.Sample(fmt.Sprintf("job=%q", t.id), t.queueS)
+				p.SampleFloat(fmt.Sprintf("job=%q", t.id), t.queueS)
 			}
 			p.Family("nowrender_job_run_seconds", "Time each job spent running (so far, if unfinished).", true)
 			for _, t := range m.timings {
-				p.Sample(fmt.Sprintf("job=%q,state=%q", t.id, t.state), t.runS)
+				p.SampleFloat(fmt.Sprintf("job=%q,state=%q", t.id, t.state), t.runS)
 			}
 			if id := s.cfg.ReplicaID; id != "" {
 				p.Family("nowrender_replica_info", "Identity of this control-plane replica (always 1).", true)
@@ -353,4 +353,5 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	_, _ = w.Write(p.Text)
 }

@@ -2,7 +2,7 @@ package stats
 
 import (
 	"fmt"
-	"io"
+	"strconv"
 )
 
 // Counter is one row of a counter table: one number of a counter struct
@@ -77,10 +77,10 @@ func Lift[T, U any](rows []Counter[U], in func(*T) *U) []Counter[T] {
 	return out
 }
 
-// Prom writes the Prometheus text format: each family's HELP and TYPE
-// lines, then its samples.
+// Prom builds the Prometheus text format in Text: each family's HELP
+// and TYPE lines, then its samples.
 type Prom struct {
-	W      io.Writer
+	Text   []byte
 	family string // the family open for samples
 }
 
@@ -95,17 +95,39 @@ func (p *Prom) Family(family, help string, gauge bool) {
 	if gauge {
 		typ = "gauge"
 	}
-	fmt.Fprintf(p.W, "# HELP %s %s\n# TYPE %s %s\n", family, help, family, typ)
+	p.line("# HELP ", family, " ", help)
+	p.line("# TYPE ", family, " ", typ)
 }
 
-// Sample writes one sample of the open family. label goes inside the
-// braces ("" for none); v is a number, printed as fmt's %v prints it.
-func (p *Prom) Sample(label string, v any) {
-	if label != "" {
-		fmt.Fprintf(p.W, "%s{%s} %v\n", p.family, label, v)
-	} else {
-		fmt.Fprintf(p.W, "%s %v\n", p.family, v)
+// line appends parts and a newline.
+func (p *Prom) line(parts ...string) {
+	for _, s := range parts {
+		p.Text = append(p.Text, s...)
 	}
+	p.Text = append(p.Text, '\n')
+}
+
+// Sample writes one sample of the open family; label goes inside the
+// braces ("" for none).
+func (p *Prom) Sample(label string, v uint64) {
+	p.Text = strconv.AppendUint(p.name(label), v, 10)
+	p.Text = append(p.Text, '\n')
+}
+
+// SampleFloat is Sample for a float, printed as fmt's %g prints it.
+func (p *Prom) SampleFloat(label string, v float64) {
+	p.Text = strconv.AppendFloat(p.name(label), v, 'g', -1, 64)
+	p.Text = append(p.Text, '\n')
+}
+
+// name appends a sample's name and labels, and the space before its
+// value.
+func (p *Prom) name(label string) []byte {
+	b := append(p.Text, p.family...)
+	if label != "" {
+		b = append(append(append(b, '{'), label...), '}')
+	}
+	return append(b, ' ')
 }
 
 // WriteRow writes row r's sample of c, if r is exported.
@@ -115,7 +137,7 @@ func WriteRow[T any](p *Prom, r *Counter[T], c *T) {
 	}
 	p.Family(r.Family, r.Help, r.Gauge)
 	if r.Value != nil {
-		p.Sample(r.Label, r.Value(c))
+		p.SampleFloat(r.Label, r.Value(c))
 	} else {
 		p.Sample(r.Label, *r.Field(c))
 	}
