@@ -321,10 +321,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 		case "nowrender_wire_frame_acks_total":
 			if m.objspace.Enabled() {
-				for _, row := range stats.ShardTable {
-					p.Family(row.Family, row.Help, row.Gauge)
-					for i := range m.objspace.PerShard {
-						p.Sample(fmt.Sprintf("shard=\"%d\"", i), *row.Field(&m.objspace.PerShard[i]))
+				for _, sr := range stats.ShardTable {
+					p.Family(sr.Family, sr.Help, sr.Gauge)
+					for n := range m.objspace.PerShard {
+						p.Sample(fmt.Sprintf("shard=\"%d\"", n), *sr.Field(&m.objspace.PerShard[n]))
 					}
 				}
 			}
@@ -353,5 +353,5 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	_, _ = w.Write(p.Text)
+	_, _ = w.Write(p.Text) // a failed write is the scraper hanging up
 }
