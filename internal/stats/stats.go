@@ -443,9 +443,9 @@ type CacheStats struct {
 	Budget       uint64
 }
 
-// CacheTable is the one list of CacheStats' counters. The service counts
-// coalescing per job and frame itself, so Coalesced, FlightsLed and
-// Budget are not exported.
+// CacheTable is the one list of CacheStats' counters. Coalesced and
+// FlightsLed, which the service counts per job and frame itself, and
+// Budget, a setting, are not exported.
 var CacheTable = []Counter[CacheStats]{
 	{Family: "nowrender_cache_hits_total", Help: "Frame cache hits.", Field: func(c *CacheStats) *uint64 { return &c.Hits }},
 	{Family: "nowrender_cache_misses_total", Help: "Frame cache misses.", Field: func(c *CacheStats) *uint64 { return &c.Misses }},
