@@ -125,7 +125,9 @@ func (p *Prom) SampleFloat(label string, v float64) {
 func (p *Prom) name(label string) []byte {
 	b := append(p.Text, p.family...)
 	if label != "" {
-		b = append(append(append(b, '{'), label...), '}')
+		b = append(b, '{')
+		b = append(b, label...)
+		b = append(b, '}')
 	}
 	return append(b, ' ')
 }
