@@ -82,7 +82,7 @@ func BenchmarkRenderFrameParallel(b *testing.B) {
 			img := fb.New(benchW, benchH)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ft.RenderRegionParallel(img, img.Bounds(), threads)
+				ft.RenderRegionParallelWorkers(img, img.Bounds(), threads, -1, nil, ft.NewWorker)
 			}
 			b.ReportMetric(float64(benchW*benchH), "pixels/op")
 		})

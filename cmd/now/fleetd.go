@@ -14,9 +14,9 @@ import (
 
 // fleetdFlags declares `now fleetd`, the fleet broker of the
 // multi-master control plane: the one daemon that owns worker capacity
-// when several `now serve -fleet-broker` replicas share an elastic pool.
-// Workers register slots with it (once, via -members or a worker hello);
-// replicas acquire time-bounded, renewable leases on those slots. A
+// when several `now serve -fleet-broker` replicas share one pool. Its
+// slots are fixed at start (-capacity and -members); replicas acquire
+// time-bounded, renewable leases on those slots. A
 // replica that crashes stops renewing, its leases expire within one
 // term, and the slots return to the pool for the surviving replicas.
 // Held leases die with the process: a broker restart voids them, and
@@ -45,7 +45,9 @@ func fleetdFlags(fs *flag.FlagSet) runFunc {
 		cfg.Timeline = recorder(*tlOut)
 		b := fleetd.NewBroker(cfg)
 		for name, slots := range static {
-			b.Join(name, slots)
+			if err := b.Join(name, slots); err != nil {
+				return usagef("-members: %v", err)
+			}
 		}
 		srv := fleetd.NewServer(b)
 		defer srv.Close()

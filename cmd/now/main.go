@@ -1,6 +1,6 @@
 // Command now is nowrender's one program: the same binary renders, serves
-// as a farm worker, a compositor sink, the render service or its fleet
-// broker, and analyses what they produce.
+// as a farm worker, the render service or its fleet broker, and analyses
+// what they produce.
 //
 //	now render -scene newton -mode virtual          # Table 1 column (8)
 //	now render -mode master -listen :7946 -workers 2
@@ -43,7 +43,6 @@ var verbs = []verb{
 	{"worker", "run a render-farm worker for a TCP master", workerFlags},
 	{"serve", "run the HTTP render-job service", serveFlags},
 	{"fleetd", "run the fleet broker that leases worker slots to serve replicas", fleetdFlags},
-	{"compose", "run a distributed-framebuffer compositor sink", composeFlags},
 	{"trace", "analyse a Chrome-trace timeline, from the file argument or stdin", traceFlags},
 	{"diff", "compare two frames: Figure 2's actual and predicted masks, or two TGA files", diffFlags},
 	{"tables", "regenerate the paper's tables, figures and ablations on the virtual NOW", tablesFlags},

@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"maps"
 	"net/http"
 	"os"
@@ -147,18 +149,6 @@ func TestEveryVerb(t *testing.T) {
 				lease.Return()
 			},
 			want: "1 grants"},
-		{args: []string{"compose", "-listen", "127.0.0.1:0", "-name", "sink0", "-out", filepath.Join(dir, "sink"), "-timeline", filepath.Join(dir, "sink.json")},
-			poke: func(t *testing.T, addr string) {
-				master, masterAddr := start(t, "render", "-mode", "master", "-listen", "127.0.0.1:0", "-workers", "1",
-					"-scene", "newton:2", "-size", "16x12", "-dfb-sinks", addr)
-				if code, _, stderr := runNow("worker", "-master", masterAddr, "-name", "ws01"); code != 0 {
-					t.Errorf("worker exited %d: %s", code, stderr)
-				}
-				if code := master.wait(); code != 0 {
-					t.Errorf("master exited %d:\n%s", code, master.out)
-				}
-			},
-			want: "(2 frames delivered)"},
 		{args: []string{"trace", trace}, want: "w0"},
 		{args: []string{"diff", "-scene", "newton:3", "-size", "16x12", "-frame", "1", "-out", filepath.Join(dir, "diff")},
 			want: "wrote 4 images"},
@@ -190,7 +180,7 @@ func TestEveryVerb(t *testing.T) {
 			}
 		})
 	}
-	for _, f := range []string{"render/frame0001.png", "sink/frame0001.tga", "diff/fig2b-predicted.tga", "fleetd.json", "sink.json", "worker.json"} {
+	for _, f := range []string{"render/frame0001.png", "diff/fig2b-predicted.tga", "fleetd.json", "worker.json"} {
 		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
 			t.Error(err)
 		}
@@ -223,6 +213,7 @@ func TestUsage(t *testing.T) {
 		{[]string{"serve", "-listen", "127.0.0.1:0", "-tenants", "alice,alice"}, 2, `"alice" repeated in -tenants`},
 		{[]string{"fleetd", "-listen", "127.0.0.1:0", "-members", "ws01=4,ws01=2"}, 2, `"ws01" repeated in -members`},
 		{[]string{"fleetd", "-listen", "127.0.0.1:0"}, 2, "no capacity"},
+		{[]string{"fleetd", "-listen", "127.0.0.1:0", "-capacity", "2", "-members", "pool=1"}, 2, `member "pool" already registered`},
 		{[]string{"worker", "-chaos", "drop=2"}, 2, "drop"},
 		{[]string{"trace", "a.json", "b.json"}, 2, "at most one trace file"},
 		{[]string{"diff", "-scene", "newton:2", "-frame", "1"}, 2, "want a frame with a successor"},
@@ -260,34 +251,32 @@ func TestFlagNamesHaveOneMeaning(t *testing.T) {
 			}
 		})
 	}
-	for _, c := range []any{farm.Config{}, farm.WorkerOptions{}, service.Config{}, fleetd.BrokerConfig{}} {
-		knobs[reflect.TypeOf(c).String()] = reflect.TypeOf(c).NumField()
+	for _, c := range []any{farm.Config{}, farm.WorkerOptions{}, farm.DFBConfig{}, service.Config{}, fleetd.BrokerConfig{}} {
+		typ := reflect.TypeOf(c)
+		for i := range typ.NumField() {
+			if typ.Field(i).IsExported() {
+				knobs[typ.String()]++
+			}
+		}
 	}
-	want := map[string]int{"now render": 23, "now serve": 24, "now worker": 7, "now tables": 7, "now fleetd": 5, "now diff": 6,
-		"now compose": 5, "now trace": 0, "farm.Config": 22, "farm.WorkerOptions": 4, "service.Config": 20, "fleetd.BrokerConfig": 5}
+	want := map[string]int{"now render": 21, "now serve": 23, "now worker": 7, "now tables": 7, "now fleetd": 5, "now diff": 6,
+		"now trace": 0, "farm.Config": 22, "farm.WorkerOptions": 3, "farm.DFBConfig": 1, "service.Config": 19, "fleetd.BrokerConfig": 5}
 	if !maps.Equal(knobs, want) {
 		t.Errorf("knobs %v, want %v; a knob added or removed updates these counts and ROADMAP item 13's", knobs, want)
 	}
 	t.Logf("%d verbs declare flags under %d names", len(verbs), len(seen))
 }
 
-// docCommand is one `now <verb> ...` command line a document shows.
+// docCommand is one `now <word> ...` command line a document shows; the
+// word should be a verb or a top-level flag.
 type docCommand struct {
 	verb string
 	args []string
 }
 
-var nowRE = regexp.MustCompile(`(?:^|[\s/])now\s+(` + strings.Join(verbNames(), "|") + `)\b(.*)`)
+var nowRE = regexp.MustCompile(`(?:^|[\s/])(cmd/)?now\s+(-?[a-z][a-z0-9-]*)\b(.*)`)
 
-func verbNames() []string {
-	var names []string
-	for _, v := range verbs {
-		names = append(names, v.name)
-	}
-	return names
-}
-
-// docCommands extracts the `now <verb>` command lines of a markdown
+// docCommands extracts the `now <word>` command lines of a markdown
 // document: from each line of its fenced code blocks, and from its inline
 // code spans. A backslash-continued line counts as one; shell syntax (a
 // comment, pipe, redirection or &) ends the command.
@@ -311,11 +300,11 @@ func docCommands(src string) []docCommand {
 	var out []docCommand
 	for _, s := range spans {
 		m := nowRE.FindStringSubmatch(s)
-		if m == nil {
-			continue
+		if m == nil || m[1] != "" && strings.HasPrefix(m[2], "-") {
+			continue // a flag after the package path is go's own
 		}
-		c := docCommand{verb: m[1]}
-		for _, tok := range strings.Fields(m[2]) {
+		c := docCommand{verb: m[2]}
+		for _, tok := range strings.Fields(m[3]) {
 			if strings.ContainsAny(tok[:1], "#|&;<>") || strings.HasPrefix(tok, "2>") {
 				break
 			}
@@ -326,11 +315,13 @@ func docCommands(src string) []docCommand {
 	return out
 }
 
-// TestDocsNameRealFlags parses every `now <verb>` command line in
-// README.md and the verify skill with that verb's FlagSet, without
-// running it, so the documents cannot name a flag that does not exist.
+// TestDocsNameRealFlags parses every `now <word>` command line of the
+// documents — a verb's with its FlagSet, without running it, a top-level
+// flag with the top level — so they cannot name a verb or a flag that
+// does not exist.
 func TestDocsNameRealFlags(t *testing.T) {
-	for _, doc := range []string{"../../README.md", "../../.claude/skills/verify/SKILL.md"} {
+	docs := []string{"../../README.md", "../../DESIGN.md", "../../EXPERIMENTS.md", "../../.claude/skills/verify/SKILL.md"}
+	for _, doc := range docs {
 		src, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -340,9 +331,19 @@ func TestDocsNameRealFlags(t *testing.T) {
 			t.Errorf("%s shows no now command", doc)
 		}
 		for _, c := range cmds {
-			v := verbs[slices.IndexFunc(verbs, func(v verb) bool { return v.name == c.verb })]
-			var stderr bytes.Buffer
-			if _, _, err := v.parse(c.args, &stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+			var err error
+			switch i := slices.IndexFunc(verbs, func(v verb) bool { return v.name == c.verb }); {
+			case i >= 0:
+				_, _, err = verbs[i].parse(c.args, io.Discard)
+			case strings.HasPrefix(c.verb, "-"):
+				if code := run(context.Background(), []string{c.verb}, io.Discard, io.Discard); code != 0 {
+					err = fmt.Errorf("exit %d", code)
+				}
+			default:
+				err = errors.New("no such verb")
+			}
+			// Prose may name a flag without its value.
+			if err != nil && !errors.Is(err, flag.ErrHelp) && !strings.HasPrefix(err.Error(), "flag needs an argument") {
 				t.Errorf("%s: now %s %s: %v", doc, c.verb, strings.Join(c.args, " "), err)
 			}
 		}
@@ -351,14 +352,16 @@ func TestDocsNameRealFlags(t *testing.T) {
 }
 
 func TestDocCommands(t *testing.T) {
-	src := "Run `now render -mode local` or `nowhere now`, or `now diff\n-size 8x8`.\n\n```sh\n" +
+	src := "Run `now render -mode local` or `nowhere now`, or `now diff\n-size 8x8`, `now compose`, `now -h`.\n\n```sh\n" +
 		"go run ./cmd/now serve -listen :8080 \\\n  -max-jobs 2 # comment\n" +
-		"/tmp/vf/now trace run.json > report.txt\n```\n"
+		"/tmp/vf/now trace run.json > report.txt\ngo test ./cmd/now -run Docs\n```\n"
 	want := []docCommand{
 		{"serve", []string{"-listen", ":8080", "-max-jobs", "2"}},
 		{"trace", []string{"run.json"}},
 		{"render", []string{"-mode", "local"}},
 		{"diff", []string{"-size", "8x8"}},
+		{"compose", nil},
+		{"-h", nil},
 	}
 	if got := docCommands(src); !reflect.DeepEqual(got, want) {
 		t.Errorf("docCommands = %v, want %v", got, want)

@@ -6,7 +6,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"strings"
 
 	"nowrender/internal/cluster"
 	"nowrender/internal/farm"
@@ -24,7 +23,6 @@ import (
 // wall clock), or master (TCP workers started with `now worker`).
 func renderFlags(fs *flag.FlagSet) runFunc {
 	var cfg farm.Config
-	var dfb int
 	sceneSpec := fs.String("scene", "newton", usage["scene"])
 	mode := fs.String("mode", "virtual", "single | coherent | virtual | local | master")
 	scheme := fs.String("scheme", "framediv", "partitioning: seqdiv | seqdiv-static | framediv | hybrid (blocks x one subsequence per worker) | pixeldiv")
@@ -32,7 +30,7 @@ func renderFlags(fs *flag.FlagSet) runFunc {
 	blockH := fs.Int("blockh", 80, "framediv and hybrid block height")
 	sz := sizeFlag(fs)
 	outDir := fs.String("out", "", usage["out"])
-	usePNG := fs.Bool("png", false, usage["png"])
+	usePNG := fs.Bool("png", false, "write frames as PNG instead of TGA")
 	fs.IntVar(&cfg.Workers, "workers", 3, usage["workers"])
 	listen := fs.String("listen", ":7946", usage["listen"])
 	fs.BoolVar(&cfg.Coherence, "coherence", true, "exploit frame coherence (virtual/local/master modes)")
@@ -42,8 +40,7 @@ func renderFlags(fs *flag.FlagSet) runFunc {
 	fs.IntVar(&cfg.ObjSpaceShards, "shards", 0, "partition the scene into this many spatial shards (2..64) with ray forwarding between owners instead of replicating it (0 = replicated; pixels are identical either way)")
 	tlOut := fs.String("timeline", "", usage["timeline"])
 	chaos := fs.String("chaos", "", usage["chaos"])
-	farmFlags(fs, &cfg.Liveness, &dfb, &cfg.Speculate, &cfg.WireDelta, &cfg.WireSpanCodec)
-	dfbAddrs := fs.String("dfb-sinks", "", "comma-separated sink addresses of now compose daemons; workers ship pixels straight to them and the sinks write the frames (master mode)")
+	farmFlags(fs, &cfg.Liveness, &cfg.Speculate, &cfg.WireDelta, &cfg.WireSpanCodec)
 
 	return func(ctx context.Context, _ []string, stdout, _ io.Writer) error {
 		if s := cfg.ObjSpaceShards; s != 0 && (s < 2 || s > objspace.MaxShards) {
@@ -63,12 +60,6 @@ func renderFlags(fs *flag.FlagSet) runFunc {
 			return err
 		}
 		cfg.Ctx, cfg.Scene, cfg.W, cfg.H = ctx, sc, sz.w, sz.h
-		switch {
-		case *dfbAddrs != "":
-			cfg.DFB = &farm.DFBConfig{Addrs: strings.Split(*dfbAddrs, ",")}
-		case dfb > 0:
-			cfg.DFB = &farm.DFBConfig{Sinks: dfb}
-		}
 		cfg.Timeline = recorder(*tlOut)
 
 		var res *farm.Result
@@ -95,11 +86,6 @@ func renderFlags(fs *flag.FlagSet) runFunc {
 		}
 		emit := frameWriter(*outDir, *usePNG)
 		for f, img := range res.Frames {
-			// A remote-sink DFB run holds no frames here: the now compose
-			// daemons write them.
-			if img == nil {
-				continue
-			}
 			if err := emit(f, img); err != nil {
 				return err
 			}
@@ -167,12 +153,7 @@ func runTCPMaster(ctx context.Context, stdout io.Writer, cfg farm.Config, sceneS
 func report(w io.Writer, scene, mode string, res *farm.Result) {
 	total := res.Run.TotalRays()
 	fmt.Fprintf(w, "scene %s, mode %s\n", scene, mode)
-	if len(res.Frames) > 0 {
-		fmt.Fprintf(w, "  frames:    %d\n", len(res.Frames))
-	} else {
-		// Remote-sink DFB runs: the frames live at the compositors.
-		fmt.Fprintf(w, "  frames:    %d (delivered at the sinks)\n", len(res.Run.Frames))
-	}
+	fmt.Fprintf(w, "  frames:    %d\n", len(res.Frames))
 	fmt.Fprintf(w, "  rays:      %d (%s)\n", total.Total(), total.String())
 	fmt.Fprintf(w, "  makespan:  %s\n", stats.FormatDuration(res.Makespan))
 	fmt.Fprintf(w, "  tasks:     %d (+%d adaptive subdivisions)\n", res.TasksExecuted, res.Subdivisions)

@@ -36,7 +36,7 @@ func serveFlags(fs *flag.FlagSet) runFunc {
 	fs.IntVar(&cfg.Workers, "workers", 0, usage["workers"])
 	machines := fs.Int("machines", 0, "virtual NOW size (0 = the paper's 3-machine testbed)")
 	fs.IntVar(&cfg.Threads, "threads", 0, usage["threads"])
-	farmFlags(fs, &cfg.Liveness, &cfg.DFBSinks, &cfg.Speculate, &cfg.WireDelta, &cfg.WireSpanCodec)
+	farmFlags(fs, &cfg.Liveness, &cfg.Speculate, &cfg.WireDelta, &cfg.WireSpanCodec)
 	chaos := fs.String("chaos", "", usage["chaos"])
 	fs.BoolVar(&cfg.Timeline, "job-timelines", false, "record a per-job cluster timeline, served on GET /jobs/{id}/timeline")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")

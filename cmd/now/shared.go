@@ -26,8 +26,6 @@ var usage = map[string]string{
 	"listen":   "address to listen on",
 	"scene":    "scene: newton[:frames], bouncing[:frames], gallery[:frames], meshgallery[:frames], quickstart, or a .sdl file",
 	"out":      "directory to write images into (empty = write none)",
-	"png":      "write frames as PNG instead of TGA",
-	"name":     "this process's name in timelines and logs (default: host-pid for a worker, the listen address for a sink)",
 	"timeline": "write this process's timeline as Chrome trace JSON to this file (view it in Perfetto or with now trace)",
 	"threads":  "intra-frame render threads per farm worker (0 = all cores, 1 = serial; pixels are identical for every value)",
 	"workers":  "goroutine workers of the local driver, or TCP workers the master waits for (0 = one per machine)",
@@ -40,12 +38,11 @@ var usage = map[string]string{
 
 // farmFlags declares the farm's fault-tolerance and wire flags, which
 // render and serve share, onto the config fields they set.
-func farmFlags(fs *flag.FlagSet, liveness *time.Duration, dfb *int, speculate, wireDelta, wireCompress *bool) {
+func farmFlags(fs *flag.FlagSet, liveness *time.Duration, speculate, wireDelta, wireCompress *bool) {
 	fs.DurationVar(liveness, "liveness", 0, "retire a worker silent, or holding a task without progress, this long; the master pings every quarter of it (0 = off; set well above the slowest frame)")
 	fs.BoolVar(speculate, "speculate", false, "speculatively re-issue the slowest in-flight task to idle workers")
 	fs.BoolVar(wireDelta, "wire-delta", false, "ship dirty-span delta frames instead of full regions (pixels are identical either way)")
 	fs.BoolVar(wireCompress, "wire-compress", false, "compress frame payloads with the span codec (pixels are identical either way)")
-	fs.IntVar(dfb, "dfb", 0, "route the local driver's pixels through this many in-process compositor sinks instead of the master (0 = off)")
 }
 
 // size is the -size flag's WxH value.

@@ -28,7 +28,7 @@ import (
 func workerFlags(fs *flag.FlagSet) runFunc {
 	var opts farm.WorkerOptions
 	master := fs.String("master", "127.0.0.1:7946", "master address")
-	name := fs.String("name", "", usage["name"])
+	name := fs.String("name", "", "this worker's name in timelines and logs (default: host-pid)")
 	maxWait := fs.Duration("max-wait", 2*time.Minute, "give up dialing the master after this long (0 = retry forever)")
 	fs.IntVar(&opts.Threads, "threads", 0, usage["threads"])
 	fs.DurationVar(&opts.MasterDeadline, "master-deadline", 0, "exit if the master stays silent this long while idle (0 = wait forever; set well above the master's -liveness/4)")

@@ -425,7 +425,7 @@ func (e *Engine) RenderSequence(emit func(frame int, img *fb.Framebuffer, rep Fr
 // coherence — the baseline for Table 1 columns (1) and (4)-(5). Region
 // semantics match the engine's. Serial by design: it is the
 // single-processor cost reference; parallel no-coherence rendering goes
-// through trace.RenderRegionParallel (the farm's plain path).
+// through trace.RenderTiles (the farm's plain path).
 func FullRender(sc *scene.Scene, w, h int, region fb.Rect, start, end int, samples int, emit func(frame int, img *fb.Framebuffer, rc stats.RayCounters) error) (stats.RunStats, error) {
 	var run stats.RunStats
 	startAll := time.Now()

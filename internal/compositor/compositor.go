@@ -11,8 +11,8 @@
 // requeue bookkeeping keeps working without ever touching pixels.
 //
 // A sink is a single event loop over an msg.Hub, so its assembly needs
-// no locks; `now compose` runs one per process, and Registry runs N of
-// them in-process for RenderLocal and tests.
+// no locks; Registry runs N of them in-process for RenderLocal and
+// tests.
 package compositor
 
 import (
@@ -33,8 +33,8 @@ type Config struct {
 	Name string
 	// OnFrame, when non-nil, observes each frame the moment its shard
 	// assembly completes — progressive delivery for SSE streaming and
-	// frame emission. Errors are recorded (see Err) but do not stop the
-	// sink: the master owns run-abort decisions.
+	// frame emission. Its errors do not stop the sink: the master owns
+	// run-abort decisions.
 	OnFrame func(frame int, img *fb.Framebuffer) error
 	// Timeline, when non-nil, records the sink's assembly spans. An
 	// in-process sink shares the master's recorder, so its track lands
@@ -71,7 +71,6 @@ type Compositor struct {
 	dups   uint64
 	epoch  time.Time
 	track  *timeline.Track
-	onErr  error
 	nconns int
 
 	closed  bool
@@ -135,13 +134,6 @@ func (c *Compositor) Close() error {
 	return err
 }
 
-// Err returns the first OnFrame error the sink swallowed, if any.
-func (c *Compositor) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.onErr
-}
-
 // Stats snapshots the sink's wire counters.
 func (c *Compositor) Stats() stats.WireStats {
 	c.mu.Lock()
@@ -191,10 +183,9 @@ func (c *Compositor) handle(m msg.Message) {
 		if msg.Decode(m.Data, &in) != nil {
 			return
 		}
-		// A re-init (sink restarted from the master's point of view, or a
-		// new run on a persistent daemon) starts a fresh shard assembly;
-		// completed frames already reached OnFrame, and the master requeues
-		// whatever was partial.
+		// A re-init (the master re-dialed the sink) starts a fresh shard
+		// assembly; completed frames already reached OnFrame, and the
+		// master requeues whatever was partial.
 		c.inited = true
 		c.gen = in.Gen
 		c.w, c.h = in.W, in.H
@@ -220,11 +211,6 @@ func (c *Compositor) handle(m msg.Message) {
 			return
 		}
 		c.assemble(m)
-	case TagClose:
-		// Run over on a persistent daemon: drop run state so the next
-		// TagInit starts clean and stale results are pended, not merged.
-		c.inited = false
-		c.asm = nil
 	case msg.TagDown:
 		delete(c.workers, m.From)
 		if m.From == c.master {
@@ -303,9 +289,7 @@ func (c *Compositor) assemble(m msg.Message) {
 		c.wire.RawBytes += uint64(fd.RawPixBytes())
 		c.wire.WireBytes += uint64(len(data))
 		if complete && c.cfg.OnFrame != nil {
-			if err := c.cfg.OnFrame(fd.Frame, c.asm.Frame(fd.Frame)); err != nil && c.onErr == nil {
-				c.onErr = err
-			}
+			_ = c.cfg.OnFrame(fd.Frame, c.asm.Frame(fd.Frame))
 		}
 		c.report(TagDelivered, msg.Encode(&Delivered{
 			Gen: c.gen, Frame: fd.Frame, Region: fd.Region, Worker: worker,
@@ -393,19 +377,4 @@ func (r *Registry) CloseAll() {
 	for _, c := range sinks {
 		_ = c.Close()
 	}
-}
-
-// Stats merges the wire counters of every live sink.
-func (r *Registry) Stats() stats.WireStats {
-	r.mu.Lock()
-	sinks := make([]*Compositor, 0, len(r.sinks))
-	for _, c := range r.sinks {
-		sinks = append(sinks, c)
-	}
-	r.mu.Unlock()
-	var st stats.WireStats
-	for _, c := range sinks {
-		st.Merge(c.Stats())
-	}
-	return st
 }

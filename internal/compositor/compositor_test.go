@@ -364,7 +364,7 @@ func TestSinkReinitResetsShard(t *testing.T) {
 }
 
 // TestRegistryRestart: Dial after Close recreates a sink — the
-// in-process stand-in for restarting a crashed compositor daemon.
+// in-process stand-in for restarting a crashed sink.
 func TestRegistryRestart(t *testing.T) {
 	made := 0
 	reg := NewRegistry(func(i int) *Compositor {

@@ -40,8 +40,6 @@ const (
 	// (base miss, malformed, out of shard); the master counts it and
 	// requeues the frame through the normal retry path.
 	TagMiss
-	// TagClose (master→sink) ends the run on a persistent sink daemon.
-	TagClose
 )
 
 // Init configures a sink for a run (TagInit).

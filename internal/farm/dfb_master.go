@@ -44,7 +44,7 @@ type sinkControl struct {
 }
 
 func newSinkControl(dfb *DFBConfig, hub *msg.Hub, w, h int, shard partition.ShardMap) *sinkControl {
-	n := len(dfb.Addrs)
+	n := len(dfb.addrs)
 	s := &sinkControl{
 		dfb: dfb, hub: hub, w: w, h: h, shard: shard,
 		gens:        make([]int, n),
@@ -54,7 +54,7 @@ func newSinkControl(dfb *DFBConfig, hub *msg.Hub, w, h int, shard partition.Shar
 		pending:     make(map[pendKey]string),
 	}
 	for i := range s.redialsLeft {
-		s.redialsLeft[i] = dfb.redials()
+		s.redialsLeft[i] = dfb.redialBudget()
 	}
 	return s
 }
@@ -62,9 +62,9 @@ func newSinkControl(dfb *DFBConfig, hub *msg.Hub, w, h int, shard partition.Shar
 // dial (re)connects sink i: bump the generation, attach the fresh conn
 // under a generation-qualified name, and send TagInit for the shard.
 func (s *sinkControl) dial(i int) error {
-	conn, err := s.dfb.dialer()(s.dfb.Addrs[i])
+	conn, err := s.dfb.dial(s.dfb.addrs[i])
 	if err != nil {
-		return fmt.Errorf("farm: sink %d (%s): %w", i, s.dfb.Addrs[i], err)
+		return fmt.Errorf("farm: sink %d (%s): %w", i, s.dfb.addrs[i], err)
 	}
 	if s.names[i] != "" {
 		s.hub.Detach(s.names[i])
@@ -87,7 +87,7 @@ func (s *sinkControl) dial(i int) error {
 
 // dialAll connects the whole fleet at run start.
 func (s *sinkControl) dialAll() error {
-	for i := range s.dfb.Addrs {
+	for i := range s.dfb.addrs {
 		if err := s.dial(i); err != nil {
 			return err
 		}
@@ -114,13 +114,6 @@ func (s *sinkControl) relay(worker string, frame int, frameDone []byte) {
 	_ = s.hub.Send(s.names[si], msg.Message{
 		Tag: compositor.TagRelayPix, Data: msg.Encode(&compositor.Relay{Worker: worker, FrameDone: frameDone}),
 	})
-}
-
-// close ends the run on every sink (persistent daemons keep listening).
-func (s *sinkControl) close() {
-	for _, name := range s.names {
-		_ = s.hub.Send(name, msg.Message{Tag: compositor.TagClose})
-	}
 }
 
 func (s *sinkControl) isPending(frame int, region fb.Rect) bool {

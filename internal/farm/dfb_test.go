@@ -254,7 +254,7 @@ func TestDFBSinkUnreachableFallsBack(t *testing.T) {
 	const sinks = 2
 	var dials atomic.Int32
 	cfg := dfbConfig(goldenFrames, sinks)
-	cfg.DFB.Dial = func(addr string) (msg.Conn, error) {
+	cfg.DFB.dial = func(addr string) (msg.Conn, error) {
 		if dials.Add(1) > sinks {
 			return nil, fmt.Errorf("no route to %s", addr)
 		}
@@ -317,7 +317,7 @@ func TestDFBSinkRestart(t *testing.T) {
 		Scheme:        partition.Scheme{BlockW: 20, BlockH: 16, Adaptive: true},
 		WireDelta:     true,
 		WireSpanCodec: true,
-		DFB:           &DFBConfig{Sinks: 2, Dial: reg.Dial, Redials: 4},
+		DFB:           &DFBConfig{Sinks: 2, dial: reg.Dial, redials: 4},
 		Liveness:      1500 * time.Millisecond,
 	})
 	if err != nil {
@@ -355,7 +355,7 @@ func assertBaseMissConsistent(t *testing.T, w stats.WireStats) {
 // must fail up front, not hang waiting for confirmations.
 func TestDFBTaskRejectsUndialableSinks(t *testing.T) {
 	cfg := dfbConfig(goldenFrames, 1)
-	cfg.DFB.Dial = func(addr string) (msg.Conn, error) {
+	cfg.DFB.dial = func(addr string) (msg.Conn, error) {
 		return nil, fmt.Errorf("no route to %s", addr)
 	}
 	if _, err := RenderLocal(cfg); err == nil {

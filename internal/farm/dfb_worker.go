@@ -49,9 +49,6 @@ type sinkLinks struct {
 }
 
 func newSinkLinks(worker string, dial func(string) (msg.Conn, error)) *sinkLinks {
-	if dial == nil {
-		dial = msg.Dial
-	}
 	return &sinkLinks{worker: worker, dial: dial, links: make(map[string]*sinkLink)}
 }
 
@@ -61,6 +58,11 @@ func newSinkLinks(worker string, dial func(string) (msg.Conn, error)) *sinkLinks
 func (s *sinkLinks) get(addr string) (*sinkLink, error) {
 	if l := s.links[addr]; l != nil && !l.dead.Load() {
 		return l, nil
+	}
+	if s.dial == nil {
+		// Only RenderLocal's workers have sinks to reach; any other
+		// worker sends its pixels to the master.
+		return nil, fmt.Errorf("farm: worker %s: no route to sink %s", s.worker, addr)
 	}
 	conn, err := s.dial(addr)
 	if err != nil {

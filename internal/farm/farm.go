@@ -128,14 +128,15 @@ type Config struct {
 	// (TagOSStats) at task end, merged into Result.ObjSpace.
 	ObjSpaceShards int
 
-	// DFB, when non-nil, enables the distributed framebuffer: frames are
-	// sharded across compositor sinks (internal/compositor), workers
-	// ship pixels straight to their frame's sink and send the master
-	// only small control acks, and a worker that cannot reach its sink
-	// falls back to master-routed results, which the master relays to
-	// the owning sink so assembly happens in exactly one place. Final
-	// frames are byte-identical to the master-routed path. The virtual
-	// NOW, master-routed, ignores it.
+	// DFB, when non-nil, enables the distributed framebuffer on
+	// RenderLocal: frames are sharded across in-process compositor sinks
+	// (internal/compositor), workers ship pixels straight to their
+	// frame's sink and send the master only small control acks, and a
+	// worker that cannot reach its sink falls back to master-routed
+	// results, which the master relays to the owning sink so assembly
+	// happens in exactly one place. Final frames are byte-identical to
+	// the master-routed path. The virtual NOW and RunMaster over TCP,
+	// master-routed, ignore it.
 	DFB *DFBConfig
 
 	// Timeline, when non-nil, records the run into this recorder: the
@@ -151,42 +152,31 @@ type Config struct {
 
 // DFBConfig configures the distributed framebuffer (compositor sinks).
 type DFBConfig struct {
-	// Addrs are the sink addresses, one frame shard per sink in
-	// partition.ShardMap order. `now render -dfb-sinks` passes `now compose`
-	// listen addresses here. Leave empty and set Sinks for in-process
-	// sinks (RenderLocal).
-	Addrs []string
-	// Sinks > 0 makes RenderLocal spin up this many in-process sinks.
+	// Sinks > 0 makes RenderLocal spin up this many in-process sinks, at
+	// most one per frame.
 	Sinks int
-	// Dial connects to a sink address; nil defaults to msg.Dial (TCP).
-	// RenderLocal injects the in-process registry's dialer.
-	Dial func(addr string) (msg.Conn, error)
-	// Redials is how many times the master re-dials a lost sink before
+	// addrs are the sink addresses, one frame shard per sink in
+	// partition.ShardMap order; RenderLocal sets them.
+	addrs []string
+	// dial connects to a sink address. RenderLocal sets the in-process
+	// registry's dialer unless a test has set its own.
+	dial func(addr string) (msg.Conn, error)
+	// redials is how many times the master re-dials a lost sink before
 	// failing the run. 0 defaults to 3; negative disables re-dialing.
-	Redials int
+	redials int
 	// collect fetches an assembled frame at run end (in-process mode,
 	// where the master holds no pixels; set by RenderLocal).
 	collect func(frame int) *fb.Framebuffer
 }
 
 // enabled reports whether the config actually routes pixels to sinks.
-func (d *DFBConfig) enabled() bool { return d != nil && len(d.Addrs) > 0 }
+func (d *DFBConfig) enabled() bool { return d != nil && len(d.addrs) > 0 }
 
-func (d *DFBConfig) dialer() func(string) (msg.Conn, error) {
-	if d.Dial != nil {
-		return d.Dial
-	}
-	return msg.Dial
-}
-
-func (d *DFBConfig) redials() int {
-	switch {
-	case d.Redials == 0:
+func (d *DFBConfig) redialBudget() int {
+	if d.redials == 0 {
 		return 3
-	case d.Redials < 0:
-		return 0
 	}
-	return d.Redials
+	return d.redials
 }
 
 // wireFlags is the TagTask flag word the config asks for.

@@ -151,7 +151,7 @@ func RunMaster(cfg Config, hub *msg.Hub) (*Result, error) {
 	// their confirmations with worker traffic in the single-threaded loop.
 	var sinks *sinkControl
 	if cfg.DFB.enabled() {
-		shard := partition.ShardMap{Start: cfg.StartFrame, End: cfg.EndFrame, N: len(cfg.DFB.Addrs)}
+		shard := partition.ShardMap{Start: cfg.StartFrame, End: cfg.EndFrame, N: len(cfg.DFB.addrs)}
 		sinks = newSinkControl(cfg.DFB, hub, cfg.W, cfg.H, shard)
 	}
 	return runMaster(cfg, hubLink{hub, time.Now()}, sinks)
@@ -193,11 +193,6 @@ type master struct {
 	// name on every run.
 	roster  []*workerRecord
 	workers map[string]*workerRecord
-	// reported maps a worker's self-introduced hello name to its hub
-	// name. Over TCP the two differ (tcp00 vs -name wsA), and compositor
-	// sinks attribute confirmations and misses by the name the worker
-	// joined them with — the hello name. byReport resolves either form.
-	reported map[string]string
 
 	queue      []partition.Task
 	nextTaskID int
@@ -245,9 +240,8 @@ func newMaster(cfg Config, ln link, sinks *sinkControl) (*master, error) {
 	}
 	m := &master{
 		cfg: cfg, ln: ln, sinks: sinks,
-		workers:  make(map[string]*workerRecord, len(names)),
-		reported: make(map[string]string),
-		queue:    queue, nextTaskID: len(queue),
+		workers: make(map[string]*workerRecord, len(names)),
+		queue:   queue, nextTaskID: len(queue),
 		asm:             wire.NewAssemblyRange(cfg.W, cfg.H, cfg.StartFrame, cfg.EndFrame),
 		framesRemaining: cfg.EndFrame - cfg.StartFrame,
 		frameStats:      make([]stats.FrameStats, cfg.Scene.Frames),
@@ -405,9 +399,6 @@ func (m *master) onHello(w *workerRecord, data []byte) error {
 		return m.refuse(w, fmt.Sprintf("%v; this master speaks protocol version %d", err, ProtocolVersion))
 	}
 	w.joined = true
-	if h.Name != "" && h.Name != w.name {
-		m.reported[h.Name] = w.name
-	}
 	return m.giveWork(w)
 }
 
@@ -631,7 +622,7 @@ func (m *master) onDelivered(si int, data []byte) error {
 	// moment the last region is confirmed, and the matching ack can still
 	// be in flight — crediting acks would undercount. Summing per-worker
 	// pixels therefore yields exactly frames x w x h.
-	if w := m.byReport(d.Worker); w != nil {
+	if w := m.workers[d.Worker]; w != nil {
 		w.st.PixelsDone += d.Region.Area()
 	}
 	if complete {
@@ -649,14 +640,7 @@ func (m *master) onMiss(si int, data []byte) error {
 	m.ingress(len(data))
 	m.sinks.clearPending(mm.Frame, mm.Region)
 	if mm.Reason == compositor.MissBase {
-		// Attribute under the hub name so the per-worker miss map keys
-		// match the worker table (over TCP the sink knows the worker by
-		// its self-introduced -name instead).
-		missWorker := mm.Worker
-		if w := m.byReport(mm.Worker); w != nil {
-			missWorker = w.name
-		}
-		m.res.Wire.AddBaseMiss(missWorker)
+		m.res.Wire.AddBaseMiss(mm.Worker)
 		m.mt.Instant(timeline.OpBaseMiss, mm.Frame, 0)
 	} else {
 		m.res.Faults.MalformedMessages++
@@ -680,7 +664,7 @@ func (m *master) onMiss(si int, data []byte) error {
 // shard.
 func (m *master) sinkLost(si int) error {
 	// The last dial's error, if any dial was tried, is the run's.
-	err := fmt.Errorf("farm: sink %d (%s) lost with no redial budget", si, m.cfg.DFB.Addrs[si])
+	err := fmt.Errorf("farm: sink %d (%s) lost with no redial budget", si, m.cfg.DFB.addrs[si])
 	for err != nil {
 		if m.sinks.redialsLeft[si] <= 0 {
 			return err
@@ -982,7 +966,7 @@ func (m *master) sendTask(w *workerRecord, t partition.Task) error {
 	tm := m.taskFor(t)
 	if m.sinks != nil {
 		tm.JobStart, tm.JobEnd = m.cfg.StartFrame, m.cfg.EndFrame
-		tm.Sinks = m.cfg.DFB.Addrs
+		tm.Sinks = m.cfg.DFB.addrs
 	}
 	data := msg.Encode(&tm)
 	m.res.BytesTransferred += int64(len(data))
@@ -1104,14 +1088,6 @@ func (m *master) await(frame int, region fb.Rect, w *workerRecord) {
 	}
 }
 
-// byReport resolves a worker by its hub name or its hello name.
-func (m *master) byReport(name string) *workerRecord {
-	if w := m.workers[name]; w != nil {
-		return w
-	}
-	return m.workers[m.reported[name]]
-}
-
 // credit books one frame result's render statistics to its frame and its
 // worker.
 func (m *master) credit(w *workerRecord, frame, rendered, copied int, rays stats.RayCounters, elapsedNs int64) {
@@ -1226,15 +1202,10 @@ func (m *master) finish() (*Result, error) {
 		_ = m.ln.Send(w.name, msg.Message{Tag: TagShutdown})
 	}
 	if m.sinks != nil {
-		// The pixels live at the sinks. In-process runs collect them via
-		// the DFB config's collector; daemon sinks (`now compose`) wrote
-		// the frames out themselves and the master returns none.
-		m.sinks.close()
-		if cfg.DFB.collect != nil {
-			res.Frames = make([]*fb.Framebuffer, cfg.EndFrame-cfg.StartFrame)
-			for f := cfg.StartFrame; f < cfg.EndFrame; f++ {
-				res.Frames[f-cfg.StartFrame] = cfg.DFB.collect(f)
-			}
+		// The pixels live at the sinks: collect them there.
+		res.Frames = make([]*fb.Framebuffer, cfg.EndFrame-cfg.StartFrame)
+		for f := cfg.StartFrame; f < cfg.EndFrame; f++ {
+			res.Frames[f-cfg.StartFrame] = cfg.DFB.collect(f)
 		}
 	} else {
 		res.Frames = m.asm.Frames()
@@ -1354,7 +1325,7 @@ func RenderLocal(cfg Config) (*Result, error) {
 	// registry: a Dial after Close recreates the sink, which is exactly
 	// a compositor process restart.
 	var opts WorkerOptions
-	if cfg.DFB != nil && len(cfg.DFB.Addrs) == 0 && cfg.DFB.Sinks > 0 {
+	if cfg.DFB != nil && cfg.DFB.Sinks > 0 {
 		n := cfg.DFB.Sinks
 		if frames := cfg.EndFrame - cfg.StartFrame; n > frames {
 			n = frames
@@ -1379,12 +1350,12 @@ func RenderLocal(cfg Config) (*Result, error) {
 		})
 		defer reg.CloseAll()
 		dfb := *cfg.DFB
-		dfb.Addrs = make([]string, n)
-		for i := range dfb.Addrs {
-			dfb.Addrs[i] = compositor.Addr(i)
+		dfb.addrs = make([]string, n)
+		for i := range dfb.addrs {
+			dfb.addrs[i] = compositor.Addr(i)
 		}
-		if dfb.Dial == nil {
-			dfb.Dial = reg.Dial
+		if dfb.dial == nil {
+			dfb.dial = reg.Dial
 		}
 		dfb.collect = func(f int) *fb.Framebuffer {
 			cmu.Lock()
@@ -1393,7 +1364,7 @@ func RenderLocal(cfg Config) (*Result, error) {
 		}
 		cfg.DFB = &dfb
 		cfg.OnFrame = nil // the sinks own frame delivery now
-		opts.SinkDial = dfb.Dial
+		opts.sinkDial = dfb.dial
 	}
 	hub := msg.NewHub()
 	errCh := make(chan error, cfg.Workers)

@@ -151,7 +151,7 @@ func messageCases() []messageCase {
 		frameDoneCase("wire.framedone", &key),
 		frameDoneCase("wire.framedone+spans", &delta),
 		frameDoneCase("wire.framedone+spans+timeline", &deltaTL),
-		layoutCase("fleetd.hello", &fleetd.Hello{Role: fleetd.RoleWorker, Name: "ws01", Slots: 4}),
+		layoutCase("fleetd.hello", &fleetd.Hello{Name: "replica-a"}),
 		layoutCase("fleetd.welcome", &fleetd.Welcome{Epoch: 77, TermMS: 15000}),
 		layoutCase("fleetd.acquire", &fleetd.AcquireReq{Req: 9, Want: -1, TermMS: 500}),
 		layoutCase("fleetd.grant", &fleetd.Grant{Req: 9, Lease: 42, Slots: 2, Units: []string{"pool/0", "ws01/1"}, TermMS: 500}),

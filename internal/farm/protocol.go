@@ -99,10 +99,8 @@ type frameEncoder = wire.Encoder
 // hello is the TagHello payload: the protocol version the worker
 // speaks, then its name. The version comes first so that no other
 // build's hello — whatever it packed after its name — can parse as this
-// one. The name matters over TCP, where the master's hub names (tcp00,
-// tcp01, ...) differ from the -name a worker introduces itself to
-// compositor sinks with; sink confirmations carry the latter, and the
-// master maps them back.
+// one. The master names a worker by its hub attachment and does not
+// read this name.
 type hello struct {
 	Version int
 	Name    string

@@ -31,16 +31,16 @@ type WorkerOptions struct {
 	// Liveness/4, its ping interval (pings count as traffic); a worker
 	// mid-task is not subject to it.
 	MasterDeadline time.Duration
-	// SinkDial connects to a compositor sink address when a task names
-	// sinks; nil defaults to msg.Dial (TCP). RenderLocal injects the
-	// in-process registry's dialer here.
-	SinkDial func(addr string) (msg.Conn, error)
 	// Timeline, when non-nil, is the worker's local event recorder:
 	// phase and tile spans land in it whether or not the master asks for
 	// them with capWireTimeline (`now worker -timeline` dumps it).
 	// When nil and a task sets the flag, the worker creates a private
 	// recorder on first use just for shipping.
 	Timeline *timeline.Recorder
+	// sinkDial connects to a compositor sink address when a task names
+	// sinks: RenderLocal's in-process registry. Without it the worker
+	// sends its pixels to the master.
+	sinkDial func(addr string) (msg.Conn, error)
 }
 
 // pongData builds the heartbeat answer: the ping re-stamped with the
@@ -356,7 +356,7 @@ func newConnHost(name string, conn msg.Conn, opts WorkerOptions) *connHost {
 		// Room for the control messages (pings, truncates) that arrive
 		// while a frame renders, so the pump rarely waits on the worker.
 		inbox: make(chan received, 64), done: make(chan struct{}),
-		wt: &workerTimeline{name: name, rec: opts.Timeline}, sinks: newSinkLinks(name, opts.SinkDial),
+		wt: &workerTimeline{name: name, rec: opts.Timeline}, sinks: newSinkLinks(name, opts.sinkDial),
 	}
 	if h.wt.rec != nil {
 		h.wt.ensure(0)

@@ -1,8 +1,8 @@
 // Package fleetd is the fleet broker of the multi-master control
 // plane: the one place worker capacity is owned when several `now serve`
-// replicas share an elastic pool (ROADMAP item 1). Workers register
-// once with the broker; replicas acquire time-bounded, renewable leases
-// on worker slots. A replica that crashes simply stops renewing, its
+// replicas share one pool (ROADMAP item 1). Members register their slots
+// once, when the broker starts; replicas acquire time-bounded, renewable
+// leases on those slots. A replica that crashes simply stops renewing, its
 // leases expire, and the slots return to the pool — which is how a dead
 // master's workers rejoin and its in-flight jobs fail over to a
 // survivor without any replica-to-replica coordination.
@@ -164,77 +164,34 @@ func (b *Broker) Epoch() int64 { return b.epoch }
 // DefaultTerm is the term used when an acquire asks for none.
 func (b *Broker) DefaultTerm() time.Duration { return b.term }
 
-// Join registers (or resizes) a member contributing slots worker
-// slots, waking blocked acquires if capacity grew. Shrinking a member
-// takes effect lazily for units currently out on leases: they are
-// retired when their lease ends instead of being revoked.
-func (b *Broker) Join(member string, slots int) {
-	if member == "" || slots < 0 {
-		return
+// Join registers a member contributing slots worker slots, waking
+// blocked acquires. A member is registered once and never resized or
+// removed, so every unit the broker grants stays its capacity; Join
+// refuses a name already registered, BaseMember included.
+func (b *Broker) Join(member string, slots int) error {
+	if member == "" || slots <= 0 {
+		return fmt.Errorf("fleetd: member %q needs a name and positive slots", member)
 	}
 	b.mu.Lock()
+	defer b.mu.Unlock()
+	if _, ok := b.members[member]; ok {
+		return fmt.Errorf("fleetd: member %q already registered", member)
+	}
 	b.joinLocked(member, slots)
 	b.wakeLocked()
-	b.mu.Unlock()
+	return nil
 }
 
 func (b *Broker) joinLocked(member string, slots int) {
-	prev := b.members[member]
 	b.members[member] = slots
-	if slots > prev {
-		// New units join the free set (indices prev..slots-1 cannot be
-		// on any lease: leases only hold units that were registered).
-		for i := prev; i < slots; i++ {
-			b.free = append(b.free, unitName(member, i))
-		}
-		sortUnits(b.free)
-	} else if slots < prev {
-		// Shrink: drop now-invalid free units; leased ones lame-duck
-		// (returnUnitsLocked drops them at lease end).
-		b.free = filterValid(b.free, b.members)
+	for i := range slots {
+		b.free = append(b.free, unitName(member, i))
 	}
-	if slots == 0 {
-		delete(b.members, member)
-	}
-}
-
-// Leave deregisters a member. Its free units vanish immediately; units
-// out on leases are retired when those leases end (the lame-duck drain).
-func (b *Broker) Leave(member string) {
-	b.mu.Lock()
-	delete(b.members, member)
-	b.free = filterValid(b.free, b.members)
-	b.mu.Unlock()
+	sortUnits(b.free)
 }
 
 func unitName(member string, i int) Unit {
 	return Unit(fmt.Sprintf("%s/%d", member, i))
-}
-
-// unitValid reports whether u still belongs to a registered member.
-func unitValid(u Unit, members map[string]int) bool {
-	for i := len(u) - 1; i >= 0; i-- {
-		if u[i] != '/' {
-			continue
-		}
-		member := string(u[:i])
-		var idx int
-		if _, err := fmt.Sscanf(string(u[i+1:]), "%d", &idx); err != nil {
-			return false
-		}
-		return idx < members[member]
-	}
-	return false
-}
-
-func filterValid(units []Unit, members map[string]int) []Unit {
-	out := units[:0]
-	for _, u := range units {
-		if unitValid(u, members) {
-			out = append(out, u)
-		}
-	}
-	return out
 }
 
 func sortUnits(units []Unit) {
@@ -290,14 +247,9 @@ func (b *Broker) expireLocked(now time.Time) bool {
 	return false
 }
 
-// returnUnitsLocked puts a lease's units back in the free set, dropping
-// units whose member has since shrunk or left (the lame-duck drain).
+// returnUnitsLocked puts a lease's units back in the free set.
 func (b *Broker) returnUnitsLocked(units []Unit) {
-	for _, u := range units {
-		if unitValid(u, b.members) {
-			b.free = append(b.free, u)
-		}
-	}
+	b.free = append(b.free, units...)
 	sortUnits(b.free)
 }
 
@@ -477,9 +429,10 @@ func (b *Broker) Stats() BrokerStats {
 }
 
 // CheckInvariant verifies the single-leaseholder property the failover
-// suite pins: every slot unit is either free or held by exactly one
-// live lease, never both and never twice. It returns the first
-// violation found, nil when the ledger is consistent.
+// suite pins: every registered slot unit is either free or held by
+// exactly one live lease, never both and never twice, so held + free ==
+// capacity. It returns the first violation found, nil when the ledger
+// is consistent.
 func (b *Broker) CheckInvariant() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -502,21 +455,17 @@ func (b *Broker) CheckInvariant() error {
 			return fmt.Errorf("fleetd: unit %s both free and leased to %s", u, r)
 		}
 	}
-	// Lame-duck units (member shrunk while leased) are excluded: they
-	// retire at lease end and back no capacity.
-	if vh := validHeld(holder, b.members); vh+len(b.free) > b.capacityLocked() {
-		return fmt.Errorf("fleetd: %d held + %d free exceeds capacity %d",
-			vh, len(b.free), b.capacityLocked())
+	if len(holder)+len(b.free) != b.capacityLocked() {
+		return fmt.Errorf("fleetd: %d held + %d free, capacity %d",
+			len(holder), len(b.free), b.capacityLocked())
 	}
-	return nil
-}
-
-func validHeld(holder map[Unit]string, members map[string]int) int {
-	n := 0
-	for u := range holder {
-		if unitValid(u, members) {
-			n++
+	for member, slots := range b.members {
+		for i := range slots {
+			u := unitName(member, i)
+			if _, held := holder[u]; !held && !seen[u] {
+				return fmt.Errorf("fleetd: unit %s neither free nor leased", u)
+			}
 		}
 	}
-	return n
+	return nil
 }

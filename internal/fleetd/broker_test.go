@@ -200,32 +200,8 @@ func TestBrokerEmptyLedgerRefuses(t *testing.T) {
 	}
 }
 
-// TestBrokerMemberLameDuckDrain: a member leaving while its units are
-// leased retires those units at lease end instead of revoking them —
-// capacity shrinks, the invariant holds throughout.
-func TestBrokerMemberLameDuckDrain(t *testing.T) {
-	b, clk := testBroker(t, 0)
-	b.Join("ws01", 2)
-	b.Join("ws02", 2)
-	g := mustAcquire(t, b, "a", 4, time.Second)
-	b.Leave("ws02")
-	checkInvariant(t, b)
-	if st := b.Stats(); st.Capacity != 2 || st.Leased != 4 {
-		t.Fatalf("stats after leave = %+v (lame-duck over-subscription expected)", st)
-	}
-	// The lease ends; ws02's units vanish, ws01's return.
-	clk.Advance(2 * time.Second)
-	b.Expire()
-	checkInvariant(t, b)
-	st := b.Stats()
-	if st.Capacity != 2 || st.Free != 2 || st.Leased != 0 {
-		t.Fatalf("stats after drain = %+v", st)
-	}
-	_ = g
-}
-
 // TestBrokerJoinWakesBlockedAcquire: capacity arriving via Join grants
-// a waiting replica.
+// a waiting replica; the member cannot join again.
 func TestBrokerJoinWakesBlockedAcquire(t *testing.T) {
 	b := NewBroker(BrokerConfig{Capacity: 1, Term: time.Hour, Now: newManualClock().Now})
 	mustAcquire(t, b, "a", 1, 0)
@@ -237,17 +213,24 @@ func TestBrokerJoinWakesBlockedAcquire(t *testing.T) {
 		close(granted)
 	}()
 	time.Sleep(20 * time.Millisecond)
-	b.Join("ws01", 1)
+	if err := b.Join("ws01", 1); err != nil {
+		t.Fatal(err)
+	}
 	select {
 	case <-granted:
 	case <-time.After(5 * time.Second):
 		t.Fatal("join did not wake the blocked acquire")
 	}
+	// A member is registered once, never resized.
+	if b.Join("ws01", 2) == nil {
+		t.Error("second Join of ws01 accepted")
+	}
 	checkInvariant(t, b)
 }
 
 // TestBrokerCheckInvariantCatchesCorruption: the checker actually
-// detects a double-leased unit (white-box: corrupt the ledger).
+// detects a double-leased unit and a leaked one (white-box: corrupt the
+// ledger).
 func TestBrokerCheckInvariantCatchesCorruption(t *testing.T) {
 	b, _ := testBroker(t, 2)
 	mustAcquire(t, b, "a", 1, 0)
@@ -261,6 +244,18 @@ func TestBrokerCheckInvariantCatchesCorruption(t *testing.T) {
 	err := b.CheckInvariant()
 	if err == nil || !strings.Contains(err.Error(), "leased to both") {
 		t.Fatalf("invariant checker missed the double lease: %v", err)
+	}
+
+	// A return that drops one unit leaks it: the lease is gone, but only
+	// one of its two units is free again.
+	b, _ = testBroker(t, 2)
+	g := mustAcquire(t, b, "a", 2, 0)
+	b.mu.Lock()
+	delete(b.leases, g.ID)
+	b.returnUnitsLocked(g.Units[1:])
+	b.mu.Unlock()
+	if err := b.CheckInvariant(); err == nil || !strings.Contains(err.Error(), "capacity 2") {
+		t.Fatalf("invariant checker missed the leaked unit: %v", err)
 	}
 }
 

@@ -121,7 +121,7 @@ func (p *ReplicaPool) ensureConnLocked() (msg.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	hello := msg.Encode(&Hello{Role: RoleReplica, Name: p.cfg.Replica})
+	hello := msg.Encode(&Hello{Name: p.cfg.Replica})
 	if err := c.Send(msg.Message{Tag: TagHello, Data: hello}); err != nil {
 		c.Close()
 		return nil, err
@@ -514,105 +514,4 @@ func (g *RemoteGrant) Abandon() {
 	p.mu.Lock()
 	delete(p.held, g.id)
 	p.mu.Unlock()
-}
-
-// MemberSession registers a worker-capacity member with the broker for
-// as long as the session lives, redialing with backoff so a broker
-// restart re-registers the member automatically.
-type MemberSession struct {
-	name  string
-	slots int
-	dial  func() (msg.Conn, error)
-
-	mu     sync.Mutex
-	conn   msg.Conn
-	closed bool
-	wg     sync.WaitGroup
-}
-
-// JoinFleet dials the broker and registers name contributing slots
-// worker slots. The registration lives until Close.
-func JoinFleet(dial func() (msg.Conn, error), name string, slots int) (*MemberSession, error) {
-	if name == "" || slots <= 0 {
-		return nil, fmt.Errorf("fleetd: member needs a name and positive slots")
-	}
-	s := &MemberSession{name: name, slots: slots, dial: dial}
-	if err := s.connect(); err != nil {
-		return nil, err
-	}
-	s.wg.Add(1)
-	go s.loop()
-	return s, nil
-}
-
-func (s *MemberSession) connect() error {
-	c, err := s.dial()
-	if err != nil {
-		return err
-	}
-	hello := msg.Encode(&Hello{Role: RoleWorker, Name: s.name, Slots: s.slots})
-	if err := c.Send(msg.Message{Tag: TagHello, Data: hello}); err != nil {
-		c.Close()
-		return err
-	}
-	m, err := c.Recv()
-	if err != nil || m.Tag != TagWelcome {
-		c.Close()
-		return fmt.Errorf("fleetd: no welcome from broker")
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		c.Close()
-		return fmt.Errorf("fleetd: member session closed")
-	}
-	s.conn = c
-	s.mu.Unlock()
-	return nil
-}
-
-// loop keeps the registration alive: it blocks on the conn (the broker
-// sends nothing after the welcome; Recv returns only on closure) and
-// redials when it drops.
-func (s *MemberSession) loop() {
-	defer s.wg.Done()
-	backoff := 50 * time.Millisecond
-	for {
-		s.mu.Lock()
-		c, closed := s.conn, s.closed
-		s.mu.Unlock()
-		if closed {
-			return
-		}
-		if c != nil {
-			_, err := c.Recv()
-			if err == nil {
-				continue // broker chatter; registration still live
-			}
-			s.mu.Lock()
-			if s.conn == c {
-				s.conn = nil
-			}
-			s.mu.Unlock()
-		}
-		time.Sleep(backoff)
-		if backoff < time.Second {
-			backoff *= 2
-		}
-		if err := s.connect(); err == nil {
-			backoff = 50 * time.Millisecond
-		}
-	}
-}
-
-// Close deregisters the member (the broker observes the conn drop).
-func (s *MemberSession) Close() {
-	s.mu.Lock()
-	s.closed = true
-	c := s.conn
-	s.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-	s.wg.Wait()
 }

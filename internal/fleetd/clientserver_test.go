@@ -231,44 +231,6 @@ func TestBrokerRestartOrphansAndReacquires(t *testing.T) {
 	g2.Return()
 }
 
-// TestMemberSessionReregistersAfterRestart: a worker member's
-// registration survives a broker restart via the redial loop.
-func TestMemberSessionReregistersAfterRestart(t *testing.T) {
-	b1 := NewBroker(BrokerConfig{Capacity: 0, Term: time.Second, Epoch: 1})
-	srv1 := NewServer(b1)
-
-	var target atomic.Pointer[Server]
-	target.Store(srv1)
-	dial := func() (msg.Conn, error) {
-		a, b := msg.Pipe(64)
-		if err := target.Load().ServeConn(b); err != nil {
-			a.Close()
-			return nil, err
-		}
-		return a, nil
-	}
-
-	m, err := JoinFleet(dial, "ws01", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	if st := b1.Stats(); st.Members["ws01"] != 3 {
-		t.Fatalf("member not registered: %+v", st)
-	}
-
-	srv1.Close()
-	b2 := NewBroker(BrokerConfig{Capacity: 0, Term: time.Second, Epoch: 2})
-	srv2 := NewServer(b2)
-	defer srv2.Close()
-	target.Store(srv2)
-
-	waitFor(t, 5*time.Second, "member to re-register", func() bool {
-		return b2.Stats().Members["ws01"] == 3
-	})
-	checkInvariant(t, b2)
-}
-
 // TestLeaseChurnSoakRace is the seeded chaos soak of the multi-master
 // protocol: three replicas hammer one broker with concurrent acquires,
 // renews, releases and simulated crashes (abandoned grants that must

@@ -12,11 +12,11 @@ import (
 // Message tags of the broker protocol. Like the compositor's, they
 // live in their own range (201+) so a trace mixing farm, sink and
 // broker traffic stays readable; every connection is dedicated
-// (replica↔broker or worker↔broker), so no tag ever shares a conn with
-// another subsystem's.
+// (replica↔broker), so no tag ever shares a conn with another
+// subsystem's.
 const (
-	// TagHello (client→broker) opens a connection: role, name, and —
-	// for worker-role conns — the slots the member contributes.
+	// TagHello (replica→broker) opens a connection with the replica's
+	// name.
 	TagHello = iota + 201
 	// TagWelcome (broker→client) answers the hello with the broker's
 	// epoch and default lease term; a client reconnecting under a
@@ -45,42 +45,20 @@ const (
 	TagFleetBye
 )
 
-// Roles a TagHello can announce.
-const (
-	RoleReplica = "replica"
-	RoleWorker  = "worker"
-)
-
 // maxUnits bounds a grant's unit list on decode (a hostile payload must
 // not allocate unbounded memory; no real pool is this big).
 const maxUnits = 1 << 16
 
-// Hello opens a connection.
-type Hello struct {
-	Role string
-	Name string
-	// Slots is the member capacity a worker-role conn contributes;
-	// ignored for replicas.
-	Slots int
-}
+// Hello opens a replica's connection; Name is the replica lease
+// ownership is checked against.
+type Hello struct{ Name string }
 
-func (h *Hello) Fields(b *msg.Buffer) {
-	b.String(&h.Role)
-	b.String(&h.Name)
-	b.Int(&h.Slots)
-}
+func (h *Hello) Fields(b *msg.Buffer) { b.String(&h.Name) }
 
-// Validate rejects an unknown role, a missing name or a slot count out
-// of range.
+// Validate rejects a missing name.
 func (h *Hello) Validate() error {
-	if h.Role != RoleReplica && h.Role != RoleWorker {
-		return fmt.Errorf("role %q", h.Role)
-	}
 	if h.Name == "" {
 		return fmt.Errorf("no name")
-	}
-	if h.Slots < 0 || h.Slots > maxUnits {
-		return fmt.Errorf("slots %d", h.Slots)
 	}
 	return nil
 }

@@ -12,7 +12,7 @@ import (
 // unchanged.
 func TestProtocolRoundTrips(t *testing.T) {
 	for _, m := range []msg.Layout{
-		&Hello{Role: RoleWorker, Name: "ws01", Slots: 4},
+		&Hello{Name: "replica-a"},
 		&Welcome{Epoch: 77, TermMS: 15000},
 		&AcquireReq{Req: 9, Want: 3, TermMS: 500},
 		&Grant{Req: 9, Lease: 42, Slots: 2, Units: []string{"pool/0", "ws01/1"}, TermMS: 500},
@@ -38,9 +38,7 @@ func TestProtocolRoundTrips(t *testing.T) {
 // hostile values are refused with errors, not accepted or panicked on.
 func TestProtocolRejectsSemanticGarbage(t *testing.T) {
 	for name, m := range map[string]msg.Layout{
-		"unknown hello role":     &Hello{Role: "admin", Name: "x"},
-		"nameless hello":         &Hello{Role: RoleWorker, Name: ""},
-		"negative hello slots":   &Hello{Role: RoleWorker, Name: "x", Slots: -1},
+		"nameless hello":         &Hello{},
 		"oversized acquire":      &AcquireReq{Want: maxUnits + 1},
 		"negative acquire term":  &AcquireReq{TermMS: -5},
 		"negative welcome term":  &Welcome{TermMS: -1},

@@ -112,14 +112,6 @@ func (s *Server) handle(ctx context.Context, c msg.Conn) {
 	if err := c.Send(msg.Message{Tag: TagWelcome, Data: welcome}); err != nil {
 		return
 	}
-	if hello.Role == RoleWorker {
-		// A worker conn is a capacity member for as long as it lives:
-		// registration on hello, deregistration (lame-duck for leased
-		// units) when the conn drops.
-		s.b.Join(hello.Name, hello.Slots)
-		defer s.b.Leave(hello.Name)
-	}
-
 	// Acquire handlers block on broker capacity; sends on the shared
 	// conn are safe concurrently (both transports serialize Send).
 	var pending sync.WaitGroup

@@ -98,7 +98,6 @@ type Cache struct {
 	flights map[Key]*flight
 
 	hits, misses, evictions uint64
-	coalesced, flightsLed   uint64
 }
 
 // New returns a cache bounded to budget bytes of frame data: the cached
@@ -229,11 +228,9 @@ func (c *Cache) Acquire(k Key) (img *fb.Framebuffer, wait <-chan *fb.Framebuffer
 	if f, ok := c.flights[k]; ok {
 		ch := make(chan *fb.Framebuffer, 1)
 		f.subs = append(f.subs, ch)
-		c.coalesced++
 		return nil, ch, false
 	}
 	c.flights[k] = &flight{}
-	c.flightsLed++
 	return nil, nil, true
 }
 
@@ -283,22 +280,13 @@ func (c *Cache) Abort(k Key) {
 	}
 }
 
-// InFlight reports whether some producer currently owns k.
-func (c *Cache) InFlight(k Key) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.flights[k]
-	return ok
-}
-
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() stats.CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return stats.CacheStats{
 		Hits: c.hits, Misses: c.misses, Evictions: c.evictions,
-		Coalesced: c.coalesced, FlightsLed: c.flightsLed, InFlight: uint64(len(c.flights)),
-		Entries: uint64(c.ll.Len()), Bytes: uint64(c.bytes), EncodedBytes: uint64(c.encodedBytes),
-		Budget: uint64(max(c.budget, 0)),
+		InFlight: uint64(len(c.flights)),
+		Entries:  uint64(c.ll.Len()), Bytes: uint64(c.bytes), EncodedBytes: uint64(c.encodedBytes),
 	}
 }

@@ -74,7 +74,7 @@ func renderPlain(t *testing.T, sc *scene.Scene, n, threads int) []string {
 			t.Fatal(err)
 		}
 		img := fb.New(goldenW, goldenH)
-		ft.RenderRegionParallel(img, fb.NewRect(0, 0, goldenW, goldenH), threads)
+		ft.RenderRegionParallelWorkers(img, fb.NewRect(0, 0, goldenW, goldenH), threads, -1, nil, ft.NewWorker)
 		out[f] = hashFrame(img)
 	}
 	return out

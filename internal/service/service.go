@@ -106,12 +106,6 @@ type Config struct {
 	// span-codec payload compression on the farm data path (see
 	// farm.Config). Pixels are byte-identical in every mode.
 	WireDelta, WireSpanCodec bool
-	// DFBSinks, when positive, routes local-driver pixel traffic through
-	// that many in-process compositor sinks (the distributed framebuffer)
-	// instead of the master — the master then sees only control acks and
-	// confirmations on its result path. Frames are byte-identical either
-	// way. The virtual driver is master-routed and ignores it.
-	DFBSinks int
 	// Timeline records every farm run into a per-job cluster timeline
 	// (master scheduling events plus offset-corrected worker spans, plus
 	// a "sched" track of service-level enqueue/admit/lease/coalesce/
@@ -685,9 +679,6 @@ func (s *Service) renderRange(j *job, start, end int) error {
 		WireDelta:      s.cfg.WireDelta,
 		WireSpanCodec:  s.cfg.WireSpanCodec,
 		Timeline:       rec,
-	}
-	if s.cfg.DFBSinks > 0 {
-		cfg.DFB = &farm.DFBConfig{Sinks: s.cfg.DFBSinks}
 	}
 	cfg.OnFrame = func(f int, img *fb.Framebuffer) error {
 		// Put completes any coalesced flight on this frame: followers'

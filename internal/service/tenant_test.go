@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"nowrender/internal/framecache"
 	"nowrender/internal/timeline"
 )
 
@@ -65,7 +64,6 @@ func TestCoalescingAcrossTenants(t *testing.T) {
 
 	const scene = "newton:4"
 	spec := JobSpec{Scene: scene, W: 48, H: 48}
-	k := framecache.NewSeqKey(scene, 48, 48, 1)
 
 	specA := spec
 	specA.Tenant = "alice"
@@ -77,15 +75,8 @@ func TestCoalescingAcrossTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Alice's job registers all four flights, then blocks on the lease.
-	waitFor(t, "lead job's flights", func() bool {
-		for f := 0; f < 4; f++ {
-			if !s.cache.InFlight(framecache.Key{Seq: k, Frame: f}) {
-				return false
-			}
-		}
-		return true
-	})
+	// Alice's job registers all four flights, then blocks on the lease:
+	// the wait below implies the flights.
 	waitFor(t, "lead job to wait on the pool", func() bool {
 		return s.leaser.Stats().Waits >= 1
 	})
@@ -100,9 +91,12 @@ func TestCoalescingAcrossTenants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bob's job joins all four in-flight frames before any render runs.
+	// Bob's job joins all four in-flight frames before any render runs;
+	// its sched track records an OpCoalesce instant per follow.
 	waitFor(t, "follower to coalesce", func() bool {
-		return s.CacheStats().Coalesced >= 4
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return timeline.Analyze(s.jobs[stB.ID].rec.Snapshot()).Coalesced >= 4
 	})
 
 	for _, id := range []string{blocker.ID, stA.ID, stB.ID} {

@@ -427,25 +427,17 @@ type CacheStats struct {
 	// Hits and Misses count lookups; Evictions counts entries dropped to
 	// stay under the byte budget.
 	Hits, Misses, Evictions uint64
-	// Coalesced counts lookups that joined an in-flight production of
-	// the same frame instead of rendering it again; FlightsLed counts
-	// the productions so coalesced-onto.
-	Coalesced, FlightsLed uint64
 	// InFlight is the number of frames currently being produced.
 	InFlight uint64
 	// Entries and Bytes describe current occupancy — Bytes is cached
 	// pixels plus the encoded forms kept beside them, EncodedBytes the
-	// encoded share of it; Budget is the configured limit on Bytes
-	// (0 = unlimited).
+	// encoded share of it.
 	Entries      uint64
 	Bytes        uint64
 	EncodedBytes uint64
-	Budget       uint64
 }
 
-// CacheTable is the one list of CacheStats' counters. Coalesced and
-// FlightsLed, which the service counts per job and frame itself, and
-// Budget, a setting, are not exported.
+// CacheTable is the one list of CacheStats' counters.
 var CacheTable = []Counter[CacheStats]{
 	{Family: "nowrender_cache_hits_total", Help: "Frame cache hits.", Field: func(c *CacheStats) *uint64 { return &c.Hits }},
 	{Family: "nowrender_cache_misses_total", Help: "Frame cache misses.", Field: func(c *CacheStats) *uint64 { return &c.Misses }},
@@ -455,9 +447,6 @@ var CacheTable = []Counter[CacheStats]{
 	{Family: "nowrender_cache_encoded_bytes", Help: "Share of nowrender_cache_bytes that is encoded TGA files.", Gauge: true, Field: func(c *CacheStats) *uint64 { return &c.EncodedBytes }},
 	{Family: "nowrender_cache_entries", Help: "Frames currently cached.", Gauge: true, Field: func(c *CacheStats) *uint64 { return &c.Entries }},
 	{Family: "nowrender_cache_inflight", Help: "Frame renders currently in flight (coalescing targets).", Gauge: true, Field: func(c *CacheStats) *uint64 { return &c.InFlight }},
-	{Field: func(c *CacheStats) *uint64 { return &c.Coalesced }},
-	{Field: func(c *CacheStats) *uint64 { return &c.FlightsLed }},
-	{Gauge: true, Field: func(c *CacheStats) *uint64 { return &c.Budget }},
 }
 
 // HitRate returns hits / lookups, or 0 before any lookup.

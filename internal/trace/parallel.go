@@ -18,38 +18,18 @@ const (
 	TileH = 32
 )
 
-// RenderRegionParallel renders region into dst using up to threads
-// goroutines, each with its own Worker. Output bytes are identical to
-// RenderRegion for any thread count: every pixel's colour is a pure
-// function of its coordinates, and each pixel is written exactly once.
-//
-// threads <= 0 selects runtime.NumCPU(). The default worker's observer
-// (Options.Observer) is not consulted here — observers are per-Worker,
-// and this path creates observer-less workers; callers that need ray
-// observation with parallelism use the coherence engine's tile pool,
-// which wires a collector into each worker. The default worker's
-// Counters are left untouched; per-worker counts are merged and
-// returned via the workers' own Counters into ft.Counters.
-func (ft *FrameTracer) RenderRegionParallel(dst *fb.Framebuffer, region fb.Rect, threads int) {
-	ft.RenderRegionParallelTimed(dst, region, threads, -1, nil)
-}
-
-// RenderRegionParallelTimed is RenderRegionParallel with per-tile
-// timeline instrumentation: tile worker i records an OpTile span on
-// tracks[i] (frame-tagged, arg = tile pixel area) for every tile it
-// renders. tracks may be nil or shorter than the pool — missing tracks
-// are nil, and a nil track costs a single branch per tile, which is why
-// the hot path carries the instrumentation unconditionally.
-func (ft *FrameTracer) RenderRegionParallelTimed(dst *fb.Framebuffer, region fb.Rect, threads, frame int, tracks []*timeline.Track) {
-	ft.RenderRegionParallelWorkers(dst, region, threads, frame, tracks, ft.NewWorker)
-}
-
-// RenderRegionParallelWorkers is RenderRegionParallelTimed with the tile
-// pool's worker construction delegated to newWorker — the hook through
+// RenderRegionParallelWorkers renders region into dst using up to
+// threads goroutines (threads <= 0 selects runtime.NumCPU()), each with
+// its own Worker from newWorker — ft.NewWorker, or the hook through
 // which the object-space cluster installs its shard-routing intersector
-// on every tile worker. Per-worker ray tallies are merged into
-// ft.Counters at the barrier, in worker-slot order, same as the default
-// path.
+// on every tile worker. Output bytes are identical to RenderRegion for
+// any thread count: every pixel's colour is a pure function of its
+// coordinates, and each pixel is written exactly once. Tile worker i
+// records an OpTile span on tracks[i] (frame-tagged, arg = tile pixel
+// area) for every tile it renders; tracks may be nil or shorter than the
+// pool, and a nil track costs a single branch per tile. Per-worker ray
+// tallies are merged into ft.Counters at the barrier, in worker-slot
+// order; the default worker's own Counters are left untouched.
 func (ft *FrameTracer) RenderRegionParallelWorkers(dst *fb.Framebuffer, region fb.Rect, threads, frame int, tracks []*timeline.Track, newWorker func(RayObserver) *Worker) {
 	ft.Counters.Merge(RenderTiles(dst, dst.W, dst.H, region, threads, frame, tracks, newWorker))
 }
@@ -57,7 +37,7 @@ func (ft *FrameTracer) RenderRegionParallelWorkers(dst *fb.Framebuffer, region f
 // RenderTiles renders region of a width x height frame into dst, which
 // may hold just that region (fb.NewRegion), through a pool of up to
 // threads tile workers from newWorker (threads <= 0 selects
-// runtime.NumCPU()), with tracks as in RenderRegionParallelTimed, and
+// runtime.NumCPU()), with tracks as in RenderRegionParallelWorkers, and
 // returns the workers' ray tallies merged in worker-slot order. The frame
 // size, not dst's, aims the camera rays. It writes no tracer's counters,
 // so any number of renders may share one frame's tracer or cluster — a

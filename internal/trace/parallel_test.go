@@ -23,7 +23,7 @@ func TestRenderRegionParallelMatchesSerial(t *testing.T) {
 		t.Run(fmt.Sprintf("threads%d", threads), func(t *testing.T) {
 			ft := newTracer(t, s, Options{})
 			got := fb.New(ptw, pth)
-			ft.RenderRegionParallel(got, got.Bounds(), threads)
+			ft.RenderRegionParallelWorkers(got, got.Bounds(), threads, -1, nil, ft.NewWorker)
 			if !got.Equal(want) {
 				t.Errorf("%d differing pixels at %d threads", got.DiffCount(want), threads)
 			}
@@ -46,7 +46,7 @@ func TestRenderRegionParallelSubregion(t *testing.T) {
 
 	ft := newTracer(t, s, Options{})
 	got := fb.New(ptw, pth)
-	ft.RenderRegionParallel(got, region, 4)
+	ft.RenderRegionParallelWorkers(got, region, 4, -1, nil, ft.NewWorker)
 	if !got.Equal(want) {
 		t.Errorf("%d differing pixels", got.DiffCount(want))
 	}

@@ -16,7 +16,7 @@
 // embeds a default Worker so single-goroutine callers keep the classic
 // API: ft.TracePixel, ft.RenderRegion and ft.Counters work exactly as
 // before, but are not safe for concurrent use — concurrent renderers
-// call NewWorker per goroutine (see RenderRegionParallel and the
+// call NewWorker per goroutine (see RenderTiles and the
 // coherence engine's tile pool).
 package trace
 
